@@ -1,108 +1,220 @@
-//! Shared command-line parsing for the experiment binaries.
+//! Command-line parsing shared by the `mp2p` subcommands.
 //!
-//! Every binary under `src/bin/` historically hand-rolled the same
-//! `--flag value` scanning and the same token tables (strategy names,
-//! level mixes, fault presets). This module is the single home for all
-//! of it: [`Args`] wraps the raw argument vector with typed accessors,
-//! and the `parse_*` functions map the CLI token vocabularies onto the
-//! core types. `run`, `compare`, `chaos` and `matrix` all parse through
-//! here, so a token accepted by one binary is accepted — with the same
-//! spelling and the same error message — by all of them.
+//! Each subcommand declares its flag list once as a [`Spec`];
+//! [`Args::parse`] checks an argument vector against it, so an unknown
+//! flag, a flag without its value or a stray argument is a one-line
+//! error followed by that flag list — never silently ignored. The
+//! `parse_*` functions map the CLI token vocabularies (strategy names,
+//! level mixes, mobility models, fault presets) onto the core types.
+
+use std::str::FromStr;
 
 use mp2p_net::FaultPlan;
 use mp2p_rpcc::{LevelMix, MobilityKind, Strategy};
 use mp2p_sim::SimDuration;
 
-use crate::perf;
+use crate::sweep::{extended_strategies, paper_strategies, StrategySpec};
 
-/// The raw argument vector with typed, flag-oriented accessors.
-///
-/// Flags are scanned positionally (`--flag value`), matching the
-/// historical behaviour of the binaries: a repeated flag resolves to its
-/// first occurrence.
+/// The flag list of one subcommand.
+#[derive(Debug)]
+pub struct Spec {
+    /// Subcommand name as typed after `mp2p`.
+    pub command: &'static str,
+    /// Metavar of the one optional positional argument; empty when the
+    /// subcommand takes none.
+    pub positional: &'static str,
+    /// `(flag, metavar)` pairs. An empty metavar declares a bare switch;
+    /// a metavar in square brackets declares an optional value, taken
+    /// from the next token unless that token is itself a flag.
+    pub flags: &'static [(&'static str, &'static str)],
+}
+
+impl Spec {
+    /// The flag list as a wrapped `usage:` paragraph.
+    pub fn usage(&self) -> String {
+        let mut words = Vec::new();
+        if !self.positional.is_empty() {
+            words.push(format!("[{}]", self.positional));
+        }
+        for (flag, metavar) in self.flags {
+            let gap = if metavar.is_empty() { "" } else { " " };
+            words.push(format!("[{flag}{gap}{metavar}]"));
+        }
+        let mut out = String::new();
+        let mut line = format!("usage: mp2p {}", self.command);
+        for (i, word) in words.iter().enumerate() {
+            if i > 0 && line.len() + 1 + word.len() > 78 {
+                out.push_str(&line);
+                out.push('\n');
+                line = "       ".to_owned();
+            }
+            line.push(' ');
+            line.push_str(word);
+        }
+        out.push_str(&line);
+        out
+    }
+
+    /// A usage error: the message on one line, then the flag list.
+    pub fn error(&self, msg: impl std::fmt::Display) -> String {
+        format!("mp2p {}: {msg}\n{}", self.command, self.usage())
+    }
+}
+
+/// An argument vector checked against a [`Spec`], with typed accessors.
 #[derive(Debug, Clone)]
 pub struct Args {
-    argv: Vec<String>,
+    spec: &'static Spec,
+    positional: Option<String>,
+    given: Vec<(&'static str, Option<String>)>,
 }
 
 impl Args {
-    /// Captures the process arguments (program name skipped).
-    pub fn from_env() -> Self {
-        Args {
-            argv: std::env::args().skip(1).collect(),
+    /// Checks `argv` (subcommand name already stripped) against `spec`.
+    /// `--help` / `-h` yield the flag list as the error.
+    pub fn parse(spec: &'static Spec, argv: &[String]) -> Result<Args, String> {
+        let mut args = Args {
+            spec,
+            positional: None,
+            given: Vec::new(),
+        };
+        let mut tokens = argv.iter().peekable();
+        while let Some(token) = tokens.next() {
+            if token == "--help" || token == "-h" {
+                return Err(spec.usage());
+            }
+            if !token.starts_with("--") {
+                if spec.positional.is_empty() || args.positional.is_some() {
+                    return Err(spec.error(format!("unexpected argument {token:?}")));
+                }
+                args.positional = Some(token.clone());
+                continue;
+            }
+            let Some(&(flag, metavar)) = spec.flags.iter().find(|(f, _)| f == token) else {
+                return Err(spec.error(format!("unknown flag {token}")));
+            };
+            if args.given.iter().any(|(f, _)| *f == flag) {
+                return Err(spec.error(format!("{flag} given twice")));
+            }
+            let value = if metavar.is_empty() {
+                None
+            } else {
+                let value = tokens.next_if(|next| !next.starts_with("--"));
+                if value.is_none() && !metavar.starts_with('[') {
+                    return Err(spec.error(format!("{flag} needs a value ({metavar})")));
+                }
+                value.cloned()
+            };
+            args.given.push((flag, value));
         }
+        Ok(args)
     }
 
-    /// Wraps an explicit argument vector (used by tests).
-    pub fn new(argv: Vec<String>) -> Self {
-        Args { argv }
+    fn lookup(&self, name: &str) -> Option<&Option<String>> {
+        debug_assert!(
+            self.spec.flags.iter().any(|(f, _)| *f == name),
+            "{name} is not declared by `{}`",
+            self.spec.command
+        );
+        self.given.iter().find(|(f, _)| *f == name).map(|(_, v)| v)
     }
 
-    /// True when the bare flag is present anywhere.
+    /// True when the flag was given (with or without a value).
     pub fn flag(&self, name: &str) -> bool {
-        self.argv.iter().any(|a| a == name)
+        self.lookup(name).is_some()
     }
 
-    /// The value following `--name`, if any.
+    /// The value given with `--name`, if any.
     pub fn value_of(&self, name: &str) -> Option<&str> {
-        self.argv
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.argv.get(i + 1))
-            .map(String::as_str)
+        self.lookup(name).and_then(|v| v.as_deref())
     }
 
-    /// The value following `--name` parsed as `f64`.
-    pub fn f64_of(&self, name: &str) -> Result<Option<f64>, String> {
-        match self.value_of(name) {
-            None => Ok(None),
-            Some(text) => text
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("{name} expects a number, got {text:?}")),
-        }
+    /// The positional argument, if one was given.
+    pub fn positional(&self) -> Option<&str> {
+        self.positional.as_deref()
     }
 
-    /// The value following `--name` parsed as `u64`.
-    pub fn u64_of(&self, name: &str) -> Result<Option<u64>, String> {
-        match self.value_of(name) {
-            None => Ok(None),
-            Some(text) => text
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("{name} expects a non-negative integer, got {text:?}")),
-        }
-    }
-
-    /// The value following `--name` parsed as `usize`.
-    pub fn usize_of(&self, name: &str) -> Result<Option<usize>, String> {
-        match self.value_of(name) {
-            None => Ok(None),
-            Some(text) => text
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("{name} expects a non-negative integer, got {text:?}")),
+    /// The value given with `--name`, parsed and range-checked: `expects`
+    /// words the error (`"--peers expects an integer >= 2, got \"1\""`).
+    pub fn get<T: FromStr>(
+        &self,
+        name: &str,
+        expects: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, String> {
+        let Some(text) = self.value_of(name) else {
+            return Ok(None);
+        };
+        match text.parse::<T>() {
+            Ok(v) if ok(&v) => Ok(Some(v)),
+            _ => Err(format!("{name} expects {expects}, got {text:?}")),
         }
     }
 }
 
-/// Parses a strategy token (`rpcc`, `push`, `pull`, `push-ap`).
+/// Range check for [`Args::get`]: finite and strictly positive.
+pub fn positive(v: &f64) -> bool {
+    v.is_finite() && *v > 0.0
+}
+
+/// Range check for [`Args::get`]: finite and not negative.
+pub fn non_negative(v: &f64) -> bool {
+    v.is_finite() && *v >= 0.0
+}
+
+/// CLI token of a strategy (`rpcc`, `push`, `pull`, `push-ap`) — also a
+/// file-name stem of matrix snapshots, so it is lowercase and path-safe.
+pub fn strategy_token(strategy: Strategy) -> &'static str {
+    match strategy {
+        Strategy::Rpcc => "rpcc",
+        Strategy::Push => "push",
+        Strategy::Pull => "pull",
+        Strategy::PushAdaptivePull => "push-ap",
+    }
+}
+
+/// Parses a strategy token; inverse of [`strategy_token`].
 pub fn parse_strategy(token: &str) -> Result<Strategy, String> {
-    perf::parse_strategy(token)
-        .ok_or_else(|| format!("unknown strategy {token:?} (rpcc|push|pull|push-ap)"))
+    match token {
+        "rpcc" => Ok(Strategy::Rpcc),
+        "push" => Ok(Strategy::Push),
+        "pull" => Ok(Strategy::Pull),
+        "push-ap" => Ok(Strategy::PushAdaptivePull),
+        _ => Err(format!(
+            "unknown strategy {token:?} (rpcc|push|pull|push-ap)"
+        )),
+    }
 }
 
-/// Parses a comma-separated strategy list (`rpcc,push,pull`).
-pub fn parse_strategies(list: &str) -> Result<Vec<Strategy>, String> {
-    let strategies: Vec<Strategy> = list
-        .split(',')
-        .filter(|t| !t.is_empty())
-        .map(parse_strategy)
-        .collect::<Result<_, _>>()?;
-    if strategies.is_empty() {
+/// Parses the strategy set of `mp2p run`: a comma list whose entries are
+/// a strategy token with an optional level mix (`rpcc:hy`, `push`) or
+/// one of the aliases `paper` (the six Fig. 7/8 curves) and `all` (plus
+/// Push+AP). Entries without a mix take `default_mix`. Two entries that
+/// would share a column label are rejected.
+pub fn parse_strategy_set(list: &str, default_mix: LevelMix) -> Result<Vec<StrategySpec>, String> {
+    let mut specs: Vec<StrategySpec> = Vec::new();
+    for entry in list.split(',').filter(|t| !t.is_empty()) {
+        match entry {
+            "paper" => specs.extend(paper_strategies()),
+            "all" => specs.extend(extended_strategies()),
+            _ => {
+                let (token, mix) = match entry.split_once(':') {
+                    Some((token, mix)) => (token, parse_mix(mix)?),
+                    None => (entry, default_mix),
+                };
+                specs.push(StrategySpec::of(parse_strategy(token)?, mix));
+            }
+        }
+    }
+    if specs.is_empty() {
         return Err("empty strategy list".into());
     }
-    Ok(strategies)
+    for (i, spec) in specs.iter().enumerate() {
+        if specs[..i].iter().any(|s| s.name == spec.name) {
+            return Err(format!("strategy {} listed twice", spec.name));
+        }
+    }
+    Ok(specs)
 }
 
 /// Parses a level-mix token (`sc`, `dc`, `wc`, `hy`).
@@ -127,58 +239,69 @@ pub fn parse_mix(token: &str) -> Result<LevelMix, String> {
 /// | `walk[:MIN:MAX:EPOCH]` | speeds m/s, epoch s | `0.5:2.5:60` |
 /// | `manhattan[:BLOCK:SPEED]` | block m, speed m/s | `150:8` |
 /// | `stationary` | — | — |
+///
+/// Speeds, block and epoch must be positive, the pause non-negative and
+/// `MIN <= MAX` — the bounds the mobility models assert.
 pub fn parse_mobility(token: &str) -> Result<MobilityKind, String> {
     let mut parts = token.split(':');
     let model = parts.next().unwrap_or("");
     let nums: Vec<f64> = parts
-        .map(|p| {
-            p.parse()
-                .map_err(|_| format!("mobility parameter {p:?} is not a number"))
+        .map(|p| match p.parse::<f64>() {
+            Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+            _ => Err(format!(
+                "mobility parameter {p:?} is not a non-negative number"
+            )),
         })
         .collect::<Result<_, _>>()?;
     let num = |i: usize, default: f64| nums.get(i).copied().unwrap_or(default);
-    let expect_at_most = |n: usize| -> Result<(), String> {
-        if nums.len() > n {
-            Err(format!(
-                "mobility model {model:?} takes at most {n} parameters, got {}",
-                nums.len()
+    let max_params = match model {
+        "waypoint" | "walk" => 3,
+        "manhattan" => 2,
+        "stationary" => 0,
+        other => {
+            return Err(format!(
+                "unknown mobility model {other:?} (waypoint|walk|manhattan|stationary)"
             ))
-        } else {
-            Ok(())
         }
     };
-    match model {
-        "waypoint" => {
-            expect_at_most(3)?;
-            Ok(MobilityKind::Waypoint {
-                speed_min: num(0, 0.5),
-                speed_max: num(1, 2.5),
-                max_pause: SimDuration::from_secs_f64(num(2, 30.0)),
-            })
-        }
-        "walk" => {
-            expect_at_most(3)?;
-            Ok(MobilityKind::Walk {
-                speed_min: num(0, 0.5),
-                speed_max: num(1, 2.5),
-                epoch: SimDuration::from_secs_f64(num(2, 60.0)),
-            })
-        }
-        "manhattan" => {
-            expect_at_most(2)?;
-            Ok(MobilityKind::Manhattan {
-                block: num(0, 150.0),
-                speed: num(1, 8.0),
-            })
-        }
-        "stationary" => {
-            expect_at_most(0)?;
-            Ok(MobilityKind::Stationary)
-        }
-        other => Err(format!(
-            "unknown mobility model {other:?} (waypoint|walk|manhattan|stationary)"
-        )),
+    if nums.len() > max_params {
+        return Err(format!(
+            "mobility model {model:?} takes at most {max_params} parameters, got {}",
+            nums.len()
+        ));
     }
+    // Everything but the waypoint pause must be strictly positive.
+    let pause_slot = if model == "waypoint" { 2 } else { usize::MAX };
+    if let Some(i) = (0..nums.len()).find(|&i| i != pause_slot && nums[i] == 0.0) {
+        return Err(format!(
+            "mobility parameter {} of {model:?} must be positive",
+            i + 1
+        ));
+    }
+    if model != "manhattan" && num(0, 0.5) > num(1, 2.5) {
+        return Err(format!(
+            "mobility model {model:?} needs MIN <= MAX speed, got {} > {}",
+            num(0, 0.5),
+            num(1, 2.5)
+        ));
+    }
+    Ok(match model {
+        "waypoint" => MobilityKind::Waypoint {
+            speed_min: num(0, 0.5),
+            speed_max: num(1, 2.5),
+            max_pause: SimDuration::from_secs_f64(num(2, 30.0)),
+        },
+        "walk" => MobilityKind::Walk {
+            speed_min: num(0, 0.5),
+            speed_max: num(1, 2.5),
+            epoch: SimDuration::from_secs_f64(num(2, 60.0)),
+        },
+        "manhattan" => MobilityKind::Manhattan {
+            block: num(0, 150.0),
+            speed: num(1, 8.0),
+        },
+        _ => MobilityKind::Stationary,
+    })
 }
 
 /// Parses a fault-preset name into a plan scaled to `sim_time`.
@@ -195,37 +318,125 @@ pub fn parse_faults(name: &str, sim_time: SimDuration) -> Result<FaultPlan, Stri
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Args {
-        Args::new(list.iter().map(|s| s.to_string()).collect())
+    static SPEC: Spec = Spec {
+        command: "demo",
+        positional: "ID",
+        flags: &[
+            ("--peers", "N"),
+            ("--loss", "P"),
+            ("--profile", ""),
+            ("--explain", "[QUERY]"),
+        ],
+    };
+
+    fn parse(list: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+        Args::parse(&SPEC, &argv)
     }
 
     #[test]
     fn typed_accessors_parse_and_reject() {
-        let a = args(&["--peers", "50", "--loss", "0.05", "--profile"]);
-        assert_eq!(a.usize_of("--peers").unwrap(), Some(50));
-        assert_eq!(a.f64_of("--loss").unwrap(), Some(0.05));
+        let a = parse(&["fig7a", "--peers", "50", "--loss", "0.05", "--profile"]).unwrap();
+        assert_eq!(a.positional(), Some("fig7a"));
+        assert_eq!(
+            a.get("--peers", "an integer", |_: &usize| true),
+            Ok(Some(50))
+        );
+        assert_eq!(
+            a.get("--loss", "a probability", |p: &f64| (0.0..=1.0).contains(p)),
+            Ok(Some(0.05))
+        );
         assert!(a.flag("--profile"));
-        assert!(!a.flag("--missing"));
-        assert_eq!(a.u64_of("--missing").unwrap(), None);
-        let bad = args(&["--peers", "many"]);
-        assert!(bad.usize_of("--peers").is_err());
+        assert!(!a.flag("--explain"));
+        let err = a
+            .get("--peers", "an integer >= 99", |n: &usize| *n >= 99)
+            .unwrap_err();
+        assert_eq!(err, "--peers expects an integer >= 99, got \"50\"");
+        let bad = parse(&["--peers", "many"]).unwrap();
+        assert!(bad.get("--peers", "an integer", |_: &usize| true).is_err());
+        let nan = parse(&["--loss", "nan"]).unwrap();
+        assert!(nan.get("--loss", "a positive number", positive).is_err());
+    }
+
+    #[test]
+    fn malformed_argument_vectors_name_the_problem_and_list_the_flags() {
+        for (argv, needle) in [
+            (&["--bogus"][..], "unknown flag --bogus"),
+            (&["--peers"][..], "--peers needs a value (N)"),
+            (&["--peers", "--profile"][..], "--peers needs a value (N)"),
+            (&["a", "b"][..], "unexpected argument \"b\""),
+            (&["--profile", "--profile"][..], "--profile given twice"),
+        ] {
+            let err = parse(argv).unwrap_err();
+            let (first, usage) = err.split_once('\n').expect("error line, then usage");
+            assert_eq!(first, format!("mp2p demo: {needle}"));
+            assert!(
+                usage.starts_with("usage: mp2p demo [ID] [--peers N]"),
+                "{usage}"
+            );
+        }
+        assert_eq!(parse(&["--help"]).unwrap_err(), SPEC.usage());
+        assert_eq!(parse(&["-h"]).unwrap_err(), SPEC.usage());
+    }
+
+    #[test]
+    fn optional_values_bind_only_to_non_flags() {
+        let one = parse(&["--explain", "17", "--profile"]).unwrap();
+        assert_eq!(one.value_of("--explain"), Some("17"));
+        let all = parse(&["--explain", "--profile"]).unwrap();
+        assert!(all.flag("--explain") && all.flag("--profile"));
+        assert_eq!(all.value_of("--explain"), None);
+    }
+
+    #[test]
+    fn usage_wraps_and_lists_every_flag() {
+        let usage = crate::run::SPEC.usage();
+        assert!(usage.lines().all(|l| l.len() <= 78), "{usage}");
+        for (flag, _) in crate::run::SPEC.flags {
+            assert!(usage.contains(flag), "{flag} missing from usage");
+        }
     }
 
     #[test]
     fn strategy_and_mix_tokens() {
-        assert_eq!(parse_strategy("rpcc").unwrap(), Strategy::Rpcc);
-        assert_eq!(
-            parse_strategy("push-ap").unwrap(),
-            Strategy::PushAdaptivePull
-        );
+        for strategy in [
+            Strategy::Rpcc,
+            Strategy::Push,
+            Strategy::Pull,
+            Strategy::PushAdaptivePull,
+        ] {
+            assert_eq!(parse_strategy(strategy_token(strategy)), Ok(strategy));
+        }
         assert!(parse_strategy("gossip").is_err());
-        assert_eq!(
-            parse_strategies("rpcc,push,pull").unwrap(),
-            vec![Strategy::Rpcc, Strategy::Push, Strategy::Pull]
-        );
-        assert!(parse_strategies("").is_err());
         assert_eq!(parse_mix("hy").unwrap(), LevelMix::hybrid());
         assert!(parse_mix("zz").is_err());
+    }
+
+    #[test]
+    fn strategy_sets_expand_aliases_and_carry_mixes() {
+        let names = |list: &str| -> Vec<&'static str> {
+            parse_strategy_set(list, LevelMix::strong_only())
+                .unwrap()
+                .iter()
+                .map(|s| s.name)
+                .collect()
+        };
+        assert_eq!(names("rpcc"), ["RPCC(SC)"]);
+        assert_eq!(
+            names("rpcc:sc,rpcc:hy,push"),
+            ["RPCC(SC)", "RPCC(HY)", "Push"]
+        );
+        assert_eq!(names("paper").len(), 6);
+        assert_eq!(names("all").last(), Some(&"Push+AP"));
+        let hy = parse_strategy_set("rpcc,pull", LevelMix::hybrid()).unwrap();
+        assert_eq!(hy[0].name, "RPCC(HY)");
+        assert_eq!(hy[1].mix, LevelMix::hybrid());
+        for bad in ["", "rpcc,rpcc", "paper,pull", "rpcc:zz", "gossip"] {
+            assert!(
+                parse_strategy_set(bad, LevelMix::strong_only()).is_err(),
+                "{bad:?} must be rejected"
+            );
+        }
     }
 
     #[test]
@@ -245,21 +456,31 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_mobility("waypoint:1:3:10").unwrap(),
+            parse_mobility("waypoint:1:3:0").unwrap(),
             MobilityKind::Waypoint {
                 speed_min: 1.0,
                 speed_max: 3.0,
-                max_pause: SimDuration::from_secs(10),
+                max_pause: SimDuration::ZERO,
             }
         );
         assert_eq!(
             parse_mobility("stationary").unwrap(),
             MobilityKind::Stationary
         );
-        assert!(parse_mobility("stationary:1").is_err());
-        assert!(parse_mobility("manhattan:1:2:3").is_err());
-        assert!(parse_mobility("manhattan:fast").is_err());
-        assert!(parse_mobility("teleport").is_err());
+        for bad in [
+            "stationary:1",
+            "manhattan:1:2:3",
+            "manhattan:fast",
+            "manhattan:0",
+            "walk:1:2:0",
+            "waypoint:3:1",
+            "waypoint:5",
+            "walk:-1",
+            "walk:inf",
+            "teleport",
+        ] {
+            assert!(parse_mobility(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]

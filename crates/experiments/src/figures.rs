@@ -1,9 +1,46 @@
-//! The paper's figures and table as concrete sweeps.
+//! The paper's table and figures as concrete sweeps, plus the two
+//! studies the paper implies but does not plot (design-choice ablations
+//! and the per-level staleness audit). Every function here returns data
+//! — rows or series — and `mp2p paper` renders them all the same way.
 
-use mp2p_rpcc::{LevelMix, Strategy, WorkloadMode, WorldConfig};
+use mp2p_rpcc::{
+    ConsistencyLevel, LevelMix, RoutingMode, RunReport, Strategy, WorkloadMode, World, WorldConfig,
+};
 use mp2p_sim::SimDuration;
 
-use crate::sweep::{paper_strategies, sweep, RunOptions, Series, StrategySpec};
+use crate::report::{render_series_table, render_table};
+use crate::sweep::{
+    paper_strategies, run_parallel, sweep, MeasuredPoint, RunOptions, Series, StrategySpec,
+};
+
+/// One y-axis reading of a sweep: which metric a figure panel plots.
+#[derive(Debug, Clone, Copy)]
+pub struct View {
+    /// Panel heading, printed when a figure shows more than one view.
+    pub heading: &'static str,
+    /// Selects the plotted metric of a point.
+    pub value: fn(&MeasuredPoint) -> f64,
+    /// Unit suffix of a table cell.
+    pub unit: &'static str,
+    /// What the numbers are, printed under the table.
+    pub note: &'static str,
+}
+
+/// The Fig. 7 / Fig. 9(a) y-axis.
+pub const TRAFFIC: View = View {
+    heading: "Network traffic",
+    value: |p| p.traffic_per_min,
+    unit: "",
+    note: "(transmissions per simulated minute; every MAC-level hop counted)",
+};
+
+/// The Fig. 8 / Fig. 9(b) y-axis (log scale in the paper).
+pub const LATENCY: View = View {
+    heading: "Query latency",
+    value: |p| p.latency_s,
+    unit: "s",
+    note: "(mean query latency over served queries)",
+};
 
 /// A regenerated figure: labelled series over a labelled x axis.
 #[derive(Debug, Clone)]
@@ -16,6 +53,69 @@ pub struct FigureData {
     pub x_label: &'static str,
     /// The measured curves.
     pub series: Vec<Series>,
+    /// The panels to print, one table each.
+    pub views: &'static [View],
+}
+
+/// One printed table of an artefact.
+#[derive(Debug, Clone)]
+pub struct Table {
+    /// Line printed above the table; empty for none.
+    pub heading: String,
+    /// The rendered table.
+    pub text: String,
+    /// Line(s) printed under the table; empty for none.
+    pub note: &'static str,
+}
+
+/// One regenerated artefact of the evaluation, ready to print.
+#[derive(Debug, Clone)]
+pub struct Artefact {
+    /// Title line.
+    pub title: String,
+    /// The artefact's tables, in print order.
+    pub tables: Vec<Table>,
+    /// The figure id and curves behind `results/<id>.csv`; `None` for
+    /// table-only artefacts.
+    pub csv: Option<(&'static str, Vec<Series>)>,
+}
+
+impl From<FigureData> for Artefact {
+    fn from(fig: FigureData) -> Artefact {
+        let tables = fig
+            .views
+            .iter()
+            .map(|view| Table {
+                heading: match fig.views.len() {
+                    1 => String::new(),
+                    _ => view.heading.to_owned(),
+                },
+                text: render_series_table(fig.x_label, &fig.series, view.value, view.unit),
+                note: view.note,
+            })
+            .collect();
+        Artefact {
+            title: format!("{} — {}", fig.id, fig.caption),
+            tables,
+            csv: Some((fig.id, fig.series)),
+        }
+    }
+}
+
+/// Table 1 as an artefact.
+pub fn table1() -> Artefact {
+    Artefact {
+        title: "Table 1. Simulation Parameters (paper defaults, live from WorldConfig)".to_owned(),
+        tables: vec![Table {
+            heading: String::new(),
+            text: render_table(
+                &["Parameter", "Description", "Default Value"],
+                &table1_rows(),
+            ),
+            note: "",
+        }],
+        csv: None,
+    }
 }
 
 /// Table 1 of the paper, as (parameter, description, default) rows taken
@@ -150,6 +250,7 @@ pub fn fig7a(opts: RunOptions) -> FigureData {
         caption: "Network traffic under different update intervals",
         x_label: "update interval (min)",
         series: update_interval_sweep(opts),
+        views: &[TRAFFIC],
     }
 }
 
@@ -160,6 +261,7 @@ pub fn fig7b(opts: RunOptions) -> FigureData {
         caption: "Network traffic under different query intervals",
         x_label: "query interval (s)",
         series: query_interval_sweep(opts),
+        views: &[TRAFFIC],
     }
 }
 
@@ -170,6 +272,7 @@ pub fn fig7c(opts: RunOptions) -> FigureData {
         caption: "Network traffic under different cache numbers",
         x_label: "cache number",
         series: cache_number_sweep(opts),
+        views: &[TRAFFIC],
     }
 }
 
@@ -178,8 +281,8 @@ pub fn fig8a(opts: RunOptions) -> FigureData {
     FigureData {
         id: "Fig 8(a)",
         caption: "Query latency under different update intervals (log scale in the paper)",
-        x_label: "update interval (min)",
-        series: update_interval_sweep(opts),
+        views: &[LATENCY],
+        ..fig7a(opts)
     }
 }
 
@@ -188,8 +291,8 @@ pub fn fig8b(opts: RunOptions) -> FigureData {
     FigureData {
         id: "Fig 8(b)",
         caption: "Query latency under different query intervals (log scale in the paper)",
-        x_label: "query interval (s)",
-        series: query_interval_sweep(opts),
+        views: &[LATENCY],
+        ..fig7b(opts)
     }
 }
 
@@ -198,8 +301,8 @@ pub fn fig8c(opts: RunOptions) -> FigureData {
     FigureData {
         id: "Fig 8(c)",
         caption: "Query latency under different cache numbers (log scale in the paper)",
-        x_label: "cache number",
-        series: cache_number_sweep(opts),
+        views: &[LATENCY],
+        ..fig7c(opts)
     }
 }
 
@@ -208,44 +311,26 @@ pub fn fig8c(opts: RunOptions) -> FigureData {
 /// single-item scenario: "one peer is randomly selected as the source
 /// host and its data item is cached by all other peers."
 ///
-/// One [`FigureData`] carries both panels: read `traffic_per_min` for
-/// Fig. 9(a) and `latency_s` for Fig. 9(b).
+/// One [`FigureData`] carries both panels: the traffic view is Fig. 9(a),
+/// the latency view Fig. 9(b).
 pub fn fig9(opts: RunOptions) -> FigureData {
     let xs: Vec<f64> = (1..=7).map(|t| t as f64).collect();
-    let rpcc = [StrategySpec {
-        name: "RPCC(SC)",
-        strategy: Strategy::Rpcc,
-        mix: LevelMix::strong_only(),
-    }];
+    let rpcc = [StrategySpec::of(Strategy::Rpcc, LevelMix::strong_only())];
     let mut series = sweep(&rpcc, &xs, opts, |cfg, x| {
         cfg.workload = WorkloadMode::SingleItem;
         cfg.proto.invalidation_ttl = x as u8;
     });
     // Push and pull ignore the invalidation TTL; run each once and
     // replicate the point across the axis as the paper's reference lines.
-    for spec in [
-        StrategySpec {
-            name: "Push",
-            strategy: Strategy::Push,
-            mix: LevelMix::strong_only(),
-        },
-        StrategySpec {
-            name: "Pull",
-            strategy: Strategy::Pull,
-            mix: LevelMix::strong_only(),
-        },
-    ] {
+    for strategy in [Strategy::Push, Strategy::Pull] {
+        let spec = StrategySpec::of(strategy, LevelMix::strong_only());
         let one = sweep(&[spec], &[0.0], opts, |cfg, _| {
             cfg.workload = WorkloadMode::SingleItem;
         });
-        let base = one.into_iter().next().expect("one series");
-        let point = base.points[0];
+        let point = one[0].points[0];
         series.push(Series {
             name: spec.name,
-            points: xs
-                .iter()
-                .map(|&x| crate::sweep::MeasuredPoint { x, ..point })
-                .collect(),
+            points: xs.iter().map(|&x| MeasuredPoint { x, ..point }).collect(),
         });
     }
     FigureData {
@@ -253,6 +338,196 @@ pub fn fig9(opts: RunOptions) -> FigureData {
         caption: "Impact of invalidation TTL: (a) network traffic, (b) query latency",
         x_label: "TTL (hops)",
         series,
+        views: &[TRAFFIC, LATENCY],
+    }
+}
+
+/// Runs one study's labelled variants in parallel and renders them as a
+/// one-row-per-variant table.
+fn variant_table(heading: &str, variants: Vec<(String, WorldConfig)>, note: &'static str) -> Table {
+    let reports = run_parallel(&variants, |(_, cfg)| World::new(cfg.clone()).run());
+    let rows: Vec<Vec<String>> = variants
+        .iter()
+        .zip(&reports)
+        .map(|((label, _), r)| {
+            vec![
+                label.clone(),
+                format!("{:.0}", r.traffic_per_minute()),
+                format!("{:.3}", r.mean_latency_secs()),
+                format!("{:.3}", r.failure_rate()),
+                format!("{:.1}", r.relay_gauge.mean()),
+                format!("{:.3}", 1.0 - r.audit.fresh_fraction()),
+            ]
+        })
+        .collect();
+    Table {
+        heading: heading.to_owned(),
+        text: render_table(
+            &["variant", "tx/min", "latency(s)", "fail", "relays", "stale"],
+            &rows,
+        ),
+        note,
+    }
+}
+
+/// Ablation studies of the reproduction's design choices (DESIGN.md
+/// §5/§6) and the paper's future-work extensions, each a one-knob sweep
+/// of RPCC(SC) at the Table 1 default point, seed 42:
+///
+/// 1. **Demotion hysteresis** — the paper's literal one-failing-tick
+///    demotion vs the grace used here.
+/// 2. **POLL ring start TTL** — how wide the first poll should cast.
+/// 3. **Adaptive frequencies** (future work §6.1) — off vs on, at slow
+///    and fast update rates.
+/// 4. **Relay admission cap** (future work §6.2) — uncapped vs 1/2/4
+///    relays per item.
+/// 5. **Routing substrate** — on-demand discovery vs the omniscient
+///    oracle, per strategy.
+pub fn ablation(opts: RunOptions) -> Artefact {
+    let base = |strategy: Strategy, mix: LevelMix| StrategySpec::of(strategy, mix).config(opts, 42);
+    let rpcc = || base(Strategy::Rpcc, LevelMix::strong_only());
+    let vary = |label: String, knob: &dyn Fn(&mut WorldConfig)| {
+        let mut cfg = rpcc();
+        knob(&mut cfg);
+        (label, cfg)
+    };
+    let hysteresis = [1u8, 2, 4]
+        .map(|ticks| {
+            vary(format!("{ticks} failing tick(s)"), &|cfg| {
+                cfg.proto.demote_grace_ticks = ticks
+            })
+        })
+        .to_vec();
+    let poll_ttl = [1u8, 2, 4, 8]
+        .map(|ttl| vary(format!("first TTL {ttl}"), &|cfg| cfg.proto.poll_ttl = ttl))
+        .to_vec();
+    let adaptive = [
+        ("fixed, updates 2min", 120u64, false),
+        ("adaptive, updates 2min", 120, true),
+        ("fixed, updates 15min", 900, false),
+        ("adaptive, updates 15min", 900, true),
+    ]
+    .map(|(label, update, adaptive)| {
+        let mut cfg = base(Strategy::Rpcc, LevelMix::delta_only());
+        cfg.i_update = SimDuration::from_secs(update);
+        cfg.proto.adaptive = adaptive;
+        (label.to_owned(), cfg)
+    })
+    .to_vec();
+    let relay_cap = [None, Some(1usize), Some(2), Some(4)]
+        .map(|cap| {
+            let label = match cap {
+                None => "uncapped (paper)".to_string(),
+                Some(n) => format!("cap {n}/item"),
+            };
+            vary(label, &|cfg| cfg.proto.max_relays_per_item = cap)
+        })
+        .to_vec();
+    let mut routing = Vec::new();
+    for strategy in [
+        Strategy::Rpcc,
+        Strategy::Push,
+        Strategy::Pull,
+        Strategy::PushAdaptivePull,
+    ] {
+        for (mode, name) in [
+            (RoutingMode::OnDemand, "on-demand"),
+            (RoutingMode::Oracle, "oracle"),
+        ] {
+            let mut cfg = base(strategy, LevelMix::strong_only());
+            cfg.routing = mode;
+            routing.push((format!("{} / {name}", strategy.label()), cfg));
+        }
+    }
+    Artefact {
+        title: format!(
+            "Ablations of RPCC(SC) at Table 1 defaults, {} simulated",
+            opts.sim_time
+        ),
+        tables: vec![
+            variant_table(
+                "Ablation 1: relay demotion hysteresis (paper literal = 1 tick)",
+                hysteresis,
+                "",
+            ),
+            variant_table(
+                "Ablation 2: POLL ring starting TTL (paper: 'broadcast POLL', scope open)",
+                poll_ttl,
+                "",
+            ),
+            variant_table(
+                "Ablation 3: adaptive push/pull frequency (future work 6.1)",
+                adaptive,
+                "",
+            ),
+            variant_table(
+                "Ablation 4: relay admission cap (future work 6.2)",
+                relay_cap,
+                "",
+            ),
+            variant_table(
+                "Ablation 5: routing substrate (on-demand vs omniscient oracle)",
+                routing,
+                "(the gap between rows is the price of real route discovery)",
+            ),
+        ],
+        csv: None,
+    }
+}
+
+/// Consistency-quality audit (an artefact the paper does not plot but
+/// its Section 3 definitions imply): for each strategy and each
+/// consistency level of the hybrid workload, how stale were the answers
+/// actually served?
+pub fn staleness(opts: RunOptions) -> Artefact {
+    let strategies = [Strategy::Pull, Strategy::Push, Strategy::Rpcc];
+    let reports: Vec<RunReport> = run_parallel(&strategies, |&strategy| {
+        World::new(StrategySpec::of(strategy, LevelMix::hybrid()).config(opts, 42)).run()
+    });
+    let mut rows = Vec::new();
+    for (strategy, report) in strategies.iter().zip(&reports) {
+        for level in ConsistencyLevel::ALL {
+            let audit = &report.audit_by_level[level.index()];
+            let latency = &report.latency_by_level[level.index()];
+            rows.push(vec![
+                format!("{} / {}", strategy.label(), level.label()),
+                audit.served().to_string(),
+                format!("{:.2}", (1.0 - audit.fresh_fraction()) * 100.0),
+                format!("{:.1}", audit.mean_staleness_of_stale().as_secs_f64()),
+                format!("{:.1}", audit.max_staleness().as_secs_f64()),
+                audit.max_version_lag().to_string(),
+                format!("{:.3}", latency.mean_secs()),
+            ]);
+        }
+    }
+    Artefact {
+        title: format!(
+            "Consistency quality under the hybrid (1/3 weak, 1/3 Δ, 1/3 strong) workload,\n\
+             Table 1 defaults, {} simulated.",
+            opts.sim_time
+        ),
+        tables: vec![Table {
+            heading: String::new(),
+            text: render_table(
+                &[
+                    "strategy / level",
+                    "served",
+                    "stale %",
+                    "mean stale (s)",
+                    "max stale (s)",
+                    "max version lag",
+                    "mean latency (s)",
+                ],
+                &rows,
+            ),
+            note:
+                "\nReading guide: the baselines ignore the requested level (pull validates every\n\
+                   query, push holds every query for the next report), so their three rows differ\n\
+                   only by sampling. RPCC differentiates: weak rows never wait and go stalest,\n\
+                   Δ rows ride the TTP lease (staleness ≤ TTP + report cycle), strong rows ride\n\
+                   relay freshness (staleness ≤ one report cycle).",
+        }],
+        csv: None,
     }
 }
 

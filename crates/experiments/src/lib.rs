@@ -1,17 +1,23 @@
 //! Experiment harness: the paper's evaluation (Section 5) as runnable
-//! sweeps.
+//! sweeps, and the library half of the `mp2p` binary.
 //!
-//! Every table and figure of the paper maps to a function here and a
-//! binary under `src/bin/`:
+//! The binary's four subcommands are the `command` functions of
+//! [`run`], [`matrix`], [`analyze`] and [`paper`]; each parses its own
+//! flag list (a [`cli::Spec`]) and returns whether its gates passed.
 //!
-//! | Paper artefact | Function | Binary |
+//! Every table and figure of the paper maps to a function here and an
+//! artefact id of `mp2p paper`:
+//!
+//! | Paper artefact | Function | `mp2p paper <id>` |
 //! |---|---|---|
 //! | Table 1 (simulation parameters) | [`table1_rows`] | `table1` |
-//! | Fig. 7(a) traffic vs. update interval | [`fig7a`] | `fig7 a` |
-//! | Fig. 7(b) traffic vs. query interval | [`fig7b`] | `fig7 b` |
-//! | Fig. 7(c) traffic vs. cache number | [`fig7c`] | `fig7 c` |
-//! | Fig. 8(a–c) latency, same sweeps | [`fig8a`]/[`fig8b`]/[`fig8c`] | `fig8 a|b|c` |
+//! | Fig. 7(a) traffic vs. update interval | [`fig7a`] | `fig7a` |
+//! | Fig. 7(b) traffic vs. query interval | [`fig7b`] | `fig7b` |
+//! | Fig. 7(c) traffic vs. cache number | [`fig7c`] | `fig7c` |
+//! | Fig. 8(a–c) latency, same sweeps | [`fig8a`]/[`fig8b`]/[`fig8c`] | `fig8a`/`fig8b`/`fig8c` |
 //! | Fig. 9(a/b) impact of invalidation TTL | [`fig9`] | `fig9` |
+//! | Design-choice ablations (not in the paper) | [`ablation`] | `ablation` |
+//! | Per-level staleness audit (not in the paper) | [`staleness`] | `staleness` |
 //!
 //! Each sweep runs the full simulation once per (strategy, x-value, seed)
 //! and averages across seeds. `RunOptions::quick()` uses shortened runs
@@ -22,11 +28,15 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+pub mod analyze;
+mod check;
 pub mod cli;
 mod figures;
 pub mod matrix;
+pub mod paper;
 pub mod perf;
 mod report;
+pub mod run;
 pub mod scenario;
 mod sweep;
 
@@ -36,15 +46,16 @@ pub use analysis::{
     ConsistencyReportTotals, ConsistencyTimeline, DivergenceSample, FrameBirth, Incident,
     NodeHealth, ProvenanceGraph, ReportTotals, SpanTotals, TraceAnalysis,
 };
-pub use figures::{fig7a, fig7b, fig7c, fig8a, fig8b, fig8c, fig9, table1_rows, FigureData};
+pub use check::check_report;
+pub use figures::{
+    ablation, fig7a, fig7b, fig7c, fig8a, fig8b, fig8c, fig9, staleness, table1_rows, Artefact,
+    FigureData, Table, View,
+};
 pub use matrix::{
-    compare_matrix, gate_violations, run_cell, run_matrix, CellRegression, GateAxis, MatrixCell,
+    compare_matrix, gate_violations, run_matrix, CellRegression, GateAxis, MatrixCell,
     MatrixReport, MATRIX_SCHEMA,
 };
-pub use perf::{
-    bench_config, bench_terrain, compare, parse_strategy, run_bench_point, strategy_token,
-    BenchSnapshot, BucketShare, Comparison, AREA_PER_PEER_M2, BENCH_SCHEMA,
-};
+pub use perf::{bench_config, bench_terrain, AREA_PER_PEER_M2};
 pub use report::{render_series_table, render_table, write_csv};
 pub use scenario::{GateFloors, MobilitySpec, Scenario, ScenarioError, SCENARIO_SCHEMA};
 pub use sweep::{

@@ -1,11 +1,31 @@
-//! `MATRIX_*.json` cell snapshots, the fleet scorecard, and the
-//! multi-axis regression comparator behind the `matrix` binary.
+//! `mp2p matrix` — sweep the scenario corpus, print the fleet scorecard,
+//! gate regressions against a committed baseline.
 //!
-//! The matrix runner sweeps scenario × strategy × seed (each triple is
-//! one **cell**), freezes every cell into a schema-versioned
-//! [`MatrixCell`], and folds the cells into a [`MatrixReport`] — the
-//! fleet scorecard. Where PR 4's `perf` gate watches a single axis
-//! (events/sec), [`compare_matrix`] gates **three** per cell:
+//! ```text
+//! mp2p matrix [--scenarios DIR] [--only NAME] [--smoke] [--out DIR] [--json FILE]
+//! mp2p matrix --baseline MATRIX_BASELINE.json [--tolerance T] [--wall-tolerance W] ...
+//! ```
+//!
+//! The sweep loads every `*.toml` under `--scenarios` (default
+//! `scenarios/`), runs each scenario × strategy × seed triple (one
+//! **cell**) in parallel with profiling on, freezes every cell into a
+//! schema-versioned [`MatrixCell`] written as
+//! `MATRIX_<scenario>_<strategy>_s<seed>.json` under `--out` (default
+//! `results/matrix`) next to the combined `MATRIX_REPORT.json`, and
+//! prints the fleet scorecard. Every written cell file is read back and
+//! re-parsed, so a malformed snapshot can never reach disk silently.
+//! Every cell's report must satisfy [`check_report`] and its scenario's
+//! absolute `[gates]` floors ([`gate_violations`]); a violation exits 1.
+//!
+//! `--smoke` shrinks the sweep for CI: the first two scenarios by name,
+//! first two strategies and first seed of each, with the horizon cut to
+//! six simulated minutes (90 s warm-up).
+//!
+//! With `--baseline`, [`compare_matrix`] additionally gates every
+//! baseline cell on **three** axes, printing a diff row that names the
+//! offending axis and exiting 1. `--tolerance` (default 0.02) bounds the
+//! two deterministic axes; `--wall-tolerance` (default 0.5) separately
+//! bounds the wall-clock one:
 //!
 //! * **throughput** — events/sec below `baseline × (1 − wall_tolerance)`
 //!   regresses. Wall-clock, hence its own (loose) tolerance; skipped for
@@ -17,15 +37,19 @@
 //!
 //! Mismatched cell identities (peer count, simulated duration, warm-up,
 //! or a baseline cell the measurement never ran) are an *error*, not a
-//! verdict — numbers from different scenarios must never be compared.
-//! Absolute per-scenario floors (`[gates]` in the scenario file) are
-//! checked by [`gate_violations`], independent of any baseline.
+//! verdict (exit 2) — numbers from different scenarios must never be
+//! compared.
+
+use std::path::{Path, PathBuf};
 
 use mp2p_rpcc::{RunReport, Strategy, World};
+use mp2p_sim::SimDuration;
 use mp2p_trace::json::{self, Value};
 use mp2p_trace::BlameCause;
 
-use crate::perf::{parse_strategy, strategy_token};
+use crate::check::check_report;
+use crate::cli::{parse_strategy, strategy_token, Args, Spec};
+use crate::report::render_table;
 use crate::scenario::Scenario;
 use crate::sweep::run_parallel;
 
@@ -209,9 +233,7 @@ impl MatrixCell {
                 .ok_or_else(|| format!("missing numeric field {key:?}"))
         };
         let strategy = str_field("strategy")?;
-        if parse_strategy(&strategy).is_none() {
-            return Err(format!("unknown strategy token {strategy:?}"));
-        }
+        parse_strategy(&strategy)?;
         Ok(MatrixCell {
             scenario: str_field("scenario")?,
             strategy,
@@ -293,21 +315,13 @@ impl MatrixReport {
     }
 }
 
-/// Runs one matrix cell and freezes it. With `profile` the world's
-/// profiler is enabled, filling the wall-clock fields — strictly
-/// observational, so the deterministic fields are identical either way.
-pub fn run_cell(scenario: &Scenario, strategy: Strategy, seed: u64, profile: bool) -> MatrixCell {
-    let mut world = World::new(scenario.world_config(strategy, seed));
-    if profile {
-        world.enable_profiling();
-    }
-    let report = world.run();
-    MatrixCell::from_report(scenario, strategy, seed, &report)
-}
-
 /// Sweeps every scenario × strategy × seed cell in parallel (the same
 /// executor the figure sweeps use) and folds the cells into a report.
-pub fn run_matrix(scenarios: &[Scenario], profile: bool) -> MatrixReport {
+/// With `profile` each world's profiler is enabled, filling the cells'
+/// wall-clock fields — strictly observational, so the deterministic
+/// fields are identical either way. The second value lists every
+/// [`check_report`] violation, prefixed with its cell key.
+pub fn run_matrix(scenarios: &[Scenario], profile: bool) -> (MatrixReport, Vec<String>) {
     let mut jobs: Vec<(&Scenario, Strategy, u64)> = Vec::new();
     for scenario in scenarios {
         for &strategy in &scenario.strategies {
@@ -316,10 +330,21 @@ pub fn run_matrix(scenarios: &[Scenario], profile: bool) -> MatrixReport {
             }
         }
     }
-    let cells = run_parallel(&jobs, |&(scenario, strategy, seed)| {
-        run_cell(scenario, strategy, seed, profile)
+    let checked = run_parallel(&jobs, |&(scenario, strategy, seed)| {
+        let mut world = World::new(scenario.world_config(strategy, seed));
+        if profile {
+            world.enable_profiling();
+        }
+        let report = world.run();
+        let cell = MatrixCell::from_report(scenario, strategy, seed, &report);
+        let violations: Vec<String> = check_report(&report)
+            .into_iter()
+            .map(|v| format!("{}: {v}", cell.key()))
+            .collect();
+        (cell, violations)
     });
-    MatrixReport { cells }
+    let (cells, violations): (Vec<_>, Vec<_>) = checked.into_iter().unzip();
+    (MatrixReport { cells }, violations.concat())
 }
 
 /// The three baseline-gated axes of a cell.
@@ -498,6 +523,214 @@ pub fn gate_violations(scenarios: &[Scenario], report: &MatrixReport) -> Vec<Cel
         }
     }
     violations
+}
+
+/// The flag list of `mp2p matrix`.
+pub static SPEC: Spec = Spec {
+    command: "matrix",
+    positional: "",
+    flags: &[
+        ("--scenarios", "DIR"),
+        ("--only", "NAME"),
+        ("--smoke", ""),
+        ("--out", "DIR"),
+        ("--json", "FILE"),
+        ("--baseline", "FILE"),
+        ("--tolerance", "T"),
+        ("--wall-tolerance", "W"),
+    ],
+};
+
+/// A parsed `mp2p matrix` command line.
+#[derive(Debug, Clone)]
+pub struct Options {
+    scenario_dir: PathBuf,
+    only: Option<String>,
+    smoke: bool,
+    out_dir: PathBuf,
+    json: Option<PathBuf>,
+    baseline: Option<PathBuf>,
+    tolerance: f64,
+    wall_tolerance: f64,
+}
+
+impl Options {
+    /// Parses the arguments following `mp2p matrix`. Every rejection is
+    /// a one-line error followed by the flag list.
+    pub fn parse(argv: &[String]) -> Result<Options, String> {
+        let args = Args::parse(&SPEC, argv)?;
+        let path_or =
+            |name: &str, default: &str| PathBuf::from(args.value_of(name).unwrap_or(default));
+        let fraction = |name: &str, default: f64| -> Result<f64, String> {
+            args.get(name, "a fraction in [0, 1)", |t: &f64| {
+                (0.0..1.0).contains(t)
+            })
+            .map(|t| t.unwrap_or(default))
+            .map_err(|msg| SPEC.error(msg))
+        };
+        Ok(Options {
+            scenario_dir: path_or("--scenarios", "scenarios"),
+            only: args.value_of("--only").map(str::to_owned),
+            smoke: args.flag("--smoke"),
+            out_dir: path_or("--out", "results/matrix"),
+            json: args.value_of("--json").map(PathBuf::from),
+            baseline: args.value_of("--baseline").map(PathBuf::from),
+            tolerance: fraction("--tolerance", 0.02)?,
+            wall_tolerance: fraction("--wall-tolerance", 0.5)?,
+        })
+    }
+
+    /// Loads the corpus and applies `--only` / `--smoke` trimming.
+    fn load_corpus(&self) -> Result<Vec<Scenario>, String> {
+        let mut scenarios = Scenario::load_dir(&self.scenario_dir)?;
+        if let Some(only) = &self.only {
+            scenarios.retain(|s| &s.name == only);
+            if scenarios.is_empty() {
+                return Err(format!(
+                    "no scenario named {only:?} under {}",
+                    self.scenario_dir.display()
+                ));
+            }
+        }
+        if scenarios.is_empty() {
+            return Err(format!(
+                "no *.toml scenarios under {}",
+                self.scenario_dir.display()
+            ));
+        }
+        if self.smoke {
+            scenarios.truncate(2);
+            for s in &mut scenarios {
+                s.strategies.truncate(2);
+                s.seeds.truncate(1);
+                s.sim_secs = SimDuration::from_mins(6).as_secs_f64();
+                s.warmup_secs = SimDuration::from_secs(90).as_secs_f64();
+            }
+        }
+        Ok(scenarios)
+    }
+}
+
+/// Writes one cell snapshot and re-parses the written bytes, so a
+/// malformed file fails the run instead of poisoning later gates.
+fn write_cell(dir: &Path, cell: &MatrixCell) -> Result<PathBuf, String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let path = dir.join(format!(
+        "MATRIX_{}_{}_s{}.json",
+        cell.scenario, cell.strategy, cell.seed
+    ));
+    std::fs::write(&path, cell.to_json())
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    let back = std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot re-read {}: {e}", path.display()))?;
+    let parsed = MatrixCell::from_json(&back)
+        .map_err(|e| format!("{} is not well-formed: {e}", path.display()))?;
+    if &parsed != cell {
+        return Err(format!("{} does not round-trip", path.display()));
+    }
+    Ok(path)
+}
+
+fn scorecard(report: &MatrixReport) -> String {
+    let rows: Vec<Vec<String>> = report
+        .cells
+        .iter()
+        .map(|c| {
+            vec![
+                c.key(),
+                format!("{:.4}", c.fresh_fraction),
+                c.stale_served.to_string(),
+                c.dominant_blame.clone(),
+                format!("{:.0}", c.mean_latency_secs * 1000.0),
+                format!("{:.0}", c.p95_latency_secs * 1000.0),
+                format!("{:.0}", c.traffic_per_min),
+                format!("{:.1}", c.failure_rate * 100.0),
+                format!("{:.0}", c.events_per_sec / 1000.0),
+            ]
+        })
+        .collect();
+    render_table(
+        &[
+            "cell", "fresh", "stale", "blame", "lat ms", "p95 ms", "tx/min", "fail %", "kev/s",
+        ],
+        &rows,
+    )
+}
+
+fn diff_table(regressions: &[CellRegression]) -> String {
+    let rows: Vec<Vec<String>> = regressions
+        .iter()
+        .map(|r| {
+            vec![
+                r.cell.clone(),
+                r.axis.label().to_owned(),
+                format!("{:.4} (limit {:.4})", r.baseline, r.limit),
+                format!("{:.4}", r.measured),
+            ]
+        })
+        .collect();
+    render_table(&["cell", "axis", "baseline/limit", "measured"], &rows)
+}
+
+/// `mp2p matrix`: parses `argv`, runs the sweep and all gates.
+/// `Ok(false)` means at least one gate or invariant tripped.
+pub fn command(argv: &[String]) -> Result<bool, String> {
+    let opts = Options::parse(argv)?;
+    let scenarios = opts.load_corpus()?;
+    let cells_expected: usize = scenarios
+        .iter()
+        .map(|s| s.strategies.len() * s.seeds.len())
+        .sum();
+    println!(
+        "Sweeping {} scenario(s), {} cell(s){}...",
+        scenarios.len(),
+        cells_expected,
+        if opts.smoke { " [smoke]" } else { "" },
+    );
+    let (report, violations) = run_matrix(&scenarios, true);
+    for cell in &report.cells {
+        let path = write_cell(&opts.out_dir, cell)?;
+        println!("{} -> {}", cell.key(), path.display());
+    }
+    let report_path = opts.out_dir.join("MATRIX_REPORT.json");
+    let report_json = report.to_json();
+    for path in std::iter::once(&report_path).chain(&opts.json) {
+        std::fs::write(path, &report_json)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        println!("fleet report -> {}", path.display());
+    }
+    print!("{}", scorecard(&report));
+
+    let mut pass = violations.is_empty();
+    for violation in &violations {
+        eprintln!("INVARIANT VIOLATED: {violation}");
+    }
+    let floors = gate_violations(&scenarios, &report);
+    if !floors.is_empty() {
+        pass = false;
+        println!("\nGATE FLOOR VIOLATIONS ({}):", floors.len());
+        print!("{}", diff_table(&floors));
+    }
+    if let Some(path) = &opts.baseline {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
+        let baseline = MatrixReport::from_json(&text)
+            .map_err(|e| format!("baseline {}: {e}", path.display()))?;
+        let regressions = compare_matrix(&baseline, &report, opts.tolerance, opts.wall_tolerance)?;
+        if regressions.is_empty() {
+            println!(
+                "\nPASS: all {} baseline cell(s) within tolerance ({:.0}% deterministic, {:.0}% wall-clock)",
+                baseline.cells.len(),
+                opts.tolerance * 100.0,
+                opts.wall_tolerance * 100.0,
+            );
+        } else {
+            pass = false;
+            println!("\nREGRESSIONS ({}):", regressions.len());
+            print!("{}", diff_table(&regressions));
+        }
+    }
+    Ok(pass)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Plain-text tables and CSV emission for the experiment binaries.
+//! Plain-text tables and CSV emission for the `mp2p` subcommands.
 
 use std::io::Write;
 use std::path::Path;

@@ -1,0 +1,598 @@
+//! `mp2p run` — one scenario, every knob on the command line, one or
+//! several strategies side by side.
+//!
+//! ```text
+//! mp2p run --strategy rpcc --mix hy --loss 0.05 --write-secs 180 --sim 60
+//! mp2p run --strategy all --full                  # the Table 1 comparison
+//! mp2p run --strategy rpcc,push,pull --faults hostile --hardened
+//! ```
+//!
+//! `--strategy` takes a comma list of `rpcc|push|pull|push-ap`, each
+//! optionally with its own level mix (`rpcc:sc,rpcc:hy`), or the aliases
+//! `paper` (the six Fig. 7/8 curves) and `all` (plus Push+AP). Entries
+//! without a mix take `--mix` (default `sc`). The report table has one
+//! column per strategy. The default horizon is 45 simulated minutes with
+//! a 10-minute warm-up; `--full` is the paper's 5 hours.
+//!
+//! Outputs: `--json` writes the machine-readable report — the bare
+//! `RunReport::to_json` object for one strategy, `{"seed":N,"reports":[…]}`
+//! for a set. `--trace` switches the flight recorder on — one strategy
+//! journals to the given file, a set to `PREFIX-<name>.jsonl` per
+//! strategy (`RPCC(SC)` → `PREFIX-RPCC-SC.jsonl`) — and prints the
+//! event-count table; feed journal and report to `mp2p analyze`.
+//! `--metrics-out FILE` (one strategy) dumps the windowed metrics
+//! registry as JSON plus `FILE.prom` in Prometheus text. `--profile`
+//! prints the wall-clock profile and adds a `perf` section to the
+//! report; profiling is strictly observational.
+//!
+//! Opt-in layers: `--faults PRESET` installs a chaos preset scaled to
+//! the run; `--hardened` adds retry backoff, relay orphan lease and
+//! fallback flood; `--recovery` adds rejoin resync, acknowledged updates
+//! and lease handover; `--consistency` samples divergence every
+//! `--sample-secs` (default 30) and blames every stale serve;
+//! `--provenance` journals every frame's birth, hops and fate. With a
+//! layer off, report and journal bytes are those of a build without it;
+//! the journal's schema tier follows from the layers that are on.
+//!
+//! Every report is checked against [`check_report`]; a violation exits 1.
+
+use std::path::{Path, PathBuf};
+
+use mp2p_metrics::MessageClass;
+use mp2p_rpcc::{
+    LevelMix, ObservatoryConfig, ProvenanceConfig, RecoveryConfig, RoutingMode, RunReport,
+    WorkloadMode, World, WorldConfig,
+};
+use mp2p_sim::SimDuration;
+use mp2p_trace::bridge::{RegistrySink, DEFAULT_WINDOW};
+use mp2p_trace::{BlameCause, EventKind, JsonlSink, SummarySink, TeeSink, TraceSink};
+
+use crate::check::check_report;
+use crate::cli::{self, non_negative, positive, Args, Spec};
+use crate::report::render_table;
+use crate::sweep::{RunOptions, StrategySpec};
+
+/// The flag list of `mp2p run`.
+pub static SPEC: Spec = Spec {
+    command: "run",
+    positional: "",
+    flags: &[
+        ("--strategy", "LIST|paper|all"),
+        ("--mix", "sc|dc|wc|hy"),
+        ("--peers", "N"),
+        ("--cache", "N"),
+        ("--terrain", "METRES"),
+        ("--range", "METRES"),
+        ("--mobility", "MODEL[:P...]"),
+        ("--sim", "MINUTES"),
+        ("--warmup", "MINUTES"),
+        ("--full", ""),
+        ("--update-secs", "S"),
+        ("--query-secs", "S"),
+        ("--write-secs", "S"),
+        ("--ttl", "HOPS"),
+        ("--loss", "P"),
+        ("--no-churn", ""),
+        ("--oracle-routing", ""),
+        ("--adaptive", ""),
+        ("--relay-cap", "N"),
+        ("--single-item", ""),
+        ("--seed", "N"),
+        ("--faults", "PRESET"),
+        ("--hardened", ""),
+        ("--recovery", ""),
+        ("--consistency", ""),
+        ("--sample-secs", "S"),
+        ("--provenance", ""),
+        ("--trace", "FILE|PREFIX"),
+        ("--json", "FILE"),
+        ("--metrics-out", "FILE"),
+        ("--profile", ""),
+    ],
+};
+
+/// A parsed `mp2p run` command line.
+#[derive(Debug, Clone)]
+pub struct RunPlan {
+    /// The world every strategy runs in (strategy and mix still unset).
+    pub cfg: WorldConfig,
+    /// The strategies to run, in column order.
+    pub strategies: Vec<StrategySpec>,
+    /// Journal file (one strategy) or file prefix (a set).
+    pub trace: Option<PathBuf>,
+    /// Report JSON destination.
+    pub json: Option<PathBuf>,
+    /// Metrics-registry snapshot destination.
+    pub metrics_out: Option<PathBuf>,
+    /// Whether to switch the wall-clock profiler on.
+    pub profile: bool,
+}
+
+/// The one flags → [`WorldConfig`] mapping: Table 1 defaults at the
+/// quick horizon, overridden flag by flag, every value range-checked so
+/// that [`WorldConfig::validate`] cannot panic on command-line input.
+pub fn world_config(args: &Args) -> Result<WorldConfig, String> {
+    let secs = |name: &str| -> Result<Option<SimDuration>, String> {
+        let v = args.get(name, "a positive number of seconds", positive)?;
+        Ok(v.map(SimDuration::from_secs_f64))
+    };
+    let mut cfg = WorldConfig::paper_default(42);
+    let horizon = if args.flag("--full") {
+        RunOptions::full()
+    } else {
+        RunOptions::quick()
+    };
+    cfg.sim_time = horizon.sim_time;
+    cfg.warmup = horizon.warmup;
+
+    if let Some(v) = args.get("--peers", "an integer >= 2", |n: &usize| *n >= 2)? {
+        cfg.n_peers = v;
+    }
+    if let Some(v) = args.get("--cache", "an integer >= 1", |n: &usize| *n >= 1)? {
+        cfg.c_num = v;
+    }
+    if let Some(side) = args.get("--terrain", "a positive side in metres", positive)? {
+        cfg.terrain = mp2p_mobility::Terrain::new(side, side);
+    }
+    if let Some(v) = args.get("--range", "a positive range in metres", positive)? {
+        cfg.range = v;
+    }
+    if let Some(v) = args.value_of("--mobility") {
+        cfg.mobility = cli::parse_mobility(v)?;
+    }
+    if let Some(v) = args.get("--sim", "a positive number of minutes", positive)? {
+        cfg.sim_time = SimDuration::from_secs_f64(v * 60.0);
+    }
+    if let Some(v) = args.get("--warmup", "a non-negative number of minutes", non_negative)? {
+        cfg.warmup = SimDuration::from_secs_f64(v * 60.0);
+    }
+    if cfg.warmup >= cfg.sim_time {
+        return Err(format!(
+            "--warmup ({}) must end before --sim ({}) does",
+            cfg.warmup, cfg.sim_time
+        ));
+    }
+    if let Some(v) = secs("--update-secs")? {
+        cfg.i_update = v;
+    }
+    if let Some(v) = secs("--query-secs")? {
+        cfg.i_query = v;
+    }
+    cfg.i_write = secs("--write-secs")?;
+    if let Some(v) = args.get("--ttl", "a hop count in 1..=255", |t: &u8| *t >= 1)? {
+        cfg.proto.invalidation_ttl = v;
+    }
+    let probability = |p: &f64| (0.0..=1.0).contains(p);
+    if let Some(v) = args.get("--loss", "a probability in [0,1]", probability)? {
+        cfg.link.loss_prob = v;
+    }
+    if let Some(v) = args.get("--relay-cap", "an integer >= 1", |n: &usize| *n >= 1)? {
+        cfg.proto.max_relays_per_item = Some(v);
+    }
+    if let Some(v) = args.get("--seed", "a non-negative integer", |_: &u64| true)? {
+        cfg.seed = v;
+    }
+    if args.flag("--no-churn") {
+        cfg.i_switch = None;
+    }
+    if args.flag("--oracle-routing") {
+        cfg.routing = RoutingMode::Oracle;
+    }
+    if args.flag("--adaptive") {
+        cfg.proto.adaptive = true;
+    }
+    if args.flag("--single-item") {
+        cfg.workload = WorkloadMode::SingleItem;
+    }
+    if args.flag("--hardened") {
+        cfg.proto = cfg.proto.hardened();
+    }
+    if args.flag("--recovery") {
+        cfg.proto.recovery = RecoveryConfig::on();
+    }
+    if args.flag("--consistency") {
+        let period = secs("--sample-secs")?.unwrap_or(SimDuration::from_secs(30));
+        cfg.observatory = ObservatoryConfig::full(period);
+    } else if args.flag("--sample-secs") {
+        return Err("--sample-secs only makes sense together with --consistency".into());
+    }
+    if args.flag("--provenance") {
+        cfg.provenance = ProvenanceConfig::full();
+    }
+    // Resolved after --sim so the preset windows scale to the actual run.
+    if let Some(v) = args.value_of("--faults") {
+        cfg.faults = cli::parse_faults(v, cfg.sim_time)?;
+    }
+    // A small peer count with the default C_Num would fail validation;
+    // clamp to the foreign-catalogue size and say so.
+    if cfg.c_num >= cfg.n_peers {
+        let clamped = cfg.n_peers - 1;
+        eprintln!("note: clamping cache size to {clamped} (only {clamped} foreign items exist)");
+        cfg.c_num = clamped;
+    }
+    Ok(cfg)
+}
+
+/// Opens the flight-recorder journal of a run of `cfg` at the schema
+/// tier its enabled layers need: provenance records are schema-4 kinds,
+/// recovery records schema-3 and observatory records schema-2, and an
+/// older sink would silently skip them.
+pub fn journal_sink(path: &Path, cfg: &WorldConfig) -> Result<JsonlSink, String> {
+    let create = if cfg.provenance.enabled() {
+        JsonlSink::create_v4_with_warmup
+    } else if cfg.proto.recovery.enabled() {
+        JsonlSink::create_v3_with_warmup
+    } else if cfg.observatory.enabled() {
+        JsonlSink::create_v2_with_warmup
+    } else {
+        JsonlSink::create_with_warmup
+    };
+    create(path, cfg.warmup)
+        .map_err(|err| format!("cannot create trace file {}: {err}", path.display()))
+}
+
+impl RunPlan {
+    /// Parses the arguments following `mp2p run`. Every rejection is a
+    /// one-line error followed by the flag list.
+    pub fn parse(argv: &[String]) -> Result<RunPlan, String> {
+        let args = Args::parse(&SPEC, argv)?;
+        Self::from_args(&args).map_err(|msg| SPEC.error(msg))
+    }
+
+    fn from_args(args: &Args) -> Result<RunPlan, String> {
+        let cfg = world_config(args)?;
+        let mix = match args.value_of("--mix") {
+            Some(token) => cli::parse_mix(token)?,
+            None => LevelMix::strong_only(),
+        };
+        let strategies =
+            cli::parse_strategy_set(args.value_of("--strategy").unwrap_or("rpcc"), mix)?;
+        let metrics_out = args.value_of("--metrics-out").map(PathBuf::from);
+        if metrics_out.is_some() && strategies.len() > 1 {
+            return Err("--metrics-out takes a single strategy".into());
+        }
+        Ok(RunPlan {
+            cfg,
+            strategies,
+            trace: args.value_of("--trace").map(PathBuf::from),
+            json: args.value_of("--json").map(PathBuf::from),
+            metrics_out,
+            profile: args.flag("--profile"),
+        })
+    }
+
+    /// Where the journal of `spec` goes: the `--trace` path itself for
+    /// a single strategy, `PREFIX-<name>.jsonl` within a set.
+    fn trace_path(&self, spec: &StrategySpec) -> Option<PathBuf> {
+        let path = self.trace.as_ref()?;
+        if self.strategies.len() == 1 {
+            return Some(path.clone());
+        }
+        Some(PathBuf::from(format!(
+            "{}-{}.jsonl",
+            path.display(),
+            sanitize(spec.name)
+        )))
+    }
+}
+
+/// `RPCC(SC)` → `RPCC-SC`: keep trace filenames shell-friendly.
+fn sanitize(name: &str) -> String {
+    let mut out = String::with_capacity(name.len());
+    for c in name.chars() {
+        match c {
+            c if c.is_ascii_alphanumeric() || c == '-' || c == '_' => out.push(c),
+            '+' => out.push_str("plus"),
+            _ => {
+                if !out.ends_with('-') {
+                    out.push('-');
+                }
+            }
+        }
+    }
+    out.trim_end_matches('-').to_string()
+}
+
+/// The sink of type `T` on the tee a run was recorded through.
+fn sink_of<T: 'static>(tracer: &dyn TraceSink) -> &T {
+    tracer
+        .as_any()
+        .downcast_ref::<TeeSink>()
+        .and_then(|tee| {
+            tee.sinks()
+                .iter()
+                .find_map(|sink| sink.as_any().downcast_ref::<T>())
+        })
+        .expect("the requested consumer rode the run's tee")
+}
+
+/// One finished run: its report and the tee of sinks it was recorded
+/// through — a journal and an event-count summary under `--trace`, a
+/// registry under `--metrics-out`.
+type Recorded = (RunReport, Box<dyn TraceSink>);
+
+/// Runs every strategy of the plan, in column order.
+fn execute(plan: &RunPlan) -> Result<Vec<Recorded>, String> {
+    let mut runs = Vec::with_capacity(plan.strategies.len());
+    for spec in &plan.strategies {
+        let mut cfg = plan.cfg.clone();
+        cfg.strategy = spec.strategy;
+        cfg.level_mix = spec.mix;
+        let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
+        if let Some(path) = plan.trace_path(spec) {
+            sinks.push(Box::new(journal_sink(&path, &cfg)?));
+            sinks.push(Box::new(SummarySink::new(cfg.warmup)));
+        }
+        if plan.metrics_out.is_some() {
+            sinks.push(Box::new(RegistrySink::new(DEFAULT_WINDOW, cfg.warmup)));
+        }
+        let mut world = World::new(cfg);
+        if plan.profile {
+            world.enable_profiling();
+        }
+        if !sinks.is_empty() {
+            world.set_tracer(Box::new(TeeSink::new(sinks)));
+        }
+        runs.push(world.run_traced());
+    }
+    Ok(runs)
+}
+
+/// The report table's rows: one metric per row, one column per report.
+/// Rows of an opt-in layer appear only when some report carries it.
+pub fn report_rows(reports: &[&RunReport]) -> Vec<Vec<String>> {
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut row = |name: &str, cell: &dyn Fn(&RunReport) -> String| {
+        let mut r = vec![name.to_string()];
+        r.extend(reports.iter().map(|rep| cell(rep)));
+        rows.push(r);
+    };
+    let fixed = |v: f64, decimals: usize| format!("{v:.decimals$}");
+    let minutes = |r: &RunReport| r.measured.as_secs_f64() / 60.0;
+    row("tx/min", &|r| fixed(r.traffic_per_minute(), 1));
+    row("KB/min", &|r| {
+        fixed(r.traffic.bytes() as f64 / 1024.0 / minutes(r), 1)
+    });
+    row("queries served", &|r| r.queries_served().to_string());
+    row("served by src/relay/cache", &|r| {
+        format!("{}/{}/{}", r.served_by[0], r.served_by[1], r.served_by[2])
+    });
+    row("cache-hit ratio", &|r| fixed(r.cache_hit_ratio(), 4));
+    row("failure rate", &|r| fixed(r.failure_rate(), 4));
+    row("mean latency (s)", &|r| fixed(r.mean_latency_secs(), 3));
+    row("p95 latency (s)", &|r| {
+        fixed(r.latency.percentile(0.95).as_secs_f64(), 3)
+    });
+    row("fresh fraction", &|r| fixed(r.audit.fresh_fraction(), 4));
+    row("stale served (fraction)", &|r| {
+        let stale = 1.0 - r.audit.fresh_fraction();
+        format!("{} ({})", r.audit.stale_served(), fixed(stale, 4))
+    });
+    row("max staleness (s)", &|r| {
+        fixed(r.audit.max_staleness().as_secs_f64(), 1)
+    });
+    if reports.iter().any(|r| r.consistency.is_some()) {
+        let of = |r: &RunReport, cell: &dyn Fn(&mp2p_rpcc::ConsistencyReport) -> u64| {
+            r.consistency
+                .as_ref()
+                .map_or_else(|| "-".into(), |c| cell(c).to_string())
+        };
+        row("divergence samples", &|r| of(r, &|c| c.samples));
+        row("stale attributed", &|r| of(r, &|c| c.blamed_total()));
+        row("Δ violations", &|r| of(r, &|c| c.delta_violations));
+        for cause in BlameCause::ALL {
+            let blamed = |r: &&RunReport| r.consistency.is_some_and(|c| c.blame[cause.index()] > 0);
+            if reports.iter().any(blamed) {
+                row(&format!("blame {}", cause.label()), &|r| {
+                    of(r, &|c| c.blame[cause.index()])
+                });
+            }
+        }
+    }
+    row("relay items (mean)", &|r| fixed(r.relay_gauge.mean(), 1));
+    row("candidates (mean)", &|r| fixed(r.candidate_gauge.mean(), 1));
+    row("energy used (J)", &|r| fixed(r.energy_used_mj / 1_000.0, 1));
+    if reports.iter().any(|r| r.writes_issued > 0) {
+        row("writes acked/issued", &|r| {
+            format!("{}/{}", r.writes_completed(), r.writes_issued)
+        });
+        row("write latency (s)", &|r| {
+            fixed(r.write_latency.mean_secs(), 3)
+        });
+    }
+    if reports.iter().any(|r| r.fault_plan.is_some()) {
+        row("fault plan", &|r| r.fault_plan.unwrap_or("-").to_string());
+        row("crashes/recoveries", &|r| {
+            format!("{}/{}", r.faults.crashes, r.faults.recoveries)
+        });
+        row("partitions opened/healed", &|r| {
+            let faults = &r.faults;
+            format!("{}/{}", faults.partitions_started, faults.partitions_healed)
+        });
+        row("burst drops", &|r| r.faults.burst_drops.to_string());
+        row("frames duplicated", &|r| {
+            r.faults.frames_duplicated.to_string()
+        });
+        row("relay leases expired", &|r| {
+            r.faults.lease_expiries.to_string()
+        });
+        row("fallback floods", &|r| r.faults.fallback_floods.to_string());
+    }
+    if reports.iter().any(|r| r.recovery_enabled) {
+        row("rejoin resyncs", &|r| r.faults.resyncs.to_string());
+        row("retransmits", &|r| r.faults.retransmits.to_string());
+        row("delivery acks", &|r| r.faults.delivery_acks.to_string());
+        row("lease handovers", &|r| r.faults.handovers.to_string());
+        row("retx queue peak", &|r| r.faults.retx_queue_peak.to_string());
+    }
+    for class in MessageClass::ALL {
+        if reports.iter().any(|r| r.traffic.by_class(class) > 0) {
+            row(&format!("tx {}", class.label()), &|r| {
+                r.traffic.by_class(class).to_string()
+            });
+        }
+    }
+    rows
+}
+
+fn print_profile(name: &str, report: &RunReport) {
+    let Some(perf) = &report.perf else { return };
+    println!(
+        "\nWall-clock profile of {name}: {} events in {:.2}s ({:.0} events/s, {:.0}x real time)",
+        perf.events(),
+        perf.wall_secs(),
+        perf.events_per_sec(),
+        perf.sim_time_ratio(),
+    );
+    println!(
+        "Queue: {} pushes / {} pops, peak {} pending (capacity {}); {} frames sent",
+        perf.queue.pushes,
+        perf.queue.pops,
+        perf.queue.peak_len,
+        perf.queue.peak_capacity,
+        perf.frames_sent,
+    );
+    let rows: Vec<Vec<String>> = perf
+        .top(10)
+        .iter()
+        .map(|bucket| {
+            vec![
+                bucket.name.to_string(),
+                bucket.count.to_string(),
+                format!("{:.4}", bucket.secs()),
+                format!("{:.1}%", perf.share(bucket) * 100.0),
+            ]
+        })
+        .collect();
+    print!(
+        "{}",
+        render_table(&["bucket", "count", "wall s", "share"], &rows)
+    );
+}
+
+/// `mp2p run`: parses `argv`, runs the plan and prints the report.
+/// `Ok(false)` means an invariant of [`check_report`] was violated.
+pub fn command(argv: &[String]) -> Result<bool, String> {
+    let plan = RunPlan::parse(argv)?;
+    let cfg = &plan.cfg;
+    let names: Vec<&str> = plan.strategies.iter().map(|s| s.name).collect();
+    println!(
+        "Running {} — {} peers, {:.0} m terrain side, {} simulated, warmup {} (seed {})",
+        names.join(", "),
+        cfg.n_peers,
+        cfg.terrain.width(),
+        cfg.sim_time,
+        cfg.warmup,
+        cfg.seed
+    );
+    let runs = execute(&plan)?;
+    let reports: Vec<&RunReport> = runs.iter().map(|(report, _)| report).collect();
+
+    if let Some(path) = &plan.json {
+        let doc = match reports[..] {
+            [single] => single.to_json(),
+            _ => {
+                let body: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
+                format!(
+                    "{{\"seed\":{},\"reports\":[{}]}}\n",
+                    cfg.seed,
+                    body.join(",")
+                )
+            }
+        };
+        std::fs::write(path, doc)
+            .map_err(|err| format!("cannot write report {}: {err}", path.display()))?;
+        println!("Report JSON -> {}", path.display());
+    }
+
+    let mut headers = vec!["metric"];
+    headers.extend(&names);
+    print!("{}", render_table(&headers, &report_rows(&reports)));
+    for (name, report) in names.iter().zip(&reports) {
+        print_profile(name, report);
+    }
+
+    if plan.trace.is_some() {
+        let summaries: Vec<&SummarySink> = runs
+            .iter()
+            .map(|(_, tracer)| sink_of(tracer.as_ref()))
+            .collect();
+        println!("\nTrace events by kind:");
+        let mut headers = vec!["event"];
+        headers.extend(&names);
+        let rows: Vec<Vec<String>> = EventKind::ALL
+            .into_iter()
+            .filter(|&kind| summaries.iter().any(|s| s.count_of(kind) > 0))
+            .map(|kind| {
+                let mut row = vec![kind.label().to_string()];
+                row.extend(summaries.iter().map(|s| s.count_of(kind).to_string()));
+                row
+            })
+            .collect();
+        print!("{}", render_table(&headers, &rows));
+        println!();
+        for (spec, (_, tracer)) in plan.strategies.iter().zip(&runs) {
+            let path = plan.trace_path(spec).expect("trace requested");
+            let journal: &JsonlSink = sink_of(tracer.as_ref());
+            if let Some(err) = journal.io_error() {
+                eprintln!("warning: trace file truncated by I/O error: {err}");
+            }
+            println!(
+                "Flight recorder: {} events -> {}",
+                journal.records(),
+                path.display()
+            );
+        }
+    }
+    if let Some(path) = &plan.metrics_out {
+        let registry = sink_of::<RegistrySink>(runs[0].1.as_ref()).registry();
+        let prom_path = PathBuf::from(format!("{}.prom", path.display()));
+        std::fs::write(path, registry.to_json())
+            .and_then(|()| std::fs::write(&prom_path, registry.render_prometheus()))
+            .map_err(|err| format!("cannot write metrics snapshot {}: {err}", path.display()))?;
+        println!(
+            "Metrics snapshot -> {} (JSON) and {} (Prometheus text)",
+            path.display(),
+            prom_path.display()
+        );
+    }
+
+    let mut clean = true;
+    for (name, report) in names.iter().zip(&reports) {
+        for violation in check_report(report) {
+            eprintln!("INVARIANT VIOLATED: {name}: {violation}");
+            clean = false;
+        }
+    }
+    Ok(clean)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn sanitized_names_are_path_safe() {
+        assert_eq!(sanitize("RPCC(SC)"), "RPCC-SC");
+        assert_eq!(sanitize("Push+AP"), "PushplusAP");
+        assert_eq!(sanitize("Pull"), "Pull");
+    }
+
+    #[test]
+    fn a_set_journals_per_strategy_and_a_single_run_to_the_named_file() {
+        let set = RunPlan::parse(&argv(&["--strategy", "rpcc,push", "--trace", "/tmp/x"])).unwrap();
+        assert_eq!(
+            set.trace_path(&set.strategies[1]),
+            Some(PathBuf::from("/tmp/x-Push.jsonl"))
+        );
+        let single = RunPlan::parse(&argv(&["--trace", "/tmp/x.jsonl"])).unwrap();
+        assert_eq!(
+            single.trace_path(&single.strategies[0]),
+            Some(PathBuf::from("/tmp/x.jsonl"))
+        );
+    }
+}

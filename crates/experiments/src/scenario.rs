@@ -3,7 +3,7 @@
 //! workload mix, fault plan, strategy set, seeds and per-scenario gate
 //! floors.
 //!
-//! A scenario file is the unit the `matrix` binary sweeps: every
+//! A scenario file is the unit `mp2p matrix` sweeps: every
 //! `(scenario, strategy, seed)` triple becomes one matrix cell. The
 //! format is a deliberately small TOML subset (the workspace is
 //! dependency-free, so the parser is hand-rolled here, like the JSON
@@ -65,7 +65,7 @@ use mp2p_rpcc::{
 };
 use mp2p_sim::SimDuration;
 
-use crate::{cli, perf};
+use crate::cli;
 
 /// Version tag required in every scenario file (`schema = 1`). Bump on
 /// layout changes so old files are refused instead of misread.
@@ -166,7 +166,7 @@ impl MobilitySpec {
     }
 }
 
-/// Per-scenario absolute quality floors, checked by the `matrix` binary
+/// Per-scenario absolute quality floors, checked by `mp2p matrix`
 /// against every cell of the scenario. `None` disables the axis.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GateFloors {
@@ -236,8 +236,8 @@ impl Scenario {
     ///
     /// Starts from [`WorldConfig::paper_default`] so every knob the
     /// format does not capture keeps its Table 1 value — which is what
-    /// makes a scenario transcribing the defaults reproduce the `run`
-    /// binary's output byte for byte.
+    /// makes a scenario transcribing the defaults reproduce
+    /// `mp2p run`'s output byte for byte.
     pub fn world_config(&self, strategy: Strategy, seed: u64) -> WorldConfig {
         let mut cfg = WorldConfig::paper_default(seed);
         cfg.strategy = strategy;
@@ -271,8 +271,8 @@ impl Scenario {
     }
 
     /// Runs one cell of this scenario, unprofiled, and returns the
-    /// report. The deterministic counterpart of
-    /// [`crate::matrix::run_cell`] — used by the determinism tests.
+    /// report. The deterministic counterpart of a
+    /// [`crate::matrix::run_matrix`] cell — used by the determinism tests.
     pub fn run_cell_report(&self, strategy: Strategy, seed: u64) -> mp2p_rpcc::RunReport {
         World::new(self.world_config(strategy, seed)).run()
     }
@@ -383,7 +383,7 @@ impl Scenario {
         let tokens: Vec<String> = self
             .strategies
             .iter()
-            .map(|&st| quote(perf::strategy_token(st)))
+            .map(|&st| quote(cli::strategy_token(st)))
             .collect();
         let _ = writeln!(s, "strategies = [{}]", tokens.join(", "));
         let seeds: Vec<String> = self.seeds.iter().map(u64::to_string).collect();

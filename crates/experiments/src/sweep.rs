@@ -18,39 +18,46 @@ pub struct StrategySpec {
     pub mix: LevelMix,
 }
 
+impl StrategySpec {
+    /// The curve of `strategy` under `mix`, labelled as the paper labels
+    /// it: RPCC curves carry their level mix, the baselines (which ignore
+    /// the requested level) do not.
+    pub fn of(strategy: Strategy, mix: LevelMix) -> Self {
+        let name = match (strategy, mix.label()) {
+            (Strategy::Rpcc, "SC") => "RPCC(SC)",
+            (Strategy::Rpcc, "DC") => "RPCC(DC)",
+            (Strategy::Rpcc, "WC") => "RPCC(WC)",
+            (Strategy::Rpcc, "HY") => "RPCC(HY)",
+            _ => strategy.label(),
+        };
+        StrategySpec {
+            name,
+            strategy,
+            mix,
+        }
+    }
+
+    /// The Table 1 world of this curve at the given horizon and seed —
+    /// the starting point of every sweep point and study row.
+    pub fn config(&self, opts: RunOptions, seed: u64) -> WorldConfig {
+        let mut cfg = WorldConfig::paper_default(seed);
+        cfg.sim_time = opts.sim_time;
+        cfg.warmup = opts.warmup;
+        cfg.strategy = self.strategy;
+        cfg.level_mix = self.mix;
+        cfg
+    }
+}
+
 /// The six curves of Fig. 7/8: Pull, Push and the four RPCC variants.
 pub fn paper_strategies() -> Vec<StrategySpec> {
     vec![
-        StrategySpec {
-            name: "Pull",
-            strategy: Strategy::Pull,
-            mix: LevelMix::strong_only(),
-        },
-        StrategySpec {
-            name: "Push",
-            strategy: Strategy::Push,
-            mix: LevelMix::strong_only(),
-        },
-        StrategySpec {
-            name: "RPCC(SC)",
-            strategy: Strategy::Rpcc,
-            mix: LevelMix::strong_only(),
-        },
-        StrategySpec {
-            name: "RPCC(DC)",
-            strategy: Strategy::Rpcc,
-            mix: LevelMix::delta_only(),
-        },
-        StrategySpec {
-            name: "RPCC(WC)",
-            strategy: Strategy::Rpcc,
-            mix: LevelMix::weak_only(),
-        },
-        StrategySpec {
-            name: "RPCC(HY)",
-            strategy: Strategy::Rpcc,
-            mix: LevelMix::hybrid(),
-        },
+        StrategySpec::of(Strategy::Pull, LevelMix::strong_only()),
+        StrategySpec::of(Strategy::Push, LevelMix::strong_only()),
+        StrategySpec::of(Strategy::Rpcc, LevelMix::strong_only()),
+        StrategySpec::of(Strategy::Rpcc, LevelMix::delta_only()),
+        StrategySpec::of(Strategy::Rpcc, LevelMix::weak_only()),
+        StrategySpec::of(Strategy::Rpcc, LevelMix::hybrid()),
     ]
 }
 
@@ -58,11 +65,10 @@ pub fn paper_strategies() -> Vec<StrategySpec> {
 /// adaptive pull), which the paper cites but never plots.
 pub fn extended_strategies() -> Vec<StrategySpec> {
     let mut specs = paper_strategies();
-    specs.push(StrategySpec {
-        name: "Push+AP",
-        strategy: Strategy::PushAdaptivePull,
-        mix: LevelMix::strong_only(),
-    });
+    specs.push(StrategySpec::of(
+        Strategy::PushAdaptivePull,
+        LevelMix::strong_only(),
+    ));
     specs
 }
 
@@ -236,11 +242,7 @@ where
         }
     }
     let reports = run_parallel(&jobs, |&(_, _, x, spec, seed)| {
-        let mut cfg = WorldConfig::paper_default(seed);
-        cfg.sim_time = opts.sim_time;
-        cfg.warmup = opts.warmup;
-        cfg.strategy = spec.strategy;
-        cfg.level_mix = spec.mix;
+        let mut cfg = spec.config(opts, seed);
         configure(&mut cfg, x);
         World::new(cfg).run()
     });
@@ -278,11 +280,7 @@ mod tests {
 
     #[test]
     fn sweep_runs_every_point_and_averages() {
-        let strategies = [StrategySpec {
-            name: "Pull",
-            strategy: Strategy::Pull,
-            mix: LevelMix::strong_only(),
-        }];
+        let strategies = [StrategySpec::of(Strategy::Pull, LevelMix::strong_only())];
         let mut opts = RunOptions::smoke();
         opts.sim_time = SimDuration::from_mins(6);
         opts.warmup = SimDuration::from_mins(1);

@@ -1,6 +1,8 @@
-//! Determinism and gate-trip tests for the scenario matrix.
+//! Determinism tests for the scenario matrix.
 //!
-//! Three obligations from the scenario-matrix design:
+//! Two obligations from the scenario-matrix design (the third — an
+//! injected regression trips the `mp2p matrix` gate — drives the real
+//! binary from the root package's `tests/cli.rs`):
 //!
 //! 1. The same cell run twice produces byte-identical
 //!    [`RunReport::to_json`] output — and the matrix path produces the
@@ -8,22 +10,17 @@
 //! 2. The committed `paper-default` scenario reproduces the
 //!    `WorldConfig::paper_default` world **byte for byte**: the scenario
 //!    layer can never silently drift the paper reproduction.
-//! 3. An injected regression on any single axis of any single cell makes
-//!    the `matrix` binary exit non-zero, naming the offending axis;
-//!    mismatched cell identities exit 2 instead of producing a verdict.
 //!
 //! [`RunReport::to_json`]: mp2p_rpcc::RunReport::to_json
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::path::Path;
 
-use mp2p_experiments::matrix::{run_cell, run_matrix, MatrixCell, MatrixReport};
+use mp2p_experiments::matrix::{run_matrix, MatrixCell};
 use mp2p_experiments::scenario::Scenario;
 use mp2p_rpcc::{World, WorldConfig};
 use mp2p_sim::SimDuration;
 
-/// A fast single-cell scenario used by the in-process determinism tests
-/// and (written to a temp dir) by the binary gate tests.
+/// A fast single-cell scenario.
 const TINY: &str = r#"
 schema = 1
 name = "tiny-gate"
@@ -65,14 +62,15 @@ fn the_matrix_path_equals_the_direct_run_path() {
     let s = Scenario::parse(TINY).unwrap();
     let strategy = s.strategies[0];
     // The matrix executor (unprofiled, so every field is deterministic)...
-    let report = run_matrix(std::slice::from_ref(&s), false);
+    let (report, violations) = run_matrix(std::slice::from_ref(&s), false);
+    assert_eq!(violations, Vec::<String>::new());
     let via_matrix = report.cell("tiny-gate", "rpcc", 42).expect("cell swept");
     // ...must freeze exactly the cell a direct run freezes by hand.
     let direct = s.run_cell_report(strategy, 42);
     let by_hand = MatrixCell::from_report(&s, strategy, 42, &direct);
     assert_eq!(via_matrix, &by_hand);
     // And a profiled run only fills the wall-clock fields.
-    let mut profiled = run_cell(&s, strategy, 42, true);
+    let mut profiled = run_matrix(std::slice::from_ref(&s), true).0.cells.remove(0);
     assert!(profiled.events > 0 && profiled.events_per_sec > 0.0);
     profiled.events = 0;
     profiled.wall_secs = 0.0;
@@ -104,151 +102,4 @@ fn paper_default_scenario_reproduces_the_direct_run() {
         via_scenario, direct,
         "the scenario layer drifted the paper reproduction"
     );
-}
-
-// ---- matrix binary: injected regressions must trip the gate ----------
-
-struct TempMatrixDir {
-    root: PathBuf,
-}
-
-impl TempMatrixDir {
-    fn new(tag: &str) -> Self {
-        let root =
-            std::env::temp_dir().join(format!("mp2p-matrix-gate-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(root.join("scenarios")).expect("temp dir creates");
-        std::fs::write(root.join("scenarios/tiny-gate.toml"), TINY).expect("scenario writes");
-        TempMatrixDir { root }
-    }
-
-    fn scenarios(&self) -> PathBuf {
-        self.root.join("scenarios")
-    }
-
-    fn out(&self) -> PathBuf {
-        self.root.join("out")
-    }
-
-    fn baseline(&self) -> PathBuf {
-        self.root.join("baseline.json")
-    }
-}
-
-impl Drop for TempMatrixDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.root);
-    }
-}
-
-fn run_matrix_binary(dir: &TempMatrixDir, extra: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_matrix"))
-        .arg("--scenarios")
-        .arg(dir.scenarios())
-        .arg("--out")
-        .arg(dir.out())
-        .args(extra)
-        .output()
-        .expect("matrix binary spawns")
-}
-
-fn stdout_of(output: &Output) -> String {
-    String::from_utf8_lossy(&output.stdout).into_owned()
-}
-
-#[test]
-fn injected_regressions_trip_the_gate_per_axis() {
-    let dir = TempMatrixDir::new("axes");
-
-    // Sweep once to produce the baseline.
-    let baseline_str = dir.baseline().display().to_string();
-    let seeded = run_matrix_binary(&dir, &["--json", &baseline_str]);
-    assert!(
-        seeded.status.success(),
-        "baseline sweep failed: {}\n{}",
-        stdout_of(&seeded),
-        String::from_utf8_lossy(&seeded.stderr)
-    );
-    let baseline_text = std::fs::read_to_string(dir.baseline()).unwrap();
-    let baseline = MatrixReport::from_json(&baseline_text).expect("baseline parses");
-    assert_eq!(baseline.cells.len(), 1);
-    let cell = &baseline.cells[0];
-    assert!(
-        cell.p95_latency_secs > 0.0,
-        "the tiny cell must produce a non-zero p95 for the latency axis to be testable"
-    );
-    assert!(cell.events_per_sec > 0.0, "the binary profiles its cells");
-
-    // A clean re-run against its own baseline passes (deterministic axes
-    // are exact; the wall-clock axis gets a generous band).
-    let clean = run_matrix_binary(
-        &dir,
-        &["--baseline", &baseline_str, "--wall-tolerance", "0.95"],
-    );
-    assert!(
-        clean.status.success(),
-        "identical sweep flagged as regression:\n{}",
-        stdout_of(&clean)
-    );
-
-    // Tamper one axis at a time; each must exit 1 and name the axis.
-    type Tamper = fn(&mut MatrixCell);
-    let axes: [(&str, Tamper); 3] = [
-        ("fresh-fraction", |c| {
-            c.fresh_fraction = c.fresh_fraction * 2.0 + 0.1;
-        }),
-        ("p95-latency", |c| c.p95_latency_secs *= 0.5),
-        ("events/sec", |c| c.events_per_sec *= 100.0),
-    ];
-    for (axis, tamper) in &axes {
-        let mut doctored = baseline.clone();
-        tamper(&mut doctored.cells[0]);
-        std::fs::write(dir.baseline(), doctored.to_json()).unwrap();
-        let tripped = run_matrix_binary(
-            &dir,
-            &["--baseline", &baseline_str, "--wall-tolerance", "0.95"],
-        );
-        assert_eq!(
-            tripped.status.code(),
-            Some(1),
-            "{axis}: a regressed baseline must exit 1\n{}",
-            stdout_of(&tripped)
-        );
-        assert!(
-            stdout_of(&tripped).contains(axis),
-            "{axis}: the diff table must name the offending axis\n{}",
-            stdout_of(&tripped)
-        );
-    }
-
-    // A baseline describing a *different* scenario is an error (exit 2),
-    // never a verdict.
-    let mut alien = baseline.clone();
-    alien.cells[0].peers += 1;
-    std::fs::write(dir.baseline(), alien.to_json()).unwrap();
-    let refused = run_matrix_binary(&dir, &["--baseline", &baseline_str]);
-    assert_eq!(
-        refused.status.code(),
-        Some(2),
-        "identity mismatch must exit 2\n{}",
-        String::from_utf8_lossy(&refused.stderr)
-    );
-}
-
-#[test]
-fn gate_floor_violations_trip_the_sweep_without_a_baseline() {
-    let dir = TempMatrixDir::new("floors");
-    // Demand an impossible latency ceiling (1 ns) and a perfect fresh
-    // fraction; at least one floor must trip the sweep on its own.
-    let gated =
-        format!("{TINY}\n[gates]\nmin_fresh_fraction = 1.0\nmax_p95_latency_secs = 0.000000001\n");
-    std::fs::write(dir.scenarios().join("tiny-gate.toml"), gated).unwrap();
-    let tripped = run_matrix_binary(&dir, &[]);
-    assert_eq!(
-        tripped.status.code(),
-        Some(1),
-        "an unmet [gates] floor must exit 1\n{}",
-        stdout_of(&tripped)
-    );
-    assert!(stdout_of(&tripped).contains("GATE FLOOR VIOLATIONS"));
 }

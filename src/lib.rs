@@ -37,8 +37,10 @@
 //! );
 //! ```
 //!
-//! See `examples/` for scenario walk-throughs and
-//! `crates/experiments/src/bin/` for the figure regenerators.
+//! See `examples/` for scenario walk-throughs. The package's one binary,
+//! `mp2p run | matrix | analyze | paper` (`src/main.rs`), drives single
+//! scenarios, the scenario corpus, the offline analyzer and the figure
+//! regenerators; `mp2p <subcommand> --help` lists each flag set.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,0 +1,465 @@
+//! The `mp2p` binary at its command-line surface: exit codes, the
+//! strategy-set table, the matrix regression gate, and a never-panic
+//! property over arbitrary argument vectors.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+use mp2p::experiments::matrix::{MatrixCell, MatrixReport};
+use mp2p::experiments::{analyze, matrix, paper, run};
+use mp2p::rpcc::WorldConfig;
+use mp2p::sim::SimDuration;
+use proptest::prelude::*;
+
+fn mp2p(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_mp2p"))
+        .args(args)
+        .output()
+        .expect("mp2p binary spawns")
+}
+
+fn stdout_of(output: &Output) -> String {
+    String::from_utf8_lossy(&output.stdout).into_owned()
+}
+
+fn stderr_of(output: &Output) -> String {
+    String::from_utf8_lossy(&output.stderr).into_owned()
+}
+
+/// A scratch directory removed on drop.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let root = std::env::temp_dir().join(format!("mp2p-cli-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).expect("temp dir creates");
+        TempDir(root)
+    }
+
+    fn path(&self, name: &str) -> String {
+        self.0.join(name).display().to_string()
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[test]
+fn usage_errors_exit_2_with_one_line_and_the_flag_list() {
+    for (args, first_line) in [
+        (
+            &["run", "--frobnicate"][..],
+            "mp2p run: unknown flag --frobnicate",
+        ),
+        (
+            &["run", "--trace"][..],
+            "mp2p run: --trace needs a value (FILE|PREFIX)",
+        ),
+        (
+            &["run", "--sim", "5", "--warmup", "5"][..],
+            "mp2p run: --warmup (5min) must end before --sim (5min) does",
+        ),
+        (
+            &["run", "--peers", "1"][..],
+            "mp2p run: --peers expects an integer >= 2, got \"1\"",
+        ),
+        (
+            &["matrix", "--tolerance", "1.5"][..],
+            "mp2p matrix: --tolerance expects a fraction in [0, 1), got \"1.5\"",
+        ),
+        (&["analyze"][..], "mp2p analyze: missing --trace FILE.jsonl"),
+        (
+            &["paper", "fig10"][..],
+            "mp2p paper: unknown artefact \"fig10\"",
+        ),
+    ] {
+        let out = mp2p(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = stderr_of(&out);
+        let mut lines = stderr.lines();
+        assert_eq!(lines.next(), Some(first_line), "{args:?}");
+        let usage = format!("usage: mp2p {} ", args[0]);
+        assert!(
+            lines.next().is_some_and(|l| l.starts_with(&usage)),
+            "{stderr}"
+        );
+        assert!(
+            stdout_of(&out).is_empty(),
+            "nothing runs after a usage error"
+        );
+    }
+    // --help prints the same list; an unknown subcommand names the four.
+    let help = mp2p(&["run", "--help"]);
+    assert!(stderr_of(&help).starts_with("usage: mp2p run [--strategy LIST|paper|all]"));
+    let unknown = mp2p(&["chaos"]);
+    assert_eq!(unknown.status.code(), Some(2));
+    assert!(stderr_of(&unknown).contains("<run|matrix|analyze|paper>"));
+    assert_eq!(mp2p(&[]).status.code(), Some(2));
+}
+
+fn argv(list: &[&str]) -> Vec<String> {
+    list.iter().map(|s| s.to_string()).collect()
+}
+
+#[test]
+fn run_flags_map_onto_the_world_and_bad_values_are_usage_errors() {
+    let plan = run::RunPlan::parse(&argv(&[
+        "--strategy",
+        "rpcc,push",
+        "--mix",
+        "hy",
+        "--peers",
+        "20",
+        "--terrain",
+        "900",
+        "--cache",
+        "5",
+        "--sim",
+        "2",
+        "--warmup",
+        "0.5",
+        "--faults",
+        "hostile",
+        "--hardened",
+    ]))
+    .unwrap();
+    assert_eq!(plan.cfg.n_peers, 20);
+    assert_eq!(plan.cfg.sim_time, SimDuration::from_mins(2));
+    assert_eq!(plan.cfg.faults.label, "hostile");
+    assert_eq!(plan.strategies[0].name, "RPCC(HY)");
+    plan.cfg.validate();
+
+    let full = run::RunPlan::parse(&argv(&["--strategy", "all", "--full"])).unwrap();
+    assert_eq!(full.cfg.sim_time, SimDuration::from_hours(5));
+    assert_eq!(full.strategies.len(), 7);
+
+    for (bad, needle) in [
+        ("--warmup 50", "must end before"),
+        ("--sim 5 --warmup 5", "must end before"),
+        ("--peers 1", "--peers expects an integer >= 2"),
+        ("--cache 0", "--cache expects"),
+        ("--sim nan", "--sim expects"),
+        ("--sim -3", "--sim expects"),
+        ("--ttl 0", "--ttl expects"),
+        ("--ttl 300", "--ttl expects"),
+        ("--loss 1.5", "--loss expects"),
+        ("--relay-cap 0", "--relay-cap expects"),
+        ("--range 0", "--range expects"),
+        ("--sample-secs 5", "only makes sense"),
+        ("--consistency --sample-secs 0", "--sample-secs expects"),
+        ("--faults meteor", "unknown fault plan"),
+        ("--mobility walk:3:1", "MIN <= MAX"),
+        ("--strategy all --metrics-out m", "single strategy"),
+        ("--strategy rpcc,rpcc", "listed twice"),
+    ] {
+        let tokens: Vec<&str> = bad.split(' ').collect();
+        let err = run::RunPlan::parse(&argv(&tokens)).unwrap_err();
+        assert!(err.starts_with("mp2p run: "), "{err}");
+        assert!(err.contains(needle), "{bad:?}: {err}");
+        assert!(err.contains("\nusage: mp2p run "), "{err}");
+    }
+}
+
+#[test]
+fn the_journal_tier_follows_the_enabled_layers() {
+    let dir = TempDir::new("tier");
+    let path = PathBuf::from(dir.path("t.jsonl"));
+    for (flags, schema) in [
+        (&[][..], 1),
+        (&["--consistency"][..], 2),
+        (&["--consistency", "--recovery"][..], 3),
+        (&["--recovery", "--provenance"][..], 4),
+    ] {
+        let plan = run::RunPlan::parse(&argv(flags)).unwrap();
+        drop(run::journal_sink(&path, &plan.cfg).unwrap());
+        let header = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            header.starts_with(&format!("{{\"schema\":{schema},")),
+            "{flags:?}: {header}"
+        );
+    }
+    let missing = PathBuf::from(dir.path("no/such/dir.jsonl"));
+    let err = run::journal_sink(&missing, &WorldConfig::paper_default(1)).unwrap_err();
+    assert!(err.starts_with("cannot create trace file"), "{err}");
+}
+
+/// Splits a rendered table into `metric -> cells`.
+fn table_rows(stdout: &str) -> Vec<(String, Vec<String>)> {
+    stdout
+        .lines()
+        .filter(|l| l.starts_with("| "))
+        .map(|l| {
+            let mut cells = l.trim_matches('|').split('|').map(|c| c.trim().to_owned());
+            (cells.next().expect("metric cell"), cells.collect())
+        })
+        .collect()
+}
+
+#[test]
+fn a_strategy_set_is_the_single_runs_side_by_side() {
+    let dir = TempDir::new("set");
+    let scenario = "--peers 20 --terrain 900 --cache 5 --sim 3 --warmup 0.5 --seed 11 \
+                    --faults bursty --consistency";
+    let run = |strategy: &str, json: &str| {
+        let mut args = vec!["run", "--strategy", strategy, "--json", json];
+        args.extend(scenario.split_whitespace());
+        let out = mp2p(&args);
+        assert!(out.status.success(), "{strategy}: {}", stderr_of(&out));
+        (
+            table_rows(&stdout_of(&out)),
+            std::fs::read_to_string(json).unwrap(),
+        )
+    };
+    let (set_rows, set_json) = run("rpcc,push", &dir.path("set.json"));
+    let (rpcc_rows, rpcc_json) = run("rpcc", &dir.path("rpcc.json"));
+    let (push_rows, push_json) = run("push", &dir.path("push.json"));
+
+    // A set writes the document, a single strategy the bare report.
+    assert_eq!(
+        set_json,
+        format!("{{\"seed\":11,\"reports\":[{rpcc_json},{push_json}]}}\n")
+    );
+    assert!(rpcc_json.starts_with("{\"strategy\":"));
+
+    // Column for column: every cell a single run prints appears, under
+    // the same metric, in that strategy's column of the set.
+    assert_eq!(
+        set_rows[0],
+        ("metric".into(), vec!["RPCC(SC)".into(), "Push".into()])
+    );
+    for (column, single) in [(0, &rpcc_rows), (1, &push_rows)] {
+        assert_eq!(single[0].1, [set_rows[0].1[column].clone()]);
+        for (metric, cells) in &single[1..] {
+            let (_, set_cells) = set_rows
+                .iter()
+                .find(|(m, _)| m == metric)
+                .unwrap_or_else(|| panic!("set table lacks the {metric:?} row"));
+            assert_eq!(set_cells[column], cells[0], "{metric}");
+        }
+    }
+    // And the set prints nothing the singles do not account for.
+    for (metric, cells) in &set_rows[1..] {
+        for (column, single) in [(0, &rpcc_rows), (1, &push_rows)] {
+            match single.iter().find(|(m, _)| m == metric) {
+                Some((_, single_cells)) => assert_eq!(cells[column], single_cells[0]),
+                None => assert!(["0", "-"].contains(&cells[column].as_str()), "{metric}"),
+            }
+        }
+    }
+}
+
+/// A fast single-cell scenario for the gate tests.
+const TINY: &str = r#"
+schema = 1
+name = "tiny-gate"
+summary = "single fast cell for the gate tests"
+
+[world]
+peers = 8
+cache = 3
+range_m = 250
+terrain_w_m = 500
+terrain_h_m = 500
+sim_mins = 3
+warmup_mins = 0.5
+query_secs = 10
+update_secs = 60
+consistency_sample_secs = 30
+
+[mobility]
+model = "manhattan"
+block_m = 100
+speed_mps = 8
+
+[matrix]
+strategies = ["rpcc"]
+seeds = [42]
+"#;
+
+fn matrix_in(dir: &TempDir, scenario: &str, extra: &[&str]) -> Output {
+    std::fs::create_dir_all(dir.0.join("scenarios")).expect("scenario dir creates");
+    std::fs::write(dir.0.join("scenarios/tiny-gate.toml"), scenario).expect("scenario writes");
+    let (scenarios, out) = (dir.path("scenarios"), dir.path("out"));
+    let mut args = vec!["matrix", "--scenarios", &scenarios, "--out", &out];
+    args.extend(extra);
+    mp2p(&args)
+}
+
+#[test]
+fn injected_regressions_trip_the_matrix_gate_per_axis() {
+    let dir = TempDir::new("axes");
+    let baseline_path = dir.path("baseline.json");
+
+    // Sweep once to produce the baseline.
+    let seeded = matrix_in(&dir, TINY, &["--json", &baseline_path]);
+    assert!(
+        seeded.status.success(),
+        "baseline sweep failed: {}\n{}",
+        stdout_of(&seeded),
+        stderr_of(&seeded)
+    );
+    let baseline_text = std::fs::read_to_string(&baseline_path).unwrap();
+    let baseline = MatrixReport::from_json(&baseline_text).expect("baseline parses");
+    assert_eq!(baseline.cells.len(), 1);
+    let cell = &baseline.cells[0];
+    assert!(
+        cell.p95_latency_secs > 0.0,
+        "the tiny cell must produce a non-zero p95 for the latency axis to be testable"
+    );
+    assert!(cell.events_per_sec > 0.0, "the sweep profiles its cells");
+
+    // A clean re-run against its own baseline passes (deterministic axes
+    // are exact; the wall-clock axis gets a generous band).
+    let gate = ["--baseline", &baseline_path, "--wall-tolerance", "0.95"];
+    let clean = matrix_in(&dir, TINY, &gate);
+    assert!(
+        clean.status.success(),
+        "identical sweep flagged as regression:\n{}",
+        stdout_of(&clean)
+    );
+
+    // Tamper one axis at a time; each must exit 1 and name the axis.
+    type Tamper = fn(&mut MatrixCell);
+    let axes: [(&str, Tamper); 3] = [
+        ("fresh-fraction", |c| {
+            c.fresh_fraction = c.fresh_fraction * 2.0 + 0.1;
+        }),
+        ("p95-latency", |c| c.p95_latency_secs *= 0.5),
+        ("events/sec", |c| c.events_per_sec *= 100.0),
+    ];
+    for (axis, tamper) in &axes {
+        let mut doctored = baseline.clone();
+        tamper(&mut doctored.cells[0]);
+        std::fs::write(&baseline_path, doctored.to_json()).unwrap();
+        let tripped = matrix_in(&dir, TINY, &gate);
+        assert_eq!(
+            tripped.status.code(),
+            Some(1),
+            "{axis}: a regressed baseline must exit 1\n{}",
+            stdout_of(&tripped)
+        );
+        assert!(
+            stdout_of(&tripped).contains(axis),
+            "{axis}: the diff table must name the offending axis\n{}",
+            stdout_of(&tripped)
+        );
+    }
+
+    // A baseline describing a *different* scenario is an error (exit 2),
+    // never a verdict.
+    let mut alien = baseline.clone();
+    alien.cells[0].peers += 1;
+    std::fs::write(&baseline_path, alien.to_json()).unwrap();
+    let refused = matrix_in(&dir, TINY, &["--baseline", &baseline_path]);
+    assert_eq!(
+        refused.status.code(),
+        Some(2),
+        "identity mismatch must exit 2\n{}",
+        stderr_of(&refused)
+    );
+}
+
+#[test]
+fn gate_floor_violations_trip_the_sweep_without_a_baseline() {
+    let dir = TempDir::new("floors");
+    // Demand an impossible latency ceiling (1 ns) and a perfect fresh
+    // fraction; at least one floor must trip the sweep on its own.
+    let gated =
+        format!("{TINY}\n[gates]\nmin_fresh_fraction = 1.0\nmax_p95_latency_secs = 0.000000001\n");
+    let tripped = matrix_in(&dir, &gated, &[]);
+    assert_eq!(
+        tripped.status.code(),
+        Some(1),
+        "an unmet [gates] floor must exit 1\n{}",
+        stdout_of(&tripped)
+    );
+    assert!(stdout_of(&tripped).contains("GATE FLOOR VIOLATIONS"));
+}
+
+/// Every flag of every subcommand plus the values most likely to reach
+/// an assertion further down: zeros, negatives, non-finite numbers,
+/// overflowing integers, empty and malformed tokens.
+fn vocabulary() -> Vec<&'static str> {
+    let mut words: Vec<&'static str> = [&run::SPEC, &matrix::SPEC, &analyze::SPEC, &paper::SPEC]
+        .iter()
+        .flat_map(|spec| spec.flags.iter().map(|(flag, _)| *flag))
+        .collect();
+    words.extend(paper::SPEC.positional.split('|'));
+    words.extend([
+        "0",
+        "1",
+        "2",
+        "-1",
+        "0.5",
+        "1e-320",
+        "1e300",
+        "nan",
+        "inf",
+        "-inf",
+        "256",
+        "18446744073709551616",
+        "",
+        "-",
+        "--",
+        "-h",
+        "--help",
+        "rpcc",
+        "push-ap",
+        "all",
+        "paper",
+        "rpcc:hy,push",
+        "rpcc,rpcc",
+        ",",
+        ":",
+        "hy",
+        "none",
+        "hostile",
+        "crash-heavy",
+        "waypoint",
+        "waypoint:3:1",
+        "walk:1:2:0",
+        "manhattan:0:0",
+        "stationary",
+        "manhattan:1e308:1e308",
+    ]);
+    words
+}
+
+proptest! {
+    /// Arbitrary token vectors to every subcommand parser come back as a
+    /// value or an error — never a panic — and an accepted `run` plan
+    /// describes a world that passes validation.
+    #[test]
+    fn arbitrary_argument_vectors_never_panic(
+        picks in proptest::collection::vec(
+            (0usize..1000, proptest::collection::vec(0u8..=255, 0..10)),
+            0..10,
+        ),
+    ) {
+        let vocabulary = vocabulary();
+        let argv: Vec<String> = picks
+            .iter()
+            .map(|(pick, bytes)| match vocabulary.get(pick % (vocabulary.len() + 8)) {
+                Some(word) => (*word).to_owned(),
+                None => String::from_utf8_lossy(bytes).into_owned(),
+            })
+            .collect();
+        if let Ok(plan) = run::RunPlan::parse(&argv) {
+            plan.cfg.validate();
+            prop_assert!(!plan.strategies.is_empty());
+        }
+        if let Err(msg) = matrix::Options::parse(&argv) {
+            prop_assert!(msg.contains("usage: mp2p matrix"), "{msg}");
+        }
+        if let Err(msg) = analyze::Options::parse(&argv) {
+            prop_assert!(msg.contains("usage: mp2p analyze"), "{msg}");
+        }
+        if let Err(msg) = paper::Options::parse(&argv) {
+            prop_assert!(msg.contains("usage: mp2p paper"), "{msg}");
+        }
+    }
+}

@@ -3,7 +3,8 @@
 //! accounting leaks, and the recovery machinery (Section 4.5) must keep
 //! the system serving.
 
-use mp2p::net::LinkModel;
+use mp2p::experiments::check_report;
+use mp2p::net::{FaultPlan, LinkModel};
 use mp2p::rpcc::{LevelMix, MobilityKind, RunReport, Strategy, World, WorldConfig};
 use mp2p::sim::SimDuration;
 
@@ -149,27 +150,38 @@ fn pending_poll_accounting_survives_churn_and_crashes() {
 
 #[test]
 fn fault_presets_stay_deterministic_and_leak_free() {
-    // Same seed, same preset: byte-identical reports, exact accounting.
-    // Exercises the full injector (burst loss, duplication, partition,
-    // crashes) on top of the baseline churn of this suite.
-    let run_hostile = |seed: u64| {
-        let mut cfg = hostile(seed);
-        cfg.strategy = Strategy::Rpcc;
-        cfg.level_mix = LevelMix::hybrid();
-        cfg.proto = cfg.proto.hardened();
-        cfg.faults = mp2p::net::FaultPlan::preset("hostile", cfg.sim_time).expect("known preset");
-        World::new(cfg).run()
-    };
-    let a = run_hostile(9);
-    let b = run_hostile(9);
-    assert_eq!(
-        a.to_json(),
-        b.to_json(),
-        "fault injection broke determinism"
-    );
-    assert_eq!(a.queries_issued, a.queries_served() + a.queries_failed);
-    assert!(a.faults.burst_drops > 0, "GE chain never dropped a frame");
-    assert!(a.faults.frames_duplicated > 0, "duplication never fired");
+    // Every preset x strategy, same seed twice: byte-identical reports
+    // (fault injection draws only from its own stream) and a clean
+    // `check_report` (exact accounting, every partition healed, every
+    // crash recovered). Exercises the full injector — burst loss,
+    // duplication, partition, crashes — on top of this suite's churn.
+    for preset in FaultPlan::PRESETS {
+        for strategy in [Strategy::Rpcc, Strategy::Push, Strategy::Pull] {
+            let run_cell = || {
+                let mut cfg = hostile(9);
+                cfg.strategy = strategy;
+                cfg.level_mix = LevelMix::hybrid();
+                cfg.proto = cfg.proto.hardened();
+                cfg.faults = FaultPlan::preset(preset, cfg.sim_time).expect("known preset");
+                World::new(cfg).run()
+            };
+            let (a, b) = (run_cell(), run_cell());
+            assert_eq!(
+                a.to_json(),
+                b.to_json(),
+                "{strategy}/{preset}: fault injection broke determinism"
+            );
+            assert_eq!(
+                check_report(&a),
+                Vec::<String>::new(),
+                "{strategy}/{preset}"
+            );
+            if preset == "hostile" {
+                assert!(a.faults.burst_drops > 0, "GE chain never dropped a frame");
+                assert!(a.faults.frames_duplicated > 0, "duplication never fired");
+            }
+        }
+    }
 }
 
 #[test]
