@@ -1,8 +1,6 @@
 //! The per-node LRU cache store (`C_Num` slots, Table 1).
 
-use std::collections::HashMap;
-
-use mp2p_sim::{ItemId, SimTime};
+use mp2p_sim::{FastMap, ItemId, SimTime};
 
 use crate::item::Version;
 
@@ -41,7 +39,7 @@ pub struct CacheEntry {
 #[derive(Debug, Clone)]
 pub struct CacheStore {
     capacity: usize,
-    entries: HashMap<ItemId, Slot>,
+    entries: FastMap<ItemId, Slot>,
     clock: u64,
 }
 
@@ -61,7 +59,7 @@ impl CacheStore {
         assert!(capacity > 0, "cache capacity must be positive");
         CacheStore {
             capacity,
-            entries: HashMap::new(),
+            entries: FastMap::default(),
             clock: 0,
         }
     }

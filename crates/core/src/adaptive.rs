@@ -15,9 +15,7 @@
 //!   adaptive-TTL rule of classic web caching (Gwertzman & Seltzer
 //!   [Gwe96], cited by the paper).
 
-use std::collections::HashMap;
-
-use mp2p_sim::{ItemId, SimDuration, SimTime};
+use mp2p_sim::{FastMap, ItemId, SimDuration, SimTime};
 
 /// Per-node adaptive frequency state. See the module docs.
 #[derive(Debug, Clone)]
@@ -29,7 +27,7 @@ pub struct AdaptiveTuner {
     /// EWMA of the source's inter-update gap, in milliseconds.
     mean_gap_ms: Option<f64>,
     /// Per-item TTP multiplier, in `[1/span, span]`.
-    ttp_scale: HashMap<ItemId, f64>,
+    ttp_scale: FastMap<ItemId, f64>,
 }
 
 impl AdaptiveTuner {
@@ -49,7 +47,7 @@ impl AdaptiveTuner {
             alpha: 0.3,
             last_update_at: None,
             mean_gap_ms: None,
-            ttp_scale: HashMap::new(),
+            ttp_scale: FastMap::default(),
         }
     }
 

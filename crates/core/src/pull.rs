@@ -7,10 +7,8 @@
 //! unicast `POLL_ACK_A`/`POLL_ACK_B`. On-demand polling gives pull its
 //! short latency (Fig. 8) and its dominating traffic (Fig. 7).
 
-use std::collections::HashMap;
-
 use mp2p_cache::Version;
-use mp2p_sim::{ItemId, NodeId};
+use mp2p_sim::{FastMap, ItemId, NodeId};
 use mp2p_trace::{ServedBy, SpanPhase};
 
 use crate::config::ProtocolConfig;
@@ -29,7 +27,7 @@ struct PendingPoll {
 #[derive(Debug, Clone)]
 pub struct SimplePull {
     publishes: bool,
-    pending: HashMap<QueryId, PendingPoll>,
+    pending: FastMap<QueryId, PendingPoll>,
 }
 
 impl SimplePull {
@@ -37,7 +35,7 @@ impl SimplePull {
     pub fn new(_cfg: &ProtocolConfig, publishes: bool) -> Self {
         SimplePull {
             publishes,
-            pending: HashMap::new(),
+            pending: FastMap::default(),
         }
     }
 
@@ -68,7 +66,7 @@ impl SimplePull {
             .filter(|(_, p)| p.item == item)
             .map(|(&q, _)| q)
             .collect();
-        // HashMap iteration order is process-random: sort for determinism.
+        // Map iteration order is arbitrary: sort for determinism.
         queries.sort_unstable();
         for q in queries {
             self.pending.remove(&q);

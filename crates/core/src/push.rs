@@ -11,10 +11,8 @@
 //! so validated) less often, raising the per-query staleness probability
 //! — the reason push traffic grows with the cache size in Fig. 7(c).
 
-use std::collections::HashMap;
-
 use mp2p_cache::Version;
-use mp2p_sim::{ItemId, NodeId, SimDuration};
+use mp2p_sim::{FastMap, ItemId, NodeId, SimDuration};
 use mp2p_trace::{ServedBy, SpanPhase};
 
 use crate::config::ProtocolConfig;
@@ -35,12 +33,12 @@ struct PendingFetch {
 pub struct SimplePush {
     publishes: bool,
     /// Queries waiting for the next invalidation report, per item.
-    waiting: HashMap<ItemId, Vec<QueryId>>,
+    waiting: FastMap<ItemId, Vec<QueryId>>,
     /// Queries waiting for a FETCH_REPLY.
-    pending_fetch: HashMap<QueryId, PendingFetch>,
+    pending_fetch: FastMap<QueryId, PendingFetch>,
     /// True while a refresh fetch for the item is already in flight
     /// (avoids duplicate fetches when reports repeat).
-    fetch_in_flight: HashMap<ItemId, bool>,
+    fetch_in_flight: FastMap<ItemId, bool>,
 }
 
 impl SimplePush {
@@ -48,9 +46,9 @@ impl SimplePush {
     pub fn new(_cfg: &ProtocolConfig, publishes: bool) -> Self {
         SimplePush {
             publishes,
-            waiting: HashMap::new(),
-            pending_fetch: HashMap::new(),
-            fetch_in_flight: HashMap::new(),
+            waiting: FastMap::default(),
+            pending_fetch: FastMap::default(),
+            fetch_in_flight: FastMap::default(),
         }
     }
 
@@ -101,7 +99,7 @@ impl SimplePush {
             .filter(|(_, p)| p.item == item)
             .map(|(&q, _)| q)
             .collect();
-        // HashMap iteration order is process-random: sort for determinism.
+        // Map iteration order is arbitrary: sort for determinism.
         fetched.sort_unstable();
         for q in fetched {
             self.pending_fetch.remove(&q);
@@ -120,7 +118,7 @@ impl SimplePush {
         if entries.is_empty() {
             return;
         }
-        // HashMap iteration order is process-random: sort for determinism.
+        // Map iteration order is arbitrary: sort for determinism.
         entries.sort_unstable_by_key(|&(id, _)| id);
         let items = entries.len() as u32;
         for digest in VersionDigest::chunk(&entries) {
@@ -317,7 +315,7 @@ impl Protocol for SimplePush {
                 .filter(|(_, p)| p.item == item)
                 .map(|(&q, _)| q)
                 .collect();
-            // HashMap iteration order is process-random: sort for determinism.
+            // Map iteration order is arbitrary: sort for determinism.
             queries.sort_unstable();
             for q in queries {
                 self.pending_fetch.remove(&q);

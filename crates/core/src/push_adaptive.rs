@@ -11,9 +11,7 @@
 //! report-cycle consistency (the same level RPCC's relays provide, but
 //! with every source flooding at full TTL instead of a relay overlay).
 
-use std::collections::HashMap;
-
-use mp2p_sim::{ItemId, NodeId, SimDuration, SimTime};
+use mp2p_sim::{FastMap, ItemId, NodeId, SimDuration, SimTime};
 use mp2p_trace::{ServedBy, SpanPhase};
 
 use crate::config::ProtocolConfig;
@@ -33,9 +31,9 @@ struct PendingFetch {
 pub struct PushAdaptivePull {
     publishes: bool,
     /// When each item's latest invalidation report was heard.
-    last_report: HashMap<ItemId, SimTime>,
+    last_report: FastMap<ItemId, SimTime>,
     /// Queries waiting for a FETCH_REPLY.
-    pending: HashMap<QueryId, PendingFetch>,
+    pending: FastMap<QueryId, PendingFetch>,
 }
 
 impl PushAdaptivePull {
@@ -43,8 +41,8 @@ impl PushAdaptivePull {
     pub fn new(_cfg: &ProtocolConfig, publishes: bool) -> Self {
         PushAdaptivePull {
             publishes,
-            last_report: HashMap::new(),
-            pending: HashMap::new(),
+            last_report: FastMap::default(),
+            pending: FastMap::default(),
         }
     }
 
@@ -77,7 +75,7 @@ impl PushAdaptivePull {
             .filter(|(_, p)| p.item == item)
             .map(|(&q, _)| q)
             .collect();
-        // HashMap iteration order is process-random: sort for determinism.
+        // Map iteration order is arbitrary: sort for determinism.
         queries.sort_unstable();
         for q in queries {
             self.pending.remove(&q);

@@ -16,8 +16,7 @@
 //! byte-identical to pre-recovery output (golden-fixture pinned).
 
 use mp2p_cache::Version;
-use mp2p_sim::{ItemId, NodeId, SimDuration, SimTime};
-use std::collections::HashMap;
+use mp2p_sim::{FastMap, ItemId, NodeId, SimDuration, SimTime};
 
 /// Gates and tunables of the recovery layer. Carried inside
 /// [`crate::ProtocolConfig`]; the default is fully off.
@@ -144,7 +143,7 @@ impl VersionDigest {
 
     /// Splits a sorted `(item, version)` list into minimal digest
     /// frames. The caller sorts by item id first — cache-store
-    /// iteration order is process-random and must never reach the wire.
+    /// iteration order is arbitrary and must never reach the wire.
     pub fn chunk(sorted: &[(ItemId, Version)]) -> Vec<VersionDigest> {
         debug_assert!(
             sorted.windows(2).all(|w| w[0].0 < w[1].0),
@@ -335,7 +334,7 @@ impl RetransmitQueue {
 /// become idempotent no-ops.
 #[derive(Debug, Clone, Default)]
 pub struct SeqTracker {
-    highest: HashMap<(NodeId, ItemId), u64>,
+    highest: FastMap<(NodeId, ItemId), u64>,
 }
 
 impl SeqTracker {

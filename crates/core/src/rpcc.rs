@@ -12,10 +12,10 @@
 //!   query handling (Section 4.4), expanding-ring `POLL`s, candidacy and
 //!   promotion per the Fig. 5 state machine.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use mp2p_cache::Version;
-use mp2p_sim::{ItemId, NodeId, SimTime};
+use mp2p_sim::{FastMap, ItemId, NodeId, SimTime};
 use mp2p_trace::{RelayTransitionKind, ServedBy, SpanPhase};
 
 use crate::adaptive::AdaptiveTuner;
@@ -90,21 +90,21 @@ pub struct Rpcc {
     /// Relay role, per approved item.
     relay: BTreeMap<ItemId, RelayState>,
     /// Cache role: `TTP` expiry per cached item.
-    ttp_expiry: HashMap<ItemId, SimTime>,
+    ttp_expiry: FastMap<ItemId, SimTime>,
     /// Latest master version learnt per item (from INVALIDATION/acks).
-    last_seen_ver: HashMap<ItemId, Version>,
+    last_seen_ver: FastMap<ItemId, Version>,
     /// The nearest known answerer per item ("find the nearest relay
     /// peer", Section 4.1): first polls go unicast to it; a miss falls
     /// back to the expanding-ring flood.
-    known_relay: HashMap<ItemId, NodeId>,
+    known_relay: FastMap<ItemId, NodeId>,
     /// Open local queries awaiting network answers.
-    pending: HashMap<QueryId, PendingQuery>,
+    pending: FastMap<QueryId, PendingQuery>,
     /// APPLYs sent and not yet acknowledged (item → when), to rate-limit
     /// re-application.
-    applied: HashMap<ItemId, SimTime>,
+    applied: FastMap<ItemId, SimTime>,
     /// Consecutive unacknowledged APPLYs per item, driving the hardened
     /// re-APPLY backoff (empty when `retry_backoff == 1.0`).
-    apply_attempts: HashMap<ItemId, u8>,
+    apply_attempts: FastMap<ItemId, u8>,
     /// Adaptive push/pull frequency machinery (extension, future work
     /// §6 item 1); `None` reproduces the paper.
     tuner: Option<AdaptiveTuner>,
@@ -137,12 +137,12 @@ impl Rpcc {
             failing_ticks: 0,
             coeffs: Coefficients::new(cfg.omega),
             relay: BTreeMap::new(),
-            ttp_expiry: HashMap::new(),
-            last_seen_ver: HashMap::new(),
-            known_relay: HashMap::new(),
-            pending: HashMap::new(),
-            applied: HashMap::new(),
-            apply_attempts: HashMap::new(),
+            ttp_expiry: FastMap::default(),
+            last_seen_ver: FastMap::default(),
+            known_relay: FastMap::default(),
+            pending: FastMap::default(),
+            applied: FastMap::default(),
+            apply_attempts: FastMap::default(),
             tuner: cfg.adaptive.then(|| AdaptiveTuner::new(cfg.adaptive_span)),
             retx: RetransmitQueue::new(cfg.recovery.retx_cap),
             seen_upd: SeqTracker::new(),
@@ -294,7 +294,7 @@ impl Rpcc {
             .filter(|(_, p)| p.item == item)
             .map(|(&q, _)| q)
             .collect();
-        // HashMap iteration order is process-random: sort for determinism.
+        // Map iteration order is arbitrary: sort for determinism.
         queries.sort_unstable();
         for q in queries {
             self.pending.remove(&q);
@@ -711,7 +711,7 @@ impl Rpcc {
         if entries.is_empty() {
             return;
         }
-        // HashMap iteration order is process-random: sort for determinism.
+        // Map iteration order is arbitrary: sort for determinism.
         entries.sort_unstable_by_key(|&(id, _)| id);
         let items = entries.len() as u32;
         for digest in VersionDigest::chunk(&entries) {
@@ -1172,7 +1172,7 @@ impl Protocol for Rpcc {
                     .filter(|(_, p)| p.item == item && p.kind == PendingKind::Fetch)
                     .map(|(&q, _)| q)
                     .collect();
-                // HashMap iteration order is process-random: sort for determinism.
+                // Map iteration order is arbitrary: sort for determinism.
                 queries.sort_unstable();
                 for q in queries {
                     self.pending.remove(&q);

@@ -18,7 +18,9 @@ use mp2p_net::{
     Axis, FaultPlan, Frame, GilbertElliott, LinkModel, NetAction, NetConfig, NetEvent, NetStack,
     NetTimer, RouteControl, Topology, TopologyBuilder, TopologyScratch,
 };
-use mp2p_sim::{EventQueue, ItemId, NodeId, PerfReport, Profiler, SimDuration, SimRng, SimTime};
+use mp2p_sim::{
+    EventQueue, FastMap, ItemId, NodeId, PerfReport, Profiler, SimDuration, SimRng, SimTime,
+};
 use mp2p_trace::{BlameCause, FrameFateKind, LevelTag, NullSink, ServedBy, TraceEvent, TraceSink};
 
 use crate::config::ProtocolConfig;
@@ -380,6 +382,17 @@ enum Event {
         at: NodeId,
         from: NodeId,
         frame: Frame<ProtoMsg>,
+    },
+    /// One broadcast transmission reaching every node that was in range
+    /// when it was sent: `listeners` is the sender's neighbour slice
+    /// copied at send time (the snapshot it came from may be rebuilt and
+    /// its arrays recycled before this pops), ascending by id. Handled
+    /// as one [`World::handle_rx`] per listener in that order — exactly
+    /// the order the queue's FIFO tie-break gave one `Rx` per listener.
+    RxAll {
+        from: NodeId,
+        frame: Frame<ProtoMsg>,
+        listeners: Vec<NodeId>,
     },
     NetTimer {
         at: NodeId,
@@ -753,12 +766,18 @@ pub struct World {
     topo_up: Vec<bool>,
     /// Oracle-mode shortest-path buffer, reused across sends.
     path_buf: Vec<NodeId>,
+    /// Emptied [`Event::RxAll`] listener buffers awaiting reuse, so a
+    /// warm run copies neighbour lists without allocating.
+    listener_pool: Vec<Vec<NodeId>>,
+    /// Scratch the stacks' diagnostic buffers are swapped against in
+    /// [`World::drain_net_events`], so their capacity survives a drain.
+    net_events: Vec<NetEvent>,
     grid: SubnetGrid,
     /// Fig. 9 single-item source (when applicable).
     single_source: Option<NodeId>,
     next_query_id: u64,
-    open: std::collections::HashMap<QueryId, OpenQuery>,
-    open_writes: std::collections::HashMap<QueryId, OpenWrite>,
+    open: FastMap<QueryId, OpenQuery>,
+    open_writes: FastMap<QueryId, OpenWrite>,
     write_rngs: Vec<SimRng>,
     histories: Vec<VersionHistory>,
     // metrics
@@ -931,11 +950,13 @@ impl World {
             topo_positions: Vec::with_capacity(n),
             topo_up: Vec::with_capacity(n),
             path_buf: Vec::new(),
+            listener_pool: Vec::new(),
+            net_events: Vec::new(),
             grid,
             single_source,
             next_query_id: 0,
-            open: std::collections::HashMap::new(),
-            open_writes: std::collections::HashMap::new(),
+            open: FastMap::default(),
+            open_writes: FastMap::default(),
             write_rngs,
             histories,
             traffic: TrafficStats::default(),
@@ -1005,7 +1026,9 @@ impl World {
         if !self.tracer.enabled() {
             return;
         }
-        for ev in self.nodes[node.index()].stack.take_events() {
+        let mut events = std::mem::take(&mut self.net_events);
+        self.nodes[node.index()].stack.swap_events(&mut events);
+        for ev in events.drain(..) {
             // The stack's dup/hop-budget/no-route diagnostics are frame
             // deaths; with provenance on each also closes its frame's
             // life cycle as a schema-4 fate record.
@@ -1051,6 +1074,7 @@ impl World {
                 }
             }
         }
+        self.net_events = events;
     }
 
     /// Journals one frame's terminal fate at `node` (provenance only).
@@ -1314,6 +1338,20 @@ impl World {
                 self.schedule_next_switch(id);
             }
             Event::Rx { at, from, frame } => self.handle_rx(at, from, frame),
+            Event::RxAll {
+                from,
+                frame,
+                mut listeners,
+            } => {
+                // Anything a reception schedules at `now` runs after the
+                // remaining listeners, as it did when each listener held
+                // its own (earlier-numbered) queue entry.
+                for &at in &listeners {
+                    self.handle_rx(at, from, frame.clone());
+                }
+                listeners.clear();
+                self.listener_pool.push(listeners);
+            }
             Event::NetTimer { at, timer } => {
                 let actions = self.nodes[at.index()].stack.on_timer(self.now, timer);
                 self.apply_net_actions(at, actions);
@@ -1415,7 +1453,7 @@ impl World {
             .filter(|(_, q)| q.node == id)
             .map(|(&q, _)| q)
             .collect();
-        orphans.sort_unstable(); // hash order is process-random
+        orphans.sort_unstable(); // hash order must not pick the close order
         for query in orphans {
             self.close_failed(id, query);
         }
@@ -1609,7 +1647,7 @@ impl World {
                     .iter()
                     .map(|(it, _)| it)
                     .collect();
-                // The store iterates in process-random hash order; sort so
+                // The store iterates in arbitrary hash order; sort so
                 // the uniform choice below is deterministic per seed.
                 cached.sort_unstable();
                 match self.nodes[id.index()].rng.choose(&cached) {
@@ -1839,12 +1877,7 @@ impl World {
                     let delay = self.cfg.link.hop_delay(frame.size(), &mut self.link_rng);
                     // In-flight duplication (fault plan): the whole
                     // broadcast is heard a second time after an extra,
-                    // independently drawn hop delay. The dice roll and
-                    // trace record are hoisted above the enqueue loops
-                    // (which draw no randomness and emit no trace events,
-                    // so observable order is unchanged) to let the
-                    // neighbour slice borrow the snapshot directly
-                    // instead of being cloned per broadcast.
+                    // independently drawn hop delay.
                     let extra = self.duplicate_delay(frame.size());
                     if extra.is_some() {
                         self.fault_stats.frames_duplicated += 1;
@@ -1855,27 +1888,23 @@ impl World {
                     }
                     self.ensure_topology();
                     let topo = &self.topo.as_ref().expect("just refreshed").1;
-                    for &nb in topo.neighbors(node) {
+                    let neighbors = topo.neighbors(node);
+                    if neighbors.is_empty() {
+                        continue; // nobody in range: nothing to deliver
+                    }
+                    let heard = self.now + delay;
+                    let heard_again = extra.map(|extra| heard + extra);
+                    for when in std::iter::once(heard).chain(heard_again) {
+                        let mut listeners = self.listener_pool.pop().unwrap_or_default();
+                        listeners.extend_from_slice(neighbors);
                         self.queue.push(
-                            self.now + delay,
-                            Event::Rx {
-                                at: nb,
+                            when,
+                            Event::RxAll {
                                 from: node,
                                 frame: frame.clone(),
+                                listeners,
                             },
                         );
-                    }
-                    if let Some(extra) = extra {
-                        for &nb in topo.neighbors(node) {
-                            self.queue.push(
-                                self.now + delay + extra,
-                                Event::Rx {
-                                    at: nb,
-                                    from: node,
-                                    frame: frame.clone(),
-                                },
-                            );
-                        }
                     }
                 }
                 NetAction::Send { next_hop, frame } => {
@@ -2488,7 +2517,7 @@ fn event_bucket(event: &Event) -> &'static str {
         Event::Switch(_) => "event:switch",
         Event::Write(_) => "event:write",
         Event::WriteRetry { .. } => "event:write_retry",
-        Event::Rx { .. } => "event:rx",
+        Event::Rx { .. } | Event::RxAll { .. } => "event:rx",
         Event::NetTimer { .. } => "event:net_timer",
         Event::ProtoTimer { .. } => "event:proto_timer",
         Event::OracleDeliver { .. } => "event:oracle_deliver",
@@ -2743,6 +2772,107 @@ mod tests {
         assert_eq!(
             report.queries_issued,
             report.queries_served() + report.queries_failed
+        );
+    }
+
+    /// Four stationary nodes 200 m apart under the 250 m range: the path
+    /// graph 0 – 1 – 2 – 3, on the default (lossless) link.
+    fn line_world() -> World {
+        let mut cfg = tiny(Strategy::Push, 21);
+        cfg.n_peers = 4;
+        cfg.c_num = 2;
+        cfg.mobility = MobilityKind::Stationary;
+        cfg.i_switch = None;
+        let mut world = World::new(cfg);
+        for (i, node) in world.nodes.iter_mut().enumerate() {
+            node.mobility = Stationary::new(Point::new(i as f64 * 200.0, 0.0)).into();
+        }
+        world.topo = None;
+        world
+    }
+
+    /// Has `from` flood a one-hop invalidation; returns the queue pushes
+    /// the transmission cost.
+    fn flood_from(world: &mut World, from: u32) -> u64 {
+        let node = NodeId::new(from);
+        let msg = ProtoMsg::Invalidation {
+            item: node.owned_item(),
+            version: Version::INITIAL,
+            seq: None,
+        };
+        let before = world.queue.stats().pushes;
+        let actions =
+            world.nodes[node.index()]
+                .stack
+                .flood_app(world.now, 1, msg, msg.size_bytes());
+        world.apply_net_actions(node, actions);
+        world.queue.stats().pushes - before
+    }
+
+    #[test]
+    fn a_broadcast_is_one_queue_event_however_many_hear_it() {
+        let mut world = line_world();
+        assert_eq!(flood_from(&mut world, 1), 1, "two listeners, one event");
+        assert_eq!(flood_from(&mut world, 0), 1, "one listener, one event");
+        world.nodes[1].up = false;
+        world.topo = None;
+        assert_eq!(flood_from(&mut world, 0), 0, "nobody in range: no event");
+
+        let ids = |ids: &[u32]| ids.iter().map(|&i| NodeId::new(i)).collect::<Vec<_>>();
+        let mut heard = Vec::new();
+        while let Some((t, event)) = world.queue.pop() {
+            if let Event::RxAll {
+                from, listeners, ..
+            } = &event
+            {
+                heard.push((*from, listeners.clone()));
+                world.now = t;
+                world.handle(event);
+            }
+        }
+        heard.sort_unstable(); // hop jitter decides which lands first
+        assert_eq!(
+            heard,
+            vec![(NodeId::new(0), ids(&[1])), (NodeId::new(1), ids(&[0, 2]))],
+            "listeners are the send-time neighbours, ascending"
+        );
+        assert_eq!(world.listener_pool.len(), 2, "handled buffers are kept");
+        assert!(world.listener_pool.iter().all(Vec::is_empty));
+        world.nodes[1].up = true;
+        world.topo = None;
+        flood_from(&mut world, 2);
+        assert_eq!(world.listener_pool.len(), 1, "and reused by the next send");
+    }
+
+    #[test]
+    fn queue_pushes_count_transmissions_not_receptions() {
+        // Pinned: moves only when the engine schedules differently.
+        const PUSHES: u64 = 11_754;
+        let mut profiled = World::new(WorldConfig::small_test(42));
+        profiled.enable_profiling();
+        let perf = profiled.run().perf.expect("profiling was enabled");
+        assert_eq!(perf.queue.pushes, PUSHES);
+
+        // The same run stepped by hand, counting what the events deliver.
+        let mut world = World::new(WorldConfig::small_test(42));
+        let end = SimTime::ZERO + world.cfg.sim_time;
+        let mut receptions = 0u64;
+        while let Some((t, event)) = world.queue.pop() {
+            if t > end {
+                break;
+            }
+            world.now = t;
+            receptions += match &event {
+                Event::Rx { .. } => 1,
+                Event::RxAll { listeners, .. } => listeners.len() as u64,
+                _ => 0,
+            };
+            world.handle(event);
+        }
+        assert_eq!(world.queue.stats().pushes, PUSHES);
+        assert!(
+            receptions > PUSHES,
+            "{receptions} receptions should outnumber every queue event together"
         );
     }
 

@@ -1,8 +1,8 @@
 //! The per-node network layer: flooding + on-demand unicast routing.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
-use mp2p_sim::{NodeId, SimDuration, SimTime};
+use mp2p_sim::{FastMap, FastSet, NodeId, SimDuration, SimTime};
 
 use crate::frame::{FloodId, Frame, NetMeta, NetPayload, RouteControl};
 
@@ -197,12 +197,12 @@ pub struct NetStack<M> {
     cfg: NetConfig,
     flood_seq: u64,
     rreq_seq: u64,
-    seen_floods: HashSet<FloodId>,
+    seen_floods: FastSet<FloodId>,
     seen_order: VecDeque<FloodId>,
-    seen_rreqs: HashSet<(NodeId, u64)>,
+    seen_rreqs: FastSet<(NodeId, u64)>,
     rreq_order: VecDeque<(NodeId, u64)>,
-    routes: HashMap<NodeId, RouteEntry>,
-    pending: HashMap<NodeId, PendingDiscovery<M>>,
+    routes: FastMap<NodeId, RouteEntry>,
+    pending: FastMap<NodeId, PendingDiscovery<M>>,
     tracing: bool,
     events: Vec<NetEvent>,
 }
@@ -215,12 +215,12 @@ impl<M: Clone> NetStack<M> {
             cfg,
             flood_seq: 0,
             rreq_seq: 0,
-            seen_floods: HashSet::new(),
+            seen_floods: FastSet::default(),
             seen_order: VecDeque::new(),
-            seen_rreqs: HashSet::new(),
+            seen_rreqs: FastSet::default(),
             rreq_order: VecDeque::new(),
-            routes: HashMap::new(),
-            pending: HashMap::new(),
+            routes: FastMap::default(),
+            pending: FastMap::default(),
             tracing: false,
             events: Vec::new(),
         }
@@ -243,6 +243,16 @@ impl<M: Clone> NetStack<M> {
     /// Drains the diagnostic events noted since the last call.
     pub fn take_events(&mut self) -> Vec<NetEvent> {
         std::mem::take(&mut self.events)
+    }
+
+    /// Exchanges the diagnostic buffer with `buf`: the caller receives the
+    /// events noted since the last drain and the stack keeps `buf`'s
+    /// allocation. A per-frame driver passes one cleared scratch vector
+    /// here instead of [`NetStack::take_events`], whose fresh empty
+    /// buffer costs an allocation on the next noted event.
+    pub fn swap_events(&mut self, buf: &mut Vec<NetEvent>) {
+        buf.clear();
+        std::mem::swap(&mut self.events, buf);
     }
 
     fn note(&mut self, event: NetEvent) {
@@ -815,6 +825,34 @@ mod tests {
         );
         // The buffer drains on take.
         assert!(b.take_events().is_empty());
+    }
+
+    #[test]
+    fn swapping_events_keeps_the_callers_allocation_in_the_stack() {
+        let mut a: NetStack<&str> = NetStack::new(NodeId::new(0), NetConfig::default());
+        let mut b: NetStack<&str> = NetStack::new(NodeId::new(1), NetConfig::default());
+        b.set_tracing(true);
+        let flood = frame_of(&a.flood_app(SimTime::ZERO, 3, "X", 40));
+        b.on_frame(SimTime::ZERO, NodeId::new(0), flood.clone());
+        let mut scratch = Vec::with_capacity(64);
+        scratch.push(NetEvent::RreqDupDrop {
+            origin: NodeId::new(9),
+        }); // stale content must not leak into the stack
+        b.swap_events(&mut scratch);
+        assert!(scratch.is_empty(), "first reception noted nothing");
+        b.on_frame(SimTime::ZERO, NodeId::new(0), flood);
+        assert!(
+            b.events.capacity() >= 64,
+            "stack adopted the scratch buffer"
+        );
+        b.swap_events(&mut scratch);
+        assert_eq!(
+            scratch,
+            vec![NetEvent::FloodDupDrop {
+                origin: NodeId::new(0),
+                seq: 0,
+            }]
+        );
     }
 
     #[test]

@@ -430,6 +430,11 @@ pub struct TopologyBuilder {
     row: Vec<NodeId>,
 }
 
+/// Relative half-width of the band around `range²` inside which
+/// [`TopologyBuilder::rebuild`] distrusts the squared distance and asks
+/// `hypot`.
+const GUARD_BAND: f64 = 1e-9;
+
 impl TopologyBuilder {
     /// An empty builder; scratch grows on first build.
     pub fn new() -> Self {
@@ -529,6 +534,15 @@ impl TopologyBuilder {
         // After the fill, cell_start[c] is the *end* of cell c (and the
         // start of cell c + 1), which is exactly what cell_nodes reads.
 
+        // `distance <= range` is decided from the squared distance. That
+        // carries a few ulp (~1e-15) of relative error and libm `hypot`
+        // under one, six orders of magnitude inside the guard band, so
+        // outside the band the two tests cannot disagree; pairs within it
+        // get the exact `hypot` comparison the reference build makes.
+        let range_sq = range * range;
+        let surely_in = range_sq * (1.0 - GUARD_BAND);
+        let surely_out = range_sq * (1.0 + GUARD_BAND);
+
         for i in 0..n {
             offsets.push(adjacency.len() as u32);
             if !connected[i] {
@@ -551,7 +565,12 @@ impl TopologyBuilder {
                         // orientation the reference build uses, so results
                         // (and float edge cases) match it bit-for-bit.
                         let (a, b) = if i < j { (i, j) } else { (j, i) };
-                        if positions[a].distance(positions[b]) <= range && keep(a, b) {
+                        let (dx, dy) = (p.x - positions[j].x, p.y - positions[j].y);
+                        let dist_sq = dx * dx + dy * dy;
+                        let in_range = dist_sq <= surely_in
+                            || (dist_sq < surely_out
+                                && positions[a].distance(positions[b]) <= range);
+                        if in_range && keep(a, b) {
                             self.row.push(NodeId::new(j as u32));
                         }
                     }

@@ -126,6 +126,45 @@ proptest! {
         prop_assert_eq!(grid.components(), naive.components());
     }
 
+    /// Pairs placed at `range·(1 ± ε)` for ε from zero through and past
+    /// the grid build's 1e-9 guard band: inside the band it must fall
+    /// back to the reference's `hypot`, outside it the squared distance
+    /// must already agree. Random geometry almost never lands here.
+    #[test]
+    fn prop_pairs_on_the_range_boundary_identical(
+        seed in any::<u64>(),
+        pairs in 1usize..24,
+        range in prop_oneof![Just(250.0), Just(100.0), Just(93.7), Just(2_500.0)],
+    ) {
+        const EPSILONS: [f64; 12] = [
+            0.0, 1e-16, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6,
+        ];
+        let mut rng = SimRng::from_seed(seed, 0xE2);
+        let mut positions = Vec::with_capacity(2 * pairs);
+        for _ in 0..pairs {
+            let base = Point::new(
+                rng.uniform_f64_range(0.0, 2_000.0),
+                rng.uniform_f64_range(0.0, 2_000.0),
+            );
+            let angle = rng.uniform_f64_range(0.0, std::f64::consts::TAU);
+            let eps = *rng.choose(&EPSILONS).expect("non-empty");
+            let sign = if rng.bernoulli(0.5) { 1.0 } else { -1.0 };
+            let reach = range * (1.0 + sign * eps);
+            positions.push(base);
+            positions.push(Point::new(
+                base.x + reach * angle.cos(),
+                base.y + reach * angle.sin(),
+            ));
+        }
+        let up = vec![true; positions.len()];
+        let grid = Topology::new(&positions, &up, range);
+        let naive = Topology::with_link_filter_naive(&positions, &up, range, |_, _| true);
+        for i in 0..positions.len() {
+            let id = NodeId::new(i as u32);
+            prop_assert_eq!(grid.neighbors(id), naive.neighbors(id), "node {}", i);
+        }
+    }
+
     /// are_neighbors (binary search on the grid build) matches the
     /// reference relation on every pair.
     #[test]

@@ -17,6 +17,8 @@
 //! * [`NodeId`] / [`ItemId`] — the identifier newtypes shared by the whole
 //!   system model (Section 3 of the paper: hosts `M_1..M_m`, items
 //!   `D_1..D_n`).
+//! * [`FastMap`] / [`FastSet`] — hash collections on one deterministic
+//!   multiplicative hasher, for the id-keyed per-frame state.
 //! * [`Profiler`] — strictly observational host-side wall-clock
 //!   profiling of the event loop (reads `std::time::Instant`, never
 //!   feeds back into sim state), plus [`QueueStats`] queue telemetry.
@@ -40,12 +42,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod hash;
 mod ids;
 pub mod profile;
 mod queue;
 mod rng;
 mod time;
 
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use ids::{ItemId, NodeId};
 pub use profile::{PerfBucket, PerfReport, Profiler};
 pub use queue::{EventQueue, QueueStats};
