@@ -3,13 +3,21 @@
 //! *exactly* with the run's own metrics, and the JSONL journal must be
 //! well-formed line-parseable JSON.
 
+use std::cell::RefCell;
 use std::collections::HashSet;
+use std::io::Write;
+use std::rc::Rc;
 
 use mp2p::metrics::MessageClass;
-use mp2p::rpcc::{Strategy, World, WorldConfig};
-use mp2p::sim::SimTime;
-use mp2p::trace::reader::JournalReader;
-use mp2p::trace::{EventKind, JsonlSink, RingSink, SummarySink, TeeSink, TraceEvent};
+use mp2p::net::FaultPlan;
+use mp2p::rpcc::{
+    LevelMix, ObservatoryConfig, ProvenanceConfig, RecoveryConfig, Strategy, World, WorldConfig,
+};
+use mp2p::sim::{SimDuration, SimTime};
+use mp2p::trace::reader::{parse_event_versioned, JournalReader};
+use mp2p::trace::{
+    EventKind, JsonlSink, RingSink, SummarySink, TeeSink, TraceEvent, JOURNAL_SCHEMA,
+};
 
 fn traced_world(seed: u64) -> World {
     let mut cfg = WorldConfig::small_test(seed);
@@ -216,4 +224,129 @@ fn null_sink_run_equals_untraced_run() {
     assert_eq!(plain.latency, traced.latency);
     assert_eq!(plain.queries_issued, traced.queries_issued);
     assert_eq!(plain.queries_failed, traced.queries_failed);
+}
+
+/// A journal destination the test keeps a handle on: `JsonlSink` boxes
+/// its writer away.
+#[derive(Clone, Default)]
+struct SharedBuf(Rc<RefCell<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        self.0.borrow_mut().extend_from_slice(data);
+        Ok(data.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Decode∘encode is the identity on a *real* journal: one everything-on
+/// run (RPCC(HY), bursty faults, hardening, recovery, observatory,
+/// provenance, schema 4) journalled into memory, then every body line
+/// parsed and re-serialised byte for byte, the reader's item count
+/// checked against the sink's record count, and the per-kind histogram
+/// against the `SummarySink` of the same run.
+fn assert_codec_identity_on_an_everything_on_run(sim_time: SimDuration, warmup: SimDuration) {
+    let mut cfg = WorldConfig::paper_default(42);
+    cfg.strategy = Strategy::Rpcc;
+    cfg.level_mix = LevelMix::hybrid();
+    cfg.sim_time = sim_time;
+    cfg.warmup = warmup;
+    cfg.faults = FaultPlan::bursty(cfg.sim_time);
+    cfg.proto = cfg.proto.hardened();
+    cfg.proto.recovery = RecoveryConfig::on();
+    cfg.observatory = ObservatoryConfig::full(SimDuration::from_secs(30));
+    cfg.provenance = ProvenanceConfig::full();
+
+    let journal = SharedBuf::default();
+    let mut world = World::new(cfg);
+    world.set_tracer(Box::new(TeeSink::new(vec![
+        Box::new(JsonlSink::new_v4_with_warmup(
+            Box::new(journal.clone()),
+            warmup,
+        )),
+        Box::new(SummarySink::new(warmup)),
+    ])));
+    let (_report, mut tracer) = world.run_traced();
+    tracer.flush();
+    let tee = tracer.as_any().downcast_ref::<TeeSink>().expect("tee");
+    let jsonl = tee.sinks()[0]
+        .as_any()
+        .downcast_ref::<JsonlSink>()
+        .expect("jsonl first");
+    let summary = tee.sinks()[1]
+        .as_any()
+        .downcast_ref::<SummarySink>()
+        .expect("summary second");
+    assert!(jsonl.io_error().is_none(), "journal hit an I/O error");
+    let records = jsonl.records();
+    let bytes = journal.0.borrow();
+    assert_eq!(jsonl.journal_bytes(), bytes.len() as u64);
+
+    // Line by line: parse, re-serialise, compare bytes.
+    let text = std::str::from_utf8(&bytes).expect("journal is UTF-8");
+    let mut reencoded = String::new();
+    let mut body_lines = 0u64;
+    for (i, line) in text.lines().enumerate().skip(1) {
+        let (at, event) = parse_event_versioned(line, JOURNAL_SCHEMA)
+            .unwrap_or_else(|| panic!("line {} does not parse: {line}", i + 1));
+        reencoded.clear();
+        event.write_json(at, &mut reencoded);
+        assert_eq!(reencoded, line, "line {} does not re-serialise", i + 1);
+        body_lines += 1;
+    }
+    assert_eq!(body_lines, records, "one body line per recorded event");
+
+    // The streaming reader yields exactly `records` items, and their
+    // per-kind histogram is the one the live SummarySink counted.
+    let mut reader = JournalReader::new(bytes.as_slice()).expect("valid journal header");
+    let mut counts = [0u64; EventKind::ALL.len()];
+    for entry in reader.by_ref() {
+        let (_, event) = entry.expect("every journal line parses back to a typed event");
+        counts[event.kind().index()] += 1;
+    }
+    assert_eq!(counts.iter().sum::<u64>(), records);
+    assert_eq!(reader.lines_read() as u64, records + 1);
+    for kind in EventKind::ALL {
+        assert_eq!(
+            counts[kind.index()],
+            summary.count_of(kind),
+            "{} records read back vs recorded",
+            kind.label()
+        );
+    }
+    for kind in [
+        EventKind::FrameFate,
+        EventKind::CopyLineage,
+        EventKind::ConsistencySample,
+        EventKind::MsgSend,
+        EventKind::QueryServed,
+    ] {
+        assert!(
+            counts[kind.index()] > 0,
+            "run must exercise {} records",
+            kind.label()
+        );
+    }
+}
+
+#[test]
+fn real_journal_lines_survive_parse_then_write_byte_for_byte() {
+    assert_codec_identity_on_an_everything_on_run(
+        SimDuration::from_mins(3),
+        SimDuration::from_mins(1),
+    );
+}
+
+/// The full-length variant (about a million lines); `ci` runs it in
+/// release.
+#[test]
+#[ignore = "20 simulated minutes, about 1 M journal lines: run in release (./ci does)"]
+fn full_length_journal_lines_survive_parse_then_write_byte_for_byte() {
+    assert_codec_identity_on_an_everything_on_run(
+        SimDuration::from_mins(20),
+        SimDuration::from_mins(5),
+    );
 }
