@@ -109,7 +109,28 @@ impl MessageClass {
 
     /// Inverse of [`MessageClass::label`] (journal parsing).
     pub fn from_label(label: &str) -> Option<MessageClass> {
-        Self::ALL.into_iter().find(|c| c.label() == label)
+        match label {
+            "INVALIDATION" => Some(MessageClass::Invalidation),
+            "UPDATE" => Some(MessageClass::Update),
+            "POLL" => Some(MessageClass::Poll),
+            "POLL_ACK_A" => Some(MessageClass::PollAckA),
+            "POLL_ACK_B" => Some(MessageClass::PollAckB),
+            "APPLY" => Some(MessageClass::Apply),
+            "APPLY_ACK" => Some(MessageClass::ApplyAck),
+            "CANCEL" => Some(MessageClass::Cancel),
+            "GET_NEW" => Some(MessageClass::GetNew),
+            "SEND_NEW" => Some(MessageClass::SendNew),
+            "FETCH" => Some(MessageClass::Fetch),
+            "FETCH_REPLY" => Some(MessageClass::FetchReply),
+            "WRITE_REQ" => Some(MessageClass::WriteRequest),
+            "WRITE_ACK" => Some(MessageClass::WriteAck),
+            "ROUTE_CTRL" => Some(MessageClass::RouteControl),
+            "RESYNC_DIGEST" => Some(MessageClass::ResyncDigest),
+            "RESYNC_ACK" => Some(MessageClass::ResyncAck),
+            "DELIVERY_ACK" => Some(MessageClass::DeliveryAck),
+            "HANDOVER" => Some(MessageClass::Handover),
+            _ => None,
+        }
     }
 }
 
@@ -224,6 +245,17 @@ mod tests {
         for class in MessageClass::ALL {
             assert_eq!(MessageClass::from_label(class.label()), Some(class));
         }
+        // The inverse is a hand-written match repeating every label:
+        // near misses (one character short, the other case) must miss.
+        for class in MessageClass::ALL {
+            let label = class.label();
+            for miss in [&label[..label.len() - 1], &label.to_lowercase()] {
+                if MessageClass::ALL.iter().all(|c| c.label() != miss) {
+                    assert_eq!(MessageClass::from_label(miss), None, "{miss}");
+                }
+            }
+        }
         assert_eq!(MessageClass::from_label("NOPE"), None);
+        assert_eq!(MessageClass::from_label(""), None);
     }
 }

@@ -48,7 +48,12 @@ impl ServedBy {
 
     /// Inverse of [`ServedBy::label`] (journal parsing).
     pub fn from_label(label: &str) -> Option<ServedBy> {
-        Self::ALL.into_iter().find(|s| s.label() == label)
+        match label {
+            "source" => Some(ServedBy::Source),
+            "relay" => Some(ServedBy::Relay),
+            "cache" => Some(ServedBy::Cache),
+            _ => None,
+        }
     }
 }
 
@@ -93,7 +98,14 @@ impl RelayTransitionKind {
 
     /// Inverse of [`RelayTransitionKind::label`] (journal parsing).
     pub fn from_label(label: &str) -> Option<RelayTransitionKind> {
-        Self::ALL.into_iter().find(|k| k.label() == label)
+        match label {
+            "apply_sent" => Some(RelayTransitionKind::ApplySent),
+            "promoted" => Some(RelayTransitionKind::Promoted),
+            "demoted" => Some(RelayTransitionKind::Demoted),
+            "resync_started" => Some(RelayTransitionKind::ResyncStarted),
+            "resync_completed" => Some(RelayTransitionKind::ResyncCompleted),
+            _ => None,
+        }
     }
 }
 
@@ -163,7 +175,15 @@ impl BlameCause {
 
     /// Inverse of [`BlameCause::label`] (journal parsing).
     pub fn from_label(label: &str) -> Option<BlameCause> {
-        Self::ALL.into_iter().find(|c| c.label() == label)
+        match label {
+            "partitioned" => Some(BlameCause::Partitioned),
+            "invalidate_lost" => Some(BlameCause::InvalidateLost),
+            "crash_wipe" => Some(BlameCause::CrashWipe),
+            "lease_orphan" => Some(BlameCause::LeaseOrphan),
+            "race_in_flight" => Some(BlameCause::RaceInFlight),
+            "update_never_sent" => Some(BlameCause::UpdateNeverSent),
+            _ => None,
+        }
     }
 }
 
@@ -241,7 +261,17 @@ impl FrameFateKind {
 
     /// Inverse of [`FrameFateKind::label`] (journal parsing).
     pub fn from_label(label: &str) -> Option<FrameFateKind> {
-        Self::ALL.into_iter().find(|f| f.label() == label)
+        match label {
+            "delivered" => Some(FrameFateKind::Delivered),
+            "dup" => Some(FrameFateKind::DupDrop),
+            "channel" => Some(FrameFateKind::ChannelDrop),
+            "burst" => Some(FrameFateKind::BurstDrop),
+            "mac" => Some(FrameFateKind::MacDrop),
+            "down" => Some(FrameFateKind::DownDrop),
+            "no_route" => Some(FrameFateKind::NoRouteDrop),
+            "hop_budget" => Some(FrameFateKind::HopBudgetDrop),
+            _ => None,
+        }
     }
 }
 
@@ -282,7 +312,12 @@ impl LevelTag {
 
     /// Inverse of [`LevelTag::label`] (journal parsing).
     pub fn from_label(label: &str) -> Option<LevelTag> {
-        Self::ALL.into_iter().find(|l| l.label() == label)
+        match label {
+            "WC" => Some(LevelTag::Weak),
+            "DC" => Some(LevelTag::Delta),
+            "SC" => Some(LevelTag::Strong),
+            _ => None,
+        }
     }
 }
 
@@ -347,7 +382,15 @@ impl SpanPhase {
 
     /// Inverse of [`SpanPhase::label`] (journal parsing).
     pub fn from_label(label: &str) -> Option<SpanPhase> {
-        Self::ALL.into_iter().find(|p| p.label() == label)
+        match label {
+            "poll_unicast" => Some(SpanPhase::PollUnicast),
+            "poll_flood" => Some(SpanPhase::PollFlood),
+            "fetch" => Some(SpanPhase::Fetch),
+            "push_wait" => Some(SpanPhase::PushWait),
+            "fallback_flood" => Some(SpanPhase::FallbackFlood),
+            "grace" => Some(SpanPhase::Grace),
+            _ => None,
+        }
     }
 }
 
@@ -933,7 +976,47 @@ impl EventKind {
 
     /// Inverse of [`EventKind::label`] (journal parsing).
     pub fn from_label(label: &str) -> Option<EventKind> {
-        Self::ALL.into_iter().find(|k| k.label() == label)
+        match label {
+            "msg_send" => Some(EventKind::MsgSend),
+            "msg_deliver" => Some(EventKind::MsgDeliver),
+            "mac_drop" => Some(EventKind::MacDrop),
+            "undeliverable" => Some(EventKind::Undeliverable),
+            "flood_dup_drop" => Some(EventKind::FloodDupDrop),
+            "flood_ttl_exhausted" => Some(EventKind::FloodTtlExhausted),
+            "rreq_dup_drop" => Some(EventKind::RreqDupDrop),
+            "hop_budget_drop" => Some(EventKind::HopBudgetDrop),
+            "no_route_drop" => Some(EventKind::NoRouteDrop),
+            "discovery_start" => Some(EventKind::DiscoveryStart),
+            "discovery_failed" => Some(EventKind::DiscoveryFailed),
+            "relay_transition" => Some(EventKind::RelayTransition),
+            "query_issued" => Some(EventKind::QueryIssued),
+            "query_served" => Some(EventKind::QueryServed),
+            "query_failed" => Some(EventKind::QueryFailed),
+            "node_up" => Some(EventKind::NodeUp),
+            "node_down" => Some(EventKind::NodeDown),
+            "source_update" => Some(EventKind::SourceUpdate),
+            "node_crash" => Some(EventKind::NodeCrash),
+            "node_recover" => Some(EventKind::NodeRecover),
+            "partition_start" => Some(EventKind::PartitionStart),
+            "partition_heal" => Some(EventKind::PartitionHeal),
+            "frame_dup" => Some(EventKind::FrameDup),
+            "burst_drop" => Some(EventKind::BurstDrop),
+            "relay_lease_expired" => Some(EventKind::RelayLeaseExpired),
+            "fallback_flood" => Some(EventKind::FallbackFlood),
+            "query_phase" => Some(EventKind::QueryPhase),
+            "consistency" => Some(EventKind::ConsistencySample),
+            "stale_serve" => Some(EventKind::StaleServe),
+            "resync_start" => Some(EventKind::ResyncStart),
+            "resync_done" => Some(EventKind::ResyncDone),
+            "retransmit" => Some(EventKind::RecoveryRetransmit),
+            "recovery_ack" => Some(EventKind::RecoveryAck),
+            "relay_handover" => Some(EventKind::RelayHandover),
+            "frame_born" => Some(EventKind::FrameBorn),
+            "frame_hop" => Some(EventKind::FrameHop),
+            "frame_fate" => Some(EventKind::FrameFate),
+            "copy_lineage" => Some(EventKind::CopyLineage),
+            _ => None,
+        }
     }
 
     /// The lowest journal schema whose vocabulary includes this kind.
@@ -1017,20 +1100,27 @@ impl TraceEvent {
     /// assert_eq!(line, r#"{"t":1500,"ev":"node_down","node":3}"#);
     /// ```
     pub fn write_json(&self, at: SimTime, out: &mut String) {
-        use std::fmt::Write;
-
-        let field_str = |out: &mut String, key: &str, value: &str| {
+        // No `core::fmt` on this path: it runs once per journal record.
+        let field_key = |out: &mut String, key: &str| {
             out.push_str(",\"");
             out.push_str(key);
             out.push_str("\":");
+        };
+        let field_str = |out: &mut String, key: &str, value: &str| {
+            field_key(out, key);
             json::escape_into(out, value);
         };
         let field_num = |out: &mut String, key: &str, value: u64| {
-            let _ = write!(out, ",\"{key}\":{value}");
+            field_key(out, key);
+            json::push_u64(out, value);
+        };
+        let field_bool = |out: &mut String, key: &str, value: bool| {
+            field_key(out, key);
+            out.push_str(if value { "true" } else { "false" });
         };
 
         out.push_str("{\"t\":");
-        let _ = write!(out, "{}", at.as_millis());
+        json::push_u64(out, at.as_millis());
         field_str(out, "ev", self.kind().label());
         match *self {
             TraceEvent::MsgSend {
@@ -1063,7 +1153,7 @@ impl TraceEvent {
                 field_num(out, "origin", origin.index() as u64);
                 field_str(out, "class", class.label());
                 field_num(out, "hops", u64::from(hops));
-                let _ = write!(out, ",\"flood\":{via_flood}");
+                field_bool(out, "flood", via_flood);
                 if let Some(span) = span {
                     field_num(out, "span", span);
                 }
@@ -1212,7 +1302,7 @@ impl TraceEvent {
                     if i > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "{count}");
+                    json::push_u64(out, u64::from(*count));
                 }
                 out.push(']');
             }
@@ -1231,7 +1321,7 @@ impl TraceEvent {
                 field_str(out, "cause", cause.label());
                 field_num(out, "staleness_ms", staleness_ms);
                 field_num(out, "lag", lag);
-                let _ = write!(out, ",\"violation\":{violation}");
+                field_bool(out, "violation", violation);
             }
             TraceEvent::ResyncStart { node, items } => {
                 field_num(out, "node", node.index() as u64);
@@ -1623,34 +1713,57 @@ pub(crate) mod tests {
         assert!(json::is_valid(&line));
     }
 
+    /// `from_label` is a hand-written `match` that repeats every string
+    /// of `label`: this is what keeps the two tables one vocabulary.
+    macro_rules! assert_labels_invert {
+        ($($ty:ident),+) => {$({
+            let labels = $ty::ALL.map($ty::label);
+            for (i, x) in $ty::ALL.into_iter().enumerate() {
+                let label = x.label();
+                assert_eq!($ty::from_label(label), Some(x), "{label}");
+                assert!(!labels[..i].contains(&label), "{label} listed twice");
+                // Near misses: one character short, the other case.
+                let flipped = if label.chars().any(char::is_lowercase) {
+                    label.to_uppercase()
+                } else {
+                    label.to_lowercase()
+                };
+                for miss in [&label[..label.len() - 1], flipped.as_str()] {
+                    if !labels.contains(&miss) {
+                        assert_eq!($ty::from_label(miss), None, "{miss}");
+                    }
+                }
+            }
+            assert_eq!($ty::from_label(""), None);
+        })+};
+    }
+
     #[test]
-    fn phase_and_tag_labels_are_unique() {
-        for labels in [
-            SpanPhase::ALL.map(SpanPhase::label).to_vec(),
-            LevelTag::ALL.map(LevelTag::label).to_vec(),
-            ServedBy::ALL.map(ServedBy::label).to_vec(),
-            BlameCause::ALL.map(BlameCause::label).to_vec(),
-            FrameFateKind::ALL.map(FrameFateKind::label).to_vec(),
-            RelayTransitionKind::ALL
-                .map(RelayTransitionKind::label)
-                .to_vec(),
-        ] {
-            let mut sorted = labels.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), labels.len(), "{labels:?}");
+    fn every_label_inverts_and_near_misses_do_not() {
+        assert_labels_invert!(
+            EventKind,
+            FrameFateKind,
+            BlameCause,
+            SpanPhase,
+            LevelTag,
+            ServedBy,
+            RelayTransitionKind
+        );
+        for miss in ["frame_fat", "FRAME_FATE", "frame_fate "] {
+            assert_eq!(EventKind::from_label(miss), None, "{miss}");
         }
+    }
+
+    #[test]
+    fn tag_indices_follow_all() {
         for (i, phase) in SpanPhase::ALL.into_iter().enumerate() {
             assert_eq!(phase.index(), i);
-            assert_eq!(SpanPhase::from_label(phase.label()), Some(phase));
         }
         for (i, cause) in BlameCause::ALL.into_iter().enumerate() {
             assert_eq!(cause.index(), i);
-            assert_eq!(BlameCause::from_label(cause.label()), Some(cause));
         }
         for (i, fate) in FrameFateKind::ALL.into_iter().enumerate() {
             assert_eq!(fate.index(), i);
-            assert_eq!(FrameFateKind::from_label(fate.label()), Some(fate));
         }
     }
 

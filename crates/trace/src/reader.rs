@@ -1,17 +1,39 @@
 //! Offline journal reading: parse a JSONL trace back into typed events.
 //!
 //! A journal written by [`crate::JsonlSink`] starts with one versioned
-//! header object (`{"schema":1,...}` or `{"schema":2,...}`) followed by
-//! one event object per line. [`JournalReader`] streams it line-by-line —
-//! it never buffers the whole file — checking the schema up front and
-//! turning each line back into a `(SimTime, TraceEvent)` pair via the
-//! label inverses (`EventKind::from_label` and friends). Parsing is
-//! version-gated: the reader accepts every schema up to
-//! [`JOURNAL_SCHEMA`], and a line whose kind post-dates the journal's
-//! declared schema (e.g. a `consistency` record in a schema-1 journal)
-//! is a [`ReadError::BadLine`], not a silently-adopted event.
-//! Serialise-then-parse is the identity on every event variant (see the
-//! roundtrip test).
+//! header object (`{"schema":1,...}` through `{"schema":4,...}`) followed
+//! by one event object per line. [`JournalReader`] streams it
+//! line-by-line — it never buffers the whole file — checking the schema
+//! up front and turning each line back into a `(SimTime, TraceEvent)`
+//! pair.
+//!
+//! **How a line is read.** The header goes through the [`json::parse`]
+//! tree once per journal. Body lines do not build a tree: one pass of
+//! `json::Fields::scan` validates the whole line and notes each
+//! `(key, value)` pair as slices borrowed from it, in a table on the
+//! stack, and one `match` on the record's kind picks the fields it needs
+//! by key (first of duplicate keys, unknown extra keys ignored) and maps
+//! labels back through the `from_label` tables
+//! ([`EventKind::from_label`] and friends). The scanner accepts exactly
+//! the lines the tree parser turns into an object and reads every value
+//! as it would.
+//!
+//! **What allocates.** Nothing, for any line the writer produces: the
+//! line buffer is reused and keys, labels and numbers are read in place.
+//! The heap is touched only by a string that holds a `\`-escape and is
+//! actually looked at (decoded into an owned string; the writer never
+//! emits one) and by an object with more than twelve fields (the table
+//! spills into a `Vec`; the widest record has nine).
+//!
+//! **What is rejected.** Parsing is version-gated: the reader accepts
+//! every schema up to [`JOURNAL_SCHEMA`], and a line whose kind
+//! post-dates the journal's declared schema (e.g. a `consistency` record
+//! in a schema-1 journal) is a [`ReadError::BadLine`], not a
+//! silently-adopted event. Fields narrower than 64 bits are
+//! range-checked, never wrapped: node/item ids, byte and item counts and
+//! `ages` entries must fit `u32`, `hops`/`attempt`/`axis` must fit `u8`,
+//! so `"hops":300` is a bad line, not 44 hops. Serialise-then-parse is
+//! the identity on every event variant (see the roundtrip test).
 
 use std::fmt;
 use std::io::{self, BufRead};
@@ -23,7 +45,7 @@ use crate::event::{
     BlameCause, EventKind, FrameFateKind, LevelTag, RelayTransitionKind, ServedBy, SpanPhase,
     TraceEvent,
 };
-use crate::json::{self, Value};
+use crate::json::{self, Field, Fields, Value};
 use crate::sink::JOURNAL_SCHEMA;
 
 /// The journal's leading metadata record.
@@ -205,47 +227,48 @@ pub fn parse_event(line: &str) -> Option<(SimTime, TraceEvent)> {
 /// carrying schema-2 records is rejected line-accurately instead of
 /// silently adopted.
 pub fn parse_event_versioned(line: &str, schema: u64) -> Option<(SimTime, TraceEvent)> {
-    let v = json::parse(line)?;
+    let mut v = Fields::new();
+    v.scan(line)?;
     let at = SimTime::from_millis(v.get("t")?.as_u64()?);
-    let kind = EventKind::from_label(v.get("ev")?.as_str()?)?;
+    let kind = EventKind::from_label(&v.get("ev")?.as_str()?)?;
     if kind.min_schema() > schema {
         return None;
     }
 
-    let num = |key: &str| v.get(key).and_then(Value::as_u64);
-    let node_field = |key: &str| num(key).map(|n| NodeId::new(n as u32));
-    let item_field = |key: &str| num(key).map(|n| ItemId::new(n as u32));
-    let class_field = || {
-        v.get("class")
-            .and_then(Value::as_str)
-            .and_then(MessageClass::from_label)
-    };
-    let level_field = || {
-        v.get("level")
-            .and_then(Value::as_str)
-            .and_then(LevelTag::from_label)
-    };
+    // Narrower fields are range-checked, never wrapped: `"hops":300` is
+    // a bad line, not 44 hops.
+    let as_u32 = |f: Field<'_>| f.as_u64().and_then(|n| u32::try_from(n).ok());
+    let num = |key: &str| v.get(key).and_then(Field::as_u64);
+    let num32 = |key: &str| v.get(key).and_then(as_u32);
+    let num8 = |key: &str| num(key).and_then(|n| u8::try_from(n).ok());
+    let node_field = |key: &str| num32(key).map(NodeId::new);
+    let item_field = |key: &str| num32(key).map(ItemId::new);
+    let label = |key: &str| v.get(key).and_then(Field::as_str);
+    let class_field = || MessageClass::from_label(&label("class")?);
+    let level_field = || LevelTag::from_label(&label("level")?);
     let span_field = || match v.get("span") {
         Some(s) => s.as_u64().map(Some), // present but non-numeric = bad
         None => Some(None),
+    };
+    // A MAC receiver or final destination: `null` for broadcast/flood.
+    let dest_field = || match v.get("dest")? {
+        d if d.is_null() => Some(None),
+        d => Some(Some(NodeId::new(as_u32(d)?))),
     };
 
     let event = match kind {
         EventKind::MsgSend => TraceEvent::MsgSend {
             node: node_field("node")?,
             class: class_field()?,
-            bytes: num("bytes")? as u32,
-            dest: match v.get("dest")? {
-                Value::Null => None,
-                d => Some(NodeId::new(d.as_u64()? as u32)),
-            },
+            bytes: num32("bytes")?,
+            dest: dest_field()?,
             span: span_field()?,
         },
         EventKind::MsgDeliver => TraceEvent::MsgDeliver {
             node: node_field("node")?,
             origin: node_field("origin")?,
             class: class_field()?,
-            hops: num("hops")? as u8,
+            hops: num8("hops")?,
             via_flood: v.get("flood")?.as_bool()?,
             span: span_field()?,
         },
@@ -284,17 +307,17 @@ pub fn parse_event_versioned(line: &str, schema: u64) -> Option<(SimTime, TraceE
         EventKind::DiscoveryStart => TraceEvent::DiscoveryStart {
             node: node_field("node")?,
             dest: node_field("dest")?,
-            attempt: num("attempt")? as u8,
+            attempt: num8("attempt")?,
         },
         EventKind::DiscoveryFailed => TraceEvent::DiscoveryFailed {
             node: node_field("node")?,
             dest: node_field("dest")?,
-            dropped: num("dropped")? as u32,
+            dropped: num32("dropped")?,
         },
         EventKind::RelayTransition => TraceEvent::RelayTransition {
             node: node_field("node")?,
             item: item_field("item")?,
-            kind: RelayTransitionKind::from_label(v.get("kind")?.as_str()?)?,
+            kind: RelayTransitionKind::from_label(&label("kind")?)?,
         },
         EventKind::QueryIssued => TraceEvent::QueryIssued {
             node: node_field("node")?,
@@ -306,14 +329,14 @@ pub fn parse_event_versioned(line: &str, schema: u64) -> Option<(SimTime, TraceE
             node: node_field("node")?,
             query: num("query")?,
             item: item_field("item")?,
-            phase: SpanPhase::from_label(v.get("phase")?.as_str()?)?,
-            attempt: num("attempt")? as u8,
+            phase: SpanPhase::from_label(&label("phase")?)?,
+            attempt: num8("attempt")?,
         },
         EventKind::QueryServed => TraceEvent::QueryServed {
             node: node_field("node")?,
             query: num("query")?,
             level: level_field()?,
-            served_by: ServedBy::from_label(v.get("by")?.as_str()?)?,
+            served_by: ServedBy::from_label(&label("by")?)?,
             issued: SimTime::from_millis(num("issued")?),
         },
         EventKind::QueryFailed => TraceEvent::QueryFailed {
@@ -339,10 +362,10 @@ pub fn parse_event_versioned(line: &str, schema: u64) -> Option<(SimTime, TraceE
             node: node_field("node")?,
         },
         EventKind::PartitionStart => TraceEvent::PartitionStart {
-            axis: num("axis")? as u8,
+            axis: num8("axis")?,
         },
         EventKind::PartitionHeal => TraceEvent::PartitionHeal {
-            axis: num("axis")? as u8,
+            axis: num8("axis")?,
         },
         EventKind::FrameDup => TraceEvent::FrameDup {
             node: node_field("node")?,
@@ -361,23 +384,24 @@ pub fn parse_event_versioned(line: &str, schema: u64) -> Option<(SimTime, TraceE
             item: item_field("item")?,
         },
         EventKind::ConsistencySample => {
-            let Value::Arr(raw) = v.get("ages")? else {
+            let Field::Arr(span) = v.get("ages")? else {
                 return None;
             };
-            if raw.len() != mp2p_metrics::AGE_BUCKETS {
+            let mut items = json::array_items(span);
+            let mut ages = [0u32; mp2p_metrics::AGE_BUCKETS];
+            for slot in &mut ages {
+                *slot = as_u32(items.next()?)?;
+            }
+            if items.next().is_some() {
                 return None;
             }
-            let mut ages = [0u32; mp2p_metrics::AGE_BUCKETS];
-            for (slot, value) in ages.iter_mut().zip(raw) {
-                *slot = value.as_u64()? as u32;
-            }
             TraceEvent::ConsistencySample {
-                fresh_copies: num("fresh")? as u32,
-                total_copies: num("copies")? as u32,
-                items_replicated: num("items")? as u32,
-                max_replicas: num("max_replicas")? as u32,
-                partitions: num("partitions")? as u32,
-                relay_nodes: num("relay_nodes")? as u32,
+                fresh_copies: num32("fresh")?,
+                total_copies: num32("copies")?,
+                items_replicated: num32("items")?,
+                max_replicas: num32("max_replicas")?,
+                partitions: num32("partitions")?,
+                relay_nodes: num32("relay_nodes")?,
                 ages,
             }
         }
@@ -385,25 +409,25 @@ pub fn parse_event_versioned(line: &str, schema: u64) -> Option<(SimTime, TraceE
             node: node_field("node")?,
             query: num("query")?,
             item: item_field("item")?,
-            cause: BlameCause::from_label(v.get("cause")?.as_str()?)?,
+            cause: BlameCause::from_label(&label("cause")?)?,
             staleness_ms: num("staleness_ms")?,
             lag: num("lag")?,
             violation: v.get("violation")?.as_bool()?,
         },
         EventKind::ResyncStart => TraceEvent::ResyncStart {
             node: node_field("node")?,
-            items: num("items")? as u32,
+            items: num32("items")?,
         },
         EventKind::ResyncDone => TraceEvent::ResyncDone {
             node: node_field("node")?,
-            stale: num("stale")? as u32,
+            stale: num32("stale")?,
         },
         EventKind::RecoveryRetransmit => TraceEvent::RecoveryRetransmit {
             node: node_field("node")?,
             dest: node_field("dest")?,
             item: item_field("item")?,
             seq: num("seq")?,
-            attempt: num("attempt")? as u8,
+            attempt: num8("attempt")?,
         },
         EventKind::RecoveryAck => TraceEvent::RecoveryAck {
             node: node_field("node")?,
@@ -419,17 +443,14 @@ pub fn parse_event_versioned(line: &str, schema: u64) -> Option<(SimTime, TraceE
         EventKind::FrameBorn => {
             // `item`/`version` are written only for propagation frames.
             let item = match v.get("item") {
-                Some(i) => Some(ItemId::new(i.as_u64()? as u32)),
+                Some(i) => Some(ItemId::new(as_u32(i)?)),
                 None => None,
             };
             TraceEvent::FrameBorn {
                 node: node_field("node")?,
                 frame: num("frame")?,
                 class: class_field()?,
-                dest: match v.get("dest")? {
-                    Value::Null => None,
-                    d => Some(NodeId::new(d.as_u64()? as u32)),
-                },
+                dest: dest_field()?,
                 version: if item.is_some() { num("version")? } else { 0 },
                 item,
             }
@@ -438,13 +459,13 @@ pub fn parse_event_versioned(line: &str, schema: u64) -> Option<(SimTime, TraceE
             node: node_field("node")?,
             origin: node_field("origin")?,
             frame: num("frame")?,
-            hops: num("hops")? as u8,
+            hops: num8("hops")?,
         },
         EventKind::FrameFate => TraceEvent::FrameFate {
             node: node_field("node")?,
             origin: node_field("origin")?,
             frame: num("frame")?,
-            fate: FrameFateKind::from_label(v.get("fate")?.as_str()?)?,
+            fate: FrameFateKind::from_label(&label("fate")?)?,
         },
         EventKind::CopyLineage => TraceEvent::CopyLineage {
             node: node_field("node")?,
@@ -452,7 +473,7 @@ pub fn parse_event_versioned(line: &str, schema: u64) -> Option<(SimTime, TraceE
             version: num("version")?,
             origin: node_field("origin")?,
             frame: num("frame")?,
-            hops: num("hops")? as u8,
+            hops: num8("hops")?,
         },
     };
     Some((at, event))
@@ -463,6 +484,8 @@ mod tests {
     use super::*;
     use crate::sink::{JsonlSink, TraceSink};
     use mp2p_sim::SimDuration;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use std::io::BufReader;
 
     #[test]
@@ -606,5 +629,225 @@ mod tests {
             "{\"t\":0,\"ev\":\"msg_send\",\"node\":0,\"class\":\"POLL\",\"bytes\":4,\"dest\":null,\"span\":\"x\"}"
         )
         .is_none());
+    }
+
+    /// The largest value each numeric key's field type holds; keys not
+    /// listed are `u64` (bounded by the 53 bits a JSON number carries).
+    fn field_limit(key: &str) -> u64 {
+        match key {
+            "hops" | "attempt" | "axis" => u64::from(u8::MAX),
+            "node" | "origin" | "dest" | "next_hop" | "item" | "peer" | "from" | "to" | "bytes"
+            | "dropped" | "items" | "stale" | "fresh" | "copies" | "max_replicas"
+            | "partitions" | "relay_nodes" | "ages" => u64::from(u32::MAX),
+            _ => 1 << 53,
+        }
+    }
+
+    /// `line` with the number after `"key":` (or after `"ages":[`)
+    /// replaced by `value`.
+    fn with_number(line: &str, key: &str, value: &str) -> String {
+        let tag = if key == "ages" {
+            "\"ages\":[".to_string()
+        } else {
+            format!("\"{key}\":")
+        };
+        let start = line.find(&tag).expect("key present") + tag.len();
+        let len = line[start..]
+            .find(|c: char| !c.is_ascii_digit())
+            .expect("a delimiter follows every number");
+        format!("{}{value}{}", &line[..start], &line[start + len..])
+    }
+
+    #[test]
+    fn out_of_range_fields_are_bad_lines_not_wrapped_values() {
+        // Every (kind, key) whose field is narrower than u64, through
+        // each distinct narrowing site of the decoder.
+        let mut checked = std::collections::BTreeSet::new();
+        for event in crate::event::tests::samples() {
+            let mut line = String::new();
+            event.write_json(SimTime::from_millis(5), &mut line);
+            let json::Value::Obj(pairs) = json::parse(&line).unwrap() else {
+                panic!("not an object: {line}");
+            };
+            for (key, value) in &pairs {
+                let limit = field_limit(key);
+                let numeric = value.as_u64().is_some() || key == "ages";
+                if !numeric || limit == 1 << 53 {
+                    continue;
+                }
+                let at_limit = with_number(&line, key, &limit.to_string());
+                let (_, back) = parse_event(&at_limit)
+                    .unwrap_or_else(|| panic!("{key} = {limit} must fit: {at_limit}"));
+                let mut reencoded = String::new();
+                back.write_json(SimTime::from_millis(5), &mut reencoded);
+                assert_eq!(reencoded, at_limit, "{key} at its limit is kept exactly");
+
+                let over = with_number(&line, key, &(limit + 1).to_string());
+                assert!(
+                    parse_event(&over).is_none(),
+                    "{key} = {} must be rejected, not wrapped: {over}",
+                    limit + 1
+                );
+                checked.insert((event.kind().label(), key.clone()));
+            }
+        }
+        for site in [
+            ("frame_hop", "hops"),
+            ("copy_lineage", "hops"),
+            ("msg_deliver", "hops"),
+            ("discovery_start", "attempt"),
+            ("query_phase", "attempt"),
+            ("retransmit", "attempt"),
+            ("partition_start", "axis"),
+            ("partition_heal", "axis"),
+            ("msg_send", "node"),
+            ("msg_send", "bytes"),
+            ("msg_send", "dest"),
+            ("frame_born", "dest"),
+            ("frame_born", "item"),
+            ("discovery_failed", "dropped"),
+            ("resync_start", "items"),
+            ("resync_done", "stale"),
+            ("consistency", "fresh"),
+            ("consistency", "copies"),
+            ("consistency", "items"),
+            ("consistency", "max_replicas"),
+            ("consistency", "partitions"),
+            ("consistency", "relay_nodes"),
+            ("consistency", "ages"),
+            ("relay_handover", "from"),
+            ("relay_handover", "to"),
+            ("recovery_ack", "peer"),
+            ("mac_drop", "next_hop"),
+            ("frame_fate", "origin"),
+        ] {
+            assert!(
+                checked.contains(&(site.0, site.1.to_string())),
+                "{site:?} not exercised"
+            );
+        }
+
+        // The reader reports the line, as for any other bad line.
+        let journal = "{\"schema\":4}\n\
+             {\"t\":1,\"ev\":\"node_up\",\"node\":1}\n\
+             {\"t\":2,\"ev\":\"frame_hop\",\"node\":1,\"origin\":2,\"frame\":3,\"hops\":300}\n";
+        let mut reader = JournalReader::new(journal.as_bytes()).unwrap();
+        assert!(reader.next().unwrap().is_ok());
+        match reader.next().unwrap() {
+            Err(ReadError::BadLine { line_no, .. }) => assert_eq!(line_no, 3),
+            other => panic!("expected BadLine, got {other:?}"),
+        }
+    }
+
+    /// What `parse_event` made of `line`, checked against the tree
+    /// parser's reading of the same line: every field of the decoded
+    /// event, re-serialised, equals the tree's first-match lookup of that
+    /// key. `intact` says the line still has the writer's shape (only
+    /// number spellings differ), so a rejection needs a numeric reason.
+    fn assert_decoder_agrees_with_tree(line: &str, intact: bool) {
+        let decoded = parse_event(line);
+        let parsed = json::parse(line);
+        let Some(tree @ json::Value::Obj(pairs)) = &parsed else {
+            assert!(decoded.is_none(), "decoded a non-object: {line}");
+            return;
+        };
+        let Some((at, event)) = decoded else {
+            if intact {
+                let out_of_range =
+                    |key: &str, v: &json::Value| v.as_u64().is_none_or(|n| n > field_limit(key));
+                assert!(
+                    pairs.iter().any(|(key, value)| match value {
+                        json::Value::Num(_) => out_of_range(key, value),
+                        json::Value::Arr(items) => items.iter().any(|v| out_of_range(key, v)),
+                        _ => false,
+                    }),
+                    "rejected with every number in range: {line}"
+                );
+            }
+            return;
+        };
+        let mut reencoded = String::new();
+        event.write_json(at, &mut reencoded);
+        let json::Value::Obj(read) = json::parse(&reencoded).unwrap() else {
+            unreachable!()
+        };
+        for (key, got) in &read {
+            let want = tree
+                .get(key)
+                .unwrap_or_else(|| panic!("decoder invented {key}: {line}"));
+            match (got, want) {
+                (json::Value::Num(_), json::Value::Num(_)) => {
+                    assert_eq!(got.as_u64(), want.as_u64(), "{key} in {line}");
+                }
+                (json::Value::Arr(got), json::Value::Arr(want)) => {
+                    let as_u64s = |items: &[json::Value]| {
+                        items.iter().map(json::Value::as_u64).collect::<Vec<_>>()
+                    };
+                    assert_eq!(as_u64s(got), as_u64s(want), "{key} in {line}");
+                }
+                _ => assert_eq!(got, want, "{key} in {line}"),
+            }
+        }
+    }
+
+    /// One serialised sample event with its numbers respelled (long
+    /// digit runs, fractions, exponents, signs) and, half the time, one
+    /// byte overwritten.
+    struct RespelledLine;
+
+    impl Strategy for RespelledLine {
+        /// The line, and whether it still has the writer's shape.
+        type Value = (String, bool);
+
+        fn pick(&self, rng: &mut TestRng) -> Self::Value {
+            let samples = crate::event::tests::samples();
+            let event = &samples[rng.below(samples.len() as u64) as usize];
+            let mut line = String::new();
+            event.write_json(SimTime::from_millis(rng.below(1 << 40)), &mut line);
+
+            let mut respelled = String::new();
+            let mut rest = line.as_str();
+            while let Some(start) = rest.find(|c: char| c.is_ascii_digit()) {
+                let len = rest[start..]
+                    .find(|c: char| !c.is_ascii_digit())
+                    .unwrap_or(rest.len() - start);
+                respelled.push_str(&rest[..start]);
+                let number = &rest[start..start + len];
+                match rng.below(12) {
+                    0 => (0..=rng.below(20))
+                        .for_each(|_| respelled.push(char::from(b'0' + rng.below(10) as u8))),
+                    1 => respelled.push_str(&format!("{number}.0")),
+                    2 => respelled.push_str(&format!("{number}e0")),
+                    3 => respelled.push_str(&format!("{number}.5")),
+                    4 => respelled.push_str(&format!("-{number}")),
+                    5 => respelled.push_str(&format!("00{number}")),
+                    6 => respelled.push_str(&(1u64 << rng.below(64)).to_string()),
+                    _ => respelled.push_str(number),
+                }
+                rest = &rest[start + len..];
+            }
+            respelled.push_str(rest);
+
+            if rng.below(2) == 0 {
+                return (respelled, true);
+            }
+            let mut bytes = respelled.into_bytes();
+            let at = rng.below(bytes.len() as u64) as usize;
+            let grammar = b"\"\\{}[],:.-+eE09tfnu _a\n";
+            bytes[at] = grammar[rng.below(grammar.len() as u64) as usize];
+            (
+                String::from_utf8(bytes).expect("ASCII in, ASCII out"),
+                false,
+            )
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4_000))]
+
+        #[test]
+        fn prop_decoded_events_agree_with_the_tree_lookup((line, intact) in RespelledLine) {
+            assert_decoder_agrees_with_tree(&line, intact);
+        }
     }
 }

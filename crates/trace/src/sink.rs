@@ -20,6 +20,7 @@ use mp2p_metrics::{LatencyStats, TrafficStats};
 use mp2p_sim::{SimDuration, SimTime};
 
 use crate::event::{EventKind, TraceEvent};
+use crate::json;
 
 /// A destination for flight-recorder events.
 ///
@@ -320,11 +321,11 @@ impl JsonlSink {
         };
         self.line.clear();
         self.line.push_str("{\"schema\":");
-        self.line.push_str(&self.schema.to_string());
+        json::push_u64(&mut self.line, self.schema);
         self.line.push_str(",\"kinds\":");
-        self.line.push_str(&kinds.to_string());
+        json::push_u64(&mut self.line, kinds as u64);
         self.line.push_str(",\"warmup_ms\":");
-        self.line.push_str(&warmup.as_millis().to_string());
+        json::push_u64(&mut self.line, warmup.as_millis());
         self.line.push_str("}\n");
         match self.out.write_all(self.line.as_bytes()) {
             Ok(()) => self.bytes += self.line.len() as u64,

@@ -329,7 +329,10 @@ fn injected_regressions_trip_the_matrix_gate_per_axis() {
             c.fresh_fraction = c.fresh_fraction * 2.0 + 0.1;
         }),
         ("p95-latency", |c| c.p95_latency_secs *= 0.5),
-        ("events/sec", |c| c.events_per_sec *= 100.0),
+        // Host-independent: at tolerance 0.95 a ×100 tamper trips only if
+        // the re-run is under 5× the seeding sweep's speed, which a
+        // millisecond-scale cell on a busy box does not guarantee.
+        ("events/sec", |c| c.events_per_sec *= 1e9),
     ];
     for (axis, tamper) in &axes {
         let mut doctored = baseline.clone();
