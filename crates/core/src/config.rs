@@ -1,6 +1,6 @@
 //! Protocol timing and threshold parameters (Table 1 and Section 4).
 
-use mp2p_sim::{SimDuration, SimRng};
+use mp2p_sim::{relate, require, ConfigError, SimDuration, SimRng};
 
 use crate::recovery::RecoveryConfig;
 
@@ -184,65 +184,69 @@ impl ProtocolConfig {
         self
     }
 
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics on nonsensical parameter combinations (zero periods,
-    /// thresholds outside `(0, 1]`, zero TTLs).
-    pub fn validate(&self) {
-        assert!(!self.ttn.is_zero(), "TTN must be positive");
-        assert!(!self.ttr.is_zero(), "TTR must be positive");
-        assert!(!self.ttp.is_zero(), "TTP must be positive");
-        assert!(!self.phi.is_zero(), "phi must be positive");
-        assert!(
-            self.invalidation_ttl >= 1,
-            "invalidation TTL must be at least 1 hop"
-        );
-        assert!(
-            self.broadcast_ttl >= 1,
-            "broadcast TTL must be at least 1 hop"
-        );
-        assert!(
-            self.poll_ttl >= 1 && self.poll_ttl <= self.poll_ttl_max,
-            "bad poll TTL range"
-        );
-        assert!(self.poll_attempts >= 1, "need at least one poll attempt");
-        assert!((0.0..=1.0).contains(&self.omega), "omega must be in [0,1]");
-        for (name, mu) in [
-            ("mu_car", self.mu_car),
-            ("mu_cs", self.mu_cs),
-            ("mu_ce", self.mu_ce),
+    /// Checks internal consistency: no zero period, TTL or attempt
+    /// count, thresholds in `(0, 1]`, multipliers at least 1. Errors name
+    /// the field as the `proto.*` member of a world configuration.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        for (field, period) in [
+            ("proto.ttn", self.ttn),
+            ("proto.ttr", self.ttr),
+            ("proto.ttp", self.ttp),
+            ("proto.phi", self.phi),
         ] {
-            assert!(mu > 0.0 && mu <= 1.0, "{name} must be in (0,1], got {mu}");
+            require(!period.is_zero(), field, "must be positive")?;
         }
-        assert!(self.content_bytes > 0, "content size must be positive");
-        assert!(
-            self.demote_grace_ticks >= 1,
-            "demotion needs at least one failing tick"
-        );
-        assert!(
-            self.adaptive_span >= 1.0 && self.adaptive_span.is_finite(),
-            "adaptive span must be >= 1"
-        );
-        if let Some(cap) = self.max_relays_per_item {
-            assert!(cap >= 1, "a relay cap of zero disables the protocol");
+        for (field, count) in [
+            ("proto.invalidation_ttl", self.invalidation_ttl),
+            ("proto.broadcast_ttl", self.broadcast_ttl),
+            ("proto.poll_ttl", self.poll_ttl),
+            ("proto.poll_attempts", self.poll_attempts),
+            ("proto.demote_grace_ticks", self.demote_grace_ticks),
+        ] {
+            require(count >= 1, field, "must be at least 1")?;
         }
-        assert!(
-            self.retry_backoff >= 1.0 && self.retry_backoff.is_finite(),
-            "retry backoff must be >= 1"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.retry_jitter),
-            "retry jitter must be in [0,1]"
-        );
-        if let Some(grace) = self.relay_orphan_grace {
-            assert!(
-                !grace.is_zero(),
-                "an orphan grace of zero would demote relays on every sweep"
-            );
+        relate(
+            self.poll_ttl <= self.poll_ttl_max,
+            "proto.poll_ttl",
+            "proto.poll_ttl_max",
+            "must not exceed proto.poll_ttl_max",
+        )?;
+        for (field, fraction) in [
+            ("proto.omega", self.omega),
+            ("proto.retry_jitter", self.retry_jitter),
+        ] {
+            require((0.0..=1.0).contains(&fraction), field, "must be in [0,1]")?;
         }
-        self.recovery.validate();
+        for (field, mu) in [
+            ("proto.mu_car", self.mu_car),
+            ("proto.mu_cs", self.mu_cs),
+            ("proto.mu_ce", self.mu_ce),
+        ] {
+            let reason = format!("must be in (0,1], got {mu}");
+            require(mu > 0.0 && mu <= 1.0, field, reason)?;
+        }
+        require(
+            self.content_bytes > 0,
+            "proto.content_bytes",
+            "must be positive",
+        )?;
+        for (field, factor) in [
+            ("proto.adaptive_span", self.adaptive_span),
+            ("proto.retry_backoff", self.retry_backoff),
+        ] {
+            require(factor >= 1.0 && factor.is_finite(), field, "must be >= 1")?;
+        }
+        require(
+            self.max_relays_per_item != Some(0),
+            "proto.max_relays_per_item",
+            "must be at least 1 (a cap of zero disables the protocol)",
+        )?;
+        require(
+            self.relay_orphan_grace != Some(SimDuration::ZERO),
+            "proto.relay_orphan_grace",
+            "must be positive (zero would demote relays on every sweep)",
+        )?;
+        self.recovery.check()
     }
 }
 
@@ -262,7 +266,7 @@ mod tests {
         assert_eq!(c.mu_car, 0.15);
         assert_eq!(c.mu_cs, 0.6);
         assert_eq!(c.mu_ce, 0.6);
-        c.validate();
+        assert_eq!(c.check(), Ok(()));
     }
 
     #[test]
@@ -298,7 +302,7 @@ mod tests {
     #[test]
     fn hardened_backoff_grows_and_jitters_within_bound() {
         let c = ProtocolConfig::default().hardened();
-        c.validate();
+        assert_eq!(c.check(), Ok(()));
         let mut rng = SimRng::from_seed(1, 2);
         let base = c.poll_timeout;
         let mut prev = SimDuration::ZERO;
@@ -313,12 +317,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "TTN must be positive")]
-    fn validate_rejects_zero_ttn() {
+    fn check_rejects_zero_ttn() {
         let c = ProtocolConfig {
             ttn: SimDuration::ZERO,
             ..ProtocolConfig::default()
         };
-        c.validate();
+        let e = c.check().unwrap_err();
+        assert_eq!(e.to_string(), "proto.ttn must be positive");
     }
 }

@@ -53,6 +53,7 @@ pub use adaptive::AdaptiveTuner;
 pub use coefficients::Coefficients;
 pub use config::ProtocolConfig;
 pub use level::{ConsistencyLevel, LevelMix};
+pub use mp2p_sim::ConfigError;
 pub use msg::ProtoMsg;
 pub use observatory::{ConsistencyReport, ObservatoryConfig};
 pub use protocol::{Ctx, CtxOut, DegradationKind, Protocol, QueryId, Timer};

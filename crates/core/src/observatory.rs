@@ -25,7 +25,7 @@
 //! bytes and `RunReport::to_json` output are byte-identical to a build
 //! without this module (pinned by `tests/consistency_observatory.rs`).
 
-use mp2p_sim::{ItemId, NodeId, SimDuration};
+use mp2p_sim::{require, ConfigError, ItemId, NodeId, SimDuration};
 use mp2p_trace::BlameCause;
 
 /// Opt-in switches for the consistency observatory. The default is
@@ -59,15 +59,15 @@ impl ObservatoryConfig {
         self.sample_period.is_some() || self.blame
     }
 
-    /// Validates parameter sanity.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero sample period.
-    pub fn validate(&self) {
-        if let Some(p) = self.sample_period {
-            assert!(!p.is_zero(), "observatory sample period must be positive");
-        }
+    /// Checks that the sampler, when on, has a period the event loop
+    /// can advance by. The error names the field as the `observatory.*`
+    /// member of a world configuration.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        require(
+            self.sample_period != Some(SimDuration::ZERO),
+            "observatory.sample_period",
+            "must be positive",
+        )
     }
 }
 
@@ -301,10 +301,12 @@ mod tests {
     fn config_gates_are_off_by_default() {
         let cfg = ObservatoryConfig::default();
         assert!(!cfg.enabled());
-        cfg.validate();
+        assert_eq!(cfg.check(), Ok(()));
         let full = ObservatoryConfig::full(SimDuration::from_secs(30));
         assert!(full.enabled());
         assert!(full.blame);
-        full.validate();
+        assert_eq!(full.check(), Ok(()));
+        let zero = ObservatoryConfig::full(SimDuration::ZERO);
+        assert_eq!(zero.check().unwrap_err().field, "observatory.sample_period");
     }
 }

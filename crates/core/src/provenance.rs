@@ -29,52 +29,31 @@
 //! maintained — so switching provenance on changes *observations only*,
 //! never protocol behaviour.
 
-/// Opt-in switches for frame-level provenance tracing. The default is
-/// everything off, which is the byte-identity-preserving configuration.
+/// The opt-in switch for frame-level provenance tracing: frame life
+/// cycles and copy lineage together (a lineage record names a carrying
+/// frame that must itself be journalled, so there is no state with one
+/// and not the other). The default is off, which is the
+/// byte-identity-preserving configuration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProvenanceConfig {
-    /// Journal every frame's birth, relay hops and terminal fate
-    /// (`FrameBorn` / `FrameHop` / `FrameFate`, journal schema ≥ 4).
-    pub frames: bool,
-    /// Journal a `CopyLineage` record for every cached copy installed or
-    /// refreshed from a delivered message. Requires [`frames`]: a lineage
-    /// record names a carrying frame that must itself be journalled.
-    ///
-    /// [`frames`]: ProvenanceConfig::frames
-    pub lineage: bool,
+    on: bool,
 }
 
 impl ProvenanceConfig {
-    /// Everything off (the default).
+    /// Off (the default).
     pub fn off() -> Self {
         ProvenanceConfig::default()
     }
 
-    /// Frame life cycles and copy lineage both on.
+    /// Frame life cycles (`FrameBorn` / `FrameHop` / `FrameFate`) and
+    /// copy lineage (`CopyLineage`) journalled, journal schema ≥ 4.
     pub fn full() -> Self {
-        ProvenanceConfig {
-            frames: true,
-            lineage: true,
-        }
+        ProvenanceConfig { on: true }
     }
 
-    /// Whether any provenance feature is on.
+    /// Whether provenance tracing is on.
     pub fn enabled(&self) -> bool {
-        self.frames || self.lineage
-    }
-
-    /// Validates parameter sanity.
-    ///
-    /// # Panics
-    ///
-    /// Panics when lineage is requested without frame tracing (the
-    /// lineage records would dangle: they reference frames the journal
-    /// never introduces).
-    pub fn validate(&self) {
-        assert!(
-            self.frames || !self.lineage,
-            "provenance lineage requires frame tracing (lineage records reference frames)"
-        );
+        self.on
     }
 }
 
@@ -83,21 +62,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_off_and_valid() {
-        let cfg = ProvenanceConfig::off();
-        assert!(!cfg.enabled());
-        cfg.validate();
+    fn default_is_off() {
+        assert!(!ProvenanceConfig::off().enabled());
         assert!(ProvenanceConfig::full().enabled());
-        ProvenanceConfig::full().validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "lineage requires frame tracing")]
-    fn lineage_without_frames_is_rejected() {
-        ProvenanceConfig {
-            frames: false,
-            lineage: true,
-        }
-        .validate();
     }
 }

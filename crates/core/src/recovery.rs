@@ -16,7 +16,7 @@
 //! byte-identical to pre-recovery output (golden-fixture pinned).
 
 use mp2p_cache::Version;
-use mp2p_sim::{FastMap, ItemId, NodeId, SimDuration, SimTime};
+use mp2p_sim::{require, ConfigError, FastMap, ItemId, NodeId, SimDuration, SimTime};
 
 /// Gates and tunables of the recovery layer. Carried inside
 /// [`crate::ProtocolConfig`]; the default is fully off.
@@ -75,27 +75,33 @@ impl RecoveryConfig {
         self.resync || self.acked_delivery || self.handover
     }
 
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics on nonsensical parameter combinations (zero retransmit
-    /// budget or period, zero digest scope).
-    pub fn validate(&self) {
-        if self.resync {
-            assert!(self.resync_ttl >= 1, "resync digest needs at least 1 hop");
-        }
+    /// Checks the parameters of every mechanism that is switched on.
+    /// Errors name the field as the `proto.recovery.*` member of a world
+    /// configuration.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        require(
+            !self.resync || self.resync_ttl >= 1,
+            "proto.recovery.resync_ttl",
+            "must be at least 1 hop",
+        )?;
         if self.acked_delivery {
-            assert!(self.retx_cap >= 1, "retransmit queue needs capacity");
-            assert!(
+            require(
+                self.retx_cap >= 1,
+                "proto.recovery.retx_cap",
+                "must be at least 1 (the retransmit queue needs capacity)",
+            )?;
+            require(
                 !self.retx_timeout.is_zero(),
-                "retransmit timeout must be positive"
-            );
-            assert!(
+                "proto.recovery.retx_timeout",
+                "must be positive",
+            )?;
+            require(
                 self.retx_attempts >= 1,
-                "acked delivery needs at least one retransmission"
-            );
+                "proto.recovery.retx_attempts",
+                "must be at least 1",
+            )?;
         }
+        Ok(())
     }
 }
 
@@ -413,20 +419,20 @@ mod tests {
     fn default_config_is_off_and_valid() {
         let cfg = RecoveryConfig::default();
         assert!(!cfg.enabled());
-        cfg.validate();
+        assert_eq!(cfg.check(), Ok(()));
         let on = RecoveryConfig::on();
         assert!(on.enabled() && on.resync && on.acked_delivery && on.handover);
-        on.validate();
+        assert_eq!(on.check(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "retransmit queue needs capacity")]
-    fn validate_rejects_zero_retx_cap() {
+    fn check_rejects_zero_retx_cap() {
         let cfg = RecoveryConfig {
             retx_cap: 0,
             ..RecoveryConfig::on()
         };
-        cfg.validate();
+        let e = cfg.check().unwrap_err();
+        assert_eq!(e.field, "proto.recovery.retx_cap");
     }
 
     #[test]

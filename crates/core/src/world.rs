@@ -19,7 +19,8 @@ use mp2p_net::{
     NetTimer, RouteControl, Topology, TopologyBuilder, TopologyScratch,
 };
 use mp2p_sim::{
-    EventQueue, FastMap, ItemId, NodeId, PerfReport, Profiler, SimDuration, SimRng, SimTime,
+    relate, require, ConfigError, EventQueue, FastMap, ItemId, NodeId, PerfReport, Profiler,
+    SimDuration, SimRng, SimTime,
 };
 use mp2p_trace::{BlameCause, FrameFateKind, LevelTag, NullSink, ServedBy, TraceEvent, TraceSink};
 
@@ -127,7 +128,7 @@ pub enum WorkloadMode {
 }
 
 /// Full scenario configuration. Defaults mirror Table 1 of the paper.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorldConfig {
     /// `N_Peers`: number of mobile hosts (50).
     pub n_peers: usize,
@@ -259,44 +260,117 @@ impl WorldConfig {
         cfg
     }
 
-    /// Validates parameter sanity.
+    /// Checks that the event loop can run this configuration. Every
+    /// rule a parameter must satisfy, by itself or against another, lives
+    /// here (and in the `check` of the member configurations) and nowhere
+    /// else: front ends build the configuration first and check the
+    /// result, so a rule sees the value the model receives — an interval
+    /// that rounded to 0 ms, not the `0.0001` it was typed as.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        require(self.n_peers >= 2, "n_peers", "must be at least 2")?;
+        // CacheStore::new(0) is unreachable past this rule.
+        require(self.c_num >= 1, "c_num", "must be at least 1")?;
+        let foreign = self.n_peers - 1;
+        let reason = format!("must be below the number of foreign items ({foreign})");
+        relate(self.c_num < self.n_peers, "c_num", "n_peers", reason)?;
+        let reach = self.range > 0.0 && self.range.is_finite();
+        require(reach, "range", "must be positive")?;
+        // The neighbour search keeps a counter per range-sized cell.
+        let cells = (self.terrain.width() / self.range).ceil()
+            * (self.terrain.height() / self.range).ceil();
+        let reason = format!("must hold at most {MAX_CELLS} cells of range by range");
+        relate(cells <= MAX_CELLS, "terrain", "range", reason)?;
+        let reason = "must end before sim_time does";
+        relate(self.warmup < self.sim_time, "warmup", "sim_time", reason)?;
+        // Arrival streams draw exponential gaps around these means and
+        // tickers re-arm by these periods: none may be 0 ms.
+        let epoch = match self.mobility {
+            MobilityKind::Walk { epoch, .. } => Some(epoch),
+            _ => None,
+        };
+        for (field, period) in [
+            ("i_update", Some(self.i_update)),
+            ("i_query", Some(self.i_query)),
+            ("i_write", self.i_write),
+            ("i_switch", self.i_switch),
+            ("switch_off_mean", Some(self.switch_off_mean)),
+            ("sample_period", Some(self.sample_period)),
+            ("topology_refresh", Some(self.topology_refresh)),
+            ("mobility.epoch", epoch),
+        ] {
+            require(period != Some(SimDuration::ZERO), field, "must be positive")?;
+        }
+        let loss = self.link.loss_prob;
+        require(
+            (0.0..=1.0).contains(&loss),
+            "link.loss_prob",
+            "must be in [0,1]",
+        )?;
+        require(self.battery_mj > 0.0, "battery_mj", "must be positive")?;
+        // Speeds stay inside SPEED_RANGE_MPS in every model so that no leg
+        // lasts 0 ms (the trajectory would never advance) or longer than
+        // the clock can count; a street block is at least a metre and
+        // fits the terrain.
+        let speed = |field, v: f64| {
+            let rule = "must be a speed of 0.001 to 1000 m/s";
+            require(SPEED_RANGE_MPS.contains(&v), field, rule)
+        };
+        match self.mobility {
+            MobilityKind::Waypoint {
+                speed_min: min,
+                speed_max: max,
+                ..
+            }
+            | MobilityKind::Walk {
+                speed_min: min,
+                speed_max: max,
+                ..
+            } => {
+                speed("mobility.speed_min", min)?;
+                speed("mobility.speed_max", max)?;
+                let (field, other) = ("mobility.speed_min", "mobility.speed_max");
+                relate(
+                    min <= max,
+                    field,
+                    other,
+                    "must not exceed mobility.speed_max",
+                )?;
+            }
+            MobilityKind::Manhattan { block, speed: v } => {
+                speed("mobility.speed", v)?;
+                let side = self.terrain.width().min(self.terrain.height());
+                let rule = "must be at least 1 m and fit the terrain's shorter side";
+                require((1.0..=side).contains(&block), "mobility.block", rule)?;
+            }
+            MobilityKind::Stationary => {}
+        }
+        self.proto.check()?;
+        self.faults.check(self.n_peers)?;
+        self.observatory.check()
+    }
+
+    /// [`Self::check`] for callers that treat a bad configuration as a
+    /// bug ([`World::new`] is one).
     ///
     /// # Panics
     ///
-    /// Panics on impossible scenarios (no peers, cache larger than the
-    /// foreign catalogue, warmup past the run, …).
+    /// Panics with the [`ConfigError`] of the first broken rule (no
+    /// peers, cache larger than the foreign catalogue, warmup past the
+    /// run, …).
     pub fn validate(&self) {
-        assert!(self.n_peers >= 2, "need at least two peers");
-        assert!(self.c_num >= 1, "need at least one cache slot");
-        assert!(
-            self.c_num < self.n_peers,
-            "C_Num ({}) must be below the number of foreign items ({})",
-            self.c_num,
-            self.n_peers - 1
-        );
-        assert!(
-            self.warmup < self.sim_time,
-            "warmup must end before the run does"
-        );
-        assert!(
-            self.range > 0.0 && self.range.is_finite(),
-            "radio range must be positive"
-        );
-        assert!(self.battery_mj > 0.0, "battery capacity must be positive");
-        assert!(
-            !self.sample_period.is_zero(),
-            "sample period must be positive"
-        );
-        assert!(
-            !self.topology_refresh.is_zero(),
-            "topology refresh must be positive"
-        );
-        self.proto.validate();
-        self.faults.validate(self.n_peers);
-        self.observatory.validate();
-        self.provenance.validate();
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 }
+
+/// The largest spatial hash a world may need (2^24 cells, 64 MB of
+/// counters): what bounds terrain against radio range.
+const MAX_CELLS: f64 = 16_777_216.0;
+
+/// Speeds every mobility model accepts, in m/s: from a millimetre a
+/// second to a kilometre a second.
+const SPEED_RANGE_MPS: std::ops::RangeInclusive<f64> = 0.001..=1_000.0;
 
 /// Strategy dispatch without trait objects (keeps the world `Clone`-free
 /// and the dispatch static).
@@ -1068,7 +1142,7 @@ impl World {
                 },
             };
             self.tracer.record(self.now, &event);
-            if self.cfg.provenance.frames {
+            if self.cfg.provenance.enabled() {
                 if let Some((origin, seq, kind)) = fate {
                     self.note_frame_fate(node, origin, seq, kind);
                 }
@@ -1079,7 +1153,7 @@ impl World {
 
     /// Journals one frame's terminal fate at `node` (provenance only).
     fn note_frame_fate(&mut self, node: NodeId, origin: NodeId, seq: u64, fate: FrameFateKind) {
-        if self.cfg.provenance.frames {
+        if self.cfg.provenance.enabled() {
             self.trace(TraceEvent::FrameFate {
                 node,
                 origin,
@@ -1832,7 +1906,7 @@ impl World {
             dest,
             span: frame_span(frame),
         });
-        if self.cfg.provenance.frames {
+        if self.cfg.provenance.enabled() {
             let (origin, seq) = frame.provenance();
             if frame.hops() == 0 {
                 // The origin's own transmission: the frame is born here.
@@ -2107,7 +2181,7 @@ impl World {
                 CtxOut::CopyInstalled { item, version } => {
                     // Lineage exists only for copies that arrived on a
                     // frame; timer-driven or loopback installs have none.
-                    if self.cfg.provenance.lineage {
+                    if self.cfg.provenance.enabled() {
                         if let Some((origin, seq, hops)) = rx_frame {
                             self.trace(TraceEvent::CopyLineage {
                                 node: id,
@@ -2633,6 +2707,78 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), labels.len());
+    }
+
+    /// Every rule of `check`, broken one at a time: the error names the
+    /// field (and, for a rule between two, the other one) and nothing
+    /// panics — including the values that used to reach an assertion or a
+    /// never-ending loop inside a model.
+    #[test]
+    fn check_names_the_field_of_every_broken_rule() {
+        type Break = fn(&mut WorldConfig);
+        fn manhattan(block: f64, speed: f64) -> MobilityKind {
+            MobilityKind::Manhattan { block, speed }
+        }
+        fn walk(speed_min: f64, speed_max: f64, epoch_ms: u64) -> MobilityKind {
+            let epoch = SimDuration::from_millis(epoch_ms);
+            MobilityKind::Walk {
+                speed_min,
+                speed_max,
+                epoch,
+            }
+        }
+        let cases: [(&str, Option<&str>, Break); 24] = [
+            ("terrain", Some("range"), |c| {
+                c.terrain = Terrain::new(1e300, 1.0)
+            }),
+            ("terrain", Some("range"), |c| c.range = 1e-3),
+            ("n_peers", None, |c| c.n_peers = 1),
+            ("c_num", None, |c| c.c_num = 0),
+            ("c_num", Some("n_peers"), |c| c.c_num = c.n_peers),
+            ("range", None, |c| c.range = 0.0),
+            ("range", None, |c| c.range = f64::NAN),
+            ("warmup", Some("sim_time"), |c| c.warmup = c.sim_time),
+            ("i_query", None, |c| c.i_query = SimDuration::ZERO),
+            ("i_update", None, |c| c.i_update = SimDuration::ZERO),
+            ("i_write", None, |c| c.i_write = Some(SimDuration::ZERO)),
+            ("i_switch", None, |c| c.i_switch = Some(SimDuration::ZERO)),
+            ("sample_period", None, |c| {
+                c.sample_period = SimDuration::ZERO
+            }),
+            ("link.loss_prob", None, |c| c.link.loss_prob = 1.5),
+            ("battery_mj", None, |c| c.battery_mj = 0.0),
+            ("mobility.epoch", None, |c| c.mobility = walk(1.0, 2.0, 0)),
+            ("mobility.speed_min", None, |c| {
+                c.mobility = walk(1e-300, 2.0, 1)
+            }),
+            ("mobility.speed_max", None, |c| {
+                c.mobility = walk(1.0, f64::INFINITY, 1)
+            }),
+            ("mobility.speed_min", Some("mobility.speed_max"), |c| {
+                c.mobility = walk(3.0, 1.0, 1)
+            }),
+            ("mobility.block", None, |c| {
+                c.mobility = manhattan(1e-9, 8.0)
+            }),
+            ("mobility.block", None, |c| {
+                c.mobility = manhattan(1e308, 8.0)
+            }),
+            ("mobility.speed", None, |c| {
+                c.mobility = manhattan(150.0, 1e308)
+            }),
+            ("proto.ttn", None, |c| c.proto.ttn = SimDuration::ZERO),
+            ("observatory.sample_period", None, |c| {
+                c.observatory = ObservatoryConfig::full(SimDuration::ZERO)
+            }),
+        ];
+        assert_eq!(WorldConfig::paper_default(1).check(), Ok(()));
+        for (field, related, break_it) in cases {
+            let mut cfg = WorldConfig::paper_default(1);
+            cfg.mobility = walk(1.0, 2.0, 60_000);
+            break_it(&mut cfg);
+            let e = cfg.check().expect_err(field);
+            assert_eq!((e.field, e.related), (field, related), "{e}");
+        }
     }
 
     #[test]

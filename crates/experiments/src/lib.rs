@@ -32,6 +32,7 @@ pub mod analyze;
 mod check;
 pub mod cli;
 mod figures;
+pub mod keys;
 pub mod matrix;
 pub mod paper;
 pub mod perf;
@@ -57,7 +58,7 @@ pub use matrix::{
 };
 pub use perf::{bench_config, bench_terrain, AREA_PER_PEER_M2};
 pub use report::{render_series_table, render_table, write_csv};
-pub use scenario::{GateFloors, MobilitySpec, Scenario, ScenarioError, SCENARIO_SCHEMA};
+pub use scenario::{GateFloors, Scenario, ScenarioError, SCENARIO_SCHEMA};
 pub use sweep::{
     extended_strategies, paper_strategies, run_parallel, sweep, MeasuredPoint, RunOptions, Series,
     StrategySpec,

@@ -140,9 +140,9 @@ impl MatrixCell {
             scenario: scenario.name.clone(),
             strategy: strategy_token(strategy).to_owned(),
             seed,
-            peers: scenario.peers as u64,
-            sim_ms: secs_to_ms(scenario.sim_secs),
-            warmup_ms: secs_to_ms(scenario.warmup_secs),
+            peers: scenario.world.n_peers as u64,
+            sim_ms: scenario.world.sim_time.as_millis(),
+            warmup_ms: scenario.world.warmup.as_millis(),
             traffic_per_min: report.traffic_per_minute(),
             transmissions: report.traffic.transmissions(),
             bytes: report.traffic.bytes(),
@@ -256,10 +256,6 @@ impl MatrixCell {
             events_per_sec: f64_field("events_per_sec")?,
         })
     }
-}
-
-fn secs_to_ms(secs: f64) -> u64 {
-    (secs * 1000.0).round() as u64
 }
 
 /// The fleet scorecard: every cell of one matrix sweep, in sweep order
@@ -603,8 +599,8 @@ impl Options {
             for s in &mut scenarios {
                 s.strategies.truncate(2);
                 s.seeds.truncate(1);
-                s.sim_secs = SimDuration::from_mins(6).as_secs_f64();
-                s.warmup_secs = SimDuration::from_secs(90).as_secs_f64();
+                s.world.sim_time = SimDuration::from_mins(6);
+                s.world.warmup = SimDuration::from_secs(90);
             }
         }
         Ok(scenarios)

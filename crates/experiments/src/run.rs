@@ -34,21 +34,26 @@
 //! layer off, report and journal bytes are those of a build without it;
 //! the journal's schema tier follows from the layers that are on.
 //!
+//! World-shaping flags are rows of the run-key table ([`keys::TABLE`],
+//! shared with scenario files): this module applies the rows whose flag
+//! was given and leaves every range to [`WorldConfig::check`]. Only what
+//! is a convenience of this front end lives here — `--full`, the
+//! `--cache` clamp for small peer counts, `--sample-secs` needing
+//! `--consistency`, and feeding the compound `--mobility MODEL[:P...]`
+//! token to the mobility rows.
+//!
 //! Every report is checked against [`check_report`]; a violation exits 1.
 
 use std::path::{Path, PathBuf};
 
 use mp2p_metrics::MessageClass;
-use mp2p_rpcc::{
-    LevelMix, ObservatoryConfig, ProvenanceConfig, RecoveryConfig, RoutingMode, RunReport,
-    WorkloadMode, World, WorldConfig,
-};
-use mp2p_sim::SimDuration;
+use mp2p_rpcc::{ConfigError, LevelMix, MobilityKind, RunReport, World, WorldConfig};
 use mp2p_trace::bridge::{RegistrySink, DEFAULT_WINDOW};
 use mp2p_trace::{BlameCause, EventKind, JsonlSink, SummarySink, TeeSink, TraceSink};
 
 use crate::check::check_report;
-use crate::cli::{self, non_negative, positive, Args, Spec};
+use crate::cli::{self, Args, Spec};
+use crate::keys::{self, Reject, Value};
 use crate::report::render_table;
 use crate::sweep::{RunOptions, StrategySpec};
 
@@ -108,14 +113,11 @@ pub struct RunPlan {
     pub profile: bool,
 }
 
-/// The one flags → [`WorldConfig`] mapping: Table 1 defaults at the
-/// quick horizon, overridden flag by flag, every value range-checked so
-/// that [`WorldConfig::validate`] cannot panic on command-line input.
+/// The flags → [`WorldConfig`] mapping: Table 1 at the quick (or
+/// `--full`) horizon, then every row of [`keys::TABLE`] whose flag was
+/// given, then [`WorldConfig::check`] — so the configuration a plan
+/// carries cannot fail [`WorldConfig::validate`].
 pub fn world_config(args: &Args) -> Result<WorldConfig, String> {
-    let secs = |name: &str| -> Result<Option<SimDuration>, String> {
-        let v = args.get(name, "a positive number of seconds", positive)?;
-        Ok(v.map(SimDuration::from_secs_f64))
-    };
     let mut cfg = WorldConfig::paper_default(42);
     let horizon = if args.flag("--full") {
         RunOptions::full()
@@ -125,92 +127,107 @@ pub fn world_config(args: &Args) -> Result<WorldConfig, String> {
     cfg.sim_time = horizon.sim_time;
     cfg.warmup = horizon.warmup;
 
-    if let Some(v) = args.get("--peers", "an integer >= 2", |n: &usize| *n >= 2)? {
-        cfg.n_peers = v;
-    }
-    if let Some(v) = args.get("--cache", "an integer >= 1", |n: &usize| *n >= 1)? {
-        cfg.c_num = v;
-    }
-    if let Some(side) = args.get("--terrain", "a positive side in metres", positive)? {
-        cfg.terrain = mp2p_mobility::Terrain::new(side, side);
-    }
-    if let Some(v) = args.get("--range", "a positive range in metres", positive)? {
-        cfg.range = v;
-    }
-    if let Some(v) = args.value_of("--mobility") {
-        cfg.mobility = cli::parse_mobility(v)?;
-    }
-    if let Some(v) = args.get("--sim", "a positive number of minutes", positive)? {
-        cfg.sim_time = SimDuration::from_secs_f64(v * 60.0);
-    }
-    if let Some(v) = args.get("--warmup", "a non-negative number of minutes", non_negative)? {
-        cfg.warmup = SimDuration::from_secs_f64(v * 60.0);
-    }
-    if cfg.warmup >= cfg.sim_time {
-        return Err(format!(
-            "--warmup ({}) must end before --sim ({}) does",
-            cfg.warmup, cfg.sim_time
-        ));
-    }
-    if let Some(v) = secs("--update-secs")? {
-        cfg.i_update = v;
-    }
-    if let Some(v) = secs("--query-secs")? {
-        cfg.i_query = v;
-    }
-    cfg.i_write = secs("--write-secs")?;
-    if let Some(v) = args.get("--ttl", "a hop count in 1..=255", |t: &u8| *t >= 1)? {
-        cfg.proto.invalidation_ttl = v;
-    }
-    let probability = |p: &f64| (0.0..=1.0).contains(p);
-    if let Some(v) = args.get("--loss", "a probability in [0,1]", probability)? {
-        cfg.link.loss_prob = v;
-    }
-    if let Some(v) = args.get("--relay-cap", "an integer >= 1", |n: &usize| *n >= 1)? {
-        cfg.proto.max_relays_per_item = Some(v);
-    }
-    if let Some(v) = args.get("--seed", "a non-negative integer", |_: &u64| true)? {
-        cfg.seed = v;
-    }
-    if args.flag("--no-churn") {
-        cfg.i_switch = None;
-    }
-    if args.flag("--oracle-routing") {
-        cfg.routing = RoutingMode::Oracle;
-    }
-    if args.flag("--adaptive") {
-        cfg.proto.adaptive = true;
-    }
-    if args.flag("--single-item") {
-        cfg.workload = WorkloadMode::SingleItem;
-    }
-    if args.flag("--hardened") {
-        cfg.proto = cfg.proto.hardened();
-    }
-    if args.flag("--recovery") {
-        cfg.proto.recovery = RecoveryConfig::on();
-    }
-    if args.flag("--consistency") {
-        let period = secs("--sample-secs")?.unwrap_or(SimDuration::from_secs(30));
-        cfg.observatory = ObservatoryConfig::full(period);
-    } else if args.flag("--sample-secs") {
+    if args.flag("--sample-secs") && !args.flag("--consistency") {
         return Err("--sample-secs only makes sense together with --consistency".into());
     }
-    if args.flag("--provenance") {
-        cfg.provenance = ProvenanceConfig::full();
+    for row in &keys::TABLE {
+        let Some(flag) = row.flag.filter(|flag| args.flag(flag)) else {
+            continue;
+        };
+        let value = match args.value_of(flag) {
+            Some(text) => Value::Arg(text.to_owned()),
+            None => Value::Bool(true),
+        };
+        (row.set)(&mut cfg, &value).map_err(|why| match why {
+            Reject::Unknown(msg) => msg,
+            _ => expects(flag, row, args),
+        })?;
     }
-    // Resolved after --sim so the preset windows scale to the actual run.
-    if let Some(v) = args.value_of("--faults") {
-        cfg.faults = cli::parse_faults(v, cfg.sim_time)?;
+    if args.flag("--mobility") {
+        apply_mobility(&mut cfg, args)?;
     }
-    // A small peer count with the default C_Num would fail validation;
+    // A small peer count with the default C_Num would fail the check;
     // clamp to the foreign-catalogue size and say so.
-    if cfg.c_num >= cfg.n_peers {
+    if cfg.c_num >= cfg.n_peers && cfg.n_peers >= 2 {
         let clamped = cfg.n_peers - 1;
         eprintln!("note: clamping cache size to {clamped} (only {clamped} foreign items exist)");
         cfg.c_num = clamped;
     }
+    cfg.check().map_err(|e| usage_error(&e, &cfg, args))?;
     Ok(cfg)
+}
+
+fn expects(flag: &str, row: &keys::Row, args: &Args) -> String {
+    let text = args.value_of(flag).unwrap_or_default();
+    format!("{flag} expects {}, got {text:?}", row.expects)
+}
+
+/// Applies a `--mobility MODEL[:P...]` token through the `[mobility]`
+/// rows: the model's, then the parameters, in order, to the rows that
+/// model has.
+fn apply_mobility(cfg: &mut WorldConfig, args: &Args) -> Result<(), String> {
+    let token = args.value_of("--mobility").unwrap_or_default();
+    let (model, params) = cli::split_mobility(token);
+    let in_section = |row: &&keys::Row| row.file.is_some_and(|f| f.section == "mobility");
+    let mut rows = keys::TABLE.iter().filter(in_section);
+    let model_row = rows.next().expect("the model row leads its section");
+    (model_row.set)(cfg, &Value::Arg(model.to_owned())).map_err(|why| match why {
+        Reject::Unknown(msg) => msg,
+        _ => format!("--mobility expects a model, got {token:?}"),
+    })?;
+    let slots: Vec<_> = rows.filter(|row| (row.get)(cfg).is_some()).collect();
+    if params.len() > slots.len() {
+        let (most, got) = (slots.len(), params.len());
+        return Err(format!(
+            "mobility model {model:?} takes at most {most} parameters, got {got}"
+        ));
+    }
+    for (row, text) in slots.iter().zip(params) {
+        let value = Value::Arg(text.to_owned());
+        (row.set)(cfg, &value).map_err(|_| expects("--mobility", row, args))?;
+    }
+    Ok(())
+}
+
+/// Words a rule of [`WorldConfig::check`] as a usage error naming the
+/// flag that set the offending field.
+fn usage_error(e: &ConfigError, cfg: &WorldConfig, args: &Args) -> String {
+    let token = args.value_of("--mobility").unwrap_or_default();
+    match (e.field, e.related, cfg.mobility) {
+        ("warmup", Some(_), _) => {
+            let (warmup, sim) = (cfg.warmup, cfg.sim_time);
+            return format!("--warmup ({warmup}) must end before --sim ({sim}) does");
+        }
+        (
+            "mobility.speed_min",
+            Some(_),
+            MobilityKind::Waypoint {
+                speed_min: min,
+                speed_max: max,
+                ..
+            }
+            | MobilityKind::Walk {
+                speed_min: min,
+                speed_max: max,
+                ..
+            },
+        ) => {
+            let model = cli::split_mobility(token).0;
+            return format!("mobility model {model:?} needs MIN <= MAX speed, got {min} > {max}");
+        }
+        _ => {}
+    }
+    let rows = keys::TABLE.iter().filter(|row| row.field == e.field);
+    let given = |row: &keys::Row| match (row.flag, row.file) {
+        (Some(flag), _) => args.flag(flag).then(|| expects(flag, row, args)),
+        (None, Some(f)) if f.section == "mobility" => args
+            .flag("--mobility")
+            .then(|| expects("--mobility", row, args)),
+        _ => None,
+    };
+    rows.filter_map(given)
+        .next()
+        .unwrap_or_else(|| e.to_string())
 }
 
 /// Opens the flight-recorder journal of a run of `cfg` at the schema
@@ -570,9 +587,142 @@ pub fn command(argv: &[String]) -> Result<bool, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mp2p_sim::SimDuration;
 
     fn argv(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn mobility_tokens_with_and_without_parameters() {
+        let mobility = |token: &str| {
+            RunPlan::parse(&argv(&["--mobility", token])).map(|plan| plan.cfg.mobility)
+        };
+        assert_eq!(
+            mobility("manhattan").unwrap(),
+            MobilityKind::Manhattan {
+                block: 150.0,
+                speed: 8.0
+            }
+        );
+        assert_eq!(
+            mobility("manhattan:100:12.5").unwrap(),
+            MobilityKind::Manhattan {
+                block: 100.0,
+                speed: 12.5
+            }
+        );
+        assert_eq!(
+            mobility("waypoint:1:3:0").unwrap(),
+            MobilityKind::Waypoint {
+                speed_min: 1.0,
+                speed_max: 3.0,
+                max_pause: SimDuration::ZERO,
+            }
+        );
+        assert_eq!(mobility("stationary").unwrap(), MobilityKind::Stationary);
+        for bad in [
+            "stationary:1",
+            "manhattan:1:2:3",
+            "manhattan:fast",
+            "manhattan:0",
+            "manhattan:1e-9:8",
+            "manhattan:2000",
+            "manhattan:1e308:1e308",
+            "walk:1:2:0",
+            "walk:1:2:0.0001",
+            "waypoint:3:1",
+            "waypoint:5",
+            "walk:-1",
+            "walk:inf",
+            "walk:1e-300:1",
+            "teleport",
+        ] {
+            let err = mobility(bad).unwrap_err();
+            let first = err.lines().next().unwrap_or_default();
+            assert!(
+                first.contains("mobility") && first.contains(bad.split(':').next().unwrap()),
+                "{bad:?} must be rejected naming the flag and the token: {err}"
+            );
+        }
+    }
+
+    /// Flags that shape the plan rather than the world, or (`--mobility`)
+    /// feed several rows at once: the only ones without a row of their own.
+    const RUN_ONLY: [&str; 8] = [
+        "--strategy",
+        "--mix",
+        "--mobility",
+        "--full",
+        "--trace",
+        "--json",
+        "--metrics-out",
+        "--profile",
+    ];
+
+    #[test]
+    fn every_world_flag_is_a_table_row_and_every_row_flag_is_declared() {
+        for (flag, _) in SPEC.flags {
+            let rows: Vec<_> = keys::TABLE
+                .iter()
+                .filter(|r| r.flag == Some(flag))
+                .collect();
+            assert_eq!(rows.len(), usize::from(!RUN_ONLY.contains(flag)), "{flag}");
+        }
+        for flag in keys::TABLE.iter().filter_map(|r| r.flag) {
+            assert!(SPEC.flags.iter().any(|(f, _)| *f == flag), "{flag}");
+        }
+    }
+
+    /// For every row a flag can set: a value inside its range builds a
+    /// plan, and a value one step outside — or not of its type at all —
+    /// is refused in the row's own `expects` words.
+    #[test]
+    fn one_step_outside_a_rows_range_is_refused_in_its_own_words() {
+        let cases: [(&str, &str, &[&str]); 14] = [
+            ("--peers", "12", &["1", "-3", "2.5", "many"]),
+            ("--cache", "1", &["0", "1e3"]),
+            ("--range", "0.5", &["0", "-1", "inf"]),
+            ("--terrain", "400", &["0", "nan"]),
+            ("--sim", "11", &["-1", "1e300", "x"]),
+            ("--warmup", "0", &["-0.5", "1e300"]),
+            ("--query-secs", "0.001", &["0.0001", "0", "1e300"]),
+            ("--update-secs", "0.001", &["1e-9", "-1"]),
+            ("--write-secs", "0.001", &["0.0001", "0"]),
+            ("--ttl", "255", &["0", "256", "-1"]),
+            ("--loss", "1", &["1.0001", "-0.1", "nan"]),
+            ("--relay-cap", "1", &["0", "-1"]),
+            (
+                "--seed",
+                "18446744073709551615",
+                &["-1", "18446744073709551616", "1.5"],
+            ),
+            ("--faults", "hostile", &[]),
+        ];
+        for row in &keys::TABLE {
+            let Some(flag) = row.flag else { continue };
+            let takes_a_value = |(f, metavar): &(&str, &str)| *f == flag && !metavar.is_empty();
+            if flag == "--sample-secs" || !SPEC.flags.iter().any(takes_a_value) {
+                continue; // needs --consistency: below
+            }
+            let (_, good, bad) = cases
+                .iter()
+                .find(|(f, ..)| *f == flag)
+                .unwrap_or_else(|| panic!("no range case for {flag}"));
+            RunPlan::parse(&argv(&[flag, good])).unwrap_or_else(|e| panic!("{flag} {good}: {e}"));
+            for text in *bad {
+                let err = RunPlan::parse(&argv(&[flag, text])).unwrap_err();
+                let want = format!("mp2p run: {flag} expects {}, got {text:?}\n", row.expects);
+                assert!(err.starts_with(&want), "{flag} {text}: {err}");
+            }
+        }
+        RunPlan::parse(&argv(&["--consistency", "--sample-secs", "0.001"])).unwrap();
+        let err = RunPlan::parse(&argv(&["--consistency", "--sample-secs", "0.0001"])).unwrap_err();
+        let want = "mp2p run: --sample-secs expects a positive number of seconds, got \"0.0001\"\n";
+        assert!(err.starts_with(want), "{err}");
+        // The seed keeps all 64 bits on its way through the table.
+        let plan = RunPlan::parse(&argv(&["--seed", "18446744073709551615"])).unwrap();
+        assert_eq!(plan.cfg.seed, u64::MAX);
     }
 
     #[test]

@@ -16,11 +16,18 @@
 //!   `"string"` (`\"` and `\\` escapes), or a `[a, b, c]` array of
 //!   numbers or strings.
 //!
-//! Errors are **line-accurate**: [`Scenario::parse`] reports the first
-//! offending line by number, both for syntax errors and for semantic
-//! ones (unknown keys, values out of range). [`Scenario::to_toml`]
-//! writes the canonical form back; parse → serialise → parse is the
-//! identity (covered by `tests/scenario_corpus.rs`).
+//! The `[world]`, `[mobility]` and `[faults]` keys are not known here by
+//! name: they are the file spellings of the run-key table
+//! ([`crate::keys::TABLE`]), which [`Scenario::parse`] walks to fill a
+//! [`WorldConfig`] and [`Scenario::to_toml`] walks to write the
+//! canonical form back (parse → serialise → parse is the identity,
+//! covered by `tests/scenario_corpus.rs`). What a value may be is decided
+//! by [`WorldConfig::check`] on the configuration the file built, not on
+//! the text.
+//!
+//! Errors are **line-accurate**: syntax errors, unknown keys, values of
+//! the wrong type and every rule `check` reports are mapped back to the
+//! 1-based line of the key that broke it.
 //!
 //! # Example
 //!
@@ -54,18 +61,16 @@
 //! let scenario = Scenario::parse(text).unwrap();
 //! assert_eq!(scenario.name, "demo");
 //! let cfg = scenario.world_config(scenario.strategies[0], 42);
-//! cfg.validate();
+//! assert_eq!(cfg.check(), Ok(()));
 //! ```
 
 use std::path::Path;
 
-use mp2p_mobility::Terrain;
-use mp2p_rpcc::{
-    MobilityKind, ObservatoryConfig, RecoveryConfig, Strategy, WorkloadMode, World, WorldConfig,
-};
-use mp2p_sim::SimDuration;
+use mp2p_net::FaultPlan;
+use mp2p_rpcc::{ConfigError, Strategy, World, WorldConfig};
 
 use crate::cli;
+use crate::keys::{self, Reject, Value};
 
 /// Version tag required in every scenario file (`schema = 1`). Bump on
 /// layout changes so old files are refused instead of misread.
@@ -93,79 +98,6 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// The mobility model of a scenario, with its parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MobilitySpec {
-    /// Random waypoint (speeds m/s, max pause seconds).
-    Waypoint {
-        /// Minimum leg speed (m/s).
-        speed_min: f64,
-        /// Maximum leg speed (m/s).
-        speed_max: f64,
-        /// Maximum pause at each waypoint (s).
-        max_pause_secs: f64,
-    },
-    /// Random walk with reflection.
-    Walk {
-        /// Minimum epoch speed (m/s).
-        speed_min: f64,
-        /// Maximum epoch speed (m/s).
-        speed_max: f64,
-        /// Heading-change period (s).
-        epoch_secs: f64,
-    },
-    /// Street-grid (Manhattan) movement.
-    Manhattan {
-        /// Street-block edge length (m).
-        block_m: f64,
-        /// Constant speed (m/s).
-        speed_mps: f64,
-    },
-    /// No movement.
-    Stationary,
-}
-
-impl MobilitySpec {
-    /// The model token written to / read from the file.
-    pub fn model(&self) -> &'static str {
-        match self {
-            MobilitySpec::Waypoint { .. } => "waypoint",
-            MobilitySpec::Walk { .. } => "walk",
-            MobilitySpec::Manhattan { .. } => "manhattan",
-            MobilitySpec::Stationary => "stationary",
-        }
-    }
-
-    /// The core-config mobility kind this spec selects.
-    pub fn kind(&self) -> MobilityKind {
-        match *self {
-            MobilitySpec::Waypoint {
-                speed_min,
-                speed_max,
-                max_pause_secs,
-            } => MobilityKind::Waypoint {
-                speed_min,
-                speed_max,
-                max_pause: SimDuration::from_secs_f64(max_pause_secs),
-            },
-            MobilitySpec::Walk {
-                speed_min,
-                speed_max,
-                epoch_secs,
-            } => MobilityKind::Walk {
-                speed_min,
-                speed_max,
-                epoch: SimDuration::from_secs_f64(epoch_secs),
-            },
-            MobilitySpec::Manhattan { block_m, speed_mps } => MobilityKind::Manhattan {
-                block: block_m,
-                speed: speed_mps,
-            },
-            MobilitySpec::Stationary => MobilityKind::Stationary,
-        }
-    }
-}
-
 /// Per-scenario absolute quality floors, checked by `mp2p matrix`
 /// against every cell of the scenario. `None` disables the axis.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -179,50 +111,22 @@ pub struct GateFloors {
     pub min_events_per_sec: Option<f64>,
 }
 
-/// One parsed scenario: everything needed to construct the
-/// [`WorldConfig`] of each of its matrix cells.
+/// One parsed scenario: the world its cells share, and the strategies
+/// and seeds that span them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Scenario name (path-safe: `[a-z0-9-]`). Keys matrix cells.
     pub name: String,
     /// One-line human description.
     pub summary: String,
-    /// `N_Peers`.
-    pub peers: usize,
-    /// `C_Num` cache slots per host.
-    pub cache: usize,
-    /// `C_Range` radio range (m).
-    pub range_m: f64,
-    /// Terrain width (m).
-    pub terrain_w_m: f64,
-    /// Terrain height (m).
-    pub terrain_h_m: f64,
-    /// Simulated duration (seconds; the file says `sim_mins`).
-    pub sim_secs: f64,
-    /// Warm-up excluded from metrics (seconds; the file says
-    /// `warmup_mins`).
-    pub warmup_secs: f64,
-    /// `I_Query` mean query interval (s).
-    pub query_secs: f64,
-    /// `I_Update` mean source-update interval (s).
-    pub update_secs: f64,
-    /// `I_Switch` mean churn interval (s); `None` disables churn.
-    pub churn_secs: Option<f64>,
-    /// Workload token: `cached-uniform` or `single-item`.
-    pub workload: String,
-    /// Level-mix token: `sc`, `dc`, `wc` or `hy`.
-    pub mix: String,
-    /// Run with the hardened protocol knobs.
-    pub hardened: bool,
-    /// Run with the self-healing recovery layer.
-    pub recovery: bool,
-    /// Consistency-observatory sample period (s); `None` leaves the
-    /// observatory off (cells then report no blame attribution).
-    pub consistency_sample_secs: Option<f64>,
-    /// Mobility model.
-    pub mobility: MobilitySpec,
-    /// Fault-plan preset name (`none` or a `FaultPlan::PRESETS` entry).
-    pub fault_preset: String,
+    /// The world of every cell: [`WorldConfig::paper_default`] with no
+    /// churn, overridden by the file's `[world]`, `[mobility]` and
+    /// `[faults]` keys — so every knob the format does not capture
+    /// keeps its Table 1 value, which is what makes a scenario
+    /// transcribing the defaults reproduce `mp2p run` byte for byte.
+    /// Strategy and seed are placeholders until
+    /// [`Scenario::world_config`] fills them in.
+    pub world: WorldConfig,
     /// Strategies every seed is swept across.
     pub strategies: Vec<Strategy>,
     /// Seeds every strategy is swept across.
@@ -232,41 +136,16 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Builds the world configuration of one matrix cell.
-    ///
-    /// Starts from [`WorldConfig::paper_default`] so every knob the
-    /// format does not capture keeps its Table 1 value — which is what
-    /// makes a scenario transcribing the defaults reproduce
-    /// `mp2p run`'s output byte for byte.
+    /// Builds the world configuration of one matrix cell. A fault
+    /// preset is re-scaled here, against the horizon the cell actually
+    /// runs (`matrix --smoke` shortens it after parsing).
     pub fn world_config(&self, strategy: Strategy, seed: u64) -> WorldConfig {
-        let mut cfg = WorldConfig::paper_default(seed);
+        let mut cfg = self.world.clone();
         cfg.strategy = strategy;
-        cfg.n_peers = self.peers;
-        cfg.c_num = self.cache;
-        cfg.range = self.range_m;
-        cfg.terrain = Terrain::new(self.terrain_w_m, self.terrain_h_m);
-        cfg.sim_time = SimDuration::from_secs_f64(self.sim_secs);
-        cfg.warmup = SimDuration::from_secs_f64(self.warmup_secs);
-        cfg.i_query = SimDuration::from_secs_f64(self.query_secs);
-        cfg.i_update = SimDuration::from_secs_f64(self.update_secs);
-        cfg.i_switch = self.churn_secs.map(SimDuration::from_secs_f64);
-        cfg.workload = match self.workload.as_str() {
-            "single-item" => WorkloadMode::SingleItem,
-            _ => WorkloadMode::CachedUniform,
-        };
-        cfg.level_mix = cli::parse_mix(&self.mix).expect("mix validated at parse");
-        if self.hardened {
-            cfg.proto = cfg.proto.hardened();
+        cfg.seed = seed;
+        if let Some(rescaled) = FaultPlan::preset(cfg.faults.label, cfg.sim_time) {
+            cfg.faults = rescaled;
         }
-        if self.recovery {
-            cfg.proto.recovery = RecoveryConfig::on();
-        }
-        if let Some(secs) = self.consistency_sample_secs {
-            cfg.observatory = ObservatoryConfig::full(SimDuration::from_secs_f64(secs));
-        }
-        cfg.mobility = self.mobility.kind();
-        cfg.faults = cli::parse_faults(&self.fault_preset, cfg.sim_time)
-            .expect("fault preset validated at parse");
         cfg
     }
 
@@ -326,59 +205,16 @@ impl Scenario {
         if !self.summary.is_empty() {
             let _ = writeln!(s, "summary = {}", quote(&self.summary));
         }
-        s.push_str("\n[world]\n");
-        let _ = writeln!(s, "peers = {}", self.peers);
-        let _ = writeln!(s, "cache = {}", self.cache);
-        let _ = writeln!(s, "range_m = {}", self.range_m);
-        let _ = writeln!(s, "terrain_w_m = {}", self.terrain_w_m);
-        let _ = writeln!(s, "terrain_h_m = {}", self.terrain_h_m);
-        let _ = writeln!(s, "sim_mins = {}", self.sim_secs / 60.0);
-        let _ = writeln!(s, "warmup_mins = {}", self.warmup_secs / 60.0);
-        let _ = writeln!(s, "query_secs = {}", self.query_secs);
-        let _ = writeln!(s, "update_secs = {}", self.update_secs);
-        if let Some(churn) = self.churn_secs {
-            let _ = writeln!(s, "churn_secs = {churn}");
-        }
-        let _ = writeln!(s, "workload = {}", quote(&self.workload));
-        let _ = writeln!(s, "mix = {}", quote(&self.mix));
-        if self.hardened {
-            s.push_str("hardened = true\n");
-        }
-        if self.recovery {
-            s.push_str("recovery = true\n");
-        }
-        if let Some(secs) = self.consistency_sample_secs {
-            let _ = writeln!(s, "consistency_sample_secs = {secs}");
-        }
-        s.push_str("\n[mobility]\n");
-        let _ = writeln!(s, "model = {}", quote(self.mobility.model()));
-        match self.mobility {
-            MobilitySpec::Waypoint {
-                speed_min,
-                speed_max,
-                max_pause_secs,
-            } => {
-                let _ = writeln!(s, "speed_min_mps = {speed_min}");
-                let _ = writeln!(s, "speed_max_mps = {speed_max}");
-                let _ = writeln!(s, "max_pause_secs = {max_pause_secs}");
+        let mut section = "";
+        for row in &keys::TABLE {
+            if let (Some(file), Some(value)) = (row.file, (row.get)(&self.world)) {
+                if file.section != section {
+                    section = file.section;
+                    let _ = writeln!(s, "\n[{section}]");
+                }
+                let _ = writeln!(s, "{} = {}", file.key, render(&value));
             }
-            MobilitySpec::Walk {
-                speed_min,
-                speed_max,
-                epoch_secs,
-            } => {
-                let _ = writeln!(s, "speed_min_mps = {speed_min}");
-                let _ = writeln!(s, "speed_max_mps = {speed_max}");
-                let _ = writeln!(s, "epoch_secs = {epoch_secs}");
-            }
-            MobilitySpec::Manhattan { block_m, speed_mps } => {
-                let _ = writeln!(s, "block_m = {block_m}");
-                let _ = writeln!(s, "speed_mps = {speed_mps}");
-            }
-            MobilitySpec::Stationary => {}
         }
-        s.push_str("\n[faults]\n");
-        let _ = writeln!(s, "preset = {}", quote(&self.fault_preset));
         s.push_str("\n[matrix]\n");
         let tokens: Vec<String> = self
             .strategies
@@ -388,38 +224,28 @@ impl Scenario {
         let _ = writeln!(s, "strategies = [{}]", tokens.join(", "));
         let seeds: Vec<String> = self.seeds.iter().map(u64::to_string).collect();
         let _ = writeln!(s, "seeds = [{}]", seeds.join(", "));
-        let g = &self.gates;
-        if g.min_fresh_fraction.is_some()
-            || g.max_p95_latency_secs.is_some()
-            || g.min_events_per_sec.is_some()
-        {
+        let mut gates = self.gates;
+        let floors = GATES.map(|(key, floor, ..)| (key, *floor(&mut gates)));
+        if floors.iter().any(|(_, floor)| floor.is_some()) {
             s.push_str("\n[gates]\n");
-            if let Some(v) = g.min_fresh_fraction {
-                let _ = writeln!(s, "min_fresh_fraction = {v}");
-            }
-            if let Some(v) = g.max_p95_latency_secs {
-                let _ = writeln!(s, "max_p95_latency_secs = {v}");
-            }
-            if let Some(v) = g.min_events_per_sec {
-                let _ = writeln!(s, "min_events_per_sec = {v}");
+        }
+        for (key, floor) in floors {
+            if let Some(v) = floor {
+                let _ = writeln!(s, "{key} = {v}");
             }
         }
         s
     }
 
     fn from_document(doc: Document) -> Result<Self, ScenarioError> {
-        let mut doc = doc;
-        let schema = doc.require_u64("", "schema")?;
-        if schema.0 != SCENARIO_SCHEMA {
-            return Err(err(
-                schema.1,
-                format!(
-                    "scenario schema {} unsupported (this build speaks {SCENARIO_SCHEMA})",
-                    schema.0
-                ),
-            ));
+        let (schema, schema_line) = doc.require("", "schema", "a number", number)?;
+        if schema != SCENARIO_SCHEMA as f64 {
+            let msg = format!(
+                "scenario schema {schema} unsupported (this build speaks {SCENARIO_SCHEMA})"
+            );
+            return Err(err(schema_line, msg));
         }
-        let (name, name_line) = doc.require_str("", "name")?;
+        let (name, name_line) = doc.require("", "name", "a string", string)?;
         if name.is_empty()
             || !name
                 .bytes()
@@ -430,181 +256,94 @@ impl Scenario {
                 format!("name {name:?} must be non-empty lowercase [a-z0-9-] (it names files)"),
             ));
         }
-        let summary = doc.optional_str("", "summary")?.unwrap_or_default().0;
+        let summary = doc.get("", "summary", "a string", string)?;
+        let summary = summary.unwrap_or_default().0;
 
-        let peers = doc.require_count("world", "peers", 2)?;
-        let cache = doc.require_count("world", "cache", 1)?;
-        if cache.0 >= peers.0 {
-            return Err(err(
-                cache.1,
-                format!(
-                    "cache ({}) must be below the number of foreign items ({})",
-                    cache.0,
-                    peers.0 - 1
-                ),
-            ));
-        }
-        let range_m = doc.require_positive("world", "range_m")?.0;
-        let terrain_w_m = doc.require_positive("world", "terrain_w_m")?.0;
-        let terrain_h_m = doc.require_positive("world", "terrain_h_m")?.0;
-        let sim = doc.require_positive("world", "sim_mins")?;
-        let warmup = doc.require_positive("world", "warmup_mins")?;
-        if warmup.0 >= sim.0 {
-            return Err(err(
-                warmup.1,
-                format!(
-                    "warmup_mins ({}) must end before sim_mins ({}) does",
-                    warmup.0, sim.0
-                ),
-            ));
-        }
-        let query_secs = doc.require_positive("world", "query_secs")?.0;
-        let update_secs = doc.require_positive("world", "update_secs")?.0;
-        let churn_secs = match doc.optional_f64("world", "churn_secs")? {
-            Some((v, line)) => {
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(err(line, format!("churn_secs must be positive, got {v}")));
+        let mut world = WorldConfig::paper_default(0);
+        world.i_switch = None;
+        for row in &keys::TABLE {
+            let Some(file) = row.file else { continue };
+            match doc.find(file.section, file.key) {
+                Some((value, line)) => {
+                    (row.set)(&mut world, value).map_err(|why| {
+                        let msg = match why {
+                            Reject::Type(want) => return wrong_type(file.key, want, value, line),
+                            Reject::Expects => out_of_range(row, value),
+                            Reject::Unknown(msg) => msg,
+                            Reject::Inapplicable => format!(
+                                "key {:?} does not apply in {} with this configuration",
+                                file.key,
+                                Document::section_label(file.section)
+                            ),
+                        };
+                        err(line, msg)
+                    })?;
                 }
-                Some(v)
-            }
-            None => None,
-        };
-        let workload = match doc.optional_str("world", "workload")? {
-            Some((tok, line)) => {
-                if tok != "cached-uniform" && tok != "single-item" {
-                    return Err(err(
-                        line,
-                        format!("unknown workload {tok:?} (cached-uniform|single-item)"),
-                    ));
+                None if file.required && (row.get)(&world).is_some() => {
+                    let label = Document::section_label(file.section);
+                    return Err(err(0, format!("missing key {:?} in {label}", file.key)));
                 }
-                tok
+                None => {}
             }
-            None => "cached-uniform".to_owned(),
-        };
-        let mix = match doc.optional_str("world", "mix")? {
-            Some((tok, line)) => {
-                cli::parse_mix(&tok).map_err(|msg| err(line, msg))?;
-                tok
-            }
-            None => "sc".to_owned(),
-        };
-        let hardened = doc.optional_bool("world", "hardened")?.unwrap_or(false);
-        let recovery = doc.optional_bool("world", "recovery")?.unwrap_or(false);
-        let consistency_sample_secs = match doc.optional_f64("world", "consistency_sample_secs")? {
-            Some((v, line)) => {
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(err(
-                        line,
-                        format!("consistency_sample_secs must be positive, got {v}"),
-                    ));
-                }
-                Some(v)
-            }
-            None => None,
-        };
-
-        let mobility = doc.parse_mobility()?;
-
-        let fault_preset = match doc.optional_str("faults", "preset")? {
-            Some((tok, line)) => {
-                cli::parse_faults(&tok, SimDuration::from_mins(1)).map_err(|msg| err(line, msg))?;
-                tok
-            }
-            None => "none".to_owned(),
-        };
-
-        let (strategy_tokens, strategies_line) = doc.require_str_array("matrix", "strategies")?;
-        if strategy_tokens.is_empty() {
-            return Err(err(strategies_line, "strategies must not be empty".into()));
         }
-        let strategies = strategy_tokens
-            .iter()
-            .map(|t| cli::parse_strategy(t))
+        world.check().map_err(|e| doc.locate(&e, &world))?;
+
+        let (tokens, line) = doc.require("matrix", "strategies", "a string array", strings)?;
+        if tokens.is_empty() {
+            return Err(err(line, "strategies must not be empty".into()));
+        }
+        let strategies = tokens.iter().map(|t| cli::parse_strategy(t));
+        let strategies = strategies
             .collect::<Result<Vec<_>, _>>()
-            .map_err(|msg| err(strategies_line, msg))?;
-        let (seed_nums, seeds_line) = doc.require_num_array("matrix", "seeds")?;
-        if seed_nums.is_empty() {
-            return Err(err(seeds_line, "seeds must not be empty".into()));
+            .map_err(|msg| err(line, msg))?;
+        let (seeds, line) = doc.require("matrix", "seeds", "a number array", numbers)?;
+        if seeds.is_empty() {
+            return Err(err(line, "seeds must not be empty".into()));
         }
-        let seeds = seed_nums
-            .iter()
-            .map(|&n| {
-                if n >= 0.0 && n.fract() == 0.0 && n <= 9.007_199_254_740_992e15 {
-                    Ok(n as u64)
-                } else {
-                    Err(err(
-                        seeds_line,
-                        format!("seed {n} is not a non-negative integer"),
-                    ))
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let seeds = seeds.iter().map(|&n| {
+            if n >= 0.0 && n.fract() == 0.0 && n <= 9.007_199_254_740_992e15 {
+                Ok(n as u64)
+            } else {
+                Err(err(line, format!("seed {n} is not a non-negative integer")))
+            }
+        });
+        let seeds = seeds.collect::<Result<Vec<_>, _>>()?;
 
-        let gates = GateFloors {
-            min_fresh_fraction: match doc.optional_f64("gates", "min_fresh_fraction")? {
-                Some((v, line)) => {
-                    if !(0.0..=1.0).contains(&v) {
-                        return Err(err(
-                            line,
-                            format!("min_fresh_fraction must be in [0,1], got {v}"),
-                        ));
-                    }
-                    Some(v)
+        let mut gates = GateFloors::default();
+        for (key, floor, in_range, expects) in GATES {
+            if let Some((v, line)) = doc.get("gates", key, "a number", number)? {
+                if !in_range(v) {
+                    return Err(err(line, format!("{key} must be {expects}, got {v}")));
                 }
-                None => None,
-            },
-            max_p95_latency_secs: match doc.optional_f64("gates", "max_p95_latency_secs")? {
-                Some((v, line)) => {
-                    if !(v.is_finite() && v > 0.0) {
-                        return Err(err(
-                            line,
-                            format!("max_p95_latency_secs must be positive, got {v}"),
-                        ));
-                    }
-                    Some(v)
-                }
-                None => None,
-            },
-            min_events_per_sec: match doc.optional_f64("gates", "min_events_per_sec")? {
-                Some((v, line)) => {
-                    if !(v.is_finite() && v >= 0.0) {
-                        return Err(err(
-                            line,
-                            format!("min_events_per_sec must be non-negative, got {v}"),
-                        ));
-                    }
-                    Some(v)
-                }
-                None => None,
-            },
-        };
-
-        doc.reject_unused()?;
+                *floor(&mut gates) = Some(v);
+            }
+        }
 
         Ok(Scenario {
             name,
             summary,
-            peers: peers.0,
-            cache: cache.0,
-            range_m,
-            terrain_w_m,
-            terrain_h_m,
-            sim_secs: sim.0 * 60.0,
-            warmup_secs: warmup.0 * 60.0,
-            query_secs,
-            update_secs,
-            churn_secs,
-            workload,
-            mix,
-            hardened,
-            recovery,
-            consistency_sample_secs,
-            mobility,
-            fault_preset,
+            world,
             strategies,
             seeds,
             gates,
         })
+    }
+}
+
+/// A value that is not what its row expects, by type or by range.
+fn out_of_range(row: &keys::Row, value: &Value) -> String {
+    let key = row.file.map_or("", |f| f.key);
+    format!("{key} must be {}, got {}", row.expects, render(value))
+}
+
+/// A value in the canonical TOML form.
+fn render(value: &Value) -> String {
+    match value {
+        Value::Num(n) => n.to_string(),
+        Value::Text(t) | Value::Arg(t) => quote(t),
+        Value::Bool(b) => b.to_string(),
+        Value::Nums(v) => format!("{v:?}"),
+        Value::Texts(v) => format!("{v:?}"),
     }
 }
 
@@ -627,32 +366,83 @@ fn quote(s: &str) -> String {
     out
 }
 
-/// A raw parsed value with its source line.
-#[derive(Debug, Clone, PartialEq)]
-enum RawValue {
-    Num(f64),
-    Str(String),
-    Bool(bool),
-    NumArr(Vec<f64>),
-    StrArr(Vec<String>),
-}
-
-impl RawValue {
-    fn type_name(&self) -> &'static str {
-        match self {
-            RawValue::Num(_) => "number",
-            RawValue::Str(_) => "string",
-            RawValue::Bool(_) => "boolean",
-            RawValue::NumArr(_) => "number array",
-            RawValue::StrArr(_) => "string array",
-        }
+fn type_name(value: &Value) -> &'static str {
+    match value {
+        Value::Num(_) => "number",
+        Value::Text(_) | Value::Arg(_) => "string",
+        Value::Bool(_) => "boolean",
+        Value::Nums(_) => "number array",
+        Value::Texts(_) => "string array",
     }
 }
+
+fn wrong_type(key: &str, want: &str, value: &Value, line: usize) -> ScenarioError {
+    let got = type_name(value);
+    err(line, format!("{key} must be {want}, got a {got}"))
+}
+
+fn number(value: &Value) -> Option<f64> {
+    match value {
+        Value::Num(n) => Some(*n),
+        _ => None,
+    }
+}
+
+fn string(value: &Value) -> Option<String> {
+    match value {
+        Value::Text(t) => Some(t.clone()),
+        _ => None,
+    }
+}
+
+fn numbers(value: &Value) -> Option<Vec<f64>> {
+    match value {
+        Value::Nums(v) => Some(v.clone()),
+        _ => None,
+    }
+}
+
+fn strings(value: &Value) -> Option<Vec<String>> {
+    match value {
+        Value::Texts(v) => Some(v.clone()),
+        _ => None,
+    }
+}
+
+/// One `[gates]` key: the floor it sets, the range it must be in, and
+/// that range in words.
+type Gate = (
+    &'static str,
+    fn(&mut GateFloors) -> &mut Option<f64>,
+    fn(f64) -> bool,
+    &'static str,
+);
+
+const GATES: [Gate; 3] = [
+    (
+        "min_fresh_fraction",
+        |g| &mut g.min_fresh_fraction,
+        |v| (0.0..=1.0).contains(&v),
+        "in [0,1]",
+    ),
+    (
+        "max_p95_latency_secs",
+        |g| &mut g.max_p95_latency_secs,
+        |v| v > 0.0,
+        "positive",
+    ),
+    (
+        "min_events_per_sec",
+        |g| &mut g.min_events_per_sec,
+        |v| v >= 0.0,
+        "non-negative",
+    ),
+];
 
 /// The flat `(section, key) -> (value, line)` form of a scenario file.
 #[derive(Debug)]
 struct Document {
-    /// Entries in file order; `used` marks keys a typed accessor read.
+    /// Entries in file order.
     entries: Vec<Entry>,
 }
 
@@ -660,60 +450,20 @@ struct Document {
 struct Entry {
     section: String,
     key: String,
-    value: RawValue,
+    value: Value,
     line: usize,
-    used: bool,
 }
 
 const SECTIONS: [&str; 6] = ["", "world", "mobility", "faults", "matrix", "gates"];
 
-/// Every key the format knows, per section. Checked at parse time so an
-/// unknown key is reported on its own line even when required keys are
-/// also missing.
-const KNOWN_KEYS: [(&str, &[&str]); 6] = [
-    ("", &["schema", "name", "summary"]),
-    (
-        "world",
-        &[
-            "peers",
-            "cache",
-            "range_m",
-            "terrain_w_m",
-            "terrain_h_m",
-            "sim_mins",
-            "warmup_mins",
-            "query_secs",
-            "update_secs",
-            "churn_secs",
-            "workload",
-            "mix",
-            "hardened",
-            "recovery",
-            "consistency_sample_secs",
-        ],
-    ),
-    (
-        "mobility",
-        &[
-            "model",
-            "speed_min_mps",
-            "speed_max_mps",
-            "max_pause_secs",
-            "epoch_secs",
-            "block_m",
-            "speed_mps",
-        ],
-    ),
-    ("faults", &["preset"]),
-    ("matrix", &["strategies", "seeds"]),
-    (
-        "gates",
-        &[
-            "min_fresh_fraction",
-            "max_p95_latency_secs",
-            "min_events_per_sec",
-        ],
-    ),
+/// The keys outside the run-key table: what identifies the file and
+/// what spans its cells (`[gates]` keys are [`GATES`]).
+const OTHER_KEYS: [(&str, &str); 5] = [
+    ("", "schema"),
+    ("", "name"),
+    ("", "summary"),
+    ("matrix", "strategies"),
+    ("matrix", "seeds"),
 ];
 
 impl Document {
@@ -757,10 +507,11 @@ impl Document {
             {
                 return Err(err(lineno, format!("bad key {key:?}")));
             }
-            let known = KNOWN_KEYS
-                .iter()
-                .find(|(s, _)| *s == section)
-                .is_some_and(|(_, keys)| keys.contains(&key));
+            // Checked here so an unknown key is reported on its own line
+            // even when required keys are also missing.
+            let known = keys::file_row(&section, key).is_some()
+                || OTHER_KEYS.contains(&(section.as_str(), key))
+                || (section == "gates" && GATES.iter().any(|gate| gate.0 == key));
             if !known {
                 return Err(err(
                     lineno,
@@ -779,20 +530,51 @@ impl Document {
                 key: key.to_owned(),
                 value,
                 line: lineno,
-                used: false,
             });
         }
         Ok(Document { entries })
     }
 
-    fn take(&mut self, section: &str, key: &str) -> Option<(&RawValue, usize)> {
+    fn find(&self, section: &str, key: &str) -> Option<(&Value, usize)> {
         self.entries
-            .iter_mut()
+            .iter()
             .find(|e| e.section == section && e.key == key)
-            .map(|e| {
-                e.used = true;
-                (&e.value, e.line)
-            })
+            .map(|e| (&e.value, e.line))
+    }
+
+    /// Words a rule of [`WorldConfig::check`] in the file's spelling, at
+    /// the line that set the offending field. A field by itself out of
+    /// range reads like any other bad value; a rule between two fields
+    /// names both keys, each with the value the file gave it (or the
+    /// default in force where the file gave none).
+    fn locate(&self, e: &ConfigError, world: &WorldConfig) -> ScenarioError {
+        let spelled = |field: &str| {
+            let row = keys::TABLE
+                .iter()
+                .find(|r| r.field == field && r.file.is_some())?;
+            let file = row.file?;
+            let (value, line) = match self.find(file.section, file.key) {
+                Some((value, line)) => (value.clone(), line),
+                None => ((row.get)(world)?, 0),
+            };
+            Some((
+                row,
+                format!("{} ({})", file.key, render(&value)),
+                value,
+                line,
+            ))
+        };
+        let Some((row, named, value, line)) = spelled(e.field) else {
+            return err(0, e.to_string());
+        };
+        let Some(related) = e.related else {
+            return err(line, out_of_range(row, &value));
+        };
+        let reason = match spelled(related) {
+            Some((_, other, ..)) => e.reason.replace(related, &other),
+            None => e.reason.clone(),
+        };
+        err(line, format!("{named} {reason}"))
     }
 
     fn section_label(section: &str) -> String {
@@ -803,233 +585,36 @@ impl Document {
         }
     }
 
-    fn require_f64(&mut self, section: &str, key: &str) -> Result<(f64, usize), ScenarioError> {
-        match self.take(section, key) {
-            Some((RawValue::Num(n), line)) => Ok((*n, line)),
-            Some((other, line)) => Err(err(
-                line,
-                format!("{key} must be a number, got a {}", other.type_name()),
-            )),
-            None => Err(err(
-                0,
-                format!("missing key {key:?} in {}", Self::section_label(section)),
-            )),
-        }
-    }
-
-    fn require_positive(
-        &mut self,
+    /// What `[section] key` holds, as `pick` reads it: `None` when the
+    /// file does not give the key, an error when it holds anything but
+    /// `what`.
+    fn get<T>(
+        &self,
         section: &str,
         key: &str,
-    ) -> Result<(f64, usize), ScenarioError> {
-        let (v, line) = self.require_f64(section, key)?;
-        if !(v.is_finite() && v > 0.0) {
-            return Err(err(line, format!("{key} must be positive, got {v}")));
-        }
-        Ok((v, line))
-    }
-
-    fn require_count(
-        &mut self,
-        section: &str,
-        key: &str,
-        min: usize,
-    ) -> Result<(usize, usize), ScenarioError> {
-        let (v, line) = self.require_f64(section, key)?;
-        if !(v.is_finite() && v >= min as f64 && v.fract() == 0.0 && v <= 1e12) {
-            return Err(err(
-                line,
-                format!("{key} must be an integer >= {min}, got {v}"),
-            ));
-        }
-        Ok((v as usize, line))
-    }
-
-    fn require_u64(&mut self, section: &str, key: &str) -> Result<(u64, usize), ScenarioError> {
-        let (v, line) = self.require_f64(section, key)?;
-        if !(v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= 9.007_199_254_740_992e15) {
-            return Err(err(
-                line,
-                format!("{key} must be a non-negative integer, got {v}"),
-            ));
-        }
-        Ok((v as u64, line))
-    }
-
-    fn optional_f64(
-        &mut self,
-        section: &str,
-        key: &str,
-    ) -> Result<Option<(f64, usize)>, ScenarioError> {
-        match self.take(section, key) {
-            Some((RawValue::Num(n), line)) => Ok(Some((*n, line))),
-            Some((other, line)) => Err(err(
-                line,
-                format!("{key} must be a number, got a {}", other.type_name()),
-            )),
-            None => Ok(None),
-        }
-    }
-
-    fn require_str(&mut self, section: &str, key: &str) -> Result<(String, usize), ScenarioError> {
-        match self.take(section, key) {
-            Some((RawValue::Str(s), line)) => Ok((s.clone(), line)),
-            Some((other, line)) => Err(err(
-                line,
-                format!("{key} must be a string, got a {}", other.type_name()),
-            )),
-            None => Err(err(
-                0,
-                format!("missing key {key:?} in {}", Self::section_label(section)),
-            )),
-        }
-    }
-
-    fn optional_str(
-        &mut self,
-        section: &str,
-        key: &str,
-    ) -> Result<Option<(String, usize)>, ScenarioError> {
-        match self.take(section, key) {
-            Some((RawValue::Str(s), line)) => Ok(Some((s.clone(), line))),
-            Some((other, line)) => Err(err(
-                line,
-                format!("{key} must be a string, got a {}", other.type_name()),
-            )),
-            None => Ok(None),
-        }
-    }
-
-    fn optional_bool(&mut self, section: &str, key: &str) -> Result<Option<bool>, ScenarioError> {
-        match self.take(section, key) {
-            Some((RawValue::Bool(b), _)) => Ok(Some(*b)),
-            Some((other, line)) => Err(err(
-                line,
-                format!("{key} must be true or false, got a {}", other.type_name()),
-            )),
-            None => Ok(None),
-        }
-    }
-
-    fn require_str_array(
-        &mut self,
-        section: &str,
-        key: &str,
-    ) -> Result<(Vec<String>, usize), ScenarioError> {
-        match self.take(section, key) {
-            Some((RawValue::StrArr(v), line)) => Ok((v.clone(), line)),
-            Some((other, line)) => Err(err(
-                line,
-                format!("{key} must be a string array, got a {}", other.type_name()),
-            )),
-            None => Err(err(
-                0,
-                format!("missing key {key:?} in {}", Self::section_label(section)),
-            )),
-        }
-    }
-
-    fn require_num_array(
-        &mut self,
-        section: &str,
-        key: &str,
-    ) -> Result<(Vec<f64>, usize), ScenarioError> {
-        match self.take(section, key) {
-            Some((RawValue::NumArr(v), line)) => Ok((v.clone(), line)),
-            Some((other, line)) => Err(err(
-                line,
-                format!("{key} must be a number array, got a {}", other.type_name()),
-            )),
-            None => Err(err(
-                0,
-                format!("missing key {key:?} in {}", Self::section_label(section)),
-            )),
-        }
-    }
-
-    fn parse_mobility(&mut self) -> Result<MobilitySpec, ScenarioError> {
-        let (model, model_line) = self.require_str("mobility", "model")?;
-        let positive = |doc: &mut Self, key: &str| -> Result<f64, ScenarioError> {
-            doc.require_positive("mobility", key).map(|(v, _)| v)
+        what: &str,
+        pick: fn(&Value) -> Option<T>,
+    ) -> Result<Option<(T, usize)>, ScenarioError> {
+        let Some((value, line)) = self.find(section, key) else {
+            return Ok(None);
         };
-        let spec = match model.as_str() {
-            "waypoint" => {
-                let speed_min = positive(self, "speed_min_mps")?;
-                let speed_max = positive(self, "speed_max_mps")?;
-                if speed_min > speed_max {
-                    return Err(err(
-                        model_line,
-                        format!(
-                            "need speed_min_mps <= speed_max_mps, got {speed_min} > {speed_max}"
-                        ),
-                    ));
-                }
-                // A zero pause is legal (continuous movement): positive
-                // is not required here, only non-negative and finite.
-                let (max_pause_secs, pause_line) =
-                    self.require_f64("mobility", "max_pause_secs")?;
-                if !(max_pause_secs.is_finite() && max_pause_secs >= 0.0) {
-                    return Err(err(
-                        pause_line,
-                        format!("max_pause_secs must be non-negative, got {max_pause_secs}"),
-                    ));
-                }
-                MobilitySpec::Waypoint {
-                    speed_min,
-                    speed_max,
-                    max_pause_secs,
-                }
-            }
-            "walk" => {
-                let speed_min = positive(self, "speed_min_mps")?;
-                let speed_max = positive(self, "speed_max_mps")?;
-                if speed_min > speed_max {
-                    return Err(err(
-                        model_line,
-                        format!(
-                            "need speed_min_mps <= speed_max_mps, got {speed_min} > {speed_max}"
-                        ),
-                    ));
-                }
-                let epoch_secs = positive(self, "epoch_secs")?;
-                MobilitySpec::Walk {
-                    speed_min,
-                    speed_max,
-                    epoch_secs,
-                }
-            }
-            "manhattan" => MobilitySpec::Manhattan {
-                block_m: positive(self, "block_m")?,
-                speed_mps: positive(self, "speed_mps")?,
-            },
-            "stationary" => MobilitySpec::Stationary,
-            other => {
-                return Err(err(
-                    model_line,
-                    format!(
-                        "unknown mobility model {other:?} (waypoint|walk|manhattan|stationary)"
-                    ),
-                ))
-            }
-        };
-        Ok(spec)
+        match pick(value) {
+            Some(picked) => Ok(Some((picked, line))),
+            None => Err(wrong_type(key, what, value, line)),
+        }
     }
 
-    /// A known key no typed accessor consumed belongs to a different
-    /// configuration (e.g. `epoch_secs` under a `manhattan` model) —
-    /// report the first by line.
-    fn reject_unused(&self) -> Result<(), ScenarioError> {
-        match self.entries.iter().find(|e| !e.used) {
-            Some(e) => Err(err(
-                e.line,
-                format!(
-                    "key {:?} does not apply in {} with this configuration",
-                    e.key,
-                    Self::section_label(&e.section)
-                ),
-            )),
-            None => Ok(()),
-        }
+    /// [`Self::get`] for a key every file must give.
+    fn require<T>(
+        &self,
+        section: &str,
+        key: &str,
+        what: &str,
+        pick: fn(&Value) -> Option<T>,
+    ) -> Result<(T, usize), ScenarioError> {
+        let label = Self::section_label(section);
+        self.get(section, key, what, pick)?
+            .ok_or_else(|| err(0, format!("missing key {key:?} in {label}")))
     }
 }
 
@@ -1058,15 +643,15 @@ fn strip_comment(line: &str, lineno: usize) -> Result<&str, ScenarioError> {
 
 /// Parses one value: number, bool, string, or a flat array of numbers
 /// or strings.
-fn parse_value(text: &str, lineno: usize) -> Result<RawValue, ScenarioError> {
+fn parse_value(text: &str, lineno: usize) -> Result<Value, ScenarioError> {
     if text.is_empty() {
         return Err(err(lineno, "missing value after `=`".into()));
     }
     if text == "true" {
-        return Ok(RawValue::Bool(true));
+        return Ok(Value::Bool(true));
     }
     if text == "false" {
-        return Ok(RawValue::Bool(false));
+        return Ok(Value::Bool(false));
     }
     if let Some(inner) = text.strip_prefix('[') {
         let Some(inner) = inner.strip_suffix(']') else {
@@ -1076,25 +661,25 @@ fn parse_value(text: &str, lineno: usize) -> Result<RawValue, ScenarioError> {
         if items.is_empty() {
             // An empty array's element type is ambiguous; every array
             // key in the format requires at least one element anyway.
-            return Ok(RawValue::NumArr(Vec::new()));
+            return Ok(Value::Nums(Vec::new()));
         }
         if items[0].starts_with('"') {
             let strings = items
                 .iter()
                 .map(|item| parse_string(item, lineno))
                 .collect::<Result<Vec<_>, _>>()?;
-            return Ok(RawValue::StrArr(strings));
+            return Ok(Value::Texts(strings));
         }
         let nums = items
             .iter()
             .map(|item| parse_number(item, lineno))
             .collect::<Result<Vec<_>, _>>()?;
-        return Ok(RawValue::NumArr(nums));
+        return Ok(Value::Nums(nums));
     }
     if text.starts_with('"') {
-        return parse_string(text, lineno).map(RawValue::Str);
+        return parse_string(text, lineno).map(Value::Text);
     }
-    parse_number(text, lineno).map(RawValue::Num)
+    parse_number(text, lineno).map(Value::Num)
 }
 
 /// Splits `a, b, c` at top-level commas (commas inside strings kept).
@@ -1194,6 +779,8 @@ fn parse_number(text: &str, lineno: usize) -> Result<f64, ScenarioError> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use mp2p_rpcc::MobilityKind;
+    use mp2p_sim::SimDuration;
 
     /// A minimal valid scenario exercising every section.
     pub(crate) const MINIMAL: &str = r#"
@@ -1234,22 +821,16 @@ min_fresh_fraction = 0.5
     fn minimal_scenario_parses_and_builds_a_valid_world() {
         let s = Scenario::parse(MINIMAL).expect("minimal scenario parses");
         assert_eq!(s.name, "mini");
-        assert_eq!(s.peers, 8);
-        assert_eq!(s.churn_secs, Some(300.0));
-        assert_eq!(
-            s.mobility,
-            MobilitySpec::Manhattan {
-                block_m: 100.0,
-                speed_mps: 8.0
-            }
-        );
-        assert_eq!(s.fault_preset, "bursty");
+        assert_eq!(s.world.n_peers, 8);
+        assert_eq!(s.world.i_switch, Some(SimDuration::from_mins(5)));
+        assert_eq!(s.world.faults.label, "bursty");
         assert_eq!(s.strategies.len(), 3);
         assert_eq!(s.seeds, vec![42, 43]);
         assert_eq!(s.gates.min_fresh_fraction, Some(0.5));
         for &strategy in &s.strategies {
             let cfg = s.world_config(strategy, 42);
-            cfg.validate();
+            assert_eq!(cfg.check(), Ok(()));
+            assert_eq!((cfg.strategy, cfg.seed), (strategy, 42));
             assert_eq!(
                 cfg.mobility,
                 MobilityKind::Manhattan {
@@ -1323,6 +904,181 @@ min_fresh_fraction = 0.5
                 Scenario::parse(&text).is_err(),
                 "should reject {replacement:?}"
             );
+        }
+    }
+
+    /// Every value that used to reach a panic or a hang inside the model
+    /// — or the fault-plan scaler — is a line-accurate error instead.
+    #[test]
+    fn values_the_model_cannot_run_name_their_line() {
+        let walk = "model = \"walk\"\nspeed_min_mps = 1\nspeed_max_mps = 2\nepoch_secs = 0.0001";
+        let manhattan = "model = \"manhattan\"\nblock_m = 100\nspeed_mps = 8";
+        for (needle, replacement, line, wording) in [
+            (
+                "query_secs = 20",
+                "query_secs = 0.0001",
+                14,
+                "query_secs must be a positive number of seconds, got 0.0001",
+            ),
+            (
+                "update_secs = 120",
+                "update_secs = 1e-9",
+                15,
+                "update_secs must be a positive",
+            ),
+            (
+                "churn_secs = 300",
+                "churn_secs = 0.0004",
+                16,
+                "churn_secs must be a positive",
+            ),
+            (
+                "churn_secs = 300",
+                "consistency_sample_secs = 0.0001",
+                16,
+                "consistency_sample_secs must be",
+            ),
+            (
+                "sim_mins = 5",
+                "sim_mins = 1e300",
+                12,
+                "sim_mins must be a positive number of minutes, got 1000",
+            ),
+            (
+                "query_secs = 20",
+                "query_secs = -5",
+                14,
+                "query_secs must be",
+            ),
+            (
+                "peers = 8",
+                "peers = 2.5",
+                7,
+                "peers must be an integer >= 2, got 2.5",
+            ),
+            (
+                manhattan,
+                walk,
+                23,
+                "epoch_secs must be an epoch of 0.001 s or more, got 0.0001",
+            ),
+            (
+                "block_m = 100",
+                "block_m = 1e-9",
+                21,
+                "block_m must be a block edge of 1 m or more",
+            ),
+            (
+                "block_m = 100",
+                "block_m = 501",
+                21,
+                "block_m must be a block edge of 1 m or more that fits the terrain, got 501",
+            ),
+            (
+                "speed_mps = 8",
+                "speed_mps = 1e-300",
+                22,
+                "speed_mps must be a speed of 0.001 to 1000 m/s",
+            ),
+            (
+                "speed_mps = 8",
+                "speed_mps = 1e308",
+                22,
+                "speed_mps must be a speed",
+            ),
+            (
+                "speed_mps = 8",
+                "speed_mps = 8\nepoch_secs = 60",
+                23,
+                "key \"epoch_secs\" does not apply in section [mobility]",
+            ),
+            (
+                "speed_mps = 8",
+                "",
+                0,
+                "missing key \"speed_mps\" in section [mobility]",
+            ),
+            (
+                manhattan,
+                "model = \"walk\"\nspeed_min_mps = 3\nspeed_max_mps = 1\nepoch_secs = 60",
+                21,
+                "speed_min_mps (3) must not exceed speed_max_mps (1)",
+            ),
+        ] {
+            assert!(MINIMAL.contains(needle), "{needle:?}");
+            let e = Scenario::parse(&MINIMAL.replace(needle, replacement)).unwrap_err();
+            assert_eq!(e.line, line, "{replacement:?}: {e}");
+            assert!(e.msg.starts_with(wording), "{replacement:?}: {e}");
+        }
+        // One rule for both front ends: a run may start measuring at once.
+        let s = Scenario::parse(&MINIMAL.replace("warmup_mins = 1", "warmup_mins = 0")).unwrap();
+        assert!(s.world.warmup.is_zero());
+    }
+
+    /// Every file row, set to a value other than the parser's base, shows
+    /// up in the canonical form under its own key and parses back to the
+    /// same configuration; and re-applying what a row reads is a no-op.
+    #[test]
+    fn every_file_row_round_trips_through_the_canonical_form() {
+        let base = Scenario::parse(MINIMAL).unwrap();
+        for row in &keys::TABLE {
+            let paper = WorldConfig::paper_default(7);
+            if let Some(value) = (row.get)(&paper) {
+                let mut again = paper.clone();
+                assert_eq!((row.set)(&mut again, &value), Ok(()), "{}", row.field);
+                assert_eq!(
+                    again, paper,
+                    "set(get) must be the identity on {}",
+                    row.field
+                );
+            }
+            let Some(file) = row.file else { continue };
+            // A model the parameter belongs to, then a non-default value.
+            let mut s = base.clone();
+            for (model, _) in [("waypoint", ()), ("walk", ()), ("manhattan", ())] {
+                if (row.get)(&s.world).is_none() && file.section == "mobility" {
+                    let model_row = keys::file_row("mobility", "model").unwrap();
+                    (model_row.set)(&mut s.world, &Value::Text(model.to_owned())).unwrap();
+                }
+            }
+            let token = match file.key {
+                "workload" => "single-item",
+                "mix" => "hy",
+                "model" => "walk",
+                _ => "crash",
+            };
+            let next = match (row.get)(&s.world) {
+                Some(Value::Num(n)) => n + 1.0,
+                _ => 3.0,
+            };
+            let candidates = [
+                Value::Num(next),
+                Value::Text(token.to_owned()),
+                Value::Bool(true),
+            ];
+            let takes = |v: &&Value| (row.set)(&mut s.world.clone(), v).is_ok();
+            let changed = candidates
+                .iter()
+                .find(takes)
+                .expect("a row takes some type");
+            assert_eq!((row.set)(&mut s.world, changed), Ok(()), "{}", file.key);
+            if s.world.check().is_err() {
+                // The +1 broke a relation (speed_min past speed_max):
+                // raise the other side too.
+                s.world.mobility = MobilityKind::Walk {
+                    speed_min: 1.5,
+                    speed_max: 3.5,
+                    epoch: SimDuration::from_secs(60),
+                };
+            }
+            let toml = s.to_toml();
+            let line = format!(
+                "\n{} = {}\n",
+                file.key,
+                render(&(row.get)(&s.world).unwrap())
+            );
+            assert!(toml.contains(&line), "{} missing from:\n{toml}", file.key);
+            assert_eq!(Scenario::parse(&toml).as_ref(), Ok(&s), "{}", file.key);
         }
     }
 

@@ -54,12 +54,10 @@ fn assert_matches_golden(actual: &str, fixture: &str) {
         )
     });
     if actual != golden {
-        let line = actual
-            .lines()
-            .zip(golden.lines())
-            .position(|(a, g)| a != g)
-            .map_or_else(|| actual.lines().count().min(golden.lines().count()), |i| i)
-            + 1;
+        let shared = actual.lines().count().min(golden.lines().count());
+        let differ = |(a, g): (&str, &str)| a != g;
+        let line = actual.lines().zip(golden.lines()).position(differ);
+        let line = line.unwrap_or(shared) + 1;
         panic!(
             "{fixture} diverges at line {line}:\n  now:    {:?}\n  golden: {:?}",
             actual.lines().nth(line - 1),
@@ -219,7 +217,7 @@ min_fresh_fraction = 0.5
 "#;
 
 /// The bad `mp2p run` inputs of `tests/cli.rs`.
-const BAD_ARGVS: [&str; 17] = [
+const BAD_ARGVS: [&str; 26] = [
     "--warmup 50",
     "--sim 5 --warmup 5",
     "--peers 1",
@@ -237,11 +235,22 @@ const BAD_ARGVS: [&str; 17] = [
     "--mobility walk:3:1",
     "--strategy all --metrics-out m",
     "--strategy rpcc,rpcc",
+    // Panicked or never returned before `WorldConfig::check` existed.
+    "--query-secs 0.0001",
+    "--update-secs 1e-9",
+    "--write-secs 0.0001",
+    "--consistency --sample-secs 0.0001",
+    "--mobility walk:1:2:0.0001",
+    "--mobility manhattan:1e-9:8",
+    "--mobility manhattan:2000",
+    "--sim 1e300",
+    "--terrain 1e300",
 ];
 
 /// The bad scenario edits of `scenario.rs::semantic_bounds_are_enforced`
-/// (needle in [`MINIMAL`] → replacement), plus `warmup_mins = 0`.
-const BAD_EDITS: [(&str, &str); 9] = [
+/// (needle in [`MINIMAL`] → replacement), plus `warmup_mins = 0` and an
+/// interval that rounds to 0 ms.
+const BAD_EDITS: [(&str, &str); 10] = [
     ("peers = 8", "peers = 1"),
     ("cache = 3", "cache = 8"),
     ("warmup_mins = 1", "warmup_mins = 9"),
@@ -254,6 +263,7 @@ const BAD_EDITS: [(&str, &str); 9] = [
     ("model = \"manhattan\"", "model = \"teleport\""),
     ("min_fresh_fraction = 0.5", "min_fresh_fraction = 1.5"),
     ("warmup_mins = 1", "warmup_mins = 0"),
+    ("query_secs = 20", "query_secs = 0.0001"),
 ];
 
 /// The bad files of `scenario.rs::errors_carry_the_offending_line`.

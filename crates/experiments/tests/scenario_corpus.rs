@@ -6,7 +6,7 @@
 
 use std::path::{Path, PathBuf};
 
-use mp2p_experiments::scenario::{MobilitySpec, Scenario};
+use mp2p_experiments::scenario::Scenario;
 use mp2p_rpcc::MobilityKind;
 use proptest::prelude::*;
 
@@ -62,8 +62,7 @@ fn every_corpus_cell_builds_a_valid_world() {
     for s in corpus() {
         for &strategy in &s.strategies {
             for &seed in &s.seeds {
-                // validate() panics on an inconsistent config.
-                s.world_config(strategy, seed).validate();
+                assert_eq!(s.world_config(strategy, seed).check(), Ok(()));
             }
         }
         assert!(!s.strategies.is_empty() && !s.seeds.is_empty());
@@ -77,13 +76,6 @@ fn manhattan_downtown_wires_the_manhattan_model() {
         .iter()
         .find(|s| s.name == "manhattan-downtown")
         .expect("manhattan-downtown is committed");
-    assert_eq!(
-        downtown.mobility,
-        MobilitySpec::Manhattan {
-            block_m: 150.0,
-            speed_mps: 8.0
-        }
-    );
     let cfg = downtown.world_config(downtown.strategies[0], downtown.seeds[0]);
     assert_eq!(
         cfg.mobility,
@@ -112,18 +104,35 @@ fn corrupting_a_committed_file_reports_the_exact_line() {
     assert!(e.msg.contains("peers"), "{e}");
 }
 
+/// Whatever the parser accepts describes, for every cell, a world that
+/// passes `WorldConfig::check`; whatever it rejects points inside the
+/// file.
+fn accepted_or_located(text: &str) {
+    match Scenario::parse(text) {
+        Ok(s) => {
+            for &strategy in &s.strategies {
+                for &seed in &s.seeds {
+                    let cfg = s.world_config(strategy, seed);
+                    assert_eq!(cfg.check(), Ok(()), "accepted:\n{text}");
+                }
+            }
+        }
+        Err(e) => {
+            assert!(
+                e.line <= text.lines().count(),
+                "error line out of range: {e}"
+            );
+        }
+    }
+}
+
 proptest! {
     /// Arbitrary bytes (lossily decoded) never panic the parser —
     /// whatever comes back is a value or a line-accurate error.
     #[test]
     fn arbitrary_bytes_never_panic(input in proptest::collection::vec(0u8..=255, 0..2048)) {
         let text = String::from_utf8_lossy(&input);
-        match Scenario::parse(&text) {
-            Ok(_) => {}
-            Err(e) => {
-                prop_assert!(e.line <= text.lines().count(), "error line out of range: {e}");
-            }
-        }
+        accepted_or_located(&text);
     }
 
     /// Flipping one byte of a valid scenario never panics, and any
@@ -139,12 +148,7 @@ proptest! {
         let pos = (((bytes.len() - 1) as f64) * pos_frac) as usize;
         bytes[pos] = replacement;
         let text = String::from_utf8_lossy(&bytes);
-        match Scenario::parse(&text) {
-            Ok(_) => {}
-            Err(e) => {
-                prop_assert!(e.line <= text.lines().count(), "error line out of range: {e}");
-            }
-        }
+        accepted_or_located(&text);
     }
 
     /// Truncating a valid scenario at any byte offset never panics.
@@ -155,6 +159,6 @@ proptest! {
         let cut = ((canonical.len() as f64) * cut_frac) as usize;
         // Cut on a char boundary (the canonical form is ASCII anyway).
         let cut = (0..=cut).rev().find(|&i| canonical.is_char_boundary(i)).unwrap_or(0);
-        let _ = Scenario::parse(&canonical[..cut]);
+        accepted_or_located(&canonical[..cut]);
     }
 }

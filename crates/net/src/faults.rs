@@ -25,7 +25,7 @@
 //! constructors place them at fixed fractions of the run so the same
 //! preset scales from a 2-minute smoke to a 5-hour soak.
 
-use mp2p_sim::{SimDuration, SimTime};
+use mp2p_sim::{relate, require, ConfigError, SimDuration, SimTime};
 
 use crate::link::GeParams;
 
@@ -234,32 +234,41 @@ impl FaultPlan {
         }
     }
 
-    /// Validates the schedule against a run's shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed probabilities, inverted windows, or a crash
-    /// target outside `0..n_peers`.
-    pub fn validate(&self, n_peers: usize) {
+    /// Checks the schedule against a run's shape: probabilities in
+    /// range, windows the right way round, crash targets inside
+    /// `0..n_peers`. Errors name the field as the `faults.*` member of a
+    /// world configuration.
+    pub fn check(&self, n_peers: usize) -> Result<(), ConfigError> {
         if let Some(ge) = &self.ge {
-            ge.validate();
+            ge.check()?;
         }
-        assert!(
+        require(
             (0.0..=1.0).contains(&self.duplicate_prob),
-            "duplicate_prob must be in [0,1]"
-        );
+            "faults.duplicate_prob",
+            "must be in [0,1]",
+        )?;
         for w in &self.partitions {
-            assert!(w.start < w.heal, "partition must start before it heals");
+            require(
+                w.start < w.heal,
+                "faults.partitions",
+                "must each start before it heals",
+            )?;
         }
         for c in &self.crashes {
-            assert!(c.at < c.recover, "crash must precede its recovery");
-            if let Some(node) = c.node {
-                assert!(
-                    (node as usize) < n_peers,
-                    "crash target {node} outside 0..{n_peers}"
-                );
-            }
+            require(
+                c.at < c.recover,
+                "faults.crashes",
+                "must each precede its recovery",
+            )?;
+            let inside = c.node.is_none_or(|node| (node as usize) < n_peers);
+            relate(
+                inside,
+                "faults.crashes",
+                "n_peers",
+                format!("must target nodes inside 0..{n_peers}"),
+            )?;
         }
+        Ok(())
     }
 }
 
@@ -277,7 +286,7 @@ mod tests {
         let plan = FaultPlan::none();
         assert!(!plan.enabled());
         assert_eq!(plan.label, "none");
-        plan.validate(50);
+        assert_eq!(plan.check(50), Ok(()));
     }
 
     #[test]
@@ -287,7 +296,7 @@ mod tests {
             let plan = FaultPlan::preset(name, sim).expect("known preset");
             assert!(plan.enabled(), "{name} must inject something");
             assert_eq!(plan.label, name);
-            plan.validate(50);
+            assert_eq!(plan.check(50), Ok(()));
         }
         assert!(FaultPlan::preset("no-such", sim).is_none());
     }
@@ -304,19 +313,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "start before it heals")]
-    fn validate_rejects_inverted_partition() {
+    fn check_rejects_inverted_partition() {
         let mut plan = FaultPlan::partition(SimDuration::from_mins(10));
         let w = &mut plan.partitions[0];
         std::mem::swap(&mut w.start, &mut w.heal);
-        plan.validate(10);
+        assert_eq!(plan.check(10).unwrap_err().field, "faults.partitions");
     }
 
     #[test]
-    #[should_panic(expected = "outside")]
-    fn validate_rejects_out_of_range_crash_target() {
+    fn check_rejects_out_of_range_crash_target() {
         let mut plan = FaultPlan::crash(SimDuration::from_mins(10));
         plan.crashes[0].node = Some(99);
-        plan.validate(10);
+        let e = plan.check(10).unwrap_err();
+        assert_eq!((e.field, e.related), ("faults.crashes", Some("n_peers")));
     }
 }

@@ -1,6 +1,6 @@
 //! Per-hop MAC/PHY cost model.
 
-use mp2p_sim::{SimDuration, SimRng};
+use mp2p_sim::{require, ConfigError, SimDuration, SimRng};
 
 /// The cost of one radio transmission hop.
 ///
@@ -123,25 +123,38 @@ pub struct GeParams {
 }
 
 impl GeParams {
-    /// Validates every probability.
+    /// Checks every probability; errors name the field as the
+    /// `faults.ge.*` member of a world configuration.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        for (field, p) in [
+            ("faults.ge.p_good_to_bad", self.p_good_to_bad),
+            ("faults.ge.p_bad_to_good", self.p_bad_to_good),
+            ("faults.ge.loss_good", self.loss_good),
+            ("faults.ge.loss_bad", self.loss_bad),
+        ] {
+            require(
+                (0.0..=1.0).contains(&p),
+                field,
+                format!("must be in [0,1], got {p}"),
+            )?;
+        }
+        require(
+            self.p_bad_to_good > 0.0,
+            "faults.ge.p_bad_to_good",
+            "must be positive or the bad state is absorbing",
+        )
+    }
+
+    /// [`Self::check`] for callers that treat a bad channel as a bug.
     ///
     /// # Panics
     ///
     /// Panics if any probability is outside `[0, 1]` or
     /// `p_bad_to_good` is zero (the bad state would be absorbing).
     pub fn validate(&self) {
-        for (name, p) in [
-            ("p_good_to_bad", self.p_good_to_bad),
-            ("p_bad_to_good", self.p_bad_to_good),
-            ("loss_good", self.loss_good),
-            ("loss_bad", self.loss_bad),
-        ] {
-            assert!((0.0..=1.0).contains(&p), "{name} must be in [0,1], got {p}");
+        if let Err(e) = self.check() {
+            panic!("{e}");
         }
-        assert!(
-            self.p_bad_to_good > 0.0,
-            "p_bad_to_good must be positive or the bad state is absorbing"
-        );
     }
 
     /// Closed-form mean dwell time in the bad state, in trials

@@ -19,6 +19,8 @@
 //!   `D_1..D_n`).
 //! * [`FastMap`] / [`FastSet`] — hash collections on one deterministic
 //!   multiplicative hasher, for the id-keyed per-frame state.
+//! * [`ConfigError`] — the one error every configuration validator
+//!   reports through ([`require`] / [`relate`] build it).
 //! * [`Profiler`] — strictly observational host-side wall-clock
 //!   profiling of the event loop (reads `std::time::Instant`, never
 //!   feeds back into sim state), plus [`QueueStats`] queue telemetry.
@@ -42,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod check;
 mod hash;
 mod ids;
 pub mod profile;
@@ -49,6 +52,7 @@ mod queue;
 mod rng;
 mod time;
 
+pub use check::{relate, require, ConfigError};
 pub use hash::{FastHasher, FastMap, FastSet};
 pub use ids::{ItemId, NodeId};
 pub use profile::{PerfBucket, PerfReport, Profiler};

@@ -109,6 +109,17 @@ impl SimDuration {
         SimDuration((secs * 1_000.0).round() as u64)
     }
 
+    /// [`Self::from_secs_f64`] for seconds that come from outside the
+    /// program: `None` when `secs` is negative, not finite, or too long
+    /// for 64-bit milliseconds (where the cast would saturate silently).
+    pub fn try_from_secs_f64(secs: f64) -> Option<Self> {
+        let ms = (secs * 1_000.0).round();
+        // 2^64 is exact in f64; everything below it fits (NaN is in no range).
+        (0.0..18_446_744_073_709_551_616.0)
+            .contains(&ms)
+            .then_some(SimDuration(ms as u64))
+    }
+
     /// Length in whole milliseconds.
     pub const fn as_millis(self) -> u64 {
         self.0
@@ -239,6 +250,20 @@ mod tests {
         assert_eq!(SimDuration::from_mins(2), SimDuration::from_secs(120));
         assert_eq!(SimDuration::from_hours(5), SimDuration::from_mins(300));
         assert_eq!(SimDuration::from_secs_f64(1.5).as_millis(), 1_500);
+    }
+
+    #[test]
+    fn checked_conversion_refuses_what_does_not_fit() {
+        let ok = SimDuration::try_from_secs_f64;
+        assert_eq!(ok(1.5), Some(SimDuration::from_millis(1_500)));
+        assert_eq!(ok(0.0001), Some(SimDuration::ZERO));
+        assert_eq!(
+            ok(1.8e16).map(SimDuration::as_millis),
+            Some(18_000_000_000_000_000_000)
+        );
+        for bad in [-0.001, f64::NAN, f64::INFINITY, 1.9e16, 1e300] {
+            assert_eq!(ok(bad), None, "{bad}");
+        }
     }
 
     #[test]

@@ -131,7 +131,7 @@ fn run_flags_map_onto_the_world_and_bad_values_are_usage_errors() {
     assert_eq!(plan.cfg.sim_time, SimDuration::from_mins(2));
     assert_eq!(plan.cfg.faults.label, "hostile");
     assert_eq!(plan.strategies[0].name, "RPCC(HY)");
-    plan.cfg.validate();
+    assert_eq!(plan.cfg.check(), Ok(()));
 
     let full = run::RunPlan::parse(&argv(&["--strategy", "all", "--full"])).unwrap();
     assert_eq!(full.cfg.sim_time, SimDuration::from_hours(5));
@@ -155,6 +155,29 @@ fn run_flags_map_onto_the_world_and_bad_values_are_usage_errors() {
         ("--mobility walk:3:1", "MIN <= MAX"),
         ("--strategy all --metrics-out m", "single strategy"),
         ("--strategy rpcc,rpcc", "listed twice"),
+        // Values that reached a panic or a hang inside the model: each
+        // rounds to 0 ms, or is past what the clock or a street can hold.
+        ("--query-secs 0.0001", "--query-secs expects a positive"),
+        ("--update-secs 1e-9", "--update-secs expects a positive"),
+        ("--write-secs 0.0001", "--write-secs expects a positive"),
+        (
+            "--consistency --sample-secs 0.0001",
+            "--sample-secs expects a positive",
+        ),
+        (
+            "--mobility walk:1:2:0.0001",
+            "--mobility expects an epoch of 0.001 s or more",
+        ),
+        (
+            "--mobility manhattan:1e-9:8",
+            "--mobility expects a block edge of 1 m or more",
+        ),
+        (
+            "--mobility manhattan:2000",
+            "--mobility expects a block edge",
+        ),
+        ("--sim 1e300", "--sim expects a positive number of minutes"),
+        ("--terrain 1e300", "--terrain expects a positive side"),
     ] {
         let tokens: Vec<&str> = bad.split(' ').collect();
         let err = run::RunPlan::parse(&argv(&tokens)).unwrap_err();
@@ -428,6 +451,10 @@ fn vocabulary() -> Vec<&'static str> {
         "manhattan:0:0",
         "stationary",
         "manhattan:1e308:1e308",
+        "manhattan:1e-9:8",
+        "walk:1:2:0.0001",
+        "0.0001",
+        "1e-9",
     ]);
     words
 }
@@ -452,7 +479,7 @@ proptest! {
             })
             .collect();
         if let Ok(plan) = run::RunPlan::parse(&argv) {
-            plan.cfg.validate();
+            prop_assert_eq!(plan.cfg.check(), Ok(()));
             prop_assert!(!plan.strategies.is_empty());
         }
         if let Err(msg) = matrix::Options::parse(&argv) {
