@@ -174,7 +174,7 @@ impl ProtocolConfig {
     /// Switches on every hardening extension with its recommended
     /// setting: doubling backoff, 30% retry jitter, a 30-second relay
     /// orphan lease past TTR expiry, and fallback flooding. Used by the
-    /// chaos harness and the `--harden` experiment flag.
+    /// chaos harness and the `--hardened` flag of `mp2p run`.
     #[must_use]
     pub fn hardened(mut self) -> Self {
         self.retry_backoff = 2.0;

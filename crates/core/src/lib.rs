@@ -40,6 +40,7 @@ mod config;
 mod level;
 mod msg;
 mod observatory;
+mod pending;
 mod protocol;
 mod provenance;
 mod pull;

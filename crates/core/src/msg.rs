@@ -234,6 +234,20 @@ impl ProtoMsg {
         }
     }
 
+    /// The item and version an update-propagation message carries, if
+    /// the message is one. These three classes are the only ways a
+    /// strategy moves version knowledge outward from a source or relay;
+    /// everything else (polls, fetches, acks) is demand-driven and not
+    /// "propagation" for blame or provenance purposes.
+    pub(crate) fn propagates(&self) -> Option<(ItemId, u64)> {
+        match *self {
+            ProtoMsg::Invalidation { item, version, .. }
+            | ProtoMsg::Update { item, version, .. }
+            | ProtoMsg::SendNew { item, version, .. } => Some((item, version.get())),
+            _ => None,
+        }
+    }
+
     /// The traffic-accounting class of this message.
     pub fn class(&self) -> MessageClass {
         match self {

@@ -71,18 +71,17 @@ impl ObservatoryConfig {
     }
 }
 
-/// Version-stamped obstruction flags for one `(node, item)` copy. Each
-/// field holds the highest master version whose propagation towards this
-/// node is known to have met that obstruction; the flag *applies* to a
-/// stale serve iff its stamp exceeds the served version (the copy missed
-/// precisely the versions above what it served).
-#[derive(Debug, Clone, Copy, Default)]
-struct CopyFlags {
-    partitioned: u64,
-    invalidate_lost: u64,
-    crash_wipe: u64,
-    lease_orphan: u64,
-}
+/// The causes that are obstructions a copy can be stamped with: the
+/// first four of [`BlameCause::ALL`], in its priority order. The rest
+/// are the fallbacks [`BlameTracker::classify`] derives.
+const OBSTRUCTIONS: usize = 4;
+
+/// Version-stamped obstruction flags for one `(node, item)` copy, indexed
+/// by [`BlameCause::index`]. Each holds the highest master version whose
+/// propagation towards this node is known to have met that obstruction;
+/// the flag *applies* to a stale serve iff its stamp exceeds the served
+/// version (the copy missed precisely the versions above what it served).
+type CopyFlags = [u64; OBSTRUCTIONS];
 
 /// Per-copy provenance tracking behind [`ObservatoryConfig::blame`].
 ///
@@ -113,32 +112,16 @@ impl BlameTracker {
         }
     }
 
-    fn slot(&mut self, node: NodeId, item: ItemId) -> &mut CopyFlags {
-        &mut self.flags[node.index() * self.n_items + item.index()]
-    }
-
-    /// The item's source updated while `node` was unreachable from it.
-    pub(crate) fn stamp_partitioned(&mut self, node: NodeId, item: ItemId, version: u64) {
-        let f = self.slot(node, item);
-        f.partitioned = f.partitioned.max(version);
-    }
-
-    /// A frame carrying this propagation towards `node` was lost.
-    pub(crate) fn stamp_lost(&mut self, node: NodeId, item: ItemId, version: u64) {
-        let f = self.slot(node, item);
-        f.invalidate_lost = f.invalidate_lost.max(version);
-    }
-
-    /// A crash wiped `node`'s copy while the master stood at `version`.
-    pub(crate) fn stamp_crash(&mut self, node: NodeId, item: ItemId, version: u64) {
-        let f = self.slot(node, item);
-        f.crash_wipe = f.crash_wipe.max(version);
-    }
-
-    /// `node`'s relay lease for `item` expired without source contact.
-    pub(crate) fn stamp_lease(&mut self, node: NodeId, item: ItemId, version: u64) {
-        let f = self.slot(node, item);
-        f.lease_orphan = f.lease_orphan.max(version);
+    /// Propagation of `version` of `item` towards `node` met the
+    /// obstruction `cause`: the source updated while the node was
+    /// unreachable ([`BlameCause::Partitioned`]), a frame carrying it was
+    /// lost ([`BlameCause::InvalidateLost`]), a crash wiped the copy
+    /// while the master stood there ([`BlameCause::CrashWipe`]), or the
+    /// node's relay lease expired without source contact
+    /// ([`BlameCause::LeaseOrphan`]).
+    pub(crate) fn stamp(&mut self, cause: BlameCause, node: NodeId, item: ItemId, version: u64) {
+        let flag = &mut self.flags[node.index() * self.n_items + item.index()][cause.index()];
+        *flag = (*flag).max(version);
     }
 
     /// A propagation of `version` was handed to the network.
@@ -153,19 +136,14 @@ impl BlameTracker {
     /// fallback pair is total, so every stale serve gets exactly one
     /// cause.
     pub(crate) fn classify(&mut self, node: NodeId, item: ItemId, served: u64) -> BlameCause {
-        let f = self.flags[node.index() * self.n_items + item.index()];
-        let cause = if f.partitioned > served {
-            BlameCause::Partitioned
-        } else if f.invalidate_lost > served {
-            BlameCause::InvalidateLost
-        } else if f.crash_wipe > served {
-            BlameCause::CrashWipe
-        } else if f.lease_orphan > served {
-            BlameCause::LeaseOrphan
-        } else if self.propagated[item.index()] > served {
-            BlameCause::RaceInFlight
-        } else {
-            BlameCause::UpdateNeverSent
+        let flags = self.flags[node.index() * self.n_items + item.index()];
+        let obstruction = BlameCause::ALL[..OBSTRUCTIONS]
+            .iter()
+            .find(|cause| flags[cause.index()] > served);
+        let cause = match obstruction {
+            Some(&cause) => cause,
+            None if self.propagated[item.index()] > served => BlameCause::RaceInFlight,
+            None => BlameCause::UpdateNeverSent,
         };
         self.counts[cause.index()] += 1;
         cause
@@ -238,7 +216,7 @@ mod tests {
         let mut t = BlameTracker::new(2, 2);
         let node = NodeId::new(1);
         let item = ItemId::new(0);
-        t.stamp_partitioned(node, item, 3);
+        t.stamp(BlameCause::Partitioned, node, item, 3);
         // Serving v3 means the copy *has* the partition-era version:
         // the flag no longer applies, and with nothing propagated the
         // fallback is update-never-sent.
@@ -254,13 +232,13 @@ mod tests {
         let item = ItemId::new(0);
         t.note_propagated(item, 5);
         assert_eq!(t.classify(node, item, 2), BlameCause::RaceInFlight);
-        t.stamp_lease(node, item, 5);
+        t.stamp(BlameCause::LeaseOrphan, node, item, 5);
         assert_eq!(t.classify(node, item, 2), BlameCause::LeaseOrphan);
-        t.stamp_crash(node, item, 5);
+        t.stamp(BlameCause::CrashWipe, node, item, 5);
         assert_eq!(t.classify(node, item, 2), BlameCause::CrashWipe);
-        t.stamp_lost(node, item, 5);
+        t.stamp(BlameCause::InvalidateLost, node, item, 5);
         assert_eq!(t.classify(node, item, 2), BlameCause::InvalidateLost);
-        t.stamp_partitioned(node, item, 5);
+        t.stamp(BlameCause::Partitioned, node, item, 5);
         assert_eq!(t.classify(node, item, 2), BlameCause::Partitioned);
     }
 
@@ -269,8 +247,8 @@ mod tests {
         let mut t = BlameTracker::new(1, 1);
         let node = NodeId::new(0);
         let item = ItemId::new(0);
-        t.stamp_lost(node, item, 4);
-        t.stamp_lost(node, item, 2); // lower stamp must not regress
+        t.stamp(BlameCause::InvalidateLost, node, item, 4);
+        t.stamp(BlameCause::InvalidateLost, node, item, 2); // lower stamp must not regress
         assert_eq!(t.classify(node, item, 3), BlameCause::InvalidateLost);
         assert_eq!(t.classify(node, item, 4), BlameCause::UpdateNeverSent);
         let counts = t.counts();

@@ -295,6 +295,97 @@ impl<'a> Ctx<'a> {
         });
     }
 
+    /// Answers `query` from the master copy when `item` is this node's
+    /// own (every strategy's first step); false when it is not.
+    pub(crate) fn answer_own(&mut self, query: QueryId, item: ItemId) -> bool {
+        let own = item == self.own_item.id();
+        if own {
+            self.answer(query, self.own_item.version(), ServedBy::Source);
+        }
+        own
+    }
+
+    /// The version of `item` this node caches, or [`Version::INITIAL`]
+    /// without a copy (what a poll for an uncached item advertises).
+    pub(crate) fn cached_version(&self, item: ItemId) -> Version {
+        self.cache
+            .peek(item)
+            .map_or(Version::INITIAL, |e| e.version)
+    }
+
+    /// Installs `version` of `item` from a delivered message — refreshing
+    /// the cached copy, or inserting one when the item is not cached —
+    /// and reports the install for lineage.
+    pub(crate) fn install_copy(&mut self, item: ItemId, version: Version, content_bytes: u32) {
+        if !self.cache.refresh(item, version, self.now) {
+            self.cache.insert(item, version, content_bytes, self.now);
+        }
+        self.note_copy(item, version);
+    }
+
+    /// Answers `to`'s POLL for `item` from the copy this node vouches for
+    /// (`ours`: version and content size — the master copy at the source,
+    /// a fresh cached copy at a relay): POLL_ACK_A confirms the poller's
+    /// version, POLL_ACK_B ships the newer content.
+    pub(crate) fn reply_to_poll(
+        &mut self,
+        to: NodeId,
+        item: ItemId,
+        theirs: Version,
+        ours: (Version, u32),
+        span: Option<u64>,
+    ) {
+        let msg = if theirs >= ours.0 {
+            let version = theirs;
+            ProtoMsg::PollAckA {
+                item,
+                version,
+                span,
+            }
+        } else {
+            let (version, content_bytes) = ours;
+            ProtoMsg::PollAckB {
+                item,
+                version,
+                content_bytes,
+                span,
+            }
+        };
+        self.send(to, msg);
+    }
+
+    /// Source side of FETCH: ships the master copy of the own item.
+    pub(crate) fn reply_to_fetch(&mut self, to: NodeId, span: Option<u64>) {
+        let msg = ProtoMsg::FetchReply {
+            item: self.own_item.id(),
+            version: self.own_item.version(),
+            content_bytes: self.own_item.size_bytes(),
+            span,
+        };
+        self.send(to, msg);
+    }
+
+    /// Arms a source's first TTN tick at a uniformly random offset within
+    /// one period, so sources do not flood in step.
+    pub(crate) fn stagger_ttn(&mut self) {
+        let offset = self.rng.uniform_u64(self.cfg.ttn.as_millis().max(1));
+        self.set_timer(SimDuration::from_millis(offset), Timer::Ttn);
+    }
+
+    /// The TTN tick of the report-flooding baselines: a connected source
+    /// floods its current version at the baseline TTL, then re-arms.
+    pub(crate) fn flood_report(&mut self, publishes: bool) {
+        if publishes && self.connected {
+            let msg = ProtoMsg::Invalidation {
+                item: self.own_item.id(),
+                version: self.own_item.version(),
+                seq: None,
+            };
+            self.flood(self.cfg.broadcast_ttl, msg);
+        }
+        self.set_timer(self.cfg.ttn, Timer::Ttn);
+    }
+
     /// Drains the buffered outputs (driver-side).
     pub fn take_outputs(&mut self) -> Vec<CtxOut> {
         std::mem::take(&mut self.out)
@@ -309,8 +400,9 @@ impl<'a> Ctx<'a> {
 /// the source host for some data item, while at the same time, caches
 /// data items from other hosts" (Section 4.1).
 pub trait Protocol {
-    /// Called once at start-up (schedule initial timers here).
-    fn on_init(&mut self, ctx: &mut Ctx<'_>);
+    /// Called once at start-up (schedule initial timers here). A purely
+    /// reactive strategy has nothing to arm.
+    fn on_init(&mut self, _ctx: &mut Ctx<'_>) {}
 
     /// A query request arrived at this node for `item` with the given
     /// consistency requirement. Must eventually lead to
@@ -324,8 +416,9 @@ pub trait Protocol {
     );
 
     /// The node's own master copy was just updated (version already
-    /// incremented by the driver).
-    fn on_source_update(&mut self, ctx: &mut Ctx<'_>);
+    /// incremented by the driver). A strategy whose next report or poll
+    /// answer carries the current version anyway need not react.
+    fn on_source_update(&mut self, _ctx: &mut Ctx<'_>) {}
 
     /// A protocol message arrived (sender and reception hops provided).
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: ProtoMsg);
@@ -334,15 +427,16 @@ pub trait Protocol {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer);
 
     /// The network layer gave up delivering `msg` to `dest` (the paper's
-    /// MAC-layer disconnection discovery, Section 4.5).
-    fn on_undeliverable(&mut self, ctx: &mut Ctx<'_>, dest: NodeId, msg: ProtoMsg);
+    /// MAC-layer disconnection discovery, Section 4.5). Ignoring it
+    /// leaves recovery to the sender's own retry timers.
+    fn on_undeliverable(&mut self, _ctx: &mut Ctx<'_>, _dest: NodeId, _msg: ProtoMsg) {}
 
     /// This node switched on (`up == true`) or off.
-    fn on_status_change(&mut self, ctx: &mut Ctx<'_>, up: bool);
+    fn on_status_change(&mut self, _ctx: &mut Ctx<'_>, _up: bool) {}
 
     /// A coefficient period φ elapsed; `moved` reports a subnet crossing
     /// since the previous tick. Baselines ignore this.
-    fn on_coefficient_tick(&mut self, ctx: &mut Ctx<'_>, moved: bool);
+    fn on_coefficient_tick(&mut self, _ctx: &mut Ctx<'_>, _moved: bool) {}
 
     /// Number of items this node currently serves as relay peer for
     /// (gauge; 0 for baselines).
@@ -359,6 +453,60 @@ pub trait Protocol {
     /// protocols without acked delivery).
     fn retx_high_water(&self) -> usize {
         0
+    }
+}
+
+/// The one unit-test fixture of the strategies: a node's local state
+/// around a protocol instance, and a way to run one handler against it.
+#[cfg(test)]
+pub(crate) mod fixture {
+    use super::*;
+
+    pub(crate) struct Fixture<P> {
+        pub(crate) cache: CacheStore,
+        pub(crate) own: DataItem,
+        pub(crate) rng: SimRng,
+        pub(crate) cfg: ProtocolConfig,
+        pub(crate) proto: P,
+        pub(crate) now: SimTime,
+    }
+
+    impl<P: Protocol> Fixture<P> {
+        /// Node `me` (publishing `D<me>`) with one pre-warmed foreign item
+        /// (`D1`, or `D2` when `me` is node 1), default parameters, the
+        /// random stream `(seed, me)` and a fresh `make(cfg, true)`.
+        pub(crate) fn new(me: u32, seed: u64, make: fn(&ProtocolConfig, bool) -> P) -> Self {
+            let cfg = ProtocolConfig::default();
+            let mut cache = CacheStore::new(10);
+            let foreign = ItemId::new(if me == 1 { 2 } else { 1 });
+            cache.insert(foreign, Version::INITIAL, 1_024, SimTime::ZERO);
+            Fixture {
+                cache,
+                own: DataItem::new(ItemId::new(me), 1_024),
+                rng: SimRng::from_seed(seed, u64::from(me)),
+                cfg,
+                proto: make(&cfg, true),
+                now: SimTime::ZERO,
+            }
+        }
+
+        /// Runs `f` on a full-battery, connected context at `self.now`
+        /// and returns what the handler asked for.
+        pub(crate) fn run(&mut self, f: impl FnOnce(&mut P, &mut Ctx<'_>)) -> Vec<CtxOut> {
+            let me = NodeId::new(self.own.id().index() as u32);
+            let mut ctx = Ctx::new(
+                self.now,
+                me,
+                &mut self.cache,
+                &mut self.own,
+                &mut self.rng,
+                &self.cfg,
+                1.0,
+                true,
+            );
+            f(&mut self.proto, &mut ctx);
+            ctx.take_outputs()
+        }
     }
 }
 

@@ -8,26 +8,21 @@
 //! short latency (Fig. 8) and its dominating traffic (Fig. 7).
 
 use mp2p_cache::Version;
-use mp2p_sim::{FastMap, ItemId, NodeId};
+use mp2p_sim::{ItemId, NodeId};
 use mp2p_trace::{ServedBy, SpanPhase};
 
 use crate::config::ProtocolConfig;
 use crate::level::ConsistencyLevel;
 use crate::msg::ProtoMsg;
+use crate::pending::{PendingTable, Waiting};
 use crate::protocol::{Ctx, Protocol, QueryId, Timer};
-
-#[derive(Debug, Clone, Copy)]
-struct PendingPoll {
-    item: ItemId,
-    attempt: u8,
-}
 
 /// The pull-based baseline strategy. One instance per node; see the
 /// module docs for its semantics.
 #[derive(Debug, Clone)]
 pub struct SimplePull {
     publishes: bool,
-    pending: FastMap<QueryId, PendingPoll>,
+    pending: PendingTable,
 }
 
 impl SimplePull {
@@ -35,41 +30,25 @@ impl SimplePull {
     pub fn new(_cfg: &ProtocolConfig, publishes: bool) -> Self {
         SimplePull {
             publishes,
-            pending: FastMap::default(),
+            pending: PendingTable::default(),
         }
     }
 
     fn start_poll(&mut self, ctx: &mut Ctx<'_>, query: QueryId, item: ItemId, attempt: u8) {
-        let version = ctx
-            .cache
-            .peek(item)
-            .map(|e| e.version)
-            .unwrap_or(Version::INITIAL);
         ctx.phase(query, item, SpanPhase::PollFlood, attempt);
-        ctx.flood(
-            ctx.cfg.broadcast_ttl,
-            ProtoMsg::Poll {
-                item,
-                version,
-                span: Some(query.0),
-            },
-        );
-        self.pending.insert(query, PendingPoll { item, attempt });
+        let poll = ProtoMsg::Poll {
+            item,
+            version: ctx.cached_version(item),
+            span: Some(query.0),
+        };
+        ctx.flood(ctx.cfg.broadcast_ttl, poll);
         let delay = ctx.cfg.retry_delay(ctx.cfg.poll_timeout, attempt, ctx.rng);
-        ctx.set_timer(delay, Timer::PollRetry { query, attempt });
+        self.pending
+            .insert(ctx, query, item, Waiting::Poll, attempt, delay);
     }
 
     fn answer_pending_for(&mut self, ctx: &mut Ctx<'_>, item: ItemId, version: Version) {
-        let mut queries: Vec<QueryId> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.item == item)
-            .map(|(&q, _)| q)
-            .collect();
-        // Map iteration order is arbitrary: sort for determinism.
-        queries.sort_unstable();
-        for q in queries {
-            self.pending.remove(&q);
+        for q in self.pending.take_item(item, |_| true) {
             // Only the source host answers polls in simple pull.
             ctx.answer(q, version, ServedBy::Source);
         }
@@ -77,10 +56,6 @@ impl SimplePull {
 }
 
 impl Protocol for SimplePull {
-    fn on_init(&mut self, _ctx: &mut Ctx<'_>) {
-        // Pull is purely reactive: no periodic machinery.
-    }
-
     fn on_query(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -88,9 +63,7 @@ impl Protocol for SimplePull {
         item: ItemId,
         _level: ConsistencyLevel,
     ) {
-        if item == ctx.own_item.id() {
-            let version = ctx.own_item.version();
-            ctx.answer(query, version, ServedBy::Source);
+        if ctx.answer_own(query, item) {
             return;
         }
         ctx.cache.touch(item);
@@ -99,38 +72,27 @@ impl Protocol for SimplePull {
         self.start_poll(ctx, query, item, 1);
     }
 
-    fn on_source_update(&mut self, _ctx: &mut Ctx<'_>) {
-        // The next poll will observe the new version.
-    }
-
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: ProtoMsg) {
         match msg {
-            ProtoMsg::Poll { item, version, span }
-                // Only the source host answers polls in simple pull.
-                if self.publishes && item == ctx.own_item.id() => {
-                    let master = ctx.own_item.version();
-                    if version >= master {
-                        ctx.send(from, ProtoMsg::PollAckA { item, version, span });
-                    } else {
-                        ctx.send(
-                            from,
-                            ProtoMsg::PollAckB {
-                                item,
-                                version: master,
-                                content_bytes: ctx.own_item.size_bytes(),
-                                span,
-                            },
-                        );
-                    }
-                }
+            // Only the source host answers polls in simple pull.
+            ProtoMsg::Poll {
+                item,
+                version,
+                span,
+            } if self.publishes && item == ctx.own_item.id() => {
+                let master = (ctx.own_item.version(), ctx.own_item.size_bytes());
+                ctx.reply_to_poll(from, item, version, master, span);
+            }
             ProtoMsg::PollAckA { item, version, .. } => {
                 self.answer_pending_for(ctx, item, version);
             }
-            ProtoMsg::PollAckB { item, version, content_bytes, .. } => {
-                if !ctx.cache.refresh(item, version, ctx.now) {
-                    ctx.cache.insert(item, version, content_bytes, ctx.now);
-                }
-                ctx.note_copy(item, version);
+            ProtoMsg::PollAckB {
+                item,
+                version,
+                content_bytes,
+                ..
+            } => {
+                ctx.install_copy(item, version, content_bytes);
                 self.answer_pending_for(ctx, item, version);
             }
             _ => {} // pull uses no other message types
@@ -138,84 +100,34 @@ impl Protocol for SimplePull {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer) {
-        if let Timer::PollRetry { query, attempt } = timer {
-            let Some(pending) = self.pending.get(&query).copied() else {
-                return;
-            };
-            if attempt != pending.attempt {
-                return;
-            }
-            if attempt >= ctx.cfg.poll_attempts {
-                self.pending.remove(&query);
-                ctx.fail(query);
-                return;
-            }
+        let Timer::PollRetry { query, attempt } = timer else {
+            return;
+        };
+        let Some(pending) = self.pending.due(query, attempt) else {
+            return;
+        };
+        if attempt >= ctx.cfg.poll_attempts {
+            self.pending.remove(query);
+            ctx.fail(query);
+        } else {
             self.start_poll(ctx, query, pending.item, attempt + 1);
         }
     }
-
-    fn on_undeliverable(&mut self, _ctx: &mut Ctx<'_>, _dest: NodeId, _msg: ProtoMsg) {
-        // Poll answers are fire-and-forget; the poller's retry recovers.
-    }
-
-    fn on_status_change(&mut self, _ctx: &mut Ctx<'_>, _up: bool) {}
-
-    fn on_coefficient_tick(&mut self, _ctx: &mut Ctx<'_>, _moved: bool) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::fixture::Fixture;
     use crate::CtxOut;
-    use mp2p_cache::{CacheStore, DataItem};
-    use mp2p_sim::{SimRng, SimTime};
 
-    struct Fixture {
-        cache: CacheStore,
-        own: DataItem,
-        rng: SimRng,
-        cfg: ProtocolConfig,
-        proto: SimplePull,
-        now: SimTime,
-    }
-
-    impl Fixture {
-        fn new() -> Self {
-            let cfg = ProtocolConfig::default();
-            let mut cache = CacheStore::new(10);
-            cache.insert(ItemId::new(1), Version::INITIAL, 1_024, SimTime::ZERO);
-            Fixture {
-                cache,
-                own: DataItem::new(ItemId::new(0), 1_024),
-                rng: SimRng::from_seed(5, 0),
-                cfg,
-                proto: SimplePull::new(&cfg, true),
-                now: SimTime::ZERO,
-            }
-        }
-
-        fn run<F: FnOnce(&mut SimplePull, &mut Ctx<'_>)>(&mut self, f: F) -> Vec<CtxOut> {
-            let mut proto = self.proto.clone();
-            let mut ctx = Ctx::new(
-                self.now,
-                NodeId::new(0),
-                &mut self.cache,
-                &mut self.own,
-                &mut self.rng,
-                &self.cfg,
-                1.0,
-                true,
-            );
-            f(&mut proto, &mut ctx);
-            let out = ctx.take_outputs();
-            self.proto = proto;
-            out
-        }
+    fn fixture() -> Fixture<SimplePull> {
+        Fixture::new(0, 5, SimplePull::new)
     }
 
     #[test]
     fn every_query_floods_a_poll_with_baseline_ttl() {
-        let mut fx = Fixture::new();
+        let mut fx = fixture();
         for level in [
             ConsistencyLevel::Weak,
             ConsistencyLevel::Delta,
@@ -240,7 +152,7 @@ mod tests {
 
     #[test]
     fn source_answers_stale_poll_with_content() {
-        let mut fx = Fixture::new();
+        let mut fx = fixture();
         fx.own.update();
         let out = fx.run(|p, ctx| {
             p.on_message(
@@ -262,7 +174,7 @@ mod tests {
 
     #[test]
     fn ack_answers_the_pending_query() {
-        let mut fx = Fixture::new();
+        let mut fx = fixture();
         let _ =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(9), ItemId::new(1), ConsistencyLevel::Strong));
         let out = fx.run(|p, ctx| {
@@ -288,7 +200,7 @@ mod tests {
 
     #[test]
     fn retries_then_fails() {
-        let mut fx = Fixture::new();
+        let mut fx = fixture();
         let _ =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(4), ItemId::new(1), ConsistencyLevel::Strong));
         let out = fx.run(|p, ctx| {
@@ -330,7 +242,7 @@ mod tests {
 
     #[test]
     fn stale_retry_timers_are_ignored() {
-        let mut fx = Fixture::new();
+        let mut fx = fixture();
         let _ =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(5), ItemId::new(1), ConsistencyLevel::Strong));
         let _ = fx.run(|p, ctx| {
@@ -357,7 +269,7 @@ mod tests {
 
     #[test]
     fn uncached_item_poll_acquires_content() {
-        let mut fx = Fixture::new();
+        let mut fx = fixture();
         let out =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(6), ItemId::new(7), ConsistencyLevel::Weak));
         assert!(out.iter().any(|o| matches!(

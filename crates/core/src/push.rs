@@ -11,21 +11,15 @@
 //! so validated) less often, raising the per-query staleness probability
 //! — the reason push traffic grows with the cache size in Fig. 7(c).
 
-use mp2p_cache::Version;
-use mp2p_sim::{FastMap, ItemId, NodeId, SimDuration};
+use mp2p_sim::{FastMap, ItemId, NodeId};
 use mp2p_trace::{ServedBy, SpanPhase};
 
 use crate::config::ProtocolConfig;
 use crate::level::ConsistencyLevel;
 use crate::msg::ProtoMsg;
+use crate::pending::{PendingTable, Waiting};
 use crate::protocol::{Ctx, Protocol, QueryId, Timer};
-use crate::recovery::{RecoveryAction, VersionDigest};
-
-#[derive(Debug, Clone, Copy)]
-struct PendingFetch {
-    item: ItemId,
-    attempt: u8,
-}
+use crate::recovery::{self, RecoveryAction};
 
 /// The push-based baseline strategy. One instance per node; see the
 /// module docs for its semantics.
@@ -35,7 +29,7 @@ pub struct SimplePush {
     /// Queries waiting for the next invalidation report, per item.
     waiting: FastMap<ItemId, Vec<QueryId>>,
     /// Queries waiting for a FETCH_REPLY.
-    pending_fetch: FastMap<QueryId, PendingFetch>,
+    pending_fetch: PendingTable,
     /// True while a refresh fetch for the item is already in flight
     /// (avoids duplicate fetches when reports repeat).
     fetch_in_flight: FastMap<ItemId, bool>,
@@ -47,7 +41,7 @@ impl SimplePush {
         SimplePush {
             publishes,
             waiting: FastMap::default(),
-            pending_fetch: FastMap::default(),
+            pending_fetch: PendingTable::default(),
             fetch_in_flight: FastMap::default(),
         }
     }
@@ -62,21 +56,14 @@ impl SimplePush {
         let in_flight = self.fetch_in_flight.entry(item).or_insert(false);
         if !*in_flight {
             *in_flight = true;
-            ctx.send(
-                item.source_host(),
-                ProtoMsg::Fetch {
-                    item,
-                    span: query.map(|q| q.0),
-                },
-            );
+            let span = query.map(|q| q.0);
+            ctx.send(item.source_host(), ProtoMsg::Fetch { item, span });
         }
         if let Some(q) = query {
             ctx.phase(q, item, SpanPhase::Fetch, attempt);
-            self.pending_fetch.insert(q, PendingFetch { item, attempt });
-            ctx.set_timer(
-                ctx.cfg.fetch_timeout,
-                Timer::PollRetry { query: q, attempt },
-            );
+            let timeout = ctx.cfg.fetch_timeout;
+            self.pending_fetch
+                .insert(ctx, q, item, Waiting::Fetch, attempt, timeout);
         }
     }
 
@@ -93,50 +80,16 @@ impl SimplePush {
                 ctx.answer(q, entry.version, vouched_by);
             }
         }
-        let mut fetched: Vec<QueryId> = self
-            .pending_fetch
-            .iter()
-            .filter(|(_, p)| p.item == item)
-            .map(|(&q, _)| q)
-            .collect();
-        // Map iteration order is arbitrary: sort for determinism.
-        fetched.sort_unstable();
-        for q in fetched {
-            self.pending_fetch.remove(&q);
+        for q in self.pending_fetch.take_item(item, |_| true) {
             ctx.answer(q, entry.version, ServedBy::Source);
         }
-    }
-
-    /// Rejoin resync (recovery layer): same digest exchange as RPCC —
-    /// flood what we hold, drop whatever neighbours prove stale.
-    fn start_resync(&mut self, ctx: &mut Ctx<'_>) {
-        let mut entries: Vec<(ItemId, Version)> =
-            ctx.cache.iter().map(|(id, e)| (id, e.version)).collect();
-        if self.publishes {
-            entries.push((ctx.own_item.id(), ctx.own_item.version()));
-        }
-        if entries.is_empty() {
-            return;
-        }
-        // Map iteration order is arbitrary: sort for determinism.
-        entries.sort_unstable_by_key(|&(id, _)| id);
-        let items = entries.len() as u32;
-        for digest in VersionDigest::chunk(&entries) {
-            ctx.flood(
-                ctx.cfg.recovery.resync_ttl,
-                ProtoMsg::ResyncDigest { digest },
-            );
-        }
-        ctx.recovery(RecoveryAction::ResyncStart { items });
     }
 }
 
 impl Protocol for SimplePush {
     fn on_init(&mut self, ctx: &mut Ctx<'_>) {
         if self.publishes {
-            let offset =
-                SimDuration::from_millis(ctx.rng.uniform_u64(ctx.cfg.ttn.as_millis().max(1)));
-            ctx.set_timer(offset, Timer::Ttn);
+            ctx.stagger_ttn();
         }
     }
 
@@ -147,9 +100,7 @@ impl Protocol for SimplePush {
         item: ItemId,
         _level: ConsistencyLevel,
     ) {
-        if item == ctx.own_item.id() {
-            let version = ctx.own_item.version();
-            ctx.answer(query, version, ServedBy::Source);
+        if ctx.answer_own(query, item) {
             return;
         }
         if ctx.cache.touch(item).is_none() {
@@ -161,10 +112,6 @@ impl Protocol for SimplePush {
         ctx.phase(query, item, SpanPhase::PushWait, 0);
         self.waiting.entry(item).or_default().push(query);
         ctx.set_timer(ctx.cfg.push_wait_timeout, Timer::PushWait { query });
-    }
-
-    fn on_source_update(&mut self, _ctx: &mut Ctx<'_>) {
-        // Nothing to do: the periodic report carries the latest version.
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: ProtoMsg) {
@@ -187,15 +134,7 @@ impl Protocol for SimplePush {
                 }
             }
             ProtoMsg::Fetch { item, span } if self.publishes && item == ctx.own_item.id() => {
-                ctx.send(
-                    from,
-                    ProtoMsg::FetchReply {
-                        item,
-                        version: ctx.own_item.version(),
-                        content_bytes: ctx.own_item.size_bytes(),
-                        span,
-                    },
-                );
+                ctx.reply_to_fetch(from, span);
             }
             ProtoMsg::FetchReply {
                 item,
@@ -203,46 +142,22 @@ impl Protocol for SimplePush {
                 content_bytes,
                 ..
             } => {
-                if !ctx.cache.refresh(item, version, ctx.now) {
-                    ctx.cache.insert(item, version, content_bytes, ctx.now);
-                }
-                ctx.note_copy(item, version);
+                ctx.install_copy(item, version, content_bytes);
                 self.fetch_in_flight.insert(item, false);
                 self.answer_all_for(ctx, item, ServedBy::Source);
             }
-            ProtoMsg::ResyncDigest { digest } if ctx.cfg.recovery.resync => {
-                // Answer with the subset we know a strictly newer
-                // version of (own master or cached copy).
-                let mut newer: Vec<(ItemId, Version)> = Vec::new();
-                for &(item, version) in digest.entries() {
-                    let mut known = if self.publishes && item == ctx.own_item.id() {
-                        ctx.own_item.version()
-                    } else {
-                        Version::INITIAL
-                    };
-                    if let Some(e) = ctx.cache.peek(item) {
-                        if e.version > known {
-                            known = e.version;
-                        }
-                    }
-                    if known > version {
-                        newer.push((item, known));
-                    }
-                }
-                for chunk in VersionDigest::chunk(&newer) {
-                    ctx.send(from, ProtoMsg::ResyncAck { digest: chunk });
-                }
+            ProtoMsg::ResyncDigest { digest } => {
+                let publishes = self.publishes;
+                recovery::answer_resync_digest(ctx, from, &digest, |ctx, item, _| {
+                    recovery::held_version(ctx, publishes, item)
+                });
             }
             ProtoMsg::ResyncAck { digest } if ctx.cfg.recovery.resync => {
                 let mut stale = 0u32;
                 for &(item, version) in digest.entries() {
-                    if item == ctx.own_item.id() {
-                        continue; // nothing outranks the master copy
-                    }
-                    let Some(e) = ctx.cache.peek(item) else {
-                        continue;
-                    };
-                    if e.version < version {
+                    // Nothing outranks the master copy.
+                    let stale_copy = ctx.cache.peek(item).is_some_and(|e| e.version < version);
+                    if stale_copy && item != ctx.own_item.id() {
                         stale += 1;
                         // Drop the stale copy; waiting queries recover
                         // through the PushWait fallback fetch.
@@ -258,21 +173,7 @@ impl Protocol for SimplePush {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer) {
         match timer {
-            Timer::Ttn => {
-                if self.publishes && ctx.connected {
-                    let item = ctx.own_item.id();
-                    let version = ctx.own_item.version();
-                    ctx.flood(
-                        ctx.cfg.broadcast_ttl,
-                        ProtoMsg::Invalidation {
-                            item,
-                            version,
-                            seq: None,
-                        },
-                    );
-                }
-                ctx.set_timer(ctx.cfg.ttn, Timer::Ttn);
-            }
+            Timer::Ttn => ctx.flood_report(self.publishes),
             Timer::PushWait { query } => {
                 // The report never came (partition / out of flood range):
                 // fall back to a direct fetch.
@@ -288,14 +189,11 @@ impl Protocol for SimplePush {
                 }
             }
             Timer::PollRetry { query, attempt } => {
-                let Some(pending) = self.pending_fetch.get(&query).copied() else {
+                let Some(pending) = self.pending_fetch.due(query, attempt) else {
                     return;
                 };
-                if attempt != pending.attempt {
-                    return;
-                }
                 if attempt >= ctx.cfg.poll_attempts {
-                    self.pending_fetch.remove(&query);
+                    self.pending_fetch.remove(query);
                     ctx.fail(query);
                     return;
                 }
@@ -309,16 +207,7 @@ impl Protocol for SimplePush {
     fn on_undeliverable(&mut self, ctx: &mut Ctx<'_>, _dest: NodeId, msg: ProtoMsg) {
         if let ProtoMsg::Fetch { item, .. } = msg {
             self.fetch_in_flight.insert(item, false);
-            let mut queries: Vec<QueryId> = self
-                .pending_fetch
-                .iter()
-                .filter(|(_, p)| p.item == item)
-                .map(|(&q, _)| q)
-                .collect();
-            // Map iteration order is arbitrary: sort for determinism.
-            queries.sort_unstable();
-            for q in queries {
-                self.pending_fetch.remove(&q);
+            for q in self.pending_fetch.take_item(item, |_| true) {
                 ctx.fail(q);
             }
         }
@@ -326,66 +215,26 @@ impl Protocol for SimplePush {
 
     fn on_status_change(&mut self, ctx: &mut Ctx<'_>, up: bool) {
         if up && ctx.cfg.recovery.resync && ctx.connected {
-            self.start_resync(ctx);
+            recovery::flood_resync_digest(ctx, self.publishes);
         }
     }
-
-    fn on_coefficient_tick(&mut self, _ctx: &mut Ctx<'_>, _moved: bool) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::fixture::Fixture;
+    use crate::recovery::VersionDigest;
     use crate::CtxOut;
-    use mp2p_cache::{CacheStore, DataItem, Version};
-    use mp2p_sim::{SimRng, SimTime};
+    use mp2p_cache::Version;
 
-    struct Fixture {
-        cache: CacheStore,
-        own: DataItem,
-        rng: SimRng,
-        cfg: ProtocolConfig,
-        proto: SimplePush,
-        now: SimTime,
-    }
-
-    impl Fixture {
-        fn new() -> Self {
-            let cfg = ProtocolConfig::default();
-            let mut cache = CacheStore::new(10);
-            cache.insert(ItemId::new(1), Version::INITIAL, 1_024, SimTime::ZERO);
-            Fixture {
-                cache,
-                own: DataItem::new(ItemId::new(0), 1_024),
-                rng: SimRng::from_seed(3, 0),
-                cfg,
-                proto: SimplePush::new(&cfg, true),
-                now: SimTime::ZERO,
-            }
-        }
-
-        fn run<F: FnOnce(&mut SimplePush, &mut Ctx<'_>)>(&mut self, f: F) -> Vec<CtxOut> {
-            let mut proto = self.proto.clone();
-            let mut ctx = Ctx::new(
-                self.now,
-                NodeId::new(0),
-                &mut self.cache,
-                &mut self.own,
-                &mut self.rng,
-                &self.cfg,
-                1.0,
-                true,
-            );
-            f(&mut proto, &mut ctx);
-            let out = ctx.take_outputs();
-            self.proto = proto;
-            out
-        }
+    fn fixture() -> Fixture<SimplePush> {
+        Fixture::new(0, 3, SimplePush::new)
     }
 
     #[test]
     fn queries_wait_for_invalidation_report() {
-        let mut fx = Fixture::new();
+        let mut fx = fixture();
         let out =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(1), ItemId::new(1), ConsistencyLevel::Strong));
         assert!(
@@ -415,7 +264,7 @@ mod tests {
 
     #[test]
     fn stale_report_triggers_fetch_then_answer() {
-        let mut fx = Fixture::new();
+        let mut fx = fixture();
         let _ =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(2), ItemId::new(1), ConsistencyLevel::Strong));
         let out = fx.run(|p, ctx| {
@@ -456,7 +305,7 @@ mod tests {
 
     #[test]
     fn source_floods_with_baseline_ttl() {
-        let mut fx = Fixture::new();
+        let mut fx = fixture();
         let out = fx.run(|p, ctx| p.on_timer(ctx, Timer::Ttn));
         assert!(out.iter().any(|o| matches!(
             o,
@@ -476,7 +325,7 @@ mod tests {
 
     #[test]
     fn push_wait_timeout_falls_back_to_fetch() {
-        let mut fx = Fixture::new();
+        let mut fx = fixture();
         let _ =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(3), ItemId::new(1), ConsistencyLevel::Strong));
         let out = fx.run(|p, ctx| p.on_timer(ctx, Timer::PushWait { query: QueryId(3) }));
@@ -491,7 +340,7 @@ mod tests {
 
     #[test]
     fn unreachable_source_fails_fetch_queries() {
-        let mut fx = Fixture::new();
+        let mut fx = fixture();
         let _ =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(4), ItemId::new(5), ConsistencyLevel::Weak));
         let out = fx.run(|p, ctx| {
@@ -511,7 +360,7 @@ mod tests {
 
     #[test]
     fn stale_report_without_waiters_marks_but_does_not_fetch() {
-        let mut fx = Fixture::new();
+        let mut fx = fixture();
         let out = fx.run(|p, ctx| {
             p.on_message(
                 ctx,
@@ -538,7 +387,7 @@ mod tests {
 
     #[test]
     fn rejoin_resync_floods_digest_and_drops_stale_copies() {
-        let mut fx = Fixture::new();
+        let mut fx = fixture();
         fx.cfg.recovery = crate::RecoveryConfig::on();
         fx.proto = SimplePush::new(&fx.cfg, true);
         let out = fx.run(|p, ctx| p.on_status_change(ctx, true));

@@ -17,13 +17,8 @@ use mp2p_trace::{ServedBy, SpanPhase};
 use crate::config::ProtocolConfig;
 use crate::level::ConsistencyLevel;
 use crate::msg::ProtoMsg;
+use crate::pending::{PendingTable, Waiting};
 use crate::protocol::{Ctx, Protocol, QueryId, Timer};
-
-#[derive(Debug, Clone, Copy)]
-struct PendingFetch {
-    item: ItemId,
-    attempt: u8,
-}
 
 /// The push-with-adaptive-pull baseline. One instance per node; see the
 /// module docs.
@@ -33,7 +28,7 @@ pub struct PushAdaptivePull {
     /// When each item's latest invalidation report was heard.
     last_report: FastMap<ItemId, SimTime>,
     /// Queries waiting for a FETCH_REPLY.
-    pending: FastMap<QueryId, PendingFetch>,
+    pending: PendingTable,
 }
 
 impl PushAdaptivePull {
@@ -42,7 +37,7 @@ impl PushAdaptivePull {
         PushAdaptivePull {
             publishes,
             last_report: FastMap::default(),
-            pending: FastMap::default(),
+            pending: PendingTable::default(),
         }
     }
 
@@ -54,34 +49,11 @@ impl PushAdaptivePull {
 
     fn start_fetch(&mut self, ctx: &mut Ctx<'_>, query: QueryId, item: ItemId, attempt: u8) {
         ctx.phase(query, item, SpanPhase::Fetch, attempt);
-        ctx.send(
-            item.source_host(),
-            ProtoMsg::Fetch {
-                item,
-                span: Some(query.0),
-            },
-        );
-        self.pending.insert(query, PendingFetch { item, attempt });
-        ctx.set_timer(ctx.cfg.fetch_timeout, Timer::PollRetry { query, attempt });
-    }
-
-    fn answer_pending_for(&mut self, ctx: &mut Ctx<'_>, item: ItemId) {
-        let Some(entry) = ctx.cache.peek(item).copied() else {
-            return;
-        };
-        let mut queries: Vec<QueryId> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.item == item)
-            .map(|(&q, _)| q)
-            .collect();
-        // Map iteration order is arbitrary: sort for determinism.
-        queries.sort_unstable();
-        for q in queries {
-            self.pending.remove(&q);
-            // Fetch-blocked queries are always served fresh source content.
-            ctx.answer(q, entry.version, ServedBy::Source);
-        }
+        let span = Some(query.0);
+        ctx.send(item.source_host(), ProtoMsg::Fetch { item, span });
+        let timeout = ctx.cfg.fetch_timeout;
+        self.pending
+            .insert(ctx, query, item, Waiting::Fetch, attempt, timeout);
     }
 }
 
@@ -94,9 +66,7 @@ impl Protocol for PushAdaptivePull {
             self.last_report.insert(item, ctx.now);
         }
         if self.publishes {
-            let offset =
-                SimDuration::from_millis(ctx.rng.uniform_u64(ctx.cfg.ttn.as_millis().max(1)));
-            ctx.set_timer(offset, Timer::Ttn);
+            ctx.stagger_ttn();
         }
     }
 
@@ -107,9 +77,7 @@ impl Protocol for PushAdaptivePull {
         item: ItemId,
         _level: ConsistencyLevel,
     ) {
-        if item == ctx.own_item.id() {
-            let version = ctx.own_item.version();
-            ctx.answer(query, version, ServedBy::Source);
+        if ctx.answer_own(query, item) {
             return;
         }
         let Some(entry) = ctx.cache.touch(item).copied() else {
@@ -130,30 +98,16 @@ impl Protocol for PushAdaptivePull {
         }
     }
 
-    fn on_source_update(&mut self, _ctx: &mut Ctx<'_>) {
-        // The next periodic report carries the new version.
-    }
-
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: ProtoMsg) {
         match msg {
             ProtoMsg::Invalidation { item, version, .. } => {
                 self.last_report.insert(item, ctx.now);
-                if let Some(entry) = ctx.cache.peek(item).copied() {
-                    if entry.version < version {
-                        ctx.cache.mark_stale(item);
-                    }
+                if ctx.cache.peek(item).is_some_and(|e| e.version < version) {
+                    ctx.cache.mark_stale(item);
                 }
             }
             ProtoMsg::Fetch { item, span } if self.publishes && item == ctx.own_item.id() => {
-                ctx.send(
-                    from,
-                    ProtoMsg::FetchReply {
-                        item,
-                        version: ctx.own_item.version(),
-                        content_bytes: ctx.own_item.size_bytes(),
-                        span,
-                    },
-                );
+                ctx.reply_to_fetch(from, span);
             }
             ProtoMsg::FetchReply {
                 item,
@@ -161,13 +115,13 @@ impl Protocol for PushAdaptivePull {
                 content_bytes,
                 ..
             } => {
-                if !ctx.cache.refresh(item, version, ctx.now) {
-                    ctx.cache.insert(item, version, content_bytes, ctx.now);
-                }
-                ctx.note_copy(item, version);
+                ctx.install_copy(item, version, content_bytes);
                 // A fetched answer is as good as a report.
                 self.last_report.insert(item, ctx.now);
-                self.answer_pending_for(ctx, item);
+                for q in self.pending.take_item(item, |_| true) {
+                    // Fetch-blocked queries are served fresh source content.
+                    ctx.answer(q, version, ServedBy::Source);
+                }
             }
             _ => {} // uses no other message types
         }
@@ -175,34 +129,17 @@ impl Protocol for PushAdaptivePull {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer) {
         match timer {
-            Timer::Ttn => {
-                if self.publishes && ctx.connected {
-                    let item = ctx.own_item.id();
-                    let version = ctx.own_item.version();
-                    ctx.flood(
-                        ctx.cfg.broadcast_ttl,
-                        ProtoMsg::Invalidation {
-                            item,
-                            version,
-                            seq: None,
-                        },
-                    );
-                }
-                ctx.set_timer(ctx.cfg.ttn, Timer::Ttn);
-            }
+            Timer::Ttn => ctx.flood_report(self.publishes),
             Timer::PollRetry { query, attempt } => {
-                let Some(pending) = self.pending.get(&query).copied() else {
+                let Some(pending) = self.pending.due(query, attempt) else {
                     return;
                 };
-                if attempt != pending.attempt {
-                    return;
-                }
                 if attempt >= ctx.cfg.poll_attempts {
-                    self.pending.remove(&query);
+                    self.pending.remove(query);
                     ctx.fail(query);
-                    return;
+                } else {
+                    self.start_fetch(ctx, query, pending.item, attempt + 1);
                 }
-                self.start_fetch(ctx, query, pending.item, attempt + 1);
             }
             _ => {}
         }
@@ -210,78 +147,27 @@ impl Protocol for PushAdaptivePull {
 
     fn on_undeliverable(&mut self, ctx: &mut Ctx<'_>, _dest: NodeId, msg: ProtoMsg) {
         if let ProtoMsg::Fetch { item, .. } = msg {
-            let mut queries: Vec<QueryId> = self
-                .pending
-                .iter()
-                .filter(|(_, p)| p.item == item)
-                .map(|(&q, _)| q)
-                .collect();
-            queries.sort_unstable();
-            for q in queries {
-                self.pending.remove(&q);
+            for q in self.pending.take_item(item, |_| true) {
                 ctx.fail(q);
             }
         }
     }
-
-    fn on_status_change(&mut self, _ctx: &mut Ctx<'_>, _up: bool) {}
-
-    fn on_coefficient_tick(&mut self, _ctx: &mut Ctx<'_>, _moved: bool) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::fixture::Fixture;
     use crate::CtxOut;
-    use mp2p_cache::{CacheStore, DataItem, Version};
-    use mp2p_sim::SimRng;
+    use mp2p_cache::Version;
 
-    struct Fixture {
-        cache: CacheStore,
-        own: DataItem,
-        rng: SimRng,
-        cfg: ProtocolConfig,
-        proto: PushAdaptivePull,
-        now: SimTime,
-    }
-
-    impl Fixture {
-        fn new() -> Self {
-            let cfg = ProtocolConfig::default();
-            let mut cache = CacheStore::new(10);
-            cache.insert(ItemId::new(1), Version::INITIAL, 1_024, SimTime::ZERO);
-            Fixture {
-                cache,
-                own: DataItem::new(ItemId::new(0), 1_024),
-                rng: SimRng::from_seed(8, 0),
-                cfg,
-                proto: PushAdaptivePull::new(&cfg, true),
-                now: SimTime::ZERO,
-            }
-        }
-
-        fn run<F: FnOnce(&mut PushAdaptivePull, &mut Ctx<'_>)>(&mut self, f: F) -> Vec<CtxOut> {
-            let mut proto = self.proto.clone();
-            let mut ctx = Ctx::new(
-                self.now,
-                NodeId::new(0),
-                &mut self.cache,
-                &mut self.own,
-                &mut self.rng,
-                &self.cfg,
-                1.0,
-                true,
-            );
-            f(&mut proto, &mut ctx);
-            let out = ctx.take_outputs();
-            self.proto = proto;
-            out
-        }
+    fn fixture() -> Fixture<PushAdaptivePull> {
+        Fixture::new(0, 8, PushAdaptivePull::new)
     }
 
     #[test]
     fn live_report_stream_answers_instantly() {
-        let mut fx = Fixture::new();
+        let mut fx = fixture();
         let _ = fx.run(|p, ctx| p.on_init(ctx));
         let out =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(1), ItemId::new(1), ConsistencyLevel::Strong));
@@ -299,7 +185,7 @@ mod tests {
 
     #[test]
     fn quiet_stream_falls_back_to_pull() {
-        let mut fx = Fixture::new();
+        let mut fx = fixture();
         let _ = fx.run(|p, ctx| p.on_init(ctx));
         fx.now = SimTime::from_millis(10 * 60_000); // far past the lease
         let out =
@@ -315,7 +201,7 @@ mod tests {
 
     #[test]
     fn stale_mark_forces_pull_despite_live_lease() {
-        let mut fx = Fixture::new();
+        let mut fx = fixture();
         let _ = fx.run(|p, ctx| p.on_init(ctx));
         let _ = fx.run(|p, ctx| {
             p.on_message(
@@ -357,7 +243,7 @@ mod tests {
 
     #[test]
     fn source_floods_reports_like_push() {
-        let mut fx = Fixture::new();
+        let mut fx = fixture();
         let out = fx.run(|p, ctx| p.on_timer(ctx, Timer::Ttn));
         assert!(out.iter().any(|o| matches!(
             o,
@@ -370,7 +256,7 @@ mod tests {
 
     #[test]
     fn fetch_retries_then_fails() {
-        let mut fx = Fixture::new();
+        let mut fx = fixture();
         fx.now = SimTime::from_millis(10 * 60_000);
         let _ =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(4), ItemId::new(1), ConsistencyLevel::Strong));

@@ -18,6 +18,9 @@
 use mp2p_cache::Version;
 use mp2p_sim::{require, ConfigError, FastMap, ItemId, NodeId, SimDuration, SimTime};
 
+use crate::msg::ProtoMsg;
+use crate::protocol::Ctx;
+
 /// Gates and tunables of the recovery layer. Carried inside
 /// [`crate::ProtocolConfig`]; the default is fully off.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -182,6 +185,65 @@ impl VersionDigest {
     /// On-air payload cost of the carried entries.
     pub fn wire_bytes(&self) -> u32 {
         u32::from(self.len) * DIGEST_ENTRY_BYTES
+    }
+}
+
+/// The freshest version of `item` this node holds: its master copy
+/// when it publishes the item, else its cached copy.
+pub(crate) fn held_version(ctx: &Ctx<'_>, publishes: bool, item: ItemId) -> Version {
+    let cached = ctx.cached_version(item);
+    if publishes && item == ctx.own_item.id() {
+        cached.max(ctx.own_item.version())
+    } else {
+        cached
+    }
+}
+
+/// Rejoin resync, rejoiner side: flood a compact version digest of
+/// everything held, so nearby peers can flag stale copies *before* they
+/// get served to local queries.
+pub(crate) fn flood_resync_digest(ctx: &mut Ctx<'_>, publishes: bool) {
+    let mut entries: Vec<(ItemId, Version)> =
+        ctx.cache.iter().map(|(id, e)| (id, e.version)).collect();
+    if publishes {
+        entries.push((ctx.own_item.id(), ctx.own_item.version()));
+    }
+    if entries.is_empty() {
+        return;
+    }
+    // Map iteration order is arbitrary: sort for determinism.
+    entries.sort_unstable_by_key(|&(id, _)| id);
+    for digest in VersionDigest::chunk(&entries) {
+        ctx.flood(
+            ctx.cfg.recovery.resync_ttl,
+            ProtoMsg::ResyncDigest { digest },
+        );
+    }
+    let items = entries.len() as u32;
+    ctx.recovery(RecoveryAction::ResyncStart { items });
+}
+
+/// Rejoin resync, neighbour side: answer `from` with the subset of its
+/// digest that `known` — the freshest version this node can vouch for,
+/// given the advertised one — strictly outranks.
+pub(crate) fn answer_resync_digest(
+    ctx: &mut Ctx<'_>,
+    from: NodeId,
+    digest: &VersionDigest,
+    mut known: impl FnMut(&Ctx<'_>, ItemId, Version) -> Version,
+) {
+    if !ctx.cfg.recovery.resync {
+        return;
+    }
+    let mut newer: Vec<(ItemId, Version)> = Vec::new();
+    for &(item, version) in digest.entries() {
+        let known = known(ctx, item, version);
+        if known > version {
+            newer.push((item, known));
+        }
+    }
+    for digest in VersionDigest::chunk(&newer) {
+        ctx.send(from, ProtoMsg::ResyncAck { digest });
     }
 }
 

@@ -23,8 +23,9 @@ use crate::coefficients::Coefficients;
 use crate::config::ProtocolConfig;
 use crate::level::ConsistencyLevel;
 use crate::msg::ProtoMsg;
+use crate::pending::{PendingTable, Waiting};
 use crate::protocol::{Ctx, DegradationKind, Protocol, QueryId, Timer};
-use crate::recovery::{RecoveryAction, RetransmitQueue, SeqTracker, VersionDigest};
+use crate::recovery::{self, RecoveryAction, RetransmitQueue, SeqTracker, VersionDigest};
 
 /// The node-level position in the Fig. 5 state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,19 +58,34 @@ struct HeldPoll {
     span: Option<u64>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PendingKind {
-    /// Waiting for a POLL_ACK.
-    Poll,
-    /// Waiting for a FETCH_REPLY (cache-miss path).
-    Fetch,
-}
+impl RelayState {
+    /// A relay role granted now: the lease runs from this instant.
+    fn granted(ctx: &Ctx<'_>) -> Self {
+        RelayState {
+            ttr_expiry: ctx.now + Rpcc::relay_lease(ctx.cfg),
+            held_polls: Vec::new(),
+            awaiting_get_new: false,
+        }
+    }
 
-#[derive(Debug, Clone, Copy)]
-struct PendingQuery {
-    item: ItemId,
-    kind: PendingKind,
-    attempt: u8,
+    /// Asks the source for the current content (`GET_NEW`) unless a
+    /// request is already outstanding.
+    fn resync(&mut self, ctx: &mut Ctx<'_>, item: ItemId) {
+        if !self.awaiting_get_new {
+            self.awaiting_get_new = true;
+            ctx.send(item.source_host(), ProtoMsg::GetNew { item });
+            ctx.transition(item, RelayTransitionKind::ResyncStarted);
+        }
+    }
+
+    /// The source proved the copy current: the lease runs anew and an
+    /// outstanding resync is over.
+    fn confirmed(&mut self, ctx: &mut Ctx<'_>, item: ItemId) {
+        self.ttr_expiry = ctx.now + Rpcc::relay_lease(ctx.cfg);
+        if std::mem::take(&mut self.awaiting_get_new) {
+            ctx.transition(item, RelayTransitionKind::ResyncCompleted);
+        }
+    }
 }
 
 /// The RPCC protocol state of one node. See the module docs.
@@ -98,7 +114,7 @@ pub struct Rpcc {
     /// back to the expanding-ring flood.
     known_relay: FastMap<ItemId, NodeId>,
     /// Open local queries awaiting network answers.
-    pending: FastMap<QueryId, PendingQuery>,
+    pending: PendingTable,
     /// APPLYs sent and not yet acknowledged (item → when), to rate-limit
     /// re-application.
     applied: FastMap<ItemId, SimTime>,
@@ -140,7 +156,7 @@ impl Rpcc {
             ttp_expiry: FastMap::default(),
             last_seen_ver: FastMap::default(),
             known_relay: FastMap::default(),
-            pending: FastMap::default(),
+            pending: PendingTable::default(),
             applied: FastMap::default(),
             apply_attempts: FastMap::default(),
             tuner: cfg.adaptive.then(|| AdaptiveTuner::new(cfg.adaptive_span)),
@@ -215,11 +231,7 @@ impl Rpcc {
     /// goes unicast to the last known answerer; misses and retries fall
     /// back to the expanding-ring flood.
     fn start_poll(&mut self, ctx: &mut Ctx<'_>, query: QueryId, item: ItemId, attempt: u8) {
-        let version = ctx
-            .cache
-            .peek(item)
-            .map(|e| e.version)
-            .unwrap_or(Version::INITIAL);
+        let version = ctx.cached_version(item);
         let span = Some(query.0);
         match self.known_relay.get(&item) {
             Some(&relay) if attempt == 1 => {
@@ -247,57 +259,28 @@ impl Rpcc {
                 );
             }
         }
-        self.pending.insert(
-            query,
-            PendingQuery {
-                item,
-                kind: PendingKind::Poll,
-                attempt,
-            },
-        );
         let delay = ctx.cfg.retry_delay(ctx.cfg.poll_timeout, attempt, ctx.rng);
-        ctx.set_timer(delay, Timer::PollRetry { query, attempt });
+        self.pending
+            .insert(ctx, query, item, Waiting::Poll, attempt, delay);
     }
 
     /// Starts a cache-miss fetch for an open query.
     fn start_fetch(&mut self, ctx: &mut Ctx<'_>, query: QueryId, item: ItemId, attempt: u8) {
         ctx.phase(query, item, SpanPhase::Fetch, attempt);
-        ctx.send(
-            item.source_host(),
-            ProtoMsg::Fetch {
-                item,
-                span: Some(query.0),
-            },
-        );
-        self.pending.insert(
-            query,
-            PendingQuery {
-                item,
-                kind: PendingKind::Fetch,
-                attempt,
-            },
-        );
+        let span = Some(query.0);
+        ctx.send(item.source_host(), ProtoMsg::Fetch { item, span });
         let delay = ctx.cfg.retry_delay(ctx.cfg.fetch_timeout, attempt, ctx.rng);
-        ctx.set_timer(delay, Timer::PollRetry { query, attempt });
+        self.pending
+            .insert(ctx, query, item, Waiting::Fetch, attempt, delay);
     }
 
     /// Answers every open query on `item` with the (just-validated)
     /// cached version, attributing the answer to `served_by`.
     fn answer_pending_for(&mut self, ctx: &mut Ctx<'_>, item: ItemId, served_by: ServedBy) {
-        let version = match ctx.cache.peek(item) {
-            Some(e) => e.version,
-            None => return,
+        let Some(version) = ctx.cache.peek(item).map(|e| e.version) else {
+            return;
         };
-        let mut queries: Vec<QueryId> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.item == item)
-            .map(|(&q, _)| q)
-            .collect();
-        // Map iteration order is arbitrary: sort for determinism.
-        queries.sort_unstable();
-        for q in queries {
-            self.pending.remove(&q);
+        for q in self.pending.take_item(item, |_| true) {
             ctx.answer(q, version, served_by);
         }
     }
@@ -312,28 +295,8 @@ impl Rpcc {
         their_version: Version,
         span: Option<u64>,
     ) {
-        let Some(entry) = ctx.cache.peek(item) else {
-            return;
-        };
-        if their_version >= entry.version {
-            ctx.send(
-                from,
-                ProtoMsg::PollAckA {
-                    item,
-                    version: their_version,
-                    span,
-                },
-            );
-        } else {
-            ctx.send(
-                from,
-                ProtoMsg::PollAckB {
-                    item,
-                    version: entry.version,
-                    content_bytes: entry.size_bytes,
-                    span,
-                },
-            );
+        if let Some(copy) = ctx.cache.peek(item).map(|e| (e.version, e.size_bytes)) {
+            ctx.reply_to_poll(from, item, their_version, copy, span);
         }
     }
 
@@ -407,22 +370,11 @@ impl Rpcc {
     fn on_invalidation(&mut self, ctx: &mut Ctx<'_>, item: ItemId, version: Version) {
         self.note_master_version(item, version);
         let source = item.source_host();
-        if self.relay.contains_key(&item) {
-            let local = ctx
-                .cache
-                .peek(item)
-                .map(|e| e.version)
-                .unwrap_or(Version::INITIAL);
-            if local < version {
+        if let Some(st) = self.relay.get_mut(&item) {
+            if ctx.cached_version(item) < version {
                 // Missed an update while disconnected: resynchronise.
-                let st = self.relay.get_mut(&item).expect("checked above");
-                if !st.awaiting_get_new {
-                    st.awaiting_get_new = true;
-                    ctx.send(source, ProtoMsg::GetNew { item });
-                    ctx.transition(item, RelayTransitionKind::ResyncStarted);
-                }
+                st.resync(ctx, item);
             } else {
-                let st = self.relay.get_mut(&item).expect("checked above");
                 st.ttr_expiry = ctx.now + Self::relay_lease(ctx.cfg);
                 self.drain_held_polls(ctx, item);
             }
@@ -463,33 +415,22 @@ impl Rpcc {
         content: u32,
     ) {
         self.note_master_version(item, version);
-        if self.relay.contains_key(&item) {
-            let st = self.relay.get_mut(&item).expect("checked above");
-            st.ttr_expiry = ctx.now + Self::relay_lease(ctx.cfg);
-            if std::mem::take(&mut st.awaiting_get_new) {
-                ctx.transition(item, RelayTransitionKind::ResyncCompleted);
-            }
-            refresh_or_insert(ctx, item, version, content);
+        if let Some(st) = self.relay.get_mut(&item) {
+            st.confirmed(ctx, item);
+            ctx.install_copy(item, version, content);
             self.drain_held_polls(ctx, item);
         } else if self.candidate {
             // We are a candidate that missed its APPLY_ACK: the UPDATE
             // proves the source considers us a relay (Fig. 6(d) 28–31).
             self.applied.remove(&item);
             self.apply_attempts.remove(&item);
-            refresh_or_insert(ctx, item, version, content);
-            self.relay.insert(
-                item,
-                RelayState {
-                    ttr_expiry: ctx.now + Self::relay_lease(ctx.cfg),
-                    held_polls: Vec::new(),
-                    awaiting_get_new: false,
-                },
-            );
+            ctx.install_copy(item, version, content);
+            self.relay.insert(item, RelayState::granted(ctx));
             ctx.transition(item, RelayTransitionKind::Promoted);
         } else {
             // Plain cache peer: the owner missed our CANCEL (Fig. 6(d)
             // 32–35): use the data, tell it again.
-            refresh_or_insert(ctx, item, version, content);
+            ctx.install_copy(item, version, content);
             self.renew_ttp(ctx, item);
             ctx.send(from, ProtoMsg::Cancel { item });
         }
@@ -510,27 +451,8 @@ impl Rpcc {
         }
         if self.publishes && item == ctx.own_item.id() {
             self.coeffs.note_access();
-            let master = ctx.own_item.version();
-            if their_version >= master {
-                ctx.send(
-                    from,
-                    ProtoMsg::PollAckA {
-                        item,
-                        version: their_version,
-                        span,
-                    },
-                );
-            } else {
-                ctx.send(
-                    from,
-                    ProtoMsg::PollAckB {
-                        item,
-                        version: master,
-                        content_bytes: ctx.own_item.size_bytes(),
-                        span,
-                    },
-                );
-            }
+            let master = (ctx.own_item.version(), ctx.own_item.size_bytes());
+            ctx.reply_to_poll(from, item, their_version, master, span);
             return;
         }
         if self.relay.contains_key(&item) {
@@ -551,11 +473,7 @@ impl Rpcc {
                     held_at: ctx.now,
                     span,
                 });
-                if !st.awaiting_get_new {
-                    st.awaiting_get_new = true;
-                    ctx.send(item.source_host(), ProtoMsg::GetNew { item });
-                    ctx.transition(item, RelayTransitionKind::ResyncStarted);
-                }
+                st.resync(ctx, item);
             }
         }
         // Plain cache peers ignore other peers' polls.
@@ -578,7 +496,7 @@ impl Rpcc {
             }
         }
         if let Some(content) = content {
-            refresh_or_insert(ctx, item, version, content);
+            ctx.install_copy(item, version, content);
         }
         self.note_master_version(item, version);
         self.renew_ttp(ctx, item);
@@ -601,21 +519,17 @@ impl Rpcc {
         if !ctx.cache.contains(item) {
             return; // cached copy evicted meanwhile; let the table age out
         }
-        let local = ctx
-            .cache
-            .peek(item)
-            .map(|e| e.version)
-            .unwrap_or(Version::INITIAL);
-        let mut st = RelayState {
-            ttr_expiry: ctx.now + Self::relay_lease(ctx.cfg),
-            held_polls: Vec::new(),
-            awaiting_get_new: false,
-        };
-        if local < version {
+        self.adopt_relay_role(ctx, item, version);
+    }
+
+    /// Takes up the relay role for a cached `item` the source (or a
+    /// retiring relay) vouches for at `version`, resyncing first if the
+    /// local copy lags it.
+    fn adopt_relay_role(&mut self, ctx: &mut Ctx<'_>, item: ItemId, version: Version) {
+        let mut st = RelayState::granted(ctx);
+        if ctx.cached_version(item) < version {
             st.ttr_expiry = ctx.now; // stale until SEND_NEW arrives
-            st.awaiting_get_new = true;
-            ctx.send(item.source_host(), ProtoMsg::GetNew { item });
-            ctx.transition(item, RelayTransitionKind::ResyncStarted);
+            st.resync(ctx, item);
         }
         self.relay.insert(item, st);
         ctx.transition(item, RelayTransitionKind::Promoted);
@@ -626,11 +540,9 @@ impl Rpcc {
     fn demote(&mut self, ctx: &mut Ctx<'_>) {
         let items: Vec<ItemId> = self.relay.keys().copied().collect();
         for item in items {
-            if let Some(st) = self.relay.remove(&item) {
-                // Held polls cannot be answered honestly any more; the
-                // pollers' retry timers recover them.
-                drop(st);
-            }
+            // Held polls cannot be answered honestly any more; the
+            // pollers' retry timers recover them.
+            self.relay.remove(&item);
             ctx.send(item.source_host(), ProtoMsg::Cancel { item });
             ctx.transition(item, RelayTransitionKind::Demoted);
             // The copy stays cached; give it a normal TTP lease from now.
@@ -664,11 +576,7 @@ impl Rpcc {
                 // ask the driver to elect a reachable cached neighbour
                 // and hand the relay role over (DESIGN.md §12). The
                 // degradation only lands if no successor exists.
-                let version = ctx
-                    .cache
-                    .peek(item)
-                    .map(|e| e.version)
-                    .unwrap_or(Version::INITIAL);
+                let version = ctx.cached_version(item);
                 ctx.recovery(RecoveryAction::HandoverRequest { item, version });
             } else {
                 ctx.degraded(item, None, DegradationKind::RelayLeaseExpired);
@@ -678,68 +586,15 @@ impl Rpcc {
         }
     }
 
-    /// The freshest version this node can vouch for: its own master
-    /// copy, the cached copy, or the latest advertisement it heard.
-    fn best_known_version(&self, ctx: &Ctx<'_>, item: ItemId) -> Version {
-        let mut best = if self.publishes && item == ctx.own_item.id() {
-            ctx.own_item.version()
-        } else {
-            Version::INITIAL
-        };
-        if let Some(e) = ctx.cache.peek(item) {
-            if e.version > best {
-                best = e.version;
-            }
-        }
-        if let Some(&v) = self.last_seen_ver.get(&item) {
-            if v > best {
-                best = v;
-            }
-        }
-        best
-    }
-
-    /// Rejoin resync (recovery layer): flood a compact version digest of
-    /// everything held so nearby peers can flag stale copies *before*
-    /// they get served to local queries.
-    fn start_resync(&mut self, ctx: &mut Ctx<'_>) {
-        let mut entries: Vec<(ItemId, Version)> =
-            ctx.cache.iter().map(|(id, e)| (id, e.version)).collect();
-        if self.publishes {
-            entries.push((ctx.own_item.id(), ctx.own_item.version()));
-        }
-        if entries.is_empty() {
-            return;
-        }
-        // Map iteration order is arbitrary: sort for determinism.
-        entries.sort_unstable_by_key(|&(id, _)| id);
-        let items = entries.len() as u32;
-        for digest in VersionDigest::chunk(&entries) {
-            ctx.flood(
-                ctx.cfg.recovery.resync_ttl,
-                ProtoMsg::ResyncDigest { digest },
-            );
-        }
-        ctx.recovery(RecoveryAction::ResyncStart { items });
-    }
-
-    /// Neighbour side of a rejoin resync: answer with the subset of the
-    /// digest this node knows a strictly newer version of.
+    /// Neighbour side of a rejoin resync. The freshest version this node
+    /// can vouch for is its own master copy, the cached copy, or the
+    /// latest advertisement it heard — the digest's own included.
     fn on_resync_digest(&mut self, ctx: &mut Ctx<'_>, from: NodeId, digest: VersionDigest) {
-        if !ctx.cfg.recovery.resync {
-            return;
-        }
-        let mut newer: Vec<(ItemId, Version)> = Vec::new();
-        for &(item, version) in digest.entries() {
+        let publishes = self.publishes;
+        recovery::answer_resync_digest(ctx, from, &digest, |ctx, item, version| {
             self.note_master_version(item, version);
-            let known = self.best_known_version(ctx, item);
-            if known > version {
-                newer.push((item, known));
-            }
-        }
-        for chunk in VersionDigest::chunk(&newer) {
-            ctx.send(from, ProtoMsg::ResyncAck { digest: chunk });
-        }
+            recovery::held_version(ctx, publishes, item).max(self.last_seen_ver[&item])
+        });
     }
 
     /// Rejoiner side of a resync answer: refresh or drop every copy a
@@ -766,11 +621,7 @@ impl Rpcc {
                 // Relay copies refresh through the protocol's own resync
                 // channel instead of being dropped.
                 st.ttr_expiry = ctx.now;
-                if !st.awaiting_get_new {
-                    st.awaiting_get_new = true;
-                    ctx.send(item.source_host(), ProtoMsg::GetNew { item });
-                    ctx.transition(item, RelayTransitionKind::ResyncStarted);
-                }
+                st.resync(ctx, item);
             } else {
                 // A plain stale copy is dropped rather than served; the
                 // next query re-fetches fresh data on the miss path.
@@ -793,24 +644,7 @@ impl Rpcc {
             return;
         }
         self.note_master_version(item, version);
-        let local = ctx
-            .cache
-            .peek(item)
-            .map(|e| e.version)
-            .unwrap_or(Version::INITIAL);
-        let mut st = RelayState {
-            ttr_expiry: ctx.now + Self::relay_lease(ctx.cfg),
-            held_polls: Vec::new(),
-            awaiting_get_new: false,
-        };
-        if local < version {
-            st.ttr_expiry = ctx.now; // stale until SEND_NEW arrives
-            st.awaiting_get_new = true;
-            ctx.send(item.source_host(), ProtoMsg::GetNew { item });
-            ctx.transition(item, RelayTransitionKind::ResyncStarted);
-        }
-        self.relay.insert(item, st);
-        ctx.transition(item, RelayTransitionKind::Promoted);
+        self.adopt_relay_role(ctx, item, version);
         // Tell the source, so its relay table points at the successor.
         ctx.send(item.source_host(), ProtoMsg::Apply { item });
     }
@@ -847,14 +681,6 @@ impl Rpcc {
     }
 }
 
-/// Refreshes `item` in the cache, inserting it if missing.
-fn refresh_or_insert(ctx: &mut Ctx<'_>, item: ItemId, version: Version, content: u32) {
-    if !ctx.cache.refresh(item, version, ctx.now) {
-        ctx.cache.insert(item, version, content, ctx.now);
-    }
-    ctx.note_copy(item, version);
-}
-
 impl Protocol for Rpcc {
     fn on_init(&mut self, ctx: &mut Ctx<'_>) {
         // Pre-warmed cache copies carry a fresh TTP lease.
@@ -863,11 +689,7 @@ impl Protocol for Rpcc {
             self.renew_ttp(ctx, item);
         }
         if self.publishes {
-            // Stagger TTN across sources to avoid synchronised flood storms.
-            let offset = mp2p_sim::SimDuration::from_millis(
-                ctx.rng.uniform_u64(ctx.cfg.ttn.as_millis().max(1)),
-            );
-            ctx.set_timer(offset, Timer::Ttn);
+            ctx.stagger_ttn();
         }
         ctx.set_timer(ctx.cfg.relay_poll_hold, Timer::RelayHoldSweep);
         if ctx.cfg.recovery.acked_delivery && self.publishes {
@@ -883,9 +705,7 @@ impl Protocol for Rpcc {
         level: ConsistencyLevel,
     ) {
         self.coeffs.note_access();
-        if item == ctx.own_item.id() {
-            let version = ctx.own_item.version();
-            ctx.answer(query, version, ServedBy::Source);
+        if ctx.answer_own(query, item) {
             return;
         }
         let Some(entry) = ctx.cache.touch(item).copied() else {
@@ -978,13 +798,9 @@ impl Protocol for Rpcc {
                 content_bytes,
             } => {
                 self.note_master_version(item, version);
-                refresh_or_insert(ctx, item, version, content_bytes);
-                if self.relay.contains_key(&item) {
-                    let st = self.relay.get_mut(&item).expect("checked above");
-                    st.ttr_expiry = ctx.now + Self::relay_lease(ctx.cfg);
-                    if std::mem::take(&mut st.awaiting_get_new) {
-                        ctx.transition(item, RelayTransitionKind::ResyncCompleted);
-                    }
+                ctx.install_copy(item, version, content_bytes);
+                if let Some(st) = self.relay.get_mut(&item) {
+                    st.confirmed(ctx, item);
                     self.drain_held_polls(ctx, item);
                 } else {
                     self.renew_ttp(ctx, item);
@@ -1033,15 +849,7 @@ impl Protocol for Rpcc {
             ProtoMsg::Fetch { item, span } => {
                 if self.publishes && item == ctx.own_item.id() {
                     self.coeffs.note_access();
-                    ctx.send(
-                        from,
-                        ProtoMsg::FetchReply {
-                            item,
-                            version: ctx.own_item.version(),
-                            content_bytes: ctx.own_item.size_bytes(),
-                            span,
-                        },
-                    );
+                    ctx.reply_to_fetch(from, span);
                 }
             }
             ProtoMsg::FetchReply {
@@ -1051,7 +859,7 @@ impl Protocol for Rpcc {
                 ..
             } => {
                 self.note_master_version(item, version);
-                refresh_or_insert(ctx, item, version, content_bytes);
+                ctx.install_copy(item, version, content_bytes);
                 self.renew_ttp(ctx, item);
                 self.answer_pending_for(ctx, item, ServedBy::Source);
             }
@@ -1077,22 +885,15 @@ impl Protocol for Rpcc {
         match timer {
             Timer::Ttn => self.source_tick(ctx),
             Timer::PollRetry { query, attempt } => {
-                let Some(pending) = self.pending.get(&query).copied() else {
-                    return; // already answered
+                let Some(pending) = self.pending.due(query, attempt) else {
+                    return; // already answered, or an earlier attempt's timer
                 };
-                if attempt != pending.attempt {
-                    return; // stale timer from an earlier attempt
-                }
                 if attempt >= ctx.cfg.poll_attempts {
                     // Hardening: before giving up, one last max-TTL flood
                     // aimed at reaching the source (or any relay) past
                     // whatever localized damage swallowed the ring polls.
                     if ctx.cfg.fallback_flood {
-                        let version = ctx
-                            .cache
-                            .peek(pending.item)
-                            .map(|e| e.version)
-                            .unwrap_or(Version::INITIAL);
+                        let version = ctx.cached_version(pending.item);
                         self.known_relay.remove(&pending.item);
                         ctx.phase(query, pending.item, SpanPhase::FallbackFlood, attempt);
                         ctx.flood(
@@ -1112,12 +913,12 @@ impl Protocol for Rpcc {
                     return;
                 }
                 match pending.kind {
-                    PendingKind::Poll => self.start_poll(ctx, query, pending.item, attempt + 1),
-                    PendingKind::Fetch => self.start_fetch(ctx, query, pending.item, attempt + 1),
+                    Waiting::Poll => self.start_poll(ctx, query, pending.item, attempt + 1),
+                    Waiting::Fetch => self.start_fetch(ctx, query, pending.item, attempt + 1),
                 }
             }
             Timer::PollGrace { query } => {
-                if self.pending.remove(&query).is_some() {
+                if self.pending.remove(query) {
                     ctx.fail(query);
                 }
             }
@@ -1166,16 +967,7 @@ impl Protocol for Rpcc {
                 self.known_relay.remove(&item);
             }
             ProtoMsg::Fetch { item, .. } => {
-                let mut queries: Vec<QueryId> = self
-                    .pending
-                    .iter()
-                    .filter(|(_, p)| p.item == item && p.kind == PendingKind::Fetch)
-                    .map(|(&q, _)| q)
-                    .collect();
-                // Map iteration order is arbitrary: sort for determinism.
-                queries.sort_unstable();
-                for q in queries {
-                    self.pending.remove(&q);
+                for q in self.pending.take_item(item, |kind| kind == Waiting::Fetch) {
                     ctx.fail(q);
                 }
             }
@@ -1186,7 +978,7 @@ impl Protocol for Rpcc {
     fn on_status_change(&mut self, ctx: &mut Ctx<'_>, up: bool) {
         self.coeffs.note_switch();
         if up && ctx.cfg.recovery.resync && ctx.connected {
-            self.start_resync(ctx);
+            recovery::flood_resync_digest(ctx, self.publishes);
         }
     }
 
@@ -1222,73 +1014,24 @@ impl Protocol for Rpcc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp2p_cache::{CacheStore, DataItem};
-    use mp2p_sim::{SimDuration, SimRng};
+    use mp2p_sim::SimDuration;
 
-    struct Fixture {
-        cache: CacheStore,
-        own: DataItem,
-        rng: SimRng,
-        cfg: ProtocolConfig,
-        proto: Rpcc,
-        now: SimTime,
+    type Fixture = crate::protocol::fixture::Fixture<Rpcc>;
+
+    fn fixture(me: u32) -> Fixture {
+        Fixture::new(me, 9, Rpcc::new)
     }
 
-    impl Fixture {
-        fn new(me: u32) -> Self {
-            let cfg = ProtocolConfig::default();
-            let mut cache = CacheStore::new(10);
-            // Pre-warm a foreign item (D1 unless we are node 1).
-            let foreign = if me == 1 {
-                ItemId::new(2)
-            } else {
-                ItemId::new(1)
-            };
-            cache.insert(foreign, Version::INITIAL, 1_024, SimTime::ZERO);
-            Fixture {
-                cache,
-                own: DataItem::new(ItemId::new(me), 1_024),
-                rng: SimRng::from_seed(9, u64::from(me)),
-                cfg,
-                proto: Rpcc::new(&cfg, true),
-                now: SimTime::ZERO,
-                // `me` recorded via own item id
+    /// Drives the node to candidate status via busy, stable periods.
+    fn make_candidate(fx: &mut Fixture) {
+        for _ in 0..5 {
+            for _ in 0..10 {
+                fx.proto.coeffs.note_access();
             }
+            let out = fx.run(|p, ctx| p.on_coefficient_tick(ctx, false));
+            assert!(out.is_empty());
         }
-
-        fn ctx(&mut self) -> Ctx<'_> {
-            Ctx::new(
-                self.now,
-                NodeId::new(self.own.id().index() as u32),
-                &mut self.cache,
-                &mut self.own,
-                &mut self.rng,
-                &self.cfg,
-                1.0,
-                true,
-            )
-        }
-
-        fn run<F: FnOnce(&mut Rpcc, &mut Ctx<'_>)>(&mut self, f: F) -> Vec<crate::CtxOut> {
-            let mut proto = std::mem::replace(&mut self.proto, Rpcc::new(&self.cfg, true));
-            let mut ctx = self.ctx();
-            f(&mut proto, &mut ctx);
-            let out = ctx.take_outputs();
-            self.proto = proto;
-            out
-        }
-
-        /// Drives the node to candidate status via busy, stable periods.
-        fn make_candidate(&mut self) {
-            for _ in 0..5 {
-                for _ in 0..10 {
-                    self.proto.coeffs.note_access();
-                }
-                let out = self.run(|p, ctx| p.on_coefficient_tick(ctx, false));
-                assert!(out.is_empty());
-            }
-            assert!(self.proto.is_candidate());
-        }
+        assert!(fx.proto.is_candidate());
     }
 
     fn sends_of(out: &[crate::CtxOut]) -> Vec<(NodeId, ProtoMsg)> {
@@ -1311,7 +1054,7 @@ mod tests {
 
     #[test]
     fn weak_query_answers_immediately() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         let out =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(1), ItemId::new(1), ConsistencyLevel::Weak));
         assert_eq!(answers_of(&out), vec![(QueryId(1), Version::INITIAL)]);
@@ -1319,7 +1062,7 @@ mod tests {
 
     #[test]
     fn delta_query_with_fresh_ttp_answers_immediately() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         let _ = fx.run(|p, ctx| p.on_init(ctx)); // grants TTP leases to warmed items
         let out =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(2), ItemId::new(1), ConsistencyLevel::Delta));
@@ -1328,7 +1071,7 @@ mod tests {
 
     #[test]
     fn strong_query_polls_even_with_fresh_ttp() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         let _ = fx.run(|p, ctx| p.on_init(ctx));
         let out =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(3), ItemId::new(1), ConsistencyLevel::Strong));
@@ -1341,7 +1084,7 @@ mod tests {
 
     #[test]
     fn delta_query_with_expired_ttp_polls() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         let _ = fx.run(|p, ctx| p.on_init(ctx));
         fx.now = SimTime::ZERO + SimDuration::from_mins(10); // past TTP=4min
         let out =
@@ -1358,7 +1101,7 @@ mod tests {
 
     #[test]
     fn poll_ack_a_answers_and_renews_ttp() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         let _ = fx.run(|p, ctx| p.on_init(ctx));
         let _ =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(5), ItemId::new(1), ConsistencyLevel::Strong));
@@ -1382,7 +1125,7 @@ mod tests {
 
     #[test]
     fn poll_ack_b_refreshes_cache_before_answering() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         let _ = fx.run(|p, ctx| p.on_init(ctx));
         let _ =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(7), ItemId::new(1), ConsistencyLevel::Strong));
@@ -1407,7 +1150,7 @@ mod tests {
 
     #[test]
     fn poll_retry_escalates_then_fails() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         let _ = fx.run(|p, ctx| p.on_init(ctx));
         let _ =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(8), ItemId::new(1), ConsistencyLevel::Strong));
@@ -1481,7 +1224,7 @@ mod tests {
 
     #[test]
     fn grace_expiry_fails_unanswered_query() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         let _ = fx.run(|p, ctx| p.on_init(ctx));
         let _ =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(20), ItemId::new(1), ConsistencyLevel::Strong));
@@ -1504,7 +1247,7 @@ mod tests {
 
     #[test]
     fn source_answers_polls_for_own_item() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         fx.own.update(); // v1
         let out = fx.run(|p, ctx| {
             p.on_message(
@@ -1527,7 +1270,7 @@ mod tests {
 
     #[test]
     fn source_ttn_floods_invalidation_and_pushes_updates() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         // Install a relay peer and a pending update.
         let _ = fx.run(|p, ctx| {
             p.on_message(
@@ -1563,8 +1306,8 @@ mod tests {
 
     #[test]
     fn apply_then_ack_promotes_to_relay() {
-        let mut fx = Fixture::new(0);
-        fx.make_candidate();
+        let mut fx = fixture(0);
+        make_candidate(&mut fx);
         // Candidate hears an INVALIDATION for its cached item D1 → APPLY.
         let out = fx.run(|p, ctx| {
             p.on_message(
@@ -1608,8 +1351,8 @@ mod tests {
 
     #[test]
     fn stale_new_relay_fetches_content() {
-        let mut fx = Fixture::new(0);
-        fx.make_candidate();
+        let mut fx = fixture(0);
+        make_candidate(&mut fx);
         let out = fx.run(|p, ctx| {
             p.on_message(
                 ctx,
@@ -1627,8 +1370,8 @@ mod tests {
 
     #[test]
     fn fresh_relay_answers_polls_stale_relay_holds_them() {
-        let mut fx = Fixture::new(0);
-        fx.make_candidate();
+        let mut fx = fixture(0);
+        make_candidate(&mut fx);
         let _ = fx.run(|p, ctx| {
             p.on_message(
                 ctx,
@@ -1700,8 +1443,8 @@ mod tests {
 
     #[test]
     fn relay_missing_updates_resyncs_with_get_new() {
-        let mut fx = Fixture::new(0);
-        fx.make_candidate();
+        let mut fx = fixture(0);
+        make_candidate(&mut fx);
         let _ = fx.run(|p, ctx| {
             p.on_message(
                 ctx,
@@ -1761,7 +1504,7 @@ mod tests {
 
     #[test]
     fn update_to_plain_cache_peer_triggers_cancel() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         let out = fx.run(|p, ctx| {
             p.on_message(
                 ctx,
@@ -1785,8 +1528,8 @@ mod tests {
 
     #[test]
     fn update_to_candidate_promotes_without_ack() {
-        let mut fx = Fixture::new(0);
-        fx.make_candidate();
+        let mut fx = fixture(0);
+        make_candidate(&mut fx);
         let out = fx.run(|p, ctx| {
             p.on_message(
                 ctx,
@@ -1817,8 +1560,8 @@ mod tests {
 
     #[test]
     fn demotion_cancels_all_relayed_items() {
-        let mut fx = Fixture::new(0);
-        fx.make_candidate();
+        let mut fx = fixture(0);
+        make_candidate(&mut fx);
         let _ = fx.run(|p, ctx| {
             p.on_message(
                 ctx,
@@ -1854,7 +1597,7 @@ mod tests {
 
     #[test]
     fn source_drops_unreachable_relay_from_table() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         let _ = fx.run(|p, ctx| {
             p.on_message(
                 ctx,
@@ -1880,7 +1623,7 @@ mod tests {
 
     #[test]
     fn cache_miss_fetches_from_source() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         let out =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(11), ItemId::new(5), ConsistencyLevel::Weak));
         assert!(sends_of(&out)
@@ -1904,7 +1647,7 @@ mod tests {
 
     #[test]
     fn admission_cap_rejects_extra_relays() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         fx.cfg.max_relays_per_item = Some(2);
         for peer in [4u32, 5] {
             let out = fx.run(|p, ctx| {
@@ -1953,7 +1696,7 @@ mod tests {
 
     #[test]
     fn adaptive_ttp_lease_reacts_to_poll_answers() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         fx.cfg.adaptive = true;
         fx.proto = Rpcc::new(&fx.cfg, true);
         // Confirmations stretch the Δ-lease.
@@ -1997,7 +1740,7 @@ mod tests {
 
     #[test]
     fn adaptive_source_stretches_quiet_reports() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         fx.cfg.adaptive = true;
         fx.proto = Rpcc::new(&fx.cfg, true);
         // Sparse updates: one every 6 minutes.
@@ -2029,7 +1772,7 @@ mod tests {
 
     #[test]
     fn own_item_queries_answer_from_master() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         fx.own.update();
         let out =
             fx.run(|p, ctx| p.on_query(ctx, QueryId(12), ItemId::new(0), ConsistencyLevel::Strong));
@@ -2038,7 +1781,7 @@ mod tests {
 
     /// Promotes the fixture to relay for D1 via APPLY_ACK.
     fn make_relay(fx: &mut Fixture) {
-        fx.make_candidate();
+        make_candidate(fx);
         let _ = fx.run(|p, ctx| {
             p.on_message(
                 ctx,
@@ -2054,7 +1797,7 @@ mod tests {
 
     #[test]
     fn orphaned_relay_lease_expires_with_self_cancel() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         fx.cfg = fx.cfg.hardened();
         fx.proto = Rpcc::new(&fx.cfg, true);
         make_relay(&mut fx);
@@ -2091,7 +1834,7 @@ mod tests {
 
     #[test]
     fn source_contact_keeps_renewing_the_relay_lease() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         fx.cfg = fx.cfg.hardened();
         fx.proto = Rpcc::new(&fx.cfg, true);
         make_relay(&mut fx);
@@ -2122,7 +1865,7 @@ mod tests {
 
     #[test]
     fn exhausted_poll_falls_back_to_source_flood() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         fx.cfg = fx.cfg.hardened();
         fx.proto = Rpcc::new(&fx.cfg, true);
         // Strong query on the cached (non-fresh) D1 starts a POLL.
@@ -2197,7 +1940,7 @@ mod tests {
 
     #[test]
     fn hardened_poll_retries_back_off_exponentially() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         fx.cfg.retry_backoff = 2.0; // no jitter: exact delays
         fx.proto = Rpcc::new(&fx.cfg, true);
         let timer_delay = |out: &[crate::CtxOut]| {
@@ -2238,7 +1981,7 @@ mod tests {
 
     #[test]
     fn recovery_off_changes_nothing_on_the_wire() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         let out = fx.run(|p, ctx| p.on_status_change(ctx, true));
         assert!(out.is_empty(), "rejoin is silent with recovery off");
         let out = fx.run(|p, ctx| p.on_timer(ctx, Timer::Ttn));
@@ -2256,7 +1999,7 @@ mod tests {
 
     #[test]
     fn rejoin_resync_floods_a_sorted_digest() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         fx.cfg.recovery = crate::RecoveryConfig::on();
         fx.proto = Rpcc::new(&fx.cfg, true);
         let out = fx.run(|p, ctx| p.on_status_change(ctx, true));
@@ -2292,7 +2035,7 @@ mod tests {
 
     #[test]
     fn resync_digest_is_answered_with_newer_versions_only() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         fx.cfg.recovery = crate::RecoveryConfig::on();
         fx.proto = Rpcc::new(&fx.cfg, true);
         fx.own.update(); // master D0 now at v1
@@ -2315,7 +2058,7 @@ mod tests {
 
     #[test]
     fn resync_ack_drops_stale_plain_copies() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         fx.cfg.recovery = crate::RecoveryConfig::on();
         fx.proto = Rpcc::new(&fx.cfg, true);
         let digest = VersionDigest::new(&[(ItemId::new(1), Version::new(3))]);
@@ -2335,7 +2078,7 @@ mod tests {
 
     #[test]
     fn seqd_update_acks_always_but_processes_once() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         fx.cfg.recovery = crate::RecoveryConfig::on();
         fx.proto = Rpcc::new(&fx.cfg, true);
         let update = ProtoMsg::Update {
@@ -2396,7 +2139,7 @@ mod tests {
 
     #[test]
     fn unacked_update_retransmits_then_gives_up() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         fx.cfg.recovery = crate::RecoveryConfig::on();
         fx.proto = Rpcc::new(&fx.cfg, true);
         let _seq = push_one_acked_update(&mut fx);
@@ -2427,7 +2170,7 @@ mod tests {
 
     #[test]
     fn delivery_ack_clears_the_retransmit_entry() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         fx.cfg.recovery = crate::RecoveryConfig::on();
         fx.proto = Rpcc::new(&fx.cfg, true);
         let seq = push_one_acked_update(&mut fx);
@@ -2461,7 +2204,7 @@ mod tests {
 
     #[test]
     fn lease_expiry_requests_handover_instead_of_degrading() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         fx.cfg = fx.cfg.hardened();
         fx.cfg.recovery = crate::RecoveryConfig::on();
         fx.proto = Rpcc::new(&fx.cfg, true);
@@ -2485,7 +2228,7 @@ mod tests {
 
     #[test]
     fn handover_recipient_adopts_the_relay_role() {
-        let mut fx = Fixture::new(0);
+        let mut fx = fixture(0);
         fx.cfg.recovery = crate::RecoveryConfig::on();
         fx.proto = Rpcc::new(&fx.cfg, true);
         let out = fx.run(|p, ctx| {
