@@ -5,18 +5,41 @@
 //! (the `crosscheck_explain` CI gate). Also pins the orphan-span
 //! surfacing the analyzer relies on for truncated journals.
 
+use std::cell::RefCell;
+use std::io::Write;
+use std::rc::Rc;
+
 use mp2p_experiments::{
-    analyze_file, analyze_journal, crosscheck_explain, explain_stale_serves, render_explain,
-    render_health, ConsistencyReportTotals,
+    analyze_journal, crosscheck_explain, explain_stale_serves, render_explain, render_health,
+    ConsistencyReportTotals,
 };
 use mp2p_net::FaultPlan;
 use mp2p_rpcc::{ObservatoryConfig, ProvenanceConfig, RunReport, Strategy, World, WorldConfig};
 use mp2p_sim::SimDuration;
 use mp2p_trace::JsonlSink;
 
-/// One chaos run with observatory + provenance on, journaled at schema 4.
-/// Returns the run's report and the journal path (caller removes it).
-fn chaos_run(preset: &str, seed: u64) -> (RunReport, std::path::PathBuf) {
+/// In-memory journal target: a cloneable handle to one shared byte
+/// buffer, so the bytes survive handing the writer to [`JsonlSink`].
+#[derive(Clone, Default)]
+struct SharedBuf(Rc<RefCell<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        self.0.borrow_mut().extend_from_slice(data);
+        Ok(data.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// One chaos run with observatory + provenance on, journaled at schema 4
+/// into memory: the tests of this binary run as threads of one process
+/// and several ask for the same `(preset, seed)`, so a temporary file
+/// named after those would be created, truncated, read and removed by
+/// all of them at once. Returns the run's report and the journal bytes.
+fn chaos_run(preset: &str, seed: u64) -> (RunReport, Vec<u8>) {
     let mut cfg = WorldConfig::paper_default(seed);
     cfg.strategy = Strategy::Rpcc;
     cfg.sim_time = SimDuration::from_mins(8);
@@ -24,24 +47,20 @@ fn chaos_run(preset: &str, seed: u64) -> (RunReport, std::path::PathBuf) {
     cfg.faults = FaultPlan::preset(preset, cfg.sim_time).expect("known preset");
     cfg.observatory = ObservatoryConfig::full(SimDuration::from_secs(30));
     cfg.provenance = ProvenanceConfig::full();
-    let warmup = cfg.warmup;
-    let path = std::env::temp_dir().join(format!(
-        "mp2p-explain-{preset}-{seed}-{}.jsonl",
-        std::process::id()
-    ));
+    let journal = SharedBuf::default();
+    let sink = JsonlSink::new_v4_with_warmup(Box::new(journal.clone()), cfg.warmup);
     let mut world = World::new(cfg);
-    world.set_tracer(Box::new(
-        JsonlSink::create_v4_with_warmup(&path, warmup).expect("temp journal"),
-    ));
-    let (report, _tracer) = world.run_traced();
-    (report, path)
+    world.set_tracer(Box::new(sink));
+    let (report, tracer) = world.run_traced();
+    drop(tracer); // a dropped sink has written out everything it buffered
+    let bytes = journal.0.take();
+    (report, bytes)
 }
 
 /// The acceptance check both presets share.
 fn assert_every_stale_serve_explained(preset: &str) {
-    let (report, path) = chaos_run(preset, 42);
-    let analysis = analyze_file(&path).expect("journal parses");
-    std::fs::remove_file(&path).ok();
+    let (report, journal) = chaos_run(preset, 42);
+    let analysis = analyze_journal(&journal[..]).expect("journal parses");
 
     assert!(
         analysis.provenance.has_frames(),
@@ -113,9 +132,8 @@ fn every_stale_serve_gets_a_chain_under_partition() {
 
 #[test]
 fn crosscheck_explain_catches_a_dropped_incident() {
-    let (report, path) = chaos_run("bursty", 42);
-    let analysis = analyze_file(&path).expect("journal parses");
-    std::fs::remove_file(&path).ok();
+    let (report, journal) = chaos_run("bursty", 42);
+    let analysis = analyze_journal(&journal[..]).expect("journal parses");
     let mut incidents = explain_stale_serves(&analysis);
     let totals = ConsistencyReportTotals::from_report_json(&report.to_json())
         .expect("report carries a consistency section");
@@ -132,10 +150,9 @@ fn truncated_journal_surfaces_orphan_spans() {
     // Strip every QueryIssued line from a real journal (a truncation a
     // rotating collector could produce): the assembler must keep parsing
     // and surface each span-tagged message as an orphan count the
-    // analyze binary turns into exit 1.
-    let (_report, path) = chaos_run("bursty", 42);
-    let text = std::fs::read_to_string(&path).expect("read journal back");
-    std::fs::remove_file(&path).ok();
+    // `mp2p analyze` turns into exit 1.
+    let (_report, journal) = chaos_run("bursty", 42);
+    let text = String::from_utf8(journal).expect("journals are UTF-8");
     let truncated: String = text
         .lines()
         .filter(|line| !line.contains("\"ev\":\"query_issued\""))
