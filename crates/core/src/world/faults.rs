@@ -166,7 +166,7 @@ impl World {
         let retx_peak = node.proto.retx_high_water() as u64;
         self.report.faults.retx_queue_peak = self.report.faults.retx_queue_peak.max(retx_peak);
         node.up = false;
-        node.cache = CacheStore::new(self.cfg.c_num.max(1));
+        node.cache = CacheStore::new(self.cfg.c_num);
         node.stack = mp2p_net::NetStack::new(id, self.cfg.net);
         node.stack.set_tracing(self.obs.tracing());
         node.proto = AnyProtocol::fresh(self.cfg.strategy, &self.cfg.proto, node.publishes);

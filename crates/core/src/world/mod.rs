@@ -299,7 +299,7 @@ impl World {
                 up: true,
                 stack: NetStack::new(id, cfg.net),
                 proto,
-                cache: CacheStore::new(cfg.c_num.max(1)),
+                cache: CacheStore::new(cfg.c_num),
                 own_item: DataItem::new(id.owned_item(), cfg.proto.content_bytes),
                 publishes,
                 battery: PeerEnergy::new(cfg.battery_mj),

@@ -64,12 +64,12 @@ impl World {
 
     /// The retry timer of an outstanding write fired. Discovery failure
     /// is not reported to the writer: this timer alone decides when to
-    /// give up.
+    /// give up, after as many attempts as any other request gets.
     pub(super) fn retry_write(&mut self, at: NodeId, write: QueryId) {
         let Some(open) = self.open_writes.get_mut(&write) else {
             return; // already acknowledged
         };
-        if open.attempt >= 3 {
+        if open.attempt >= self.cfg.proto.poll_attempts {
             self.close_write_failed(write);
         } else {
             open.attempt += 1;

@@ -1,6 +1,6 @@
 //! Offline trace analysis: span reconstruction and report cross-checks.
 //!
-//! This is the library half of the `analyze` binary. It streams a JSONL
+//! This is the library half of `mp2p analyze`. It streams a JSONL
 //! journal (written with `run --trace`) through the trace crate's
 //! [`JournalReader`], folds every event into a [`SpanAssembler`] and a
 //! windowed [`MetricsBridge`], and derives the same post-warm-up totals
