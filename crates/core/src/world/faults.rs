@@ -167,8 +167,7 @@ impl World {
         self.report.faults.retx_queue_peak = self.report.faults.retx_queue_peak.max(retx_peak);
         node.up = false;
         node.cache = CacheStore::new(self.cfg.c_num);
-        node.stack = mp2p_net::NetStack::new(id, self.cfg.net);
-        node.stack.set_tracing(self.obs.tracing());
+        node.stack = node.stack.rebooted();
         node.proto = AnyProtocol::fresh(self.cfg.strategy, &self.cfg.proto, node.publishes);
         self.topo = None;
         self.report.faults.crashes += 1;

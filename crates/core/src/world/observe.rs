@@ -141,10 +141,6 @@ impl Observers {
         self.tracer.enabled()
     }
 
-    pub(super) fn tracing(&self) -> bool {
-        self.tracer.enabled()
-    }
-
     pub(super) fn blames(&self) -> bool {
         self.blame.is_some()
     }

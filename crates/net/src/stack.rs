@@ -226,6 +226,22 @@ impl<M: Clone> NetStack<M> {
         }
     }
 
+    /// The stack this node comes back with after a crash: every volatile
+    /// table empty, but the two sequence counters carried over. They name
+    /// this node's floods, frames and route requests to everyone else,
+    /// whose duplicate-suppression memories outlive the crash — restarted
+    /// at 0 they would re-issue `(origin, seq)` ids still held there, and
+    /// the node's fresh floods and RREQs would be dropped as duplicates
+    /// (AODV keeps its sequence number in stable storage for this reason).
+    #[must_use]
+    pub fn rebooted(&self) -> Self {
+        let mut fresh = NetStack::new(self.node, self.cfg);
+        fresh.flood_seq = self.flood_seq;
+        fresh.rreq_seq = self.rreq_seq;
+        fresh.tracing = self.tracing;
+        fresh
+    }
+
     /// The node this stack belongs to.
     pub fn node(&self) -> NodeId {
         self.node
@@ -789,6 +805,40 @@ mod tests {
             NetAction::Broadcast(f) => f.clone(),
             other => panic!("expected broadcast, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_rebooted_stack_forgets_everything_but_its_sequence_numbers() {
+        let target = NodeId::new(9);
+        let mut a: NetStack<&str> = NetStack::new(NodeId::new(0), NetConfig::default());
+        let mut b: NetStack<&str> = NetStack::new(NodeId::new(1), NetConfig::default());
+        a.set_tracing(true);
+        // Two floods and one route request leave a's ids in b's memory.
+        for payload in ["X", "Y"] {
+            let flood = frame_of(&a.flood_app(SimTime::ZERO, 3, payload, 40));
+            b.on_frame(SimTime::ZERO, NodeId::new(0), flood);
+        }
+        let rreq = frame_of(&a.send_app(SimTime::ZERO, target, "Z", 40));
+        b.on_frame(SimTime::ZERO, NodeId::new(0), rreq);
+
+        let mut a = a.rebooted();
+        assert_eq!(a.route_count(SimTime::ZERO), 0);
+        assert!(a.pending.is_empty() && a.seen_floods.is_empty());
+        assert!(a.tracing, "the flight recorder stays attached");
+        // What a sends next must be new to b: a fresh flood is delivered,
+        // a fresh route request is re-flooded, neither is a duplicate.
+        let flood = frame_of(&a.flood_app(SimTime::ZERO, 3, "W", 40));
+        assert!(flood.provenance().1 >= 3, "ids continue past the crash");
+        let heard = b.on_frame(SimTime::ZERO, NodeId::new(0), flood);
+        assert!(heard
+            .iter()
+            .any(|act| matches!(act, NetAction::Deliver { payload: "W", .. })));
+        let rreq = frame_of(&a.send_app(SimTime::ZERO, target, "Z", 40));
+        let heard = b.on_frame(SimTime::ZERO, NodeId::new(0), rreq);
+        assert!(
+            heard.iter().any(|a| matches!(a, NetAction::Broadcast(_))),
+            "b must forward the rebooted node's request, not suppress it: {heard:?}"
+        );
     }
 
     #[test]
