@@ -573,9 +573,7 @@ impl World {
                         via_flood: false,
                         frame: None,
                     };
-                    let scope = self.obs.delivered(self.now, at, &msg, &meta);
-                    self.with_proto(at, |p, ctx| p.on_message(ctx, from, msg));
-                    self.obs.handled(msg.class(), scope);
+                    self.deliver(at, msg, meta);
                 }
             }
             Event::CoeffTick => {
@@ -876,24 +874,7 @@ impl World {
             match action {
                 NetAction::Broadcast(frame) => self.transmit(node, None, frame),
                 NetAction::Send { next_hop, frame } => self.transmit(node, Some(next_hop), frame),
-                NetAction::Deliver { payload, meta } => {
-                    let scope = self.obs.delivered(self.now, node, &payload, &meta);
-                    match payload {
-                        // Replica writes are driver-level machinery: apply at
-                        // the source, acknowledge to the writer; the running
-                        // consistency strategy propagates the change.
-                        ProtoMsg::WriteRequest { item, .. } => {
-                            self.handle_write_request(node, meta.origin, item);
-                        }
-                        ProtoMsg::WriteAck { item, version } => {
-                            self.handle_write_ack(node, item, version);
-                        }
-                        _ => {
-                            self.with_proto(node, |p, ctx| p.on_message(ctx, meta.origin, payload))
-                        }
-                    }
-                    self.obs.handled(payload.class(), scope);
-                }
+                NetAction::Deliver { payload, meta } => self.deliver(node, payload, meta),
                 NetAction::SetTimer { after, timer } => {
                     self.queue
                         .push(self.now + after, Event::NetTimer { at: node, timer });
@@ -915,6 +896,23 @@ impl World {
                 }
             }
         }
+    }
+
+    /// Hands a message that reached `node` — through the stack or the
+    /// oracle — to whoever handles it.
+    fn deliver(&mut self, node: NodeId, payload: ProtoMsg, meta: NetMeta) {
+        let scope = self.obs.delivered(self.now, node, &payload, &meta);
+        match payload {
+            // Replica writes are driver-level machinery: apply at the
+            // source, acknowledge to the writer; the running consistency
+            // strategy propagates the change.
+            ProtoMsg::WriteRequest { item, .. } => {
+                self.handle_write_request(node, meta.origin, item);
+            }
+            ProtoMsg::WriteAck { item, version } => self.handle_write_ack(node, item, version),
+            _ => self.with_proto(node, |p, ctx| p.on_message(ctx, meta.origin, payload)),
+        }
+        self.obs.handled(payload.class(), scope);
     }
 
     /// Runs `f` against node `id`'s protocol with a fresh context, then

@@ -51,6 +51,24 @@ fn writes_complete_under_every_strategy() {
     }
 }
 
+/// An oracle-routed WRITE_REQUEST / WRITE_ACK reaches the driver's write
+/// handlers like a stack-routed one (it used to be handed to the
+/// strategy, which ignores it, so every write timed out).
+#[test]
+fn writes_complete_under_oracle_routing() {
+    let mut cfg = writing_config(Strategy::Rpcc, 1);
+    cfg.routing = mp2p::rpcc::RoutingMode::Oracle;
+    let r = World::new(cfg).run();
+    assert!(r.writes_issued > 50, "write workload must flow");
+    assert!(
+        r.writes_failed * 20 < r.writes_issued,
+        "a calm lossless network loses few writes, lost {}/{} ({} acked)",
+        r.writes_failed,
+        r.writes_issued,
+        r.writes_completed()
+    );
+}
+
 #[test]
 fn write_latency_is_a_round_trip() {
     let r = run(Strategy::Rpcc, 2);
