@@ -181,24 +181,27 @@ pub fn parse_strategy(token: &str) -> Result<Strategy, String> {
     }
 }
 
-/// Parses the strategy set of `mp2p run`: a comma list whose entries are
-/// a strategy token with an optional level mix (`rpcc:hy`, `push`) or
-/// one of the aliases `paper` (the six Fig. 7/8 curves) and `all` (plus
-/// Push+AP). Entries without a mix take `default_mix`. Two entries that
-/// would share a column label are rejected.
+/// Parses one entry of a strategy set: a strategy token with an optional
+/// level mix (`rpcc:hy`, `push`); without one it takes `default_mix`.
+pub fn parse_strategy_entry(entry: &str, default_mix: LevelMix) -> Result<StrategySpec, String> {
+    let (token, mix) = match entry.split_once(':') {
+        Some((token, mix)) => (token, parse_mix(mix)?),
+        None => (entry, default_mix),
+    };
+    Ok(StrategySpec::of(parse_strategy(token)?, mix))
+}
+
+/// Parses the strategy set of `mp2p run --strategy` and of a scenario's
+/// `strategies`: a comma list of [`parse_strategy_entry`] entries and the
+/// aliases `paper` (the six Fig. 7/8 curves) and `all` (plus Push+AP).
+/// Two entries that would share a column label are rejected.
 pub fn parse_strategy_set(list: &str, default_mix: LevelMix) -> Result<Vec<StrategySpec>, String> {
     let mut specs: Vec<StrategySpec> = Vec::new();
     for entry in list.split(',').filter(|t| !t.is_empty()) {
         match entry {
             "paper" => specs.extend(paper_strategies()),
             "all" => specs.extend(extended_strategies()),
-            _ => {
-                let (token, mix) = match entry.split_once(':') {
-                    Some((token, mix)) => (token, parse_mix(mix)?),
-                    None => (entry, default_mix),
-                };
-                specs.push(StrategySpec::of(parse_strategy(token)?, mix));
-            }
+            _ => specs.push(parse_strategy_entry(entry, default_mix)?),
         }
     }
     if specs.is_empty() {

@@ -22,8 +22,8 @@
 
 use mp2p_mobility::Terrain;
 use mp2p_rpcc::{
-    MobilityKind, ObservatoryConfig, ProvenanceConfig, RecoveryConfig, RoutingMode, WorkloadMode,
-    WorldConfig,
+    MobilityKind, ObservatoryConfig, ProtocolConfig, ProvenanceConfig, RecoveryConfig, RoutingMode,
+    WorkloadMode, WorldConfig,
 };
 use mp2p_sim::SimDuration;
 
@@ -42,10 +42,25 @@ pub enum Value {
     /// The raw text that followed a flag (numeric rows parse it with the
     /// field's own type, so `--seed` keeps all 64 bits).
     Arg(String),
-    /// A file array of numbers (`seeds`; no row takes one).
-    Nums(Vec<f64>),
-    /// A file array of strings (`strategies`; no row takes one).
-    Texts(Vec<String>),
+    /// A file array of values of one type (`seeds`, `strategies`, a
+    /// sweep axis; no row takes one — an axis hands a row its elements).
+    List(Vec<Value>),
+}
+
+/// The bare value, as a table cell or a cell key shows it (the canonical
+/// file form, which quotes strings, is `scenario.rs`'s business).
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Value::Num(n) => write!(f, "{n}"),
+            Value::Text(t) | Value::Arg(t) => f.write_str(t),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::List(v) => {
+                let items: Vec<String> = v.iter().map(Value::to_string).collect();
+                write!(f, "[{}]", items.join(", "))
+            }
+        }
+    }
 }
 
 /// Why a row's `set` refused a value.
@@ -160,6 +175,13 @@ fn shown(on: bool) -> Option<Value> {
     on.then_some(Value::Bool(true))
 }
 
+/// A protocol knob, shown only off its Table 1 value: the canonical file
+/// of a scenario that leaves it alone does not mention it.
+fn knob(c: &WorldConfig, read: fn(&ProtocolConfig) -> u8) -> Option<Value> {
+    let now = read(&c.proto);
+    (now != read(&ProtocolConfig::default())).then(|| Value::Num(now.into()))
+}
+
 /// Writes `value` into a mobility parameter the current model has.
 fn put<T>(slot: Option<&mut T>, value: T) -> Result<(), Reject> {
     slot.map(|s| *s = value).ok_or(Reject::Inapplicable)
@@ -216,6 +238,14 @@ fn workload(name: &str) -> Result<WorkloadMode, String> {
     known
         .map(|(_, mode)| *mode)
         .ok_or_else(|| format!("unknown workload {name:?} (cached-uniform|single-item)"))
+}
+
+fn routing(name: &str) -> Result<RoutingMode, String> {
+    match name {
+        "on-demand" => Ok(RoutingMode::OnDemand),
+        "oracle" => Ok(RoutingMode::Oracle),
+        _ => Err(format!("unknown routing {name:?} (on-demand|oracle)")),
+    }
 }
 
 fn model(name: &str) -> Result<MobilityKind, String> {
@@ -287,7 +317,7 @@ const fn opt(section: &'static str, key: &'static str) -> Option<FileKey> {
 /// (`--sample-secs` on `--consistency`, a mobility parameter on the
 /// model, the fault preset on the horizon it scales to) comes after it.
 #[rustfmt::skip]
-pub static TABLE: [Row; 35] = [
+pub static TABLE: [Row; 38] = [
     Row { field: "n_peers", file: req("world", "peers"), flag: Some("--peers"), expects: "an integer >= 2",
           set: |c, v| whole(v).map(|n| c.n_peers = n), get: |c| num(c.n_peers as f64) },
     Row { field: "c_num", file: req("world", "cache"), flag: Some("--cache"), expects: "an integer >= 1",
@@ -336,6 +366,25 @@ pub static TABLE: [Row; 35] = [
           expects: SECONDS,
           set: |c, v| span(v, SECOND).map(|d| c.observatory = ObservatoryConfig::full(d)),
           get: |c| units(c.observatory.sample_period?, SECOND) },
+    Row { field: "proto.invalidation_ttl", file: opt("world", "invalidation_ttl"), flag: Some("--ttl"),
+          expects: "a hop count in 1..=255",
+          set: |c, v| whole(v).map(|hops| c.proto.invalidation_ttl = hops),
+          get: |c| knob(c, |p| p.invalidation_ttl) },
+    Row { field: "proto.poll_ttl", file: opt("world", "poll_ttl"), expects: "a hop count of 1 or more",
+          set: |c, v| whole(v).map(|hops| c.proto.poll_ttl = hops), get: |c| knob(c, |p| p.poll_ttl), ..ROW },
+    Row { field: "proto.demote_grace_ticks", file: opt("world", "demote_grace_ticks"), expects: "a tick count of 1 or more",
+          set: |c, v| whole(v).map(|ticks| c.proto.demote_grace_ticks = ticks),
+          get: |c| knob(c, |p| p.demote_grace_ticks), ..ROW },
+    Row { field: "proto.max_relays_per_item", file: opt("world", "relay_cap"), flag: Some("--relay-cap"),
+          expects: "an integer >= 1",
+          set: |c, v| whole(v).map(|n| c.proto.max_relays_per_item = Some(n)),
+          get: |c| num(c.proto.max_relays_per_item? as f64) },
+    Row { field: "proto.adaptive", file: opt("world", "adaptive"), flag: Some("--adaptive"),
+          set: |c, v| on(v).map(|adaptive| c.proto.adaptive = adaptive),
+          get: |c| shown(c.proto.adaptive), ..ROW },
+    Row { field: "routing", file: opt("world", "routing"),
+          set: |c, v| token(v, routing).map(|mode| c.routing = mode),
+          get: |c| match c.routing { RoutingMode::Oracle => text("oracle"), RoutingMode::OnDemand => None }, ..ROW },
     Row { field: "mobility", file: req("mobility", "model"),
           set: |c, v| token(v, model).map(|kind| c.mobility = kind), get: |c| model_name(&c.mobility), ..ROW },
     Row { field: "mobility.speed_min", file: req("mobility", "speed_min_mps"), expects: SPEED,
@@ -357,18 +406,12 @@ pub static TABLE: [Row; 35] = [
     Row { field: "mobility.speed", file: req("mobility", "speed_mps"), expects: SPEED,
           set: |c, v| put(speed(&mut c.mobility), real(v)?),
           get: |c| num(*speed(&mut { c.mobility })?), ..ROW },
-    Row { field: "proto.invalidation_ttl", flag: Some("--ttl"), expects: "a hop count in 1..=255",
-          set: |c, v| whole(v).map(|hops| c.proto.invalidation_ttl = hops), ..ROW },
     Row { field: "link.loss_prob", flag: Some("--loss"), expects: "a probability in [0,1]",
           set: |c, v| real(v).map(|p| c.link.loss_prob = p), ..ROW },
-    Row { field: "proto.max_relays_per_item", flag: Some("--relay-cap"), expects: "an integer >= 1",
-          set: |c, v| whole(v).map(|n| c.proto.max_relays_per_item = Some(n)), ..ROW },
     Row { field: "seed", flag: Some("--seed"), expects: "a non-negative integer",
           set: |c, v| whole(v).map(|n| c.seed = n), ..ROW },
     Row { field: "routing", flag: Some("--oracle-routing"),
           set: |c, _| { c.routing = RoutingMode::Oracle; Ok(()) }, ..ROW },
-    Row { field: "proto.adaptive", flag: Some("--adaptive"),
-          set: |c, _| { c.proto.adaptive = true; Ok(()) }, ..ROW },
     Row { field: "provenance", flag: Some("--provenance"),
           set: |c, _| { c.provenance = ProvenanceConfig::full(); Ok(()) }, ..ROW },
     Row { field: "faults", file: opt("faults", "preset"), flag: Some("--faults"),
@@ -380,4 +423,10 @@ pub static TABLE: [Row; 35] = [
 pub fn file_row(section: &str, key: &str) -> Option<&'static Row> {
     let spelled = |f: FileKey| f.section == section && f.key == key;
     TABLE.iter().find(|r| r.file.is_some_and(spelled))
+}
+
+/// The row a `[matrix]` axis spells `key`: a file key names one row
+/// whatever its section, so an axis does not repeat the section.
+pub fn axis_row(key: &str) -> Option<&'static Row> {
+    TABLE.iter().find(|r| r.file.is_some_and(|f| f.key == key))
 }

@@ -5,24 +5,23 @@
 //! [`run`], [`matrix`], [`analyze`] and [`paper`]; each parses its own
 //! flag list (a [`cli::Spec`]) and returns whether its gates passed.
 //!
-//! Every table and figure of the paper maps to a function here and an
-//! artefact id of `mp2p paper`:
+//! Every sweep is a scenario file ([`scenario`]) run through one
+//! executor ([`run_matrix`]); what a subcommand prints is a fold over
+//! the runs it returns. Every table and figure of the paper maps to a
+//! file under `scenarios/paper/` and an artefact id of `mp2p paper`:
 //!
-//! | Paper artefact | Function | `mp2p paper <id>` |
+//! | Paper artefact | Scenario file(s) | `mp2p paper <id>` |
 //! |---|---|---|
-//! | Table 1 (simulation parameters) | [`table1_rows`] | `table1` |
-//! | Fig. 7(a) traffic vs. update interval | [`fig7a`] | `fig7a` |
-//! | Fig. 7(b) traffic vs. query interval | [`fig7b`] | `fig7b` |
-//! | Fig. 7(c) traffic vs. cache number | [`fig7c`] | `fig7c` |
-//! | Fig. 8(a–c) latency, same sweeps | [`fig8a`]/[`fig8b`]/[`fig8c`] | `fig8a`/`fig8b`/`fig8c` |
-//! | Fig. 9(a/b) impact of invalidation TTL | [`fig9`] | `fig9` |
-//! | Design-choice ablations (not in the paper) | [`ablation`] | `ablation` |
-//! | Per-level staleness audit (not in the paper) | [`staleness`] | `staleness` |
+//! | Table 1 (simulation parameters) | — ([`paper::table1_rows`]) | `table1` |
+//! | Fig. 7(a) / 8(a) traffic / latency vs. update interval | `update-interval.toml` | `fig7a` / `fig8a` |
+//! | Fig. 7(b) / 8(b) vs. query interval | `query-interval.toml` | `fig7b` / `fig8b` |
+//! | Fig. 7(c) / 8(c) vs. cache number | `cache-number.toml` | `fig7c` / `fig8c` |
+//! | Fig. 9(a/b) impact of invalidation TTL | `invalidation-ttl.toml` | `fig9` |
+//! | Design-choice ablations (not in the paper) | `ablation-*.toml` | `ablation` |
+//! | Per-level staleness audit (not in the paper) | `staleness.toml` | `staleness` |
 //!
-//! Each sweep runs the full simulation once per (strategy, x-value, seed)
-//! and averages across seeds. `RunOptions::quick()` uses shortened runs
-//! for interactive use; `RunOptions::full()` reproduces the paper's five
-//! simulated hours.
+//! The files carry the paper's five simulated hours and seeds 42–44;
+//! `mp2p paper` without `--full` cuts them to [`scenario::QUICK`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +30,6 @@ pub mod analysis;
 pub mod analyze;
 mod check;
 pub mod cli;
-mod figures;
 pub mod keys;
 pub mod matrix;
 pub mod paper;
@@ -48,18 +46,11 @@ pub use analysis::{
     NodeHealth, ProvenanceGraph, ReportTotals, SpanTotals, TraceAnalysis,
 };
 pub use check::check_report;
-pub use figures::{
-    ablation, fig7a, fig7b, fig7c, fig8a, fig8b, fig8c, fig9, staleness, table1_rows, Artefact,
-    FigureData, Table, View,
-};
 pub use matrix::{
-    compare_matrix, gate_violations, run_matrix, CellRegression, GateAxis, MatrixCell,
+    compare_matrix, gate_violations, run_matrix, CellRegression, CellRun, GateAxis, MatrixCell,
     MatrixReport, MATRIX_SCHEMA,
 };
 pub use perf::{bench_config, bench_terrain, AREA_PER_PEER_M2};
-pub use report::{render_series_table, render_table, write_csv};
-pub use scenario::{GateFloors, Scenario, ScenarioError, SCENARIO_SCHEMA};
-pub use sweep::{
-    extended_strategies, paper_strategies, run_parallel, sweep, MeasuredPoint, RunOptions, Series,
-    StrategySpec,
-};
+pub use report::render_table;
+pub use scenario::{Axis, Cell, GateFloors, Horizon, Scenario, ScenarioError, SCENARIO_SCHEMA};
+pub use sweep::{extended_strategies, paper_strategies, StrategySpec};

@@ -6,16 +6,20 @@
 //! mp2p matrix --baseline MATRIX_BASELINE.json [--tolerance T] [--wall-tolerance W] ...
 //! ```
 //!
-//! The sweep loads every `*.toml` under `--scenarios` (default
-//! `scenarios/`), runs each scenario × strategy × seed triple (one
-//! **cell**) in parallel with profiling on, freezes every cell into a
-//! schema-versioned [`MatrixCell`] written as
-//! `MATRIX_<scenario>_<strategy>_s<seed>.json` under `--out` (default
-//! `results/matrix`) next to the combined `MATRIX_REPORT.json`, and
-//! prints the fleet scorecard. Every written cell file is read back and
-//! re-parsed, so a malformed snapshot can never reach disk silently.
-//! Every cell's report must satisfy [`check_report`] and its scenario's
-//! absolute `[gates]` floors ([`gate_violations`]); a violation exits 1.
+//! The sweep loads every `*.toml` directly under `--scenarios` (default
+//! `scenarios/`) and runs each scenario × strategy × axis value × seed
+//! tuple (one **cell**) in parallel with profiling on — [`run_matrix`],
+//! the one executor every sweep of this crate goes through, `mp2p paper`
+//! included. It returns the finished runs; everything printed or written
+//! is a fold over them. Here each is frozen into a schema-versioned
+//! [`MatrixCell`] written as `MATRIX_<scenario>_<strategy>_s<seed>.json`
+//! (`…_<strategy>_<key>-<value>_s<seed>.json` in a swept scenario) under
+//! `--out` (default `results/matrix`) next to the combined
+//! `MATRIX_REPORT.json`, and the fleet scorecard is printed. Every
+//! written cell file is read back and re-parsed, so a malformed snapshot
+//! can never reach disk silently. Every cell's report must satisfy
+//! [`check_report`] and its scenario's absolute `[gates]` floors
+//! ([`gate_violations`]); a violation exits 1.
 //!
 //! `--smoke` shrinks the sweep for CI: the first two scenarios by name,
 //! first two strategies and first seed of each, with the horizon cut to
@@ -42,15 +46,16 @@
 
 use std::path::{Path, PathBuf};
 
-use mp2p_rpcc::{RunReport, Strategy, World};
+use mp2p_rpcc::{LevelMix, RunReport, World};
 use mp2p_sim::SimDuration;
 use mp2p_trace::json::{self, Value};
 use mp2p_trace::BlameCause;
 
 use crate::check::check_report;
-use crate::cli::{parse_strategy, strategy_token, Args, Spec};
+use crate::cli::{parse_strategy_entry, Args, Spec};
 use crate::report::render_table;
-use crate::scenario::Scenario;
+use crate::run::sanitize;
+use crate::scenario::{Cell, Horizon, Scenario};
 use crate::sweep::run_parallel;
 
 /// Version tag written into every cell and report. Bump on layout
@@ -68,8 +73,12 @@ pub const MATRIX_SCHEMA: u64 = 1;
 pub struct MatrixCell {
     /// Scenario name the cell belongs to.
     pub scenario: String,
-    /// Strategy token (`rpcc`, `push`, `pull`, `push-ap`).
+    /// Strategy token (`rpcc`, `push`, `pull`, `push-ap`), with its mix
+    /// where the scenario's entry carries one (`rpcc:dc`).
     pub strategy: String,
+    /// The axis point as `key=value`; empty in an unswept scenario, whose
+    /// cells serialise without the field.
+    pub point: String,
     /// Master seed of the run.
     pub seed: u64,
     /// Peer count (identity: must match for comparison).
@@ -108,19 +117,20 @@ pub struct MatrixCell {
 }
 
 impl MatrixCell {
-    /// `scenario/strategy/s<seed>` — the cell's display and file key.
+    /// `scenario/strategy/s<seed>`, or `scenario/strategy/key=value/s<seed>`
+    /// in a swept scenario — the cell's display key.
     pub fn key(&self) -> String {
-        format!("{}/{}/s{}", self.scenario, self.strategy, self.seed)
+        let point = match self.point.as_str() {
+            "" => String::new(),
+            point => format!("/{point}"),
+        };
+        format!("{}/{}{point}/s{}", self.scenario, self.strategy, self.seed)
     }
 
     /// Freezes one finished run into a cell. `report` must come from
-    /// the world that `(scenario, strategy, seed)` describes.
-    pub fn from_report(
-        scenario: &Scenario,
-        strategy: Strategy,
-        seed: u64,
-        report: &RunReport,
-    ) -> Self {
+    /// the world that `(scenario, cell)` describes.
+    pub fn from_report(scenario: &Scenario, cell: &Cell, report: &RunReport) -> Self {
+        let world = scenario.world_config(cell);
         let dominant_blame = report
             .consistency
             .filter(|c| c.blamed_total() > 0)
@@ -138,11 +148,12 @@ impl MatrixCell {
             .unwrap_or_else(|| "none".to_owned());
         MatrixCell {
             scenario: scenario.name.clone(),
-            strategy: strategy_token(strategy).to_owned(),
-            seed,
-            peers: scenario.world.n_peers as u64,
-            sim_ms: scenario.world.sim_time.as_millis(),
-            warmup_ms: scenario.world.warmup.as_millis(),
+            strategy: scenario.strategy_token(&cell.strategy),
+            point: scenario.point(cell).unwrap_or_default(),
+            seed: cell.seed,
+            peers: world.n_peers as u64,
+            sim_ms: world.sim_time.as_millis(),
+            warmup_ms: world.warmup.as_millis(),
             traffic_per_min: report.traffic_per_minute(),
             transmissions: report.traffic.transmissions(),
             bytes: report.traffic.bytes(),
@@ -165,13 +176,17 @@ impl MatrixCell {
         let mut s = String::with_capacity(512);
         let _ = write!(
             s,
-            "{{\"matrix_schema\":{MATRIX_SCHEMA},\"scenario\":{},\"strategy\":{},\"seed\":{},\"peers\":{},\"sim_ms\":{},\"warmup_ms\":{}",
+            "{{\"matrix_schema\":{MATRIX_SCHEMA},\"scenario\":{},\"strategy\":{}",
             json::escape(&self.scenario),
             json::escape(&self.strategy),
-            self.seed,
-            self.peers,
-            self.sim_ms,
-            self.warmup_ms,
+        );
+        if !self.point.is_empty() {
+            let _ = write!(s, ",\"point\":{}", json::escape(&self.point));
+        }
+        let _ = write!(
+            s,
+            ",\"seed\":{},\"peers\":{},\"sim_ms\":{},\"warmup_ms\":{}",
+            self.seed, self.peers, self.sim_ms, self.warmup_ms,
         );
         let _ = write!(
             s,
@@ -233,10 +248,15 @@ impl MatrixCell {
                 .ok_or_else(|| format!("missing numeric field {key:?}"))
         };
         let strategy = str_field("strategy")?;
-        parse_strategy(&strategy)?;
+        parse_strategy_entry(&strategy, LevelMix::strong_only())?;
+        let point = match v.get("point") {
+            Some(_) => str_field("point")?,
+            None => String::new(),
+        };
         Ok(MatrixCell {
             scenario: str_field("scenario")?,
             strategy,
+            point,
             seed: u64_field("seed")?,
             peers: u64_field("peers")?,
             sim_ms: u64_field("sim_ms")?,
@@ -259,7 +279,8 @@ impl MatrixCell {
 }
 
 /// The fleet scorecard: every cell of one matrix sweep, in sweep order
-/// (scenarios sorted by name, then file strategy order, then seeds).
+/// (scenarios sorted by name, then file strategy order, then axis
+/// values, then seeds).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixReport {
     /// All swept cells.
@@ -267,11 +288,18 @@ pub struct MatrixReport {
 }
 
 impl MatrixReport {
-    /// Looks a cell up by its identity triple.
-    pub fn cell(&self, scenario: &str, strategy: &str, seed: u64) -> Option<&MatrixCell> {
-        self.cells
-            .iter()
-            .find(|c| c.scenario == scenario && c.strategy == strategy && c.seed == seed)
+    /// Freezes every finished run of a sweep.
+    pub fn of(runs: &[CellRun<'_>]) -> Self {
+        let freeze =
+            |run: &CellRun<'_>| MatrixCell::from_report(run.scenario, &run.cell, &run.report);
+        MatrixReport {
+            cells: runs.iter().map(freeze).collect(),
+        }
+    }
+
+    /// Looks a cell up by its [`MatrixCell::key`].
+    pub fn cell(&self, key: &str) -> Option<&MatrixCell> {
+        self.cells.iter().find(|c| c.key() == key)
     }
 
     /// Serialises the report: `{"matrix_schema":1,"cells":[...]}`.
@@ -311,36 +339,58 @@ impl MatrixReport {
     }
 }
 
-/// Sweeps every scenario × strategy × seed cell in parallel (the same
-/// executor the figure sweeps use) and folds the cells into a report.
-/// With `profile` each world's profiler is enabled, filling the cells'
-/// wall-clock fields — strictly observational, so the deterministic
-/// fields are identical either way. The second value lists every
+/// One finished run of a sweep: the cell and the report of its world.
+#[derive(Debug)]
+pub struct CellRun<'a> {
+    /// The scenario the cell belongs to.
+    pub scenario: &'a Scenario,
+    /// Which of its cells.
+    pub cell: Cell,
+    /// What the run measured.
+    pub report: RunReport,
+}
+
+/// The one sweep executor: runs every cell of every scenario in
+/// parallel and returns the runs in sweep order (scenario, strategy, axis
+/// value, seed). With `profile` each world's profiler is enabled, filling
+/// a report's wall-clock section — strictly observational, so everything
+/// else is identical either way. The second value lists every
 /// [`check_report`] violation, prefixed with its cell key.
-pub fn run_matrix(scenarios: &[Scenario], profile: bool) -> (MatrixReport, Vec<String>) {
-    let mut jobs: Vec<(&Scenario, Strategy, u64)> = Vec::new();
-    for scenario in scenarios {
-        for &strategy in &scenario.strategies {
-            for &seed in &scenario.seeds {
-                jobs.push((scenario, strategy, seed));
-            }
-        }
-    }
-    let checked = run_parallel(&jobs, |&(scenario, strategy, seed)| {
-        let mut world = World::new(scenario.world_config(strategy, seed));
+pub fn run_matrix(scenarios: &[Scenario], profile: bool) -> (Vec<CellRun<'_>>, Vec<String>) {
+    let cells_of = |s| std::iter::repeat(s).zip(Scenario::cells(s));
+    let jobs: Vec<(&Scenario, Cell)> = scenarios.iter().flat_map(cells_of).collect();
+    let reports = run_parallel(&jobs, |(scenario, cell)| {
+        let mut world = World::new(scenario.world_config(cell));
         if profile {
             world.enable_profiling();
         }
-        let report = world.run();
-        let cell = MatrixCell::from_report(scenario, strategy, seed, &report);
-        let violations: Vec<String> = check_report(&report)
-            .into_iter()
-            .map(|v| format!("{}: {v}", cell.key()))
-            .collect();
-        (cell, violations)
+        world.run()
     });
-    let (cells, violations): (Vec<_>, Vec<_>) = checked.into_iter().unzip();
-    (MatrixReport { cells }, violations.concat())
+    let mut runs = Vec::with_capacity(jobs.len());
+    let mut violations = Vec::new();
+    for ((scenario, cell), report) in jobs.into_iter().zip(reports) {
+        let broken = check_report(&report);
+        if !broken.is_empty() {
+            let key = MatrixCell::from_report(scenario, &cell, &report).key();
+            violations.extend(broken.iter().map(|v| format!("{key}: {v}")));
+        }
+        runs.push(CellRun {
+            scenario,
+            cell,
+            report,
+        });
+    }
+    (runs, violations)
+}
+
+/// The runs of a sweep grouped by sweep point: each slice holds the
+/// seeds of one scenario × strategy × axis value, in seed order.
+pub fn points<'r, 'a>(runs: &'r [CellRun<'a>]) -> impl Iterator<Item = &'r [CellRun<'a>]> {
+    runs.chunk_by(|a, b| {
+        std::ptr::eq(a.scenario, b.scenario)
+            && a.cell.strategy == b.cell.strategy
+            && a.cell.x == b.cell.x
+    })
 }
 
 /// The three baseline-gated axes of a cell.
@@ -422,7 +472,7 @@ pub fn compare_matrix(
     }
     let mut regressions = Vec::new();
     for base in &baseline.cells {
-        let Some(fresh) = measured.cell(&base.scenario, &base.strategy, base.seed) else {
+        let Some(fresh) = measured.cell(&base.key()) else {
             return Err(format!(
                 "baseline cell {} missing from the measured sweep",
                 base.key()
@@ -598,23 +648,30 @@ impl Options {
             scenarios.truncate(2);
             for s in &mut scenarios {
                 s.strategies.truncate(2);
-                s.seeds.truncate(1);
-                s.world.sim_time = SimDuration::from_mins(6);
-                s.world.warmup = SimDuration::from_secs(90);
+                s.shorten(SMOKE)?;
             }
         }
         Ok(scenarios)
     }
 }
 
+/// The horizon of `matrix --smoke`: six simulated minutes, one seed.
+const SMOKE: Horizon = Horizon {
+    sim_time: SimDuration::from_mins(6),
+    warmup: SimDuration::from_secs(90),
+    seeds: 1,
+};
+
 /// Writes one cell snapshot and re-parses the written bytes, so a
 /// malformed file fails the run instead of poisoning later gates.
 fn write_cell(dir: &Path, cell: &MatrixCell) -> Result<PathBuf, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let path = dir.join(format!(
-        "MATRIX_{}_{}_s{}.json",
-        cell.scenario, cell.strategy, cell.seed
-    ));
+    // `rpcc:dc` and `update_secs=30` are not path-safe as they stand.
+    let mut stem = format!("MATRIX_{}_{}", cell.scenario, sanitize(&cell.strategy));
+    if !cell.point.is_empty() {
+        stem = format!("{stem}_{}", sanitize(&cell.point));
+    }
+    let path = dir.join(format!("{stem}_s{}.json", cell.seed));
     std::fs::write(&path, cell.to_json())
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     let back = std::fs::read_to_string(&path)
@@ -673,17 +730,15 @@ fn diff_table(regressions: &[CellRegression]) -> String {
 pub fn command(argv: &[String]) -> Result<bool, String> {
     let opts = Options::parse(argv)?;
     let scenarios = opts.load_corpus()?;
-    let cells_expected: usize = scenarios
-        .iter()
-        .map(|s| s.strategies.len() * s.seeds.len())
-        .sum();
+    let cells_expected: usize = scenarios.iter().map(|s| s.cells().len()).sum();
     println!(
         "Sweeping {} scenario(s), {} cell(s){}...",
         scenarios.len(),
         cells_expected,
         if opts.smoke { " [smoke]" } else { "" },
     );
-    let (report, violations) = run_matrix(&scenarios, true);
+    let (runs, violations) = run_matrix(&scenarios, true);
+    let report = MatrixReport::of(&runs);
     for cell in &report.cells {
         let path = write_cell(&opts.out_dir, cell)?;
         println!("{} -> {}", cell.key(), path.display());
@@ -737,6 +792,7 @@ mod tests {
         MatrixCell {
             scenario: "mini".into(),
             strategy: "rpcc".into(),
+            point: String::new(),
             seed: 42,
             peers: 8,
             sim_ms: 300_000,
@@ -776,6 +832,52 @@ mod tests {
 
         let report = sample_report();
         let back = MatrixReport::from_json(&report.to_json()).expect("roundtrip");
+        assert_eq!(back, report);
+    }
+
+    #[test]
+    fn a_swept_scenario_runs_every_point_and_averages() {
+        let text = crate::scenario::tests::MINIMAL
+            .replace("preset = \"bursty\"", "preset = \"none\"")
+            .replace("[\"rpcc\", \"push\", \"pull\"]", "[\"pull\", \"rpcc:dc\"]")
+            .replace(
+                "seeds = [42, 43]",
+                "query_secs = [10, 20]\nseeds = [42, 43]",
+            );
+        let scenario = Scenario::parse(&text).unwrap();
+        let (runs, violations) = run_matrix(std::slice::from_ref(&scenario), false);
+        assert_eq!(violations, Vec::<String>::new());
+        assert_eq!(runs.len(), 2 * 2 * 2);
+        let points: Vec<_> = points(&runs).collect();
+        assert_eq!(points.len(), 2 * 2, "the seeds of a point stay together");
+        let traffic = |point: &[CellRun<'_>]| {
+            assert_eq!(point.len(), 2);
+            assert!(point
+                .iter()
+                .all(|run| run.report.traffic.transmissions() > 0));
+            point
+                .iter()
+                .map(|run| run.report.traffic_per_minute())
+                .sum::<f64>()
+                / 2.0
+        };
+        // Longer query interval => less pull traffic.
+        assert!(traffic(points[0]) > traffic(points[1]));
+
+        // A swept cell's key and snapshot name carry strategy mix and axis
+        // value, and the name is path-safe.
+        let report = MatrixReport::of(&runs);
+        let keys: Vec<String> = report.cells.iter().map(MatrixCell::key).collect();
+        assert_eq!(keys[0], "mini/pull/query_secs=10/s42");
+        assert_eq!(keys[7], "mini/rpcc:dc/query_secs=20/s43");
+        let unique: std::collections::BTreeSet<&String> = keys.iter().collect();
+        assert_eq!(unique.len(), keys.len());
+        let dir = std::env::temp_dir().join(format!("mp2p-matrix-cells-{}", std::process::id()));
+        let path = write_cell(&dir, &report.cells[7]).expect("cell snapshot writes");
+        let name = path.file_name().unwrap().to_str().unwrap();
+        assert_eq!(name, "MATRIX_mini_rpcc-dc_query_secs-20_s43.json");
+        std::fs::remove_dir_all(&dir).ok();
+        let back = MatrixReport::from_json(&report.to_json()).expect("swept report parses");
         assert_eq!(back, report);
     }
 

@@ -55,7 +55,8 @@ use crate::check::check_report;
 use crate::cli::{self, Args, Spec};
 use crate::keys::{self, Reject, Value};
 use crate::report::render_table;
-use crate::sweep::{RunOptions, StrategySpec};
+use crate::scenario::QUICK;
+use crate::sweep::StrategySpec;
 
 /// The flag list of `mp2p run`.
 pub static SPEC: Spec = Spec {
@@ -119,13 +120,10 @@ pub struct RunPlan {
 /// carries cannot fail [`WorldConfig::validate`].
 pub fn world_config(args: &Args) -> Result<WorldConfig, String> {
     let mut cfg = WorldConfig::paper_default(42);
-    let horizon = if args.flag("--full") {
-        RunOptions::full()
-    } else {
-        RunOptions::quick()
-    };
-    cfg.sim_time = horizon.sim_time;
-    cfg.warmup = horizon.warmup;
+    if !args.flag("--full") {
+        cfg.sim_time = QUICK.sim_time;
+        cfg.warmup = QUICK.warmup;
+    }
 
     if args.flag("--sample-secs") && !args.flag("--consistency") {
         return Err("--sample-secs only makes sense together with --consistency".into());
@@ -293,8 +291,9 @@ impl RunPlan {
     }
 }
 
-/// `RPCC(SC)` → `RPCC-SC`: keep trace filenames shell-friendly.
-fn sanitize(name: &str) -> String {
+/// `RPCC(SC)` → `RPCC-SC`: keep trace and snapshot filenames
+/// shell-friendly.
+pub(crate) fn sanitize(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for c in name.chars() {
         match c {

@@ -4,17 +4,17 @@
 //! floors.
 //!
 //! A scenario file is the unit `mp2p matrix` sweeps: every
-//! `(scenario, strategy, seed)` triple becomes one matrix cell. The
-//! format is a deliberately small TOML subset (the workspace is
-//! dependency-free, so the parser is hand-rolled here, like the JSON
-//! stack in `mp2p_trace::json`):
+//! `(scenario, strategy, axis value, seed)` tuple becomes one matrix
+//! cell ([`Cell`]). The format is a deliberately small TOML subset (the
+//! workspace is dependency-free, so the parser is hand-rolled here, like
+//! the JSON stack in `mp2p_trace::json`):
 //!
 //! * `# comment` lines and blank lines,
 //! * `[section]` headers (`world`, `mobility`, `faults`, `matrix`,
 //!   `gates`),
 //! * `key = value` pairs where a value is a number, `true`/`false`, a
 //!   `"string"` (`\"` and `\\` escapes), or a `[a, b, c]` array of
-//!   numbers or strings.
+//!   values of one of those types.
 //!
 //! The `[world]`, `[mobility]` and `[faults]` keys are not known here by
 //! name: they are the file spellings of the run-key table
@@ -24,6 +24,13 @@
 //! covered by `tests/scenario_corpus.rs`). What a value may be is decided
 //! by [`WorldConfig::check`] on the configuration the file built, not on
 //! the text.
+//!
+//! `[matrix]` spans the cells: `strategies` (entries may carry their own
+//! level mix, `"rpcc:dc"`, in the grammar of `mp2p run --strategy`),
+//! `seeds`, and at most one **axis** — any of those same file keys with
+//! an array of the values to sweep (`update_secs = [30, 60, 120]`), each
+//! of which overrides the `[world]` value in its cells and is checked
+//! like it.
 //!
 //! Errors are **line-accurate**: syntax errors, unknown keys, values of
 //! the wrong type and every rule `check` reports are mapped back to the
@@ -55,22 +62,28 @@
 //! speed_mps = 8
 //!
 //! [matrix]
-//! strategies = ["rpcc", "push"]
+//! strategies = ["rpcc:hy", "push"]
+//! update_secs = [60, 120, 240]
 //! seeds = [42]
 //! "#;
 //! let scenario = Scenario::parse(text).unwrap();
 //! assert_eq!(scenario.name, "demo");
-//! let cfg = scenario.world_config(scenario.strategies[0], 42);
+//! let cells = scenario.cells();
+//! assert_eq!(cells.len(), 2 * 3 * 1);
+//! let cfg = scenario.world_config(&cells[0]);
 //! assert_eq!(cfg.check(), Ok(()));
+//! assert_eq!(cfg.i_update.as_millis(), 60_000);
 //! ```
 
 use std::path::Path;
 
 use mp2p_net::FaultPlan;
-use mp2p_rpcc::{ConfigError, Strategy, World, WorldConfig};
+use mp2p_rpcc::{ConfigError, WorldConfig};
+use mp2p_sim::SimDuration;
 
 use crate::cli;
-use crate::keys::{self, Reject, Value};
+use crate::keys::{self, Reject, Row, Value};
+use crate::sweep::StrategySpec;
 
 /// Version tag required in every scenario file (`schema = 1`). Bump on
 /// layout changes so old files are refused instead of misread.
@@ -111,8 +124,49 @@ pub struct GateFloors {
     pub min_events_per_sec: Option<f64>,
 }
 
-/// One parsed scenario: the world its cells share, and the strategies
-/// and seeds that span them.
+/// The one swept key of a scenario and the values it takes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Axis {
+    /// The swept run key, as `[world]`, `[mobility]` or `[faults]` spell it.
+    pub key: &'static str,
+    /// The values, in sweep order; never empty.
+    pub values: Vec<Value>,
+}
+
+/// One cell of a scenario's sweep.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Cell {
+    /// The strategy and level mix of the run.
+    pub strategy: StrategySpec,
+    /// Which of the axis values the run takes; `None` in an unswept
+    /// scenario.
+    pub x: Option<usize>,
+    /// Master seed of the run.
+    pub seed: u64,
+}
+
+/// A horizon and seed count shorter than a file carries: what
+/// `matrix --smoke` and `paper` without `--full` cut a scenario down to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Horizon {
+    /// Simulated duration per run.
+    pub sim_time: SimDuration,
+    /// Warm-up excluded from metrics.
+    pub warmup: SimDuration,
+    /// How many of the file's seeds to keep.
+    pub seeds: usize,
+}
+
+/// Interactive use: 45 simulated minutes, 2 seeds. Also the horizon of
+/// `mp2p run` without `--full`.
+pub const QUICK: Horizon = Horizon {
+    sim_time: SimDuration::from_mins(45),
+    warmup: SimDuration::from_mins(10),
+    seeds: 2,
+};
+
+/// One parsed scenario: the world its cells share, and the strategies,
+/// axis values and seeds that span them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Scenario name (path-safe: `[a-z0-9-]`). Keys matrix cells.
@@ -127,8 +181,11 @@ pub struct Scenario {
     /// Strategy and seed are placeholders until
     /// [`Scenario::world_config`] fills them in.
     pub world: WorldConfig,
-    /// Strategies every seed is swept across.
-    pub strategies: Vec<Strategy>,
+    /// Strategies every seed is swept across; an entry without a mix of
+    /// its own runs under the world's.
+    pub strategies: Vec<StrategySpec>,
+    /// The swept key, if the scenario has one.
+    pub axis: Option<Axis>,
     /// Seeds every strategy is swept across.
     pub seeds: Vec<u64>,
     /// Absolute per-cell quality floors.
@@ -136,24 +193,75 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// Every cell of the sweep: strategies, then axis values, then seeds.
+    pub fn cells(&self) -> Vec<Cell> {
+        let mut cells = Vec::new();
+        let xs: Vec<Option<usize>> = match &self.axis {
+            Some(axis) => (0..axis.values.len()).map(Some).collect(),
+            None => vec![None],
+        };
+        for &strategy in &self.strategies {
+            for &x in &xs {
+                let cell = |&seed| Cell { strategy, x, seed };
+                cells.extend(self.seeds.iter().map(cell));
+            }
+        }
+        cells
+    }
+
     /// Builds the world configuration of one matrix cell. A fault
     /// preset is re-scaled here, against the horizon the cell actually
-    /// runs (`matrix --smoke` shortens it after parsing).
-    pub fn world_config(&self, strategy: Strategy, seed: u64) -> WorldConfig {
+    /// runs ([`Scenario::shorten`] cuts it after parsing).
+    pub fn world_config(&self, cell: &Cell) -> WorldConfig {
         let mut cfg = self.world.clone();
-        cfg.strategy = strategy;
-        cfg.seed = seed;
+        cfg.strategy = cell.strategy.strategy;
+        cfg.level_mix = cell.strategy.mix;
+        cfg.seed = cell.seed;
+        if let (Some(axis), Some(x)) = (&self.axis, self.x(cell)) {
+            let row = keys::axis_row(axis.key).expect("an axis names a file row");
+            (row.set)(&mut cfg, x).expect("axis values are of the row's type");
+        }
         if let Some(rescaled) = FaultPlan::preset(cfg.faults.label, cfg.sim_time) {
             cfg.faults = rescaled;
         }
         cfg
     }
 
-    /// Runs one cell of this scenario, unprofiled, and returns the
-    /// report. The deterministic counterpart of a
-    /// [`crate::matrix::run_matrix`] cell — used by the determinism tests.
-    pub fn run_cell_report(&self, strategy: Strategy, seed: u64) -> mp2p_rpcc::RunReport {
-        World::new(self.world_config(strategy, seed)).run()
+    /// The cell's strategy as its `strategies` entry spells it: the
+    /// token, with the mix where it is not the world's (`rpcc:dc`).
+    pub fn strategy_token(&self, spec: &StrategySpec) -> String {
+        let token = cli::strategy_token(spec.strategy);
+        if spec.mix == self.world.level_mix {
+            token.to_owned()
+        } else {
+            format!("{token}:{}", spec.mix.label().to_ascii_lowercase())
+        }
+    }
+
+    /// The axis value the cell takes; `None` in an unswept scenario.
+    pub fn x(&self, cell: &Cell) -> Option<&Value> {
+        self.axis.as_ref()?.values.get(cell.x?)
+    }
+
+    /// The cell's axis point as `key=value`; `None` in an unswept
+    /// scenario.
+    pub fn point(&self, cell: &Cell) -> Option<String> {
+        let axis = self.axis.as_ref()?;
+        Some(format!("{}={}", axis.key, self.x(cell)?))
+    }
+
+    /// Cuts the scenario down to a shorter horizon and fewer seeds. An
+    /// axis value that no longer fits (a swept warm-up past the new
+    /// horizon) is an error, never a panic further down.
+    pub fn shorten(&mut self, to: Horizon) -> Result<(), String> {
+        self.world.sim_time = to.sim_time;
+        self.world.warmup = to.warmup;
+        self.seeds.truncate(to.seeds);
+        for cell in self.cells() {
+            let fits = self.world_config(&cell).check();
+            fits.map_err(|e| format!("scenario {} at {}: {e}", self.name, to.sim_time))?;
+        }
+        Ok(())
     }
 
     /// Parses one scenario file. Errors carry the 1-based line number of
@@ -216,12 +324,13 @@ impl Scenario {
             }
         }
         s.push_str("\n[matrix]\n");
-        let tokens: Vec<String> = self
-            .strategies
-            .iter()
-            .map(|&st| quote(cli::strategy_token(st)))
-            .collect();
+        let tokens = self.strategies.iter().map(|spec| self.strategy_token(spec));
+        let tokens: Vec<String> = tokens.map(|token| quote(&token)).collect();
         let _ = writeln!(s, "strategies = [{}]", tokens.join(", "));
+        if let Some(axis) = &self.axis {
+            let values = Value::List(axis.values.clone());
+            let _ = writeln!(s, "{} = {}", axis.key, render(&values));
+        }
         let seeds: Vec<String> = self.seeds.iter().map(u64::to_string).collect();
         let _ = writeln!(s, "seeds = [{}]", seeds.join(", "));
         let mut gates = self.gates;
@@ -264,21 +373,7 @@ impl Scenario {
         for row in &keys::TABLE {
             let Some(file) = row.file else { continue };
             match doc.find(file.section, file.key) {
-                Some((value, line)) => {
-                    (row.set)(&mut world, value).map_err(|why| {
-                        let msg = match why {
-                            Reject::Type(want) => return wrong_type(file.key, want, value, line),
-                            Reject::Expects => out_of_range(row, value),
-                            Reject::Unknown(msg) => msg,
-                            Reject::Inapplicable => format!(
-                                "key {:?} does not apply in {} with this configuration",
-                                file.key,
-                                Document::section_label(file.section)
-                            ),
-                        };
-                        err(line, msg)
-                    })?;
-                }
+                Some((value, line)) => set(row, &mut world, value, line)?,
                 None if file.required && (row.get)(&world).is_some() => {
                     let label = Document::section_label(file.section);
                     return Err(err(0, format!("missing key {:?} in {label}", file.key)));
@@ -286,16 +381,15 @@ impl Scenario {
                 None => {}
             }
         }
-        world.check().map_err(|e| doc.locate(&e, &world))?;
+        world.check().map_err(|e| doc.locate(&e, &world, None))?;
 
         let (tokens, line) = doc.require("matrix", "strategies", "a string array", strings)?;
         if tokens.is_empty() {
             return Err(err(line, "strategies must not be empty".into()));
         }
-        let strategies = tokens.iter().map(|t| cli::parse_strategy(t));
-        let strategies = strategies
-            .collect::<Result<Vec<_>, _>>()
+        let strategies = cli::parse_strategy_set(&tokens.join(","), world.level_mix)
             .map_err(|msg| err(line, msg))?;
+        let axis = doc.axis(&world)?;
         let (seeds, line) = doc.require("matrix", "seeds", "a number array", numbers)?;
         if seeds.is_empty() {
             return Err(err(line, "seeds must not be empty".into()));
@@ -324,10 +418,34 @@ impl Scenario {
             summary,
             world,
             strategies,
+            axis,
             seeds,
             gates,
         })
     }
+}
+
+/// Writes one file value through its row, wording a refusal at `line`.
+fn set(
+    row: &Row,
+    world: &mut WorldConfig,
+    value: &Value,
+    line: usize,
+) -> Result<(), ScenarioError> {
+    let file = row.file.expect("a file row");
+    (row.set)(world, value).map_err(|why| {
+        let msg = match why {
+            Reject::Type(want) => return wrong_type(file.key, want, value, line),
+            Reject::Expects => out_of_range(row, value),
+            Reject::Unknown(msg) => msg,
+            Reject::Inapplicable => format!(
+                "key {:?} does not apply in {} with this configuration",
+                file.key,
+                Document::section_label(file.section)
+            ),
+        };
+        err(line, msg)
+    })
 }
 
 /// A value that is not what its row expects, by type or by range.
@@ -339,11 +457,12 @@ fn out_of_range(row: &keys::Row, value: &Value) -> String {
 /// A value in the canonical TOML form.
 fn render(value: &Value) -> String {
     match value {
-        Value::Num(n) => n.to_string(),
         Value::Text(t) | Value::Arg(t) => quote(t),
-        Value::Bool(b) => b.to_string(),
-        Value::Nums(v) => format!("{v:?}"),
-        Value::Texts(v) => format!("{v:?}"),
+        Value::List(v) => {
+            let items: Vec<String> = v.iter().map(render).collect();
+            format!("[{}]", items.join(", "))
+        }
+        plain => plain.to_string(),
     }
 }
 
@@ -371,8 +490,11 @@ fn type_name(value: &Value) -> &'static str {
         Value::Num(_) => "number",
         Value::Text(_) | Value::Arg(_) => "string",
         Value::Bool(_) => "boolean",
-        Value::Nums(_) => "number array",
-        Value::Texts(_) => "string array",
+        Value::List(v) => match v.first() {
+            Some(Value::Num(_)) | None => "number array",
+            Some(Value::Bool(_)) => "boolean array",
+            Some(_) => "string array",
+        },
     }
 }
 
@@ -397,14 +519,14 @@ fn string(value: &Value) -> Option<String> {
 
 fn numbers(value: &Value) -> Option<Vec<f64>> {
     match value {
-        Value::Nums(v) => Some(v.clone()),
+        Value::List(v) => v.iter().map(number).collect(),
         _ => None,
     }
 }
 
 fn strings(value: &Value) -> Option<Vec<String>> {
     match value {
-        Value::Texts(v) => Some(v.clone()),
+        Value::List(v) => v.iter().map(string).collect(),
         _ => None,
     }
 }
@@ -511,6 +633,7 @@ impl Document {
             // even when required keys are also missing.
             let known = keys::file_row(&section, key).is_some()
                 || OTHER_KEYS.contains(&(section.as_str(), key))
+                || (section == "matrix" && keys::axis_row(key).is_some())
                 || (section == "gates" && GATES.iter().any(|gate| gate.0 == key));
             if !known {
                 return Err(err(
@@ -542,20 +665,63 @@ impl Document {
             .map(|e| (&e.value, e.line))
     }
 
+    /// The `[matrix]` axis: the one key there that is a run key, with
+    /// every element written through its row and checked in `world`.
+    fn axis(&self, world: &WorldConfig) -> Result<Option<Axis>, ScenarioError> {
+        let in_matrix = self.entries.iter().filter(|e| e.section == "matrix");
+        let mut swept = in_matrix.filter_map(|e| Some((e, keys::axis_row(&e.key)?)));
+        let Some((entry, row)) = swept.next() else {
+            return Ok(None);
+        };
+        let (key, line) = (row.file.expect("a file row").key, entry.line);
+        if let Some((second, _)) = swept.next() {
+            let msg = format!(
+                "{:?} is a second axis after {key:?} on line {line} (a scenario sweeps at most one key)",
+                second.key
+            );
+            return Err(err(second.line, msg));
+        }
+        let Value::List(values) = &entry.value else {
+            let got = type_name(&entry.value);
+            let msg = format!(
+                "{key} in section [matrix] must be an array of the values to sweep, got a {got}"
+            );
+            return Err(err(line, msg));
+        };
+        if values.is_empty() {
+            return Err(err(line, format!("{key} must not be empty")));
+        }
+        for value in values {
+            let mut cell = world.clone();
+            set(row, &mut cell, value, line)?;
+            let swept = Some((key, value, line));
+            cell.check().map_err(|e| self.locate(&e, &cell, swept))?;
+        }
+        let values = values.clone();
+        Ok(Some(Axis { key, values }))
+    }
+
     /// Words a rule of [`WorldConfig::check`] in the file's spelling, at
     /// the line that set the offending field. A field by itself out of
     /// range reads like any other bad value; a rule between two fields
     /// names both keys, each with the value the file gave it (or the
-    /// default in force where the file gave none).
-    fn locate(&self, e: &ConfigError, world: &WorldConfig) -> ScenarioError {
+    /// default in force where the file gave none). `swept` is the axis
+    /// element in force, which overrides the key's `[world]` value.
+    fn locate(
+        &self,
+        e: &ConfigError,
+        world: &WorldConfig,
+        swept: Option<(&str, &Value, usize)>,
+    ) -> ScenarioError {
         let spelled = |field: &str| {
             let row = keys::TABLE
                 .iter()
                 .find(|r| r.field == field && r.file.is_some())?;
             let file = row.file?;
-            let (value, line) = match self.find(file.section, file.key) {
-                Some((value, line)) => (value.clone(), line),
-                None => ((row.get)(world)?, 0),
+            let (value, line) = match (swept, self.find(file.section, file.key)) {
+                (Some((key, value, line)), _) if key == file.key => (value.clone(), line),
+                (_, Some((value, line))) => (value.clone(), line),
+                _ => ((row.get)(world)?, 0),
             };
             Some((
                 row,
@@ -641,8 +807,8 @@ fn strip_comment(line: &str, lineno: usize) -> Result<&str, ScenarioError> {
     Ok(line)
 }
 
-/// Parses one value: number, bool, string, or a flat array of numbers
-/// or strings.
+/// Parses one value: number, bool, string, or a flat array of one of
+/// those.
 fn parse_value(text: &str, lineno: usize) -> Result<Value, ScenarioError> {
     if text.is_empty() {
         return Err(err(lineno, "missing value after `=`".into()));
@@ -658,23 +824,20 @@ fn parse_value(text: &str, lineno: usize) -> Result<Value, ScenarioError> {
             return Err(err(lineno, format!("unterminated array {text:?}")));
         };
         let items = split_array_items(inner, lineno)?;
-        if items.is_empty() {
-            // An empty array's element type is ambiguous; every array
-            // key in the format requires at least one element anyway.
-            return Ok(Value::Nums(Vec::new()));
+        let items = items.iter().map(|item| parse_value(item, lineno));
+        let items = items.collect::<Result<Vec<_>, _>>()?;
+        let kind = |v: &Value| std::mem::discriminant(v);
+        if let Some(odd) = items.iter().find(|v| kind(v) != kind(&items[0])) {
+            let (first, got) = (type_name(&items[0]), type_name(odd));
+            return Err(err(
+                lineno,
+                format!("array of {first} elements holds a {got}"),
+            ));
         }
-        if items[0].starts_with('"') {
-            let strings = items
-                .iter()
-                .map(|item| parse_string(item, lineno))
-                .collect::<Result<Vec<_>, _>>()?;
-            return Ok(Value::Texts(strings));
+        if matches!(items.first(), Some(Value::List(_))) {
+            return Err(err(lineno, "arrays do not nest".into()));
         }
-        let nums = items
-            .iter()
-            .map(|item| parse_number(item, lineno))
-            .collect::<Result<Vec<_>, _>>()?;
-        return Ok(Value::Nums(nums));
+        return Ok(Value::List(items));
     }
     if text.starts_with('"') {
         return parse_string(text, lineno).map(Value::Text);
@@ -827,10 +990,14 @@ min_fresh_fraction = 0.5
         assert_eq!(s.strategies.len(), 3);
         assert_eq!(s.seeds, vec![42, 43]);
         assert_eq!(s.gates.min_fresh_fraction, Some(0.5));
-        for &strategy in &s.strategies {
-            let cfg = s.world_config(strategy, 42);
+        assert_eq!(s.cells().len(), 3 * 2);
+        for cell in s.cells() {
+            let cfg = s.world_config(&cell);
             assert_eq!(cfg.check(), Ok(()));
-            assert_eq!((cfg.strategy, cfg.seed), (strategy, 42));
+            assert_eq!(
+                (cfg.strategy, cfg.seed),
+                (cell.strategy.strategy, cell.seed)
+            );
             assert_eq!(
                 cfg.mobility,
                 MobilityKind::Manhattan {
@@ -849,6 +1016,120 @@ min_fresh_fraction = 0.5
         assert_eq!(round, s);
         // And serialisation is a fixed point.
         assert_eq!(round.to_toml(), s.to_toml());
+    }
+
+    /// `MINIMAL` with `[matrix]` replaced.
+    fn with_matrix(matrix: &str) -> String {
+        let at = MINIMAL.find("[matrix]").unwrap();
+        format!("{}[matrix]\n{matrix}\n", &MINIMAL[..at])
+    }
+
+    #[test]
+    fn an_axis_and_per_entry_mixes_span_the_cells() {
+        let text = with_matrix(
+            "strategies = [\"pull\", \"rpcc:sc\", \"rpcc:dc\"]\n\
+             update_secs = [30, 60]\nseeds = [7]",
+        );
+        let s = Scenario::parse(&text).expect("swept scenario parses");
+        let axis = s.axis.as_ref().expect("update_secs is swept");
+        assert_eq!(axis.key, "update_secs");
+        assert_eq!(axis.values, [Value::Num(30.0), Value::Num(60.0)]);
+        let names: Vec<&str> = s.strategies.iter().map(|spec| spec.name).collect();
+        assert_eq!(names, ["Pull", "RPCC(SC)", "RPCC(DC)"]);
+        // Strategy-major, then axis value, then seed; the axis value
+        // overrides the [world] one and the entry's mix the world's.
+        let cells = s.cells();
+        assert_eq!(cells.len(), 3 * 2);
+        let last = s.world_config(&cells[5]);
+        assert_eq!(last.i_update, SimDuration::from_secs(60));
+        assert_eq!(last.level_mix, mp2p_rpcc::LevelMix::delta_only());
+        assert_eq!(s.world.i_update, SimDuration::from_secs(120));
+        // An entry spells its mix only where it is not the world's.
+        assert_eq!(s.strategy_token(&cells[2].strategy), "rpcc");
+        assert_eq!(s.strategy_token(&cells[5].strategy), "rpcc:dc");
+        assert_eq!(s.point(&cells[5]).as_deref(), Some("update_secs=60"));
+        // parse(to_toml(s)) == s for a swept file, and it is a fixed point.
+        let toml = s.to_toml();
+        assert!(toml.contains("\nstrategies = [\"pull\", \"rpcc\", \"rpcc:dc\"]\nupdate_secs = [30, 60]\nseeds = [7]\n"), "{toml}");
+        let back = Scenario::parse(&toml).expect("canonical form reparses");
+        assert_eq!(back, s);
+        assert_eq!(back.to_toml(), toml);
+        // Any file key can be an axis, whatever its section and type.
+        for axis in [
+            "preset = [\"none\", \"bursty\"]",
+            "speed_mps = [4, 8]",
+            "hardened = [false, true]",
+        ] {
+            let text = with_matrix(&format!("strategies = [\"rpcc\"]\n{axis}\nseeds = [1]"));
+            let s = Scenario::parse(&text).unwrap_or_else(|e| panic!("{axis}: {e}"));
+            assert_eq!(s.cells().len(), 2, "{axis}");
+            assert_eq!(Scenario::parse(&s.to_toml()).as_ref(), Ok(&s), "{axis}");
+        }
+    }
+
+    #[test]
+    fn a_bad_axis_names_its_line_and_element() {
+        // [matrix], strategies, then the axis.
+        let line = MINIMAL[..MINIMAL.find("[matrix]").unwrap()].lines().count() + 3;
+        for (axis, wording) in [
+            (
+                "bogus = [1, 2]",
+                "unknown key \"bogus\" in section [matrix]",
+            ),
+            (
+                "update_secs = [30, 60]\nquery_secs = [5]",
+                "\"query_secs\" is a second axis after \"update_secs\"",
+            ),
+            ("update_secs = []", "update_secs must not be empty"),
+            (
+                "update_secs = 30",
+                "update_secs in section [matrix] must be an array",
+            ),
+            (
+                "update_secs = [30, 0.0001]",
+                "update_secs must be a positive number of seconds, got 0.0001",
+            ),
+            (
+                "cache = [2, 8]",
+                "cache (8) must be below the number of foreign items (7)",
+            ),
+            (
+                "warmup_mins = [1, 7]",
+                "warmup_mins (7) must end before sim_mins (5) does",
+            ),
+            ("peers = [\"many\"]", "peers must be a number, got a string"),
+            (
+                "peers = [4, \"many\"]",
+                "array of number elements holds a string",
+            ),
+            (
+                "epoch_secs = [60]",
+                "key \"epoch_secs\" does not apply in section [mobility]",
+            ),
+        ] {
+            let text = with_matrix(&format!("strategies = [\"rpcc\"]\n{axis}\nseeds = [1]"));
+            let e = Scenario::parse(&text).unwrap_err();
+            let second_axis = usize::from(wording.contains("second axis"));
+            assert_eq!(e.line, line + second_axis, "{axis}: {e}");
+            assert!(e.msg.starts_with(wording), "{axis}: {e}");
+        }
+        // Shortening re-checks the axis: a swept warm-up past the new
+        // horizon is an error, not a panic in the world.
+        let text = with_matrix("strategies = [\"rpcc\"]\nwarmup_mins = [1, 4]\nseeds = [1, 2]");
+        let mut s = Scenario::parse(&text).unwrap();
+        let short = Horizon {
+            sim_time: SimDuration::from_mins(3),
+            warmup: SimDuration::from_mins(1),
+            seeds: 1,
+        };
+        let e = s.shorten(short).unwrap_err();
+        assert!(e.starts_with("scenario mini at 3min: warmup"), "{e}");
+        let mut unswept = Scenario::parse(MINIMAL).unwrap();
+        assert_eq!(unswept.shorten(short), Ok(()));
+        assert_eq!(
+            (unswept.world.sim_time, &unswept.seeds[..]),
+            (short.sim_time, &[42][..])
+        );
     }
 
     #[test]
@@ -1022,6 +1303,9 @@ min_fresh_fraction = 0.5
     fn every_file_row_round_trips_through_the_canonical_form() {
         let base = Scenario::parse(MINIMAL).unwrap();
         for row in &keys::TABLE {
+            // An axis names a row by its key alone.
+            let same_key = |r: &&Row| r.file.map(|f| f.key) == row.file.map(|f| f.key);
+            assert!(row.file.is_none() || keys::TABLE.iter().filter(same_key).count() == 1);
             let paper = WorldConfig::paper_default(7);
             if let Some(value) = (row.get)(&paper) {
                 let mut again = paper.clone();
@@ -1045,11 +1329,14 @@ min_fresh_fraction = 0.5
                 "workload" => "single-item",
                 "mix" => "hy",
                 "model" => "walk",
+                "routing" => "oracle",
                 _ => "crash",
             };
+            // 4 is off the Table 1 value of every knob the canonical
+            // form leaves out at its default.
             let next = match (row.get)(&s.world) {
                 Some(Value::Num(n)) => n + 1.0,
-                _ => 3.0,
+                _ => 4.0,
             };
             let candidates = [
                 Value::Num(next),

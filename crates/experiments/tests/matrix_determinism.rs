@@ -15,9 +15,9 @@
 
 use std::path::Path;
 
-use mp2p_experiments::matrix::{run_matrix, MatrixCell};
+use mp2p_experiments::matrix::{run_matrix, MatrixCell, MatrixReport};
 use mp2p_experiments::scenario::Scenario;
-use mp2p_rpcc::{World, WorldConfig};
+use mp2p_rpcc::{RunReport, World, WorldConfig};
 use mp2p_sim::SimDuration;
 
 /// A fast single-cell scenario.
@@ -48,29 +48,35 @@ strategies = ["rpcc"]
 seeds = [42]
 "#;
 
+/// The scenario's first cell, run directly and unprofiled.
+fn run_first_cell(s: &Scenario) -> RunReport {
+    World::new(s.world_config(&s.cells()[0])).run()
+}
+
 #[test]
 fn the_same_cell_twice_is_byte_identical() {
     let s = Scenario::parse(TINY).unwrap();
-    let strategy = s.strategies[0];
-    let first = s.run_cell_report(strategy, 42).to_json();
-    let second = s.run_cell_report(strategy, 42).to_json();
+    let first = run_first_cell(&s).to_json();
+    let second = run_first_cell(&s).to_json();
     assert_eq!(first, second, "same-cell reruns must not drift");
 }
 
 #[test]
 fn the_matrix_path_equals_the_direct_run_path() {
     let s = Scenario::parse(TINY).unwrap();
-    let strategy = s.strategies[0];
     // The matrix executor (unprofiled, so every field is deterministic)...
-    let (report, violations) = run_matrix(std::slice::from_ref(&s), false);
+    let (runs, violations) = run_matrix(std::slice::from_ref(&s), false);
     assert_eq!(violations, Vec::<String>::new());
-    let via_matrix = report.cell("tiny-gate", "rpcc", 42).expect("cell swept");
+    let report = MatrixReport::of(&runs);
+    let via_matrix = report.cell("tiny-gate/rpcc/s42").expect("cell swept");
     // ...must freeze exactly the cell a direct run freezes by hand.
-    let direct = s.run_cell_report(strategy, 42);
-    let by_hand = MatrixCell::from_report(&s, strategy, 42, &direct);
+    let direct = run_first_cell(&s);
+    assert_eq!(runs[0].report.to_json(), direct.to_json());
+    let by_hand = MatrixCell::from_report(&s, &s.cells()[0], &direct);
     assert_eq!(via_matrix, &by_hand);
     // And a profiled run only fills the wall-clock fields.
-    let mut profiled = run_matrix(std::slice::from_ref(&s), true).0.cells.remove(0);
+    let (runs, _) = run_matrix(std::slice::from_ref(&s), true);
+    let mut profiled = MatrixReport::of(&runs).cells.remove(0);
     assert!(profiled.events > 0 && profiled.events_per_sec > 0.0);
     profiled.events = 0;
     profiled.wall_secs = 0.0;
@@ -88,15 +94,14 @@ fn the_matrix_path_equals_the_direct_run_path() {
 fn paper_default_scenario_reproduces_the_direct_run() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/paper-default.toml");
     let s = Scenario::load(&path).expect("committed golden scenario loads");
-    let strategy = s.strategies[0];
-    let seed = s.seeds[0];
+    let cell = s.cells()[0];
 
-    let mut direct_cfg = WorldConfig::paper_default(seed);
-    direct_cfg.strategy = strategy;
+    let mut direct_cfg = WorldConfig::paper_default(cell.seed);
+    direct_cfg.strategy = cell.strategy.strategy;
     direct_cfg.sim_time = SimDuration::from_mins(12);
     direct_cfg.warmup = SimDuration::from_mins(3);
 
-    let via_scenario = s.run_cell_report(strategy, seed).to_json();
+    let via_scenario = run_first_cell(&s).to_json();
     let direct = World::new(direct_cfg).run().to_json();
     assert_eq!(
         via_scenario, direct,

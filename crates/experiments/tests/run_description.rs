@@ -25,9 +25,8 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use mp2p_experiments::cli::strategy_token;
 use mp2p_experiments::run::{self, RunPlan};
-use mp2p_experiments::scenario::Scenario;
+use mp2p_experiments::scenario::{Cell, Scenario};
 use mp2p_rpcc::WorldConfig;
 
 fn corpus() -> Vec<Scenario> {
@@ -102,9 +101,10 @@ fn every_corpus_cell_builds_the_pinned_world() {
     let mut out = String::new();
     for s in corpus() {
         for &strategy in &s.strategies {
-            let seed = s.seeds[0];
-            let _ = writeln!(out, "## {}/{}/s{seed}", s.name, strategy_token(strategy));
-            out.push_str(&describe(&s.world_config(strategy, seed)));
+            let (x, seed) = (None, s.seeds[0]);
+            let token = s.strategy_token(&strategy);
+            let _ = writeln!(out, "## {}/{token}/s{seed}", s.name);
+            out.push_str(&describe(&s.world_config(&Cell { strategy, x, seed })));
         }
     }
     assert_matches_golden(&out, "scenario_configs.txt");
@@ -266,6 +266,21 @@ const BAD_EDITS: [(&str, &str); 10] = [
     ("query_secs = 20", "query_secs = 0.0001"),
 ];
 
+/// Bad sweep axes, each put into [`MINIMAL`]'s `[matrix]` (line 29, after
+/// `strategies`): an unknown key, two axes, an empty array, a scalar,
+/// elements `WorldConfig::check()` rejects by range and by relation, and
+/// an element of the wrong type.
+const BAD_AXES: [&str; 8] = [
+    "bogus = [1, 2]",
+    "update_secs = [30, 60]\nquery_secs = [5, 10]",
+    "update_secs = []",
+    "update_secs = 30",
+    "update_secs = [30, 0.0001]",
+    "cache = [2, 8]",
+    "routing = [\"on-demand\", \"psychic\"]",
+    "peers = [8, \"many\"]",
+];
+
 /// The bad files of `scenario.rs::errors_carry_the_offending_line`.
 const BAD_FILES: [&str; 4] = [
     "schema = 1\nname = \"x\"\nbogus_key = 7\n",
@@ -300,6 +315,10 @@ fn every_rejection_keeps_its_wording() {
             "{replacement}\n  => {}",
             verdict(Scenario::parse(&text))
         );
+    }
+    for axis in BAD_AXES {
+        let text = MINIMAL.replace("seeds =", &format!("{axis}\nseeds ="));
+        let _ = writeln!(out, "{axis:?}\n  => {}", verdict(Scenario::parse(&text)));
     }
     for text in BAD_FILES {
         let _ = writeln!(out, "{text:?}\n  => {}", verdict(Scenario::parse(text)));

@@ -19,6 +19,14 @@ fn corpus() -> Vec<Scenario> {
     Scenario::load_dir(&corpus_dir()).expect("committed corpus loads")
 }
 
+/// The default `mp2p matrix` corpus and the swept files behind
+/// `mp2p paper` (`load_dir` does not descend, so they are two corpora).
+fn every_committed_file() -> Vec<Scenario> {
+    let mut all = corpus();
+    all.extend(Scenario::load_dir(&corpus_dir().join("paper")).expect("paper files load"));
+    all
+}
+
 #[test]
 fn corpus_is_complete_and_sorted() {
     let scenarios = corpus();
@@ -43,7 +51,7 @@ fn corpus_is_complete_and_sorted() {
 
 #[test]
 fn every_corpus_file_round_trips_through_the_canonical_form() {
-    for s in corpus() {
+    for s in every_committed_file() {
         let canonical = s.to_toml();
         let back = Scenario::parse(&canonical)
             .unwrap_or_else(|e| panic!("{}: canonical form fails to reparse: {e}", s.name));
@@ -59,14 +67,39 @@ fn every_corpus_file_round_trips_through_the_canonical_form() {
 
 #[test]
 fn every_corpus_cell_builds_a_valid_world() {
-    for s in corpus() {
-        for &strategy in &s.strategies {
-            for &seed in &s.seeds {
-                assert_eq!(s.world_config(strategy, seed).check(), Ok(()));
-            }
+    for s in every_committed_file() {
+        for cell in s.cells() {
+            assert_eq!(s.world_config(&cell).check(), Ok(()), "{}", s.name);
         }
-        assert!(!s.strategies.is_empty() && !s.seeds.is_empty());
+        assert!(!s.cells().is_empty());
     }
+}
+
+/// The paper's sweeps are files: every `mp2p paper` artefact names one,
+/// each sweeps one key (the staleness audit none), and the default
+/// corpus stays unswept.
+#[test]
+fn the_paper_files_are_swept_and_the_default_corpus_is_not() {
+    assert!(corpus().iter().all(|s| s.axis.is_none()));
+    let paper = Scenario::load_dir(&corpus_dir().join("paper")).expect("paper files load");
+    let swept = |name: &str| {
+        let s = paper.iter().find(|s| s.name == name);
+        let s = s.unwrap_or_else(|| panic!("scenarios/paper/{name}.toml is missing"));
+        s.axis.as_ref().map(|axis| (axis.key, axis.values.len()))
+    };
+    assert_eq!(swept("update-interval"), Some(("update_secs", 5)));
+    assert_eq!(swept("query-interval"), Some(("query_secs", 5)));
+    assert_eq!(swept("cache-number"), Some(("cache", 5)));
+    assert_eq!(swept("invalidation-ttl"), Some(("invalidation_ttl", 7)));
+    assert_eq!(swept("ablation-routing"), Some(("routing", 2)));
+    assert_eq!(swept("staleness"), None);
+    let fig7a = paper.iter().find(|s| s.name == "update-interval").unwrap();
+    assert_eq!(fig7a.cells().len(), 6 * 5 * 3);
+    let names: Vec<&str> = fig7a.strategies.iter().map(|spec| spec.name).collect();
+    assert_eq!(
+        names,
+        ["Pull", "Push", "RPCC(SC)", "RPCC(DC)", "RPCC(WC)", "RPCC(HY)"]
+    );
 }
 
 #[test]
@@ -76,7 +109,7 @@ fn manhattan_downtown_wires_the_manhattan_model() {
         .iter()
         .find(|s| s.name == "manhattan-downtown")
         .expect("manhattan-downtown is committed");
-    let cfg = downtown.world_config(downtown.strategies[0], downtown.seeds[0]);
+    let cfg = downtown.world_config(&downtown.cells()[0]);
     assert_eq!(
         cfg.mobility,
         MobilityKind::Manhattan {
@@ -110,11 +143,8 @@ fn corrupting_a_committed_file_reports_the_exact_line() {
 fn accepted_or_located(text: &str) {
     match Scenario::parse(text) {
         Ok(s) => {
-            for &strategy in &s.strategies {
-                for &seed in &s.seeds {
-                    let cfg = s.world_config(strategy, seed);
-                    assert_eq!(cfg.check(), Ok(()), "accepted:\n{text}");
-                }
+            for cell in s.cells() {
+                assert_eq!(s.world_config(&cell).check(), Ok(()), "accepted:\n{text}");
             }
         }
         Err(e) => {
@@ -139,11 +169,12 @@ proptest! {
     /// resulting error still points inside the file.
     #[test]
     fn single_byte_corruption_never_panics(
+        pick in 0usize..64,
         pos_frac in 0.0f64..1.0,
         replacement in 0u8..=255,
     ) {
-        let scenarios = corpus();
-        let canonical = scenarios[0].to_toml();
+        let scenarios = every_committed_file();
+        let canonical = scenarios[pick % scenarios.len()].to_toml();
         let mut bytes = canonical.into_bytes();
         let pos = (((bytes.len() - 1) as f64) * pos_frac) as usize;
         bytes[pos] = replacement;

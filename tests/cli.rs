@@ -406,6 +406,74 @@ fn gate_floor_violations_trip_the_sweep_without_a_baseline() {
     assert!(stdout_of(&tripped).contains("GATE FLOOR VIOLATIONS"));
 }
 
+/// `mp2p paper` reads `scenarios/paper/<file>.toml` under the working
+/// directory and writes `results/<id>.csv` there.
+#[test]
+fn paper_runs_its_scenario_files_and_fails_like_the_other_commands() {
+    let dir = TempDir::new("paper");
+    let paper_in = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_mp2p"))
+            .arg("paper")
+            .args(args)
+            .current_dir(&dir.0)
+            .output()
+            .expect("mp2p binary spawns")
+    };
+    let usage_error = |out: &Output, line: &str| {
+        assert_eq!(out.status.code(), Some(2), "{}", stderr_of(out));
+        assert_eq!(stderr_of(out).trim_end(), line, "one line, naming the file");
+        assert!(stdout_of(out).is_empty(), "nothing runs after the error");
+    };
+    // Table 1 needs no file; a figure without its file names the path.
+    assert!(stdout_of(&paper_in(&["table1"])).contains("| N_Peers "));
+    let file = "scenarios/paper/invalidation-ttl.toml";
+    let missing = paper_in(&["fig9"]);
+    usage_error(
+        &missing,
+        &format!("{file}: No such file or directory (os error 2)"),
+    );
+
+    // A small stand-in for the committed file: same name, same axis.
+    let tiny = TINY
+        .replace("tiny-gate", "invalidation-ttl")
+        .replace("[\"rpcc\"]", "[\"rpcc\", \"pull\"]")
+        .replace(
+            "seeds = [42]",
+            "invalidation_ttl = [1, 3]\nseeds = [42, 43, 44]",
+        );
+    std::fs::create_dir_all(dir.0.join("scenarios/paper")).expect("scenario dir creates");
+    std::fs::write(
+        dir.0.join(file),
+        tiny.replace("peers = 8", "peers = \"eight\""),
+    )
+    .unwrap();
+    let line = 1 + tiny.lines().position(|l| l == "peers = 8").unwrap();
+    usage_error(
+        &paper_in(&["fig9"]),
+        &format!("{file}: scenario line {line}: peers must be a number, got a string"),
+    );
+
+    std::fs::write(dir.0.join(file), &tiny).unwrap();
+    let ran = paper_in(&["fig9"]);
+    assert!(ran.status.success(), "{}", stderr_of(&ran));
+    let stdout = stdout_of(&ran);
+    assert!(
+        stdout.contains("\nFig 9 — Impact of invalidation TTL"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("| TTL (hops) | RPCC(SC) | Pull "),
+        "{stdout}"
+    );
+    assert!(stdout.ends_with("wrote results/fig9.csv\n"), "{stdout}");
+    let csv = std::fs::read_to_string(dir.0.join("results/fig9.csv")).expect("csv written");
+    assert_eq!(csv.lines().count(), 1 + 2 * 2, "{csv}");
+    assert!(
+        csv.contains("\nFig 9,RPCC(SC),3,") && csv.contains("\nFig 9,Pull,1,"),
+        "{csv}"
+    );
+}
+
 /// Every flag of every subcommand plus the values most likely to reach
 /// an assertion further down: zeros, negatives, non-finite numbers,
 /// overflowing integers, empty and malformed tokens.
