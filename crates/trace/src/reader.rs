@@ -45,7 +45,7 @@ use crate::event::{
     BlameCause, EventKind, FrameFateKind, LevelTag, RelayTransitionKind, ServedBy, SpanPhase,
     TraceEvent,
 };
-use crate::json::{self, Field, Fields, Value};
+use crate::json::{self, Field, Fields};
 use crate::sink::JOURNAL_SCHEMA;
 
 /// The journal's leading metadata record.
@@ -64,7 +64,8 @@ pub struct JournalHeader {
 pub enum ReadError {
     /// The underlying reader failed.
     Io(io::Error),
-    /// The journal is empty or its first line is not a header object.
+    /// The journal is empty or its first line is not a header object
+    /// (a numeric `schema`; `kinds` and `warmup_ms` numeric if present).
     MissingHeader,
     /// The header's schema version is not the one this reader speaks.
     SchemaMismatch {
@@ -85,7 +86,7 @@ impl fmt::Display for ReadError {
         match self {
             ReadError::Io(e) => write!(f, "journal I/O error: {e}"),
             ReadError::MissingHeader => {
-                write!(f, "journal has no {{\"schema\":...}} header line")
+                write!(f, "journal line 1 is not a {{\"schema\":...}} header")
             }
             ReadError::SchemaMismatch { found } => write!(
                 f,
@@ -205,13 +206,19 @@ impl<R: BufRead> Iterator for JournalReader<R> {
 }
 
 /// Parses the header line, accepting any object with a numeric `schema`.
+/// `kinds` and `warmup_ms` may be absent (they read as 0), but one that
+/// is present and not a `u64` is not a header: a warm-up silently read
+/// as 0 would censor nothing.
 fn parse_header(line: &str) -> Option<JournalHeader> {
     let v = json::parse(line)?;
-    let schema = v.get("schema")?.as_u64()?;
+    let optional = |key: &str| match v.get(key) {
+        Some(n) => n.as_u64(),
+        None => Some(0),
+    };
     Some(JournalHeader {
-        schema,
-        kinds: v.get("kinds").and_then(Value::as_u64).unwrap_or(0),
-        warmup_ms: v.get("warmup_ms").and_then(Value::as_u64).unwrap_or(0),
+        schema: v.get("schema")?.as_u64()?,
+        kinds: optional("kinds")?,
+        warmup_ms: optional("warmup_ms")?,
     })
 }
 
@@ -553,6 +560,19 @@ mod tests {
         let zero = "{\"schema\":0}\n";
         let r = JournalReader::new(BufReader::new(zero.as_bytes()));
         assert!(matches!(r, Err(ReadError::SchemaMismatch { found: 0 })));
+
+        // A mistyped count is not read as 0 (a warm-up of 0 censors
+        // nothing); an absent one still is.
+        for mistyped in [
+            "{\"schema\":1,\"kinds\":27,\"warmup_ms\":\"60000\"}\n",
+            "{\"schema\":1,\"kinds\":27,\"warmup_ms\":-1}\n",
+            "{\"schema\":1,\"kinds\":null,\"warmup_ms\":0}\n",
+        ] {
+            let r = JournalReader::new(BufReader::new(mistyped.as_bytes()));
+            assert!(matches!(r, Err(ReadError::MissingHeader)), "{mistyped}");
+        }
+        let bare = JournalReader::new(BufReader::new(&b"{\"schema\":1}\n"[..])).unwrap();
+        assert_eq!((bare.header().kinds, bare.header().warmup_ms), (0, 0));
     }
 
     #[test]

@@ -257,6 +257,33 @@ proptest! {
         }
     }
 
+    /// A header count that is present but not a `u64` is refused up
+    /// front: read as 0, a mistyped `warmup_ms` would open as a journal
+    /// with no warm-up and censor nothing.
+    #[test]
+    fn a_mistyped_header_count_is_refused(
+        key in prop_oneof![Just("kinds"), Just("warmup_ms")],
+        value in prop_oneof![
+            Just("\"60000\""), Just("-1"), Just("1.5"), Just("null"), Just("true"), Just("[1]"),
+        ],
+        lines in proptest::collection::vec(valid_line(), 0..5),
+    ) {
+        let well_typed = header(1);
+        let number = if key == "kinds" { "27" } else { "60000" };
+        let mistyped = well_typed.replace(
+            &format!("\"{key}\":{number}"),
+            &format!("\"{key}\":{value}"),
+        );
+        prop_assert_ne!(&mistyped, &well_typed);
+        let mut bytes = journal(1, &lines);
+        bytes.splice(..well_typed.len(), mistyped.into_bytes());
+        let result = JournalReader::new(BufReader::new(bytes.as_slice()));
+        prop_assert!(
+            matches!(result, Err(ReadError::MissingHeader)),
+            "{key} = {value} was accepted"
+        );
+    }
+
     /// A line of invalid UTF-8 mid-journal yields a `BadLine` carrying
     /// exactly that line's number; the lines around it still parse.
     #[test]

@@ -210,6 +210,27 @@ fn the_journal_tier_follows_the_enabled_layers() {
     assert!(err.starts_with("cannot create trace file"), "{err}");
 }
 
+#[test]
+fn a_mistyped_journal_header_is_refused_not_read_as_no_warmup() {
+    let dir = TempDir::new("header");
+    let body = "{\"t\":5,\"ev\":\"node_up\",\"node\":1}\n";
+    let analyze = |header: &str| {
+        let path = dir.path("j.jsonl");
+        std::fs::write(&path, format!("{header}\n{body}")).unwrap();
+        mp2p(&["analyze", "--trace", &path])
+    };
+    let well_typed = analyze("{\"schema\":1,\"kinds\":27,\"warmup_ms\":60000}");
+    assert!(well_typed.status.success(), "{}", stderr_of(&well_typed));
+    let mistyped = analyze("{\"schema\":1,\"kinds\":27,\"warmup_ms\":\"60000\"}");
+    assert_eq!(mistyped.status.code(), Some(2), "{}", stdout_of(&mistyped));
+    assert!(
+        stderr_of(&mistyped).contains("journal line 1 is not a"),
+        "{}",
+        stderr_of(&mistyped)
+    );
+    assert_eq!(stdout_of(&mistyped), "", "nothing analysed");
+}
+
 /// Splits a rendered table into `metric -> cells`.
 fn table_rows(stdout: &str) -> Vec<(String, Vec<String>)> {
     stdout
