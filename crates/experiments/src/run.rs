@@ -44,6 +44,7 @@
 //!
 //! Every report is checked against [`check_report`]; a violation exits 1.
 
+use std::fs::File;
 use std::path::{Path, PathBuf};
 
 use mp2p_metrics::MessageClass;
@@ -233,17 +234,18 @@ fn usage_error(e: &ConfigError, cfg: &WorldConfig, args: &Args) -> String {
 /// recovery records schema-3 and observatory records schema-2, and an
 /// older sink would silently skip them.
 pub fn journal_sink(path: &Path, cfg: &WorldConfig) -> Result<JsonlSink, String> {
-    let create = if cfg.provenance.enabled() {
-        JsonlSink::create_v4_with_warmup
+    let at_tier = if cfg.provenance.enabled() {
+        JsonlSink::new_v4_with_warmup
     } else if cfg.proto.recovery.enabled() {
-        JsonlSink::create_v3_with_warmup
+        JsonlSink::new_v3_with_warmup
     } else if cfg.observatory.enabled() {
-        JsonlSink::create_v2_with_warmup
+        JsonlSink::new_v2_with_warmup
     } else {
-        JsonlSink::create_with_warmup
+        JsonlSink::new_with_warmup
     };
-    create(path, cfg.warmup)
-        .map_err(|err| format!("cannot create trace file {}: {err}", path.display()))
+    let file = File::create(path)
+        .map_err(|err| format!("cannot create trace file {}: {err}", path.display()))?;
+    Ok(at_tier(Box::new(file), cfg.warmup))
 }
 
 impl RunPlan {

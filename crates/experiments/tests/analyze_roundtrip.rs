@@ -26,9 +26,11 @@ fn traced_run_spans_match_the_report_exactly() {
         std::process::id()
     ));
     let mut world = World::new(cfg);
-    world.set_tracer(Box::new(
-        JsonlSink::create_v3_with_warmup(&path, warmup).expect("temp journal"),
-    ));
+    let file = std::fs::File::create(&path).expect("temp journal");
+    world.set_tracer(Box::new(JsonlSink::new_v3_with_warmup(
+        Box::new(file),
+        warmup,
+    )));
     let (report, tracer) = world.run_traced();
     let jsonl = tracer
         .as_any()

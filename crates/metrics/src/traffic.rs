@@ -2,135 +2,99 @@
 
 use std::fmt;
 
-/// The kind of application (or control) message a transmission carried.
-///
-/// The first ten variants are the paper's message types (Fig. 6(a));
-/// `Fetch`/`FetchReply` are the data transfers of the push/pull baselines;
-/// `RouteControl` covers RREQ/RREP/RERR overhead of the routing substrate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MessageClass {
-    /// Periodic invalidation flood from a source host.
-    Invalidation,
-    /// Source-to-relay data push.
-    Update,
-    /// Cache-peer poll.
-    Poll,
-    /// Poll answer: copy is up to date.
-    PollAckA,
-    /// Poll answer: copy was stale, fresh content attached.
-    PollAckB,
-    /// Relay-peer candidacy application.
-    Apply,
-    /// Candidacy approval.
-    ApplyAck,
-    /// Relay-peer resignation.
-    Cancel,
-    /// Relay asking the source for missed content.
-    GetNew,
-    /// Source answering `GetNew` with fresh content.
-    SendNew,
-    /// Baseline cache-miss fetch request.
-    Fetch,
-    /// Baseline fetch reply carrying content.
-    FetchReply,
-    /// Replica write routed to the item's source host (extension,
-    /// future work §6 item 3).
-    WriteRequest,
-    /// Source's acknowledgement of an applied replica write.
-    WriteAck,
-    /// RREQ/RREP/RERR routing overhead.
-    RouteControl,
-    /// Rejoin-resync version digest flooded by a recovering node.
-    ResyncDigest,
-    /// Unicast reply to a resync digest carrying newer-known versions.
-    ResyncAck,
-    /// Receiver acknowledgement of a sequence-stamped update.
-    DeliveryAck,
-    /// Relay-lease handover grant to an elected neighbor.
-    Handover,
+/// Declares a label vocabulary: a fieldless enum whose variants are each
+/// listed with the one string they are written as (`Variant = "label"`).
+/// `ALL`, `index`, `label` and `from_label` are derived from that one
+/// list, so the two directions cannot disagree and a new variant is one
+/// line.
+#[macro_export]
+macro_rules! label_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $( $(#[$vmeta:meta])* $variant:ident = $label:literal, )+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        $vis enum $name {
+            $( $(#[$vmeta])* $variant, )+
+        }
+
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: [$name; [$($label),+].len()] = [$($name::$variant),+];
+
+            /// Position of this variant in `ALL` (stable dense array key).
+            pub fn index(self) -> usize {
+                self as usize
+            }
+
+            /// The label this variant is written as in JSONL output and
+            /// tables.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $($name::$variant => $label,)+
+                }
+            }
+
+            /// Inverse of `label` (journal parsing).
+            pub fn from_label(label: &str) -> Option<$name> {
+                match label {
+                    $($label => Some($name::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-impl MessageClass {
-    /// All classes, for iteration and table rendering.
-    pub const ALL: [MessageClass; 19] = [
-        MessageClass::Invalidation,
-        MessageClass::Update,
-        MessageClass::Poll,
-        MessageClass::PollAckA,
-        MessageClass::PollAckB,
-        MessageClass::Apply,
-        MessageClass::ApplyAck,
-        MessageClass::Cancel,
-        MessageClass::GetNew,
-        MessageClass::SendNew,
-        MessageClass::Fetch,
-        MessageClass::FetchReply,
-        MessageClass::WriteRequest,
-        MessageClass::WriteAck,
-        MessageClass::RouteControl,
-        MessageClass::ResyncDigest,
-        MessageClass::ResyncAck,
-        MessageClass::DeliveryAck,
-        MessageClass::Handover,
-    ];
-
-    /// Position of this class in [`MessageClass::ALL`] (dense array key).
-    pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&c| c == self)
-            .expect("class listed in ALL")
-    }
-
-    /// Short label for tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            MessageClass::Invalidation => "INVALIDATION",
-            MessageClass::Update => "UPDATE",
-            MessageClass::Poll => "POLL",
-            MessageClass::PollAckA => "POLL_ACK_A",
-            MessageClass::PollAckB => "POLL_ACK_B",
-            MessageClass::Apply => "APPLY",
-            MessageClass::ApplyAck => "APPLY_ACK",
-            MessageClass::Cancel => "CANCEL",
-            MessageClass::GetNew => "GET_NEW",
-            MessageClass::SendNew => "SEND_NEW",
-            MessageClass::Fetch => "FETCH",
-            MessageClass::FetchReply => "FETCH_REPLY",
-            MessageClass::WriteRequest => "WRITE_REQ",
-            MessageClass::WriteAck => "WRITE_ACK",
-            MessageClass::RouteControl => "ROUTE_CTRL",
-            MessageClass::ResyncDigest => "RESYNC_DIGEST",
-            MessageClass::ResyncAck => "RESYNC_ACK",
-            MessageClass::DeliveryAck => "DELIVERY_ACK",
-            MessageClass::Handover => "HANDOVER",
-        }
-    }
-
-    /// Inverse of [`MessageClass::label`] (journal parsing).
-    pub fn from_label(label: &str) -> Option<MessageClass> {
-        match label {
-            "INVALIDATION" => Some(MessageClass::Invalidation),
-            "UPDATE" => Some(MessageClass::Update),
-            "POLL" => Some(MessageClass::Poll),
-            "POLL_ACK_A" => Some(MessageClass::PollAckA),
-            "POLL_ACK_B" => Some(MessageClass::PollAckB),
-            "APPLY" => Some(MessageClass::Apply),
-            "APPLY_ACK" => Some(MessageClass::ApplyAck),
-            "CANCEL" => Some(MessageClass::Cancel),
-            "GET_NEW" => Some(MessageClass::GetNew),
-            "SEND_NEW" => Some(MessageClass::SendNew),
-            "FETCH" => Some(MessageClass::Fetch),
-            "FETCH_REPLY" => Some(MessageClass::FetchReply),
-            "WRITE_REQ" => Some(MessageClass::WriteRequest),
-            "WRITE_ACK" => Some(MessageClass::WriteAck),
-            "ROUTE_CTRL" => Some(MessageClass::RouteControl),
-            "RESYNC_DIGEST" => Some(MessageClass::ResyncDigest),
-            "RESYNC_ACK" => Some(MessageClass::ResyncAck),
-            "DELIVERY_ACK" => Some(MessageClass::DeliveryAck),
-            "HANDOVER" => Some(MessageClass::Handover),
-            _ => None,
-        }
+label_enum! {
+    /// The kind of application (or control) message a transmission carried.
+    ///
+    /// The first ten variants are the paper's message types (Fig. 6(a));
+    /// `Fetch`/`FetchReply` are the data transfers of the push/pull baselines;
+    /// `RouteControl` covers RREQ/RREP/RERR overhead of the routing substrate.
+    pub enum MessageClass {
+        /// Periodic invalidation flood from a source host.
+        Invalidation = "INVALIDATION",
+        /// Source-to-relay data push.
+        Update = "UPDATE",
+        /// Cache-peer poll.
+        Poll = "POLL",
+        /// Poll answer: copy is up to date.
+        PollAckA = "POLL_ACK_A",
+        /// Poll answer: copy was stale, fresh content attached.
+        PollAckB = "POLL_ACK_B",
+        /// Relay-peer candidacy application.
+        Apply = "APPLY",
+        /// Candidacy approval.
+        ApplyAck = "APPLY_ACK",
+        /// Relay-peer resignation.
+        Cancel = "CANCEL",
+        /// Relay asking the source for missed content.
+        GetNew = "GET_NEW",
+        /// Source answering `GetNew` with fresh content.
+        SendNew = "SEND_NEW",
+        /// Baseline cache-miss fetch request.
+        Fetch = "FETCH",
+        /// Baseline fetch reply carrying content.
+        FetchReply = "FETCH_REPLY",
+        /// Replica write routed to the item's source host (extension,
+        /// future work §6 item 3).
+        WriteRequest = "WRITE_REQ",
+        /// Source's acknowledgement of an applied replica write.
+        WriteAck = "WRITE_ACK",
+        /// RREQ/RREP/RERR routing overhead.
+        RouteControl = "ROUTE_CTRL",
+        /// Rejoin-resync version digest flooded by a recovering node.
+        ResyncDigest = "RESYNC_DIGEST",
+        /// Unicast reply to a resync digest carrying newer-known versions.
+        ResyncAck = "RESYNC_ACK",
+        /// Receiver acknowledgement of a sequence-stamped update.
+        DeliveryAck = "DELIVERY_ACK",
+        /// Relay-lease handover grant to an elected neighbor.
+        Handover = "HANDOVER",
     }
 }
 

@@ -1,0 +1,218 @@
+//! How one journal field is written and read, decided by its type.
+//!
+//! The record table of [`crate::event`] gives each field a key and a
+//! type; this module is the other half of the wire format. A [`Scalar`]
+//! is a value on its own (a number, a boolean, a label, the `ages`
+//! array); a [`Wire`] is a field under its key. Every scalar is a
+//! required field. The three optional types spell absence in the two
+//! ways the format knows: `Option<NodeId>` is always written, `null` when
+//! absent; `Option<u64>` and `Option<ItemId>` are omitted when absent.
+//! Either way a value that is present but mistyped is a bad line, never
+//! a silent `None`.
+
+use mp2p_metrics::{MessageClass, AGE_BUCKETS};
+use mp2p_sim::{ItemId, NodeId, SimTime};
+
+use crate::event::{
+    BlameCause, EventKind, FrameFateKind, LevelTag, RelayTransitionKind, ServedBy, SpanPhase,
+};
+use crate::json::{self, Field, Fields};
+
+/// A record field: appended as `,"key":value`, found again by its key
+/// (first of duplicate keys, as in [`json::Value::get`]).
+pub(crate) trait Wire: Sized {
+    /// Appends the field to a record under construction.
+    fn put(self, key: &str, out: &mut String);
+    /// Reads the field back; `None` makes the line a bad line.
+    fn take(fields: &Fields<'_>, key: &str) -> Option<Self>;
+}
+
+/// A value that is always present, written without its key.
+pub(crate) trait Scalar: Sized {
+    /// Appends the value. No `core::fmt` on this path: it runs once per
+    /// field of every journal record.
+    fn write(self, out: &mut String);
+    /// Reads the value back from a scanned field.
+    fn read(field: Field<'_>) -> Option<Self>;
+}
+
+/// Appends `,"key":`. This and every `put` are `#[inline]` so that the
+/// key, a literal of the row, reaches `push_str` as a constant: without
+/// the hints encoding a record costs a quarter more (69 vs 56 ns).
+#[inline]
+fn push_key(out: &mut String, key: &str) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+}
+
+impl<T: Scalar> Wire for T {
+    #[inline]
+    fn put(self, key: &str, out: &mut String) {
+        push_key(out, key);
+        self.write(out);
+    }
+
+    fn take(fields: &Fields<'_>, key: &str) -> Option<Self> {
+        T::read(fields.get(key)?)
+    }
+}
+
+/// A MAC receiver or final destination: `null` for a broadcast or flood.
+impl Wire for Option<NodeId> {
+    #[inline]
+    fn put(self, key: &str, out: &mut String) {
+        match self {
+            Some(node) => node.put(key, out),
+            None => {
+                push_key(out, key);
+                out.push_str("null");
+            }
+        }
+    }
+
+    fn take(fields: &Fields<'_>, key: &str) -> Option<Self> {
+        match fields.get(key)? {
+            field if field.is_null() => Some(None),
+            field => NodeId::read(field).map(Some),
+        }
+    }
+}
+
+/// A span tag, or the item a frame propagates: omitted when absent.
+macro_rules! omitted_when_absent {
+    ($($ty:ty),+) => {$(
+        impl Wire for Option<$ty> {
+            #[inline]
+            fn put(self, key: &str, out: &mut String) {
+                if let Some(value) = self {
+                    value.put(key, out);
+                }
+            }
+
+            fn take(fields: &Fields<'_>, key: &str) -> Option<Self> {
+                match fields.get(key) {
+                    Some(field) => <$ty>::read(field).map(Some),
+                    None => Some(None),
+                }
+            }
+        }
+    )+};
+}
+omitted_when_absent!(u64, ItemId);
+
+impl Scalar for u64 {
+    fn write(self, out: &mut String) {
+        json::push_u64(out, self);
+    }
+
+    fn read(field: Field<'_>) -> Option<Self> {
+        field.as_u64()
+    }
+}
+
+/// Narrower integers are range-checked, never wrapped: `"hops":300` is a
+/// bad line, not 44 hops.
+macro_rules! narrow_scalars {
+    ($($ty:ty),+) => {$(
+        impl Scalar for $ty {
+            fn write(self, out: &mut String) {
+                json::push_u64(out, u64::from(self));
+            }
+
+            fn read(field: Field<'_>) -> Option<Self> {
+                <$ty>::try_from(field.as_u64()?).ok()
+            }
+        }
+    )+};
+}
+narrow_scalars!(u8, u32);
+
+macro_rules! id_scalars {
+    ($($ty:ty),+) => {$(
+        impl Scalar for $ty {
+            fn write(self, out: &mut String) {
+                json::push_u64(out, self.index() as u64);
+            }
+
+            fn read(field: Field<'_>) -> Option<Self> {
+                u32::read(field).map(<$ty>::new)
+            }
+        }
+    )+};
+}
+id_scalars!(NodeId, ItemId);
+
+impl Scalar for bool {
+    fn write(self, out: &mut String) {
+        out.push_str(if self { "true" } else { "false" });
+    }
+
+    fn read(field: Field<'_>) -> Option<Self> {
+        field.as_bool()
+    }
+}
+
+/// An instant, in whole milliseconds.
+impl Scalar for SimTime {
+    fn write(self, out: &mut String) {
+        json::push_u64(out, self.as_millis());
+    }
+
+    fn read(field: Field<'_>) -> Option<Self> {
+        u64::read(field).map(SimTime::from_millis)
+    }
+}
+
+/// A label vocabulary is written as its label and read back through
+/// `from_label`; an unknown label is a bad line.
+macro_rules! label_scalars {
+    ($($ty:ty),+) => {$(
+        impl Scalar for $ty {
+            fn write(self, out: &mut String) {
+                json::escape_into(out, self.label());
+            }
+
+            fn read(field: Field<'_>) -> Option<Self> {
+                <$ty>::from_label(&field.as_str()?)
+            }
+        }
+    )+};
+}
+label_scalars!(
+    EventKind,
+    MessageClass,
+    ServedBy,
+    RelayTransitionKind,
+    BlameCause,
+    FrameFateKind,
+    LevelTag,
+    SpanPhase
+);
+
+/// The stale-age histogram: an array of exactly [`AGE_BUCKETS`] counts,
+/// read from its source span.
+impl Scalar for [u32; AGE_BUCKETS] {
+    fn write(self, out: &mut String) {
+        out.push('[');
+        for (i, count) in self.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            count.write(out);
+        }
+        out.push(']');
+    }
+
+    fn read(field: Field<'_>) -> Option<Self> {
+        let Field::Arr(span) = field else {
+            return None;
+        };
+        let mut items = json::array_items(span);
+        let mut ages = [0; AGE_BUCKETS];
+        for slot in &mut ages {
+            *slot = u32::read(items.next()?)?;
+        }
+        items.next().is_none().then_some(ages)
+    }
+}

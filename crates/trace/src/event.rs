@@ -5,1086 +5,709 @@
 //! state-machine transitions (Fig. 5 of the paper), query lifecycle
 //! milestones, and node churn. Events are plain `Copy` data so the
 //! recording hot path never allocates.
+//!
+//! **The vocabulary is stated once.** Each label enum is one
+//! `Variant = "label"` list, and the record kinds are one table (the
+//! `records!` invocation below): one row per kind giving its `"ev"`
+//! label, the journal schema that introduced it, and its fields in wire
+//! order as `name: Type = "key"`. [`TraceEvent`], [`EventKind`], the
+//! encoder behind [`TraceEvent::write_json`] and the decoder behind
+//! [`crate::reader`] are all generated from that table; how a field of a
+//! given type is spelled is [`crate::codec`]'s business.
 
 use mp2p_metrics::{MessageClass, AGE_BUCKETS};
 use mp2p_sim::{ItemId, NodeId, SimTime};
 
-use crate::json;
+use crate::codec::{Scalar, Wire};
+use crate::json::Fields;
 
-/// Who answered a query (the paper's three answer paths: the item's
-/// source host, a relay peer holding a pushed copy, or the querying
-/// peer's own cached copy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ServedBy {
-    /// Answered by the item's source host (master copy).
-    Source,
-    /// Answered by a relay peer on the item's relay table.
-    Relay,
-    /// Answered from the local cache without contacting anyone.
-    Cache,
-}
-
-impl ServedBy {
-    /// All answer paths, for iteration and per-path counters.
-    pub const ALL: [ServedBy; 3] = [ServedBy::Source, ServedBy::Relay, ServedBy::Cache];
-
-    /// Position of this path in [`ServedBy::ALL`] (stable array index).
-    pub fn index(self) -> usize {
-        match self {
-            ServedBy::Source => 0,
-            ServedBy::Relay => 1,
-            ServedBy::Cache => 2,
-        }
-    }
-
-    /// Short lowercase label used in JSONL output.
-    pub fn label(self) -> &'static str {
-        match self {
-            ServedBy::Source => "source",
-            ServedBy::Relay => "relay",
-            ServedBy::Cache => "cache",
-        }
-    }
-
-    /// Inverse of [`ServedBy::label`] (journal parsing).
-    pub fn from_label(label: &str) -> Option<ServedBy> {
-        match label {
-            "source" => Some(ServedBy::Source),
-            "relay" => Some(ServedBy::Relay),
-            "cache" => Some(ServedBy::Cache),
-            _ => None,
-        }
+mp2p_metrics::label_enum! {
+    /// Who answered a query (the paper's three answer paths: the item's
+    /// source host, a relay peer holding a pushed copy, or the querying
+    /// peer's own cached copy).
+    pub enum ServedBy {
+        /// Answered by the item's source host (master copy).
+        Source = "source",
+        /// Answered by a relay peer on the item's relay table.
+        Relay = "relay",
+        /// Answered from the local cache without contacting anyone.
+        Cache = "cache",
     }
 }
 
-/// A relay-peer state-machine transition (Fig. 5): candidacy
-/// application, promotion, demotion, and the GET_NEW/SEND_NEW resync
-/// exchange a stale relay runs against the source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RelayTransitionKind {
-    /// A candidate sent APPLY to the source host.
-    ApplySent,
-    /// The peer became a relay (APPLY_ACK received, or an UPDATE push
-    /// implicitly confirmed candidacy).
-    Promoted,
-    /// The peer resigned relay duty (CANCEL sent or demotion swept).
-    Demoted,
-    /// A stale relay asked the source for missed content (GET_NEW).
-    ResyncStarted,
-    /// The relay's copy was refreshed (SEND_NEW or UPDATE arrived).
-    ResyncCompleted,
-}
-
-impl RelayTransitionKind {
-    /// All transition kinds, for iteration and journal parsing.
-    pub const ALL: [RelayTransitionKind; 5] = [
-        RelayTransitionKind::ApplySent,
-        RelayTransitionKind::Promoted,
-        RelayTransitionKind::Demoted,
-        RelayTransitionKind::ResyncStarted,
-        RelayTransitionKind::ResyncCompleted,
-    ];
-
-    /// Short snake_case label used in JSONL output.
-    pub fn label(self) -> &'static str {
-        match self {
-            RelayTransitionKind::ApplySent => "apply_sent",
-            RelayTransitionKind::Promoted => "promoted",
-            RelayTransitionKind::Demoted => "demoted",
-            RelayTransitionKind::ResyncStarted => "resync_started",
-            RelayTransitionKind::ResyncCompleted => "resync_completed",
-        }
-    }
-
-    /// Inverse of [`RelayTransitionKind::label`] (journal parsing).
-    pub fn from_label(label: &str) -> Option<RelayTransitionKind> {
-        match label {
-            "apply_sent" => Some(RelayTransitionKind::ApplySent),
-            "promoted" => Some(RelayTransitionKind::Promoted),
-            "demoted" => Some(RelayTransitionKind::Demoted),
-            "resync_started" => Some(RelayTransitionKind::ResyncStarted),
-            "resync_completed" => Some(RelayTransitionKind::ResyncCompleted),
-            _ => None,
-        }
+mp2p_metrics::label_enum! {
+    /// A relay-peer state-machine transition (Fig. 5): candidacy
+    /// application, promotion, demotion, and the GET_NEW/SEND_NEW resync
+    /// exchange a stale relay runs against the source.
+    pub enum RelayTransitionKind {
+        /// A candidate sent APPLY to the source host.
+        ApplySent = "apply_sent",
+        /// The peer became a relay (APPLY_ACK received, or an UPDATE push
+        /// implicitly confirmed candidacy).
+        Promoted = "promoted",
+        /// The peer resigned relay duty (CANCEL sent or demotion swept).
+        Demoted = "demoted",
+        /// A stale relay asked the source for missed content (GET_NEW).
+        ResyncStarted = "resync_started",
+        /// The relay's copy was refreshed (SEND_NEW or UPDATE arrived).
+        ResyncCompleted = "resync_completed",
     }
 }
 
-/// The proximate cause the consistency observatory assigns to one stale
-/// serve: why did this cache answer with a superseded version?
-///
-/// The variants are ordered by attribution priority — when several
-/// hazards touched the same copy, the blame tracker charges the first
-/// one listed here whose evidence post-dates the served version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BlameCause {
-    /// At some update the holder was unreachable from the source
-    /// (different connected component, or switched off/crashed).
-    Partitioned,
-    /// A frame carrying an invalidation/update/resync payload for this
-    /// copy was lost on the channel (burst loss, MAC drop, no route).
-    InvalidateLost,
-    /// The holder's volatile state was wiped by an injected crash; the
-    /// re-populated copy lost its propagation provenance.
-    CrashWipe,
-    /// The holder's relay lease expired without source contact, so it
-    /// was no longer on any update push path.
-    LeaseOrphan,
-    /// A newer version was transmitted but had not yet been applied at
-    /// this holder when it answered (propagation in flight).
-    RaceInFlight,
-    /// No propagation of the newer version was ever transmitted — the
-    /// running strategy simply does not push to this holder (e.g. the
-    /// pull baseline between TTR polls).
-    UpdateNeverSent,
-}
-
-impl BlameCause {
-    /// All causes, in attribution-priority order.
-    pub const ALL: [BlameCause; 6] = [
-        BlameCause::Partitioned,
-        BlameCause::InvalidateLost,
-        BlameCause::CrashWipe,
-        BlameCause::LeaseOrphan,
-        BlameCause::RaceInFlight,
-        BlameCause::UpdateNeverSent,
-    ];
-
-    /// Position of this cause in [`BlameCause::ALL`] (stable array index).
-    pub fn index(self) -> usize {
-        match self {
-            BlameCause::Partitioned => 0,
-            BlameCause::InvalidateLost => 1,
-            BlameCause::CrashWipe => 2,
-            BlameCause::LeaseOrphan => 3,
-            BlameCause::RaceInFlight => 4,
-            BlameCause::UpdateNeverSent => 5,
-        }
-    }
-
-    /// Short snake_case label used in JSONL output and blame tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            BlameCause::Partitioned => "partitioned",
-            BlameCause::InvalidateLost => "invalidate_lost",
-            BlameCause::CrashWipe => "crash_wipe",
-            BlameCause::LeaseOrphan => "lease_orphan",
-            BlameCause::RaceInFlight => "race_in_flight",
-            BlameCause::UpdateNeverSent => "update_never_sent",
-        }
-    }
-
-    /// Inverse of [`BlameCause::label`] (journal parsing).
-    pub fn from_label(label: &str) -> Option<BlameCause> {
-        match label {
-            "partitioned" => Some(BlameCause::Partitioned),
-            "invalidate_lost" => Some(BlameCause::InvalidateLost),
-            "crash_wipe" => Some(BlameCause::CrashWipe),
-            "lease_orphan" => Some(BlameCause::LeaseOrphan),
-            "race_in_flight" => Some(BlameCause::RaceInFlight),
-            "update_never_sent" => Some(BlameCause::UpdateNeverSent),
-            _ => None,
-        }
+mp2p_metrics::label_enum! {
+    /// The proximate cause the consistency observatory assigns to one stale
+    /// serve: why did this cache answer with a superseded version?
+    ///
+    /// The variants are ordered by attribution priority — when several
+    /// hazards touched the same copy, the blame tracker charges the first
+    /// one listed here whose evidence post-dates the served version.
+    pub enum BlameCause {
+        /// At some update the holder was unreachable from the source
+        /// (different connected component, or switched off/crashed).
+        Partitioned = "partitioned",
+        /// A frame carrying an invalidation/update/resync payload for this
+        /// copy was lost on the channel (burst loss, MAC drop, no route).
+        InvalidateLost = "invalidate_lost",
+        /// The holder's volatile state was wiped by an injected crash; the
+        /// re-populated copy lost its propagation provenance.
+        CrashWipe = "crash_wipe",
+        /// The holder's relay lease expired without source contact, so it
+        /// was no longer on any update push path.
+        LeaseOrphan = "lease_orphan",
+        /// A newer version was transmitted but had not yet been applied at
+        /// this holder when it answered (propagation in flight).
+        RaceInFlight = "race_in_flight",
+        /// No propagation of the newer version was ever transmitted — the
+        /// running strategy simply does not push to this holder (e.g. the
+        /// pull baseline between TTR polls).
+        UpdateNeverSent = "update_never_sent",
     }
 }
 
-/// What ultimately happened to one transmitted frame at one node: the
-/// terminal of a [`TraceEvent::FrameFate`] provenance record. Delivery
-/// and duplicate suppression are normal life-cycle ends; the drop
-/// variants carry the PR 2 fault cause so the causal explainer can name
-/// the exact hazard that killed an update on its way to a cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FrameFateKind {
-    /// The frame's application payload reached a protocol instance.
-    Delivered,
-    /// A flood copy was suppressed as an already-seen duplicate.
-    DupDrop,
-    /// The link-loss channel dropped the frame (independent loss draw).
-    ChannelDrop,
-    /// The Gilbert–Elliott channel dropped the frame in its burst state.
-    BurstDrop,
-    /// The unicast next hop had moved out of range (MAC-level loss).
-    MacDrop,
-    /// The receiving node was switched off or crashed.
-    DownDrop,
-    /// A forwarding node had no route for the in-flight frame.
-    NoRouteDrop,
-    /// The frame exceeded the unicast hop budget.
-    HopBudgetDrop,
+mp2p_metrics::label_enum! {
+    /// What ultimately happened to one transmitted frame at one node: the
+    /// terminal of a [`TraceEvent::FrameFate`] provenance record. Delivery
+    /// and duplicate suppression are normal life-cycle ends; the drop
+    /// variants carry the PR 2 fault cause so the causal explainer can name
+    /// the exact hazard that killed an update on its way to a cache.
+    pub enum FrameFateKind {
+        /// The frame's application payload reached a protocol instance.
+        Delivered = "delivered",
+        /// A flood copy was suppressed as an already-seen duplicate.
+        DupDrop = "dup",
+        /// The link-loss channel dropped the frame (independent loss draw).
+        ChannelDrop = "channel",
+        /// The Gilbert–Elliott channel dropped the frame in its burst state.
+        BurstDrop = "burst",
+        /// The unicast next hop had moved out of range (MAC-level loss).
+        MacDrop = "mac",
+        /// The receiving node was switched off or crashed.
+        DownDrop = "down",
+        /// A forwarding node had no route for the in-flight frame.
+        NoRouteDrop = "no_route",
+        /// The frame exceeded the unicast hop budget.
+        HopBudgetDrop = "hop_budget",
+    }
 }
 
 impl FrameFateKind {
-    /// All fates, for iteration and per-fate counters.
-    pub const ALL: [FrameFateKind; 8] = [
-        FrameFateKind::Delivered,
-        FrameFateKind::DupDrop,
-        FrameFateKind::ChannelDrop,
-        FrameFateKind::BurstDrop,
-        FrameFateKind::MacDrop,
-        FrameFateKind::DownDrop,
-        FrameFateKind::NoRouteDrop,
-        FrameFateKind::HopBudgetDrop,
-    ];
-
-    /// Position of this fate in [`FrameFateKind::ALL`] (stable index).
-    pub fn index(self) -> usize {
-        match self {
-            FrameFateKind::Delivered => 0,
-            FrameFateKind::DupDrop => 1,
-            FrameFateKind::ChannelDrop => 2,
-            FrameFateKind::BurstDrop => 3,
-            FrameFateKind::MacDrop => 4,
-            FrameFateKind::DownDrop => 5,
-            FrameFateKind::NoRouteDrop => 6,
-            FrameFateKind::HopBudgetDrop => 7,
-        }
-    }
-
     /// True for every fate that lost the frame (everything except
     /// delivery and duplicate suppression, which are normal ends).
     pub fn is_loss(self) -> bool {
         !matches!(self, FrameFateKind::Delivered | FrameFateKind::DupDrop)
     }
+}
 
-    /// Short snake_case label used in JSONL output and fate tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            FrameFateKind::Delivered => "delivered",
-            FrameFateKind::DupDrop => "dup",
-            FrameFateKind::ChannelDrop => "channel",
-            FrameFateKind::BurstDrop => "burst",
-            FrameFateKind::MacDrop => "mac",
-            FrameFateKind::DownDrop => "down",
-            FrameFateKind::NoRouteDrop => "no_route",
-            FrameFateKind::HopBudgetDrop => "hop_budget",
-        }
-    }
-
-    /// Inverse of [`FrameFateKind::label`] (journal parsing).
-    pub fn from_label(label: &str) -> Option<FrameFateKind> {
-        match label {
-            "delivered" => Some(FrameFateKind::Delivered),
-            "dup" => Some(FrameFateKind::DupDrop),
-            "channel" => Some(FrameFateKind::ChannelDrop),
-            "burst" => Some(FrameFateKind::BurstDrop),
-            "mac" => Some(FrameFateKind::MacDrop),
-            "down" => Some(FrameFateKind::DownDrop),
-            "no_route" => Some(FrameFateKind::NoRouteDrop),
-            "hop_budget" => Some(FrameFateKind::HopBudgetDrop),
-            _ => None,
-        }
+mp2p_metrics::label_enum! {
+    /// The consistency level a query was issued under (Section 4: weak,
+    /// delta, strong). Mirrors the core crate's `ConsistencyLevel` without
+    /// making the trace crate depend on it.
+    pub enum LevelTag {
+        /// Weak consistency ("WC"): any cached copy is acceptable.
+        Weak = "WC",
+        /// Delta consistency ("DC"): staleness bounded by a lease.
+        Delta = "DC",
+        /// Strong consistency ("SC"): the answer must be validated.
+        Strong = "SC",
     }
 }
 
-/// The consistency level a query was issued under (Section 4: weak,
-/// delta, strong). Mirrors the core crate's `ConsistencyLevel` without
-/// making the trace crate depend on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LevelTag {
-    /// Weak consistency ("WC"): any cached copy is acceptable.
-    Weak,
-    /// Delta consistency ("DC"): staleness bounded by a lease.
-    Delta,
-    /// Strong consistency ("SC"): the answer must be validated.
-    Strong,
-}
-
-impl LevelTag {
-    /// All levels, for iteration and per-level counters.
-    pub const ALL: [LevelTag; 3] = [LevelTag::Weak, LevelTag::Delta, LevelTag::Strong];
-
-    /// Position of this level in [`LevelTag::ALL`] (stable array index).
-    pub fn index(self) -> usize {
-        match self {
-            LevelTag::Weak => 0,
-            LevelTag::Delta => 1,
-            LevelTag::Strong => 2,
-        }
-    }
-
-    /// The paper's two-letter label ("WC" / "DC" / "SC").
-    pub fn label(self) -> &'static str {
-        match self {
-            LevelTag::Weak => "WC",
-            LevelTag::Delta => "DC",
-            LevelTag::Strong => "SC",
-        }
-    }
-
-    /// Inverse of [`LevelTag::label`] (journal parsing).
-    pub fn from_label(label: &str) -> Option<LevelTag> {
-        match label {
-            "WC" => Some(LevelTag::Weak),
-            "DC" => Some(LevelTag::Delta),
-            "SC" => Some(LevelTag::Strong),
-            _ => None,
-        }
+mp2p_metrics::label_enum! {
+    /// The causal phase a query entered while being resolved. Together with
+    /// [`TraceEvent::QueryIssued`] / [`TraceEvent::QueryServed`] these phase
+    /// markers reconstruct the span tree of each query: issue → (phases) →
+    /// answer, with per-phase sim-time durations.
+    ///
+    /// A query with *no* phase events was a local hit: it was answered in the
+    /// same instant it was issued, from this node's own copy.
+    pub enum SpanPhase {
+        /// A POLL was unicast to the last known relay peer (RPCC attempt 1).
+        PollUnicast = "poll_unicast",
+        /// A POLL went out as a TTL-scoped flood (expanding ring or baseline
+        /// broadcast).
+        PollFlood = "poll_flood",
+        /// A content FETCH was sent to the item's source host (cache miss or
+        /// push-baseline refresh).
+        Fetch = "fetch",
+        /// The push-baseline query parked, waiting for the next invalidation
+        /// report.
+        PushWait = "push_wait",
+        /// Routed retries were exhausted; one max-TTL flood toward the source
+        /// went out (hardened degradation path).
+        FallbackFlood = "fallback_flood",
+        /// All attempts exhausted; the query lingers for a late answer before
+        /// failing.
+        Grace = "grace",
     }
 }
 
-/// The causal phase a query entered while being resolved. Together with
-/// [`TraceEvent::QueryIssued`] / [`TraceEvent::QueryServed`] these phase
-/// markers reconstruct the span tree of each query: issue → (phases) →
-/// answer, with per-phase sim-time durations.
+/// The two framing keys every record starts with: the timestamp in
+/// milliseconds and the kind's label. No row may reuse them.
+const FRAME_KEYS: [&str; 2] = ["t", "ev"];
+
+/// Appends one field of a row; a field gated on an optional sibling
+/// (`= "key" if sibling`) is written only when the sibling is.
+macro_rules! put_field {
+    ($out:ident, $value:ident, $key:literal) => {
+        Wire::put($value, $key, $out)
+    };
+    ($out:ident, $value:ident, $key:literal, $gate:ident) => {
+        if $gate.is_some() {
+            Wire::put($value, $key, $out)
+        }
+    };
+}
+
+/// Reads one field of a row back; a gated field is looked for only when
+/// its sibling was present, and is the type's default otherwise.
+macro_rules! take_field {
+    ($fields:ident, $key:literal) => {
+        Wire::take($fields, $key)?
+    };
+    ($fields:ident, $key:literal, $gate:ident) => {
+        if $gate.is_some() {
+            Wire::take($fields, $key)?
+        } else {
+            Default::default()
+        }
+    };
+}
+
+/// Generates the record vocabulary from its one table. A row is
 ///
-/// A query with *no* phase events was a local hit: it was answered in the
-/// same instant it was issued, from this node's own copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SpanPhase {
-    /// A POLL was unicast to the last known relay peer (RPCC attempt 1).
-    PollUnicast,
-    /// A POLL went out as a TTL-scoped flood (expanding ring or baseline
-    /// broadcast).
-    PollFlood,
-    /// A content FETCH was sent to the item's source host (cache miss or
-    /// push-baseline refresh).
-    Fetch,
-    /// The push-baseline query parked, waiting for the next invalidation
-    /// report.
-    PushWait,
-    /// Routed retries were exhausted; one max-TTL flood toward the source
-    /// went out (hardened degradation path).
-    FallbackFlood,
-    /// All attempts exhausted; the query lingers for a late answer before
-    /// failing.
-    Grace,
-}
-
-impl SpanPhase {
-    /// All phases, for iteration and per-phase breakdown tables.
-    pub const ALL: [SpanPhase; 6] = [
-        SpanPhase::PollUnicast,
-        SpanPhase::PollFlood,
-        SpanPhase::Fetch,
-        SpanPhase::PushWait,
-        SpanPhase::FallbackFlood,
-        SpanPhase::Grace,
-    ];
-
-    /// Position of this phase in [`SpanPhase::ALL`] (stable array index).
-    pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&p| p == self)
-            .expect("phase listed in ALL")
-    }
-
-    /// Short snake_case label used in JSONL output and tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            SpanPhase::PollUnicast => "poll_unicast",
-            SpanPhase::PollFlood => "poll_flood",
-            SpanPhase::Fetch => "fetch",
-            SpanPhase::PushWait => "push_wait",
-            SpanPhase::FallbackFlood => "fallback_flood",
-            SpanPhase::Grace => "grace",
-        }
-    }
-
-    /// Inverse of [`SpanPhase::label`] (journal parsing).
-    pub fn from_label(label: &str) -> Option<SpanPhase> {
-        match label {
-            "poll_unicast" => Some(SpanPhase::PollUnicast),
-            "poll_flood" => Some(SpanPhase::PollFlood),
-            "fetch" => Some(SpanPhase::Fetch),
-            "push_wait" => Some(SpanPhase::PushWait),
-            "fallback_flood" => Some(SpanPhase::FallbackFlood),
-            "grace" => Some(SpanPhase::Grace),
-            _ => None,
-        }
-    }
-}
-
-/// One structured flight-recorder event.
+/// ```text
+/// /// rustdoc of the variant
+/// Variant = "ev_label", schema N {
+///     /// rustdoc of the field
+///     name: Type = "key",
+///     gated: Type = "key" if optional_sibling,
+/// }
+/// ```
 ///
-/// Each variant carries the acting node plus the minimum context needed
-/// to reconstruct the run offline: message class and size for traffic
-/// accounting, hop counts for TTL auditing, the issue instant for
-/// latency accounting, and so on. Everything is `Copy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
+/// with the fields in wire order. Rows are in index order: a new kind is
+/// appended, and schema tiers never decrease down the table, so the
+/// indices of older kinds stay stable.
+macro_rules! records {
+    (
+        $(#[$meta:meta])*
+        pub enum TraceEvent;
+
+        $(
+            $(#[$vmeta:meta])*
+            $variant:ident = $label:literal, schema $tier:literal {
+                $(
+                    $(#[$fmeta:meta])*
+                    $field:ident: $ty:ty = $key:literal $(if $gate:ident)?,
+                )+
+            }
+        )+
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum TraceEvent {
+            $(
+                $(#[$vmeta])*
+                $variant {
+                    $( $(#[$fmeta])* $field: $ty, )+
+                },
+            )+
+        }
+
+        mp2p_metrics::label_enum! {
+            /// Discriminant of a [`TraceEvent`], for counting and table
+            /// rendering; its label is the record's `"ev"` field.
+            pub enum EventKind {
+                $(
+                    #[doc = concat!("See [`TraceEvent::", stringify!($variant), "`].")]
+                    $variant = $label,
+                )+
+            }
+        }
+
+        impl EventKind {
+            /// The lowest journal schema whose vocabulary includes this kind.
+            /// A [`crate::JsonlSink`] writing an older schema skips the event;
+            /// a [`crate::reader::JournalReader`] of an older journal rejects
+            /// its line.
+            pub const fn min_schema(self) -> u64 {
+                match self {
+                    $( EventKind::$variant => $tier, )+
+                }
+            }
+
+            /// Reads the fields of a record of this kind back.
+            fn decode(self, fields: &Fields<'_>) -> Option<TraceEvent> {
+                Some(match self {
+                    $(
+                        EventKind::$variant => {
+                            $( let $field: $ty = take_field!(fields, $key $(, $gate)?); )+
+                            TraceEvent::$variant { $($field),+ }
+                        }
+                    )+
+                })
+            }
+        }
+
+        impl TraceEvent {
+            /// The kind discriminant of this event.
+            pub fn kind(&self) -> EventKind {
+                match self {
+                    $( TraceEvent::$variant { .. } => EventKind::$variant, )+
+                }
+            }
+
+            /// Appends this record's own fields, in wire order.
+            fn encode(&self, out: &mut String) {
+                match *self {
+                    $(
+                        TraceEvent::$variant { $($field),+ } => {
+                            $( put_field!(out, $field, $key $(, $gate)?); )+
+                        }
+                    )+
+                }
+            }
+        }
+    };
+}
+
+records! {
+    /// One structured flight-recorder event.
+    ///
+    /// Each variant carries the acting node plus the minimum context needed
+    /// to reconstruct the run offline: message class and size for traffic
+    /// accounting, hop counts for TTL auditing, the issue instant for
+    /// latency accounting, and so on. Everything is `Copy`.
+    pub enum TraceEvent;
+
     /// A MAC-level transmission (`dest: None` means a local broadcast).
     /// One event is emitted per hop, matching [`mp2p_metrics::TrafficStats`].
-    MsgSend {
+    MsgSend = "msg_send", schema 1 {
         /// The transmitting node.
-        node: NodeId,
+        node: NodeId = "node",
         /// What the frame carried.
-        class: MessageClass,
+        class: MessageClass = "class",
         /// Frame size on the air, in bytes.
-        bytes: u32,
+        bytes: u32 = "bytes",
         /// MAC receiver for unicast, `None` for broadcast.
-        dest: Option<NodeId>,
+        dest: Option<NodeId> = "dest",
         /// The query span this frame serves (POLL/ACK/FETCH traffic),
         /// if any. Diagnostic metadata only: it rides outside the wire
         /// size and never influences protocol decisions.
-        span: Option<u64>,
-    },
+        span: Option<u64> = "span",
+    }
     /// An application message reached its destination protocol.
-    MsgDeliver {
+    MsgDeliver = "msg_deliver", schema 1 {
         /// The receiving node.
-        node: NodeId,
+        node: NodeId = "node",
         /// The node that created the message.
-        origin: NodeId,
+        origin: NodeId = "origin",
         /// What the message carried.
-        class: MessageClass,
+        class: MessageClass = "class",
         /// Hops travelled from origin to this node.
-        hops: u8,
+        hops: u8 = "hops",
         /// True if it arrived via a flood rather than routed unicast.
-        via_flood: bool,
+        via_flood: bool = "flood",
         /// The query span this message serves, if any (see
         /// [`TraceEvent::MsgSend::span`]).
-        span: Option<u64>,
-    },
+        span: Option<u64> = "span",
+    }
     /// A unicast transmission whose next hop had moved out of range.
-    MacDrop {
+    MacDrop = "mac_drop", schema 1 {
         /// The transmitting node.
-        node: NodeId,
+        node: NodeId = "node",
         /// The unreachable MAC receiver.
-        next_hop: NodeId,
+        next_hop: NodeId = "next_hop",
         /// What the lost frame carried.
-        class: MessageClass,
-    },
+        class: MessageClass = "class",
+    }
     /// The network layer gave up on a message (no route after retries).
-    Undeliverable {
+    Undeliverable = "undeliverable", schema 1 {
         /// The sending node that got the message handed back.
-        node: NodeId,
+        node: NodeId = "node",
         /// The unreachable destination.
-        dest: NodeId,
+        dest: NodeId = "dest",
         /// What the abandoned message carried.
-        class: MessageClass,
-    },
+        class: MessageClass = "class",
+    }
     /// A flood frame was ignored as a duplicate.
-    FloodDupDrop {
+    FloodDupDrop = "flood_dup_drop", schema 1 {
         /// The node that ignored the frame.
-        node: NodeId,
+        node: NodeId = "node",
         /// The flood's originator.
-        origin: NodeId,
-    },
+        origin: NodeId = "origin",
+    }
     /// A flood frame arrived with an exhausted TTL and was not re-broadcast.
-    FloodTtlExhausted {
+    FloodTtlExhausted = "flood_ttl_exhausted", schema 1 {
         /// The node where propagation stopped.
-        node: NodeId,
+        node: NodeId = "node",
         /// The flood's originator.
-        origin: NodeId,
-    },
+        origin: NodeId = "origin",
+    }
     /// A route request was ignored as a duplicate.
-    RreqDupDrop {
+    RreqDupDrop = "rreq_dup_drop", schema 1 {
         /// The node that ignored the RREQ.
-        node: NodeId,
+        node: NodeId = "node",
         /// The RREQ's originator.
-        origin: NodeId,
-    },
+        origin: NodeId = "origin",
+    }
     /// A unicast frame exceeded the hop budget and was dropped.
-    HopBudgetDrop {
+    HopBudgetDrop = "hop_budget_drop", schema 1 {
         /// The node that dropped the frame.
-        node: NodeId,
+        node: NodeId = "node",
         /// The frame's originator.
-        origin: NodeId,
+        origin: NodeId = "origin",
         /// The frame's intended destination.
-        dest: NodeId,
-    },
+        dest: NodeId = "dest",
+    }
     /// A forwarding node had no route for an in-flight unicast frame.
-    NoRouteDrop {
+    NoRouteDrop = "no_route_drop", schema 1 {
         /// The node that dropped the frame.
-        node: NodeId,
+        node: NodeId = "node",
         /// The frame's originator.
-        origin: NodeId,
+        origin: NodeId = "origin",
         /// The frame's intended destination.
-        dest: NodeId,
-    },
+        dest: NodeId = "dest",
+    }
     /// Route discovery started (attempt 1) or was retried (attempt > 1).
-    DiscoveryStart {
+    DiscoveryStart = "discovery_start", schema 1 {
         /// The node searching for a route.
-        node: NodeId,
+        node: NodeId = "node",
         /// The destination being searched for.
-        dest: NodeId,
+        dest: NodeId = "dest",
         /// 1-based discovery attempt number.
-        attempt: u8,
-    },
+        attempt: u8 = "attempt",
+    }
     /// Route discovery exhausted its retries; buffered packets dropped.
-    DiscoveryFailed {
+    DiscoveryFailed = "discovery_failed", schema 1 {
         /// The node that gave up.
-        node: NodeId,
+        node: NodeId = "node",
         /// The destination that was never found.
-        dest: NodeId,
+        dest: NodeId = "dest",
         /// How many buffered packets were abandoned.
-        dropped: u32,
-    },
+        dropped: u32 = "dropped",
+    }
     /// A relay-peer state-machine transition (Fig. 5).
-    RelayTransition {
+    RelayTransition = "relay_transition", schema 1 {
         /// The transitioning peer.
-        node: NodeId,
+        node: NodeId = "node",
         /// The item whose relay duty changed.
-        item: ItemId,
+        item: ItemId = "item",
         /// What happened.
-        kind: RelayTransitionKind,
-    },
+        kind: RelayTransitionKind = "kind",
+    }
     /// A peer issued a query.
-    QueryIssued {
+    QueryIssued = "query_issued", schema 1 {
         /// The querying peer.
-        node: NodeId,
+        node: NodeId = "node",
         /// The globally unique query number.
-        query: u64,
+        query: u64 = "query",
         /// The item queried.
-        item: ItemId,
+        item: ItemId = "item",
         /// The consistency level requested.
-        level: LevelTag,
-    },
+        level: LevelTag = "level",
+    }
+    /// A query was answered.
+    QueryServed = "query_served", schema 1 {
+        /// The peer whose query completed.
+        node: NodeId = "node",
+        /// The query number from [`TraceEvent::QueryIssued`].
+        query: u64 = "query",
+        /// The consistency level it ran under.
+        level: LevelTag = "level",
+        /// Which copy answered it.
+        served_by: ServedBy = "by",
+        /// When the query was issued (lets a summary sink recompute the
+        /// exact latency and warm-up filtering offline).
+        issued: SimTime = "issued",
+    }
+    /// A query timed out unanswered.
+    QueryFailed = "query_failed", schema 1 {
+        /// The peer whose query failed.
+        node: NodeId = "node",
+        /// The query number from [`TraceEvent::QueryIssued`].
+        query: u64 = "query",
+        /// The consistency level it ran under.
+        level: LevelTag = "level",
+    }
+    /// A node switched on (rejoined the network).
+    NodeUp = "node_up", schema 1 {
+        /// The node that came up.
+        node: NodeId = "node",
+    }
+    /// A node switched off (left the network).
+    NodeDown = "node_down", schema 1 {
+        /// The node that went down.
+        node: NodeId = "node",
+    }
+    /// A source host updated its master copy.
+    SourceUpdate = "source_update", schema 1 {
+        /// The source host.
+        node: NodeId = "node",
+        /// The updated item.
+        item: ItemId = "item",
+        /// The new master version.
+        version: u64 = "version",
+    }
+    /// Fault injection crashed a node: its volatile state (cache store,
+    /// relay/pending protocol state, routing tables) was wiped.
+    NodeCrash = "node_crash", schema 1 {
+        /// The crashed node.
+        node: NodeId = "node",
+    }
+    /// A crashed node cold-booted.
+    NodeRecover = "node_recover", schema 1 {
+        /// The recovering node.
+        node: NodeId = "node",
+    }
+    /// Fault injection started a bisection partition of the terrain.
+    PartitionStart = "partition_start", schema 1 {
+        /// Cut orientation tag (0 = vertical, 1 = horizontal).
+        axis: u8 = "axis",
+    }
+    /// A bisection partition healed.
+    PartitionHeal = "partition_heal", schema 1 {
+        /// Cut orientation tag (0 = vertical, 1 = horizontal).
+        axis: u8 = "axis",
+    }
+    /// Fault injection duplicated a transmitted frame.
+    FrameDup = "frame_dup", schema 1 {
+        /// The transmitting node whose frame was duplicated.
+        node: NodeId = "node",
+        /// What the duplicated frame carried.
+        class: MessageClass = "class",
+    }
+    /// The Gilbert–Elliott channel dropped an arriving frame while in
+    /// its bad (burst) state.
+    BurstDrop = "burst_drop", schema 1 {
+        /// The node whose reception was lost.
+        node: NodeId = "node",
+    }
+    /// A relay's hold on an item expired without source contact; the
+    /// peer demoted itself (graceful degradation, self-CANCEL).
+    RelayLeaseExpired = "relay_lease_expired", schema 1 {
+        /// The demoting relay peer.
+        node: NodeId = "node",
+        /// The item whose relay duty lapsed.
+        item: ItemId = "item",
+    }
+    /// A peer exhausted its routed retries and fell back to flooding
+    /// the source directly (graceful degradation).
+    FallbackFlood = "fallback_flood", schema 1 {
+        /// The degrading peer.
+        node: NodeId = "node",
+        /// The query being rescued.
+        query: u64 = "query",
+        /// The item being polled.
+        item: ItemId = "item",
+    }
     /// An open query entered a new causal phase (sent a poll, widened the
     /// ring, parked on a push report, …). Phase markers plus the
     /// span-tagged message events reconstruct each query's span tree.
-    QueryPhase {
+    QueryPhase = "query_phase", schema 1 {
         /// The querying peer.
-        node: NodeId,
+        node: NodeId = "node",
         /// The query number from [`TraceEvent::QueryIssued`].
-        query: u64,
+        query: u64 = "query",
         /// The item queried.
-        item: ItemId,
+        item: ItemId = "item",
         /// Which phase was entered.
-        phase: SpanPhase,
+        phase: SpanPhase = "phase",
         /// 1-based attempt number within the phase (ring widenings,
         /// fetch retries); 0 where attempts are meaningless.
-        attempt: u8,
-    },
-    /// A query was answered.
-    QueryServed {
-        /// The peer whose query completed.
-        node: NodeId,
-        /// The query number from [`TraceEvent::QueryIssued`].
-        query: u64,
-        /// The consistency level it ran under.
-        level: LevelTag,
-        /// Which copy answered it.
-        served_by: ServedBy,
-        /// When the query was issued (lets a summary sink recompute the
-        /// exact latency and warm-up filtering offline).
-        issued: SimTime,
-    },
-    /// A query timed out unanswered.
-    QueryFailed {
-        /// The peer whose query failed.
-        node: NodeId,
-        /// The query number from [`TraceEvent::QueryIssued`].
-        query: u64,
-        /// The consistency level it ran under.
-        level: LevelTag,
-    },
-    /// A node switched on (rejoined the network).
-    NodeUp {
-        /// The node that came up.
-        node: NodeId,
-    },
-    /// A node switched off (left the network).
-    NodeDown {
-        /// The node that went down.
-        node: NodeId,
-    },
-    /// A source host updated its master copy.
-    SourceUpdate {
-        /// The source host.
-        node: NodeId,
-        /// The updated item.
-        item: ItemId,
-        /// The new master version.
-        version: u64,
-    },
-    /// Fault injection crashed a node: its volatile state (cache store,
-    /// relay/pending protocol state, routing tables) was wiped.
-    NodeCrash {
-        /// The crashed node.
-        node: NodeId,
-    },
-    /// A crashed node cold-booted.
-    NodeRecover {
-        /// The recovering node.
-        node: NodeId,
-    },
-    /// Fault injection started a bisection partition of the terrain.
-    PartitionStart {
-        /// Cut orientation tag (0 = vertical, 1 = horizontal).
-        axis: u8,
-    },
-    /// A bisection partition healed.
-    PartitionHeal {
-        /// Cut orientation tag (0 = vertical, 1 = horizontal).
-        axis: u8,
-    },
-    /// Fault injection duplicated a transmitted frame.
-    FrameDup {
-        /// The transmitting node whose frame was duplicated.
-        node: NodeId,
-        /// What the duplicated frame carried.
-        class: MessageClass,
-    },
-    /// The Gilbert–Elliott channel dropped an arriving frame while in
-    /// its bad (burst) state.
-    BurstDrop {
-        /// The node whose reception was lost.
-        node: NodeId,
-    },
-    /// A relay's hold on an item expired without source contact; the
-    /// peer demoted itself (graceful degradation, self-CANCEL).
-    RelayLeaseExpired {
-        /// The demoting relay peer.
-        node: NodeId,
-        /// The item whose relay duty lapsed.
-        item: ItemId,
-    },
-    /// A peer exhausted its routed retries and fell back to flooding
-    /// the source directly (graceful degradation).
-    FallbackFlood {
-        /// The degrading peer.
-        node: NodeId,
-        /// The query being rescued.
-        query: u64,
-        /// The item being polled.
-        item: ItemId,
-    },
+        attempt: u8 = "attempt",
+    }
     /// One tick of the consistency observatory's divergence sampler: a
     /// global snapshot of how far the cached copies have drifted from
     /// their masters. Journal schema ≥ 2 only.
-    ConsistencySample {
+    ConsistencySample = "consistency", schema 2 {
         /// Cached copies holding the current master version.
-        fresh_copies: u32,
+        fresh_copies: u32 = "fresh",
         /// Cached copies audited in total.
-        total_copies: u32,
+        total_copies: u32 = "copies",
         /// Items with at least one cached copy.
-        items_replicated: u32,
+        items_replicated: u32 = "items",
         /// Largest replica count of any single item.
-        max_replicas: u32,
+        max_replicas: u32 = "max_replicas",
         /// Connected components among switched-on nodes (1 = fully
         /// reachable; more = the terrain is partitioned).
-        partitions: u32,
+        partitions: u32 = "partitions",
         /// Nodes currently holding at least one relay duty.
-        relay_nodes: u32,
+        relay_nodes: u32 = "relay_nodes",
         /// Histogram of stale-copy ages over
         /// [`mp2p_metrics::AGE_BUCKET_EDGES`] (last bucket = overflow).
-        ages: [u32; AGE_BUCKETS],
-    },
+        ages: [u32; AGE_BUCKETS] = "ages",
+    }
     /// A measured query was answered with a superseded version, with the
     /// proximate cause the blame tracker attributed. Journal schema ≥ 2
     /// only.
-    StaleServe {
+    StaleServe = "stale_serve", schema 2 {
         /// The peer that got the stale answer.
-        node: NodeId,
+        node: NodeId = "node",
         /// The query number from [`TraceEvent::QueryIssued`].
-        query: u64,
+        query: u64 = "query",
         /// The stale item.
-        item: ItemId,
+        item: ItemId = "item",
         /// Why the copy was stale.
-        cause: BlameCause,
+        cause: BlameCause = "cause",
         /// How long the served version had been superseded, in ms.
-        staleness_ms: u64,
+        staleness_ms: u64 = "staleness_ms",
         /// Versions behind the master.
-        lag: u64,
+        lag: u64 = "lag",
         /// True if the staleness exceeded the run's Δ (the TTP), i.e.
         /// this serve violated Δ-consistency (Eq. 3.2.2).
-        violation: bool,
-    },
+        violation: bool = "violation",
+    }
     /// A rejoining node flooded its version digest to its neighbors
     /// (recovery layer). Journal schema ≥ 3 only.
-    ResyncStart {
+    ResyncStart = "resync_start", schema 3 {
         /// The rejoining node.
-        node: NodeId,
+        node: NodeId = "node",
         /// Digest entries advertised across all frames.
-        items: u32,
-    },
+        items: u32 = "items",
+    }
     /// A rejoining node finished processing one resync reply. Journal
     /// schema ≥ 3 only.
-    ResyncDone {
+    ResyncDone = "resync_done", schema 3 {
         /// The rejoining node.
-        node: NodeId,
+        node: NodeId = "node",
         /// Stale copies dropped or queued for refresh by this reply.
-        stale: u32,
-    },
+        stale: u32 = "stale",
+    }
     /// The recovery layer retransmitted an unacknowledged update.
     /// Journal schema ≥ 3 only.
-    RecoveryRetransmit {
+    RecoveryRetransmit = "retransmit", schema 3 {
         /// The retransmitting sender (source host).
-        node: NodeId,
+        node: NodeId = "node",
         /// The relay peer being retried.
-        dest: NodeId,
+        dest: NodeId = "dest",
         /// The updated item.
-        item: ItemId,
+        item: ItemId = "item",
         /// The frame's sequence number.
-        seq: u64,
+        seq: u64 = "seq",
         /// 1-based retransmission attempt.
-        attempt: u8,
-    },
+        attempt: u8 = "attempt",
+    }
     /// A delivery ACK settled a pending retransmission. Journal
     /// schema ≥ 3 only.
-    RecoveryAck {
+    RecoveryAck = "recovery_ack", schema 3 {
         /// The sender whose retransmit entry was settled.
-        node: NodeId,
+        node: NodeId = "node",
         /// The acknowledging relay peer.
-        peer: NodeId,
+        peer: NodeId = "peer",
         /// The acknowledged item.
-        item: ItemId,
+        item: ItemId = "item",
         /// The acknowledged sequence number.
-        seq: u64,
-    },
+        seq: u64 = "seq",
+    }
     /// An orphan-expiring relay handed its duty to an elected cached
     /// neighbor instead of self-CANCELing. Journal schema ≥ 3 only.
-    RelayHandover {
+    RelayHandover = "relay_handover", schema 3 {
         /// The expiring relay that gave up the duty.
-        from: NodeId,
+        from: NodeId = "from",
         /// The elected neighbor that takes it over.
-        to: NodeId,
+        to: NodeId = "to",
         /// The item whose relay duty moved.
-        item: ItemId,
-    },
+        item: ItemId = "item",
+    }
     /// A frame entered the network: its first transmission at the origin
     /// node. `(node, frame)` is the frame's deterministic identity (the
     /// per-node monotonic counter) for every later hop and fate record.
     /// Journal schema ≥ 4 only.
-    FrameBorn {
+    FrameBorn = "frame_born", schema 4 {
         /// The originating node (also the frame-id namespace).
-        node: NodeId,
+        node: NodeId = "node",
         /// The origin-local monotonic frame sequence number.
-        frame: u64,
+        frame: u64 = "frame",
         /// What the frame carries.
-        class: MessageClass,
+        class: MessageClass = "class",
         /// Final unicast destination; `None` for a flood.
-        dest: Option<NodeId>,
+        dest: Option<NodeId> = "dest",
         /// The item whose update/invalidation the frame propagates, if
         /// it is a propagation frame.
-        item: Option<ItemId>,
+        item: Option<ItemId> = "item",
         /// The propagated master version (only with `item`).
-        version: u64,
-    },
+        version: u64 = "version" if item,
+    }
     /// A frame was re-transmitted by an intermediate node (flood
     /// re-broadcast or routed unicast forward). Journal schema ≥ 4 only.
-    FrameHop {
+    FrameHop = "frame_hop", schema 4 {
         /// The forwarding node.
-        node: NodeId,
+        node: NodeId = "node",
         /// The frame's originating node.
-        origin: NodeId,
+        origin: NodeId = "origin",
         /// The origin-local frame sequence number.
-        frame: u64,
+        frame: u64 = "frame",
         /// Hops travelled so far (this transmission included).
-        hops: u8,
-    },
+        hops: u8 = "hops",
+    }
     /// A frame's life ended at one node: delivered, suppressed as a
     /// duplicate, or dropped with the injecting fault's cause. Journal
     /// schema ≥ 4 only.
-    FrameFate {
+    FrameFate = "frame_fate", schema 4 {
         /// The node where the fate occurred.
-        node: NodeId,
+        node: NodeId = "node",
         /// The frame's originating node.
-        origin: NodeId,
+        origin: NodeId = "origin",
         /// The origin-local frame sequence number.
-        frame: u64,
+        frame: u64 = "frame",
         /// What happened.
-        fate: FrameFateKind,
-    },
+        fate: FrameFateKind = "fate",
+    }
     /// A cached copy was installed or refreshed from a delivered
     /// message: the copy's lineage record, naming the carrying frame and
     /// its hop path. Journal schema ≥ 4 only.
-    CopyLineage {
+    CopyLineage = "copy_lineage", schema 4 {
         /// The node whose cache changed.
-        node: NodeId,
+        node: NodeId = "node",
         /// The installed item.
-        item: ItemId,
+        item: ItemId = "item",
         /// The installed version (the origin update sequence).
-        version: u64,
+        version: u64 = "version",
         /// The carrying frame's originating node.
-        origin: NodeId,
+        origin: NodeId = "origin",
         /// The carrying frame's origin-local sequence number.
-        frame: u64,
+        frame: u64 = "frame",
         /// Hops the carrying frame travelled to arrive here.
-        hops: u8,
-    },
+        hops: u8 = "hops",
+    }
 }
 
-/// Discriminant of a [`TraceEvent`], for counting and table rendering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EventKind {
-    /// See [`TraceEvent::MsgSend`].
-    MsgSend,
-    /// See [`TraceEvent::MsgDeliver`].
-    MsgDeliver,
-    /// See [`TraceEvent::MacDrop`].
-    MacDrop,
-    /// See [`TraceEvent::Undeliverable`].
-    Undeliverable,
-    /// See [`TraceEvent::FloodDupDrop`].
-    FloodDupDrop,
-    /// See [`TraceEvent::FloodTtlExhausted`].
-    FloodTtlExhausted,
-    /// See [`TraceEvent::RreqDupDrop`].
-    RreqDupDrop,
-    /// See [`TraceEvent::HopBudgetDrop`].
-    HopBudgetDrop,
-    /// See [`TraceEvent::NoRouteDrop`].
-    NoRouteDrop,
-    /// See [`TraceEvent::DiscoveryStart`].
-    DiscoveryStart,
-    /// See [`TraceEvent::DiscoveryFailed`].
-    DiscoveryFailed,
-    /// See [`TraceEvent::RelayTransition`].
-    RelayTransition,
-    /// See [`TraceEvent::QueryIssued`].
-    QueryIssued,
-    /// See [`TraceEvent::QueryServed`].
-    QueryServed,
-    /// See [`TraceEvent::QueryFailed`].
-    QueryFailed,
-    /// See [`TraceEvent::NodeUp`].
-    NodeUp,
-    /// See [`TraceEvent::NodeDown`].
-    NodeDown,
-    /// See [`TraceEvent::SourceUpdate`].
-    SourceUpdate,
-    /// See [`TraceEvent::NodeCrash`].
-    NodeCrash,
-    /// See [`TraceEvent::NodeRecover`].
-    NodeRecover,
-    /// See [`TraceEvent::PartitionStart`].
-    PartitionStart,
-    /// See [`TraceEvent::PartitionHeal`].
-    PartitionHeal,
-    /// See [`TraceEvent::FrameDup`].
-    FrameDup,
-    /// See [`TraceEvent::BurstDrop`].
-    BurstDrop,
-    /// See [`TraceEvent::RelayLeaseExpired`].
-    RelayLeaseExpired,
-    /// See [`TraceEvent::FallbackFlood`].
-    FallbackFlood,
-    /// See [`TraceEvent::QueryPhase`].
-    QueryPhase,
-    /// See [`TraceEvent::ConsistencySample`].
-    ConsistencySample,
-    /// See [`TraceEvent::StaleServe`].
-    StaleServe,
-    /// See [`TraceEvent::ResyncStart`].
-    ResyncStart,
-    /// See [`TraceEvent::ResyncDone`].
-    ResyncDone,
-    /// See [`TraceEvent::RecoveryRetransmit`].
-    RecoveryRetransmit,
-    /// See [`TraceEvent::RecoveryAck`].
-    RecoveryAck,
-    /// See [`TraceEvent::RelayHandover`].
-    RelayHandover,
-    /// See [`TraceEvent::FrameBorn`].
-    FrameBorn,
-    /// See [`TraceEvent::FrameHop`].
-    FrameHop,
-    /// See [`TraceEvent::FrameFate`].
-    FrameFate,
-    /// See [`TraceEvent::CopyLineage`].
-    CopyLineage,
-}
-
-impl EventKind {
-    /// All kinds, for iteration and table rendering. Schema-2, schema-3
-    /// and schema-4 kinds are appended at the end so older indices stay
-    /// stable.
-    pub const ALL: [EventKind; 38] = [
-        EventKind::MsgSend,
-        EventKind::MsgDeliver,
-        EventKind::MacDrop,
-        EventKind::Undeliverable,
-        EventKind::FloodDupDrop,
-        EventKind::FloodTtlExhausted,
-        EventKind::RreqDupDrop,
-        EventKind::HopBudgetDrop,
-        EventKind::NoRouteDrop,
-        EventKind::DiscoveryStart,
-        EventKind::DiscoveryFailed,
-        EventKind::RelayTransition,
-        EventKind::QueryIssued,
-        EventKind::QueryServed,
-        EventKind::QueryFailed,
-        EventKind::NodeUp,
-        EventKind::NodeDown,
-        EventKind::SourceUpdate,
-        EventKind::NodeCrash,
-        EventKind::NodeRecover,
-        EventKind::PartitionStart,
-        EventKind::PartitionHeal,
-        EventKind::FrameDup,
-        EventKind::BurstDrop,
-        EventKind::RelayLeaseExpired,
-        EventKind::FallbackFlood,
-        EventKind::QueryPhase,
-        EventKind::ConsistencySample,
-        EventKind::StaleServe,
-        EventKind::ResyncStart,
-        EventKind::ResyncDone,
-        EventKind::RecoveryRetransmit,
-        EventKind::RecoveryAck,
-        EventKind::RelayHandover,
-        EventKind::FrameBorn,
-        EventKind::FrameHop,
-        EventKind::FrameFate,
-        EventKind::CopyLineage,
-    ];
-
-    /// Position of this kind in [`EventKind::ALL`] (stable array index
-    /// for per-kind counters).
-    pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&k| k == self)
-            .expect("kind listed in ALL")
-    }
-
-    /// The snake_case label used both in JSONL `"ev"` fields and tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            EventKind::MsgSend => "msg_send",
-            EventKind::MsgDeliver => "msg_deliver",
-            EventKind::MacDrop => "mac_drop",
-            EventKind::Undeliverable => "undeliverable",
-            EventKind::FloodDupDrop => "flood_dup_drop",
-            EventKind::FloodTtlExhausted => "flood_ttl_exhausted",
-            EventKind::RreqDupDrop => "rreq_dup_drop",
-            EventKind::HopBudgetDrop => "hop_budget_drop",
-            EventKind::NoRouteDrop => "no_route_drop",
-            EventKind::DiscoveryStart => "discovery_start",
-            EventKind::DiscoveryFailed => "discovery_failed",
-            EventKind::RelayTransition => "relay_transition",
-            EventKind::QueryIssued => "query_issued",
-            EventKind::QueryServed => "query_served",
-            EventKind::QueryFailed => "query_failed",
-            EventKind::NodeUp => "node_up",
-            EventKind::NodeDown => "node_down",
-            EventKind::SourceUpdate => "source_update",
-            EventKind::NodeCrash => "node_crash",
-            EventKind::NodeRecover => "node_recover",
-            EventKind::PartitionStart => "partition_start",
-            EventKind::PartitionHeal => "partition_heal",
-            EventKind::FrameDup => "frame_dup",
-            EventKind::BurstDrop => "burst_drop",
-            EventKind::RelayLeaseExpired => "relay_lease_expired",
-            EventKind::FallbackFlood => "fallback_flood",
-            EventKind::QueryPhase => "query_phase",
-            EventKind::ConsistencySample => "consistency",
-            EventKind::StaleServe => "stale_serve",
-            EventKind::ResyncStart => "resync_start",
-            EventKind::ResyncDone => "resync_done",
-            EventKind::RecoveryRetransmit => "retransmit",
-            EventKind::RecoveryAck => "recovery_ack",
-            EventKind::RelayHandover => "relay_handover",
-            EventKind::FrameBorn => "frame_born",
-            EventKind::FrameHop => "frame_hop",
-            EventKind::FrameFate => "frame_fate",
-            EventKind::CopyLineage => "copy_lineage",
+/// How many kinds the vocabulary of journal schema `schema` holds: the
+/// rows of the table whose tier is at most `schema`. Frozen schemas stamp
+/// this count into their headers.
+pub(crate) const fn kinds_at(schema: u64) -> usize {
+    let mut kinds = 0;
+    let mut i = 0;
+    while i < EventKind::ALL.len() {
+        if EventKind::ALL[i].min_schema() <= schema {
+            kinds += 1;
         }
+        i += 1;
     }
-
-    /// Inverse of [`EventKind::label`] (journal parsing).
-    pub fn from_label(label: &str) -> Option<EventKind> {
-        match label {
-            "msg_send" => Some(EventKind::MsgSend),
-            "msg_deliver" => Some(EventKind::MsgDeliver),
-            "mac_drop" => Some(EventKind::MacDrop),
-            "undeliverable" => Some(EventKind::Undeliverable),
-            "flood_dup_drop" => Some(EventKind::FloodDupDrop),
-            "flood_ttl_exhausted" => Some(EventKind::FloodTtlExhausted),
-            "rreq_dup_drop" => Some(EventKind::RreqDupDrop),
-            "hop_budget_drop" => Some(EventKind::HopBudgetDrop),
-            "no_route_drop" => Some(EventKind::NoRouteDrop),
-            "discovery_start" => Some(EventKind::DiscoveryStart),
-            "discovery_failed" => Some(EventKind::DiscoveryFailed),
-            "relay_transition" => Some(EventKind::RelayTransition),
-            "query_issued" => Some(EventKind::QueryIssued),
-            "query_served" => Some(EventKind::QueryServed),
-            "query_failed" => Some(EventKind::QueryFailed),
-            "node_up" => Some(EventKind::NodeUp),
-            "node_down" => Some(EventKind::NodeDown),
-            "source_update" => Some(EventKind::SourceUpdate),
-            "node_crash" => Some(EventKind::NodeCrash),
-            "node_recover" => Some(EventKind::NodeRecover),
-            "partition_start" => Some(EventKind::PartitionStart),
-            "partition_heal" => Some(EventKind::PartitionHeal),
-            "frame_dup" => Some(EventKind::FrameDup),
-            "burst_drop" => Some(EventKind::BurstDrop),
-            "relay_lease_expired" => Some(EventKind::RelayLeaseExpired),
-            "fallback_flood" => Some(EventKind::FallbackFlood),
-            "query_phase" => Some(EventKind::QueryPhase),
-            "consistency" => Some(EventKind::ConsistencySample),
-            "stale_serve" => Some(EventKind::StaleServe),
-            "resync_start" => Some(EventKind::ResyncStart),
-            "resync_done" => Some(EventKind::ResyncDone),
-            "retransmit" => Some(EventKind::RecoveryRetransmit),
-            "recovery_ack" => Some(EventKind::RecoveryAck),
-            "relay_handover" => Some(EventKind::RelayHandover),
-            "frame_born" => Some(EventKind::FrameBorn),
-            "frame_hop" => Some(EventKind::FrameHop),
-            "frame_fate" => Some(EventKind::FrameFate),
-            "copy_lineage" => Some(EventKind::CopyLineage),
-            _ => None,
-        }
-    }
-
-    /// The lowest journal schema whose vocabulary includes this kind.
-    /// A [`crate::JsonlSink`] writing an older schema skips the event;
-    /// a [`crate::reader::JournalReader`] of an older journal rejects
-    /// its line.
-    pub fn min_schema(self) -> u64 {
-        match self {
-            EventKind::ConsistencySample | EventKind::StaleServe => 2,
-            EventKind::ResyncStart
-            | EventKind::ResyncDone
-            | EventKind::RecoveryRetransmit
-            | EventKind::RecoveryAck
-            | EventKind::RelayHandover => 3,
-            EventKind::FrameBorn
-            | EventKind::FrameHop
-            | EventKind::FrameFate
-            | EventKind::CopyLineage => 4,
-            _ => 1,
-        }
-    }
+    kinds
 }
 
 impl TraceEvent {
-    /// The kind discriminant of this event.
-    pub fn kind(&self) -> EventKind {
-        match self {
-            TraceEvent::MsgSend { .. } => EventKind::MsgSend,
-            TraceEvent::MsgDeliver { .. } => EventKind::MsgDeliver,
-            TraceEvent::MacDrop { .. } => EventKind::MacDrop,
-            TraceEvent::Undeliverable { .. } => EventKind::Undeliverable,
-            TraceEvent::FloodDupDrop { .. } => EventKind::FloodDupDrop,
-            TraceEvent::FloodTtlExhausted { .. } => EventKind::FloodTtlExhausted,
-            TraceEvent::RreqDupDrop { .. } => EventKind::RreqDupDrop,
-            TraceEvent::HopBudgetDrop { .. } => EventKind::HopBudgetDrop,
-            TraceEvent::NoRouteDrop { .. } => EventKind::NoRouteDrop,
-            TraceEvent::DiscoveryStart { .. } => EventKind::DiscoveryStart,
-            TraceEvent::DiscoveryFailed { .. } => EventKind::DiscoveryFailed,
-            TraceEvent::RelayTransition { .. } => EventKind::RelayTransition,
-            TraceEvent::QueryIssued { .. } => EventKind::QueryIssued,
-            TraceEvent::QueryServed { .. } => EventKind::QueryServed,
-            TraceEvent::QueryFailed { .. } => EventKind::QueryFailed,
-            TraceEvent::NodeUp { .. } => EventKind::NodeUp,
-            TraceEvent::NodeDown { .. } => EventKind::NodeDown,
-            TraceEvent::SourceUpdate { .. } => EventKind::SourceUpdate,
-            TraceEvent::NodeCrash { .. } => EventKind::NodeCrash,
-            TraceEvent::NodeRecover { .. } => EventKind::NodeRecover,
-            TraceEvent::PartitionStart { .. } => EventKind::PartitionStart,
-            TraceEvent::PartitionHeal { .. } => EventKind::PartitionHeal,
-            TraceEvent::FrameDup { .. } => EventKind::FrameDup,
-            TraceEvent::BurstDrop { .. } => EventKind::BurstDrop,
-            TraceEvent::RelayLeaseExpired { .. } => EventKind::RelayLeaseExpired,
-            TraceEvent::FallbackFlood { .. } => EventKind::FallbackFlood,
-            TraceEvent::QueryPhase { .. } => EventKind::QueryPhase,
-            TraceEvent::ConsistencySample { .. } => EventKind::ConsistencySample,
-            TraceEvent::StaleServe { .. } => EventKind::StaleServe,
-            TraceEvent::ResyncStart { .. } => EventKind::ResyncStart,
-            TraceEvent::ResyncDone { .. } => EventKind::ResyncDone,
-            TraceEvent::RecoveryRetransmit { .. } => EventKind::RecoveryRetransmit,
-            TraceEvent::RecoveryAck { .. } => EventKind::RecoveryAck,
-            TraceEvent::RelayHandover { .. } => EventKind::RelayHandover,
-            TraceEvent::FrameBorn { .. } => EventKind::FrameBorn,
-            TraceEvent::FrameHop { .. } => EventKind::FrameHop,
-            TraceEvent::FrameFate { .. } => EventKind::FrameFate,
-            TraceEvent::CopyLineage { .. } => EventKind::CopyLineage,
-        }
-    }
-
     /// Serialises this event as one JSON object appended to `out` (no
     /// trailing newline). `at` is the simulated timestamp.
     ///
@@ -1100,331 +723,34 @@ impl TraceEvent {
     /// assert_eq!(line, r#"{"t":1500,"ev":"node_down","node":3}"#);
     /// ```
     pub fn write_json(&self, at: SimTime, out: &mut String) {
-        // No `core::fmt` on this path: it runs once per journal record.
-        let field_key = |out: &mut String, key: &str| {
-            out.push_str(",\"");
-            out.push_str(key);
-            out.push_str("\":");
-        };
-        let field_str = |out: &mut String, key: &str, value: &str| {
-            field_key(out, key);
-            json::escape_into(out, value);
-        };
-        let field_num = |out: &mut String, key: &str, value: u64| {
-            field_key(out, key);
-            json::push_u64(out, value);
-        };
-        let field_bool = |out: &mut String, key: &str, value: bool| {
-            field_key(out, key);
-            out.push_str(if value { "true" } else { "false" });
-        };
-
-        out.push_str("{\"t\":");
-        json::push_u64(out, at.as_millis());
-        field_str(out, "ev", self.kind().label());
-        match *self {
-            TraceEvent::MsgSend {
-                node,
-                class,
-                bytes,
-                dest,
-                span,
-            } => {
-                field_num(out, "node", node.index() as u64);
-                field_str(out, "class", class.label());
-                field_num(out, "bytes", u64::from(bytes));
-                match dest {
-                    Some(d) => field_num(out, "dest", d.index() as u64),
-                    None => out.push_str(",\"dest\":null"),
-                }
-                if let Some(span) = span {
-                    field_num(out, "span", span);
-                }
-            }
-            TraceEvent::MsgDeliver {
-                node,
-                origin,
-                class,
-                hops,
-                via_flood,
-                span,
-            } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "origin", origin.index() as u64);
-                field_str(out, "class", class.label());
-                field_num(out, "hops", u64::from(hops));
-                field_bool(out, "flood", via_flood);
-                if let Some(span) = span {
-                    field_num(out, "span", span);
-                }
-            }
-            TraceEvent::MacDrop {
-                node,
-                next_hop,
-                class,
-            } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "next_hop", next_hop.index() as u64);
-                field_str(out, "class", class.label());
-            }
-            TraceEvent::Undeliverable { node, dest, class } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "dest", dest.index() as u64);
-                field_str(out, "class", class.label());
-            }
-            TraceEvent::FloodDupDrop { node, origin }
-            | TraceEvent::FloodTtlExhausted { node, origin }
-            | TraceEvent::RreqDupDrop { node, origin } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "origin", origin.index() as u64);
-            }
-            TraceEvent::HopBudgetDrop { node, origin, dest }
-            | TraceEvent::NoRouteDrop { node, origin, dest } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "origin", origin.index() as u64);
-                field_num(out, "dest", dest.index() as u64);
-            }
-            TraceEvent::DiscoveryStart {
-                node,
-                dest,
-                attempt,
-            } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "dest", dest.index() as u64);
-                field_num(out, "attempt", u64::from(attempt));
-            }
-            TraceEvent::DiscoveryFailed {
-                node,
-                dest,
-                dropped,
-            } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "dest", dest.index() as u64);
-                field_num(out, "dropped", u64::from(dropped));
-            }
-            TraceEvent::RelayTransition { node, item, kind } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "item", item.index() as u64);
-                field_str(out, "kind", kind.label());
-            }
-            TraceEvent::QueryIssued {
-                node,
-                query,
-                item,
-                level,
-            } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "query", query);
-                field_num(out, "item", item.index() as u64);
-                field_str(out, "level", level.label());
-            }
-            TraceEvent::QueryServed {
-                node,
-                query,
-                level,
-                served_by,
-                issued,
-            } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "query", query);
-                field_str(out, "level", level.label());
-                field_str(out, "by", served_by.label());
-                field_num(out, "issued", issued.as_millis());
-            }
-            TraceEvent::QueryFailed { node, query, level } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "query", query);
-                field_str(out, "level", level.label());
-            }
-            TraceEvent::NodeUp { node } | TraceEvent::NodeDown { node } => {
-                field_num(out, "node", node.index() as u64);
-            }
-            TraceEvent::SourceUpdate {
-                node,
-                item,
-                version,
-            } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "item", item.index() as u64);
-                field_num(out, "version", version);
-            }
-            TraceEvent::NodeCrash { node }
-            | TraceEvent::NodeRecover { node }
-            | TraceEvent::BurstDrop { node } => {
-                field_num(out, "node", node.index() as u64);
-            }
-            TraceEvent::PartitionStart { axis } | TraceEvent::PartitionHeal { axis } => {
-                field_num(out, "axis", u64::from(axis));
-            }
-            TraceEvent::FrameDup { node, class } => {
-                field_num(out, "node", node.index() as u64);
-                field_str(out, "class", class.label());
-            }
-            TraceEvent::RelayLeaseExpired { node, item } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "item", item.index() as u64);
-            }
-            TraceEvent::FallbackFlood { node, query, item } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "query", query);
-                field_num(out, "item", item.index() as u64);
-            }
-            TraceEvent::QueryPhase {
-                node,
-                query,
-                item,
-                phase,
-                attempt,
-            } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "query", query);
-                field_num(out, "item", item.index() as u64);
-                field_str(out, "phase", phase.label());
-                field_num(out, "attempt", u64::from(attempt));
-            }
-            TraceEvent::ConsistencySample {
-                fresh_copies,
-                total_copies,
-                items_replicated,
-                max_replicas,
-                partitions,
-                relay_nodes,
-                ages,
-            } => {
-                field_num(out, "fresh", u64::from(fresh_copies));
-                field_num(out, "copies", u64::from(total_copies));
-                field_num(out, "items", u64::from(items_replicated));
-                field_num(out, "max_replicas", u64::from(max_replicas));
-                field_num(out, "partitions", u64::from(partitions));
-                field_num(out, "relay_nodes", u64::from(relay_nodes));
-                out.push_str(",\"ages\":[");
-                for (i, count) in ages.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    json::push_u64(out, u64::from(*count));
-                }
-                out.push(']');
-            }
-            TraceEvent::StaleServe {
-                node,
-                query,
-                item,
-                cause,
-                staleness_ms,
-                lag,
-                violation,
-            } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "query", query);
-                field_num(out, "item", item.index() as u64);
-                field_str(out, "cause", cause.label());
-                field_num(out, "staleness_ms", staleness_ms);
-                field_num(out, "lag", lag);
-                field_bool(out, "violation", violation);
-            }
-            TraceEvent::ResyncStart { node, items } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "items", u64::from(items));
-            }
-            TraceEvent::ResyncDone { node, stale } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "stale", u64::from(stale));
-            }
-            TraceEvent::RecoveryRetransmit {
-                node,
-                dest,
-                item,
-                seq,
-                attempt,
-            } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "dest", dest.index() as u64);
-                field_num(out, "item", item.index() as u64);
-                field_num(out, "seq", seq);
-                field_num(out, "attempt", u64::from(attempt));
-            }
-            TraceEvent::RecoveryAck {
-                node,
-                peer,
-                item,
-                seq,
-            } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "peer", peer.index() as u64);
-                field_num(out, "item", item.index() as u64);
-                field_num(out, "seq", seq);
-            }
-            TraceEvent::RelayHandover { from, to, item } => {
-                field_num(out, "from", from.index() as u64);
-                field_num(out, "to", to.index() as u64);
-                field_num(out, "item", item.index() as u64);
-            }
-            TraceEvent::FrameBorn {
-                node,
-                frame,
-                class,
-                dest,
-                item,
-                version,
-            } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "frame", frame);
-                field_str(out, "class", class.label());
-                match dest {
-                    Some(d) => field_num(out, "dest", d.index() as u64),
-                    None => out.push_str(",\"dest\":null"),
-                }
-                if let Some(item) = item {
-                    field_num(out, "item", item.index() as u64);
-                    field_num(out, "version", version);
-                }
-            }
-            TraceEvent::FrameHop {
-                node,
-                origin,
-                frame,
-                hops,
-            } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "origin", origin.index() as u64);
-                field_num(out, "frame", frame);
-                field_num(out, "hops", u64::from(hops));
-            }
-            TraceEvent::FrameFate {
-                node,
-                origin,
-                frame,
-                fate,
-            } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "origin", origin.index() as u64);
-                field_num(out, "frame", frame);
-                field_str(out, "fate", fate.label());
-            }
-            TraceEvent::CopyLineage {
-                node,
-                item,
-                version,
-                origin,
-                frame,
-                hops,
-            } => {
-                field_num(out, "node", node.index() as u64);
-                field_num(out, "item", item.index() as u64);
-                field_num(out, "version", version);
-                field_num(out, "origin", origin.index() as u64);
-                field_num(out, "frame", frame);
-                field_num(out, "hops", u64::from(hops));
-            }
-        }
+        let [t, ev] = FRAME_KEYS;
+        out.push_str("{\"");
+        out.push_str(t);
+        out.push_str("\":");
+        at.write(out);
+        self.kind().put(ev, out);
+        self.encode(out);
         out.push('}');
     }
+}
+
+/// Inverse of [`TraceEvent::write_json`] over a scanned line, gated on
+/// the journal's schema: a kind introduced after `schema` (see
+/// [`EventKind::min_schema`]) does not decode.
+pub(crate) fn decode(fields: &Fields<'_>, schema: u64) -> Option<(SimTime, TraceEvent)> {
+    let [t, ev] = FRAME_KEYS;
+    let at = SimTime::take(fields, t)?;
+    let kind = EventKind::take(fields, ev)?;
+    if kind.min_schema() > schema {
+        return None;
+    }
+    Some((at, kind.decode(fields)?))
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::json;
 
     /// One sample of every variant, exercising every serialisation arm.
     pub(crate) fn samples() -> Vec<TraceEvent> {
@@ -1683,6 +1009,40 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn no_record_repeats_a_key_or_reuses_a_framing_key() {
+        for event in samples() {
+            let mut line = String::new();
+            event.write_json(SimTime::ZERO, &mut line);
+            let Some(json::Value::Obj(pairs)) = json::parse(&line) else {
+                panic!("not an object: {line}");
+            };
+            let keys: Vec<&str> = pairs.iter().map(|(key, _)| key.as_str()).collect();
+            assert_eq!(keys[..2], FRAME_KEYS, "{line}");
+            for (i, key) in keys.iter().enumerate() {
+                assert!(!keys[..i].contains(key), "{key} twice in {line}");
+            }
+        }
+    }
+
+    #[test]
+    fn rows_are_in_index_order_with_distinct_labels_and_rising_tiers() {
+        for (i, kind) in EventKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "the index is the discriminant");
+            assert_eq!(kind.index(), i);
+            for earlier in &EventKind::ALL[..i] {
+                assert_ne!(earlier.label(), kind.label(), "listed twice");
+                assert!(
+                    earlier.min_schema() <= kind.min_schema(),
+                    "{} sits below a newer tier",
+                    kind.label()
+                );
+            }
+        }
+        // The counts the frozen schemas stamp into their headers.
+        assert_eq!([1, 2, 3, 4].map(kinds_at), [27, 29, 34, 38]);
+    }
+
+    #[test]
     fn broadcast_dest_serialises_as_null() {
         let mut line = String::new();
         TraceEvent::MsgSend {
@@ -1713,8 +1073,8 @@ pub(crate) mod tests {
         assert!(json::is_valid(&line));
     }
 
-    /// `from_label` is a hand-written `match` that repeats every string
-    /// of `label`: this is what keeps the two tables one vocabulary.
+    /// `label` and `from_label` are generated from one list; this is the
+    /// safety net under the generator.
     macro_rules! assert_labels_invert {
         ($($ty:ident),+) => {$({
             let labels = $ty::ALL.map($ty::label);

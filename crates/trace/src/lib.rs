@@ -54,6 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod codec;
 mod event;
 pub mod json;
 pub mod reader;

@@ -11,12 +11,11 @@
 //! tree once per journal. Body lines do not build a tree: one pass of
 //! `json::Fields::scan` validates the whole line and notes each
 //! `(key, value)` pair as slices borrowed from it, in a table on the
-//! stack, and one `match` on the record's kind picks the fields it needs
-//! by key (first of duplicate keys, unknown extra keys ignored) and maps
-//! labels back through the `from_label` tables
-//! ([`EventKind::from_label`] and friends). The scanner accepts exactly
-//! the lines the tree parser turns into an object and reads every value
-//! as it would.
+//! stack, and the decoder generated from the record table of
+//! `crate::event` picks the fields of the record's kind by key (first of
+//! duplicate keys, unknown extra keys ignored). This module names no key
+//! and no kind. The scanner accepts exactly the lines the tree parser
+//! turns into an object and reads every value as it would.
 //!
 //! **What allocates.** Nothing, for any line the writer produces: the
 //! line buffer is reused and keys, labels and numbers are read in place.
@@ -38,14 +37,10 @@
 use std::fmt;
 use std::io::{self, BufRead};
 
-use mp2p_metrics::MessageClass;
-use mp2p_sim::{ItemId, NodeId, SimTime};
+use mp2p_sim::SimTime;
 
-use crate::event::{
-    BlameCause, EventKind, FrameFateKind, LevelTag, RelayTransitionKind, ServedBy, SpanPhase,
-    TraceEvent,
-};
-use crate::json::{self, Field, Fields};
+use crate::event::{self, TraceEvent};
+use crate::json::{self, Fields};
 use crate::sink::JOURNAL_SCHEMA;
 
 /// The journal's leading metadata record.
@@ -222,278 +217,32 @@ fn parse_header(line: &str) -> Option<JournalHeader> {
     })
 }
 
-/// Parses one event line back into the pair `write_json` flattened,
-/// accepting the full current vocabulary. Returns `None` on any
-/// structural or vocabulary mismatch.
-pub fn parse_event(line: &str) -> Option<(SimTime, TraceEvent)> {
-    parse_event_versioned(line, JOURNAL_SCHEMA)
-}
-
-/// Version-gated [`parse_event`]: a kind introduced after `schema` (see
-/// [`EventKind::min_schema`]) does not parse, so a schema-1 journal
-/// carrying schema-2 records is rejected line-accurately instead of
-/// silently adopted.
+/// Parses one event line back into the pair
+/// [`TraceEvent::write_json`] flattened, or `None` on any structural or
+/// vocabulary mismatch. Parsing is version-gated: a kind introduced
+/// after `schema` (see [`crate::EventKind::min_schema`]) does not parse,
+/// so a schema-1 journal carrying schema-2 records is rejected
+/// line-accurately instead of silently adopted.
 pub fn parse_event_versioned(line: &str, schema: u64) -> Option<(SimTime, TraceEvent)> {
-    let mut v = Fields::new();
-    v.scan(line)?;
-    let at = SimTime::from_millis(v.get("t")?.as_u64()?);
-    let kind = EventKind::from_label(&v.get("ev")?.as_str()?)?;
-    if kind.min_schema() > schema {
-        return None;
-    }
-
-    // Narrower fields are range-checked, never wrapped: `"hops":300` is
-    // a bad line, not 44 hops.
-    let as_u32 = |f: Field<'_>| f.as_u64().and_then(|n| u32::try_from(n).ok());
-    let num = |key: &str| v.get(key).and_then(Field::as_u64);
-    let num32 = |key: &str| v.get(key).and_then(as_u32);
-    let num8 = |key: &str| num(key).and_then(|n| u8::try_from(n).ok());
-    let node_field = |key: &str| num32(key).map(NodeId::new);
-    let item_field = |key: &str| num32(key).map(ItemId::new);
-    let label = |key: &str| v.get(key).and_then(Field::as_str);
-    let class_field = || MessageClass::from_label(&label("class")?);
-    let level_field = || LevelTag::from_label(&label("level")?);
-    let span_field = || match v.get("span") {
-        Some(s) => s.as_u64().map(Some), // present but non-numeric = bad
-        None => Some(None),
-    };
-    // A MAC receiver or final destination: `null` for broadcast/flood.
-    let dest_field = || match v.get("dest")? {
-        d if d.is_null() => Some(None),
-        d => Some(Some(NodeId::new(as_u32(d)?))),
-    };
-
-    let event = match kind {
-        EventKind::MsgSend => TraceEvent::MsgSend {
-            node: node_field("node")?,
-            class: class_field()?,
-            bytes: num32("bytes")?,
-            dest: dest_field()?,
-            span: span_field()?,
-        },
-        EventKind::MsgDeliver => TraceEvent::MsgDeliver {
-            node: node_field("node")?,
-            origin: node_field("origin")?,
-            class: class_field()?,
-            hops: num8("hops")?,
-            via_flood: v.get("flood")?.as_bool()?,
-            span: span_field()?,
-        },
-        EventKind::MacDrop => TraceEvent::MacDrop {
-            node: node_field("node")?,
-            next_hop: node_field("next_hop")?,
-            class: class_field()?,
-        },
-        EventKind::Undeliverable => TraceEvent::Undeliverable {
-            node: node_field("node")?,
-            dest: node_field("dest")?,
-            class: class_field()?,
-        },
-        EventKind::FloodDupDrop => TraceEvent::FloodDupDrop {
-            node: node_field("node")?,
-            origin: node_field("origin")?,
-        },
-        EventKind::FloodTtlExhausted => TraceEvent::FloodTtlExhausted {
-            node: node_field("node")?,
-            origin: node_field("origin")?,
-        },
-        EventKind::RreqDupDrop => TraceEvent::RreqDupDrop {
-            node: node_field("node")?,
-            origin: node_field("origin")?,
-        },
-        EventKind::HopBudgetDrop => TraceEvent::HopBudgetDrop {
-            node: node_field("node")?,
-            origin: node_field("origin")?,
-            dest: node_field("dest")?,
-        },
-        EventKind::NoRouteDrop => TraceEvent::NoRouteDrop {
-            node: node_field("node")?,
-            origin: node_field("origin")?,
-            dest: node_field("dest")?,
-        },
-        EventKind::DiscoveryStart => TraceEvent::DiscoveryStart {
-            node: node_field("node")?,
-            dest: node_field("dest")?,
-            attempt: num8("attempt")?,
-        },
-        EventKind::DiscoveryFailed => TraceEvent::DiscoveryFailed {
-            node: node_field("node")?,
-            dest: node_field("dest")?,
-            dropped: num32("dropped")?,
-        },
-        EventKind::RelayTransition => TraceEvent::RelayTransition {
-            node: node_field("node")?,
-            item: item_field("item")?,
-            kind: RelayTransitionKind::from_label(&label("kind")?)?,
-        },
-        EventKind::QueryIssued => TraceEvent::QueryIssued {
-            node: node_field("node")?,
-            query: num("query")?,
-            item: item_field("item")?,
-            level: level_field()?,
-        },
-        EventKind::QueryPhase => TraceEvent::QueryPhase {
-            node: node_field("node")?,
-            query: num("query")?,
-            item: item_field("item")?,
-            phase: SpanPhase::from_label(&label("phase")?)?,
-            attempt: num8("attempt")?,
-        },
-        EventKind::QueryServed => TraceEvent::QueryServed {
-            node: node_field("node")?,
-            query: num("query")?,
-            level: level_field()?,
-            served_by: ServedBy::from_label(&label("by")?)?,
-            issued: SimTime::from_millis(num("issued")?),
-        },
-        EventKind::QueryFailed => TraceEvent::QueryFailed {
-            node: node_field("node")?,
-            query: num("query")?,
-            level: level_field()?,
-        },
-        EventKind::NodeUp => TraceEvent::NodeUp {
-            node: node_field("node")?,
-        },
-        EventKind::NodeDown => TraceEvent::NodeDown {
-            node: node_field("node")?,
-        },
-        EventKind::SourceUpdate => TraceEvent::SourceUpdate {
-            node: node_field("node")?,
-            item: item_field("item")?,
-            version: num("version")?,
-        },
-        EventKind::NodeCrash => TraceEvent::NodeCrash {
-            node: node_field("node")?,
-        },
-        EventKind::NodeRecover => TraceEvent::NodeRecover {
-            node: node_field("node")?,
-        },
-        EventKind::PartitionStart => TraceEvent::PartitionStart {
-            axis: num8("axis")?,
-        },
-        EventKind::PartitionHeal => TraceEvent::PartitionHeal {
-            axis: num8("axis")?,
-        },
-        EventKind::FrameDup => TraceEvent::FrameDup {
-            node: node_field("node")?,
-            class: class_field()?,
-        },
-        EventKind::BurstDrop => TraceEvent::BurstDrop {
-            node: node_field("node")?,
-        },
-        EventKind::RelayLeaseExpired => TraceEvent::RelayLeaseExpired {
-            node: node_field("node")?,
-            item: item_field("item")?,
-        },
-        EventKind::FallbackFlood => TraceEvent::FallbackFlood {
-            node: node_field("node")?,
-            query: num("query")?,
-            item: item_field("item")?,
-        },
-        EventKind::ConsistencySample => {
-            let Field::Arr(span) = v.get("ages")? else {
-                return None;
-            };
-            let mut items = json::array_items(span);
-            let mut ages = [0u32; mp2p_metrics::AGE_BUCKETS];
-            for slot in &mut ages {
-                *slot = as_u32(items.next()?)?;
-            }
-            if items.next().is_some() {
-                return None;
-            }
-            TraceEvent::ConsistencySample {
-                fresh_copies: num32("fresh")?,
-                total_copies: num32("copies")?,
-                items_replicated: num32("items")?,
-                max_replicas: num32("max_replicas")?,
-                partitions: num32("partitions")?,
-                relay_nodes: num32("relay_nodes")?,
-                ages,
-            }
-        }
-        EventKind::StaleServe => TraceEvent::StaleServe {
-            node: node_field("node")?,
-            query: num("query")?,
-            item: item_field("item")?,
-            cause: BlameCause::from_label(&label("cause")?)?,
-            staleness_ms: num("staleness_ms")?,
-            lag: num("lag")?,
-            violation: v.get("violation")?.as_bool()?,
-        },
-        EventKind::ResyncStart => TraceEvent::ResyncStart {
-            node: node_field("node")?,
-            items: num32("items")?,
-        },
-        EventKind::ResyncDone => TraceEvent::ResyncDone {
-            node: node_field("node")?,
-            stale: num32("stale")?,
-        },
-        EventKind::RecoveryRetransmit => TraceEvent::RecoveryRetransmit {
-            node: node_field("node")?,
-            dest: node_field("dest")?,
-            item: item_field("item")?,
-            seq: num("seq")?,
-            attempt: num8("attempt")?,
-        },
-        EventKind::RecoveryAck => TraceEvent::RecoveryAck {
-            node: node_field("node")?,
-            peer: node_field("peer")?,
-            item: item_field("item")?,
-            seq: num("seq")?,
-        },
-        EventKind::RelayHandover => TraceEvent::RelayHandover {
-            from: node_field("from")?,
-            to: node_field("to")?,
-            item: item_field("item")?,
-        },
-        EventKind::FrameBorn => {
-            // `item`/`version` are written only for propagation frames.
-            let item = match v.get("item") {
-                Some(i) => Some(ItemId::new(as_u32(i)?)),
-                None => None,
-            };
-            TraceEvent::FrameBorn {
-                node: node_field("node")?,
-                frame: num("frame")?,
-                class: class_field()?,
-                dest: dest_field()?,
-                version: if item.is_some() { num("version")? } else { 0 },
-                item,
-            }
-        }
-        EventKind::FrameHop => TraceEvent::FrameHop {
-            node: node_field("node")?,
-            origin: node_field("origin")?,
-            frame: num("frame")?,
-            hops: num8("hops")?,
-        },
-        EventKind::FrameFate => TraceEvent::FrameFate {
-            node: node_field("node")?,
-            origin: node_field("origin")?,
-            frame: num("frame")?,
-            fate: FrameFateKind::from_label(&label("fate")?)?,
-        },
-        EventKind::CopyLineage => TraceEvent::CopyLineage {
-            node: node_field("node")?,
-            item: item_field("item")?,
-            version: num("version")?,
-            origin: node_field("origin")?,
-            frame: num("frame")?,
-            hops: num8("hops")?,
-        },
-    };
-    Some((at, event))
+    let mut fields = Fields::new();
+    fields.scan(line)?;
+    event::decode(&fields, schema)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{BlameCause, EventKind};
     use crate::sink::{JsonlSink, TraceSink};
-    use mp2p_sim::SimDuration;
+    use mp2p_sim::{ItemId, NodeId, SimDuration};
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
     use std::io::BufReader;
+
+    /// [`parse_event_versioned`] at the newest schema.
+    fn parse_event(line: &str) -> Option<(SimTime, TraceEvent)> {
+        parse_event_versioned(line, JOURNAL_SCHEMA)
+    }
 
     #[test]
     fn serialise_then_parse_is_identity_on_every_variant() {
@@ -518,8 +267,9 @@ mod tests {
             std::process::id()
         ));
         {
+            let file = std::fs::File::create(&path).unwrap();
             let mut sink =
-                JsonlSink::create_v4_with_warmup(&path, SimDuration::from_secs(60)).unwrap();
+                JsonlSink::new_v4_with_warmup(Box::new(file), SimDuration::from_secs(60));
             for (i, event) in crate::event::tests::samples().into_iter().enumerate() {
                 sink.record(SimTime::from_millis(i as u64 * 10), &event);
             }

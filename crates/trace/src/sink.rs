@@ -14,12 +14,11 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::io::{self, BufWriter, Write};
-use std::path::Path;
 
 use mp2p_metrics::{LatencyStats, TrafficStats};
 use mp2p_sim::{SimDuration, SimTime};
 
-use crate::event::{EventKind, TraceEvent};
+use crate::event::{kinds_at, EventKind, TraceEvent};
 use crate::json;
 
 /// A destination for flight-recorder events.
@@ -164,15 +163,16 @@ impl TraceSink for RingSink {
 /// [`EventKind::FrameFate`], [`EventKind::CopyLineage`]).
 pub const JOURNAL_SCHEMA: u64 = 4;
 
-/// The original journal schema: the 27-kind vocabulary of PR 3. Sinks
-/// built with the plain constructors still write it, so runs that never
+/// The original journal schema: the 27-kind vocabulary of PR 3.
+/// [`JsonlSink::new_with_warmup`] still writes it, so runs that never
 /// enable the observatory produce byte-identical journals to older
 /// builds and stay readable by older tools.
 pub const JOURNAL_SCHEMA_V1: u64 = 1;
 
 /// The (frozen) number of event kinds in the schema-1 vocabulary,
-/// stamped into v1 headers regardless of how many kinds this build knows.
-pub const JOURNAL_KINDS_V1: usize = 27;
+/// stamped into v1 headers regardless of how many kinds this build
+/// knows: the rows of the record table at tier 1.
+pub const JOURNAL_KINDS_V1: usize = kinds_at(JOURNAL_SCHEMA_V1);
 
 /// The consistency-observatory schema of PR 6, now frozen: the 29-kind
 /// vocabulary ending at [`EventKind::StaleServe`]. The `_v2`
@@ -181,7 +181,7 @@ pub const JOURNAL_KINDS_V1: usize = 27;
 pub const JOURNAL_SCHEMA_V2: u64 = 2;
 
 /// The (frozen) number of event kinds in the schema-2 vocabulary.
-pub const JOURNAL_KINDS_V2: usize = 29;
+pub const JOURNAL_KINDS_V2: usize = kinds_at(JOURNAL_SCHEMA_V2);
 
 /// The recovery-layer schema of PR 7, now frozen: the 34-kind
 /// vocabulary ending at [`EventKind::RelayHandover`]. The `_v3`
@@ -190,16 +190,17 @@ pub const JOURNAL_KINDS_V2: usize = 29;
 pub const JOURNAL_SCHEMA_V3: u64 = 3;
 
 /// The (frozen) number of event kinds in the schema-3 vocabulary.
-pub const JOURNAL_KINDS_V3: usize = 34;
+pub const JOURNAL_KINDS_V3: usize = kinds_at(JOURNAL_SCHEMA_V3);
 
 /// Streams events as JSON Lines to a writer: one versioned header object
 /// (`{"schema":1,...}` through `{"schema":4,...}`) followed by one
-/// object per event. The plain constructors write schema 1 and silently
-/// skip any newer-schema event (see [`EventKind::min_schema`]); the
-/// `_v2` constructors write the frozen observatory schema (skipping
-/// recovery and provenance kinds); the `_v3` constructors write the
-/// frozen recovery schema (skipping provenance kinds); the `_v4`
-/// constructors write the current schema and accept everything.
+/// object per event. [`JsonlSink::new_with_warmup`] writes schema 1 and
+/// silently skips any newer-schema event (see [`EventKind::min_schema`]);
+/// `new_v2_with_warmup` writes the frozen observatory schema (skipping
+/// recovery and provenance kinds); `new_v3_with_warmup` writes the
+/// frozen recovery schema (skipping provenance kinds);
+/// `new_v4_with_warmup` writes the current schema and accepts
+/// everything. To journal into a file, box a `File`.
 ///
 /// Serialisation is hand-rolled via [`crate::json`] — the build
 /// environment has no crates.io access, so there is no serde. On an I/O
@@ -225,12 +226,6 @@ impl std::fmt::Debug for JsonlSink {
 }
 
 impl JsonlSink {
-    /// Wraps an arbitrary writer. The header records a zero warm-up;
-    /// use [`JsonlSink::new_with_warmup`] when the run censors one.
-    pub fn new(writer: Box<dyn Write>) -> Self {
-        JsonlSink::new_with_warmup(writer, SimDuration::ZERO)
-    }
-
     /// Wraps an arbitrary writer and stamps `warmup` into a **schema 1**
     /// header so offline consumers can reproduce the run's censoring
     /// rules. Schema-2-only events are skipped; use
@@ -276,54 +271,16 @@ impl JsonlSink {
         sink
     }
 
-    /// Creates (truncating) `path` and streams to it (schema 1 header).
-    pub fn create(path: &Path) -> io::Result<Self> {
-        JsonlSink::create_with_warmup(path, SimDuration::ZERO)
-    }
-
-    /// Creates (truncating) `path`, stamping `warmup` into a schema 1
-    /// header (see [`JsonlSink::new_with_warmup`] for the skip rule).
-    pub fn create_with_warmup(path: &Path, warmup: SimDuration) -> io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(JsonlSink::new_with_warmup(Box::new(file), warmup))
-    }
-
-    /// Creates (truncating) `path` with the frozen schema 2 header (see
-    /// [`JsonlSink::new_v2_with_warmup`] for the skip rule).
-    pub fn create_v2_with_warmup(path: &Path, warmup: SimDuration) -> io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(JsonlSink::new_v2_with_warmup(Box::new(file), warmup))
-    }
-
-    /// Creates (truncating) `path` with the frozen schema 3 header (see
-    /// [`JsonlSink::new_v3_with_warmup`] for the skip rule).
-    pub fn create_v3_with_warmup(path: &Path, warmup: SimDuration) -> io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(JsonlSink::new_v3_with_warmup(Box::new(file), warmup))
-    }
-
-    /// Creates (truncating) `path` with the current (schema 4) header.
-    pub fn create_v4_with_warmup(path: &Path, warmup: SimDuration) -> io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(JsonlSink::new_v4_with_warmup(Box::new(file), warmup))
-    }
-
     /// Writes the versioned header line. The header is metadata, not an
     /// event: it does not count toward [`JsonlSink::records`]. Frozen
     /// schemas stamp their frozen kind counts so their headers stay
     /// byte-identical to what older builds wrote.
     fn write_header(&mut self, warmup: SimDuration) {
-        let kinds = match self.schema {
-            JOURNAL_SCHEMA_V1 => JOURNAL_KINDS_V1,
-            JOURNAL_SCHEMA_V2 => JOURNAL_KINDS_V2,
-            JOURNAL_SCHEMA_V3 => JOURNAL_KINDS_V3,
-            _ => EventKind::ALL.len(),
-        };
         self.line.clear();
         self.line.push_str("{\"schema\":");
         json::push_u64(&mut self.line, self.schema);
         self.line.push_str(",\"kinds\":");
-        json::push_u64(&mut self.line, kinds as u64);
+        json::push_u64(&mut self.line, kinds_at(self.schema) as u64);
         self.line.push_str(",\"warmup_ms\":");
         json::push_u64(&mut self.line, warmup.as_millis());
         self.line.push_str("}\n");
@@ -664,7 +621,8 @@ mod tests {
             .count() as u64;
         assert!(v2_only > 0, "samples must cover schema-2 kinds");
         {
-            let mut sink = JsonlSink::create(&path).expect("create temp jsonl");
+            let file = std::fs::File::create(&path).expect("create temp jsonl");
+            let mut sink = JsonlSink::new_with_warmup(Box::new(file), SimDuration::ZERO);
             assert_eq!(sink.schema(), JOURNAL_SCHEMA_V1);
             for (i, event) in crate::event::tests::samples().into_iter().enumerate() {
                 sink.record(SimTime::from_millis(i as u64), &event);
@@ -766,8 +724,8 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("mp2p-trace-sink-test-{}.jsonl", std::process::id()));
         {
-            let mut sink =
-                JsonlSink::create_v4_with_warmup(&path, SimDuration::ZERO).expect("create jsonl");
+            let file = std::fs::File::create(&path).expect("create jsonl");
+            let mut sink = JsonlSink::new_v4_with_warmup(Box::new(file), SimDuration::ZERO);
             for (i, event) in crate::event::tests::samples().into_iter().enumerate() {
                 sink.record(SimTime::from_millis(i as u64 * 10), &event);
             }

@@ -13,8 +13,8 @@ use std::cell::Cell;
 use std::io;
 
 use mp2p_sim::{SimDuration, SimTime};
-use mp2p_trace::reader::{parse_event, JournalReader};
-use mp2p_trace::{EventKind, JsonlSink, TraceEvent, TraceSink};
+use mp2p_trace::reader::{parse_event_versioned, JournalReader};
+use mp2p_trace::{EventKind, JsonlSink, TraceEvent, TraceSink, JOURNAL_SCHEMA};
 
 struct CountingAlloc;
 
@@ -114,7 +114,10 @@ const ROUNDS: usize = 1_000;
 fn events() -> Vec<(SimTime, TraceEvent)> {
     let events: Vec<(SimTime, TraceEvent)> = LINES
         .iter()
-        .map(|line| parse_event(line).unwrap_or_else(|| panic!("bad fixture line: {line}")))
+        .map(|line| {
+            parse_event_versioned(line, JOURNAL_SCHEMA)
+                .unwrap_or_else(|| panic!("bad fixture line: {line}"))
+        })
         .collect();
     for kind in EventKind::ALL {
         assert!(

@@ -167,8 +167,9 @@ fn jsonl_journal_is_parseable_and_complete() {
     cfg.strategy = Strategy::Rpcc;
     let warmup = cfg.warmup;
     let mut world = World::new(cfg);
+    let file = std::fs::File::create(&path).expect("temp file");
     world.set_tracer(Box::new(TeeSink::new(vec![
-        Box::new(JsonlSink::create_v4_with_warmup(&path, warmup).expect("temp file")),
+        Box::new(JsonlSink::new_v4_with_warmup(Box::new(file), warmup)),
         Box::new(SummarySink::new(warmup)),
     ])));
     let (_report, tracer) = world.run_traced();
