@@ -209,8 +209,7 @@ mod tests {
         for class in MessageClass::ALL {
             assert_eq!(MessageClass::from_label(class.label()), Some(class));
         }
-        // The inverse is a hand-written match repeating every label:
-        // near misses (one character short, the other case) must miss.
+        // Near misses (one character short, the other case) must miss.
         for class in MessageClass::ALL {
             let label = class.label();
             for miss in [&label[..label.len() - 1], &label.to_lowercase()] {

@@ -92,14 +92,15 @@ impl MetricsBridge {
                 }
                 self.registry.gauge_set("relay_peers", at, self.relay_peers);
             }
-            TraceEvent::NodeCrash { .. } => self.fault(at, "node_crash"),
-            TraceEvent::NodeRecover { .. } => self.fault(at, "node_recover"),
-            TraceEvent::BurstDrop { .. } => self.fault(at, "burst_drop"),
-            TraceEvent::FrameDup { .. } => self.fault(at, "frame_dup"),
-            TraceEvent::PartitionStart { .. } => self.fault(at, "partition_start"),
-            TraceEvent::PartitionHeal { .. } => self.fault(at, "partition_heal"),
-            TraceEvent::RelayLeaseExpired { .. } => self.fault(at, "relay_lease_expired"),
-            TraceEvent::FallbackFlood { .. } => self.fault(at, "fallback_flood"),
+            // A fault counter is named after its record's label.
+            TraceEvent::NodeCrash { .. }
+            | TraceEvent::NodeRecover { .. }
+            | TraceEvent::BurstDrop { .. }
+            | TraceEvent::FrameDup { .. }
+            | TraceEvent::PartitionStart { .. }
+            | TraceEvent::PartitionHeal { .. }
+            | TraceEvent::RelayLeaseExpired { .. }
+            | TraceEvent::FallbackFlood { .. } => self.fault(at, event.kind().label()),
             TraceEvent::ConsistencySample {
                 fresh_copies,
                 total_copies,

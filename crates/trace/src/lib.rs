@@ -11,7 +11,9 @@
 //!   (send / forward-drop / deliver / undeliverable, keyed by
 //!   [`mp2p_metrics::MessageClass`] and hop count), relay state-machine
 //!   transitions ([`RelayTransitionKind`]), query lifecycle
-//!   ([`LevelTag`], [`ServedBy`]), and node churn.
+//!   ([`LevelTag`], [`ServedBy`]), and node churn. The vocabulary is
+//!   stated once: one record table generates the enum, [`EventKind`] and
+//!   both directions of the journal codec.
 //! * [`TraceSink`] — where events go: a bounded [`RingSink`], a
 //!   streaming [`JsonlSink`] (hand-rolled serialisation via [`json`];
 //!   the build environment has no serde), an aggregating

@@ -217,9 +217,8 @@ fn parse_header(line: &str) -> Option<JournalHeader> {
     })
 }
 
-/// Parses one event line back into the pair
-/// [`TraceEvent::write_json`] flattened, or `None` on any structural or
-/// vocabulary mismatch. Parsing is version-gated: a kind introduced
+/// Parses one event line back into the pair `write_json` flattened, or
+/// `None` on any structural or vocabulary mismatch. Parsing is version-gated: a kind introduced
 /// after `schema` (see [`crate::EventKind::min_schema`]) does not parse,
 /// so a schema-1 journal carrying schema-2 records is rejected
 /// line-accurately instead of silently adopted.
