@@ -218,10 +218,11 @@ fn parse_header(line: &str) -> Option<JournalHeader> {
 }
 
 /// Parses one event line back into the pair `write_json` flattened, or
-/// `None` on any structural or vocabulary mismatch. Parsing is version-gated: a kind introduced
-/// after `schema` (see [`crate::EventKind::min_schema`]) does not parse,
-/// so a schema-1 journal carrying schema-2 records is rejected
-/// line-accurately instead of silently adopted.
+/// `None` on any structural or vocabulary mismatch. Parsing is
+/// version-gated: a kind introduced after `schema` (see
+/// [`crate::EventKind::min_schema`]) does not parse, so a schema-1
+/// journal carrying schema-2 records is rejected line-accurately instead
+/// of silently adopted.
 pub fn parse_event_versioned(line: &str, schema: u64) -> Option<(SimTime, TraceEvent)> {
     let mut fields = Fields::new();
     fields.scan(line)?;

@@ -175,18 +175,20 @@ pub const JOURNAL_SCHEMA_V1: u64 = 1;
 pub const JOURNAL_KINDS_V1: usize = kinds_at(JOURNAL_SCHEMA_V1);
 
 /// The consistency-observatory schema of PR 6, now frozen: the 29-kind
-/// vocabulary ending at [`EventKind::StaleServe`]. The `_v2`
-/// constructors keep writing it so observatory runs without the
-/// recovery layer stay byte-identical to what pre-recovery builds wrote.
+/// vocabulary ending at [`EventKind::StaleServe`].
+/// [`JsonlSink::new_v2_with_warmup`] keeps writing it so observatory runs
+/// without the recovery layer stay byte-identical to what pre-recovery
+/// builds wrote.
 pub const JOURNAL_SCHEMA_V2: u64 = 2;
 
 /// The (frozen) number of event kinds in the schema-2 vocabulary.
 pub const JOURNAL_KINDS_V2: usize = kinds_at(JOURNAL_SCHEMA_V2);
 
 /// The recovery-layer schema of PR 7, now frozen: the 34-kind
-/// vocabulary ending at [`EventKind::RelayHandover`]. The `_v3`
-/// constructors keep writing it so recovery runs without provenance stay
-/// byte-identical to what pre-provenance builds wrote.
+/// vocabulary ending at [`EventKind::RelayHandover`].
+/// [`JsonlSink::new_v3_with_warmup`] keeps writing it so recovery runs
+/// without provenance stay byte-identical to what pre-provenance builds
+/// wrote.
 pub const JOURNAL_SCHEMA_V3: u64 = 3;
 
 /// The (frozen) number of event kinds in the schema-3 vocabulary.
