@@ -32,7 +32,7 @@ use mp2p_mobility::{AnyMobility, MobilityModel, Point, SubnetGrid};
 use mp2p_net::{
     Axis, Frame, NetAction, NetMeta, NetStack, NetTimer, Topology, TopologyBuilder, TopologyScratch,
 };
-use mp2p_sim::{EventQueue, FastMap, ItemId, NodeId, SimDuration, SimRng, SimTime};
+use mp2p_sim::{EventQueue, FastMap, ItemId, NodeId, SimDuration, SimRng, SimTime, TopologyStats};
 use mp2p_trace::{BlameCause, FrameFateKind, ServedBy, TraceEvent, TraceSink};
 
 use crate::config::ProtocolConfig;
@@ -240,6 +240,8 @@ pub struct World {
     /// Position/up staging buffers reused across topology rebuilds.
     topo_positions: Vec<Point>,
     topo_up: Vec<bool>,
+    /// Snapshots taken and adjacency rows built, for the perf section.
+    topo_stats: TopologyStats,
     /// Oracle-mode shortest-path buffer, reused across sends.
     path_buf: Vec<NodeId>,
     /// Emptied [`Event::RxAll`] listener buffers awaiting reuse, so a
@@ -353,6 +355,7 @@ impl World {
             topo_scratch: TopologyScratch::new(),
             topo_positions: Vec::with_capacity(n),
             topo_up: Vec::with_capacity(n),
+            topo_stats: TopologyStats::default(),
             path_buf: Vec::new(),
             listener_pool: Vec::new(),
             grid,
@@ -507,7 +510,9 @@ impl World {
         let faults = &mut self.report.faults;
         faults.retx_queue_peak = retx_peak.fold(faults.retx_queue_peak, u64::max);
         let queue = self.queue.stats();
-        let tracer = self.obs.finish(&self.cfg, queue, &mut self.report);
+        let tracer = self
+            .obs
+            .finish(&self.cfg, queue, self.topo_stats, &mut self.report);
         (self.report, tracer)
     }
 
@@ -780,6 +785,8 @@ impl World {
                     })
                 })
         };
+        self.topo_stats.snapshots += 1;
+        self.topo_stats.rows_built += positions.len() as u64;
         self.topo_positions = positions;
         self.topo_up = up;
         self.topo = Some((now, topo));
@@ -1507,10 +1514,17 @@ mod tests {
     fn queue_pushes_count_transmissions_not_receptions() {
         // Pinned: moves only when the engine schedules differently.
         const PUSHES: u64 = 11_754;
+        // Pinned: snapshots move only when the engine re-takes the radio
+        // graph at different instants; rows say what each one cost.
+        const TOPOLOGY: TopologyStats = TopologyStats {
+            snapshots: 645,
+            rows_built: 645 * 20,
+        };
         let mut profiled = World::new(WorldConfig::small_test(42));
         profiled.enable_profiling();
         let perf = profiled.run().perf.expect("profiling was enabled");
         assert_eq!(perf.queue.pushes, PUSHES);
+        assert_eq!(perf.topology, TOPOLOGY);
 
         // The same run stepped by hand, counting what the events deliver.
         let mut world = World::new(WorldConfig::small_test(42));

@@ -37,7 +37,7 @@ use std::time::Instant;
 
 use mp2p_metrics::{age_bucket, MessageClass, ServedQuery, VersionHistory, AGE_BUCKETS};
 use mp2p_net::{Frame, NetEvent, NetMeta, NetPayload, NetStack};
-use mp2p_sim::{ItemId, NodeId, Profiler, QueueStats, SimDuration, SimTime};
+use mp2p_sim::{ItemId, NodeId, Profiler, QueueStats, SimDuration, SimTime, TopologyStats};
 use mp2p_trace::{BlameCause, FrameFateKind, LevelTag, NullSink, ServedBy, TraceEvent, TraceSink};
 
 use super::config::WorldConfig;
@@ -563,12 +563,14 @@ impl Observers {
         &mut self,
         cfg: &WorldConfig,
         queue: QueueStats,
+        topology: TopologyStats,
         report: &mut RunReport,
     ) -> Box<dyn TraceSink> {
         let mut tracer = std::mem::replace(&mut self.tracer, Box::new(NullSink));
         tracer.flush();
         report.perf = self.profiler.finish(cfg.sim_time.as_millis()).map(|mut p| {
             p.queue = queue;
+            p.topology = topology;
             p.frames_sent = self.frames_sent;
             p.journal_bytes = tracer.bytes_written();
             p

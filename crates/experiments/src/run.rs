@@ -470,6 +470,10 @@ fn print_profile(name: &str, report: &RunReport) {
         perf.queue.peak_capacity,
         perf.frames_sent,
     );
+    println!(
+        "Topology: {} snapshots, {} adjacency rows built",
+        perf.topology.snapshots, perf.topology.rows_built,
+    );
     let rows: Vec<Vec<String>> = perf
         .top(10)
         .iter()

@@ -55,7 +55,7 @@ mod time;
 pub use check::{relate, require, ConfigError};
 pub use hash::{FastHasher, FastMap, FastSet};
 pub use ids::{ItemId, NodeId};
-pub use profile::{PerfBucket, PerfReport, Profiler};
+pub use profile::{PerfBucket, PerfReport, Profiler, TopologyStats};
 pub use queue::{EventQueue, QueueStats};
 pub use rng::{SimRng, Zipf};
 pub use time::{SimDuration, SimTime};

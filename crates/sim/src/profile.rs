@@ -156,10 +156,22 @@ impl Profiler {
             sim_millis,
             buckets,
             queue: QueueStats::default(),
+            topology: TopologyStats::default(),
             frames_sent: 0,
             journal_bytes: 0,
         })
     }
+}
+
+/// What the engine's topology layer did over a run: how often the radio
+/// graph was re-taken and how many adjacency rows that cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TopologyStats {
+    /// Topology snapshots taken (stale by age, or invalidated by a
+    /// switch or a fault).
+    pub snapshots: u64,
+    /// Adjacency rows built, over all snapshots.
+    pub rows_built: u64,
 }
 
 /// The end-of-run profiling report: where wall-clock time went, how the
@@ -176,6 +188,8 @@ pub struct PerfReport {
     pub buckets: Vec<PerfBucket>,
     /// Event-queue telemetry (push/pop totals, high-water marks).
     pub queue: QueueStats,
+    /// Topology-layer telemetry (snapshots taken, adjacency rows built).
+    pub topology: TopologyStats,
     /// MAC-level frames transmitted over the whole run (warm-up
     /// included; contrast with the report's post-warm-up traffic).
     pub frames_sent: u64,
@@ -243,6 +257,11 @@ impl PerfReport {
             s,
             ",\"queue\":{{\"pushes\":{},\"pops\":{},\"peak_len\":{},\"peak_capacity\":{}}}",
             self.queue.pushes, self.queue.pops, self.queue.peak_len, self.queue.peak_capacity,
+        );
+        let _ = write!(
+            s,
+            ",\"topology\":{{\"snapshots\":{},\"rows_built\":{}}}",
+            self.topology.snapshots, self.topology.rows_built,
         );
         let _ = write!(
             s,
@@ -342,6 +361,10 @@ mod tests {
             peak_len: 4,
             peak_capacity: 16,
         };
+        report.topology = TopologyStats {
+            snapshots: 5,
+            rows_built: 12,
+        };
         report.frames_sent = 7;
         report.journal_bytes = 321;
         let json = report.to_json();
@@ -352,6 +375,7 @@ mod tests {
             "\"events_per_sec\":",
             "\"sim_time_ratio\":",
             "\"queue\":{\"pushes\":10,\"pops\":9,\"peak_len\":4,\"peak_capacity\":16}",
+            "\"topology\":{\"snapshots\":5,\"rows_built\":12}",
             "\"frames_sent\":7",
             "\"journal_bytes\":321",
             "\"name\":\"event:sample\"",
