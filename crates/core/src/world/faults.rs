@@ -11,7 +11,7 @@
 //! `tests/failure_injection.rs` and the fault-free goldens).
 
 use mp2p_cache::CacheStore;
-use mp2p_net::{Axis, GilbertElliott};
+use mp2p_net::{Axis, GilbertElliott, PartitionCut};
 use mp2p_sim::{FastMap, NodeId, SimDuration, SimRng};
 use mp2p_trace::{BlameCause, FrameFateKind, TraceEvent};
 
@@ -191,23 +191,23 @@ impl World {
         self.with_proto(id, |p, ctx| p.on_status_change(ctx, true));
     }
 
-    /// Axes of the currently open partition windows (deduplicated, plan
-    /// order). Empty — without allocating — for a fault-free run.
-    pub(super) fn active_partition_axes(&self) -> Vec<Axis> {
+    /// The cut the open partition windows make: a bisection severs every
+    /// link crossing the terrain midline of its axis, while nodes keep
+    /// moving and hearing their own side. However many windows are open,
+    /// each axis is cut once.
+    pub(super) fn partition_cut(&self) -> PartitionCut {
+        let mut cut = PartitionCut::default();
         let Some(fr) = self.faults.as_ref() else {
-            return Vec::new();
+            return cut;
         };
-        let mut axes: Vec<Axis> = self
-            .cfg
-            .faults
-            .partitions
-            .iter()
-            .zip(&fr.partition_active)
-            .filter(|(_, &active)| active)
-            .map(|(w, _)| w.axis)
-            .collect();
-        axes.dedup();
-        axes
+        let windows = self.cfg.faults.partitions.iter().zip(&fr.partition_active);
+        for (window, _) in windows.filter(|(_, &active)| active) {
+            match window.axis {
+                Axis::Vertical => cut.mid_x = Some(self.cfg.terrain.width() / 2.0),
+                Axis::Horizontal => cut.mid_y = Some(self.cfg.terrain.height() / 2.0),
+            }
+        }
+        cut
     }
 
     /// Rolls the plan's duplication dice for one transmission and

@@ -28,11 +28,9 @@ pub use report::{FaultStats, RunReport};
 
 use mp2p_cache::{CacheStore, DataItem, Version};
 use mp2p_metrics::{PeerEnergy, ServedQuery, VersionHistory};
-use mp2p_mobility::{AnyMobility, MobilityModel, Point, SubnetGrid};
-use mp2p_net::{
-    Axis, Frame, NetAction, NetMeta, NetStack, NetTimer, Topology, TopologyBuilder, TopologyScratch,
-};
-use mp2p_sim::{EventQueue, FastMap, ItemId, NodeId, SimDuration, SimRng, SimTime, TopologyStats};
+use mp2p_mobility::{AnyMobility, MobilityModel, SubnetGrid};
+use mp2p_net::{Frame, NetAction, NetMeta, NetStack, NetTimer, TopologyScratch, TopologySnapshot};
+use mp2p_sim::{EventQueue, FastMap, ItemId, NodeId, SimDuration, SimRng, SimTime};
 use mp2p_trace::{BlameCause, FrameFateKind, ServedBy, TraceEvent, TraceSink};
 
 use crate::config::ProtocolConfig;
@@ -158,9 +156,9 @@ enum Event {
         frame: Frame<ProtoMsg>,
     },
     /// One broadcast transmission reaching every node that was in range
-    /// when it was sent: `listeners` is the sender's neighbour slice
-    /// copied at send time (the snapshot it came from may be rebuilt and
-    /// its arrays recycled before this pops), ascending by id. Handled
+    /// when it was sent: `listeners` is the sender's neighbour row
+    /// copied at send time (the snapshot it came from may be re-taken and
+    /// its arena recycled before this pops), ascending by id. Handled
     /// as one [`World::handle_rx`] per listener in that order — exactly
     /// the order the queue's FIFO tie-break gave one `Rx` per listener.
     RxAll {
@@ -230,19 +228,16 @@ pub struct World {
     switch_rngs: Vec<SimRng>,
     write_rngs: Vec<SimRng>,
     link_rng: SimRng,
-    topo: Option<(SimTime, Topology)>,
-    /// Snapshot-build scratch: spatial-hash bins plus — by recycling the
-    /// retired snapshot's CSR arrays — allocation-free steady-state
-    /// rebuilds.
-    topo_builder: TopologyBuilder,
-    /// BFS bookkeeping reused by every topology query.
+    /// When `links` was taken; `None` once a switch or a fault has
+    /// changed connectivity under it.
+    topo: Option<SimTime>,
+    /// The radio graph as of `topo`: positions, up flags and cell bins,
+    /// plus the adjacency rows asked for since.
+    links: TopologySnapshot,
+    /// BFS bookkeeping reused by every whole-graph query.
     topo_scratch: TopologyScratch,
-    /// Position/up staging buffers reused across topology rebuilds.
-    topo_positions: Vec<Point>,
-    topo_up: Vec<bool>,
-    /// Snapshots taken and adjacency rows built, for the perf section.
-    topo_stats: TopologyStats,
-    /// Oracle-mode shortest-path buffer, reused across sends.
+    /// Node buffer of the whole-graph queries (an oracle path, what a
+    /// source update reaches), reused across them.
     path_buf: Vec<NodeId>,
     /// Emptied [`Event::RxAll`] listener buffers awaiting reuse, so a
     /// warm run copies neighbour lists without allocating.
@@ -261,12 +256,6 @@ pub struct World {
     faults: Option<FaultRuntime>,
     /// Everything that watches the run without steering it.
     obs: Observers,
-}
-
-/// The snapshot [`World::ensure_topology`] just made current. A function
-/// of the field, not of the world, so callers keep their other borrows.
-fn snapshot(topo: &Option<(SimTime, Topology)>) -> &Topology {
-    &topo.as_ref().expect("ensure_topology ran first").1
 }
 
 impl World {
@@ -351,11 +340,8 @@ impl World {
             write_rngs: per_node(0x800),
             link_rng: SimRng::from_seed(master, 0x700),
             topo: None,
-            topo_builder: TopologyBuilder::new(),
+            links: TopologySnapshot::new(cfg.range),
             topo_scratch: TopologyScratch::new(),
-            topo_positions: Vec::with_capacity(n),
-            topo_up: Vec::with_capacity(n),
-            topo_stats: TopologyStats::default(),
             path_buf: Vec::new(),
             listener_pool: Vec::new(),
             grid,
@@ -510,9 +496,10 @@ impl World {
         let faults = &mut self.report.faults;
         faults.retx_queue_peak = retx_peak.fold(faults.retx_queue_peak, u64::max);
         let queue = self.queue.stats();
+        let topology = self.links.stats();
         let tracer = self
             .obs
-            .finish(&self.cfg, queue, self.topo_stats, &mut self.report);
+            .finish(&self.cfg, queue, topology, &mut self.report);
         (self.report, tracer)
     }
 
@@ -599,7 +586,7 @@ impl World {
             }
             Event::ConsistencyTick => {
                 self.ensure_topology();
-                let components = snapshot(&self.topo).components_with(&mut self.topo_scratch);
+                let components = self.links.graph().components_with(&mut self.topo_scratch);
                 let partitions = components.len() as u32;
                 self.obs
                     .sample(self.now, &self.nodes, &self.histories, partitions);
@@ -689,9 +676,8 @@ impl World {
 
     /// The master copy of `id`'s item changes (its own update stream, or
     /// a replica write it serialised). Every holder that cannot currently
-    /// be reached from the source — it is in a different connectivity
-    /// component, or down — is obstructed by partition at the new
-    /// version.
+    /// be reached from the source — no multi-hop path joins them, or
+    /// either is down — is obstructed by partition at the new version.
     fn source_update(&mut self, id: NodeId) -> Version {
         let item = id.owned_item();
         let version = self.nodes[id.index()].own_item.update();
@@ -701,28 +687,25 @@ impl World {
             item,
             version: version.get(),
         };
-        let cut_off = self.obs.blames().then(|| {
+        // Sorted, so the holders below are looked up by binary search.
+        // Only read under blame tracking, which is when it is filled.
+        let mut reached = std::mem::take(&mut self.path_buf);
+        if self.obs.blames() {
             self.ensure_topology();
-            let components = snapshot(&self.topo).components_with(&mut self.topo_scratch);
-            let mut reachable = vec![false; self.nodes.len()];
-            for &n in components
-                .iter()
-                .find(|c| c.contains(&id))
-                .into_iter()
-                .flatten()
-            {
-                reachable[n.index()] = true;
-            }
-            let master = self.histories[item.index()].current().get();
-            let holders = NodeId::all(self.nodes.len()).zip(&self.nodes);
-            holders
-                .filter(|(n, node)| !reachable[n.index()] && node.cache.contains(item))
-                .map(|(n, _)| (n, item, master))
-                .collect::<Vec<_>>()
-        });
-        let cut_off = cut_off.into_iter().flatten();
+            let graph = self.links.graph();
+            graph.within_hops_with(&mut self.topo_scratch, id, u32::MAX, &mut reached);
+            reached.sort_unstable();
+        }
+        let master = self.histories[item.index()].current().get();
+        let holders = NodeId::all(self.nodes.len()).zip(&self.nodes);
+        // The source never caches its own item, so its absence from
+        // `reached` cannot make it a holder.
+        let cut_off = holders
+            .filter(|(n, node)| node.cache.contains(item) && reached.binary_search(n).is_err())
+            .map(|(n, _)| (n, item, master));
         self.obs
             .fault(self.now, record, BlameCause::Partitioned, cut_off);
+        self.path_buf = reached;
         self.with_proto(id, |p, ctx| p.on_source_update(ctx));
         version
     }
@@ -746,50 +729,24 @@ impl World {
         self.apply_net_actions(at, actions);
     }
 
-    /// Rebuilds the topology snapshot if stale. Steady-state rebuilds
-    /// recycle the staging buffers, the builder's spatial-hash bins and
-    /// the retired snapshot's CSR arrays, so a refresh allocates nothing
-    /// once the run is warm.
+    /// Re-takes the topology snapshot if stale: every node's position
+    /// and up flag, binned. No adjacency row is built here — whoever
+    /// needs one asks `links` — and every buffer is the previous
+    /// snapshot's, so a refresh allocates nothing once the run is warm.
     fn ensure_topology(&mut self) {
-        let stale = match &self.topo {
-            Some((built, _)) => self.now.saturating_since(*built) > self.cfg.topology_refresh,
+        let stale = match self.topo {
+            Some(taken) => self.now.saturating_since(taken) > self.cfg.topology_refresh,
             None => true,
         };
         if !stale {
             return;
         }
         let now = self.now;
-        let mut positions = std::mem::take(&mut self.topo_positions);
-        positions.clear();
-        positions.extend(self.nodes.iter_mut().map(|n| n.mobility.position_at(now)));
-        let mut up = std::mem::take(&mut self.topo_up);
-        up.clear();
-        up.extend(self.nodes.iter().map(|n| n.up));
-        let axes = self.active_partition_axes();
-        let recycle = self.topo.take().map(|(_, t)| t);
-        let topo = if axes.is_empty() {
-            self.topo_builder
-                .rebuild(recycle, &positions, &up, self.cfg.range, |_, _| true)
-        } else {
-            // A bisection partition severs every link crossing the
-            // terrain midline of each open window's axis; nodes keep
-            // moving and hearing their own side.
-            let mid_x = self.cfg.terrain.width() / 2.0;
-            let mid_y = self.cfg.terrain.height() / 2.0;
-            let pos = &positions;
-            self.topo_builder
-                .rebuild(recycle, pos, &up, self.cfg.range, |a, b| {
-                    axes.iter().all(|axis| match axis {
-                        Axis::Vertical => (pos[a].x < mid_x) == (pos[b].x < mid_x),
-                        Axis::Horizontal => (pos[a].y < mid_y) == (pos[b].y < mid_y),
-                    })
-                })
-        };
-        self.topo_stats.snapshots += 1;
-        self.topo_stats.rows_built += positions.len() as u64;
-        self.topo_positions = positions;
-        self.topo_up = up;
-        self.topo = Some((now, topo));
+        let cut = self.partition_cut();
+        let nodes = self.nodes.iter_mut();
+        self.links
+            .refresh(cut, nodes.map(|n| (n.mobility.position_at(now), n.up)));
+        self.topo = Some(now);
     }
 
     /// The one place a transmission is counted (towards the traffic
@@ -830,7 +787,7 @@ impl World {
         let Some(next_hop) = next_hop else {
             let (heard, heard_again) = self.air_times(node, &frame);
             self.ensure_topology();
-            let neighbors = snapshot(&self.topo).neighbors(node);
+            let neighbors = self.links.neighbors(node);
             if neighbors.is_empty() {
                 return; // nobody in range: nothing to deliver
             }
@@ -850,8 +807,7 @@ impl World {
             return;
         };
         self.ensure_topology();
-        let reachable =
-            snapshot(&self.topo).are_neighbors(node, next_hop) && self.nodes[next_hop.index()].up;
+        let reachable = self.links.linked(node, next_hop) && self.nodes[next_hop.index()].up;
         if reachable {
             let (heard, heard_again) = self.air_times(node, &frame);
             let rx = |frame| Event::Rx {
@@ -1057,9 +1013,9 @@ impl World {
     /// degrades exactly as it would with handover off.
     fn handle_handover_request(&mut self, from: NodeId, item: ItemId, version: Version) {
         self.ensure_topology();
-        // CSR neighbour lists are ascending, so the first hit is the
+        // Neighbour rows are ascending, so the first hit is the
         // deterministic lowest-id successor.
-        let neighbors = snapshot(&self.topo).neighbors(from).iter().copied();
+        let neighbors = self.links.neighbors(from).iter().copied();
         let winner = neighbors.into_iter().find(|&n| {
             let node = &self.nodes[n.index()];
             node.up && item.source_host() != n && node.cache.contains(item)
@@ -1113,8 +1069,8 @@ impl World {
         // below can borrow the world mutably; no allocation either way.
         let mut path = std::mem::take(&mut self.path_buf);
         self.ensure_topology();
-        let topo = snapshot(&self.topo);
-        if topo.shortest_path_with(&mut self.topo_scratch, from, to, &mut path) {
+        let graph = self.links.graph();
+        if graph.shortest_path_with(&mut self.topo_scratch, from, to, &mut path) {
             let tx = Tx::message(&msg);
             let rx_cost = self.cfg.energy.rx_cost(tx.bytes);
             let mut arrival = self.now;
@@ -1187,8 +1143,9 @@ mod tests {
     use super::*;
     use crate::ObservatoryConfig;
     use mp2p_metrics::MessageClass;
-    use mp2p_mobility::{Stationary, Terrain};
+    use mp2p_mobility::{Point, Stationary, Terrain};
     use mp2p_net::FaultPlan;
+    use mp2p_sim::TopologyStats;
 
     fn tiny(strategy: Strategy, seed: u64) -> WorldConfig {
         let mut cfg = WorldConfig::small_test(seed);
@@ -1511,14 +1468,96 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_builds_only_the_rows_a_broadcast_asks_for() {
+        let stats = |snapshots, rows_built| TopologyStats {
+            snapshots,
+            rows_built,
+        };
+        let ids = |ids: &[u32]| ids.iter().map(|&i| NodeId::new(i)).collect::<Vec<_>>();
+        let mut world = line_world();
+        flood_from(&mut world, 1);
+        flood_from(&mut world, 1);
+        assert_eq!(world.links.stats(), stats(1, 1), "one sender, one row");
+
+        // A switch only invalidates; the next transmission re-takes the
+        // snapshot, and builds its sender's row and no other.
+        world.handle(Event::Switch(NodeId::new(3)));
+        assert_eq!((world.topo, world.links.stats()), (None, stats(1, 1)));
+        flood_from(&mut world, 0);
+        assert_eq!(world.topo, Some(world.now));
+        assert_eq!(world.links.stats(), stats(2, 2));
+
+        // A unicast is tested on the two positions: no row.
+        let msg = ProtoMsg::Invalidation {
+            item: NodeId::new(2).owned_item(),
+            version: Version::INITIAL,
+            seq: None,
+        };
+        let stack = &mut world.nodes[2].stack;
+        let mut actions = stack.flood_app(world.now, 1, msg, msg.size_bytes());
+        let Some(NetAction::Broadcast(frame)) = actions.pop() else {
+            panic!("a flood is one broadcast");
+        };
+        let before = world.queue.stats().pushes;
+        world.transmit(NodeId::new(2), Some(NodeId::new(1)), frame);
+        assert_eq!(world.queue.stats().pushes - before, 1, "1 hears 2");
+        assert_eq!(world.links.stats(), stats(2, 2));
+
+        assert_eq!(world.links.neighbors(NodeId::new(3)), [], "down: no row");
+        assert_eq!(world.links.neighbors(NodeId::new(2)), ids(&[1]));
+        assert_eq!(world.links.neighbors(NodeId::new(1)), ids(&[0, 2]));
+    }
+
+    #[test]
+    fn open_windows_on_one_axis_cut_it_once() {
+        use mp2p_net::{Axis, PartitionCut, PartitionWindow};
+        let opened = |axes: &[Axis]| {
+            let mut cfg = tiny(Strategy::Push, 22);
+            let window = |&axis| PartitionWindow {
+                start: SimTime::ZERO + SimDuration::from_secs(10),
+                heal: SimTime::ZERO + SimDuration::from_secs(20),
+                axis,
+            };
+            cfg.faults = FaultPlan {
+                label: "overlapping",
+                partitions: axes.iter().map(window).collect(),
+                ..FaultPlan::none()
+            };
+            let mut world = World::new(cfg);
+            for idx in 0..axes.len() {
+                world.handle_fault(FaultAction::PartitionStart(idx));
+            }
+            world.ensure_topology();
+            world
+        };
+        let mut both = opened(&[Axis::Vertical, Axis::Horizontal]);
+        let mut repeated = opened(&[Axis::Vertical, Axis::Horizontal, Axis::Vertical]);
+        let mut uncut = opened(&[]);
+        let quartered = PartitionCut {
+            mid_x: Some(250.0),
+            mid_y: Some(250.0),
+        };
+        assert_eq!(both.partition_cut(), quartered);
+        assert_eq!(repeated.partition_cut(), quartered);
+        let mut severed = 0;
+        for id in NodeId::all(8) {
+            let row = both.links.neighbors(id);
+            assert_eq!(repeated.links.neighbors(id), row, "row of {id}");
+            severed += uncut.links.neighbors(id).len() - row.len();
+        }
+        assert!(severed > 0, "the fixture has links across the midlines");
+    }
+
+    #[test]
     fn queue_pushes_count_transmissions_not_receptions() {
         // Pinned: moves only when the engine schedules differently.
         const PUSHES: u64 = 11_754;
         // Pinned: snapshots move only when the engine re-takes the radio
-        // graph at different instants; rows say what each one cost.
+        // graph at different instants; rows are the ones a broadcast or
+        // a handover asked for, of the 645 × 20 there were to build.
         const TOPOLOGY: TopologyStats = TopologyStats {
             snapshots: 645,
-            rows_built: 645 * 20,
+            rows_built: 5_882,
         };
         let mut profiled = World::new(WorldConfig::small_test(42));
         profiled.enable_profiling();

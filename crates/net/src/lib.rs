@@ -38,4 +38,4 @@ pub use faults::{Axis, CrashWindow, FaultPlan, PartitionWindow};
 pub use frame::{FloodId, Frame, NetMeta, NetPayload, RouteControl};
 pub use link::{GeParams, GilbertElliott, LinkModel};
 pub use stack::{NetAction, NetConfig, NetEvent, NetStack, NetTimer};
-pub use topology::{Topology, TopologyBuilder, TopologyScratch};
+pub use topology::{PartitionCut, Topology, TopologyBuilder, TopologyScratch, TopologySnapshot};

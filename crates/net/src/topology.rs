@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use mp2p_mobility::{CellGrid, Point};
-use mp2p_sim::NodeId;
+use mp2p_sim::{NodeId, TopologyStats};
 
 /// A snapshot of the radio graph: two *connected* nodes are neighbours iff
 /// they are within communication range (`C_Range`, 250 m in Table 1).
@@ -411,29 +411,207 @@ impl TopologyScratch {
     }
 }
 
-/// Builds [`Topology`] snapshots with reusable scratch: the spatial-hash
-/// bins, the per-node sort buffer, and — via
-/// [`TopologyBuilder::rebuild`]'s `recycle` parameter — the CSR arrays of
-/// a retired snapshot. A steady-state rebuild (same node count, similar
-/// degree) performs no heap allocation.
-#[derive(Debug, Default)]
-pub struct TopologyBuilder {
+/// Counting-sort cell bins over one set of positions, and the row scan
+/// that reads them: the one spatial hash behind both
+/// [`TopologyBuilder::rebuild`] (every row, into a CSR) and
+/// [`TopologySnapshot::neighbors`] (one row, when asked).
+#[derive(Debug)]
+struct CellBins {
+    grid: CellGrid,
+    /// The radio range the bins were filled for; the grid's cell side.
+    range: f64,
     /// Linear cell index per node (valid only for connected nodes).
     cell_idx: Vec<u32>,
-    /// Cursor/boundary array over cells; after the fill phase, cell `c`
-    /// holds nodes `order[start(c)..cell_start[c]]` where `start(c)` is
-    /// `0` for the first cell and `cell_start[c - 1]` otherwise.
+    /// Cursor/boundary array over cells; after [`CellBins::fill`], cell
+    /// `c` holds nodes `order[start(c)..cell_start[c]]` where `start(c)`
+    /// is `0` for the first cell and `cell_start[c - 1]` otherwise.
     cell_start: Vec<u32>,
     /// Connected node indices grouped by cell, ascending within a cell.
     order: Vec<u32>,
-    /// One node's candidate neighbours, sorted before CSR emission.
-    row: Vec<NodeId>,
 }
 
 /// Relative half-width of the band around `range²` inside which
-/// [`TopologyBuilder::rebuild`] distrusts the squared distance and asks
+/// [`CellBins::scan_row`] distrusts the squared distance and asks
 /// `hypot`.
 const GUARD_BAND: f64 = 1e-9;
+
+impl Default for CellBins {
+    fn default() -> Self {
+        CellBins {
+            grid: CellGrid::from_points(&[], 1.0),
+            range: 1.0,
+            cell_idx: Vec::new(),
+            cell_start: Vec::new(),
+            order: Vec::new(),
+        }
+    }
+}
+
+impl CellBins {
+    /// Bins the connected nodes into range-sized cells by counting sort,
+    /// in ascending id order so each cell's list is already sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two slices differ in length or `range` is not finite
+    /// and positive.
+    fn fill(&mut self, positions: &[Point], connected: &[bool], range: f64) {
+        assert_eq!(
+            positions.len(),
+            connected.len(),
+            "positions/connected length mismatch"
+        );
+        assert!(
+            range.is_finite() && range > 0.0,
+            "radio range must be positive"
+        );
+        let n = positions.len();
+        let grid = CellGrid::from_points(positions, range);
+        let cells = grid.cell_count();
+        assert!(
+            u32::try_from(cells).is_ok(),
+            "cell grid too fine: {cells} cells"
+        );
+        self.grid = grid;
+        self.range = range;
+        self.cell_idx.clear();
+        self.cell_idx.resize(n, 0);
+        self.cell_start.clear();
+        self.cell_start.resize(cells + 1, 0);
+        for i in 0..n {
+            if !connected[i] {
+                continue;
+            }
+            let c = grid.cell_index(positions[i]);
+            self.cell_idx[i] = c as u32;
+            self.cell_start[c + 1] += 1;
+        }
+        for c in 0..cells {
+            self.cell_start[c + 1] += self.cell_start[c];
+        }
+        let total_up = self.cell_start[cells] as usize;
+        self.order.clear();
+        self.order.resize(total_up, 0);
+        for (i, &up) in connected.iter().enumerate() {
+            if !up {
+                continue;
+            }
+            let c = self.cell_idx[i] as usize;
+            self.order[self.cell_start[c] as usize] = i as u32;
+            self.cell_start[c] += 1;
+        }
+        // After the fill, cell_start[c] is the *end* of cell c (and the
+        // start of cell c + 1), which is exactly what scan_row reads.
+    }
+
+    /// Appends connected node `i`'s neighbours to `out`, ascending by id:
+    /// every binned node of `i`'s 3 × 3 cell block within range of it
+    /// that `keep` lets through. `positions` are the ones the bins were
+    /// filled from.
+    fn scan_row(
+        &self,
+        i: usize,
+        positions: &[Point],
+        keep: impl Fn(usize, usize) -> bool,
+        out: &mut Vec<NodeId>,
+    ) {
+        // `distance <= range` is decided from the squared distance. That
+        // carries a few ulp (~1e-15) of relative error and libm `hypot`
+        // under one, six orders of magnitude inside the guard band, so
+        // outside the band the two tests cannot disagree; pairs within it
+        // get the exact `hypot` comparison the reference build makes.
+        let range_sq = self.range * self.range;
+        let surely_in = range_sq * (1.0 - GUARD_BAND);
+        let surely_out = range_sq * (1.0 + GUARD_BAND);
+
+        let grid = &self.grid;
+        let p = positions[i];
+        let (cx, cy) = grid.cell_coords(p);
+        let row_start = out.len();
+        for cell_y in cy.saturating_sub(1)..=(cy + 1).min(grid.rows() - 1) {
+            for cell_x in cx.saturating_sub(1)..=(cx + 1).min(grid.cols() - 1) {
+                let c = grid.index_of(cell_x, cell_y);
+                let lo = if c == 0 { 0 } else { self.cell_start[c - 1] } as usize;
+                let hi = self.cell_start[c] as usize;
+                for &j in &self.order[lo..hi] {
+                    let j = j as usize;
+                    if j == i {
+                        continue;
+                    }
+                    // Evaluate distance and filter in the ascending
+                    // orientation the reference build uses, so results
+                    // (and float edge cases) match it bit-for-bit.
+                    let (a, b) = if i < j { (i, j) } else { (j, i) };
+                    let (dx, dy) = (p.x - positions[j].x, p.y - positions[j].y);
+                    let dist_sq = dx * dx + dy * dy;
+                    let in_range = dist_sq <= surely_in
+                        || (dist_sq < surely_out
+                            && positions[a].distance(positions[b]) <= self.range);
+                    if in_range && keep(a, b) {
+                        out.push(NodeId::new(j as u32));
+                    }
+                }
+            }
+        }
+        // Cells were scanned row-major, so the candidates arrive
+        // cell-sorted, not id-sorted; restore the reference build's
+        // ascending order.
+        out[row_start..].sort_unstable();
+    }
+
+    /// Every row, as a CSR snapshot, cannibalising `recycle`'s arrays
+    /// when given.
+    fn csr(
+        &self,
+        recycle: Option<Topology>,
+        positions: &[Point],
+        connected: &[bool],
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> Topology {
+        let (mut offsets, mut adjacency, mut conn) = match recycle {
+            Some(t) => {
+                let Topology {
+                    mut offsets,
+                    mut adjacency,
+                    mut connected,
+                    ..
+                } = t;
+                offsets.clear();
+                adjacency.clear();
+                connected.clear();
+                (offsets, adjacency, connected)
+            }
+            None => (
+                Vec::with_capacity(positions.len() + 1),
+                Vec::new(),
+                Vec::new(),
+            ),
+        };
+        conn.extend_from_slice(connected);
+        for (i, &up) in connected.iter().enumerate() {
+            offsets.push(adjacency.len() as u32);
+            if up {
+                self.scan_row(i, positions, &keep, &mut adjacency);
+            }
+        }
+        offsets.push(adjacency.len() as u32);
+        Topology {
+            offsets,
+            adjacency,
+            connected: conn,
+            range: self.range,
+        }
+    }
+}
+
+/// Builds [`Topology`] snapshots with reusable scratch: the spatial-hash
+/// bins and — via [`TopologyBuilder::rebuild`]'s `recycle` parameter —
+/// the CSR arrays of a retired snapshot. A steady-state rebuild (same
+/// node count, similar degree) performs no heap allocation.
+#[derive(Debug, Default)]
+pub struct TopologyBuilder {
+    bins: CellBins,
+}
 
 impl TopologyBuilder {
     /// An empty builder; scratch grows on first build.
@@ -470,125 +648,176 @@ impl TopologyBuilder {
         range: f64,
         keep: impl Fn(usize, usize) -> bool,
     ) -> Topology {
-        assert_eq!(
-            positions.len(),
-            connected.len(),
-            "positions/connected length mismatch"
-        );
+        self.bins.fill(positions, connected, range);
+        self.bins.csr(recycle, positions, connected, keep)
+    }
+}
+
+/// The open bisection partitions of a [`TopologySnapshot`]: a link
+/// survives only between two nodes on the same side of every midline
+/// set. Data, not a closure, so a snapshot can apply it to any pair at
+/// any later time.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PartitionCut {
+    /// `x` of a vertical cut: links crossing it drop.
+    pub mid_x: Option<f64>,
+    /// `y` of a horizontal cut: links crossing it drop.
+    pub mid_y: Option<f64>,
+}
+
+impl PartitionCut {
+    /// True if no open cut separates `a` from `b`.
+    pub fn keeps(&self, a: Point, b: Point) -> bool {
+        self.mid_x.is_none_or(|mid| (a.x < mid) == (b.x < mid))
+            && self.mid_y.is_none_or(|mid| (a.y < mid) == (b.y < mid))
+    }
+}
+
+/// The radio graph at one instant, with adjacency rows built when asked
+/// for.
+///
+/// [`TopologySnapshot::refresh`] stores the positions, the up flags and
+/// the open [`PartitionCut`] and bins the up nodes into cells; that is
+/// all a refresh costs. A row is a pure function of those inputs, so
+/// building it at the first [`TopologySnapshot::neighbors`] call — and
+/// keeping it until the next refresh — yields exactly the row
+/// [`TopologyBuilder::rebuild`] would have built up front, and rows
+/// nobody asks for are never built. A single link is tested from the two
+/// stored positions ([`TopologySnapshot::linked`]); queries over the
+/// whole graph get the CSR [`Topology`], materialised at most once per
+/// refresh ([`TopologySnapshot::graph`]).
+///
+/// Every buffer is recycled across refreshes: a warm refresh and the
+/// rows asked of it perform no heap allocation.
+///
+/// # Example
+///
+/// ```
+/// use mp2p_mobility::Point;
+/// use mp2p_net::{PartitionCut, TopologySnapshot};
+/// use mp2p_sim::NodeId;
+///
+/// let line = [0.0, 200.0, 400.0].map(|x| (Point::new(x, 0.0), true));
+/// let mut snapshot = TopologySnapshot::new(250.0);
+/// snapshot.refresh(PartitionCut::default(), line);
+/// let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+/// assert_eq!(snapshot.neighbors(b), [a, c]);
+/// assert!(snapshot.linked(a, b) && !snapshot.linked(a, c));
+/// assert_eq!(snapshot.stats().rows_built, 1);
+/// ```
+#[derive(Debug)]
+pub struct TopologySnapshot {
+    range: f64,
+    positions: Vec<Point>,
+    up: Vec<bool>,
+    cut: PartitionCut,
+    bins: CellBins,
+    /// Where node `i`'s row sits in `arena`, once it has been built.
+    rows: Vec<Option<(u32, u32)>>,
+    /// The rows built since the last refresh, in the order asked.
+    arena: Vec<NodeId>,
+    /// The whole graph; describes this snapshot only while
+    /// `graph_current`, otherwise a retired one kept for its arrays.
+    graph: Option<Topology>,
+    graph_current: bool,
+    stats: TopologyStats,
+}
+
+impl TopologySnapshot {
+    /// An empty snapshot (no nodes) for radio range `range`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is not finite and positive.
+    pub fn new(range: f64) -> Self {
         assert!(
             range.is_finite() && range > 0.0,
             "radio range must be positive"
         );
-        let n = positions.len();
-        let (mut offsets, mut adjacency, mut conn) = match recycle {
-            Some(t) => {
-                let Topology {
-                    mut offsets,
-                    mut adjacency,
-                    mut connected,
-                    ..
-                } = t;
-                offsets.clear();
-                adjacency.clear();
-                connected.clear();
-                (offsets, adjacency, connected)
-            }
-            None => (Vec::with_capacity(n + 1), Vec::new(), Vec::new()),
-        };
-        conn.extend_from_slice(connected);
-
-        // Bin connected nodes into range-sized cells by counting sort,
-        // in ascending id order so each cell's list is already sorted.
-        let grid = CellGrid::from_points(positions, range);
-        let cells = grid.cell_count();
-        assert!(
-            u32::try_from(cells).is_ok(),
-            "cell grid too fine: {cells} cells"
-        );
-        self.cell_idx.clear();
-        self.cell_idx.resize(n, 0);
-        self.cell_start.clear();
-        self.cell_start.resize(cells + 1, 0);
-        for i in 0..n {
-            if !connected[i] {
-                continue;
-            }
-            let c = grid.cell_index(positions[i]);
-            self.cell_idx[i] = c as u32;
-            self.cell_start[c + 1] += 1;
-        }
-        for c in 0..cells {
-            self.cell_start[c + 1] += self.cell_start[c];
-        }
-        let total_up = self.cell_start[cells] as usize;
-        self.order.clear();
-        self.order.resize(total_up, 0);
-        for (i, &up) in connected.iter().enumerate() {
-            if !up {
-                continue;
-            }
-            let c = self.cell_idx[i] as usize;
-            self.order[self.cell_start[c] as usize] = i as u32;
-            self.cell_start[c] += 1;
-        }
-        // After the fill, cell_start[c] is the *end* of cell c (and the
-        // start of cell c + 1), which is exactly what cell_nodes reads.
-
-        // `distance <= range` is decided from the squared distance. That
-        // carries a few ulp (~1e-15) of relative error and libm `hypot`
-        // under one, six orders of magnitude inside the guard band, so
-        // outside the band the two tests cannot disagree; pairs within it
-        // get the exact `hypot` comparison the reference build makes.
-        let range_sq = range * range;
-        let surely_in = range_sq * (1.0 - GUARD_BAND);
-        let surely_out = range_sq * (1.0 + GUARD_BAND);
-
-        for i in 0..n {
-            offsets.push(adjacency.len() as u32);
-            if !connected[i] {
-                continue;
-            }
-            let p = positions[i];
-            let (cx, cy) = grid.cell_coords(p);
-            self.row.clear();
-            for cell_y in cy.saturating_sub(1)..=(cy + 1).min(grid.rows() - 1) {
-                for cell_x in cx.saturating_sub(1)..=(cx + 1).min(grid.cols() - 1) {
-                    let c = grid.index_of(cell_x, cell_y);
-                    let lo = if c == 0 { 0 } else { self.cell_start[c - 1] } as usize;
-                    let hi = self.cell_start[c] as usize;
-                    for &j in &self.order[lo..hi] {
-                        let j = j as usize;
-                        if j == i {
-                            continue;
-                        }
-                        // Evaluate distance and filter in the ascending
-                        // orientation the reference build uses, so results
-                        // (and float edge cases) match it bit-for-bit.
-                        let (a, b) = if i < j { (i, j) } else { (j, i) };
-                        let (dx, dy) = (p.x - positions[j].x, p.y - positions[j].y);
-                        let dist_sq = dx * dx + dy * dy;
-                        let in_range = dist_sq <= surely_in
-                            || (dist_sq < surely_out
-                                && positions[a].distance(positions[b]) <= range);
-                        if in_range && keep(a, b) {
-                            self.row.push(NodeId::new(j as u32));
-                        }
-                    }
-                }
-            }
-            // Cells were scanned row-major, so the candidates arrive
-            // cell-sorted, not id-sorted; restore the reference build's
-            // ascending order.
-            self.row.sort_unstable();
-            adjacency.extend_from_slice(&self.row);
-        }
-        offsets.push(adjacency.len() as u32);
-        Topology {
-            offsets,
-            adjacency,
-            connected: conn,
+        TopologySnapshot {
             range,
+            positions: Vec::new(),
+            up: Vec::new(),
+            cut: PartitionCut::default(),
+            bins: CellBins::default(),
+            rows: Vec::new(),
+            arena: Vec::new(),
+            graph: None,
+            graph_current: false,
+            stats: TopologyStats::default(),
         }
+    }
+
+    /// Re-takes the snapshot: one `(position, up)` per node in id order,
+    /// under `cut`. Forgets every row and the graph of the previous one.
+    pub fn refresh(&mut self, cut: PartitionCut, nodes: impl IntoIterator<Item = (Point, bool)>) {
+        self.positions.clear();
+        self.up.clear();
+        for (position, up) in nodes {
+            self.positions.push(position);
+            self.up.push(up);
+        }
+        self.cut = cut;
+        self.bins.fill(&self.positions, &self.up, self.range);
+        self.rows.clear();
+        self.rows.resize(self.positions.len(), None);
+        self.arena.clear();
+        self.graph_current = false;
+        self.stats.snapshots += 1;
+    }
+
+    /// Snapshots taken and rows built so far.
+    pub fn stats(&self) -> TopologyStats {
+        self.stats
+    }
+
+    /// The one-hop neighbours of `node`, ascending by id (empty if down):
+    /// the row [`Topology::neighbors`] of [`TopologySnapshot::graph`]
+    /// holds, built on first request.
+    pub fn neighbors(&mut self, node: NodeId) -> &[NodeId] {
+        if let (true, Some(graph)) = (self.graph_current, &self.graph) {
+            return graph.neighbors(node);
+        }
+        let i = node.index();
+        let (lo, hi) = match self.rows[i] {
+            Some(row) => row,
+            None => {
+                let lo = self.arena.len();
+                if self.up[i] {
+                    let (positions, cut) = (&self.positions, self.cut);
+                    let keep = |a: usize, b: usize| cut.keeps(positions[a], positions[b]);
+                    self.bins.scan_row(i, positions, keep, &mut self.arena);
+                }
+                self.stats.rows_built += 1;
+                let row = (lo as u32, self.arena.len() as u32);
+                self.rows[i] = Some(row);
+                row
+            }
+        };
+        &self.arena[lo as usize..hi as usize]
+    }
+
+    /// True if `a` and `b` are neighbours: the reference build's own
+    /// test on the two stored positions, with no row built.
+    pub fn linked(&self, a: NodeId, b: NodeId) -> bool {
+        let (i, j) = (a.index().min(b.index()), a.index().max(b.index()));
+        let (p, q) = (self.positions[i], self.positions[j]);
+        i != j && self.up[i] && self.up[j] && p.distance(q) <= self.range && self.cut.keeps(p, q)
+    }
+
+    /// The whole graph, for component and path queries. Materialised on
+    /// the first call after a refresh, into the arrays of the previous
+    /// materialisation.
+    pub fn graph(&mut self) -> &Topology {
+        if !self.graph_current {
+            let (positions, cut) = (&self.positions, self.cut);
+            let keep = |a: usize, b: usize| cut.keeps(positions[a], positions[b]);
+            let graph = self.bins.csr(self.graph.take(), positions, &self.up, keep);
+            self.stats.rows_built += positions.len() as u64;
+            self.graph = Some(graph);
+            self.graph_current = true;
+        }
+        self.graph.as_ref().expect("materialised above")
     }
 }
 

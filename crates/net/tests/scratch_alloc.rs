@@ -1,29 +1,37 @@
 //! Proof that the scalable substrate is allocation-free where it claims
-//! to be: topology queries against a warm [`TopologyScratch`] and
-//! steady-state snapshot rebuilds through [`TopologyBuilder`] must not
-//! touch the heap. A counting global allocator makes the claim a hard
-//! assertion rather than a code-review promise.
+//! to be: topology queries against a warm [`TopologyScratch`],
+//! steady-state snapshot rebuilds through [`TopologyBuilder`], and a
+//! warm [`TopologySnapshot`] refresh with the rows and the graph asked of
+//! it must not touch the heap. A counting global allocator makes the
+//! claim a hard assertion rather than a code-review promise.
 //!
-//! The counter only tracks allocations made *between* [`arm`] and
-//! [`disarm`] on this (single-threaded) test binary.
+//! The counter only tracks allocations made by the thread that called
+//! [`arm`], between [`arm`] and [`disarm`], so the tests (and the harness
+//! printing their results) cannot disturb each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mp2p_mobility::{Point, Terrain};
-use mp2p_net::{Topology, TopologyBuilder, TopologyScratch};
+use mp2p_net::{PartitionCut, Topology, TopologyBuilder, TopologyScratch, TopologySnapshot};
 use mp2p_sim::{NodeId, SimRng};
 
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    if ARMED.get() {
+        ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.alloc(layout)
     }
 
@@ -32,9 +40,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -43,13 +49,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn arm() {
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ALLOCATIONS.set(0);
+    ARMED.set(true);
 }
 
 fn disarm() -> u64 {
-    ARMED.store(false, Ordering::SeqCst);
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ARMED.set(false);
+    ALLOCATIONS.get()
 }
 
 fn random_field(n: usize, seed: u64) -> (Vec<Point>, Vec<bool>) {
@@ -115,4 +121,37 @@ fn warm_rebuild_does_not_allocate() {
         "steady-state topology rebuild allocated {count} times"
     );
     assert_eq!(rebuilt.len(), n);
+}
+
+/// What the engine does between two refreshes — re-take the snapshot,
+/// ask a fifth of the rows, and (under the observatory or oracle routing)
+/// materialise the whole graph — allocates nothing once warm: rows go to
+/// the recycled arena, the graph into the previous graph's CSR arrays.
+#[test]
+fn warm_refresh_rows_and_graph_do_not_allocate() {
+    let n = 500;
+    let (positions, up) = random_field(n, 10);
+    let mut snapshot = TopologySnapshot::new(250.0);
+    let round = |snapshot: &mut TopologySnapshot| {
+        let nodes = positions.iter().copied().zip(up.iter().copied());
+        snapshot.refresh(PartitionCut::default(), nodes);
+        let mut links = 0;
+        for id in NodeId::all(n).step_by(5) {
+            links += snapshot.neighbors(id).len();
+        }
+        links + snapshot.graph().edge_count()
+    };
+
+    // Two warm-up rounds, as for the rebuild above.
+    round(&mut snapshot);
+    round(&mut snapshot);
+
+    arm();
+    let links = round(&mut snapshot);
+    let count = disarm();
+    assert_eq!(
+        count, 0,
+        "a warm refresh with a fifth of the rows and the graph allocated {count} times"
+    );
+    assert!(links > 0, "the field has links");
 }
