@@ -687,15 +687,15 @@ impl World {
             item,
             version: version.get(),
         };
-        // Sorted, so the holders below are looked up by binary search.
+        // What the source reaches, sorted for the binary search below.
         // Only read under blame tracking, which is when it is filled.
-        let mut reached = std::mem::take(&mut self.path_buf);
         if self.obs.blames() {
             self.ensure_topology();
-            let graph = self.links.graph();
-            graph.within_hops_with(&mut self.topo_scratch, id, u32::MAX, &mut reached);
+            let (graph, reached) = (self.links.graph(), &mut self.path_buf);
+            graph.within_hops_with(&mut self.topo_scratch, id, u32::MAX, reached);
             reached.sort_unstable();
         }
+        let reached = &self.path_buf;
         let master = self.histories[item.index()].current().get();
         let holders = NodeId::all(self.nodes.len()).zip(&self.nodes);
         // The source never caches its own item, so its absence from
@@ -705,7 +705,6 @@ impl World {
             .map(|(n, _)| (n, item, master));
         self.obs
             .fault(self.now, record, BlameCause::Partitioned, cut_off);
-        self.path_buf = reached;
         self.with_proto(id, |p, ctx| p.on_source_update(ctx));
         version
     }

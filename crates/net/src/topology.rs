@@ -6,6 +6,11 @@
 //! where construction is a spatial hash (O(n·k) for average degree `k`)
 //! and queries run allocation-free against a caller-owned
 //! [`TopologyScratch`].
+//!
+//! A [`Topology`] is every row at once. The engine, whose snapshots are
+//! invalidated by every switched peer long before most rows are read,
+//! holds a [`TopologySnapshot`] instead: the same bins, a row built when
+//! first asked for.
 
 use std::collections::VecDeque;
 
@@ -671,6 +676,12 @@ impl PartitionCut {
         self.mid_x.is_none_or(|mid| (a.x < mid) == (b.x < mid))
             && self.mid_y.is_none_or(|mid| (a.y < mid) == (b.y < mid))
     }
+
+    /// The cut as the `keep(i, j)` link filter of a build over
+    /// `positions` ([`Topology::with_link_filter`]).
+    pub fn filter(self, positions: &[Point]) -> impl Fn(usize, usize) -> bool + '_ {
+        move |i, j| self.keeps(positions[i], positions[j])
+    }
 }
 
 /// The radio graph at one instant, with adjacency rows built when asked
@@ -773,20 +784,17 @@ impl TopologySnapshot {
 
     /// The one-hop neighbours of `node`, ascending by id (empty if down):
     /// the row [`Topology::neighbors`] of [`TopologySnapshot::graph`]
-    /// holds, built on first request.
+    /// holds, built here on first request.
     pub fn neighbors(&mut self, node: NodeId) -> &[NodeId] {
-        if let (true, Some(graph)) = (self.graph_current, &self.graph) {
-            return graph.neighbors(node);
-        }
         let i = node.index();
         let (lo, hi) = match self.rows[i] {
             Some(row) => row,
             None => {
                 let lo = self.arena.len();
                 if self.up[i] {
-                    let (positions, cut) = (&self.positions, self.cut);
-                    let keep = |a: usize, b: usize| cut.keeps(positions[a], positions[b]);
-                    self.bins.scan_row(i, positions, keep, &mut self.arena);
+                    let keep = self.cut.filter(&self.positions);
+                    self.bins
+                        .scan_row(i, &self.positions, keep, &mut self.arena);
                 }
                 self.stats.rows_built += 1;
                 let row = (lo as u32, self.arena.len() as u32);
@@ -810,10 +818,10 @@ impl TopologySnapshot {
     /// materialisation.
     pub fn graph(&mut self) -> &Topology {
         if !self.graph_current {
-            let (positions, cut) = (&self.positions, self.cut);
-            let keep = |a: usize, b: usize| cut.keeps(positions[a], positions[b]);
-            let graph = self.bins.csr(self.graph.take(), positions, &self.up, keep);
-            self.stats.rows_built += positions.len() as u64;
+            let keep = self.cut.filter(&self.positions);
+            let retired = self.graph.take();
+            let graph = self.bins.csr(retired, &self.positions, &self.up, keep);
+            self.stats.rows_built += self.positions.len() as u64;
             self.graph = Some(graph);
             self.graph_current = true;
         }

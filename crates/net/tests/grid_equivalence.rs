@@ -203,8 +203,8 @@ proptest! {
     /// One snapshot and one builder recycled over six fields of varying
     /// size: a shuffled subset of rows asked on demand, twice over,
     /// equals the full rebuild's and the reference's rows and is built
-    /// once; the materialised graph is the full rebuild, and serves the
-    /// same rows afterwards.
+    /// once; the materialised graph is the full rebuild, and rows asked
+    /// after it are still the same rows.
     #[test]
     fn prop_rows_on_demand_identical(
         seed in any::<u64>(),
@@ -223,9 +223,9 @@ proptest! {
             let n = 1 + rng.uniform_u64(119) as usize;
             let positions: Vec<Point> = (0..n).map(|_| terrain.random_point(&mut rng)).collect();
             let up: Vec<bool> = (0..n).map(|_| !rng.bernoulli(down_prob)).collect();
-            let keep = |a: usize, b: usize| cut.keeps(positions[a], positions[b]);
-            let full = builder.rebuild(retired.take(), &positions, &up, 250.0, keep);
-            let naive = Topology::with_link_filter_naive(&positions, &up, 250.0, keep);
+            let keep = cut.filter(&positions);
+            let full = builder.rebuild(retired.take(), &positions, &up, 250.0, &keep);
+            let naive = Topology::with_link_filter_naive(&positions, &up, 250.0, &keep);
             refresh(&mut snapshot, cut, &positions, &up);
 
             let mut ids: Vec<NodeId> = NodeId::all(n).collect();
@@ -291,8 +291,7 @@ proptest! {
         }
         let up: Vec<bool> = positions.iter().map(|_| !rng.bernoulli(0.1)).collect();
         let cut = midlines(2_000.0, cut_x, cut_y);
-        let keep = |a: usize, b: usize| cut.keeps(positions[a], positions[b]);
-        let naive = Topology::with_link_filter_naive(&positions, &up, range, keep);
+        let naive = Topology::with_link_filter_naive(&positions, &up, range, cut.filter(&positions));
         let mut snapshot = TopologySnapshot::new(range);
         refresh(&mut snapshot, cut, &positions, &up);
         for a in NodeId::all(positions.len()) {
@@ -335,11 +334,11 @@ fn on_demand_rows_match_the_full_rebuild_over_a_2000_peer_run() {
         let flipped = rng.uniform_u64(N as u64) as usize;
         up[flipped] = !up[flipped];
         let cut = midlines(side, (STEPS / 3..2 * STEPS / 3).contains(&step), false);
-        let keep = |a: usize, b: usize| cut.keeps(positions[a], positions[b]);
+        let keep = cut.filter(&positions);
         refresh(&mut snapshot, cut, &positions, &up);
-        let full = builder.rebuild(retired.take(), &positions, &up, 250.0, keep);
+        let full = builder.rebuild(retired.take(), &positions, &up, 250.0, &keep);
         let naive = (step % 50 == 0)
-            .then(|| Topology::with_link_filter_naive(&positions, &up, 250.0, keep));
+            .then(|| Topology::with_link_filter_naive(&positions, &up, 250.0, &keep));
         rng.shuffle(&mut ids);
         for &id in &ids[..N / 5] {
             let row = snapshot.neighbors(id);
