@@ -1,5 +1,5 @@
-//! Cooperative-caching substrate: versioned data items, the per-node LRU
-//! cache store, and the paper's stochastic workload generators.
+//! Cooperative-caching substrate: versioned data items and the per-node
+//! LRU cache store.
 //!
 //! Section 3 of the paper fixes the data model: each host `M_i` is the
 //! *source host* of item `D_i` (master copy, the only mutable copy), other
@@ -10,18 +10,15 @@
 //! here that mechanism is pull-on-miss into an LRU [`CacheStore`], which
 //! the experiments pre-warm to match the paper's steady-state scenarios.
 //!
-//! Workloads follow Section 5: every host generates an independent
-//! exponential stream of updates to its own item (`I_Update`) and an
-//! exponential stream of queries over other hosts' items (`I_Query`),
-//! uniform by default with an optional Zipf popularity extension.
+//! The Section 5 workload (exponential update and query arrivals per
+//! host) is not generated here: the engine's one generator is
+//! `World::schedule_next` / `pick_target` in `mp2p-rpcc`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod item;
 mod store;
-mod workload;
 
 pub use item::{DataItem, Version};
 pub use store::{CacheEntry, CacheStore};
-pub use workload::{Popularity, QueryStream, UpdateStream};

@@ -4,51 +4,10 @@ use std::fmt;
 
 use mp2p_sim::SimRng;
 
-/// The consistency guarantee a query requests (Section 3, Eq. 3.2.1–3.2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum ConsistencyLevel {
-    /// Weak consistency: any previously correct value may be returned.
-    Weak,
-    /// Δ-consistency: the answer is at most Δ behind the master copy
-    /// ("in RPCC, TTP is the Δ value", Section 4.4).
-    Delta,
-    /// Strong consistency: the answer equals the master copy at serve
-    /// time.
-    Strong,
-}
-
-impl ConsistencyLevel {
-    /// All levels, weakest first.
-    pub const ALL: [ConsistencyLevel; 3] = [
-        ConsistencyLevel::Weak,
-        ConsistencyLevel::Delta,
-        ConsistencyLevel::Strong,
-    ];
-
-    /// Short label for tables ("WC"/"DC"/"SC", as in the paper's figures).
-    pub fn label(self) -> &'static str {
-        match self {
-            ConsistencyLevel::Weak => "WC",
-            ConsistencyLevel::Delta => "DC",
-            ConsistencyLevel::Strong => "SC",
-        }
-    }
-
-    /// Index into per-level arrays.
-    pub fn index(self) -> usize {
-        match self {
-            ConsistencyLevel::Weak => 0,
-            ConsistencyLevel::Delta => 1,
-            ConsistencyLevel::Strong => 2,
-        }
-    }
-}
-
-impl fmt::Display for ConsistencyLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
+/// The consistency guarantee a query requests (Section 3,
+/// Eq. 3.2.1–3.2.3): the journal's level vocabulary under the paper's
+/// name, so a level is stated once and crosses into a record unmapped.
+pub use mp2p_metrics::LevelTag as ConsistencyLevel;
 
 /// The probability mix of consistency levels across query requests.
 ///

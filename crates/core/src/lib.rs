@@ -66,7 +66,7 @@ pub use recovery::{
     RecoveryAction, RecoveryConfig, RetransmitQueue, RetxEntry, SeqTracker, VersionDigest,
     DIGEST_CAP,
 };
-pub use rpcc::{RelayRole, Rpcc};
+pub use rpcc::Rpcc;
 pub use world::{
     FaultStats, MobilityKind, RoutingMode, RunReport, Strategy, WorkloadMode, World, WorldConfig,
 };

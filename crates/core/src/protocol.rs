@@ -1,8 +1,8 @@
 //! The consistency-protocol interface and its driver-side context.
 
 use mp2p_cache::{CacheStore, DataItem, Version};
+use mp2p_metrics::{RelayTransitionKind, ServedBy, SpanPhase};
 use mp2p_sim::{ItemId, NodeId, SimDuration, SimRng, SimTime};
-use mp2p_trace::{RelayTransitionKind, ServedBy, SpanPhase};
 
 use crate::config::ProtocolConfig;
 use crate::level::ConsistencyLevel;
@@ -131,9 +131,8 @@ pub enum CtxOut {
     },
     /// Report that a cached copy of `item` was installed or refreshed to
     /// `version` from a just-delivered message. The driver pairs it with
-    /// the carrying frame's identity to emit a provenance
-    /// [`mp2p_trace::TraceEvent::CopyLineage`] record. Carries no
-    /// simulation effect.
+    /// the carrying frame's identity to journal a provenance
+    /// `copy_lineage` record. Carries no simulation effect.
     CopyInstalled {
         /// The item whose cached copy changed.
         item: ItemId,

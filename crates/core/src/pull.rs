@@ -8,8 +8,8 @@
 //! short latency (Fig. 8) and its dominating traffic (Fig. 7).
 
 use mp2p_cache::Version;
+use mp2p_metrics::{ServedBy, SpanPhase};
 use mp2p_sim::{ItemId, NodeId};
-use mp2p_trace::{ServedBy, SpanPhase};
 
 use crate::config::ProtocolConfig;
 use crate::level::ConsistencyLevel;

@@ -11,8 +11,8 @@
 //! so validated) less often, raising the per-query staleness probability
 //! — the reason push traffic grows with the cache size in Fig. 7(c).
 
+use mp2p_metrics::{ServedBy, SpanPhase};
 use mp2p_sim::{FastMap, ItemId, NodeId};
-use mp2p_trace::{ServedBy, SpanPhase};
 
 use crate::config::ProtocolConfig;
 use crate::level::ConsistencyLevel;

@@ -11,8 +11,8 @@
 //! report-cycle consistency (the same level RPCC's relays provide, but
 //! with every source flooding at full TTL instead of a relay overlay).
 
+use mp2p_metrics::{ServedBy, SpanPhase};
 use mp2p_sim::{FastMap, ItemId, NodeId, SimDuration, SimTime};
-use mp2p_trace::{ServedBy, SpanPhase};
 
 use crate::config::ProtocolConfig;
 use crate::level::ConsistencyLevel;

@@ -387,11 +387,6 @@ impl RetransmitQueue {
     pub fn high_water(&self) -> usize {
         self.high_water
     }
-
-    /// The configured bound.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
 }
 
 /// Receiver-side duplicate suppression for sequence-stamped frames.

@@ -15,8 +15,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use mp2p_cache::Version;
+use mp2p_metrics::{RelayTransitionKind, ServedBy, SpanPhase};
 use mp2p_sim::{FastMap, ItemId, NodeId, SimTime};
-use mp2p_trace::{RelayTransitionKind, ServedBy, SpanPhase};
 
 use crate::adaptive::AdaptiveTuner;
 use crate::coefficients::Coefficients;
@@ -26,17 +26,6 @@ use crate::msg::ProtoMsg;
 use crate::pending::{PendingTable, Waiting};
 use crate::protocol::{Ctx, DegradationKind, Protocol, QueryId, Timer};
 use crate::recovery::{self, RecoveryAction, RetransmitQueue, SeqTracker, VersionDigest};
-
-/// The node-level position in the Fig. 5 state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RelayRole {
-    /// Ordinary cache node.
-    CachePeer,
-    /// Qualifies per Eq. 4.2.8, not yet approved for any item.
-    Candidate,
-    /// Approved relay peer for at least one item.
-    Relay,
-}
 
 #[derive(Debug, Clone)]
 struct RelayState {
@@ -164,33 +153,6 @@ impl Rpcc {
             seen_upd: SeqTracker::new(),
             seen_inv: SeqTracker::new(),
         }
-    }
-
-    /// The adaptive tuner, if the extension is enabled (for tests and
-    /// gauges).
-    pub fn tuner(&self) -> Option<&AdaptiveTuner> {
-        self.tuner.as_ref()
-    }
-
-    /// The node's Fig. 5 role.
-    pub fn role(&self) -> RelayRole {
-        if !self.relay.is_empty() {
-            RelayRole::Relay
-        } else if self.candidate {
-            RelayRole::Candidate
-        } else {
-            RelayRole::CachePeer
-        }
-    }
-
-    /// The coefficients (exposed for tests and gauges).
-    pub fn coefficients(&self) -> &Coefficients {
-        &self.coeffs
-    }
-
-    /// Size of the source-side relay table for this node's own item.
-    pub fn relay_table_len(&self) -> usize {
-        self.relay_table.len()
     }
 
     /// True if this node is an approved relay for `item`.
@@ -1017,6 +979,39 @@ mod tests {
     use mp2p_sim::SimDuration;
 
     type Fixture = crate::protocol::fixture::Fixture<Rpcc>;
+
+    /// The node-level position in the Fig. 5 state machine.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum RelayRole {
+        /// Ordinary cache node.
+        CachePeer,
+        /// Qualifies per Eq. 4.2.8, not yet approved for any item.
+        Candidate,
+        /// Approved relay peer for at least one item.
+        Relay,
+    }
+
+    /// What only these tests read back from a protocol instance.
+    impl Rpcc {
+        fn tuner(&self) -> Option<&AdaptiveTuner> {
+            self.tuner.as_ref()
+        }
+
+        fn role(&self) -> RelayRole {
+            if !self.relay.is_empty() {
+                RelayRole::Relay
+            } else if self.candidate {
+                RelayRole::Candidate
+            } else {
+                RelayRole::CachePeer
+            }
+        }
+
+        /// Size of the source-side relay table for this node's own item.
+        fn relay_table_len(&self) -> usize {
+            self.relay_table.len()
+        }
+    }
 
     fn fixture(me: u32) -> Fixture {
         Fixture::new(me, 9, Rpcc::new)

@@ -43,7 +43,7 @@ use crate::push_adaptive::PushAdaptivePull;
 use crate::recovery::RecoveryAction;
 use crate::rpcc::Rpcc;
 use faults::{FaultAction, FaultRuntime};
-use observe::{event_bucket, level_tag, Observers, Tx};
+use observe::{event_bucket, Observers, Tx};
 use writes::OpenWrite;
 
 /// Strategy dispatch without trait objects (keeps the world `Clone`-free
@@ -668,7 +668,7 @@ impl World {
                 node: id,
                 query: query.0,
                 item,
-                level: level_tag(level),
+                level,
             },
         );
         self.with_proto(id, |p, ctx| p.on_query(ctx, query, item, level));
@@ -1127,7 +1127,7 @@ impl World {
             TraceEvent::QueryFailed {
                 node,
                 query: query.0,
-                level: level_tag(open.level),
+                level: open.level,
             },
         );
         self.report.queries_failed += u64::from(open.measured);

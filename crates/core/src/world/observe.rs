@@ -38,12 +38,11 @@ use std::time::Instant;
 use mp2p_metrics::{age_bucket, MessageClass, ServedQuery, VersionHistory, AGE_BUCKETS};
 use mp2p_net::{Frame, NetEvent, NetMeta, NetPayload, NetStack};
 use mp2p_sim::{ItemId, NodeId, Profiler, QueueStats, SimDuration, SimTime, TopologyStats};
-use mp2p_trace::{BlameCause, FrameFateKind, LevelTag, NullSink, ServedBy, TraceEvent, TraceSink};
+use mp2p_trace::{BlameCause, FrameFateKind, NullSink, ServedBy, TraceEvent, TraceSink};
 
 use super::config::WorldConfig;
 use super::report::RunReport;
 use super::{Event, NodeState, OpenQuery};
-use crate::level::ConsistencyLevel;
 use crate::msg::ProtoMsg;
 use crate::observatory::{BlameTracker, ConsistencyReport};
 use crate::protocol::{Protocol, QueryId};
@@ -465,7 +464,7 @@ impl Observers {
             TraceEvent::QueryServed {
                 node,
                 query: query.0,
-                level: level_tag(open.level),
+                level: open.level,
                 served_by,
                 issued: open.issued,
             },
@@ -628,14 +627,5 @@ fn msg_bucket(class: MessageClass) -> &'static str {
         MessageClass::ResyncAck => "msg:RESYNC_ACK",
         MessageClass::DeliveryAck => "msg:DELIVERY_ACK",
         MessageClass::Handover => "msg:HANDOVER",
-    }
-}
-
-/// Maps a protocol-level consistency requirement to its trace tag.
-pub(super) fn level_tag(level: ConsistencyLevel) -> LevelTag {
-    match level {
-        ConsistencyLevel::Weak => LevelTag::Weak,
-        ConsistencyLevel::Delta => LevelTag::Delta,
-        ConsistencyLevel::Strong => LevelTag::Strong,
     }
 }

@@ -105,11 +105,6 @@ impl PeerEnergy {
     pub fn fraction_remaining(&self) -> f64 {
         self.remaining_mj() / self.capacity_mj
     }
-
-    /// True once the battery is exhausted.
-    pub fn is_depleted(&self) -> bool {
-        self.remaining_mj() <= 0.0
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +126,7 @@ mod tests {
         b.drain(30.0);
         assert_eq!(b.remaining_mj(), 70.0);
         b.drain(1_000.0);
-        assert!(b.is_depleted());
+        assert_eq!(b.remaining_mj(), 0.0);
         assert_eq!(b.fraction_remaining(), 0.0);
         b.drain(-5.0); // negative drain ignored
         assert_eq!(b.used_mj(), 100.0);

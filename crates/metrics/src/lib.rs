@@ -8,6 +8,9 @@
 //! * [`TrafficStats`] — MAC-level transmissions and bytes by
 //!   [`MessageClass`] (each hop of each message counts once, matching the
 //!   GloMoSim message counters the paper plots).
+//! * [`LevelTag`], [`ServedBy`], [`RelayTransitionKind`], [`SpanPhase`] —
+//!   the label vocabularies the protocols emit and the journal writes,
+//!   each one [`label_enum!`] list beside [`MessageClass`].
 //! * [`LatencyStats`] — a streaming log-bucket histogram of query
 //!   latencies with mean/percentile/max readouts.
 //! * [`ConsistencyAudit`] + [`VersionHistory`] — ground-truth staleness
@@ -41,4 +44,4 @@ pub use registry::{
 pub use staleness::{
     age_bucket, ConsistencyAudit, ServedQuery, VersionHistory, AGE_BUCKETS, AGE_BUCKET_EDGES,
 };
-pub use traffic::{MessageClass, TrafficStats};
+pub use traffic::{LevelTag, MessageClass, RelayTransitionKind, ServedBy, SpanPhase, TrafficStats};

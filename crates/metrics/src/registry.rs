@@ -186,21 +186,6 @@ impl Registry {
         self.histograms.get(name)
     }
 
-    /// Names of all counters, sorted.
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
-    }
-
-    /// Names of all gauges, sorted.
-    pub fn gauge_names(&self) -> impl Iterator<Item = &str> {
-        self.gauges.keys().map(String::as_str)
-    }
-
-    /// Names of all histograms, sorted.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
-    }
-
     /// The number of windows spanned by the busiest series.
     pub fn window_count(&self) -> usize {
         let c = self.counters.values().map(|c| c.series.len()).max();

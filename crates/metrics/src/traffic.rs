@@ -1,12 +1,11 @@
-//! Transmission counting by message class.
-
-use std::fmt;
+//! Transmission counting by message class, and the label vocabularies
+//! the protocols, the instruments and the journal share.
 
 /// Declares a label vocabulary: a fieldless enum whose variants are each
 /// listed with the one string they are written as (`Variant = "label"`).
-/// `ALL`, `index`, `label` and `from_label` are derived from that one
-/// list, so the two directions cannot disagree and a new variant is one
-/// line.
+/// `ALL`, `index`, `label`, `from_label` and `Display` (which writes the
+/// label) are derived from that one list, so the two directions cannot
+/// disagree and a new variant is one line.
 #[macro_export]
 macro_rules! label_enum {
     (
@@ -44,6 +43,12 @@ macro_rules! label_enum {
                     $($label => Some($name::$variant),)+
                     _ => None,
                 }
+            }
+        }
+
+        impl ::std::fmt::Display for $name {
+            fn fmt(&self, f: &mut ::std::fmt::Formatter<'_>) -> ::std::fmt::Result {
+                f.write_str(self.label())
             }
         }
     };
@@ -98,9 +103,83 @@ label_enum! {
     }
 }
 
-impl fmt::Display for MessageClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
+label_enum! {
+    /// Who answered a query (the paper's three answer paths: the item's
+    /// source host, a relay peer holding a pushed copy, or the querying
+    /// peer's own cached copy).
+    pub enum ServedBy {
+        /// Answered by the item's source host (master copy).
+        Source = "source",
+        /// Answered by a relay peer on the item's relay table.
+        Relay = "relay",
+        /// Answered from the local cache without contacting anyone.
+        Cache = "cache",
+    }
+}
+
+label_enum! {
+    /// A relay-peer state-machine transition (Fig. 5): candidacy
+    /// application, promotion, demotion, and the GET_NEW/SEND_NEW resync
+    /// exchange a stale relay runs against the source.
+    pub enum RelayTransitionKind {
+        /// A candidate sent APPLY to the source host.
+        ApplySent = "apply_sent",
+        /// The peer became a relay (APPLY_ACK received, or an UPDATE push
+        /// implicitly confirmed candidacy).
+        Promoted = "promoted",
+        /// The peer resigned relay duty (CANCEL sent or demotion swept).
+        Demoted = "demoted",
+        /// A stale relay asked the source for missed content (GET_NEW).
+        ResyncStarted = "resync_started",
+        /// The relay's copy was refreshed (SEND_NEW or UPDATE arrived).
+        ResyncCompleted = "resync_completed",
+    }
+}
+
+label_enum! {
+    /// The consistency guarantee a query requests (Section 3,
+    /// Eq. 3.2.1–3.2.3), weakest first; the label is the paper's figure
+    /// legend and the journal's `"level"` field. The protocol crate
+    /// calls this type `ConsistencyLevel`.
+    #[derive(PartialOrd, Ord)]
+    pub enum LevelTag {
+        /// Weak consistency: any previously correct value may be returned.
+        Weak = "WC",
+        /// Δ-consistency: the answer is at most Δ behind the master copy
+        /// ("in RPCC, TTP is the Δ value", Section 4.4).
+        Delta = "DC",
+        /// Strong consistency: the answer equals the master copy at serve
+        /// time.
+        Strong = "SC",
+    }
+}
+
+label_enum! {
+    /// The causal phase a query entered while being resolved. Together with
+    /// the journal's `query_issued` / `query_served` records these phase
+    /// markers reconstruct the span tree of each query: issue → (phases) →
+    /// answer, with per-phase sim-time durations.
+    ///
+    /// A query with *no* phase events was a local hit: it was answered in the
+    /// same instant it was issued, from this node's own copy.
+    pub enum SpanPhase {
+        /// A POLL was unicast to the last known relay peer (RPCC attempt 1).
+        PollUnicast = "poll_unicast",
+        /// A POLL went out as a TTL-scoped flood (expanding ring or baseline
+        /// broadcast).
+        PollFlood = "poll_flood",
+        /// A content FETCH was sent to the item's source host (cache miss or
+        /// push-baseline refresh).
+        Fetch = "fetch",
+        /// The push-baseline query parked, waiting for the next invalidation
+        /// report.
+        PushWait = "push_wait",
+        /// Routed retries were exhausted; one max-TTL flood toward the source
+        /// went out (hardened degradation path).
+        FallbackFlood = "fallback_flood",
+        /// All attempts exhausted; the query lingers for a late answer before
+        /// failing.
+        Grace = "grace",
     }
 }
 

@@ -156,18 +156,6 @@ impl GeParams {
             panic!("{e}");
         }
     }
-
-    /// Closed-form mean dwell time in the bad state, in trials
-    /// (`1 / p_bad_to_good`): the expected loss-burst length when
-    /// `loss_bad = 1`.
-    pub fn mean_burst_len(&self) -> f64 {
-        1.0 / self.p_bad_to_good
-    }
-
-    /// Closed-form stationary probability of the bad state.
-    pub fn stationary_bad(&self) -> f64 {
-        self.p_good_to_bad / (self.p_good_to_bad + self.p_bad_to_good)
-    }
 }
 
 /// The running Gilbert–Elliott channel: [`GeParams`] plus the current
@@ -189,11 +177,6 @@ impl GilbertElliott {
     pub fn new(params: GeParams) -> Self {
         params.validate();
         GilbertElliott { params, bad: false }
-    }
-
-    /// The parameters this channel runs.
-    pub fn params(&self) -> GeParams {
-        self.params
     }
 
     /// Whether the chain currently sits in the bad state.
@@ -351,7 +334,8 @@ mod tests {
             }
             prop_assert!(bursts > 100, "too few bursts observed: {bursts}");
             let empirical = lost as f64 / bursts as f64;
-            let expected = params.mean_burst_len();
+            // Mean dwell in the bad state, in trials.
+            let expected = 1.0 / params.p_bad_to_good;
             prop_assert!(
                 (empirical - expected).abs() / expected < 0.25,
                 "burst mean {empirical:.3} vs closed form {expected:.3} \

@@ -104,7 +104,7 @@ pub enum NetAction<M> {
 /// duplicate suppression, TTL and hop-budget drops, route-discovery
 /// progress — which produce no [`NetAction`] of their own. Events are
 /// only collected after [`NetStack::set_tracing`]`(true)`; the driver
-/// drains them with [`NetStack::take_events`].
+/// drains them with [`NetStack::swap_events`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetEvent {
     /// A flood frame was ignored as an already-seen duplicate.
@@ -248,7 +248,7 @@ impl<M: Clone> NetStack<M> {
     }
 
     /// Enables or disables diagnostic [`NetEvent`] collection. Off by
-    /// default; when off, [`NetStack::take_events`] always returns empty.
+    /// default; when off, [`NetStack::swap_events`] always returns empty.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
         if !on {
@@ -256,16 +256,10 @@ impl<M: Clone> NetStack<M> {
         }
     }
 
-    /// Drains the diagnostic events noted since the last call.
-    pub fn take_events(&mut self) -> Vec<NetEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Exchanges the diagnostic buffer with `buf`: the caller receives the
-    /// events noted since the last drain and the stack keeps `buf`'s
-    /// allocation. A per-frame driver passes one cleared scratch vector
-    /// here instead of [`NetStack::take_events`], whose fresh empty
-    /// buffer costs an allocation on the next noted event.
+    /// Drains the diagnostic events noted since the last call by
+    /// exchanging the buffer with `buf`: the caller receives the events
+    /// and the stack keeps `buf`'s allocation, so a per-frame driver
+    /// passing one scratch vector never allocates here.
     pub fn swap_events(&mut self, buf: &mut Vec<NetEvent>) {
         buf.clear();
         std::mem::swap(&mut self.events, buf);
@@ -800,6 +794,13 @@ impl<M: Clone> NetStack<M> {
 mod tests {
     use super::*;
 
+    /// The events `stack` noted since the last drain.
+    fn drained<M: Clone>(stack: &mut NetStack<M>) -> Vec<NetEvent> {
+        let mut events = Vec::new();
+        stack.swap_events(&mut events);
+        events
+    }
+
     fn frame_of<M: Clone + std::fmt::Debug>(actions: &[NetAction<M>]) -> Frame<M> {
         match &actions[0] {
             NetAction::Broadcast(f) => f.clone(),
@@ -848,7 +849,7 @@ mod tests {
         let flood = frame_of(&a.flood_app(SimTime::ZERO, 3, "X", 40));
         b.on_frame(SimTime::ZERO, NodeId::new(0), flood.clone());
         b.on_frame(SimTime::ZERO, NodeId::new(0), flood); // duplicate
-        assert!(b.take_events().is_empty());
+        assert!(drained(&mut b).is_empty());
     }
 
     #[test]
@@ -859,7 +860,7 @@ mod tests {
         let fresh = frame_of(&a.flood_app(SimTime::ZERO, 1, "X", 40));
         b.on_frame(SimTime::ZERO, NodeId::new(0), fresh.clone());
         b.on_frame(SimTime::ZERO, NodeId::new(0), fresh);
-        let events = b.take_events();
+        let events = drained(&mut b);
         assert_eq!(
             events,
             vec![
@@ -873,8 +874,8 @@ mod tests {
                 },
             ]
         );
-        // The buffer drains on take.
-        assert!(b.take_events().is_empty());
+        // The buffer drains on swap.
+        assert!(drained(&mut b).is_empty());
     }
 
     #[test]
@@ -913,7 +914,7 @@ mod tests {
         let dest = NodeId::new(9);
         a.send_app(SimTime::ZERO, dest, "hello", 64);
         assert_eq!(
-            a.take_events(),
+            drained(&mut a),
             vec![NetEvent::DiscoveryStart { dest, attempt: 1 }]
         );
         // Let every retry time out.
@@ -922,7 +923,7 @@ mod tests {
             at += cfg.rreq_timeout;
             a.on_timer(at, NetTimer::RreqTimeout { dest, attempt });
         }
-        let events = a.take_events();
+        let events = drained(&mut a);
         assert!(events
             .iter()
             .any(|e| matches!(e, NetEvent::DiscoveryStart { attempt: 2, .. })));
@@ -937,6 +938,6 @@ mod tests {
         a.set_tracing(true);
         a.send_app(SimTime::ZERO, NodeId::new(5), "x", 16);
         a.set_tracing(false);
-        assert!(a.take_events().is_empty());
+        assert!(drained(&mut a).is_empty());
     }
 }

@@ -44,7 +44,7 @@ use mp2p_sim::{NodeId, TopologyStats};
 ///
 /// ```
 /// use mp2p_mobility::Point;
-/// use mp2p_net::Topology;
+/// use mp2p_net::{Topology, TopologyScratch};
 /// use mp2p_sim::NodeId;
 ///
 /// let positions = vec![Point::new(0.0, 0.0), Point::new(200.0, 0.0), Point::new(400.0, 0.0)];
@@ -52,7 +52,7 @@ use mp2p_sim::{NodeId, TopologyStats};
 /// let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
 /// assert!(topo.are_neighbors(a, b));
 /// assert!(!topo.are_neighbors(a, c));
-/// assert_eq!(topo.hops(a, c), Some(2));
+/// assert_eq!(topo.hops_with(&mut TopologyScratch::new(), a, c), Some(2));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Topology {
@@ -193,16 +193,8 @@ impl Topology {
     }
 
     /// Minimum hop count from `from` to `to`, if a multi-hop path exists.
-    ///
-    /// Convenience wrapper allocating a throwaway [`TopologyScratch`];
-    /// steady-state callers should hold one and use
-    /// [`Topology::hops_with`].
-    pub fn hops(&self, from: NodeId, to: NodeId) -> Option<u32> {
-        self.hops_with(&mut TopologyScratch::new(), from, to)
-    }
-
-    /// [`Topology::hops`] against a reusable scratch: allocation-free
-    /// once the scratch has grown to this snapshot's node count.
+    /// Allocation-free once `scratch` has grown to this snapshot's node
+    /// count.
     pub fn hops_with(
         &self,
         scratch: &mut TopologyScratch,
@@ -210,15 +202,6 @@ impl Topology {
         to: NodeId,
     ) -> Option<u32> {
         self.bfs_with(scratch, from, Some(to))
-    }
-
-    /// A minimum-hop path from `from` to `to`, inclusive of both
-    /// endpoints. Convenience wrapper over
-    /// [`Topology::shortest_path_with`].
-    pub fn shortest_path(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-        let mut out = Vec::new();
-        self.shortest_path_with(&mut TopologyScratch::new(), from, to, &mut out)
-            .then_some(out)
     }
 
     /// Writes a minimum-hop path from `from` to `to` (inclusive of both
@@ -254,18 +237,10 @@ impl Topology {
         true
     }
 
-    /// All nodes strictly within `ttl` hops of `from` (excluding `from`),
-    /// i.e. the set a TTL-`ttl` flood can reach. Convenience wrapper over
-    /// [`Topology::within_hops_with`].
-    pub fn within_hops(&self, from: NodeId, ttl: u32) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.within_hops_with(&mut TopologyScratch::new(), from, ttl, &mut out);
-        out
-    }
-
-    /// Writes the TTL-`ttl` flood scope of `from` into `out` (clearing it
-    /// first), in BFS discovery order. Allocation-free once `scratch` and
-    /// `out` are warm.
+    /// Writes the TTL-`ttl` flood scope of `from` — every node strictly
+    /// within `ttl` hops, excluding `from` itself — into `out` (clearing
+    /// it first), in BFS discovery order. Allocation-free once `scratch`
+    /// and `out` are warm.
     pub fn within_hops_with(
         &self,
         scratch: &mut TopologyScratch,
@@ -297,13 +272,8 @@ impl Topology {
 
     /// Connected components among up nodes, each sorted by id; singleton
     /// components for isolated up nodes are included, down nodes are not.
-    pub fn components(&self) -> Vec<Vec<NodeId>> {
-        self.components_with(&mut TopologyScratch::new())
-    }
-
-    /// [`Topology::components`] against a reusable scratch. The returned
-    /// nested vectors are themselves fresh allocations — components is a
-    /// diagnostic query, not a hot-path one — but the BFS bookkeeping
+    /// The returned nested vectors are fresh allocations — components is
+    /// a diagnostic query, not a hot-path one — but the BFS bookkeeping
     /// reuses `scratch`.
     pub fn components_with(&self, scratch: &mut TopologyScratch) -> Vec<Vec<NodeId>> {
         scratch.begin(self.len());
@@ -840,6 +810,28 @@ mod tests {
         Topology::new(&positions, &vec![true; n], 250.0)
     }
 
+    // One-shot forms of the scratch queries, a fresh scratch per call.
+
+    fn hops(t: &Topology, from: NodeId, to: NodeId) -> Option<u32> {
+        t.hops_with(&mut TopologyScratch::new(), from, to)
+    }
+
+    fn shortest_path(t: &Topology, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
+        let mut out = Vec::new();
+        t.shortest_path_with(&mut TopologyScratch::new(), from, to, &mut out)
+            .then_some(out)
+    }
+
+    fn within_hops(t: &Topology, from: NodeId, ttl: u32) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        t.within_hops_with(&mut TopologyScratch::new(), from, ttl, &mut out);
+        out
+    }
+
+    fn components(t: &Topology) -> Vec<Vec<NodeId>> {
+        t.components_with(&mut TopologyScratch::new())
+    }
+
     #[test]
     fn adjacency_is_symmetric_on_line() {
         let t = line(5);
@@ -855,14 +847,14 @@ mod tests {
     #[test]
     fn hops_along_line() {
         let t = line(6);
-        assert_eq!(t.hops(NodeId::new(0), NodeId::new(5)), Some(5));
-        assert_eq!(t.hops(NodeId::new(2), NodeId::new(2)), Some(0));
+        assert_eq!(hops(&t, NodeId::new(0), NodeId::new(5)), Some(5));
+        assert_eq!(hops(&t, NodeId::new(2), NodeId::new(2)), Some(0));
     }
 
     #[test]
     fn shortest_path_endpoints_and_adjacency() {
         let t = line(4);
-        let path = t.shortest_path(NodeId::new(0), NodeId::new(3)).unwrap();
+        let path = shortest_path(&t, NodeId::new(0), NodeId::new(3)).unwrap();
         assert_eq!(path.first(), Some(&NodeId::new(0)));
         assert_eq!(path.last(), Some(&NodeId::new(3)));
         for pair in path.windows(2) {
@@ -877,19 +869,19 @@ mod tests {
         let mut up = vec![true; 5];
         up[2] = false;
         let t = Topology::new(&positions, &up, 250.0);
-        assert_eq!(t.hops(NodeId::new(0), NodeId::new(4)), None);
+        assert_eq!(hops(&t, NodeId::new(0), NodeId::new(4)), None);
         assert!(t.neighbors(NodeId::new(2)).is_empty());
-        assert_eq!(t.components().len(), 2);
+        assert_eq!(components(&t).len(), 2);
     }
 
     #[test]
     fn within_hops_matches_ttl_scope() {
         let t = line(8);
-        let reach = t.within_hops(NodeId::new(0), 3);
+        let reach = within_hops(&t, NodeId::new(0), 3);
         let mut ids: Vec<u32> = reach.iter().map(|n| n.index() as u32).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2, 3]);
-        assert!(t.within_hops(NodeId::new(0), 0).is_empty());
+        assert!(within_hops(&t, NodeId::new(0), 0).is_empty());
     }
 
     #[test]
@@ -901,8 +893,8 @@ mod tests {
         });
         assert!(t.is_up(NodeId::new(2)) && t.is_up(NodeId::new(3)));
         assert!(!t.are_neighbors(NodeId::new(2), NodeId::new(3)));
-        assert_eq!(t.hops(NodeId::new(0), NodeId::new(5)), None);
-        assert_eq!(t.components().len(), 2);
+        assert_eq!(hops(&t, NodeId::new(0), NodeId::new(5)), None);
+        assert_eq!(components(&t).len(), 2);
         // The permissive filter reproduces `new` exactly.
         let unfiltered = Topology::new(&positions, &[true; 6], 250.0);
         for i in 0..6u32 {
@@ -930,7 +922,7 @@ mod tests {
             Point::new(5_000.0, 5_000.0),
         ];
         let t = Topology::new(&positions, &[true; 5], 250.0);
-        let comps = t.components();
+        let comps = components(&t);
         assert_eq!(comps.len(), 3);
         let total: usize = comps.iter().map(Vec::len).sum();
         assert_eq!(total, 5);
@@ -1006,20 +998,20 @@ mod tests {
             let from = NodeId::new(a);
             for b in 0..40u32 {
                 let to = NodeId::new(b);
-                assert_eq!(t.hops_with(&mut scratch, from, to), t.hops(from, to));
+                assert_eq!(t.hops_with(&mut scratch, from, to), hops(&t, from, to));
                 let found = t.shortest_path_with(&mut scratch, from, to, &mut buf);
                 assert_eq!(
                     found.then(|| buf.clone()),
-                    t.shortest_path(from, to),
+                    shortest_path(&t, from, to),
                     "path {a}->{b}"
                 );
             }
             for ttl in 0..4u32 {
                 t.within_hops_with(&mut scratch, from, ttl, &mut buf);
-                assert_eq!(buf, t.within_hops(from, ttl), "scope {a} ttl {ttl}");
+                assert_eq!(buf, within_hops(&t, from, ttl), "scope {a} ttl {ttl}");
             }
         }
-        assert_eq!(t.components_with(&mut scratch), t.components());
+        assert_eq!(t.components_with(&mut scratch), components(&t));
     }
 
     #[test]
@@ -1028,7 +1020,7 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
         assert_eq!(t.edge_count(), 0);
-        assert!(t.components().is_empty());
+        assert!(components(&t).is_empty());
     }
 
     proptest! {
@@ -1059,7 +1051,7 @@ mod tests {
             let positions: Vec<Point> = (0..n).map(|_| terrain.random_point(&mut rng)).collect();
             let t = Topology::new(&positions, &vec![true; n], 250.0);
             let (a, b) = (NodeId::new(0), NodeId::new(n as u32 - 1));
-            match (t.hops(a, b), t.shortest_path(a, b)) {
+            match (hops(&t, a, b), shortest_path(&t, a, b)) {
                 (Some(h), Some(path)) => {
                     prop_assert_eq!(path.len() as u32, h + 1);
                     for pair in path.windows(2) {
@@ -1079,11 +1071,11 @@ mod tests {
             let positions: Vec<Point> = (0..n).map(|_| terrain.random_point(&mut rng)).collect();
             let t = Topology::new(&positions, &vec![true; n], 250.0);
             let root = NodeId::new(0);
-            let mut reach: Vec<NodeId> = t.within_hops(root, ttl);
+            let mut reach: Vec<NodeId> = within_hops(&t, root, ttl);
             reach.sort_unstable();
             let mut expected: Vec<NodeId> = (1..n)
                 .map(|i| NodeId::new(i as u32))
-                .filter(|&v| matches!(t.hops(root, v), Some(h) if h <= ttl))
+                .filter(|&v| matches!(hops(&t, root, v), Some(h) if h <= ttl))
                 .collect();
             expected.sort_unstable();
             prop_assert_eq!(reach, expected);

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 
 use mp2p_mobility::{MobilityModel, Point, RandomWaypoint, Terrain};
-use mp2p_net::{PartitionCut, Topology, TopologyBuilder, TopologySnapshot};
+use mp2p_net::{PartitionCut, Topology, TopologyBuilder, TopologyScratch, TopologySnapshot};
 use mp2p_sim::{NodeId, SimDuration, SimRng, SimTime, TopologyStats};
 
 /// Scenario knobs the proptest explores. Positions and the up/down mask
@@ -108,27 +108,41 @@ proptest! {
     fn prop_queries_identical(s in scenarios()) {
         let (grid, naive) = build_both(&s);
         let mut probe = SimRng::from_seed(s.seed, 0xE1);
+        let mut scratch = TopologyScratch::new();
+        let (mut of_grid, mut of_naive) = (Vec::new(), Vec::new());
         for _ in 0..20 {
             let a = NodeId::new(probe.uniform_u64(s.n as u64) as u32);
             let b = NodeId::new(probe.uniform_u64(s.n as u64) as u32);
-            prop_assert_eq!(grid.hops(a, b), naive.hops(a, b), "hops {:?}->{:?}", a, b);
             prop_assert_eq!(
-                grid.shortest_path(a, b).map(|p| p.len()),
-                naive.shortest_path(a, b).map(|p| p.len()),
-                "path length {:?}->{:?}",
+                grid.hops_with(&mut scratch, a, b),
+                naive.hops_with(&mut scratch, a, b),
+                "hops {:?}->{:?}",
                 a,
                 b
             );
-            let ttl = probe.uniform_u64(5) as u32;
             prop_assert_eq!(
-                grid.within_hops(a, ttl),
-                naive.within_hops(a, ttl),
+                grid.shortest_path_with(&mut scratch, a, b, &mut of_grid),
+                naive.shortest_path_with(&mut scratch, a, b, &mut of_naive),
+                "path {:?}->{:?} exists in one build only",
+                a,
+                b
+            );
+            prop_assert_eq!(of_grid.len(), of_naive.len(), "path length {:?}->{:?}", a, b);
+            let ttl = probe.uniform_u64(5) as u32;
+            grid.within_hops_with(&mut scratch, a, ttl, &mut of_grid);
+            naive.within_hops_with(&mut scratch, a, ttl, &mut of_naive);
+            prop_assert_eq!(
+                &of_grid,
+                &of_naive,
                 "ttl-{} scope of {:?} (discovery order included)",
                 ttl,
                 a
             );
         }
-        prop_assert_eq!(grid.components(), naive.components());
+        prop_assert_eq!(
+            grid.components_with(&mut scratch),
+            naive.components_with(&mut scratch)
+        );
     }
 
     /// Pairs placed at `range·(1 ± ε)` for ε from zero through and past

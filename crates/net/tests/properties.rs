@@ -5,7 +5,9 @@
 use proptest::prelude::*;
 
 use mp2p_mobility::{Point, Terrain};
-use mp2p_net::{Frame, LinkModel, NetAction, NetConfig, NetStack, NetTimer, Topology};
+use mp2p_net::{
+    Frame, LinkModel, NetAction, NetConfig, NetStack, NetTimer, Topology, TopologyScratch,
+};
 use mp2p_sim::{EventQueue, NodeId, SimRng, SimTime};
 
 /// Minimal synchronous driver (mirrors the one in routing.rs, kept local
@@ -141,7 +143,10 @@ proptest! {
             .collect();
         got.sort_unstable();
         got.dedup();
-        let mut expected = driver.topo.within_hops(origin, u32::from(ttl));
+        let mut expected = Vec::new();
+        driver
+            .topo
+            .within_hops_with(&mut TopologyScratch::new(), origin, u32::from(ttl), &mut expected);
         expected.sort_unstable();
         prop_assert_eq!(got, expected);
     }
@@ -155,7 +160,10 @@ proptest! {
         let mut driver = Driver::new(&positions);
         let src = NodeId::new(0);
         let dst = NodeId::new(count as u32 - 1);
-        let connected = driver.topo.hops(src, dst).is_some();
+        let connected = driver
+            .topo
+            .hops_with(&mut TopologyScratch::new(), src, dst)
+            .is_some();
         let actions = driver.stacks[0].send_app(SimTime::ZERO, dst, 99u64, 64);
         driver.apply(src, actions);
         driver.run();
@@ -174,7 +182,11 @@ proptest! {
         let mut driver = Driver::new(&positions);
         let src = NodeId::new(0);
         let dst = NodeId::new(9);
-        if driver.topo.hops(src, dst).is_none() {
+        if driver
+            .topo
+            .hops_with(&mut TopologyScratch::new(), src, dst)
+            .is_none()
+        {
             return Ok(()); // disconnected geometry: covered elsewhere
         }
         for i in 0..k as u64 {

@@ -12,8 +12,8 @@
 //! * [`EventQueue`] — a stable priority queue: events scheduled for the same
 //!   instant pop in insertion order, so runs are bit-for-bit reproducible.
 //! * [`SimRng`] — seeded random streams with the samplers the paper's
-//!   workloads need (exponential inter-arrival times, uniform ranges, Zipf
-//!   item popularity, Bernoulli loss).
+//!   workloads need (exponential inter-arrival times, uniform draws,
+//!   Bernoulli loss).
 //! * [`NodeId`] / [`ItemId`] — the identifier newtypes shared by the whole
 //!   system model (Section 3 of the paper: hosts `M_1..M_m`, items
 //!   `D_1..D_n`).
@@ -57,5 +57,5 @@ pub use hash::{FastHasher, FastMap, FastSet};
 pub use ids::{ItemId, NodeId};
 pub use profile::{PerfBucket, PerfReport, Profiler, TopologyStats};
 pub use queue::{EventQueue, QueueStats};
-pub use rng::{SimRng, Zipf};
+pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -90,11 +90,6 @@ impl Profiler {
         }
     }
 
-    /// Whether scopes are being measured.
-    pub fn is_enabled(&self) -> bool {
-        self.on
-    }
-
     /// Marks the start of the measured run (the events/sec denominator).
     pub fn begin(&mut self) {
         if self.on {
@@ -299,7 +294,6 @@ mod tests {
     #[test]
     fn disabled_profiler_measures_nothing() {
         let mut prof = Profiler::disabled();
-        assert!(!prof.is_enabled());
         prof.begin();
         let token = prof.start();
         assert!(token.is_none());

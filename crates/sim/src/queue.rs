@@ -19,7 +19,6 @@ use crate::time::SimTime;
 /// let mut q = EventQueue::new();
 /// q.push(SimTime::from_millis(7), 'b');
 /// q.push(SimTime::from_millis(3), 'a');
-/// assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
 /// assert_eq!(q.pop(), Some((SimTime::from_millis(3), 'a')));
 /// assert_eq!(q.pop(), Some((SimTime::from_millis(7), 'b')));
 /// assert_eq!(q.pop(), None);
@@ -115,11 +114,6 @@ impl<E> EventQueue<E> {
             self.pops += 1;
         }
         popped
-    }
-
-    /// The timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
     }
 
     /// Number of pending events.
@@ -246,7 +240,7 @@ mod tests {
         assert_eq!(q.len(), 4);
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
     }
 
     proptest! {

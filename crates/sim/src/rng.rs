@@ -98,19 +98,6 @@ impl SimRng {
         }
     }
 
-    /// A uniform integer in `[lo, hi]` (inclusive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn uniform_range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "uniform_range requires lo <= hi, got {lo}..={hi}");
-        if lo == 0 && hi == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.uniform_u64(hi - lo + 1)
-    }
-
     /// A uniform float in `[lo, hi)`.
     ///
     /// # Panics
@@ -169,72 +156,6 @@ impl SimRng {
         } else {
             let i = self.uniform_u64(slice.len() as u64) as usize;
             Some(&slice[i])
-        }
-    }
-}
-
-/// A Zipf(θ) sampler over ranks `0..n`, used for skewed item popularity in
-/// the workload extensions (the paper's own runs use uniform popularity).
-///
-/// θ = 0 degenerates to uniform; larger θ concentrates mass on low ranks.
-///
-/// # Example
-///
-/// ```
-/// use mp2p_sim::{SimRng, Zipf};
-///
-/// let zipf = Zipf::new(100, 0.8);
-/// let mut rng = SimRng::from_seed(7, 0);
-/// let rank = zipf.sample(&mut rng);
-/// assert!(rank < 100);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Builds a sampler over `n` ranks with exponent `theta`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `theta` is negative or not finite.
-    pub fn new(n: usize, theta: f64) -> Self {
-        assert!(n > 0, "Zipf needs at least one rank");
-        assert!(
-            theta.is_finite() && theta >= 0.0,
-            "Zipf exponent must be non-negative"
-        );
-        let mut cdf = Vec::with_capacity(n);
-        let mut total = 0.0;
-        for rank in 1..=n {
-            total += 1.0 / (rank as f64).powf(theta);
-            cdf.push(total);
-        }
-        for v in &mut cdf {
-            *v /= total;
-        }
-        Zipf { cdf }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Always false: the sampler is constructed with at least one rank.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Samples a rank in `0..n`.
-    pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.uniform_f64();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite"))
-        {
-            Ok(i) | Err(i) => i.min(self.cdf.len() - 1),
         }
     }
 }
@@ -304,36 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn zipf_zero_theta_is_uniform() {
-        let zipf = Zipf::new(10, 0.0);
-        let mut rng = SimRng::from_seed(5, 0);
-        let mut counts = [0usize; 10];
-        for _ in 0..10_000 {
-            counts[zipf.sample(&mut rng)] += 1;
-        }
-        for &c in &counts {
-            assert!(
-                (700..1_300).contains(&c),
-                "uniform bucket out of range: {c}"
-            );
-        }
-    }
-
-    #[test]
-    fn zipf_skews_to_low_ranks() {
-        let zipf = Zipf::new(10, 1.2);
-        let mut rng = SimRng::from_seed(5, 1);
-        let mut counts = [0usize; 10];
-        for _ in 0..10_000 {
-            counts[zipf.sample(&mut rng)] += 1;
-        }
-        assert!(
-            counts[0] > counts[9] * 3,
-            "rank 0 should dominate: {counts:?}"
-        );
-    }
-
-    #[test]
     fn choose_and_shuffle_are_deterministic() {
         let mut rng = SimRng::from_seed(11, 0);
         let mut v: Vec<u32> = (0..8).collect();
@@ -354,24 +245,9 @@ mod tests {
         }
 
         #[test]
-        fn prop_uniform_range_in_bounds(seed in any::<u64>(), lo in 0u64..100, span in 0u64..100) {
-            let mut rng = SimRng::from_seed(seed, 1);
-            let hi = lo + span;
-            let x = rng.uniform_range(lo, hi);
-            prop_assert!(x >= lo && x <= hi);
-        }
-
-        #[test]
         fn prop_uniform_u64_in_bounds(seed in any::<u64>(), bound in 1u64..1_000_000) {
             let mut rng = SimRng::from_seed(seed, 3);
             prop_assert!(rng.uniform_u64(bound) < bound);
-        }
-
-        #[test]
-        fn prop_zipf_in_range(seed in any::<u64>(), n in 1usize..500, theta in 0.0f64..2.5) {
-            let zipf = Zipf::new(n, theta);
-            let mut rng = SimRng::from_seed(seed, 2);
-            prop_assert!(zipf.sample(&mut rng) < n);
         }
     }
 }

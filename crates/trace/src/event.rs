@@ -15,44 +15,12 @@
 //! [`crate::reader`] are all generated from that table; how a field of a
 //! given type is spelled is [`crate::codec`]'s business.
 
+pub use mp2p_metrics::{LevelTag, RelayTransitionKind, ServedBy, SpanPhase};
 use mp2p_metrics::{MessageClass, AGE_BUCKETS};
 use mp2p_sim::{ItemId, NodeId, SimTime};
 
 use crate::codec::{Scalar, Wire};
 use crate::json::Fields;
-
-mp2p_metrics::label_enum! {
-    /// Who answered a query (the paper's three answer paths: the item's
-    /// source host, a relay peer holding a pushed copy, or the querying
-    /// peer's own cached copy).
-    pub enum ServedBy {
-        /// Answered by the item's source host (master copy).
-        Source = "source",
-        /// Answered by a relay peer on the item's relay table.
-        Relay = "relay",
-        /// Answered from the local cache without contacting anyone.
-        Cache = "cache",
-    }
-}
-
-mp2p_metrics::label_enum! {
-    /// A relay-peer state-machine transition (Fig. 5): candidacy
-    /// application, promotion, demotion, and the GET_NEW/SEND_NEW resync
-    /// exchange a stale relay runs against the source.
-    pub enum RelayTransitionKind {
-        /// A candidate sent APPLY to the source host.
-        ApplySent = "apply_sent",
-        /// The peer became a relay (APPLY_ACK received, or an UPDATE push
-        /// implicitly confirmed candidacy).
-        Promoted = "promoted",
-        /// The peer resigned relay duty (CANCEL sent or demotion swept).
-        Demoted = "demoted",
-        /// A stale relay asked the source for missed content (GET_NEW).
-        ResyncStarted = "resync_started",
-        /// The relay's copy was refreshed (SEND_NEW or UPDATE arrived).
-        ResyncCompleted = "resync_completed",
-    }
-}
 
 mp2p_metrics::label_enum! {
     /// The proximate cause the consistency observatory assigns to one stale
@@ -115,49 +83,6 @@ impl FrameFateKind {
     /// delivery and duplicate suppression, which are normal ends).
     pub fn is_loss(self) -> bool {
         !matches!(self, FrameFateKind::Delivered | FrameFateKind::DupDrop)
-    }
-}
-
-mp2p_metrics::label_enum! {
-    /// The consistency level a query was issued under (Section 4: weak,
-    /// delta, strong). Mirrors the core crate's `ConsistencyLevel` without
-    /// making the trace crate depend on it.
-    pub enum LevelTag {
-        /// Weak consistency ("WC"): any cached copy is acceptable.
-        Weak = "WC",
-        /// Delta consistency ("DC"): staleness bounded by a lease.
-        Delta = "DC",
-        /// Strong consistency ("SC"): the answer must be validated.
-        Strong = "SC",
-    }
-}
-
-mp2p_metrics::label_enum! {
-    /// The causal phase a query entered while being resolved. Together with
-    /// [`TraceEvent::QueryIssued`] / [`TraceEvent::QueryServed`] these phase
-    /// markers reconstruct the span tree of each query: issue → (phases) →
-    /// answer, with per-phase sim-time durations.
-    ///
-    /// A query with *no* phase events was a local hit: it was answered in the
-    /// same instant it was issued, from this node's own copy.
-    pub enum SpanPhase {
-        /// A POLL was unicast to the last known relay peer (RPCC attempt 1).
-        PollUnicast = "poll_unicast",
-        /// A POLL went out as a TTL-scoped flood (expanding ring or baseline
-        /// broadcast).
-        PollFlood = "poll_flood",
-        /// A content FETCH was sent to the item's source host (cache miss or
-        /// push-baseline refresh).
-        Fetch = "fetch",
-        /// The push-baseline query parked, waiting for the next invalidation
-        /// report.
-        PushWait = "push_wait",
-        /// Routed retries were exhausted; one max-TTL flood toward the source
-        /// went out (hardened degradation path).
-        FallbackFlood = "fallback_flood",
-        /// All attempts exhausted; the query lingers for a late answer before
-        /// failing.
-        Grace = "grace",
     }
 }
 

@@ -70,7 +70,6 @@ pub use event::{
     TraceEvent,
 };
 pub use sink::{
-    JsonlSink, NullSink, RingSink, SummarySink, TeeSink, TraceSink, JOURNAL_KINDS_V1,
-    JOURNAL_KINDS_V2, JOURNAL_KINDS_V3, JOURNAL_SCHEMA, JOURNAL_SCHEMA_V1, JOURNAL_SCHEMA_V2,
-    JOURNAL_SCHEMA_V3,
+    JsonlSink, NullSink, RingSink, SummarySink, TeeSink, TraceSink, JOURNAL_KINDS_V3,
+    JOURNAL_SCHEMA, JOURNAL_SCHEMA_V1, JOURNAL_SCHEMA_V2, JOURNAL_SCHEMA_V3,
 };

@@ -169,20 +169,12 @@ pub const JOURNAL_SCHEMA: u64 = 4;
 /// builds and stay readable by older tools.
 pub const JOURNAL_SCHEMA_V1: u64 = 1;
 
-/// The (frozen) number of event kinds in the schema-1 vocabulary,
-/// stamped into v1 headers regardless of how many kinds this build
-/// knows: the rows of the record table at tier 1.
-pub const JOURNAL_KINDS_V1: usize = kinds_at(JOURNAL_SCHEMA_V1);
-
 /// The consistency-observatory schema of PR 6, now frozen: the 29-kind
 /// vocabulary ending at [`EventKind::StaleServe`].
 /// [`JsonlSink::new_v2_with_warmup`] keeps writing it so observatory runs
 /// without the recovery layer stay byte-identical to what pre-recovery
 /// builds wrote.
 pub const JOURNAL_SCHEMA_V2: u64 = 2;
-
-/// The (frozen) number of event kinds in the schema-2 vocabulary.
-pub const JOURNAL_KINDS_V2: usize = kinds_at(JOURNAL_SCHEMA_V2);
 
 /// The recovery-layer schema of PR 7, now frozen: the 34-kind
 /// vocabulary ending at [`EventKind::RelayHandover`].
@@ -460,11 +452,6 @@ impl TeeSink {
     /// The child sinks, for downcasting after a run.
     pub fn sinks(&self) -> &[Box<dyn TraceSink>] {
         &self.sinks
-    }
-
-    /// Consumes the tee, returning its children.
-    pub fn into_sinks(self) -> Vec<Box<dyn TraceSink>> {
-        self.sinks
     }
 }
 

@@ -116,12 +116,6 @@ impl QuerySpan {
         }
     }
 
-    /// True for a query answered from the local cache in the same
-    /// instant it was issued (no phases, no network activity).
-    pub fn is_local_hit(&self) -> bool {
-        self.phases.is_empty() && matches!(self.outcome, SpanOutcome::Served { .. })
-    }
-
     /// The end instant used to close the last path segment.
     fn end_instant(&self) -> SimTime {
         match self.outcome {
@@ -325,7 +319,7 @@ mod tests {
         let spans = a.finish();
         assert_eq!(spans.len(), 1);
         let span = &spans[0];
-        assert!(span.is_local_hit());
+        assert!(span.phases.is_empty());
         assert_eq!(span.latency(), Some(SimDuration::ZERO));
         let path = span.critical_path();
         assert_eq!(path.len(), 1);
@@ -373,7 +367,7 @@ mod tests {
         assert_eq!(span.send_bytes, 48);
         assert_eq!(span.hops.len(), 1);
         assert_eq!(span.hops[0].hops, 2);
-        assert!(!span.is_local_hit());
+        assert!(!span.phases.is_empty());
 
         let path = span.critical_path();
         assert_eq!(path.len(), 2, "{path:?}");
