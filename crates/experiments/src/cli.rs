@@ -207,12 +207,19 @@ pub fn parse_strategy_set(list: &str, default_mix: LevelMix) -> Result<Vec<Strat
     if specs.is_empty() {
         return Err("empty strategy list".into());
     }
-    for (i, spec) in specs.iter().enumerate() {
-        if specs[..i].iter().any(|s| s.name == spec.name) {
-            return Err(format!("strategy {} listed twice", spec.name));
-        }
+    if let Some(spec) = first_repeat(&specs, |a, b| a.name == b.name) {
+        return Err(format!("strategy {} listed twice", spec.name));
     }
     Ok(specs)
+}
+
+/// The first element of `items` that is the `same` as an earlier one:
+/// two list entries that would share a cell key, a column or a snapshot
+/// file.
+pub(crate) fn first_repeat<T>(items: &[T], same: impl Fn(&T, &T) -> bool) -> Option<&T> {
+    (items.iter().enumerate())
+        .find(|(i, item)| items[..*i].iter().any(|earlier| same(earlier, item)))
+        .map(|(_, item)| item)
 }
 
 /// Parses a level-mix token (`sc`, `dc`, `wc`, `hy`).

@@ -52,7 +52,7 @@ use mp2p_trace::json::{self, Value};
 use mp2p_trace::BlameCause;
 
 use crate::check::check_report;
-use crate::cli::{parse_strategy_entry, Args, Spec};
+use crate::cli::{first_repeat, parse_strategy_entry, Args, Spec};
 use crate::report::render_table;
 use crate::run::sanitize;
 use crate::scenario::{Cell, Horizon, Scenario};
@@ -316,7 +316,8 @@ impl MatrixReport {
         s
     }
 
-    /// Parses a report back, refusing unknown schemata.
+    /// Parses a report back, refusing unknown schemata and a report in
+    /// which two cells carry one key (a gate would compare the first).
     pub fn from_json(text: &str) -> Result<Self, String> {
         let v = json::parse(text).ok_or("matrix report is not valid JSON")?;
         let schema = v
@@ -335,6 +336,9 @@ impl MatrixReport {
             .iter()
             .map(MatrixCell::from_value)
             .collect::<Result<Vec<_>, _>>()?;
+        if let Some(cell) = first_repeat(&cells, |a, b| a.key() == b.key()) {
+            return Err(format!("cell {} listed twice", cell.key()));
+        }
         Ok(MatrixReport { cells })
     }
 }
@@ -959,6 +963,16 @@ mod tests {
         assert!(compare_matrix(&base, &extra, 0.02, 0.5).unwrap().is_empty());
 
         assert!(compare_matrix(&base, &base, 1.5, 0.5).is_err());
+    }
+
+    #[test]
+    fn a_baseline_with_a_repeated_cell_key_is_refused() {
+        let mut report = sample_report();
+        let mut twin = sample_cell();
+        twin.fresh_fraction = 0.5; // same key, another measurement
+        report.cells.push(twin);
+        let refusal = MatrixReport::from_json(&report.to_json()).unwrap_err();
+        assert_eq!(refusal, "cell mini/rpcc/s42 listed twice");
     }
 
     #[test]

@@ -402,6 +402,9 @@ impl Scenario {
             }
         });
         let seeds = seeds.collect::<Result<Vec<_>, _>>()?;
+        if let Some(seed) = cli::first_repeat(&seeds, u64::eq) {
+            return Err(err(line, format!("seed {seed} listed twice")));
+        }
 
         let mut gates = GateFloors::default();
         for (key, floor, in_range, expects) in GATES {
@@ -690,6 +693,10 @@ impl Document {
         };
         if values.is_empty() {
             return Err(err(line, format!("{key} must not be empty")));
+        }
+        if let Some(value) = cli::first_repeat(values, Value::eq) {
+            let msg = format!("{key} value {} listed twice", render(value));
+            return Err(err(line, msg));
         }
         for value in values {
             let mut cell = world.clone();

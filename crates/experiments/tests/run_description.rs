@@ -248,9 +248,9 @@ const BAD_ARGVS: [&str; 26] = [
 ];
 
 /// The bad scenario edits of `scenario.rs::semantic_bounds_are_enforced`
-/// (needle in [`MINIMAL`] → replacement), plus `warmup_mins = 0` and an
-/// interval that rounds to 0 ms.
-const BAD_EDITS: [(&str, &str); 10] = [
+/// (needle in [`MINIMAL`] → replacement), plus `warmup_mins = 0`, an
+/// interval that rounds to 0 ms and a seed listed twice.
+const BAD_EDITS: [(&str, &str); 11] = [
     ("peers = 8", "peers = 1"),
     ("cache = 3", "cache = 8"),
     ("warmup_mins = 1", "warmup_mins = 9"),
@@ -264,13 +264,14 @@ const BAD_EDITS: [(&str, &str); 10] = [
     ("min_fresh_fraction = 0.5", "min_fresh_fraction = 1.5"),
     ("warmup_mins = 1", "warmup_mins = 0"),
     ("query_secs = 20", "query_secs = 0.0001"),
+    ("seeds = [42, 43]", "seeds = [42, 43, 42]"),
 ];
 
 /// Bad sweep axes, each put into [`MINIMAL`]'s `[matrix]` (line 29, after
 /// `strategies`): an unknown key, two axes, an empty array, a scalar,
-/// elements `WorldConfig::check()` rejects by range and by relation, and
-/// an element of the wrong type.
-const BAD_AXES: [&str; 8] = [
+/// elements `WorldConfig::check()` rejects by range and by relation, an
+/// element of the wrong type, and a value listed twice.
+const BAD_AXES: [&str; 9] = [
     "bogus = [1, 2]",
     "update_secs = [30, 60]\nquery_secs = [5, 10]",
     "update_secs = []",
@@ -279,6 +280,7 @@ const BAD_AXES: [&str; 8] = [
     "cache = [2, 8]",
     "routing = [\"on-demand\", \"psychic\"]",
     "peers = [8, \"many\"]",
+    "update_secs = [60, 30, 60]",
 ];
 
 /// The bad files of `scenario.rs::errors_carry_the_offending_line`.
