@@ -536,7 +536,7 @@ impl Rpcc {
             if ctx.cfg.recovery.handover {
                 // Recovery: instead of letting the coverage hole stand,
                 // ask the driver to elect a reachable cached neighbour
-                // and hand the relay role over (DESIGN.md §12). The
+                // and hand the relay role over (DESIGN.md §5). The
                 // degradation only lands if no successor exists.
                 let version = ctx.cached_version(item);
                 ctx.recovery(RecoveryAction::HandoverRequest { item, version });

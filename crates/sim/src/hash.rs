@@ -8,6 +8,10 @@
 //! lookups per received frame. [`FastMap`] and [`FastSet`] swap it for
 //! an Fx-style word hasher: `h = (h.rotl(5) ^ word) * K`.
 //!
+//! Dense `Vec`s indexed by item id are not the alternative they look like
+//! (m = n): per-node per-item state is n·m, so five such tables at
+//! n = 2 000 are ≥ 20 M slots for maps that hold a few dozen live entries.
+//!
 //! The hasher is unseeded, so a map's iteration order is a pure function
 //! of its insert/remove history. That is a convenience, not a licence:
 //! code that lets iteration order reach an output must still sort, as it

@@ -9,6 +9,16 @@
 //! absent; `Option<u64>` and `Option<ItemId>` are omitted when absent.
 //! Either way a value that is present but mistyped is a bad line, never
 //! a silent `None`.
+//!
+//! | type | written | read |
+//! |---|---|---|
+//! | `u64`, `SimTime` (ms) | decimal digits | non-negative integral number |
+//! | `u8`, `u32`, `NodeId`, `ItemId` | decimal digits | `try_from`: out of range is a bad line, never wrapped |
+//! | `bool` | `true` / `false` | a boolean |
+//! | a label enum | its label, quoted | `from_label`; unknown is a bad line |
+//! | `Option<NodeId>` | always; `null` when absent | key required; `null` or a `u32` |
+//! | `Option<u64>`, `Option<ItemId>` | omitted when absent | absent is `None`; present but mistyped is a bad line |
+//! | `[u32; AGE_BUCKETS]` | `[a,b,…]` | exactly that many `u32`s, from the array's source span |
 
 use mp2p_metrics::{MessageClass, AGE_BUCKETS};
 use mp2p_sim::{ItemId, NodeId, SimTime};

@@ -128,6 +128,12 @@ macro_rules! take_field {
 /// with the fields in wire order. Rows are in index order: a new kind is
 /// appended, and schema tiers never decrease down the table, so the
 /// indices of older kinds stay stable.
+///
+/// Adding a record kind: append one row; add a sample to
+/// `tests::samples()`; add its shape to `tests/vocabulary.rs` and
+/// regenerate `tests/golden/vocabulary.jsonl` (`UPDATE_GOLDEN=1`), which
+/// pins every shape's bytes in both directions; a new tier also raises
+/// `JOURNAL_SCHEMA`.
 macro_rules! records {
     (
         $(#[$meta:meta])*

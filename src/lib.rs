@@ -13,7 +13,7 @@
 //! * [`sim`] — event queue, simulated time, seeded RNG streams.
 //! * [`mobility`] — random waypoint (the paper's model) and friends.
 //! * [`net`] — topology snapshots, MAC/PHY link model, flooding, routing.
-//! * [`cache`] — versioned items, LRU store, workload generators.
+//! * [`cache`] — versioned items, the per-node LRU store.
 //! * [`metrics`] — traffic/latency/staleness/energy instruments.
 //! * [`trace`] — the flight recorder: typed sim-time event tracing.
 //! * [`rpcc`] — the protocols ([`rpcc::Rpcc`], [`rpcc::SimplePush`],
