@@ -1587,6 +1587,12 @@ mod tests {
         );
     }
 
+    /// What the queue stores per pending event: grows only by decision.
+    #[test]
+    fn an_event_is_at_most_136_bytes() {
+        assert!(std::mem::size_of::<Event>() <= 136);
+    }
+
     #[test]
     fn crash_wipes_volatile_state_but_keeps_the_master_copy() {
         use mp2p_net::CrashWindow;

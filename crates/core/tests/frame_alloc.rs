@@ -1,0 +1,93 @@
+//! What a frame costs the allocator: `WorldConfig::small_test(42)` run to
+//! its horizon under a counting global allocator (the `scratch_alloc.rs`
+//! idiom of `mp2p-net`), allocations after warm-up divided by frames sent
+//! after warm-up. The same world run only as far as the end of warm-up
+//! gives the allocations to subtract — one seed, one prefix — so set-up
+//! and table growth during warm-up are not charged to the steady state.
+//!
+//! The report fingerprint rides along: a change that moves the
+//! allocation count must not move a simulated byte.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use mp2p_rpcc::{RunReport, World, WorldConfig};
+use mp2p_sim::SimDuration;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    if ARMED.get() {
+        ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+    }
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Builds and runs `cfg`; the report and every allocation it took.
+fn counted(cfg: WorldConfig) -> (RunReport, u64) {
+    ALLOCATIONS.set(0);
+    ARMED.set(true);
+    let report = World::new(cfg).run();
+    ARMED.set(false);
+    (report, ALLOCATIONS.get())
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// FNV-1a of `RunReport::to_json()` for `small_test(42)`, recorded on the
+/// engine that cloned a frame per reception.
+const REPORT_FNV: u64 = 0xaed6_4d6c_0242_1c08;
+
+#[test]
+fn allocations_per_frame_sent_after_warm_up() {
+    let cfg = WorldConfig::small_test(42);
+    let mut prefix = cfg.clone();
+    prefix.sim_time = cfg.warmup;
+    prefix.warmup = SimDuration::from_millis(1);
+
+    let (_, before) = counted(prefix);
+    let (report, total) = counted(cfg);
+    let frames = report.traffic.transmissions();
+    let per_frame = (total - before) as f64 / frames as f64;
+    println!(
+        "{} allocations after warm-up / {frames} frames sent = {per_frame:.3} \
+         ({before} before the end of warm-up)",
+        total - before
+    );
+    assert!(frames > 5_000, "the fixture sends too little: {frames}");
+    assert_eq!(
+        fnv1a(report.to_json().as_bytes()),
+        REPORT_FNV,
+        "the report moved: this test counts allocations of one fixed run"
+    );
+}

@@ -243,6 +243,98 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
+    /// What the queue is specified as: a `Vec` stably sorted by
+    /// `(time, insertion index)`, popped from the front.
+    #[derive(Default)]
+    struct Model {
+        pending: Vec<(u64, usize)>,
+        pushed: usize,
+    }
+
+    impl Model {
+        fn push(&mut self, time: u64) -> usize {
+            self.pending.push((time, self.pushed));
+            self.pushed += 1;
+            self.pushed - 1
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, usize)> {
+            // Entries arrive in insertion order, so the stable sort
+            // leaves equal times FIFO.
+            self.pending.sort_by_key(|&(time, _)| time);
+            (!self.pending.is_empty()).then(|| {
+                let (time, index) = self.pending.remove(0);
+                (SimTime::from_millis(time), index)
+            })
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Push(u64),
+        /// That many events at one instant.
+        Burst(u64, usize),
+        Pop,
+        /// Pops to empty with a clone popped in lockstep; what follows
+        /// refills slots that were all handed back.
+        Drain,
+        Clear,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // Few distinct times, so ties are the rule; drains and clears
+        // are rare, so the queue gets deep between them.
+        (0u8..16, 0u64..12, 2usize..20).prop_map(|(kind, t, n)| match kind {
+            0..=5 => Op::Push(t),
+            6..=7 => Op::Burst(t, n),
+            8..=13 => Op::Pop,
+            14 => Op::Drain,
+            _ => Op::Clear,
+        })
+    }
+
+    proptest! {
+        /// Any interleaving of pushes, pops, drains and clears pops what
+        /// the model pops, and the telemetry counts what happened.
+        #[test]
+        fn prop_matches_the_sorted_vec_model(ops in proptest::collection::vec(op(), 0..300)) {
+            let mut q = EventQueue::new();
+            let mut model = Model::default();
+            let mut pops = 0u64;
+            for op in ops {
+                match op {
+                    Op::Push(t) => q.push(SimTime::from_millis(t), model.push(t)),
+                    Op::Burst(t, n) => {
+                        q.extend((0..n).map(|_| (SimTime::from_millis(t), model.push(t))));
+                    }
+                    Op::Pop => {
+                        let want = model.pop();
+                        pops += u64::from(want.is_some());
+                        prop_assert_eq!(q.pop(), want);
+                    }
+                    Op::Drain => {
+                        let mut twin = q.clone();
+                        while let Some(want) = model.pop() {
+                            pops += 1;
+                            prop_assert_eq!(q.pop(), Some(want));
+                            prop_assert_eq!(twin.pop(), Some(want));
+                        }
+                        prop_assert_eq!((q.pop(), twin.pop()), (None, None));
+                    }
+                    Op::Clear => {
+                        q.clear();
+                        model.pending.clear();
+                    }
+                }
+                prop_assert_eq!(q.len(), model.pending.len());
+                prop_assert_eq!(q.is_empty(), model.pending.is_empty());
+            }
+            let stats = q.stats();
+            prop_assert_eq!((stats.pushes, stats.pops), (model.pushed as u64, pops));
+            prop_assert!(stats.peak_len <= stats.peak_capacity);
+        }
+    }
+
     proptest! {
         /// The queue is a *stable* priority queue: output is the input
         /// stably sorted by timestamp.
