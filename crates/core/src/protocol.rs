@@ -385,7 +385,15 @@ impl<'a> Ctx<'a> {
         self.set_timer(self.cfg.ttn, Timer::Ttn);
     }
 
-    /// Drains the buffered outputs (driver-side).
+    /// Exchanges the output buffer with `buf` (driver-side, the
+    /// `NetStack::swap_events` idiom): lent an emptied buffer before the
+    /// handler runs and swapped again after it, the context fills the
+    /// caller's allocation instead of growing one of its own.
+    pub fn swap_outputs(&mut self, buf: &mut Vec<CtxOut>) {
+        std::mem::swap(&mut self.out, buf);
+    }
+
+    /// Drains the buffered outputs into a vector of their own.
     pub fn take_outputs(&mut self) -> Vec<CtxOut> {
         std::mem::take(&mut self.out)
     }

@@ -11,7 +11,8 @@
 //! [`World::unicast`] is the only place the routing mode is matched,
 //! [`World::account_tx`] the only place a transmission is counted, traced
 //! and charged to the battery, [`World::transmit`] the only way a frame
-//! reaches the air, [`World::with_proto`] the only way a protocol handler
+//! reaches the air, [`World::with_stack`] the only way a stack entry
+//! point runs, [`World::with_proto`] the only way a protocol handler
 //! runs. What a run is described by lives in [`config`], what it
 //! accumulates in [`report`] (the world holds the [`RunReport`] it
 //! returns), what watches it in [`observe`], what breaks it in
@@ -242,6 +243,16 @@ pub struct World {
     /// Emptied [`Event::RxAll`] listener buffers awaiting reuse, so a
     /// warm run copies neighbour lists without allocating.
     listener_pool: Vec<Vec<NodeId>>,
+    /// Emptied buffers the stacks push their actions into, and the
+    /// protocol handlers their outputs. Pools, not one scratch vector
+    /// each: applying an action or an output can re-enter the stack or a
+    /// handler (a send that fails at the MAC, a delivery that answers)
+    /// while the outer buffer is still being drained.
+    action_pool: Vec<Vec<NetAction<ProtoMsg>>>,
+    output_pool: Vec<Vec<CtxOut>>,
+    /// The cached items of the node [`World::pick_target`] is choosing
+    /// for, sorted.
+    target_buf: Vec<ItemId>,
     grid: SubnetGrid,
     /// Fig. 9 single-item source (when applicable).
     single_source: Option<NodeId>,
@@ -344,6 +355,9 @@ impl World {
             topo_scratch: TopologyScratch::new(),
             path_buf: Vec::new(),
             listener_pool: Vec::new(),
+            action_pool: Vec::new(),
+            output_pool: Vec::new(),
+            target_buf: Vec::new(),
             grid,
             single_source,
             next_query_id: 0,
@@ -535,24 +549,24 @@ impl World {
                 self.with_proto(id, |p, ctx| p.on_status_change(ctx, up));
                 self.schedule_next(Arrival::Switch, id);
             }
-            Event::Rx { at, from, frame } => self.handle_rx(at, from, frame),
+            Event::Rx { at, from, frame } => self.handle_rx(at, from, &frame),
             Event::RxAll {
                 from,
                 frame,
                 mut listeners,
             } => {
+                // Every listener reads the one frame the event holds.
                 // Anything a reception schedules at `now` runs after the
                 // remaining listeners, as it did when each listener held
                 // its own (earlier-numbered) queue entry.
                 for &at in &listeners {
-                    self.handle_rx(at, from, frame.clone());
+                    self.handle_rx(at, from, &frame);
                 }
                 listeners.clear();
                 self.listener_pool.push(listeners);
             }
             Event::NetTimer { at, timer } => {
-                let actions = self.nodes[at.index()].stack.on_timer(self.now, timer);
-                self.apply_net_actions(at, actions);
+                self.with_stack(at, |stack, now, out| stack.on_timer_into(now, timer, out));
             }
             Event::ProtoTimer { at, timer } => self.with_proto(at, |p, ctx| p.on_timer(ctx, timer)),
             Event::OracleDeliver { at, from, msg } => {
@@ -629,12 +643,13 @@ impl World {
         if let Some(src) = self.single_source {
             return Some(src.owned_item());
         }
-        let node = &mut self.nodes[id.index()];
-        let mut cached: Vec<ItemId> = node.cache.iter().map(|(it, _)| it).collect();
+        let (node, cached) = (&mut self.nodes[id.index()], &mut self.target_buf);
+        cached.clear();
+        cached.extend(node.cache.iter().map(|(it, _)| it));
         // The store iterates in arbitrary hash order; sort so the uniform
         // choice below is deterministic per seed.
         cached.sort_unstable();
-        node.rng.choose(&cached).copied()
+        node.rng.choose(cached).copied()
     }
 
     /// Queries and replica writes draw their ids from one counter.
@@ -711,7 +726,7 @@ impl World {
 
     /// Gate 2 for one reception: a switched-off node hears nothing, and
     /// the channel may lose the frame.
-    fn handle_rx(&mut self, at: NodeId, from: NodeId, frame: Frame<ProtoMsg>) {
+    fn handle_rx(&mut self, at: NodeId, from: NodeId, frame: &Frame<ProtoMsg>) {
         let lost = if self.nodes[at.index()].up {
             self.channel_verdict()
         } else {
@@ -719,13 +734,14 @@ impl World {
         };
         if let Some(fate) = lost {
             self.report.faults.burst_drops += u64::from(fate == FrameFateKind::BurstDrop);
-            self.obs.fate(self.now, from, at, &frame, fate);
+            self.obs.fate(self.now, from, at, frame, fate);
             return;
         }
         let rx_cost = self.cfg.energy.rx_cost(frame.size());
         self.nodes[at.index()].battery.drain(rx_cost);
-        let actions = self.nodes[at.index()].stack.on_frame(self.now, from, frame);
-        self.apply_net_actions(at, actions);
+        self.with_stack(at, |stack, now, out| {
+            stack.on_frame_into(now, from, frame, out)
+        });
     }
 
     /// Re-takes the topology snapshot if stale: every node's position
@@ -790,10 +806,11 @@ impl World {
             if neighbors.is_empty() {
                 return; // nobody in range: nothing to deliver
             }
-            for when in std::iter::once(heard).chain(heard_again) {
+            // The frame moves into its event; only a duplicate is a copy.
+            let copy = heard_again.map(|again| (again, frame.clone()));
+            for (when, frame) in std::iter::once((heard, frame)).chain(copy) {
                 let mut listeners = self.listener_pool.pop().unwrap_or_default();
                 listeners.extend_from_slice(neighbors);
-                let frame = frame.clone();
                 self.queue.push(
                     when,
                     Event::RxAll {
@@ -822,17 +839,30 @@ impl World {
             self.obs
                 .fate(self.now, node, next_hop, &frame, FrameFateKind::MacDrop);
             // MAC-level delivery failure feedback (Section 4.5).
-            let stack = &mut self.nodes[node.index()].stack;
-            let follow_up = stack.on_send_failed(self.now, next_hop, frame);
-            self.apply_net_actions(node, follow_up);
+            self.with_stack(node, |stack, now, out| {
+                stack.on_send_failed_into(now, next_hop, frame, out)
+            });
         }
     }
 
-    /// The single funnel every stack invocation drains through.
-    fn apply_net_actions(&mut self, node: NodeId, actions: Vec<NetAction<ProtoMsg>>) {
+    /// The only way a stack entry point runs: `call` pushes what `node`'s
+    /// stack asks for into a pooled buffer, and the funnel applies it.
+    fn with_stack(
+        &mut self,
+        node: NodeId,
+        call: impl FnOnce(&mut NetStack<ProtoMsg>, SimTime, &mut Vec<NetAction<ProtoMsg>>),
+    ) {
+        let mut actions = self.action_pool.pop().unwrap_or_default();
+        call(&mut self.nodes[node.index()].stack, self.now, &mut actions);
+        self.apply_net_actions(node, actions);
+    }
+
+    /// The single funnel every stack invocation drains through; the
+    /// emptied buffer goes (back) to the pool.
+    fn apply_net_actions(&mut self, node: NodeId, mut actions: Vec<NetAction<ProtoMsg>>) {
         let stack = &mut self.nodes[node.index()].stack;
         self.obs.stack_fates(self.now, node, stack);
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 NetAction::Broadcast(frame) => self.transmit(node, None, frame),
                 NetAction::Send { next_hop, frame } => self.transmit(node, Some(next_hop), frame),
@@ -858,6 +888,7 @@ impl World {
                 }
             }
         }
+        self.action_pool.push(actions);
     }
 
     /// Hands a message that reached `node` — through the stack or the
@@ -877,10 +908,11 @@ impl World {
         self.obs.handled(payload.class(), scope);
     }
 
-    /// Runs `f` against node `id`'s protocol with a fresh context, then
-    /// applies the buffered outputs.
+    /// Runs `f` against node `id`'s protocol with a fresh context
+    /// writing into a pooled buffer, then applies the buffered outputs.
     fn with_proto<F: FnOnce(&mut AnyProtocol, &mut Ctx<'_>)>(&mut self, id: NodeId, f: F) {
-        let outputs = {
+        let mut outputs = self.output_pool.pop().unwrap_or_default();
+        {
             let node = &mut self.nodes[id.index()];
             let energy = node.battery.fraction_remaining();
             let mut ctx = Ctx::new(
@@ -894,11 +926,12 @@ impl World {
                 node.up,
             );
             ctx.recovery_rng = Some(&mut node.recovery_rng);
+            ctx.swap_outputs(&mut outputs); // lend the pooled buffer
             f(&mut node.proto, &mut ctx);
-            ctx.take_outputs()
-        };
+            ctx.swap_outputs(&mut outputs); // and take it back, filled
+        }
         let carrier = self.obs.carrier();
-        for out in outputs {
+        for out in outputs.drain(..) {
             match out {
                 CtxOut::Send { to, msg } => self.unicast(id, to, msg),
                 CtxOut::Flood { ttl, msg } => self.flood(id, ttl, msg),
@@ -952,6 +985,7 @@ impl World {
                 CtxOut::Recovery { action } => self.apply_recovery(id, action),
             }
         }
+        self.output_pool.push(outputs);
     }
 
     /// Counts and journals one recovery-layer decision of `node`'s
@@ -1037,11 +1071,9 @@ impl World {
     fn unicast(&mut self, from: NodeId, to: NodeId, msg: ProtoMsg) {
         self.obs.offered(&msg);
         match self.cfg.routing {
-            RoutingMode::OnDemand => {
-                let stack = &mut self.nodes[from.index()].stack;
-                let actions = stack.send_app(self.now, to, msg, msg.size_bytes());
-                self.apply_net_actions(from, actions);
-            }
+            RoutingMode::OnDemand => self.with_stack(from, |stack, now, out| {
+                stack.send_app_into(now, to, msg, msg.size_bytes(), out)
+            }),
             RoutingMode::Oracle => self.oracle_send(from, to, msg),
         }
     }
@@ -1050,9 +1082,9 @@ impl World {
     /// routing modes share the stack's TTL-scoped broadcast).
     fn flood(&mut self, from: NodeId, ttl: u8, msg: ProtoMsg) {
         self.obs.offered(&msg);
-        let stack = &mut self.nodes[from.index()].stack;
-        let actions = stack.flood_app(self.now, ttl, msg, msg.size_bytes());
-        self.apply_net_actions(from, actions);
+        self.with_stack(from, |stack, now, out| {
+            stack.flood_app_into(now, ttl, msg, msg.size_bytes(), out)
+        });
     }
 
     /// Oracle-mode unicast: the message follows the current BFS shortest
@@ -1505,6 +1537,46 @@ mod tests {
         assert_eq!(world.links.neighbors(NodeId::new(3)), [], "down: no row");
         assert_eq!(world.links.neighbors(NodeId::new(2)), ids(&[1]));
         assert_eq!(world.links.neighbors(NodeId::new(1)), ids(&[0, 2]));
+    }
+
+    #[test]
+    fn buffers_return_to_their_pools_empty_and_the_pools_stop_growing() {
+        let mut world = line_world();
+        let (near, relay, far) = (NodeId::new(0), 1, NodeId::new(3));
+        let msg = ProtoMsg::Invalidation {
+            item: far.owned_item(),
+            version: Version::INITIAL,
+            seq: None,
+        };
+        let cycle = |world: &mut World| {
+            // 3 floods three hops: 0 learns the route to it through 1.
+            world.nodes[relay].up = true;
+            world.topo = None;
+            world.flood(far, 3, msg);
+            while let Some((t, event)) = world.queue.pop() {
+                if let Event::Rx { .. } | Event::RxAll { .. } | Event::NetTimer { .. } = event {
+                    world.now = t;
+                    world.handle(event);
+                }
+            }
+            assert!(world.nodes[near.index()].stack.has_route(far, world.now));
+            // The relay goes dark, so the send fails at the MAC, and the
+            // failure re-enters the stack — a discovery flood and its
+            // timer — while the buffer holding the send is being drained.
+            world.nodes[relay].up = false;
+            world.topo = None;
+            world.unicast(near, far, msg);
+            world.handle_query_arrival(near);
+            assert!(world.action_pool.iter().all(Vec::is_empty));
+            assert!(world.output_pool.iter().all(Vec::is_empty));
+            (world.action_pool.len(), world.output_pool.len())
+        };
+        let warm = cycle(&mut world);
+        assert!(warm.0 >= 2, "the failed send nested a second action buffer");
+        assert!(warm.1 >= 1, "the query ran a handler");
+        for _ in 0..3 {
+            assert_eq!(cycle(&mut world), warm, "a warm pool has every buffer");
+        }
     }
 
     #[test]

@@ -5,6 +5,16 @@
 //! gives the allocations to subtract — one seed, one prefix — so set-up
 //! and table growth during warm-up are not charged to the steady state.
 //!
+//! Measured: 13 561 allocations for 7 628 frames (1.78 a frame) on the
+//! engine that cloned the frame for every listener and took a fresh
+//! `Vec` from every stack entry point and protocol context; 1 072 (0.14)
+//! with receptions by reference and pooled buffers. What is left keeps
+//! something: dedup memories and route tables still growing towards
+//! their caps, a discovery's packet queue, listener buffers when more
+//! broadcasts are in flight than ever before, and the `Vec`s the
+//! protocols' pending tables hand back. The bound is that count with
+//! 10 % headroom.
+//!
 //! The report fingerprint rides along: a change that moves the
 //! allocation count must not move a simulated byte.
 
@@ -68,6 +78,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// engine that cloned a frame per reception.
 const REPORT_FNV: u64 = 0xaed6_4d6c_0242_1c08;
 
+/// Allocations after warm-up the fixture may take: 1 072 measured.
+const ALLOCATION_BOUND: u64 = 1_179;
+
 #[test]
 fn allocations_per_frame_sent_after_warm_up() {
     let cfg = WorldConfig::small_test(42);
@@ -85,6 +98,11 @@ fn allocations_per_frame_sent_after_warm_up() {
         total - before
     );
     assert!(frames > 5_000, "the fixture sends too little: {frames}");
+    assert!(
+        total - before <= ALLOCATION_BOUND,
+        "{} allocations after warm-up, bound {ALLOCATION_BOUND}",
+        total - before
+    );
     assert_eq!(
         fnv1a(report.to_json().as_bytes()),
         REPORT_FNV,

@@ -1,6 +1,8 @@
 //! The per-node network layer: flooding + on-demand unicast routing.
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
+use std::hash::Hash;
 
 use mp2p_sim::{FastMap, FastSet, NodeId, SimDuration, SimTime};
 
@@ -175,10 +177,12 @@ struct PendingDiscovery<M> {
 /// Per-node network stack: duplicate-suppressed TTL flooding plus
 /// AODV-style on-demand unicast routing.
 ///
-/// The stack is a pure state machine: every input returns the list of
-/// [`NetAction`]s the driver must perform. It never looks at the clock or
-/// the topology itself — time arrives as arguments, connectivity arrives
-/// as delivered/failed frames.
+/// The stack is a pure state machine: every input pushes the
+/// [`NetAction`]s the driver must perform onto a buffer the driver owns
+/// (the `_into` entry points append and never read what is already
+/// there; the `Vec`-returning forms wrap them for callers that hold no
+/// buffer). It never looks at the clock or the topology itself — time
+/// arrives as arguments, connectivity arrives as delivered/failed frames.
 ///
 /// # Example
 ///
@@ -281,44 +285,46 @@ impl<M: Clone> NetStack<M> {
         matches!(self.routes.get(&dest), Some(r) if r.expires > now)
     }
 
-    /// Starts an application flood with the given TTL. Returns the
-    /// broadcast action (or nothing when `ttl == 0`).
-    pub fn flood_app(
+    /// Starts an application flood with the given TTL: one broadcast
+    /// action (or nothing when `ttl == 0`) pushed onto `out`.
+    pub fn flood_app_into(
         &mut self,
         _now: SimTime,
         ttl: u8,
         payload: M,
         size: u32,
-    ) -> Vec<NetAction<M>> {
+        out: &mut Vec<NetAction<M>>,
+    ) {
         if ttl == 0 {
-            return Vec::new();
+            return;
         }
         let id = FloodId {
             origin: self.node,
             seq: self.next_seq(),
         };
         self.remember_flood(id);
-        vec![NetAction::Broadcast(Frame::Flood {
+        out.push(NetAction::Broadcast(Frame::Flood {
             id,
             ttl,
             hops: 0,
             payload: NetPayload::App(payload),
             size,
-        })]
+        }));
     }
 
     /// Sends `payload` to `dest`, discovering a route first if needed.
     ///
     /// Sending to self delivers immediately (loopback).
-    pub fn send_app(
+    pub fn send_app_into(
         &mut self,
         now: SimTime,
         dest: NodeId,
         payload: M,
         size: u32,
-    ) -> Vec<NetAction<M>> {
+        out: &mut Vec<NetAction<M>>,
+    ) {
         if dest == self.node {
-            return vec![NetAction::Deliver {
+            out.push(NetAction::Deliver {
                 payload,
                 meta: NetMeta {
                     origin: self.node,
@@ -326,27 +332,26 @@ impl<M: Clone> NetStack<M> {
                     via_flood: false,
                     frame: None,
                 },
-            }];
+            });
+        } else if let Some(next_hop) = self.fresh_route(dest, now) {
+            let frame = self.originate(dest, NetPayload::App(payload), size);
+            out.push(NetAction::Send { next_hop, frame });
+        } else {
+            self.enqueue_and_discover(dest, payload, size, out);
         }
-        if let Some(next_hop) = self.fresh_route(dest, now) {
-            let seq = self.next_seq();
-            return vec![NetAction::Send {
-                next_hop,
-                frame: Frame::Unicast {
-                    origin: self.node,
-                    seq,
-                    dest,
-                    hops: 0,
-                    payload: NetPayload::App(payload),
-                    size,
-                },
-            }];
-        }
-        self.enqueue_and_discover(now, dest, payload, size)
     }
 
-    /// Handles a frame heard from transmitter `from`.
-    pub fn on_frame(&mut self, now: SimTime, from: NodeId, frame: Frame<M>) -> Vec<NetAction<M>> {
+    /// Handles a frame heard from transmitter `from`. The frame is read
+    /// in place: a duplicate flood copies nothing, and a payload is
+    /// cloned only into the actions that carry it on (a first-seen flood
+    /// once for `Deliver` and once for the re-`Broadcast`).
+    pub fn on_frame_into(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        frame: &Frame<M>,
+        out: &mut Vec<NetAction<M>>,
+    ) {
         match frame {
             Frame::Flood {
                 id,
@@ -354,7 +359,7 @@ impl<M: Clone> NetStack<M> {
                 hops,
                 payload,
                 size,
-            } => self.on_flood(now, from, id, ttl, hops, payload, size),
+            } => self.on_flood(now, from, *id, *ttl, *hops, payload, *size, out),
             Frame::Unicast {
                 origin,
                 seq,
@@ -362,50 +367,39 @@ impl<M: Clone> NetStack<M> {
                 hops,
                 payload,
                 size,
-            } => self.on_unicast(now, from, origin, seq, dest, hops, payload, size),
+            } => self.on_unicast(now, from, *origin, *seq, *dest, *hops, payload, *size, out),
         }
     }
 
     /// Handles a timer previously requested via [`NetAction::SetTimer`].
-    pub fn on_timer(&mut self, now: SimTime, timer: NetTimer) -> Vec<NetAction<M>> {
-        match timer {
-            NetTimer::RreqTimeout { dest, attempt } => {
-                if self.fresh_route(dest, now).is_some() || !self.pending.contains_key(&dest) {
-                    return Vec::new(); // discovery already succeeded
-                }
-                if attempt < self.cfg.rreq_retries {
-                    self.note(NetEvent::DiscoveryStart {
-                        dest,
-                        attempt: attempt + 1,
-                    });
-                    let mut actions =
-                        vec![self.rreq_flood(dest, self.rreq_ttl_for_attempt(attempt + 1))];
-                    if let Some(p) = self.pending.get_mut(&dest) {
-                        p.attempt = attempt + 1;
-                    }
-                    actions.push(NetAction::SetTimer {
-                        after: self.cfg.rreq_timeout,
-                        timer: NetTimer::RreqTimeout {
-                            dest,
-                            attempt: attempt + 1,
-                        },
-                    });
-                    actions
-                } else {
-                    let Some(pending) = self.pending.remove(&dest) else {
-                        return Vec::new();
-                    };
-                    self.note(NetEvent::DiscoveryFailed {
-                        dest,
-                        dropped: pending.packets.len() as u32,
-                    });
-                    pending
-                        .packets
-                        .into_iter()
-                        .map(|(payload, _)| NetAction::Undeliverable { dest, payload })
-                        .collect()
-                }
+    pub fn on_timer_into(&mut self, now: SimTime, timer: NetTimer, out: &mut Vec<NetAction<M>>) {
+        let NetTimer::RreqTimeout { dest, attempt } = timer;
+        if self.fresh_route(dest, now).is_some() || !self.pending.contains_key(&dest) {
+            return; // discovery already succeeded
+        }
+        if attempt < self.cfg.rreq_retries {
+            self.note(NetEvent::DiscoveryStart {
+                dest,
+                attempt: attempt + 1,
+            });
+            out.push(self.rreq_flood(dest, self.rreq_ttl_for_attempt(attempt + 1)));
+            if let Some(p) = self.pending.get_mut(&dest) {
+                p.attempt = attempt + 1;
             }
+            out.push(NetAction::SetTimer {
+                after: self.cfg.rreq_timeout,
+                timer: NetTimer::RreqTimeout {
+                    dest,
+                    attempt: attempt + 1,
+                },
+            });
+        } else if let Some(pending) = self.pending.remove(&dest) {
+            self.note(NetEvent::DiscoveryFailed {
+                dest,
+                dropped: pending.packets.len() as u32,
+            });
+            let abandoned = pending.packets.into_iter();
+            out.extend(abandoned.map(|(payload, _)| NetAction::Undeliverable { dest, payload }));
         }
     }
 
@@ -414,52 +408,74 @@ impl<M: Clone> NetStack<M> {
     /// `next_hop` are purged; data frames originated here are re-queued
     /// for a fresh discovery, relayed data triggers an RERR towards its
     /// origin.
+    pub fn on_send_failed_into(
+        &mut self,
+        now: SimTime,
+        next_hop: NodeId,
+        frame: Frame<M>,
+        out: &mut Vec<NetAction<M>>,
+    ) {
+        self.routes.retain(|_, r| r.next_hop != next_hop);
+        // Lost control frames are recovered by the requester's own
+        // discovery timer; nothing to do for them here.
+        if let Frame::Unicast {
+            origin,
+            dest,
+            payload: NetPayload::App(m),
+            size,
+            ..
+        } = frame
+        {
+            if origin == self.node {
+                self.enqueue_and_discover(dest, m, size, out);
+            } else {
+                // Relayed data: tell the origin its route broke, if we
+                // still know a way back; otherwise the loss surfaces at
+                // the origin's own application timeout.
+                self.send_control_towards(
+                    now,
+                    origin,
+                    RouteControl::Rerr { broken_dest: dest },
+                    out,
+                );
+            }
+        }
+    }
+
+    /// [`NetStack::flood_app_into`] into a fresh vector.
+    pub fn flood_app(&mut self, now: SimTime, ttl: u8, payload: M, size: u32) -> Vec<NetAction<M>> {
+        collected(|out| self.flood_app_into(now, ttl, payload, size, out))
+    }
+
+    /// [`NetStack::send_app_into`] into a fresh vector.
+    pub fn send_app(
+        &mut self,
+        now: SimTime,
+        dest: NodeId,
+        payload: M,
+        size: u32,
+    ) -> Vec<NetAction<M>> {
+        collected(|out| self.send_app_into(now, dest, payload, size, out))
+    }
+
+    /// [`NetStack::on_frame_into`] into a fresh vector.
+    pub fn on_frame(&mut self, now: SimTime, from: NodeId, frame: Frame<M>) -> Vec<NetAction<M>> {
+        collected(|out| self.on_frame_into(now, from, &frame, out))
+    }
+
+    /// [`NetStack::on_timer_into`] into a fresh vector.
+    pub fn on_timer(&mut self, now: SimTime, timer: NetTimer) -> Vec<NetAction<M>> {
+        collected(|out| self.on_timer_into(now, timer, out))
+    }
+
+    /// [`NetStack::on_send_failed_into`] into a fresh vector.
     pub fn on_send_failed(
         &mut self,
         now: SimTime,
         next_hop: NodeId,
         frame: Frame<M>,
     ) -> Vec<NetAction<M>> {
-        self.routes.retain(|_, r| r.next_hop != next_hop);
-        match frame {
-            Frame::Unicast {
-                origin,
-                dest,
-                payload: NetPayload::App(m),
-                size,
-                ..
-            } => {
-                if origin == self.node {
-                    self.enqueue_and_discover(now, dest, m, size)
-                } else {
-                    // Relayed data: tell the origin its route broke, if we
-                    // still know a way back; otherwise the loss surfaces at
-                    // the origin's own application timeout.
-                    match self.fresh_route(origin, now) {
-                        Some(hop) => {
-                            let seq = self.next_seq();
-                            vec![NetAction::Send {
-                                next_hop: hop,
-                                frame: Frame::Unicast {
-                                    origin: self.node,
-                                    seq,
-                                    dest: origin,
-                                    hops: 0,
-                                    payload: NetPayload::Control(RouteControl::Rerr {
-                                        broken_dest: dest,
-                                    }),
-                                    size: self.cfg.control_size,
-                                },
-                            }]
-                        }
-                        None => Vec::new(),
-                    }
-                }
-            }
-            // Lost control frames are recovered by the requester's own
-            // discovery timer; nothing to do here.
-            _ => Vec::new(),
-        }
+        collected(|out| self.on_send_failed_into(now, next_hop, frame, out))
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the frame's fields
@@ -470,32 +486,29 @@ impl<M: Clone> NetStack<M> {
         id: FloodId,
         ttl: u8,
         hops: u8,
-        payload: NetPayload<M>,
+        payload: &NetPayload<M>,
         size: u32,
-    ) -> Vec<NetAction<M>> {
-        if self.seen_floods.contains(&id) {
+        out: &mut Vec<NetAction<M>>,
+    ) {
+        if !self.remember_flood(id) {
             self.note(NetEvent::FloodDupDrop {
                 origin: id.origin,
                 seq: id.seq,
             });
-            return Vec::new();
+            return;
         }
-        self.remember_flood(id);
         // Hearing any frame teaches the reverse route to its origin.
         self.learn_route(id.origin, from, hops + 1, now);
-        let mut actions = Vec::new();
-        match &payload {
-            NetPayload::App(m) => {
-                actions.push(NetAction::Deliver {
-                    payload: m.clone(),
-                    meta: NetMeta {
-                        origin: id.origin,
-                        hops: hops + 1,
-                        via_flood: true,
-                        frame: Some(id.seq),
-                    },
-                });
-            }
+        match payload {
+            NetPayload::App(m) => out.push(NetAction::Deliver {
+                payload: m.clone(),
+                meta: NetMeta {
+                    origin: id.origin,
+                    hops: hops + 1,
+                    via_flood: true,
+                    frame: Some(id.seq),
+                },
+            }),
             NetPayload::Control(RouteControl::Rreq {
                 origin,
                 target,
@@ -503,32 +516,27 @@ impl<M: Clone> NetStack<M> {
             }) => {
                 if !self.remember_rreq((*origin, *req_id)) {
                     self.note(NetEvent::RreqDupDrop { origin: *origin });
-                    return Vec::new();
+                    return;
                 }
                 if *target == self.node {
                     // Answer with a route reply unwinding the reverse path.
-                    actions.extend(self.send_control_towards(
-                        now,
-                        *origin,
-                        RouteControl::Rrep { requester: *origin },
-                    ));
-                    return actions;
+                    let reply = RouteControl::Rrep { requester: *origin };
+                    return self.send_control_towards(now, *origin, reply, out);
                 }
             }
             NetPayload::Control(_) => {}
         }
         if ttl > 1 {
-            actions.push(NetAction::Broadcast(Frame::Flood {
+            out.push(NetAction::Broadcast(Frame::Flood {
                 id,
                 ttl: ttl - 1,
                 hops: hops + 1,
-                payload,
+                payload: payload.clone(),
                 size,
             }));
         } else {
             self.note(NetEvent::FloodTtlExhausted { origin: id.origin });
         }
-        actions
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -540,68 +548,79 @@ impl<M: Clone> NetStack<M> {
         seq: u64,
         dest: NodeId,
         hops: u8,
-        payload: NetPayload<M>,
+        payload: &NetPayload<M>,
         size: u32,
-    ) -> Vec<NetAction<M>> {
+        out: &mut Vec<NetAction<M>>,
+    ) {
         self.learn_route(origin, from, hops + 1, now);
         if dest == self.node {
-            return match payload {
-                NetPayload::App(m) => vec![NetAction::Deliver {
-                    payload: m,
+            match payload {
+                NetPayload::App(m) => out.push(NetAction::Deliver {
+                    payload: m.clone(),
                     meta: NetMeta {
                         origin,
                         hops: hops + 1,
                         via_flood: false,
                         frame: Some(seq),
                     },
-                }],
+                }),
+                // A discovery completed: the route to the RREP's origin
+                // (the discovered target) was just learned above.
                 NetPayload::Control(RouteControl::Rrep { .. }) => {
-                    // A discovery completed: the route to the RREP's origin
-                    // (the discovered target) was just learned above.
-                    self.flush_pending(now, origin)
+                    self.flush_pending(now, origin, out)
                 }
                 NetPayload::Control(RouteControl::Rerr { broken_dest }) => {
-                    self.routes.remove(&broken_dest);
-                    Vec::new()
+                    self.routes.remove(broken_dest);
                 }
-                NetPayload::Control(RouteControl::Rreq { .. }) => Vec::new(), // RREQs never travel unicast
-            };
+                NetPayload::Control(RouteControl::Rreq { .. }) => {} // RREQs never travel unicast
+            }
+            return;
         }
         // Forwarding role.
+        let rerr = RouteControl::Rerr { broken_dest: dest };
         if hops >= self.cfg.max_unicast_hops {
             // Hop budget exhausted: almost certainly a forwarding loop.
             self.note(NetEvent::HopBudgetDrop { origin, seq, dest });
-            return if matches!(payload, NetPayload::App(_)) {
+            if matches!(payload, NetPayload::App(_)) {
                 self.routes.remove(&dest);
-                self.send_control_towards(now, origin, RouteControl::Rerr { broken_dest: dest })
-            } else {
-                Vec::new()
-            };
+                self.send_control_towards(now, origin, rerr, out);
+            }
+            return;
         }
         // Split horizon: never hand a frame straight back to the node it
         // came from (the tightest loop hop-count learning can create).
         let route = self.fresh_route(dest, now).filter(|&hop| hop != from);
         match route {
-            Some(next_hop) => vec![NetAction::Send {
+            Some(next_hop) => out.push(NetAction::Send {
                 next_hop,
                 frame: Frame::Unicast {
                     origin,
                     seq,
                     dest,
                     hops: hops + 1,
-                    payload,
+                    payload: payload.clone(),
                     size,
                 },
-            }],
+            }),
             None => {
                 // No route at an intermediate hop: report back to the origin.
                 self.note(NetEvent::NoRouteDrop { origin, seq, dest });
                 if matches!(payload, NetPayload::App(_)) {
-                    self.send_control_towards(now, origin, RouteControl::Rerr { broken_dest: dest })
-                } else {
-                    Vec::new()
+                    self.send_control_towards(now, origin, rerr, out);
                 }
             }
+        }
+    }
+
+    /// A frame this node originates towards `dest`, numbered now.
+    fn originate(&mut self, dest: NodeId, payload: NetPayload<M>, size: u32) -> Frame<M> {
+        Frame::Unicast {
+            origin: self.node,
+            seq: self.next_seq(),
+            dest,
+            hops: 0,
+            payload,
+            size,
         }
     }
 
@@ -611,23 +630,11 @@ impl<M: Clone> NetStack<M> {
         now: SimTime,
         dest: NodeId,
         ctl: RouteControl,
-    ) -> Vec<NetAction<M>> {
-        match self.fresh_route(dest, now) {
-            Some(next_hop) => {
-                let seq = self.next_seq();
-                vec![NetAction::Send {
-                    next_hop,
-                    frame: Frame::Unicast {
-                        origin: self.node,
-                        seq,
-                        dest,
-                        hops: 0,
-                        payload: NetPayload::Control(ctl),
-                        size: self.cfg.control_size,
-                    },
-                }]
-            }
-            None => Vec::new(),
+        out: &mut Vec<NetAction<M>>,
+    ) {
+        if let Some(next_hop) = self.fresh_route(dest, now) {
+            let frame = self.originate(dest, NetPayload::Control(ctl), self.cfg.control_size);
+            out.push(NetAction::Send { next_hop, frame });
         }
     }
 
@@ -643,12 +650,11 @@ impl<M: Clone> NetStack<M> {
 
     fn enqueue_and_discover(
         &mut self,
-        _now: SimTime,
         dest: NodeId,
         payload: M,
         size: u32,
-    ) -> Vec<NetAction<M>> {
-        let mut actions = Vec::new();
+        out: &mut Vec<NetAction<M>>,
+    ) {
         let start_discovery = !self.pending.contains_key(&dest);
         let pending = self
             .pending
@@ -665,13 +671,12 @@ impl<M: Clone> NetStack<M> {
         pending.packets.push_back((payload, size));
         if start_discovery {
             self.note(NetEvent::DiscoveryStart { dest, attempt: 1 });
-            actions.push(self.rreq_flood(dest, self.rreq_ttl_for_attempt(1)));
-            actions.push(NetAction::SetTimer {
+            out.push(self.rreq_flood(dest, self.rreq_ttl_for_attempt(1)));
+            out.push(NetAction::SetTimer {
                 after: self.cfg.rreq_timeout,
                 timer: NetTimer::RreqTimeout { dest, attempt: 1 },
             });
         }
-        actions
     }
 
     /// AODV-style expanding-ring search: the first attempt stays local,
@@ -706,31 +711,19 @@ impl<M: Clone> NetStack<M> {
         })
     }
 
-    fn flush_pending(&mut self, now: SimTime, dest: NodeId) -> Vec<NetAction<M>> {
+    fn flush_pending(&mut self, now: SimTime, dest: NodeId, out: &mut Vec<NetAction<M>>) {
         let Some(pending) = self.pending.remove(&dest) else {
-            return Vec::new();
+            return;
         };
-        let mut actions = Vec::new();
         for (payload, size) in pending.packets {
-            match self.fresh_route(dest, now) {
-                Some(next_hop) => {
-                    let seq = self.next_seq();
-                    actions.push(NetAction::Send {
-                        next_hop,
-                        frame: Frame::Unicast {
-                            origin: self.node,
-                            seq,
-                            dest,
-                            hops: 0,
-                            payload: NetPayload::App(payload),
-                            size,
-                        },
-                    })
-                }
-                None => actions.push(NetAction::Undeliverable { dest, payload }),
-            }
+            out.push(match self.fresh_route(dest, now) {
+                Some(next_hop) => NetAction::Send {
+                    next_hop,
+                    frame: self.originate(dest, NetPayload::App(payload), size),
+                },
+                None => NetAction::Undeliverable { dest, payload },
+            });
         }
-        actions
     }
 
     fn fresh_route(&mut self, dest: NodeId, now: SimTime) -> Option<NodeId> {
@@ -747,47 +740,68 @@ impl<M: Clone> NetStack<M> {
         if dest == self.node {
             return;
         }
-        let expires = now + self.cfg.route_ttl;
-        match self.routes.get_mut(&dest) {
+        let learned = RouteEntry {
+            next_hop,
+            hops,
+            expires: now + self.cfg.route_ttl,
+        };
+        match self.routes.entry(dest) {
             // Prefer fresher information; replace stale or longer routes.
-            Some(entry) if entry.expires > now && entry.hops < hops => {}
-            _ => {
-                self.routes.insert(
-                    dest,
-                    RouteEntry {
-                        next_hop,
-                        hops,
-                        expires,
-                    },
-                );
+            Entry::Occupied(known) if known.get().expires > now && known.get().hops < hops => {}
+            Entry::Occupied(mut known) => *known.get_mut() = learned,
+            Entry::Vacant(unknown) => {
+                unknown.insert(learned);
             }
         }
     }
 
-    fn remember_flood(&mut self, id: FloodId) {
-        if self.seen_floods.insert(id) {
-            self.seen_order.push_back(id);
-            if self.seen_order.len() > self.cfg.dedup_cap {
-                if let Some(old) = self.seen_order.pop_front() {
-                    self.seen_floods.remove(&old);
-                }
-            }
-        }
+    /// Returns false if this flood was already heard (or sent).
+    fn remember_flood(&mut self, id: FloodId) -> bool {
+        remember(
+            &mut self.seen_floods,
+            &mut self.seen_order,
+            self.cfg.dedup_cap,
+            id,
+        )
     }
 
     /// Returns false if this RREQ was already processed.
     fn remember_rreq(&mut self, key: (NodeId, u64)) -> bool {
-        if !self.seen_rreqs.insert(key) {
-            return false;
-        }
-        self.rreq_order.push_back(key);
-        if self.rreq_order.len() > self.cfg.dedup_cap {
-            if let Some(old) = self.rreq_order.pop_front() {
-                self.seen_rreqs.remove(&old);
-            }
-        }
-        true
+        remember(
+            &mut self.seen_rreqs,
+            &mut self.rreq_order,
+            self.cfg.dedup_cap,
+            key,
+        )
     }
+}
+
+/// Notes `key` in a dedup memory of the `cap` most recent keys — one
+/// `insert` decides new-or-known; returns false if it was known.
+fn remember<K: Copy + Eq + Hash>(
+    seen: &mut FastSet<K>,
+    order: &mut VecDeque<K>,
+    cap: usize,
+    key: K,
+) -> bool {
+    if !seen.insert(key) {
+        return false;
+    }
+    order.push_back(key);
+    if order.len() > cap {
+        if let Some(old) = order.pop_front() {
+            seen.remove(&old);
+        }
+    }
+    true
+}
+
+/// What `fill` pushed, in a fresh vector: the by-value form of an
+/// `_into` entry point, kept for callers that hold no buffer.
+fn collected<M>(fill: impl FnOnce(&mut Vec<NetAction<M>>)) -> Vec<NetAction<M>> {
+    let mut out = Vec::new();
+    fill(&mut out);
+    out
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@ use proptest::prelude::*;
 
 use mp2p_mobility::{Point, Terrain};
 use mp2p_net::{
-    Frame, LinkModel, NetAction, NetConfig, NetStack, NetTimer, Topology, TopologyScratch,
+    FloodId, Frame, LinkModel, NetAction, NetConfig, NetEvent, NetPayload, NetStack, NetTimer,
+    RouteControl, Topology, TopologyScratch,
 };
-use mp2p_sim::{EventQueue, NodeId, SimRng, SimTime};
+use mp2p_sim::{EventQueue, NodeId, SimDuration, SimRng, SimTime};
 
 /// Minimal synchronous driver (mirrors the one in routing.rs, kept local
 /// so each test file stands alone).
@@ -204,5 +205,136 @@ proptest! {
         let mut sorted = got.clone();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..k as u64).collect::<Vec<_>>());
+    }
+}
+
+/// One input to a stack, drawn from a space small enough that floods
+/// repeat, routes exist, discoveries overlap and hop budgets run out.
+#[derive(Debug, Clone)]
+enum Input {
+    Frame { from: NodeId, frame: Frame<u64> },
+    Flood { ttl: u8, payload: u64 },
+    Send { dest: NodeId, payload: u64 },
+    Timer(NetTimer),
+    SendFailed { next_hop: NodeId, frame: Frame<u64> },
+}
+
+fn any_frame(me: NodeId) -> impl Strategy<Value = Frame<u64>> {
+    let fields = (0u8..7, 0u32..5, 0u64..6, 0u32..5, 0u8..30, 0u8..4);
+    fields.prop_map(move |(shape, origin, seq, other, hops, ttl)| {
+        let (origin, other) = (NodeId::new(origin), NodeId::new(other));
+        let control = match shape % 3 {
+            0 => RouteControl::Rreq {
+                origin,
+                target: other,
+                req_id: seq % 3,
+            },
+            1 => RouteControl::Rrep { requester: other },
+            _ => RouteControl::Rerr { broken_dest: other },
+        };
+        let payload = if shape < 4 {
+            NetPayload::App(seq * 10 + u64::from(shape))
+        } else {
+            NetPayload::Control(control)
+        };
+        if shape % 2 == 0 {
+            let id = FloodId { origin, seq };
+            Frame::Flood {
+                id,
+                ttl,
+                hops: hops % 8,
+                payload,
+                size: 40,
+            }
+        } else {
+            Frame::Unicast {
+                origin,
+                seq,
+                // Addressed here half of the time, relayed otherwise.
+                dest: if seq % 2 == 0 { me } else { other },
+                hops,
+                payload,
+                size: 64,
+            }
+        }
+    })
+}
+
+fn any_input(me: NodeId) -> impl Strategy<Value = Input> {
+    let node = || (0u32..5).prop_map(NodeId::new);
+    prop_oneof![
+        (node(), any_frame(me)).prop_map(|(from, frame)| Input::Frame { from, frame }),
+        (node(), any_frame(me)).prop_map(|(from, frame)| Input::Frame { from, frame }),
+        (0u8..4, 0u64..9).prop_map(|(ttl, payload)| Input::Flood { ttl, payload }),
+        (node(), 0u64..9).prop_map(|(dest, payload)| Input::Send { dest, payload }),
+        (node(), 1u8..4)
+            .prop_map(|(dest, attempt)| Input::Timer(NetTimer::RreqTimeout { dest, attempt })),
+        (node(), any_frame(me)).prop_map(|(next_hop, frame)| Input::SendFailed { next_hop, frame }),
+    ]
+}
+
+fn events_of(stack: &mut NetStack<u64>) -> Vec<NetEvent> {
+    let mut events = Vec::new();
+    stack.swap_events(&mut events);
+    events
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The `Vec`-returning entry points and their `_into` forms are one
+    /// machine: two stacks fed the same inputs, one through each, ask for
+    /// the same actions, note the same events and stay in step. The
+    /// `_into` side appends to one buffer it never clears, behind a
+    /// sentinel, and must leave a frame it only borrows as it found it.
+    #[test]
+    fn prop_into_forms_match_the_wrappers(
+        inputs in proptest::collection::vec(any_input(NodeId::new(2)), 1..120),
+    ) {
+        let me = NodeId::new(2);
+        let cfg = NetConfig { dedup_cap: 4, buffer_cap: 2, ..NetConfig::default() };
+        let mut by_value: NetStack<u64> = NetStack::new(me, cfg);
+        let mut in_place: NetStack<u64> = NetStack::new(me, cfg);
+        by_value.set_tracing(true);
+        in_place.set_tracing(true);
+        let sentinel = NetAction::Undeliverable { dest: me, payload: u64::MAX };
+        let mut out = vec![sentinel.clone()];
+        let mut now = SimTime::ZERO;
+        for input in inputs {
+            now += SimDuration::from_millis(400);
+            let start = out.len();
+            let want = match input {
+                Input::Frame { from, frame } => {
+                    // Twice, so every flood is also heard as a duplicate.
+                    let untouched = frame.clone();
+                    in_place.on_frame_into(now, from, &frame, &mut out);
+                    in_place.on_frame_into(now, from, &frame, &mut out);
+                    prop_assert_eq!(&frame, &untouched);
+                    let mut want = by_value.on_frame(now, from, frame.clone());
+                    want.extend(by_value.on_frame(now, from, frame));
+                    want
+                }
+                Input::Flood { ttl, payload } => {
+                    in_place.flood_app_into(now, ttl, payload, 48, &mut out);
+                    by_value.flood_app(now, ttl, payload, 48)
+                }
+                Input::Send { dest, payload } => {
+                    in_place.send_app_into(now, dest, payload, 64, &mut out);
+                    by_value.send_app(now, dest, payload, 64)
+                }
+                Input::Timer(timer) => {
+                    in_place.on_timer_into(now, timer, &mut out);
+                    by_value.on_timer(now, timer)
+                }
+                Input::SendFailed { next_hop, frame } => {
+                    in_place.on_send_failed_into(now, next_hop, frame.clone(), &mut out);
+                    by_value.on_send_failed(now, next_hop, frame)
+                }
+            };
+            prop_assert_eq!(&out[start..], &want[..]);
+            prop_assert_eq!(events_of(&mut in_place), events_of(&mut by_value));
+            prop_assert_eq!(in_place.route_count(now), by_value.route_count(now));
+        }
+        prop_assert_eq!(&out[0], &sentinel);
     }
 }

@@ -1,9 +1,10 @@
 //! Proof that the scalable substrate is allocation-free where it claims
 //! to be: topology queries against a warm [`TopologyScratch`],
-//! steady-state snapshot rebuilds through [`TopologyBuilder`], and a
+//! steady-state snapshot rebuilds through [`TopologyBuilder`], a
 //! warm [`TopologySnapshot`] refresh with the rows and the graph asked of
-//! it must not touch the heap. A counting global allocator makes the
-//! claim a hard assertion rather than a code-review promise.
+//! it, and a warm [`NetStack`] reading a borrowed frame into a warm
+//! action buffer must not touch the heap. A counting global allocator
+//! makes the claim a hard assertion rather than a code-review promise.
 //!
 //! The counter only tracks allocations made by the thread that called
 //! [`arm`], between [`arm`] and [`disarm`], so the tests (and the harness
@@ -13,8 +14,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mp2p_mobility::{Point, Terrain};
-use mp2p_net::{PartitionCut, Topology, TopologyBuilder, TopologyScratch, TopologySnapshot};
-use mp2p_sim::{NodeId, SimRng};
+use mp2p_net::{
+    FloodId, Frame, NetAction, NetConfig, NetPayload, NetStack, PartitionCut, Topology,
+    TopologyBuilder, TopologyScratch, TopologySnapshot,
+};
+use mp2p_sim::{NodeId, SimRng, SimTime};
 
 struct CountingAlloc;
 
@@ -154,4 +158,83 @@ fn warm_refresh_rows_and_graph_do_not_allocate() {
         "a warm refresh with a fifth of the rows and the graph allocated {count} times"
     );
     assert!(links > 0, "the field has links");
+}
+
+/// What a reception costs a warm stack: nothing for a flood it has
+/// heard, nothing for a first-seen flood at the end of its TTL (one
+/// `Deliver` into the caller's buffer, one id into the full dedup
+/// memory), nothing for a unicast it forwards along a known route — and
+/// the frame, only borrowed, is bit-equal afterwards.
+#[test]
+fn warm_receptions_do_not_allocate() {
+    let (me, neighbour, origin, dest) = (
+        NodeId::new(0),
+        NodeId::new(1),
+        NodeId::new(2),
+        NodeId::new(3),
+    );
+    let cfg = NetConfig {
+        dedup_cap: 64,
+        ..NetConfig::default()
+    };
+    let now = SimTime::ZERO;
+    let flood = |seq: u64| Frame::Flood {
+        id: FloodId { origin, seq },
+        ttl: 1,
+        hops: 2,
+        payload: NetPayload::App(seq),
+        size: 48,
+    };
+    let unicast = |seq: u64| Frame::Unicast {
+        origin,
+        seq,
+        dest,
+        hops: 1,
+        payload: NetPayload::App(seq),
+        size: 64,
+    };
+    let mut stack: NetStack<u64> = NetStack::new(me, cfg);
+    let mut out = Vec::new();
+    // Pre-grow the tables: the dedup memory turns over many times (its
+    // hash set settles on a size it then rehashes in place), and hearing
+    // `dest` flood teaches the route the unicasts are forwarded along.
+    let taught = Frame::Flood {
+        id: FloodId {
+            origin: dest,
+            seq: 0,
+        },
+        ttl: 1,
+        hops: 0,
+        payload: NetPayload::App(0),
+        size: 48,
+    };
+    stack.on_frame_into(now, dest, &taught, &mut out);
+    for seq in 0..2_000 {
+        stack.on_frame_into(now, neighbour, &flood(seq), &mut out);
+        stack.on_frame_into(now, neighbour, &unicast(seq), &mut out);
+        out.clear();
+    }
+
+    let frames: Vec<_> = (2_000..2_200)
+        .map(|seq| (flood(seq), unicast(seq)))
+        .collect();
+    let untouched = frames.clone();
+    let (mut delivered, mut forwarded) = (0, 0);
+    arm();
+    for (flood, unicast) in &frames {
+        stack.on_frame_into(now, neighbour, flood, &mut out); // first seen, TTL spent
+        stack.on_frame_into(now, neighbour, flood, &mut out); // duplicate
+        stack.on_frame_into(now, neighbour, unicast, &mut out); // relayed
+        for action in out.drain(..) {
+            match action {
+                NetAction::Deliver { .. } => delivered += 1,
+                NetAction::Send { next_hop, .. } if next_hop == dest => forwarded += 1,
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+    let count = disarm();
+    assert_eq!(count, 0, "warm receptions allocated {count} times");
+    assert_eq!((delivered, forwarded), (200, 200));
+    assert_eq!(frames, untouched, "a reception only reads the frame");
 }

@@ -11,6 +11,13 @@ use crate::time::SimTime;
 /// pushed. This stability is what makes whole-system runs deterministic:
 /// two protocol actions scheduled "now" never race on heap internals.
 ///
+/// An event is written once and read once: `push` stores it in a slab
+/// slot and `pop` takes it back out, while the binary heap orders 24-byte
+/// `(time, seq, slot)` keys — sifting never moves an event, however large
+/// `E` is. Emptied slots are reused last-out-first-in, so a queue that
+/// has held its peak pushes and pops without reaching the allocator
+/// (pinned by `tests/queue_alloc.rs`).
+///
 /// # Example
 ///
 /// ```
@@ -25,7 +32,11 @@ use crate::time::SimTime;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: BinaryHeap<Entry>,
+    /// Event bodies; `None` marks a slot listed in `free`.
+    slab: Vec<Option<E>>,
+    /// Emptied slots, reused from the back.
+    free: Vec<usize>,
     next_seq: u64,
     pops: u64,
     peak_len: usize,
@@ -43,34 +54,29 @@ pub struct QueueStats {
     pub pops: u64,
     /// Largest number of events ever pending at once.
     pub peak_len: usize,
-    /// Largest backing-heap capacity ever reserved.
+    /// Largest capacity the slab of event bodies ever reserved.
     pub peak_capacity: usize,
 }
 
-#[derive(Debug, Clone)]
-struct Entry<E> {
+/// What the heap sifts: when, in which order among ties, and where the
+/// event itself waits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entry {
     time: SimTime,
     seq: u64,
-    event: E,
+    slot: usize,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Entry<E> {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) wins.
+        // BinaryHeap is a max-heap; invert so the earliest (time, seq)
+        // wins. `seq` is unique, so `slot` never decides.
         (other.time, other.seq).cmp(&(self.time, self.seq))
     }
 }
@@ -78,19 +84,15 @@ impl<E> Ord for Entry<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            pops: 0,
-            peak_len: 0,
-            peak_capacity: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue with room for `capacity` events.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
+            slab: Vec::with_capacity(capacity),
+            free: Vec::with_capacity(capacity),
             next_seq: 0,
             pops: 0,
             peak_len: 0,
@@ -102,18 +104,33 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                // Every slot may end up listed here at once; reserving
+                // now keeps `pop` off the allocator.
+                self.free.reserve(self.slab.capacity());
+                self.peak_capacity = self.peak_capacity.max(self.slab.capacity());
+                self.slab.len() - 1
+            }
+        };
+        self.heap.push(Entry { time, seq, slot });
         self.peak_len = self.peak_len.max(self.heap.len());
-        self.peak_capacity = self.peak_capacity.max(self.heap.capacity());
     }
 
     /// Removes and returns the earliest event, FIFO among ties.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let popped = self.heap.pop().map(|e| (e.time, e.event));
-        if popped.is_some() {
-            self.pops += 1;
-        }
-        popped
+        let Entry { time, slot, .. } = self.heap.pop()?;
+        let event = self.slab[slot]
+            .take()
+            .expect("a queued key names a full slot");
+        self.free.push(slot);
+        self.pops += 1;
+        Some((time, event))
     }
 
     /// Number of pending events.
@@ -129,6 +146,8 @@ impl<E> EventQueue<E> {
     /// Drops all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.slab.clear();
+        self.free.clear();
     }
 
     /// Lifetime telemetry: push/pop totals and high-water marks.
@@ -139,7 +158,7 @@ impl<E> EventQueue<E> {
             pushes: self.next_seq,
             pops: self.pops,
             peak_len: self.peak_len,
-            peak_capacity: self.peak_capacity.max(self.heap.capacity()),
+            peak_capacity: self.peak_capacity,
         }
     }
 }
