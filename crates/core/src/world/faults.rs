@@ -48,6 +48,8 @@ pub(super) struct FaultRuntime {
     /// Crash victims, one per [`mp2p_net::CrashWindow`], resolved from
     /// the fault stream at construction when the plan leaves them open.
     crash_victims: Vec<NodeId>,
+    /// Which crash windows are currently open (plan order).
+    crash_open: Vec<bool>,
 }
 
 impl FaultRuntime {
@@ -69,6 +71,7 @@ impl FaultRuntime {
             ge: cfg.faults.ge.map(GilbertElliott::new),
             duplicate_prob: cfg.faults.duplicate_prob,
             partition_active: vec![false; cfg.faults.partitions.len()],
+            crash_open: vec![false; cfg.faults.crashes.len()],
             crash_victims,
             rng,
         })
@@ -138,9 +141,10 @@ impl World {
     /// [`Event::Switch`], which merely silences a node while all its
     /// state persists.
     pub(super) fn crash_node(&mut self, idx: usize) {
-        let Some(fr) = self.faults.as_ref() else {
+        let Some(fr) = self.faults.as_mut() else {
             return;
         };
+        fr.crash_open[idx] = true;
         let id = fr.crash_victims[idx];
         for query in sorted_keys(&self.open, |q| q.node == id) {
             self.close_failed(id, query);
@@ -179,9 +183,10 @@ impl World {
     /// are still queued and resume against the fresh instance, exactly
     /// as a rebooted host rejoining mid-protocol would.
     pub(super) fn recover_node(&mut self, idx: usize) {
-        let Some(fr) = self.faults.as_ref() else {
+        let Some(fr) = self.faults.as_mut() else {
             return;
         };
+        fr.crash_open[idx] = false;
         let id = fr.crash_victims[idx];
         self.nodes[id.index()].up = true;
         self.topo = None;
@@ -189,6 +194,17 @@ impl World {
         self.obs
             .record(self.now, TraceEvent::NodeRecover { node: id });
         self.with_proto(id, |p, ctx| p.on_status_change(ctx, true));
+    }
+
+    /// Whether `id` is inside one of its crash windows: down until
+    /// [`World::recover_node`], whatever its switch stream says.
+    pub(super) fn crashed(&self, id: NodeId) -> bool {
+        self.faults.as_ref().is_some_and(|fr| {
+            let windows = fr.crash_victims.iter().zip(&fr.crash_open);
+            windows
+                .into_iter()
+                .any(|(&victim, &open)| open && victim == id)
+        })
     }
 
     /// The cut the open partition windows make: a bisection severs every

@@ -537,16 +537,21 @@ impl World {
             }
             Event::WriteRetry { at, write } => self.retry_write(at, write),
             Event::Switch(id) => {
-                let up = !self.nodes[id.index()].up;
-                self.nodes[id.index()].up = up;
-                self.topo = None; // connectivity changed
-                let record = if up {
-                    TraceEvent::NodeUp { node: id }
-                } else {
-                    TraceEvent::NodeDown { node: id }
-                };
-                self.obs.record(self.now, record);
-                self.with_proto(id, |p, ctx| p.on_status_change(ctx, up));
+                // A crashed node stays down until its window closes: the
+                // stream keeps drawing and re-queueing, but toggles,
+                // journals and notifies nothing meanwhile.
+                if !self.crashed(id) {
+                    let up = !self.nodes[id.index()].up;
+                    self.nodes[id.index()].up = up;
+                    self.topo = None; // connectivity changed
+                    let record = if up {
+                        TraceEvent::NodeUp { node: id }
+                    } else {
+                        TraceEvent::NodeDown { node: id }
+                    };
+                    self.obs.record(self.now, record);
+                    self.with_proto(id, |p, ctx| p.on_status_change(ctx, up));
+                }
                 self.schedule_next(Arrival::Switch, id);
             }
             Event::Rx { at, from, frame } => self.handle_rx(at, from, &frame),
@@ -1693,6 +1698,43 @@ mod tests {
         world.recover_node(0);
         assert!(world.nodes[3].up, "recovered node is back up");
         assert_eq!(world.report.faults.recoveries, 1);
+    }
+
+    #[test]
+    fn a_crashed_node_stays_down_until_it_recovers() {
+        use mp2p_net::CrashWindow;
+        let mut cfg = tiny(Strategy::Rpcc, 12);
+        cfg.faults = FaultPlan {
+            label: "one-crash",
+            crashes: vec![CrashWindow {
+                at: SimTime::ZERO + SimDuration::from_secs(10),
+                recover: SimTime::ZERO + SimDuration::from_secs(20),
+                node: Some(3),
+            }],
+            ..FaultPlan::none()
+        };
+        let mut world = World::new(cfg);
+        let victim = NodeId::new(3);
+        world.crash_node(0);
+        // The victim's own switch stream arrives inside the window: it
+        // re-arms, and changes nothing.
+        for _ in 0..3 {
+            let (pushes, stream) = (world.queue.stats().pushes, world.switch_rngs[3].clone());
+            world.topo = Some(world.now);
+            world.handle(Event::Switch(victim));
+            assert!(!world.nodes[3].up, "switched back on inside its window");
+            assert!(world.topo.is_some(), "nothing changed for the radio graph");
+            assert_ne!(world.switch_rngs[3], stream, "the stream keeps drawing");
+            assert_eq!(world.queue.stats().pushes, pushes + 1, "and re-arms");
+        }
+        // Anyone else's stream still toggles.
+        world.handle(Event::Switch(NodeId::new(2)));
+        assert!(!world.nodes[2].up);
+        // After recovery the victim's stream is its own again.
+        world.recover_node(0);
+        assert!(world.nodes[3].up);
+        world.handle(Event::Switch(victim));
+        assert!(!world.nodes[3].up, "an up node switches off as before");
     }
 
     #[test]
