@@ -200,10 +200,8 @@ impl World {
     /// [`World::recover_node`], whatever its switch stream says.
     pub(super) fn crashed(&self, id: NodeId) -> bool {
         self.faults.as_ref().is_some_and(|fr| {
-            let windows = fr.crash_victims.iter().zip(&fr.crash_open);
-            windows
-                .into_iter()
-                .any(|(&victim, &open)| open && victim == id)
+            let mut windows = fr.crash_victims.iter().zip(&fr.crash_open);
+            windows.any(|(&victim, &open)| open && victim == id)
         })
     }
 
