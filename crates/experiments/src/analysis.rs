@@ -546,7 +546,8 @@ impl ProvenanceGraph {
                 });
                 let h = self.health.entry(node).or_default();
                 h.stale_serves += 1;
-                h.staleness_ms += staleness_ms;
+                // A u64 the journal states, summed: 2 049 serves at 2^53.
+                h.staleness_ms = h.staleness_ms.saturating_add(staleness_ms);
             }
             TraceEvent::PartitionStart { .. } => self.partition_starts.push(at),
             TraceEvent::PartitionHeal { .. } => self.partition_heals.push(at),
@@ -1130,7 +1131,16 @@ pub fn render_health(analysis: &TraceAnalysis) -> String {
     out
 }
 
-/// Streams a journal into spans and windowed metrics.
+/// The latest timestamp [`analyze_journal`] folds. The bridge's registry
+/// keeps one slot per [`DEFAULT_WINDOW`] since t = 0 in every series, so
+/// a timestamp buys memory in proportion to itself, and a journal is
+/// outside input: 65 536 windows (45 simulated days; the paper's runs
+/// span 300) hold the registry under 100 MB whatever the journal says.
+/// Every other fold grows with the number of records, not their values.
+const HORIZON: SimTime = SimTime::from_millis(DEFAULT_WINDOW.as_millis() << 16);
+
+/// Streams a journal into spans and windowed metrics. A record stamped
+/// after [`HORIZON`] is refused with its line number.
 pub fn analyze_journal<R: BufRead>(input: R) -> Result<TraceAnalysis, ReadError> {
     let mut reader = JournalReader::new(input)?;
     let header = reader.header();
@@ -1140,8 +1150,15 @@ pub fn analyze_journal<R: BufRead>(input: R) -> Result<TraceAnalysis, ReadError>
     let mut consistency = ConsistencyTimeline::default();
     let mut provenance = ProvenanceGraph::default();
     let mut events = 0u64;
-    for entry in reader.by_ref() {
+    while let Some(entry) = reader.next() {
         let (at, event) = entry?;
+        if at > HORIZON {
+            return Err(ReadError::BeyondHorizon {
+                line_no: reader.lines_read(),
+                at_ms: at.as_millis(),
+                horizon_ms: HORIZON.as_millis(),
+            });
+        }
         assembler.record(at, &event);
         bridge.record(at, &event);
         consistency.record(at, &event);
@@ -1569,6 +1586,29 @@ mod tests {
                 .total(),
             1
         );
+    }
+
+    #[test]
+    fn a_record_past_the_horizon_is_refused_by_line() {
+        let send = |t: u64| {
+            format!("{{\"t\":{t},\"ev\":\"msg_send\",\"node\":0,\"class\":\"POLL\",\"bytes\":4,\"dest\":null}}")
+        };
+        let last = HORIZON.as_millis();
+        let text = journal(&[&send(5), &send(last)]);
+        let analysis = analyze_journal(text.as_bytes()).expect("the horizon itself is inside");
+        assert_eq!(analysis.registry.window_count(), (1 << 16) + 1);
+
+        for beyond in [last + 1, 1_000_000_000_000_000] {
+            let text = journal(&[&send(5), &send(beyond)]);
+            match analyze_journal(text.as_bytes()) {
+                Err(ReadError::BeyondHorizon {
+                    line_no: 3,
+                    at_ms,
+                    horizon_ms,
+                }) => assert_eq!((at_ms, horizon_ms), (beyond, last)),
+                other => panic!("expected a refusal of line 3, got {:?}", other.err()),
+            }
+        }
     }
 
     #[test]

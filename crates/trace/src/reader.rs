@@ -74,6 +74,17 @@ pub enum ReadError {
         /// The offending text (truncated for display).
         text: String,
     },
+    /// A record parsed, but the consumer folding the journal refuses its
+    /// timestamp: it holds state in proportion to the latest instant seen
+    /// and bounds that instant (the reader itself has no such bound).
+    BeyondHorizon {
+        /// 1-based line number of the record.
+        line_no: usize,
+        /// The record's timestamp, in milliseconds.
+        at_ms: u64,
+        /// The latest timestamp the consumer accepts, in milliseconds.
+        horizon_ms: u64,
+    },
 }
 
 impl fmt::Display for ReadError {
@@ -90,6 +101,14 @@ impl fmt::Display for ReadError {
             ReadError::BadLine { line_no, text } => {
                 write!(f, "unparseable journal line {line_no}: {text}")
             }
+            ReadError::BeyondHorizon {
+                line_no,
+                at_ms,
+                horizon_ms,
+            } => write!(
+                f,
+                "journal line {line_no}: t = {at_ms} ms is beyond the horizon of {horizon_ms} ms"
+            ),
         }
     }
 }

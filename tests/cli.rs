@@ -231,6 +231,27 @@ fn a_mistyped_journal_header_is_refused_not_read_as_no_warmup() {
     assert_eq!(stdout_of(&mistyped), "", "nothing analysed");
 }
 
+#[test]
+fn a_far_future_record_is_refused_by_line_not_an_out_of_memory_abort() {
+    // Fifteen digits are in the reader's range; the registry behind the
+    // analyzer keeps a slot per window since t = 0 and used to ask the
+    // allocator for 133 GB (exit 134).
+    let dir = TempDir::new("horizon");
+    let path = dir.path("j.jsonl");
+    let journal = "{\"schema\":1,\"kinds\":27,\"warmup_ms\":0}\n\
+         {\"t\":5,\"ev\":\"node_up\",\"node\":1}\n\
+         {\"t\":1000000000000000,\"ev\":\"msg_send\",\"node\":0,\"class\":\"POLL\",\"bytes\":4,\"dest\":null}\n";
+    std::fs::write(&path, journal).unwrap();
+    let refused = mp2p(&["analyze", "--trace", &path]);
+    assert_eq!(refused.status.code(), Some(2), "{}", stderr_of(&refused));
+    assert!(
+        stderr_of(&refused).contains("journal line 3: t = 1000000000000000 ms is beyond"),
+        "{}",
+        stderr_of(&refused)
+    );
+    assert_eq!(stdout_of(&refused), "", "nothing analysed");
+}
+
 /// Splits a rendered table into `metric -> cells`.
 fn table_rows(stdout: &str) -> Vec<(String, Vec<String>)> {
     stdout
