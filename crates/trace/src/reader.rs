@@ -159,7 +159,7 @@ impl<R: BufRead> JournalReader<R> {
         }
         // A non-UTF-8 first line cannot be the header object.
         let text = std::str::from_utf8(&buf).map_err(|_| ReadError::MissingHeader)?;
-        let header = parse_header(text.trim_end()).ok_or(ReadError::MissingHeader)?;
+        let header = parse_header(trim_json_ws(text)).ok_or(ReadError::MissingHeader)?;
         if header.schema == 0 || header.schema > JOURNAL_SCHEMA {
             return Err(ReadError::SchemaMismatch {
                 found: header.schema,
@@ -202,12 +202,12 @@ impl<R: BufRead> Iterator for JournalReader<R> {
                 let text = String::from_utf8_lossy(&self.buf);
                 return Some(Err(ReadError::BadLine {
                     line_no: self.line_no,
-                    text: text.trim_end().chars().take(160).collect(),
+                    text: trim_json_ws(&text).chars().take(160).collect(),
                 }));
             };
-            let text = text.trim_end();
+            let text = trim_json_ws(text);
             if text.is_empty() {
-                continue; // tolerate a trailing blank line
+                continue; // a blank line, anywhere in the body, is skipped
             }
             return Some(
                 parse_event_versioned(text, self.header.schema).ok_or_else(|| ReadError::BadLine {
@@ -217,6 +217,13 @@ impl<R: BufRead> Iterator for JournalReader<R> {
             );
         }
     }
+}
+
+/// `line` without the line ending and whatever else of JSON's four
+/// whitespace bytes trails it. Not `str::trim_end`: that strips Unicode
+/// `White_Space` (U+00A0, U+000B, U+2028, …), which the scanner rejects.
+fn trim_json_ws(line: &str) -> &str {
+    line.trim_end_matches([' ', '\t', '\r', '\n'])
 }
 
 /// Parses the header line, accepting any object with a numeric `schema`.
@@ -406,6 +413,40 @@ mod tests {
                 assert_eq!(text, "not json");
             }
             other => panic!("expected BadLine, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn only_json_whitespace_may_trail_a_line() {
+        let record = "{\"t\":0,\"ev\":\"node_up\",\"node\":0}";
+        // JSON's four are stripped, and a line of nothing else is blank.
+        let journal = format!("{{\"schema\":1}} \t\r\n{record}\t \r\n \t\r\n\n{record}\n");
+        let mut reader = JournalReader::new(journal.as_bytes()).unwrap();
+        assert_eq!(reader.by_ref().filter(Result::is_ok).count(), 2);
+        assert_eq!(reader.lines_read(), 5);
+
+        // What `str::trim_end` also strips is not JSON: `json::parse`
+        // and the scanner reject the line, so the reader does.
+        for tail in ['\u{a0}', '\u{b}', '\u{c}', '\u{2028}', '\u{3000}'] {
+            let line = format!("{record}{tail}");
+            assert!(json::parse(&line).is_none() && parse_event(&line).is_none());
+            let journal = format!("{{\"schema\":1}}\n{record}\n{line}\n{tail}\n");
+            let mut reader = JournalReader::new(journal.as_bytes()).unwrap();
+            assert!(reader.next().unwrap().is_ok());
+            for bad in [3, 4] {
+                match reader.next().unwrap() {
+                    Err(ReadError::BadLine { line_no, text }) => {
+                        assert_eq!(line_no, bad, "{tail:?}");
+                        assert!(text.ends_with(tail), "{text:?}");
+                    }
+                    other => panic!("{tail:?} after a record: {other:?}"),
+                }
+            }
+            assert!(reader.next().is_none());
+
+            let header = format!("{{\"schema\":1}}{tail}\n{record}\n");
+            let refused = JournalReader::new(header.as_bytes());
+            assert!(matches!(refused, Err(ReadError::MissingHeader)), "{tail:?}");
         }
     }
 
