@@ -26,15 +26,20 @@ use mp2p_sim::{ItemId, NodeId, SimTime};
 use crate::event::{
     BlameCause, EventKind, FrameFateKind, LevelTag, RelayTransitionKind, ServedBy, SpanPhase,
 };
-use crate::json::{self, Field, Fields};
+use crate::json::{self, Cursor, Field, Fields};
 
 /// A record field: appended as `,"key":value`, found again by its key
-/// (first of duplicate keys, as in [`json::Value::get`]).
+/// (first of duplicate keys, as in [`json::Value::get`]) or, in a line
+/// still spelled as `put` spelled it, met next under its `tag`, the
+/// literal `,"key":`.
 pub(crate) trait Wire: Sized {
     /// Appends the field to a record under construction.
     fn put(self, key: &str, out: &mut String);
     /// Reads the field back; `None` makes the line a bad line.
     fn take(fields: &Fields<'_>, key: &str) -> Option<Self>;
+    /// Reads the field where `put` would have written it; `None` (the
+    /// cursor is then anywhere) sends the whole line to `take`.
+    fn take_next(cur: &mut Cursor<'_>, tag: &str) -> Option<Self>;
 }
 
 /// A value that is always present, written without its key.
@@ -44,12 +49,15 @@ pub(crate) trait Scalar: Sized {
     fn write(self, out: &mut String);
     /// Reads the value back from a scanned field.
     fn read(field: Field<'_>) -> Option<Self>;
+    /// Reads the value back in `write`'s own spelling, and no other.
+    fn parse(cur: &mut Cursor<'_>) -> Option<Self>;
 }
 
-/// Appends `,"key":`. This and every `put` and `take` are `#[inline]` so
-/// that the key, a literal of the row, reaches `push_str` and the lookup
-/// as a constant: without the hints encoding a record costs a quarter
-/// more (69 vs 56 ns) and decoding one about 4 %.
+/// Appends `,"key":`. This and every `put`, `take_next` and `parse` are
+/// `#[inline]` so that the key, a literal of the row, reaches `push_str`
+/// and `eat` as a constant: without the hints encoding a record costs a
+/// quarter more (69 vs 56 ns) and reading one back in order as much (80
+/// vs 65 ns). `take`, the by-key path, is no longer worth a hint.
 #[inline]
 fn push_key(out: &mut String, key: &str) {
     out.push_str(",\"");
@@ -64,9 +72,14 @@ impl<T: Scalar> Wire for T {
         self.write(out);
     }
 
-    #[inline]
     fn take(fields: &Fields<'_>, key: &str) -> Option<Self> {
         T::read(fields.get(key)?)
+    }
+
+    #[inline]
+    fn take_next(cur: &mut Cursor<'_>, tag: &str) -> Option<Self> {
+        cur.eat(tag)?;
+        T::parse(cur)
     }
 }
 
@@ -83,11 +96,19 @@ impl Wire for Option<NodeId> {
         }
     }
 
-    #[inline]
     fn take(fields: &Fields<'_>, key: &str) -> Option<Self> {
         match fields.get(key)? {
             field if field.is_null() => Some(None),
             field => NodeId::read(field).map(Some),
+        }
+    }
+
+    #[inline]
+    fn take_next(cur: &mut Cursor<'_>, tag: &str) -> Option<Self> {
+        cur.eat(tag)?;
+        match cur.eat("null") {
+            Some(()) => Some(None),
+            None => NodeId::parse(cur).map(Some),
         }
     }
 }
@@ -103,10 +124,17 @@ macro_rules! omitted_when_absent {
                 }
             }
 
-            #[inline]
             fn take(fields: &Fields<'_>, key: &str) -> Option<Self> {
                 match fields.get(key) {
                     Some(field) => <$ty>::read(field).map(Some),
+                    None => Some(None),
+                }
+            }
+
+            #[inline]
+            fn take_next(cur: &mut Cursor<'_>, tag: &str) -> Option<Self> {
+                match cur.eat(tag) {
+                    Some(()) => <$ty>::parse(cur).map(Some),
                     None => Some(None),
                 }
             }
@@ -123,6 +151,11 @@ impl Scalar for u64 {
     fn read(field: Field<'_>) -> Option<Self> {
         field.as_u64()
     }
+
+    #[inline]
+    fn parse(cur: &mut Cursor<'_>) -> Option<Self> {
+        cur.digits()
+    }
 }
 
 /// Narrower integers are range-checked, never wrapped: `"hops":300` is a
@@ -136,6 +169,11 @@ macro_rules! narrow_scalars {
 
             fn read(field: Field<'_>) -> Option<Self> {
                 <$ty>::try_from(field.as_u64()?).ok()
+            }
+
+            #[inline]
+            fn parse(cur: &mut Cursor<'_>) -> Option<Self> {
+                <$ty>::try_from(cur.digits()?).ok()
             }
         }
     )+};
@@ -152,6 +190,11 @@ macro_rules! id_scalars {
             fn read(field: Field<'_>) -> Option<Self> {
                 u32::read(field).map(<$ty>::new)
             }
+
+            #[inline]
+            fn parse(cur: &mut Cursor<'_>) -> Option<Self> {
+                u32::parse(cur).map(<$ty>::new)
+            }
         }
     )+};
 }
@@ -165,6 +208,14 @@ impl Scalar for bool {
     fn read(field: Field<'_>) -> Option<Self> {
         field.as_bool()
     }
+
+    #[inline]
+    fn parse(cur: &mut Cursor<'_>) -> Option<Self> {
+        match cur.eat("true") {
+            Some(()) => Some(true),
+            None => cur.eat("false").map(|()| false),
+        }
+    }
 }
 
 /// An instant, in whole milliseconds.
@@ -175,6 +226,11 @@ impl Scalar for SimTime {
 
     fn read(field: Field<'_>) -> Option<Self> {
         u64::read(field).map(SimTime::from_millis)
+    }
+
+    #[inline]
+    fn parse(cur: &mut Cursor<'_>) -> Option<Self> {
+        cur.digits().map(SimTime::from_millis)
     }
 }
 
@@ -189,6 +245,11 @@ macro_rules! label_scalars {
 
             fn read(field: Field<'_>) -> Option<Self> {
                 <$ty>::from_label(&field.as_str()?)
+            }
+
+            #[inline]
+            fn parse(cur: &mut Cursor<'_>) -> Option<Self> {
+                <$ty>::from_label(cur.label()?)
             }
         }
     )+};
@@ -228,5 +289,18 @@ impl Scalar for [u32; AGE_BUCKETS] {
             *slot = u32::read(items.next()?)?;
         }
         items.next().is_none().then_some(ages)
+    }
+
+    #[inline]
+    fn parse(cur: &mut Cursor<'_>) -> Option<Self> {
+        let mut ages = [0; AGE_BUCKETS];
+        let mut open = "[";
+        for slot in &mut ages {
+            cur.eat(open)?;
+            *slot = u32::parse(cur)?;
+            open = ",";
+        }
+        cur.eat("]")?;
+        Some(ages)
     }
 }

@@ -20,7 +20,7 @@ use mp2p_metrics::{MessageClass, AGE_BUCKETS};
 use mp2p_sim::{ItemId, NodeId, SimTime};
 
 use crate::codec::{Scalar, Wire};
-use crate::json::Fields;
+use crate::json::{Cursor, Fields};
 
 mp2p_metrics::label_enum! {
     /// The proximate cause the consistency observatory assigns to one stale
@@ -114,6 +114,21 @@ macro_rules! take_field {
     };
 }
 
+/// [`take_field`] for a line still in the writer's spelling: the field
+/// is met next, under the same literal `put_field` pushed.
+macro_rules! next_field {
+    ($cur:ident, $key:literal) => {
+        Wire::take_next($cur, concat!(",\"", $key, "\":"))?
+    };
+    ($cur:ident, $key:literal, $gate:ident) => {
+        if $gate.is_some() {
+            next_field!($cur, $key)
+        } else {
+            Default::default()
+        }
+    };
+}
+
 /// Generates the record vocabulary from its one table. A row is
 ///
 /// ```text
@@ -188,6 +203,19 @@ macro_rules! records {
                     $(
                         EventKind::$variant => {
                             $( let $field: $ty = take_field!(fields, $key $(, $gate)?); )+
+                            TraceEvent::$variant { $($field),+ }
+                        }
+                    )+
+                })
+            }
+
+            /// Reads the fields of a record of this kind as `encode`
+            /// wrote them: in wire order, from the cursor.
+            fn decode_in_order(self, cur: &mut Cursor<'_>) -> Option<TraceEvent> {
+                Some(match self {
+                    $(
+                        EventKind::$variant => {
+                            $( let $field: $ty = next_field!(cur, $key $(, $gate)?); )+
                             TraceEvent::$variant { $($field),+ }
                         }
                     )+
@@ -671,6 +699,27 @@ pub(crate) fn decode(fields: &Fields<'_>, schema: u64) -> Option<(SimTime, Trace
         return None;
     }
     Some((at, kind.decode(fields)?))
+}
+
+/// [`decode`] for a record that starts `bytes` spelled exactly as
+/// [`TraceEvent::write_json`] spells it — the framing fields, then each
+/// field of the row under its literal key, in wire order, each value in
+/// its type's written form, then the closing brace — with the number of
+/// bytes the record took. All or nothing: any other spelling of the same
+/// record (reordered, repeated or unknown keys, whitespace, an escape,
+/// `1.0`, a line the buffer cuts short) is `None` here and [`decode`]'s
+/// to read, so whatever this returns, [`decode`] returns for that line.
+pub(crate) fn decode_as_written(bytes: &[u8], schema: u64) -> Option<(SimTime, TraceEvent, usize)> {
+    let mut cur = Cursor::new(bytes);
+    cur.eat("{\"t\":")?;
+    let at = SimTime::parse(&mut cur)?;
+    let kind = EventKind::take_next(&mut cur, ",\"ev\":")?;
+    if kind.min_schema() > schema {
+        return None;
+    }
+    let event = kind.decode_in_order(&mut cur)?;
+    cur.eat("}")?;
+    Some((at, event, bytes.len() - cur.remaining()))
 }
 
 #[cfg(test)]

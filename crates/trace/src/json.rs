@@ -230,13 +230,6 @@ impl Parser<'_> {
         if self.bump() != Some(b'"') {
             return None;
         }
-        // Labels and keys hold no escape: run to the first byte that
-        // needs a decision, then fall into the general loop.
-        let rest = &self.bytes[self.pos..];
-        self.pos += rest
-            .iter()
-            .position(|&b| needs_escape(b))
-            .unwrap_or(rest.len());
         let mut escaped = false;
         while let Some(b) = self.bump() {
             match b {
@@ -564,16 +557,6 @@ pub(crate) enum Field<'a> {
 const EXACT_DIGITS: usize = 15;
 
 impl<'a> Field<'a> {
-    /// The number as `f64`, if this is a number.
-    #[cfg(test)]
-    pub(crate) fn as_f64(self) -> Option<f64> {
-        match self {
-            Field::Int(n) => Some(n as f64),
-            Field::Num(n) => Some(n),
-            _ => None,
-        }
-    }
-
     /// The number as `u64`, if this is a non-negative integral number.
     pub(crate) fn as_u64(self) -> Option<u64> {
         match self {
@@ -757,11 +740,87 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// A cursor over bytes expected to be spelled exactly as the journal
+/// writer spells them: each method takes what the writer would have put
+/// next, or takes nothing and returns `None`. It knows no whitespace, no
+/// escape and nothing outside ASCII; text that needs any of those is the
+/// scanner's, and whatever this reads, [`Fields::scan`] reads the same.
+pub(crate) struct Cursor<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `bytes`.
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        Cursor { rest: bytes }
+    }
+
+    /// How many bytes are left.
+    pub(crate) fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    /// Takes `literal` if it comes next.
+    #[inline]
+    pub(crate) fn eat(&mut self, literal: &str) -> Option<()> {
+        self.rest = self.rest.strip_prefix(literal.as_bytes())?;
+        Some(())
+    }
+
+    /// Takes a run of 1 to [`EXACT_DIGITS`] digits: what `scan_number`
+    /// reads as a [`Field::Int`]. A fraction or exponent after it is left
+    /// for the next `eat` to trip over.
+    #[inline]
+    pub(crate) fn digits(&mut self) -> Option<u64> {
+        let mut n: u64 = 0;
+        let mut len = 0;
+        while let Some(d @ b'0'..=b'9') = self.rest.get(len) {
+            if len == EXACT_DIGITS {
+                return None;
+            }
+            n = n * 10 + u64::from(d - b'0');
+            len += 1;
+        }
+        if len == 0 {
+            return None;
+        }
+        self.rest = &self.rest[len..];
+        Some(n)
+    }
+
+    /// Takes a quoted run of printable ASCII with nothing to unescape:
+    /// what `scan_string` reads as a [`Text::Plain`].
+    #[inline]
+    pub(crate) fn label(&mut self) -> Option<&'a str> {
+        let body = self.rest.strip_prefix(b"\"")?;
+        let len = body
+            .iter()
+            .position(|&b| !matches!(b, b' '..=b'~') || b == b'"' || b == b'\\')?;
+        if body[len] != b'"' {
+            return None;
+        }
+        let text = std::str::from_utf8(&body[..len]).ok()?;
+        self.rest = &body[len + 1..];
+        Some(text)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
+
+    impl Field<'_> {
+        /// The number as `f64`, if this is a number.
+        fn as_f64(self) -> Option<f64> {
+            match self {
+                Field::Int(n) => Some(n as f64),
+                Field::Num(n) => Some(n),
+                _ => None,
+            }
+        }
+    }
 
     #[test]
     fn escapes_specials_and_controls() {

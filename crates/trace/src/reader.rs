@@ -189,6 +189,25 @@ impl<R: BufRead> Iterator for JournalReader<R> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
+            // A line the writer spelled is decoded where `fill_buf` shows
+            // it. `read_until` below retries an interrupted read itself.
+            match self.input.fill_buf() {
+                Ok(bytes) => {
+                    if let Some((at, event, len)) =
+                        event::decode_as_written(bytes, self.header.schema)
+                    {
+                        if bytes.get(len) == Some(&b'\n') {
+                            self.input.consume(len + 1);
+                            self.line_no += 1;
+                            return Some(Ok((at, event)));
+                        }
+                    }
+                }
+                Err(e) if e.kind() != io::ErrorKind::Interrupted => {
+                    return Some(Err(ReadError::Io(e)));
+                }
+                Err(_) => {}
+            }
             self.buf.clear();
             match self.input.read_until(b'\n', &mut self.buf) {
                 Ok(0) => return None,
@@ -679,5 +698,268 @@ mod tests {
         fn prop_decoded_events_agree_with_the_tree_lookup((line, intact) in RespelledLine) {
             assert_decoder_agrees_with_tree(&line, intact);
         }
+    }
+
+    /// `line` through the as-written arm alone: its pair, if the arm
+    /// took all of the line.
+    fn as_written(line: &str, schema: u64) -> Option<(SimTime, TraceEvent)> {
+        let (at, event, len) = event::decode_as_written(line.as_bytes(), schema)?;
+        (len == line.len()).then_some((at, event))
+    }
+
+    #[test]
+    fn every_written_shape_takes_the_as_written_arm_at_its_own_tier() {
+        // Through the arm itself, not the reader: a row whose in-order
+        // decoder disagrees with its encoder would still read correctly
+        // through the fallback, at three times the cost, unnoticed.
+        let mut lines: Vec<String> = include_str!("../tests/golden/vocabulary.jsonl")
+            .lines()
+            .map(str::to_owned)
+            .collect();
+        assert_eq!(lines.len(), 96, "every shape and label of the vocabulary");
+        for (i, event) in crate::event::tests::samples().into_iter().enumerate() {
+            // Stamps of every width up to the fifteen digits the arm takes.
+            let at = SimTime::from_millis(10u64.pow(i as u32 % 15) * 9 + i as u64);
+            let mut line = String::new();
+            event.write_json(at, &mut line);
+            lines.push(line);
+        }
+        for line in &lines {
+            let general = parse_event(line);
+            let (_, event) = general.unwrap_or_else(|| panic!("not a record: {line}"));
+            let tier = event.kind().min_schema();
+            for schema in tier..=JOURNAL_SCHEMA {
+                assert_eq!(as_written(line, schema), general, "schema {schema}: {line}");
+            }
+            assert_eq!(as_written(line, tier - 1), None, "{line}");
+            assert_eq!(parse_event_versioned(line, tier - 1), None, "{line}");
+        }
+    }
+
+    #[test]
+    fn any_other_spelling_is_left_to_the_general_path() {
+        let written = "{\"t\":7,\"ev\":\"msg_send\",\"node\":1,\"class\":\"POLL\",\"bytes\":48,\"dest\":null,\"span\":7}";
+        let event = parse_event(written);
+        assert!(event.is_some() && as_written(written, 1) == event);
+        for respelled in [
+            // Reordered, repeated (the first wins) and unknown keys.
+            "{\"ev\":\"msg_send\",\"t\":7,\"node\":1,\"class\":\"POLL\",\"bytes\":48,\"dest\":null,\"span\":7}",
+            "{\"t\":7,\"ev\":\"msg_send\",\"node\":1,\"class\":\"POLL\",\"dest\":null,\"bytes\":48,\"span\":7}",
+            "{\"t\":7,\"ev\":\"msg_send\",\"node\":1,\"class\":\"POLL\",\"bytes\":48,\"dest\":null,\"span\":7,\"span\":8}",
+            "{\"t\":7,\"ev\":\"msg_send\",\"node\":1,\"class\":\"POLL\",\"bytes\":48,\"dest\":null,\"span\":7,\"x\":[]}",
+            "{\"t\":7,\"ev\":\"msg_send\",\"x\":0,\"node\":1,\"class\":\"POLL\",\"bytes\":48,\"dest\":null,\"span\":7}",
+            // Whitespace, an escape, other number spellings.
+            "{\"t\":7, \"ev\":\"msg_send\",\"node\":1,\"class\":\"POLL\",\"bytes\":48,\"dest\":null,\"span\":7}",
+            " {\"t\":7,\"ev\":\"msg_send\",\"node\":1,\"class\":\"POLL\",\"bytes\":48,\"dest\":null,\"span\":7}",
+            "{\"t\":7,\"ev\":\"msg_send\",\"node\":1,\"class\":\"POLL\",\"bytes\":48,\"dest\":null,\"span\":7} ",
+            "{\"t\":7,\"ev\":\"msg\\u005fsend\",\"node\":1,\"class\":\"POLL\",\"bytes\":48,\"dest\":null,\"span\":7}",
+            "{\"t\":7,\"ev\":\"msg_send\",\"no\\u0064e\":1,\"class\":\"POLL\",\"bytes\":48,\"dest\":null,\"span\":7}",
+            "{\"t\":7.0,\"ev\":\"msg_send\",\"node\":1,\"class\":\"POLL\",\"bytes\":48,\"dest\":null,\"span\":7}",
+            "{\"t\":7,\"ev\":\"msg_send\",\"node\":1e0,\"class\":\"POLL\",\"bytes\":48,\"dest\":null,\"span\":7}",
+            "{\"t\":7,\"ev\":\"msg_send\",\"node\":1,\"class\":\"POLL\",\"bytes\":4.8e1,\"dest\":null,\"span\":7}",
+            "{\"t\":7,\"ev\":\"msg_send\",\"node\":1,\"class\":\"POLL\",\"bytes\":48,\"dest\":null,\"span\":0000000000000007}",
+        ] {
+            assert_eq!(as_written(respelled, JOURNAL_SCHEMA), None, "{respelled}");
+            assert_eq!(parse_event(respelled), event, "{respelled}");
+        }
+        // Sixteen digits are a number to the scanner, not to the arm.
+        let long = "{\"t\":1000000000000000,\"ev\":\"node_up\",\"node\":1}";
+        assert!(as_written(long, 1).is_none() && parse_event(long).is_some());
+        let fifteen = "{\"t\":999999999999999,\"ev\":\"node_up\",\"node\":1}";
+        assert!(as_written(fifteen, 1).is_some());
+    }
+
+    /// A `BufRead` that shows at most `chunk` bytes at a time and fails
+    /// once, with a non-retryable error, when it reaches `fail_at`.
+    struct Chunked<'a> {
+        data: &'a [u8],
+        pos: usize,
+        chunk: usize,
+        fail_at: Option<usize>,
+    }
+
+    impl io::Read for Chunked<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let shown = self.fill_buf()?;
+            let n = shown.len().min(out.len());
+            out[..n].copy_from_slice(&shown[..n]);
+            self.consume(n);
+            Ok(n)
+        }
+    }
+
+    impl BufRead for Chunked<'_> {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            if self.fail_at.is_some_and(|at| self.pos >= at) {
+                self.fail_at = None;
+                return Err(io::Error::other("injected"));
+            }
+            // Chunk boundaries sit at multiples of `chunk`, so a line
+            // straddles one wherever it happens to lie.
+            let end = (self.pos / self.chunk + 1) * self.chunk;
+            Ok(&self.data[self.pos..end.min(self.data.len())])
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.pos += n;
+        }
+    }
+
+    /// What a reader yielded, in a form that compares: `ReadError` holds
+    /// an `io::Error`.
+    fn shown(item: Result<(SimTime, TraceEvent), ReadError>) -> String {
+        format!("{item:?}")
+    }
+
+    /// The reader as it was before a line could be decoded in place, and
+    /// as it still is for any line not in the writer's spelling: every
+    /// line copied out, checked as UTF-8, scanned and decoded by key.
+    fn general_read(mut input: impl BufRead, schema: u64) -> (Vec<String>, usize) {
+        let (mut items, mut buf, mut line_no) = (Vec::new(), Vec::new(), 1);
+        loop {
+            buf.clear();
+            match input.read_until(b'\n', &mut buf) {
+                Ok(0) => return (items, line_no),
+                Ok(_) => {}
+                Err(e) => {
+                    items.push(shown(Err(ReadError::Io(e))));
+                    continue;
+                }
+            }
+            line_no += 1;
+            let lossy = String::from_utf8_lossy(&buf);
+            let text = trim_json_ws(&lossy);
+            if text.is_empty() && std::str::from_utf8(&buf).is_ok() {
+                continue;
+            }
+            let parsed = std::str::from_utf8(&buf)
+                .ok()
+                .and_then(|_| parse_event_versioned(text, schema));
+            items.push(shown(parsed.ok_or_else(|| ReadError::BadLine {
+                line_no,
+                text: text.chars().take(160).collect(),
+            })));
+        }
+    }
+
+    /// Journal bodies as they reach a reader in the field: mostly the
+    /// writer's own lines, some respelled or corrupted, some blank, with
+    /// either line ending, stray bytes, and a cut anywhere.
+    struct MessyJournal;
+
+    impl Strategy for MessyJournal {
+        /// The bytes, header included, and the header's schema.
+        type Value = (Vec<u8>, u64);
+
+        fn pick(&self, rng: &mut TestRng) -> Self::Value {
+            let schema = 1 + rng.below(JOURNAL_SCHEMA);
+            let mut bytes =
+                format!("{{\"schema\":{schema},\"kinds\":27,\"warmup_ms\":0}}\n").into_bytes();
+            let samples = crate::event::tests::samples();
+            for _ in 0..rng.below(24) {
+                match rng.below(10) {
+                    0 => bytes.extend(RespelledLine.pick(rng).0.into_bytes()),
+                    1 => {}
+                    2 => bytes.extend((0..rng.below(6)).map(|_| rng.below(256) as u8)),
+                    _ => {
+                        let mut line = String::new();
+                        let event = &samples[rng.below(samples.len() as u64) as usize];
+                        event.write_json(SimTime::from_millis(rng.below(1 << 50)), &mut line);
+                        bytes.extend(line.into_bytes());
+                    }
+                }
+                let endings: [&[u8]; 6] = [b"\n", b"\n", b"\n", b"\r\n", b" \n", b"\xc2\xa0\n"];
+                bytes.extend(endings[rng.below(6) as usize]);
+            }
+            let header = bytes.iter().position(|&b| b == b'\n').expect("header") + 1;
+            match rng.below(4) {
+                // No final newline, or a cut anywhere after the header.
+                0 if bytes.len() > header => drop(bytes.pop()),
+                1 => bytes.truncate(header + rng.below((bytes.len() - header + 1) as u64) as usize),
+                _ => {}
+            }
+            (bytes, schema)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4_000))]
+
+        /// The arm never reads a line differently from the general path:
+        /// what it takes, the scanner and the by-key decoder take as the
+        /// same record, at every schema.
+        #[test]
+        fn prop_an_as_written_decoding_is_the_general_decoding(
+            (line, _) in RespelledLine,
+            schema in 1..=JOURNAL_SCHEMA,
+        ) {
+            if let Some((at, event, len)) = event::decode_as_written(line.as_bytes(), schema) {
+                prop_assert_eq!(
+                    parse_event_versioned(&line[..len], schema),
+                    Some((at, event)),
+                    "{}", line
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1_500))]
+
+        /// However the journal is cut into buffers, the reader yields the
+        /// general path's items, line numbers and texts: in place where a
+        /// whole written line is in view, copied out where it is not.
+        #[test]
+        fn prop_reader_yields_the_general_paths_items_however_it_is_buffered(
+            (bytes, schema) in MessyJournal,
+            fail in any::<u64>(),
+        ) {
+            let header = bytes.iter().position(|&b| b == b'\n').expect("header line") + 1;
+            let (want, want_lines) = general_read(&bytes[header..], schema);
+
+            let mut whole = JournalReader::new(&bytes[..]).unwrap();
+            let got: Vec<String> = whole.by_ref().map(shown).collect();
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(whole.lines_read(), want_lines);
+
+            for chunk in [1, 7, 64, bytes.len()] {
+                let mut buffered =
+                    JournalReader::new(BufReader::with_capacity(chunk, &bytes[..])).unwrap();
+                let got: Vec<String> = buffered.by_ref().map(shown).collect();
+                prop_assert_eq!(&got, &want, "BufReader of {}", chunk);
+                prop_assert_eq!(buffered.lines_read(), want_lines);
+
+                // With one failed read somewhere in the body: the same
+                // bytes are lost to it on both paths.
+                let fail_at = Some(header + (fail % (bytes.len() - header + 1) as u64) as usize);
+                let chunked = |pos| Chunked { data: &bytes, pos, chunk, fail_at };
+                let (want, want_lines) = general_read(chunked(header), schema);
+                let mut failing = JournalReader::new(chunked(0)).unwrap();
+                let got: Vec<String> = failing.by_ref().map(shown).collect();
+                prop_assert_eq!(&got, &want, "chunks of {}, failing at {:?}", chunk, fail_at);
+                prop_assert_eq!(failing.lines_read(), want_lines);
+            }
+        }
+    }
+
+    #[test]
+    fn a_journal_read_in_place_never_touches_the_line_buffer() {
+        let header = "{\"schema\":4,\"kinds\":38,\"warmup_ms\":0}\n";
+        let mut journal = String::from(header);
+        let samples = crate::event::tests::samples();
+        for (i, event) in samples.iter().enumerate() {
+            event.write_json(SimTime::from_millis(i as u64), &mut journal);
+            journal.push('\n');
+        }
+        let mut reader = JournalReader::new(journal.as_bytes()).unwrap();
+        let capacity = reader.buf.capacity();
+        for expected in &samples {
+            assert_eq!(reader.next().unwrap().unwrap().1, *expected);
+        }
+        // The copying path clears the buffer before every line; it still
+        // holds the header, at the capacity the header gave it.
+        assert_eq!(reader.buf, header.as_bytes());
+        assert_eq!(reader.buf.capacity(), capacity);
+        assert!(reader.next().is_none());
     }
 }

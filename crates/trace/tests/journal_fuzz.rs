@@ -345,6 +345,62 @@ proptest! {
         }
     }
 
+    /// How the journal reaches the reader does not change what is read.
+    /// From a slice every written line is decoded in place; through a
+    /// one-byte buffer every line is copied out and scanned; 7 and 64
+    /// bytes mix the two. Same items, same line numbers, same texts.
+    #[test]
+    fn buffering_does_not_change_what_is_read(
+        lines in proptest::collection::vec(
+            prop_oneof![
+                valid_line(),
+                valid_v3_line(),
+                valid_v4_line(),
+                valid_line(),
+                valid_v3_line(),
+                valid_v4_line(),
+                Just(String::new()),
+                // Continuation bytes with no lead byte: never valid UTF-8.
+                proptest::collection::vec(0x80u8..0xc0, 1..8).prop_map(|garbage| {
+                    garbage.into_iter().map(char::from).collect()
+                }),
+            ],
+            0..30,
+        ),
+        endings in proptest::collection::vec(
+            prop_oneof![Just("\n"), Just("\r\n"), Just(" \t\n"), Just("\u{a0}\n")], 30,
+        ),
+        schema in 1u64..=4,
+        cut_frac in 0.0f64..2.0,
+    ) {
+        let mut bytes = journal(schema, &[]);
+        let header_len = bytes.len();
+        for (line, ending) in lines.iter().zip(&endings) {
+            // One byte per char: the garbage lines hold U+0080..U+00C0.
+            bytes.extend(line.chars().map(|c| c as u8));
+            bytes.extend_from_slice(ending.as_bytes());
+        }
+        // Half the time, cut anywhere in the body (so: no final newline).
+        if cut_frac < 1.0 {
+            bytes.truncate(header_len + ((bytes.len() - header_len) as f64 * cut_frac) as usize);
+        }
+        let read = |reader: &mut dyn Iterator<Item = Result<_, ReadError>>| -> Vec<String> {
+            reader
+                .map(|item: Result<(mp2p_sim::SimTime, mp2p_trace::TraceEvent), _>| {
+                    format!("{item:?}")
+                })
+                .collect()
+        };
+        let mut in_place = JournalReader::new(bytes.as_slice()).unwrap();
+        let want = read(&mut in_place);
+        for capacity in [1, 7, 64] {
+            let mut copied =
+                JournalReader::new(BufReader::with_capacity(capacity, bytes.as_slice())).unwrap();
+            prop_assert_eq!(&read(&mut copied), &want, "capacity {}", capacity);
+            prop_assert_eq!(copied.lines_read(), in_place.lines_read());
+        }
+    }
+
     /// Completely arbitrary bytes: constructing and draining the reader
     /// must not panic, whatever comes back.
     #[test]
