@@ -139,7 +139,7 @@ impl Registry {
     /// Adds `delta` to the counter `name` in the window containing `at`.
     pub fn counter_add(&mut self, name: &str, at: SimTime, delta: u64) {
         let idx = self.window_index(at);
-        let c = self.counters.entry(name.to_owned()).or_default();
+        let c = series(&mut self.counters, name);
         if c.series.len() <= idx {
             c.series.resize(idx + 1, 0);
         }
@@ -151,7 +151,7 @@ impl Registry {
     /// (last write within a window wins).
     pub fn gauge_set(&mut self, name: &str, at: SimTime, value: i64) {
         let idx = self.window_index(at);
-        let g = self.gauges.entry(name.to_owned()).or_default();
+        let g = series(&mut self.gauges, name);
         if g.series.len() <= idx {
             g.series.resize(idx + 1, None);
         }
@@ -163,7 +163,7 @@ impl Registry {
     /// window containing `at` and cumulatively.
     pub fn observe(&mut self, name: &str, at: SimTime, value: SimDuration) {
         let idx = self.window_index(at);
-        let h = self.histograms.entry(name.to_owned()).or_default();
+        let h = series(&mut self.histograms, name);
         if h.series.len() <= idx {
             h.series.resize(idx + 1, LatencyStats::default());
         }
@@ -322,6 +322,15 @@ impl Registry {
         }
         out
     }
+}
+
+/// The series under `name`, created on first use. Looked up by `&str`
+/// first: a name is owned once per series, not once per update.
+fn series<'a, T: Default>(map: &'a mut BTreeMap<String, T>, name: &str) -> &'a mut T {
+    if !map.contains_key(name) {
+        map.insert(name.to_owned(), T::default());
+    }
+    map.get_mut(name).expect("present, or inserted above")
 }
 
 /// Writes one histogram snapshot object: count, mean, max, p50/p95/p99.

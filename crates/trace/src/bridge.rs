@@ -10,20 +10,49 @@
 
 use std::any::Any;
 
-use mp2p_metrics::Registry;
+use mp2p_metrics::{metric_name, MessageClass, Registry};
 use mp2p_sim::{SimDuration, SimTime};
 
-use crate::event::{RelayTransitionKind, TraceEvent};
+use crate::event::{BlameCause, EventKind, LevelTag, RelayTransitionKind, ServedBy, TraceEvent};
 use crate::sink::TraceSink;
 
 /// Default window width for bridged registries (60 s of sim time).
 pub const DEFAULT_WINDOW: SimDuration = SimDuration::from_secs(60);
+
+/// The name of every labelled series, by its label's index. Built once
+/// per bridge: `record` runs per journal record and formats nothing.
+#[derive(Debug)]
+struct SeriesNames {
+    sends: [String; MessageClass::ALL.len()],
+    served: [String; ServedBy::ALL.len()],
+    latency: [String; LevelTag::ALL.len()],
+    stale: [String; BlameCause::ALL.len()],
+    /// A fault counter is named after its record's label.
+    faults: [String; EventKind::ALL.len()],
+}
+
+impl SeriesNames {
+    fn new() -> Self {
+        SeriesNames {
+            sends: MessageClass::ALL
+                .map(|c| metric_name("traffic_sends_total", &[("class", c.label())])),
+            served: ServedBy::ALL
+                .map(|by| metric_name("queries_served_total", &[("by", by.label())])),
+            latency: LevelTag::ALL
+                .map(|l| metric_name("query_latency_ms", &[("level", l.label())])),
+            stale: BlameCause::ALL
+                .map(|c| metric_name("stale_served_total", &[("cause", c.label())])),
+            faults: EventKind::ALL.map(|k| metric_name("faults_total", &[("kind", k.label())])),
+        }
+    }
+}
 
 /// Folds trace events into a windowed metrics [`Registry`].
 #[derive(Debug)]
 pub struct MetricsBridge {
     warmup: SimDuration,
     relay_peers: i64,
+    names: SeriesNames,
     registry: Registry,
 }
 
@@ -34,6 +63,7 @@ impl MetricsBridge {
         MetricsBridge {
             warmup,
             relay_peers: 0,
+            names: SeriesNames::new(),
             registry: Registry::new(window),
         }
     }
@@ -56,8 +86,8 @@ impl MetricsBridge {
     pub fn record(&mut self, at: SimTime, event: &TraceEvent) {
         match *event {
             TraceEvent::MsgSend { class, bytes, .. } if self.past_warmup(at) => {
-                let name = format!("traffic_sends_total{{class=\"{}\"}}", class.label());
-                self.registry.counter_add(&name, at, 1);
+                self.registry
+                    .counter_add(&self.names.sends[class.index()], at, 1);
                 self.registry
                     .counter_add("traffic_bytes_total", at, u64::from(bytes));
             }
@@ -72,11 +102,10 @@ impl MetricsBridge {
                 issued,
                 ..
             } if issued.saturating_since(SimTime::ZERO) >= self.warmup => {
-                let name = format!("queries_served_total{{by=\"{}\"}}", served_by.label());
-                self.registry.counter_add(&name, at, 1);
-                let hist = format!("query_latency_ms{{level=\"{}\"}}", level.label());
                 self.registry
-                    .observe(&hist, at, at.saturating_since(issued));
+                    .counter_add(&self.names.served[served_by.index()], at, 1);
+                let hist = &self.names.latency[level.index()];
+                self.registry.observe(hist, at, at.saturating_since(issued));
             }
             _ => {}
         }
@@ -92,7 +121,6 @@ impl MetricsBridge {
                 }
                 self.registry.gauge_set("relay_peers", at, self.relay_peers);
             }
-            // A fault counter is named after its record's label.
             TraceEvent::NodeCrash { .. }
             | TraceEvent::NodeRecover { .. }
             | TraceEvent::BurstDrop { .. }
@@ -100,7 +128,10 @@ impl MetricsBridge {
             | TraceEvent::PartitionStart { .. }
             | TraceEvent::PartitionHeal { .. }
             | TraceEvent::RelayLeaseExpired { .. }
-            | TraceEvent::FallbackFlood { .. } => self.fault(at, event.kind().label()),
+            | TraceEvent::FallbackFlood { .. } => {
+                let name = &self.names.faults[event.kind().index()];
+                self.registry.counter_add(name, at, 1);
+            }
             TraceEvent::ConsistencySample {
                 fresh_copies,
                 total_copies,
@@ -120,19 +151,14 @@ impl MetricsBridge {
             TraceEvent::StaleServe {
                 cause, violation, ..
             } => {
-                let name = format!("stale_served_total{{cause=\"{}\"}}", cause.label());
-                self.registry.counter_add(&name, at, 1);
+                self.registry
+                    .counter_add(&self.names.stale[cause.index()], at, 1);
                 if violation {
                     self.registry.counter_add("delta_violations_total", at, 1);
                 }
             }
             _ => {}
         }
-    }
-
-    fn fault(&mut self, at: SimTime, kind: &str) {
-        let name = format!("faults_total{{kind=\"{kind}\"}}");
-        self.registry.counter_add(&name, at, 1);
     }
 }
 
