@@ -8,7 +8,9 @@
 //! ways the format knows: `Option<NodeId>` is always written, `null` when
 //! absent; `Option<u64>` and `Option<ItemId>` are omitted when absent.
 //! Either way a value that is present but mistyped is a bad line, never
-//! a silent `None`.
+//! a silent `None`. Each type reads itself back twice: `read`/`take` from
+//! a scanned field, any JSON spelling of the value; `parse`/`take_next`
+//! from a cursor, the "written" column's spelling and no other.
 //!
 //! | type | written | read |
 //! |---|---|---|

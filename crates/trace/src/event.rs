@@ -11,9 +11,10 @@
 //! `records!` invocation below): one row per kind giving its `"ev"`
 //! label, the journal schema that introduced it, and its fields in wire
 //! order as `name: Type = "key"`. [`TraceEvent`], [`EventKind`], the
-//! encoder behind [`TraceEvent::write_json`] and the decoder behind
-//! [`crate::reader`] are all generated from that table; how a field of a
-//! given type is spelled is [`crate::codec`]'s business.
+//! encoder behind [`TraceEvent::write_json`] and the two decoders behind
+//! [`crate::reader`] (in wire order for a line still spelled as written,
+//! by key for any other) are all generated from that table; how a field
+//! of a given type is spelled is [`crate::codec`]'s business.
 
 pub use mp2p_metrics::{LevelTag, RelayTransitionKind, ServedBy, SpanPhase};
 use mp2p_metrics::{MessageClass, AGE_BUCKETS};
@@ -701,16 +702,16 @@ pub(crate) fn decode(fields: &Fields<'_>, schema: u64) -> Option<(SimTime, Trace
     Some((at, kind.decode(fields)?))
 }
 
-/// [`decode`] for a record that starts `bytes` spelled exactly as
-/// [`TraceEvent::write_json`] spells it — the framing fields, then each
+/// [`decode`] for a line that starts `bytes` spelled exactly as the
+/// writer spells it — [`TraceEvent::write_json`]'s framing fields, each
 /// field of the row under its literal key, in wire order, each value in
-/// its type's written form, then the closing brace — with the number of
-/// bytes the record took. All or nothing: any other spelling of the same
-/// record (reordered, repeated or unknown keys, whitespace, an escape,
-/// `1.0`, a line the buffer cuts short) is `None` here and [`decode`]'s
-/// to read, so whatever this returns, [`decode`] returns for that line.
+/// its type's written form, the closing brace, a newline — with the
+/// number of bytes the line took. All or nothing: any other spelling of
+/// the same record (reordered, repeated or unknown keys, whitespace, an
+/// escape, `1.0`, a line the buffer cuts short) is `None` here and
+/// [`decode`]'s to read; what this returns, [`decode`] returns too.
 pub(crate) fn decode_as_written(bytes: &[u8], schema: u64) -> Option<(SimTime, TraceEvent, usize)> {
-    let mut cur = Cursor::new(bytes);
+    let mut cur = Cursor { rest: bytes };
     cur.eat("{\"t\":")?;
     let at = SimTime::parse(&mut cur)?;
     let kind = EventKind::take_next(&mut cur, ",\"ev\":")?;
@@ -718,8 +719,8 @@ pub(crate) fn decode_as_written(bytes: &[u8], schema: u64) -> Option<(SimTime, T
         return None;
     }
     let event = kind.decode_in_order(&mut cur)?;
-    cur.eat("}")?;
-    Some((at, event, bytes.len() - cur.remaining()))
+    cur.eat("}\n")?;
+    Some((at, event, bytes.len() - cur.rest.len()))
 }
 
 #[cfg(test)]

@@ -746,20 +746,11 @@ impl<'a> Parser<'a> {
 /// escape and nothing outside ASCII; text that needs any of those is the
 /// scanner's, and whatever this reads, [`Fields::scan`] reads the same.
 pub(crate) struct Cursor<'a> {
-    rest: &'a [u8],
+    /// What has not been taken yet.
+    pub(crate) rest: &'a [u8],
 }
 
 impl<'a> Cursor<'a> {
-    /// A cursor at the start of `bytes`.
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Cursor { rest: bytes }
-    }
-
-    /// How many bytes are left.
-    pub(crate) fn remaining(&self) -> usize {
-        self.rest.len()
-    }
-
     /// Takes `literal` if it comes next.
     #[inline]
     pub(crate) fn eat(&mut self, literal: &str) -> Option<()> {

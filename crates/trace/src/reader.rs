@@ -5,24 +5,37 @@
 //! by one event object per line. [`JournalReader`] streams it
 //! line-by-line — it never buffers the whole file — checking the schema
 //! up front and turning each line back into a `(SimTime, TraceEvent)`
-//! pair.
+//! pair. Give it a buffer much wider than a line (`analyze_file` uses
+//! 1 MiB): the line that straddles the buffer's end is the slow one.
 //!
 //! **How a line is read.** The header goes through the [`json::parse`]
-//! tree once per journal. Body lines do not build a tree: one pass of
-//! `json::Fields::scan` validates the whole line and notes each
-//! `(key, value)` pair as slices borrowed from it, in a table on the
-//! stack, and the decoder generated from the record table of
-//! `crate::event` picks the fields of the record's kind by key (first of
-//! duplicate keys, unknown extra keys ignored). This module names no key
-//! and no kind. The scanner accepts exactly the lines the tree parser
-//! turns into an object and reads every value as it would.
+//! tree once per journal. A body line is read the way it was written:
+//! the record table of `crate::event` generates, beside the encoder, a
+//! decoder that walks the bytes `BufRead::fill_buf` shows in the
+//! encoder's own order — `{"t":` digits, the kind's label, each field of
+//! the kind's row under its literal key in its type's written form —
+//! and the reader `consume`s what that took: no copy of the line, no
+//! UTF-8 pass (the walk matches ASCII only), no search for the newline,
+//! no field table. It is all or nothing. A line spelled any other way —
+//! reordered, repeated or unknown keys, whitespace, an escape, `1.0` or
+//! sixteen digits, `\r\n`, no final newline, a line the buffer's end
+//! cuts in two — is copied out with `read_until`, checked as UTF-8 and
+//! scanned in one pass by `json::Fields::scan` into `(key, value)`
+//! slices of the line, from which the by-key decoder of the same table
+//! picks the kind's fields (first of duplicate keys, unknown keys
+//! ignored). Nothing selects between the two but the bytes of the line,
+//! and both read it alike: the scanner accepts exactly the lines the
+//! tree parser turns into an object, value for value, and the tests
+//! hold the in-order decoder to the scanner. This module names no key
+//! and no kind.
 //!
-//! **What allocates.** Nothing, for any line the writer produces: the
-//! line buffer is reused and keys, labels and numbers are read in place.
-//! The heap is touched only by a string that holds a `\`-escape and is
-//! actually looked at (decoded into an owned string; the writer never
-//! emits one) and by an object with more than twelve fields (the table
-//! spills into a `Vec`; the widest record has nine).
+//! **What allocates.** Nothing, for any line the writer produces, on
+//! either path: the copied-out line reuses one buffer, and keys, labels
+//! and numbers are read in place. The heap is touched only by a string
+//! that holds a `\`-escape and is actually looked at (decoded into an
+//! owned string; the writer never emits one) and by an object with more
+//! than twelve fields (the scanner's table spills into a `Vec`; the
+//! widest record has nine).
 //!
 //! **What is rejected.** Parsing is version-gated: the reader accepts
 //! every schema up to [`JOURNAL_SCHEMA`], and a line whose kind
@@ -31,8 +44,10 @@
 //! silently-adopted event. Fields narrower than 64 bits are
 //! range-checked, never wrapped: node/item ids, byte and item counts and
 //! `ages` entries must fit `u32`, `hops`/`attempt`/`axis` must fit `u8`,
-//! so `"hops":300` is a bad line, not 44 hops. Serialise-then-parse is
-//! the identity on every event variant (see the roundtrip test).
+//! so `"hops":300` is a bad line, not 44 hops. Only JSON's four
+//! whitespace bytes may trail a line (U+00A0 after a record is a bad
+//! line); a line of nothing else is skipped wherever it stands.
+//! Serialise-then-parse is the identity on every event variant.
 
 use std::fmt;
 use std::io::{self, BufRead};
@@ -193,14 +208,11 @@ impl<R: BufRead> Iterator for JournalReader<R> {
             // it. `read_until` below retries an interrupted read itself.
             match self.input.fill_buf() {
                 Ok(bytes) => {
-                    if let Some((at, event, len)) =
-                        event::decode_as_written(bytes, self.header.schema)
-                    {
-                        if bytes.get(len) == Some(&b'\n') {
-                            self.input.consume(len + 1);
-                            self.line_no += 1;
-                            return Some(Ok((at, event)));
-                        }
+                    let decoded = event::decode_as_written(bytes, self.header.schema);
+                    if let Some((at, event, len)) = decoded {
+                        self.input.consume(len);
+                        self.line_no += 1;
+                        return Some(Ok((at, event)));
                     }
                 }
                 Err(e) if e.kind() != io::ErrorKind::Interrupted => {
@@ -700,11 +712,12 @@ mod tests {
         }
     }
 
-    /// `line` through the as-written arm alone: its pair, if the arm
-    /// took all of the line.
+    /// `line`, given its newline, through the as-written arm alone.
     fn as_written(line: &str, schema: u64) -> Option<(SimTime, TraceEvent)> {
-        let (at, event, len) = event::decode_as_written(line.as_bytes(), schema)?;
-        (len == line.len()).then_some((at, event))
+        let terminated = format!("{line}\n");
+        let (at, event, len) = event::decode_as_written(terminated.as_bytes(), schema)?;
+        assert_eq!(len, terminated.len(), "all of the line or none of it");
+        Some((at, event))
     }
 
     #[test]
@@ -893,9 +906,14 @@ mod tests {
             (line, _) in RespelledLine,
             schema in 1..=JOURNAL_SCHEMA,
         ) {
-            if let Some((at, event, len)) = event::decode_as_written(line.as_bytes(), schema) {
+            // The corrupted byte may be a newline: what counts as the line
+            // is what the arm took.
+            let terminated = format!("{line}\n");
+            if let Some((at, event, len)) =
+                event::decode_as_written(terminated.as_bytes(), schema)
+            {
                 prop_assert_eq!(
-                    parse_event_versioned(&line[..len], schema),
+                    parse_event_versioned(&terminated[..len - 1], schema),
                     Some((at, event)),
                     "{}", line
                 );
