@@ -110,8 +110,7 @@ fn with_extremes(line: &str, one_in: u64, pick: &mut impl FnMut(u64) -> u64) -> 
                 let max = field_max(key);
                 let extreme = match pick(3) {
                     0 => 0,
-                    // Ten to the fifteenth is in range for a u64 only;
-                    // a timestamp that must pass the horizon takes 0.
+                    // Ten to the fifteenth is in range for a u64 only.
                     1 if max > 1_000_000_000_000_000 => 1_000_000_000_000_000,
                     _ => max,
                 };

@@ -100,30 +100,16 @@ macro_rules! put_field {
     };
 }
 
-/// Reads one field of a row back; a gated field is looked for only when
-/// its sibling was present, and is the type's default otherwise.
-macro_rules! take_field {
-    ($fields:ident, $key:literal) => {
-        Wire::take($fields, $key)?
+/// Reads one field of a row back, by whichever `Wire` call it is given;
+/// a gated field is looked for only when its sibling was present, and is
+/// the type's default otherwise.
+macro_rules! read_field {
+    ($read:expr) => {
+        $read?
     };
-    ($fields:ident, $key:literal, $gate:ident) => {
+    ($read:expr, $gate:ident) => {
         if $gate.is_some() {
-            Wire::take($fields, $key)?
-        } else {
-            Default::default()
-        }
-    };
-}
-
-/// [`take_field`] for a line still in the writer's spelling: the field
-/// is met next, under the same literal `put_field` pushed.
-macro_rules! next_field {
-    ($cur:ident, $key:literal) => {
-        Wire::take_next($cur, concat!(",\"", $key, "\":"))?
-    };
-    ($cur:ident, $key:literal, $gate:ident) => {
-        if $gate.is_some() {
-            next_field!($cur, $key)
+            $read?
         } else {
             Default::default()
         }
@@ -203,7 +189,7 @@ macro_rules! records {
                 Some(match self {
                     $(
                         EventKind::$variant => {
-                            $( let $field: $ty = take_field!(fields, $key $(, $gate)?); )+
+                            $( let $field: $ty = read_field!(Wire::take(fields, $key) $(, $gate)?); )+
                             TraceEvent::$variant { $($field),+ }
                         }
                     )+
@@ -211,12 +197,17 @@ macro_rules! records {
             }
 
             /// Reads the fields of a record of this kind as `encode`
-            /// wrote them: in wire order, from the cursor.
+            /// wrote them: each met next, under the literal `put_field`
+            /// pushed, in wire order.
             fn decode_in_order(self, cur: &mut Cursor<'_>) -> Option<TraceEvent> {
                 Some(match self {
                     $(
                         EventKind::$variant => {
-                            $( let $field: $ty = next_field!(cur, $key $(, $gate)?); )+
+                            $(
+                                let $field: $ty = read_field!(
+                                    Wire::take_next(cur, concat!(",\"", $key, "\":")) $(, $gate)?
+                                );
+                            )+
                             TraceEvent::$variant { $($field),+ }
                         }
                     )+
