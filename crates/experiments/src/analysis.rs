@@ -1140,7 +1140,8 @@ pub fn render_health(analysis: &TraceAnalysis) -> String {
 const HORIZON: SimTime = SimTime::from_millis(DEFAULT_WINDOW.as_millis() << 16);
 
 /// Streams a journal into spans and windowed metrics. A record stamped
-/// after [`HORIZON`] is refused with its line number.
+/// past 65 536 windows of [`DEFAULT_WINDOW`] (45 simulated days) is
+/// refused with its line number: see `HORIZON`.
 pub fn analyze_journal<R: BufRead>(input: R) -> Result<TraceAnalysis, ReadError> {
     let mut reader = JournalReader::new(input)?;
     let header = reader.header();
