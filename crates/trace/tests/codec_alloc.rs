@@ -1,10 +1,10 @@
 //! Proof that the journal codec is allocation-free in both directions at
-//! steady state: `JournalReader` turning lines back into events, and
-//! `JsonlSink::record` turning events into lines, must not touch the heap
-//! for any record kind the writer emits — and neither must the
-//! `MetricsBridge` every analysed record is folded into. A counting
-//! global allocator makes the claim a hard assertion rather than a
-//! code-review promise.
+//! steady state: `JournalReader` turning lines back into events (at any
+//! buffer size, with `\n` or `\r\n` line ends), and `JsonlSink::record`
+//! turning events into lines, must not touch the heap for any record
+//! kind the writer emits — and neither must the `MetricsBridge` every
+//! analysed record is folded into. A counting global allocator makes the
+//! claim a hard assertion rather than a code-review promise.
 //!
 //! The counter only tracks allocations made by the thread that called
 //! [`arm`], between [`arm`] and [`disarm`], so the three tests (and the
@@ -12,7 +12,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::io;
+use std::io::{self, BufRead, BufReader};
 
 use mp2p_sim::{SimDuration, SimTime};
 use mp2p_trace::bridge::{MetricsBridge, DEFAULT_WINDOW};
@@ -137,18 +137,22 @@ fn events() -> Vec<(SimTime, TraceEvent)> {
     events
 }
 
-#[test]
-fn warm_reader_does_not_allocate() {
-    events();
-    let mut journal = String::from("{\"schema\":4,\"kinds\":38,\"warmup_ms\":0}\n");
+/// The measured journal: a schema-4 header, then every fixture line
+/// [`ROUNDS`] times, each ended by `eol`.
+fn journal(eol: &str) -> String {
+    let mut journal = format!("{{\"schema\":4,\"kinds\":38,\"warmup_ms\":0}}{eol}");
     for _ in 0..ROUNDS {
         for line in LINES {
             journal.push_str(line);
-            journal.push('\n');
+            journal.push_str(eol);
         }
     }
+    journal
+}
 
-    let mut reader = JournalReader::new(journal.as_bytes()).expect("valid header");
+/// Allocations `reader` makes yielding every record after its first,
+/// with every record checked to parse.
+fn allocations_reading<R: BufRead>(mut reader: JournalReader<R>) -> u64 {
     // Warm-up: one record. The reader's 256-byte line buffer is already
     // wider than any line the writer emits.
     reader.next().expect("a first record").expect("that parses");
@@ -166,10 +170,33 @@ fn warm_reader_does_not_allocate() {
 
     assert_eq!(errors, 0);
     assert_eq!(records, ROUNDS * LINES.len());
-    assert_eq!(
-        count, 0,
-        "JournalReader allocated {count} times over {records} records"
-    );
+    count
+}
+
+#[test]
+fn warm_reader_does_not_allocate() {
+    events();
+    // Either line ending, read from the whole slice and through buffers
+    // that cut a line at every offset: 7 cuts every line several times,
+    // 64 most, 100 the longer ones.
+    for eol in ["\n", "\r\n"] {
+        let journal = journal(eol);
+        for capacity in [None, Some(7), Some(64), Some(100)] {
+            let count = match capacity {
+                None => allocations_reading(JournalReader::new(journal.as_bytes()).unwrap()),
+                Some(capacity) => allocations_reading(
+                    JournalReader::new(BufReader::with_capacity(capacity, journal.as_bytes()))
+                        .unwrap(),
+                ),
+            };
+            assert_eq!(
+                count,
+                0,
+                "JournalReader allocated {count} times over {} records ({eol:?} line ends, buffer {capacity:?})",
+                ROUNDS * LINES.len()
+            );
+        }
+    }
 }
 
 #[test]
