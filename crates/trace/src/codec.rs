@@ -9,8 +9,9 @@
 //! absent; `Option<u64>` and `Option<ItemId>` are omitted when absent.
 //! Either way a value that is present but mistyped is a bad line, never
 //! a silent `None`. Each type reads itself back twice: `read`/`take` from
-//! a scanned field, any JSON spelling of the value; `parse`/`take_next`
-//! from a cursor, the "written" column's spelling and no other.
+//! a [`json::Value`] tree, any JSON spelling of the value;
+//! `parse`/`take_next` from a cursor, the "written" column's spelling and
+//! no other.
 //!
 //! | type | written | read |
 //! |---|---|---|
@@ -20,7 +21,7 @@
 //! | a label enum | its label, quoted | `from_label`; unknown is a bad line |
 //! | `Option<NodeId>` | always; `null` when absent | key required; `null` or a `u32` |
 //! | `Option<u64>`, `Option<ItemId>` | omitted when absent | absent is `None`; present but mistyped is a bad line |
-//! | `[u32; AGE_BUCKETS]` | `[a,b,…]` | exactly that many `u32`s, from the array's source span |
+//! | `[u32; AGE_BUCKETS]` | `[a,b,…]` | an array of exactly that many `u32`s |
 
 use mp2p_metrics::{MessageClass, AGE_BUCKETS};
 use mp2p_sim::{ItemId, NodeId, SimTime};
@@ -28,17 +29,17 @@ use mp2p_sim::{ItemId, NodeId, SimTime};
 use crate::event::{
     BlameCause, EventKind, FrameFateKind, LevelTag, RelayTransitionKind, ServedBy, SpanPhase,
 };
-use crate::json::{self, Cursor, Field, Fields};
+use crate::json::{self, Cursor, Value};
 
 /// A record field: appended as `,"key":value`, found again by its key
-/// (first of duplicate keys, as in [`json::Value::get`]) or, in a line
+/// (first of duplicate keys, as in [`Value::get`]) or, in a line
 /// still spelled as `put` spelled it, met next under its `tag`, the
 /// literal `,"key":`.
 pub(crate) trait Wire: Sized {
     /// Appends the field to a record under construction.
     fn put(self, key: &str, out: &mut String);
     /// Reads the field back; `None` makes the line a bad line.
-    fn take(fields: &Fields<'_>, key: &str) -> Option<Self>;
+    fn take(record: &Value, key: &str) -> Option<Self>;
     /// Reads the field where `put` would have written it; `None` (the
     /// cursor is then anywhere) sends the whole line to `take`.
     fn take_next(cur: &mut Cursor<'_>, tag: &str) -> Option<Self>;
@@ -49,8 +50,8 @@ pub(crate) trait Scalar: Sized {
     /// Appends the value. No `core::fmt` on this path: it runs once per
     /// field of every journal record.
     fn write(self, out: &mut String);
-    /// Reads the value back from a scanned field.
-    fn read(field: Field<'_>) -> Option<Self>;
+    /// Reads the value back from a parsed one.
+    fn read(value: &Value) -> Option<Self>;
     /// Reads the value back in `write`'s own spelling, and no other.
     fn parse(cur: &mut Cursor<'_>) -> Option<Self>;
 }
@@ -74,8 +75,8 @@ impl<T: Scalar> Wire for T {
         self.write(out);
     }
 
-    fn take(fields: &Fields<'_>, key: &str) -> Option<Self> {
-        T::read(fields.get(key)?)
+    fn take(record: &Value, key: &str) -> Option<Self> {
+        T::read(record.get(key)?)
     }
 
     #[inline]
@@ -98,10 +99,10 @@ impl Wire for Option<NodeId> {
         }
     }
 
-    fn take(fields: &Fields<'_>, key: &str) -> Option<Self> {
-        match fields.get(key)? {
-            field if field.is_null() => Some(None),
-            field => NodeId::read(field).map(Some),
+    fn take(record: &Value, key: &str) -> Option<Self> {
+        match record.get(key)? {
+            Value::Null => Some(None),
+            value => NodeId::read(value).map(Some),
         }
     }
 
@@ -126,9 +127,9 @@ macro_rules! omitted_when_absent {
                 }
             }
 
-            fn take(fields: &Fields<'_>, key: &str) -> Option<Self> {
-                match fields.get(key) {
-                    Some(field) => <$ty>::read(field).map(Some),
+            fn take(record: &Value, key: &str) -> Option<Self> {
+                match record.get(key) {
+                    Some(value) => <$ty>::read(value).map(Some),
                     None => Some(None),
                 }
             }
@@ -150,8 +151,8 @@ impl Scalar for u64 {
         json::push_u64(out, self);
     }
 
-    fn read(field: Field<'_>) -> Option<Self> {
-        field.as_u64()
+    fn read(value: &Value) -> Option<Self> {
+        value.as_u64()
     }
 
     #[inline]
@@ -169,8 +170,8 @@ macro_rules! narrow_scalars {
                 json::push_u64(out, u64::from(self));
             }
 
-            fn read(field: Field<'_>) -> Option<Self> {
-                <$ty>::try_from(field.as_u64()?).ok()
+            fn read(value: &Value) -> Option<Self> {
+                <$ty>::try_from(value.as_u64()?).ok()
             }
 
             #[inline]
@@ -189,8 +190,8 @@ macro_rules! id_scalars {
                 json::push_u64(out, self.index() as u64);
             }
 
-            fn read(field: Field<'_>) -> Option<Self> {
-                u32::read(field).map(<$ty>::new)
+            fn read(value: &Value) -> Option<Self> {
+                u32::read(value).map(<$ty>::new)
             }
 
             #[inline]
@@ -207,8 +208,8 @@ impl Scalar for bool {
         out.push_str(if self { "true" } else { "false" });
     }
 
-    fn read(field: Field<'_>) -> Option<Self> {
-        field.as_bool()
+    fn read(value: &Value) -> Option<Self> {
+        value.as_bool()
     }
 
     #[inline]
@@ -226,8 +227,8 @@ impl Scalar for SimTime {
         json::push_u64(out, self.as_millis());
     }
 
-    fn read(field: Field<'_>) -> Option<Self> {
-        u64::read(field).map(SimTime::from_millis)
+    fn read(value: &Value) -> Option<Self> {
+        u64::read(value).map(SimTime::from_millis)
     }
 
     #[inline]
@@ -245,8 +246,8 @@ macro_rules! label_scalars {
                 json::escape_into(out, self.label());
             }
 
-            fn read(field: Field<'_>) -> Option<Self> {
-                <$ty>::from_label(&field.as_str()?)
+            fn read(value: &Value) -> Option<Self> {
+                <$ty>::from_label(value.as_str()?)
             }
 
             #[inline]
@@ -267,8 +268,7 @@ label_scalars!(
     SpanPhase
 );
 
-/// The stale-age histogram: an array of exactly [`AGE_BUCKETS`] counts,
-/// read from its source span.
+/// The stale-age histogram: an array of exactly [`AGE_BUCKETS`] counts.
 impl Scalar for [u32; AGE_BUCKETS] {
     fn write(self, out: &mut String) {
         out.push('[');
@@ -281,16 +281,18 @@ impl Scalar for [u32; AGE_BUCKETS] {
         out.push(']');
     }
 
-    fn read(field: Field<'_>) -> Option<Self> {
-        let Field::Arr(span) = field else {
+    fn read(value: &Value) -> Option<Self> {
+        let Value::Arr(items) = value else {
             return None;
         };
-        let mut items = json::array_items(span);
-        let mut ages = [0; AGE_BUCKETS];
-        for slot in &mut ages {
-            *slot = u32::read(items.next()?)?;
+        if items.len() != AGE_BUCKETS {
+            return None;
         }
-        items.next().is_none().then_some(ages)
+        let mut ages = [0; AGE_BUCKETS];
+        for (slot, item) in ages.iter_mut().zip(items) {
+            *slot = u32::read(item)?;
+        }
+        Some(ages)
     }
 
     #[inline]

@@ -21,7 +21,7 @@ use mp2p_metrics::{MessageClass, AGE_BUCKETS};
 use mp2p_sim::{ItemId, NodeId, SimTime};
 
 use crate::codec::{Scalar, Wire};
-use crate::json::{Cursor, Fields};
+use crate::json::{self, Cursor};
 
 mp2p_metrics::label_enum! {
     /// The proximate cause the consistency observatory assigns to one stale
@@ -185,11 +185,11 @@ macro_rules! records {
             }
 
             /// Reads the fields of a record of this kind back.
-            fn decode(self, fields: &Fields<'_>) -> Option<TraceEvent> {
+            fn decode(self, record: &json::Value) -> Option<TraceEvent> {
                 Some(match self {
                     $(
                         EventKind::$variant => {
-                            $( let $field: $ty = read_field!(Wire::take(fields, $key) $(, $gate)?); )+
+                            $( let $field: $ty = read_field!(Wire::take(record, $key) $(, $gate)?); )+
                             TraceEvent::$variant { $($field),+ }
                         }
                     )+
@@ -681,26 +681,27 @@ impl TraceEvent {
     }
 }
 
-/// Inverse of [`TraceEvent::write_json`] over a scanned line, gated on
+/// Inverse of [`TraceEvent::write_json`] over a parsed line, gated on
 /// the journal's schema: a kind introduced after `schema` (see
 /// [`EventKind::min_schema`]) does not decode.
-pub(crate) fn decode(fields: &Fields<'_>, schema: u64) -> Option<(SimTime, TraceEvent)> {
-    let at = SimTime::take(fields, "t")?;
-    let kind = EventKind::take(fields, "ev")?;
+pub(crate) fn decode(record: &json::Value, schema: u64) -> Option<(SimTime, TraceEvent)> {
+    let at = SimTime::take(record, "t")?;
+    let kind = EventKind::take(record, "ev")?;
     if kind.min_schema() > schema {
         return None;
     }
-    Some((at, kind.decode(fields)?))
+    Some((at, kind.decode(record)?))
 }
 
 /// [`decode`] for a line that starts `bytes` spelled exactly as the
 /// writer spells it — [`TraceEvent::write_json`]'s framing fields, each
 /// field of the row under its literal key, in wire order, each value in
-/// its type's written form, the closing brace, a newline — with the
-/// number of bytes the line took. All or nothing: any other spelling of
-/// the same record (reordered, repeated or unknown keys, whitespace, an
-/// escape, `1.0`, a line the buffer cuts short) is `None` here and
-/// [`decode`]'s to read; what this returns, [`decode`] returns too.
+/// its type's written form, the closing brace, `\n` or `\r\n` — with the
+/// number of bytes the line took, line end included. All or nothing: any
+/// other spelling of the same record (reordered, repeated or unknown
+/// keys, whitespace, an escape, `1.0`, a line the buffer cuts short) is
+/// `None` here and [`decode`]'s to read; what this returns, [`decode`]
+/// returns too.
 pub(crate) fn decode_as_written(bytes: &[u8], schema: u64) -> Option<(SimTime, TraceEvent, usize)> {
     let mut cur = Cursor { rest: bytes };
     cur.eat("{\"t\":")?;
@@ -710,7 +711,8 @@ pub(crate) fn decode_as_written(bytes: &[u8], schema: u64) -> Option<(SimTime, T
         return None;
     }
     let event = kind.decode_in_order(&mut cur)?;
-    cur.eat("}\n")?;
+    cur.eat("}")?;
+    cur.eat("\n").or_else(|| cur.eat("\r\n"))?;
     Some((at, event, bytes.len() - cur.rest.len()))
 }
 

@@ -347,8 +347,8 @@ proptest! {
 
     /// How the journal reaches the reader does not change what is read.
     /// From a slice every written line is decoded in place; through a
-    /// one-byte buffer every line is copied out and scanned; 7 and 64
-    /// bytes mix the two. Same items, same line numbers, same texts.
+    /// one-byte buffer every line is copied out first; 7 and 64 bytes mix
+    /// the two. Same items, same line numbers, same texts.
     #[test]
     fn buffering_does_not_change_what_is_read(
         lines in proptest::collection::vec(
