@@ -252,6 +252,58 @@ fn a_far_future_record_is_refused_by_line_not_an_out_of_memory_abort() {
     assert_eq!(stdout_of(&refused), "", "nothing analysed");
 }
 
+/// Asserts that `out` is a usage error (exit 2) whose one stderr line
+/// contains `naming`.
+fn refused_naming(out: &Output, naming: &str) {
+    let stderr = stderr_of(out);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains(naming), "{naming}: {stderr}");
+}
+
+#[test]
+fn nested_brackets_are_refused_by_line_not_a_stack_overflow() {
+    // Each of these used to recurse once per bracket until the stack
+    // overflowed (exit 134).
+    let dir = TempDir::new("nested");
+    let deep = "[".repeat(2_000_000);
+    let header = "{\"schema\":1,\"kinds\":27,\"warmup_ms\":0}";
+    let node_up = "{\"t\":5,\"ev\":\"node_up\",\"node\":1}";
+    let analyze = |journal: String, extra: &[&str]| {
+        let path = dir.path("j.jsonl");
+        std::fs::write(&path, journal).unwrap();
+        let mut args = vec!["analyze", "--trace", &path];
+        args.extend(extra);
+        mp2p(&args)
+    };
+    let body = analyze(format!("{header}\n{node_up}\n{{\"t\":{deep}\n"), &[]);
+    refused_naming(&body, "unparseable journal line 3: {\"t\":[[[");
+    refused_naming(
+        &analyze(format!("{deep}\n{node_up}\n"), &[]),
+        "journal line 1 is not a",
+    );
+    let report = dir.path("report.json");
+    std::fs::write(&report, &deep).unwrap();
+    let deep_report = analyze(format!("{header}\n{node_up}\n"), &["--report", &report]);
+    refused_naming(&deep_report, &format!("report {report} lacks"));
+
+    let scenario = TINY.replace(
+        "seeds = [42]",
+        &format!("seeds = {}42{}", "[".repeat(200_000), "]".repeat(200_000)),
+    );
+    let line = 1 + TINY.lines().position(|l| l == "seeds = [42]").unwrap();
+    refused_naming(
+        &matrix_in(&dir, &scenario, &[]),
+        &format!("tiny-gate.toml: scenario line {line}: arrays do not nest"),
+    );
+    let baseline = dir.path("baseline.json");
+    std::fs::write(&baseline, &deep).unwrap();
+    refused_naming(
+        &matrix_in(&dir, TINY, &["--baseline", &baseline]),
+        &format!("baseline {baseline}: matrix report is not valid JSON"),
+    );
+}
+
 /// Splits a rendered table into `metric -> cells`.
 fn table_rows(stdout: &str) -> Vec<(String, Vec<String>)> {
     stdout
