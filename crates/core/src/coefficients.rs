@@ -43,8 +43,11 @@ pub struct Coefficients {
     accesses: u32,
     /// Connect/disconnect switches in the current period (`N_s`).
     switches: u32,
+    /// CAR (coefficient of access rate), in `(0, 1]`.
     car: f64,
+    /// CS (coefficient of stability), in `(0, 1]`.
     cs: f64,
+    /// CE (coefficient of energy), in `[0, 1]`.
     ce: f64,
 }
 
@@ -110,21 +113,6 @@ impl Coefficients {
         self.switches = 0;
     }
 
-    /// Current CAR (coefficient of access rate), in `(0, 1]`.
-    pub fn car(&self) -> f64 {
-        self.car
-    }
-
-    /// Current CS (coefficient of stability), in `(0, 1]`.
-    pub fn cs(&self) -> f64 {
-        self.cs
-    }
-
-    /// Current CE (coefficient of energy), in `[0, 1]`.
-    pub fn ce(&self) -> f64 {
-        self.ce
-    }
-
     /// Eq. 4.2.8: true if this node may serve as a relay-peer candidate.
     pub fn qualifies(&self, cfg: &ProtocolConfig) -> bool {
         self.car < cfg.mu_car && self.cs > cfg.mu_cs && self.ce > cfg.mu_ce
@@ -143,9 +131,9 @@ mod tests {
     #[test]
     fn fresh_node_does_not_qualify() {
         let c = Coefficients::new(0.2);
-        assert_eq!(c.car(), 1.0);
-        assert_eq!(c.cs(), 1.0);
-        assert_eq!(c.ce(), 1.0);
+        assert_eq!(c.car, 1.0);
+        assert_eq!(c.cs, 1.0);
+        assert_eq!(c.ce, 1.0);
         assert!(!c.qualifies(&cfg()), "CAR=1 fails the access-rate test");
     }
 
@@ -160,7 +148,7 @@ mod tests {
             }
             c.tick(false, 1.0);
         }
-        assert!((c.car() - 1.0 / 7.0).abs() < 0.01, "CAR = {}", c.car());
+        assert!((c.car - 1.0 / 7.0).abs() < 0.01, "CAR = {}", c.car);
         assert!(c.qualifies(&cfg()));
     }
 
@@ -175,7 +163,7 @@ mod tests {
             c.tick(true, 1.0);
         }
         // PSR → 1, PMR → 1 ⇒ CS → 1/3 < 0.6.
-        assert!(c.cs() < 0.4, "CS = {}", c.cs());
+        assert!(c.cs < 0.4, "CS = {}", c.cs);
         assert!(!c.qualifies(&cfg()));
     }
 
@@ -184,12 +172,12 @@ mod tests {
         let mut c = Coefficients::new(0.2);
         c.note_switch();
         c.tick(true, 1.0);
-        assert!(c.cs() < 0.4);
+        assert!(c.cs < 0.4);
         for _ in 0..3 {
             c.tick(false, 1.0);
         }
         // Quiet periods decay PSR/PMR by ω = 0.2 each: CS > 0.6 again.
-        assert!(c.cs() > 0.6, "CS = {}", c.cs());
+        assert!(c.cs > 0.6, "CS = {}", c.cs);
     }
 
     #[test]
@@ -201,7 +189,7 @@ mod tests {
             }
             c.tick(false, 0.5);
         }
-        assert!(c.car() < 0.15 && c.cs() > 0.6, "otherwise qualified");
+        assert!(c.car < 0.15 && c.cs > 0.6, "otherwise qualified");
         assert!(!c.qualifies(&cfg()), "CE = 0.5 < 0.6 must disqualify");
     }
 
@@ -215,7 +203,7 @@ mod tests {
             c.note_access();
         }
         c.tick(false, 1.0);
-        assert!(c.car() < 0.06, "CAR = {} should reflect the burst", c.car());
+        assert!(c.car < 0.06, "CAR = {} should reflect the burst", c.car);
     }
 
     proptest! {
@@ -233,9 +221,9 @@ mod tests {
                     c.note_switch();
                 }
                 c.tick(moved, energy);
-                prop_assert!(c.car() > 0.0 && c.car() <= 1.0);
-                prop_assert!(c.cs() > 0.0 && c.cs() <= 1.0);
-                prop_assert!((0.0..=1.0).contains(&c.ce()));
+                prop_assert!(c.car > 0.0 && c.car <= 1.0);
+                prop_assert!(c.cs > 0.0 && c.cs <= 1.0);
+                prop_assert!((0.0..=1.0).contains(&c.ce));
             }
         }
 
@@ -253,7 +241,7 @@ mod tests {
             }
             low.tick(false, 1.0);
             high.tick(false, 1.0);
-            prop_assert!(high.car() < low.car());
+            prop_assert!(high.car < low.car);
         }
     }
 }
