@@ -266,7 +266,10 @@ mod tests {
         };
         assert_eq!(report.blamed_total(), 21);
         let json = report.to_json();
-        assert!(mp2p_trace::json::is_valid(&json), "invalid JSON: {json}");
+        assert!(
+            mp2p_trace::json::parse(&json).is_some(),
+            "invalid JSON: {json}"
+        );
         for cause in BlameCause::ALL {
             assert!(json.contains(&format!("\"{}\":", cause.label())), "{json}");
         }

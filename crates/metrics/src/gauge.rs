@@ -74,22 +74,6 @@ impl Gauge {
     pub fn last(&self) -> f64 {
         self.last
     }
-
-    /// Adds another gauge's samples into this one.
-    pub fn merge(&mut self, other: &Gauge) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.count += other.count;
-        self.total += other.total;
-        self.last = other.last;
-    }
 }
 
 #[cfg(test)]
@@ -112,25 +96,5 @@ mod tests {
         assert_eq!(g.max(), 8.0);
         assert_eq!(g.mean(), 4.0);
         assert_eq!(g.last(), 8.0);
-    }
-
-    #[test]
-    fn merge_matches_sequential_sampling() {
-        let mut a = Gauge::default();
-        let mut b = Gauge::default();
-        let mut c = Gauge::default();
-        for v in [1.0, 2.0] {
-            a.sample(v);
-            c.sample(v);
-        }
-        for v in [3.0, 4.0] {
-            b.sample(v);
-            c.sample(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, c);
-        let mut empty = Gauge::default();
-        empty.merge(&c);
-        assert_eq!(empty, c);
     }
 }

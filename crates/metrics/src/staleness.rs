@@ -203,15 +203,6 @@ impl ConsistencyAudit {
     pub fn max_version_lag(&self) -> u64 {
         self.max_version_lag
     }
-
-    /// Adds another audit into this one.
-    pub fn merge(&mut self, other: &ConsistencyAudit) {
-        self.served += other.served;
-        self.stale_served += other.stale_served;
-        self.total_staleness_ms += other.total_staleness_ms;
-        self.max_staleness_ms = self.max_staleness_ms.max(other.max_staleness_ms);
-        self.max_version_lag = self.max_version_lag.max(other.max_version_lag);
-    }
 }
 
 #[cfg(test)]
@@ -276,24 +267,5 @@ mod tests {
             master: Version::new(1),
             staleness: SimDuration::ZERO,
         });
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = ConsistencyAudit::default();
-        let mut b = ConsistencyAudit::default();
-        a.record(ServedQuery {
-            served: Version::new(0),
-            master: Version::new(0),
-            staleness: SimDuration::ZERO,
-        });
-        b.record(ServedQuery {
-            served: Version::new(0),
-            master: Version::new(2),
-            staleness: SimDuration::from_secs(1),
-        });
-        a.merge(&b);
-        assert_eq!(a.served(), 2);
-        assert_eq!(a.stale_served(), 1);
     }
 }

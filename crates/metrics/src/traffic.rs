@@ -233,14 +233,6 @@ impl TrafficStats {
     pub fn app_transmissions(&self) -> u64 {
         self.transmissions() - self.by_class(MessageClass::RouteControl)
     }
-
-    /// Adds another instrument's counts into this one.
-    pub fn merge(&mut self, other: &TrafficStats) {
-        for (a, b) in self.per_class.iter_mut().zip(other.per_class.iter()) {
-            *a += b;
-        }
-        self.bytes += other.bytes;
-    }
 }
 
 #[cfg(test)]
@@ -259,20 +251,6 @@ mod tests {
         assert_eq!(sum, t.transmissions());
         assert_eq!(t.transmissions(), (1..=19).sum::<u64>());
         assert_eq!(t.bytes(), 10 * t.transmissions());
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = TrafficStats::default();
-        let mut b = TrafficStats::default();
-        a.record(MessageClass::Poll, 48);
-        b.record(MessageClass::Poll, 48);
-        b.record(MessageClass::RouteControl, 32);
-        a.merge(&b);
-        assert_eq!(a.by_class(MessageClass::Poll), 2);
-        assert_eq!(a.transmissions(), 3);
-        assert_eq!(a.app_transmissions(), 2);
-        assert_eq!(a.bytes(), 128);
     }
 
     #[test]

@@ -947,7 +947,7 @@ pub(crate) mod tests {
             let mut line = String::new();
             event.write_json(SimTime::from_millis(250), &mut line);
             assert!(
-                json::is_valid(&line),
+                json::parse(&line).is_some(),
                 "{:?} produced invalid JSON: {line}",
                 event.kind()
             );
@@ -1024,7 +1024,7 @@ pub(crate) mod tests {
         .write_json(SimTime::ZERO, &mut line);
         assert!(line.contains("\"dest\":null"), "{line}");
         assert!(!line.contains("\"span\""), "untagged frames omit the span");
-        assert!(json::is_valid(&line));
+        assert!(json::parse(&line).is_some());
     }
 
     #[test]
@@ -1039,7 +1039,7 @@ pub(crate) mod tests {
         }
         .write_json(SimTime::ZERO, &mut line);
         assert!(line.contains("\"span\":31"), "{line}");
-        assert!(json::is_valid(&line));
+        assert!(json::parse(&line).is_some());
     }
 
     /// `label` and `from_label` are generated from one list; this is the

@@ -5,9 +5,9 @@
 //! escaper and a decimal-digit pusher used while serialising events,
 //! one grammar — the [`Value`] tree parser [`parse`], behind every
 //! document read (the journal header, a journal line not spelled as the
-//! writer spells it, run reports, matrix baselines) and behind
-//! [`is_valid`] — and a `Cursor` that takes a body line in the
-//! writer's own spelling without building anything.
+//! writer spells it, run reports, matrix baselines) — and a `Cursor`
+//! that takes a body line in the writer's own spelling without building
+//! anything.
 
 /// Appends `s` to `out` as a JSON string literal, including the
 /// surrounding quotes.
@@ -85,21 +85,6 @@ pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     escape_into(&mut out, s);
     out
-}
-
-/// Checks that `s` is exactly one well-formed JSON value: what
-/// [`parse`] accepts.
-///
-/// # Example
-///
-/// ```
-/// use mp2p_trace::json;
-///
-/// assert!(json::is_valid(r#"{"t":12,"ev":"msg_send","dest":null}"#));
-/// assert!(!json::is_valid(r#"{"t":12,"#));
-/// ```
-pub fn is_valid(s: &str) -> bool {
-    parse(s).is_some()
 }
 
 /// A parsed JSON value tree.
@@ -190,6 +175,7 @@ const MAX_DEPTH: usize = 128;
 /// assert_eq!(v.get("t").and_then(|t| t.as_u64()), Some(12));
 /// assert_eq!(v.get("ev").and_then(|e| e.as_str()), Some("msg_send"));
 /// assert_eq!(v.get("dest"), Some(&json::Value::Null));
+/// assert!(json::parse(r#"{"t":12,"#).is_none());
 /// ```
 pub fn parse(s: &str) -> Option<Value> {
     let mut p = Parser {
@@ -462,7 +448,7 @@ mod tests {
             r#"{"a": [1, {"b": null}], "c": "x"}"#,
             r#"{"t":0,"ev":"node_down","node":3}"#,
         ] {
-            assert!(is_valid(ok), "should accept {ok:?}");
+            assert!(parse(ok).is_some(), "should accept {ok:?}");
         }
     }
 
@@ -485,7 +471,7 @@ mod tests {
             "1.",
             "1e",
         ] {
-            assert!(!is_valid(bad), "should reject {bad:?}");
+            assert!(parse(bad).is_none(), "should reject {bad:?}");
         }
     }
 
@@ -613,7 +599,7 @@ mod tests {
             // escaped, must embed into a valid JSON object.
             let s: String = codes.iter().filter_map(|&c| char::from_u32(c)).collect();
             let line = format!("{{\"s\":{}}}", escape(&s));
-            prop_assert!(is_valid(&line));
+            prop_assert!(parse(&line).is_some());
         }
     }
 }
