@@ -7,21 +7,21 @@
 //! required field. The three optional types spell absence in the two
 //! ways the format knows: `Option<NodeId>` is always written, `null` when
 //! absent; `Option<u64>` and `Option<ItemId>` are omitted when absent.
-//! Either way a value that is present but mistyped is a bad line, never
-//! a silent `None`. Each type reads itself back twice: `read`/`take` from
-//! a [`json::Value`] tree, any JSON spelling of the value;
-//! `parse`/`take_next` from a cursor, the "written" column's spelling and
-//! no other.
+//! Each type reads itself back (`parse`/`take_next`, over a cursor) in
+//! the "written" column's spelling and no other, so a decoded line
+//! encodes to itself. A value that is present but mistyped is a bad
+//! line, never a silent `None`; so is a number wider than its type
+//! (`"hops":300` is not 44 hops) and an unknown label.
 //!
-//! | type | written | read |
-//! |---|---|---|
-//! | `u64`, `SimTime` (ms) | decimal digits | non-negative integral number |
-//! | `u8`, `u32`, `NodeId`, `ItemId` | decimal digits | `try_from`: out of range is a bad line, never wrapped |
-//! | `bool` | `true` / `false` | a boolean |
-//! | a label enum | its label, quoted | `from_label`; unknown is a bad line |
-//! | `Option<NodeId>` | always; `null` when absent | key required; `null` or a `u32` |
-//! | `Option<u64>`, `Option<ItemId>` | omitted when absent | absent is `None`; present but mistyped is a bad line |
-//! | `[u32; AGE_BUCKETS]` | `[a,b,…]` | an array of exactly that many `u32`s |
+//! | type | written |
+//! |---|---|
+//! | `u64`, `SimTime` (ms) | decimal digits, no leading zero, up to `u64::MAX` |
+//! | `u8`, `u32`, `NodeId`, `ItemId` | the same, up to the type's maximum (ids are `u32`) |
+//! | `bool` | `true` / `false` |
+//! | a label enum | its label, quoted |
+//! | `Option<NodeId>` | always; `null` when absent |
+//! | `Option<u64>`, `Option<ItemId>` | omitted when absent |
+//! | `[u32; AGE_BUCKETS]` | `[a,b,…]`, exactly that many |
 
 use mp2p_metrics::{MessageClass, AGE_BUCKETS};
 use mp2p_sim::{ItemId, NodeId, SimTime};
@@ -29,19 +29,15 @@ use mp2p_sim::{ItemId, NodeId, SimTime};
 use crate::event::{
     BlameCause, EventKind, FrameFateKind, LevelTag, RelayTransitionKind, ServedBy, SpanPhase,
 };
-use crate::json::{self, Cursor, Value};
+use crate::json::{self, Cursor};
 
-/// A record field: appended as `,"key":value`, found again by its key
-/// (first of duplicate keys, as in [`Value::get`]) or, in a line
-/// still spelled as `put` spelled it, met next under its `tag`, the
-/// literal `,"key":`.
+/// A record field: appended as `,"key":value`, met again next under its
+/// `tag`, the literal `,"key":`.
 pub(crate) trait Wire: Sized {
     /// Appends the field to a record under construction.
     fn put(self, key: &str, out: &mut String);
-    /// Reads the field back; `None` makes the line a bad line.
-    fn take(record: &Value, key: &str) -> Option<Self>;
     /// Reads the field where `put` would have written it; `None` (the
-    /// cursor is then anywhere) sends the whole line to `take`.
+    /// cursor is then anywhere) makes the line a bad line.
     fn take_next(cur: &mut Cursor<'_>, tag: &str) -> Option<Self>;
 }
 
@@ -50,8 +46,6 @@ pub(crate) trait Scalar: Sized {
     /// Appends the value. No `core::fmt` on this path: it runs once per
     /// field of every journal record.
     fn write(self, out: &mut String);
-    /// Reads the value back from a parsed one.
-    fn read(value: &Value) -> Option<Self>;
     /// Reads the value back in `write`'s own spelling, and no other.
     fn parse(cur: &mut Cursor<'_>) -> Option<Self>;
 }
@@ -59,8 +53,8 @@ pub(crate) trait Scalar: Sized {
 /// Appends `,"key":`. This and every `put`, `take_next` and `parse` are
 /// `#[inline]` so that the key, a literal of the row, reaches `push_str`
 /// and `eat` as a constant: without the hints encoding a record costs a
-/// quarter more (69 vs 56 ns) and reading one back in order as much (80
-/// vs 65 ns). `take`, the by-key path, is no longer worth a hint.
+/// quarter more (69 vs 56 ns) and reading one back as much (80 vs
+/// 65 ns).
 #[inline]
 fn push_key(out: &mut String, key: &str) {
     out.push_str(",\"");
@@ -73,10 +67,6 @@ impl<T: Scalar> Wire for T {
     fn put(self, key: &str, out: &mut String) {
         push_key(out, key);
         self.write(out);
-    }
-
-    fn take(record: &Value, key: &str) -> Option<Self> {
-        T::read(record.get(key)?)
     }
 
     #[inline]
@@ -96,13 +86,6 @@ impl Wire for Option<NodeId> {
                 push_key(out, key);
                 out.push_str("null");
             }
-        }
-    }
-
-    fn take(record: &Value, key: &str) -> Option<Self> {
-        match record.get(key)? {
-            Value::Null => Some(None),
-            value => NodeId::read(value).map(Some),
         }
     }
 
@@ -127,13 +110,6 @@ macro_rules! omitted_when_absent {
                 }
             }
 
-            fn take(record: &Value, key: &str) -> Option<Self> {
-                match record.get(key) {
-                    Some(value) => <$ty>::read(value).map(Some),
-                    None => Some(None),
-                }
-            }
-
             #[inline]
             fn take_next(cur: &mut Cursor<'_>, tag: &str) -> Option<Self> {
                 match cur.eat(tag) {
@@ -151,10 +127,6 @@ impl Scalar for u64 {
         json::push_u64(out, self);
     }
 
-    fn read(value: &Value) -> Option<Self> {
-        value.as_u64()
-    }
-
     #[inline]
     fn parse(cur: &mut Cursor<'_>) -> Option<Self> {
         cur.digits()
@@ -168,10 +140,6 @@ macro_rules! narrow_scalars {
         impl Scalar for $ty {
             fn write(self, out: &mut String) {
                 json::push_u64(out, u64::from(self));
-            }
-
-            fn read(value: &Value) -> Option<Self> {
-                <$ty>::try_from(value.as_u64()?).ok()
             }
 
             #[inline]
@@ -190,10 +158,6 @@ macro_rules! id_scalars {
                 json::push_u64(out, self.index() as u64);
             }
 
-            fn read(value: &Value) -> Option<Self> {
-                u32::read(value).map(<$ty>::new)
-            }
-
             #[inline]
             fn parse(cur: &mut Cursor<'_>) -> Option<Self> {
                 u32::parse(cur).map(<$ty>::new)
@@ -206,10 +170,6 @@ id_scalars!(NodeId, ItemId);
 impl Scalar for bool {
     fn write(self, out: &mut String) {
         out.push_str(if self { "true" } else { "false" });
-    }
-
-    fn read(value: &Value) -> Option<Self> {
-        value.as_bool()
     }
 
     #[inline]
@@ -227,10 +187,6 @@ impl Scalar for SimTime {
         json::push_u64(out, self.as_millis());
     }
 
-    fn read(value: &Value) -> Option<Self> {
-        u64::read(value).map(SimTime::from_millis)
-    }
-
     #[inline]
     fn parse(cur: &mut Cursor<'_>) -> Option<Self> {
         cur.digits().map(SimTime::from_millis)
@@ -244,10 +200,6 @@ macro_rules! label_scalars {
         impl Scalar for $ty {
             fn write(self, out: &mut String) {
                 json::escape_into(out, self.label());
-            }
-
-            fn read(value: &Value) -> Option<Self> {
-                <$ty>::from_label(value.as_str()?)
             }
 
             #[inline]
@@ -279,20 +231,6 @@ impl Scalar for [u32; AGE_BUCKETS] {
             count.write(out);
         }
         out.push(']');
-    }
-
-    fn read(value: &Value) -> Option<Self> {
-        let Value::Arr(items) = value else {
-            return None;
-        };
-        if items.len() != AGE_BUCKETS {
-            return None;
-        }
-        let mut ages = [0; AGE_BUCKETS];
-        for (slot, item) in ages.iter_mut().zip(items) {
-            *slot = u32::read(item)?;
-        }
-        Some(ages)
     }
 
     #[inline]

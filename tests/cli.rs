@@ -262,6 +262,29 @@ fn refused_naming(out: &Output, naming: &str) {
 }
 
 #[test]
+fn a_line_not_in_the_writers_spelling_is_refused_by_line() {
+    // The journal body is the writer's spelling and no other: the same
+    // record with its keys reordered, or a space after its brace, is
+    // refused naming the line, however valid a JSON object it is.
+    let dir = TempDir::new("respelled");
+    let header = "{\"schema\":1,\"kinds\":27,\"warmup_ms\":0}";
+    let node_up = "{\"t\":5,\"ev\":\"node_up\",\"node\":1}";
+    for line in [
+        "{\"ev\":\"node_up\",\"t\":6,\"node\":1}",
+        "{\"t\":6,\"ev\":\"node_up\",\"node\":1} ",
+    ] {
+        let path = dir.path("j.jsonl");
+        std::fs::write(&path, format!("{header}\n{node_up}\n{line}\n{node_up}\n")).unwrap();
+        let refused = mp2p(&["analyze", "--trace", &path]);
+        refused_naming(
+            &refused,
+            &format!("unparseable journal line 3: {}", line.trim_end()),
+        );
+        assert_eq!(stdout_of(&refused), "", "nothing analysed");
+    }
+}
+
+#[test]
 fn nested_brackets_are_refused_by_line_not_a_stack_overflow() {
     // Each of these used to recurse once per bracket until the stack
     // overflowed (exit 134).
