@@ -11,7 +11,7 @@
 
 use mp2p_metrics::EnergyModel;
 use mp2p_mobility::{AnyMobility, ManhattanGrid, RandomWalk, RandomWaypoint, Stationary, Terrain};
-use mp2p_net::{FaultPlan, LinkModel, NetConfig};
+use mp2p_net::{FaultPlan, LinkModel, NetConfig, MAX_NODES};
 use mp2p_sim::{relate, require, ConfigError, SimDuration, SimRng};
 
 use crate::config::ProtocolConfig;
@@ -251,6 +251,9 @@ impl WorldConfig {
     /// that rounded to 0 ms, not the `0.0001` it was typed as.
     pub fn check(&self) -> Result<(), ConfigError> {
         require(self.n_peers >= 2, "n_peers", "must be at least 2")?;
+        let reason =
+            format!("must be at most {MAX_NODES} (a frame id names its origin in 24 bits)");
+        require(self.n_peers <= MAX_NODES, "n_peers", reason)?;
         // CacheStore::new(0) is unreachable past this rule.
         require(self.c_num >= 1, "c_num", "must be at least 1")?;
         let foreign = self.n_peers - 1;

@@ -214,6 +214,10 @@ fn usage_error(e: &ConfigError, cfg: &WorldConfig, args: &Args) -> String {
             let model = cli::split_mobility(token).0;
             return format!("mobility model {model:?} needs MIN <= MAX speed, got {min} > {max}");
         }
+        // Past the network layer's limit, not the flag's documented range.
+        ("n_peers", None, _) if cfg.n_peers >= 2 => {
+            return format!("--peers ({}): {e}", cfg.n_peers)
+        }
         _ => {}
     }
     let rows = keys::TABLE.iter().filter(|row| row.field == e.field);

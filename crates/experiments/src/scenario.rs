@@ -741,6 +741,10 @@ impl Document {
             return err(0, e.to_string());
         };
         let Some(related) = e.related else {
+            // Past the network layer's limit, not the key's documented range.
+            if e.field == "n_peers" && world.n_peers >= 2 {
+                return err(line, format!("{named} {}", e.reason));
+            }
             return err(line, out_of_range(row, &value));
         };
         let reason = match spelled(related) {

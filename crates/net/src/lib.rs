@@ -37,5 +37,5 @@ mod topology;
 pub use faults::{Axis, CrashWindow, FaultPlan, PartitionWindow};
 pub use frame::{FloodId, Frame, NetMeta, NetPayload, RouteControl};
 pub use link::{GeParams, GilbertElliott, LinkModel};
-pub use stack::{NetAction, NetConfig, NetEvent, NetStack, NetTimer};
+pub use stack::{NetAction, NetConfig, NetEvent, NetStack, NetTimer, MAX_NODES};
 pub use topology::{PartitionCut, Topology, TopologyBuilder, TopologyScratch, TopologySnapshot};

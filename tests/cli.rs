@@ -101,6 +101,56 @@ fn usage_errors_exit_2_with_one_line_and_the_flag_list() {
     assert_eq!(mp2p(&[]).status.code(), Some(2));
 }
 
+/// `mp2p` under a 2 GB address-space limit, so that a run which would
+/// allocate more aborts (exit 134) rather than swapping.
+fn mp2p_within_2_gb(args: &[&str]) -> Output {
+    Command::new("sh")
+        .arg("-c")
+        .arg(r#"ulimit -v 2000000 && exec "$0" "$@""#)
+        .arg(env!("CARGO_BIN_EXE_mp2p"))
+        .args(args)
+        .output()
+        .expect("sh spawns")
+}
+
+/// A frame id names its origin in 24 bits: more peers than that is a
+/// usage error naming `n_peers`, from the flag and from a scenario file,
+/// found before the world allocates anything (30 M peers used to abort
+/// in `World::new`, asking for 30 GB).
+#[test]
+fn more_peers_than_a_frame_id_can_name_is_refused_before_anything_is_allocated() {
+    let out = mp2p_within_2_gb(&["run", "--peers", "30000000"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
+    assert_eq!(
+        stderr_of(&out).lines().next(),
+        Some(
+            "mp2p run: --peers (30000000): n_peers must be at most 16777216 \
+             (a frame id names its origin in 24 bits)"
+        )
+    );
+    assert!(stdout_of(&out).is_empty(), "nothing runs");
+
+    let dir = TempDir::new("peer-cap");
+    std::fs::create_dir_all(dir.0.join("scenarios")).expect("scenario dir creates");
+    let scenario = TINY.replace("peers = 8", "peers = 16777217");
+    std::fs::write(dir.0.join("scenarios/tiny-gate.toml"), &scenario).expect("scenario writes");
+    let (scenarios, out_dir) = (dir.path("scenarios"), dir.path("out"));
+    let out = mp2p_within_2_gb(&["matrix", "--scenarios", &scenarios, "--out", &out_dir]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
+    let line = 1 + scenario
+        .lines()
+        .position(|l| l.starts_with("peers"))
+        .unwrap();
+    assert_eq!(
+        stderr_of(&out),
+        format!(
+            "{scenarios}/tiny-gate.toml: scenario line {line}: peers (16777217) must be at \
+             most 16777216 (a frame id names its origin in 24 bits)\n"
+        )
+    );
+    assert!(stdout_of(&out).is_empty(), "nothing runs");
+}
+
 fn argv(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
 }
