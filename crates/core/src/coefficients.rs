@@ -1,6 +1,6 @@
 //! Relay-peer selection coefficients (Section 4.2, Eq. 4.2.1–4.2.8).
 
-use crate::config::ProtocolConfig;
+use crate::config::{MU_CAR, MU_CE, MU_CS};
 
 /// The per-node CAR/CS/CE machinery.
 ///
@@ -21,16 +21,15 @@ use crate::config::ProtocolConfig;
 /// # Example
 ///
 /// ```
-/// use mp2p_rpcc::{Coefficients, ProtocolConfig};
+/// use mp2p_rpcc::{Coefficients, OMEGA};
 ///
-/// let cfg = ProtocolConfig::default();
-/// let mut c = Coefficients::new(cfg.omega);
+/// let mut c = Coefficients::new(OMEGA);
 /// // A busy, stable, fully-charged node qualifies after a few periods:
 /// for _ in 0..4 {
 ///     for _ in 0..8 { c.note_access(); }
 ///     c.tick(false, 1.0);
 /// }
-/// assert!(c.qualifies(&cfg));
+/// assert!(c.qualifies());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Coefficients {
@@ -114,8 +113,8 @@ impl Coefficients {
     }
 
     /// Eq. 4.2.8: true if this node may serve as a relay-peer candidate.
-    pub fn qualifies(&self, cfg: &ProtocolConfig) -> bool {
-        self.car < cfg.mu_car && self.cs > cfg.mu_cs && self.ce > cfg.mu_ce
+    pub fn qualifies(&self) -> bool {
+        self.car < MU_CAR && self.cs > MU_CS && self.ce > MU_CE
     }
 }
 
@@ -124,17 +123,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn cfg() -> ProtocolConfig {
-        ProtocolConfig::default()
-    }
-
     #[test]
     fn fresh_node_does_not_qualify() {
         let c = Coefficients::new(0.2);
         assert_eq!(c.car, 1.0);
         assert_eq!(c.cs, 1.0);
         assert_eq!(c.ce, 1.0);
-        assert!(!c.qualifies(&cfg()), "CAR=1 fails the access-rate test");
+        assert!(!c.qualifies(), "CAR=1 fails the access-rate test");
     }
 
     #[test]
@@ -149,7 +144,7 @@ mod tests {
             c.tick(false, 1.0);
         }
         assert!((c.car - 1.0 / 7.0).abs() < 0.01, "CAR = {}", c.car);
-        assert!(c.qualifies(&cfg()));
+        assert!(c.qualifies());
     }
 
     #[test]
@@ -164,7 +159,7 @@ mod tests {
         }
         // PSR → 1, PMR → 1 ⇒ CS → 1/3 < 0.6.
         assert!(c.cs < 0.4, "CS = {}", c.cs);
-        assert!(!c.qualifies(&cfg()));
+        assert!(!c.qualifies());
     }
 
     #[test]
@@ -190,7 +185,7 @@ mod tests {
             c.tick(false, 0.5);
         }
         assert!(c.car < 0.15 && c.cs > 0.6, "otherwise qualified");
-        assert!(!c.qualifies(&cfg()), "CE = 0.5 < 0.6 must disqualify");
+        assert!(!c.qualifies(), "CE = 0.5 < 0.6 must disqualify");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use mp2p_cache::{CacheStore, DataItem, Version};
 use mp2p_metrics::{RelayTransitionKind, ServedBy, SpanPhase};
 use mp2p_sim::{ItemId, NodeId, SimDuration, SimRng, SimTime};
 
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, BROADCAST_TTL, TTN};
 use crate::level::ConsistencyLevel;
 use crate::msg::ProtoMsg;
 use crate::recovery::RecoveryAction;
@@ -367,7 +367,7 @@ impl<'a> Ctx<'a> {
     /// Arms a source's first TTN tick at a uniformly random offset within
     /// one period, so sources do not flood in step.
     pub(crate) fn stagger_ttn(&mut self) {
-        let offset = self.rng.uniform_u64(self.cfg.ttn.as_millis().max(1));
+        let offset = self.rng.uniform_u64(TTN.as_millis().max(1));
         self.set_timer(SimDuration::from_millis(offset), Timer::Ttn);
     }
 
@@ -380,9 +380,9 @@ impl<'a> Ctx<'a> {
                 version: self.own_item.version(),
                 seq: None,
             };
-            self.flood(self.cfg.broadcast_ttl, msg);
+            self.flood(BROADCAST_TTL, msg);
         }
-        self.set_timer(self.cfg.ttn, Timer::Ttn);
+        self.set_timer(TTN, Timer::Ttn);
     }
 
     /// Exchanges the output buffer with `buf` (driver-side, the

@@ -11,7 +11,7 @@ use mp2p_cache::Version;
 use mp2p_metrics::{ServedBy, SpanPhase};
 use mp2p_sim::{ItemId, NodeId};
 
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, BROADCAST_TTL, POLL_ATTEMPTS, POLL_TIMEOUT};
 use crate::level::ConsistencyLevel;
 use crate::msg::ProtoMsg;
 use crate::pending::{PendingTable, Waiting};
@@ -41,8 +41,8 @@ impl SimplePull {
             version: ctx.cached_version(item),
             span: Some(query.0),
         };
-        ctx.flood(ctx.cfg.broadcast_ttl, poll);
-        let delay = ctx.cfg.retry_delay(ctx.cfg.poll_timeout, attempt, ctx.rng);
+        ctx.flood(BROADCAST_TTL, poll);
+        let delay = ctx.cfg.retry_delay(POLL_TIMEOUT, attempt, ctx.rng);
         self.pending
             .insert(ctx, query, item, Waiting::Poll, attempt, delay);
     }
@@ -106,7 +106,7 @@ impl Protocol for SimplePull {
         let Some(pending) = self.pending.due(query, attempt) else {
             return;
         };
-        if attempt >= ctx.cfg.poll_attempts {
+        if attempt >= POLL_ATTEMPTS {
             self.pending.remove(query);
             ctx.fail(query);
         } else {

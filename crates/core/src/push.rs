@@ -14,7 +14,7 @@
 use mp2p_metrics::{ServedBy, SpanPhase};
 use mp2p_sim::{FastMap, ItemId, NodeId};
 
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, FETCH_TIMEOUT, POLL_ATTEMPTS, PUSH_WAIT_TIMEOUT};
 use crate::level::ConsistencyLevel;
 use crate::msg::ProtoMsg;
 use crate::pending::{PendingTable, Waiting};
@@ -61,9 +61,8 @@ impl SimplePush {
         }
         if let Some(q) = query {
             ctx.phase(q, item, SpanPhase::Fetch, attempt);
-            let timeout = ctx.cfg.fetch_timeout;
             self.pending_fetch
-                .insert(ctx, q, item, Waiting::Fetch, attempt, timeout);
+                .insert(ctx, q, item, Waiting::Fetch, attempt, FETCH_TIMEOUT);
         }
     }
 
@@ -111,7 +110,7 @@ impl Protocol for SimplePush {
         // (or the fallback timeout) regardless of the requested level.
         ctx.phase(query, item, SpanPhase::PushWait, 0);
         self.waiting.entry(item).or_default().push(query);
-        ctx.set_timer(ctx.cfg.push_wait_timeout, Timer::PushWait { query });
+        ctx.set_timer(PUSH_WAIT_TIMEOUT, Timer::PushWait { query });
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: ProtoMsg) {
@@ -152,7 +151,7 @@ impl Protocol for SimplePush {
                     recovery::held_version(ctx, publishes, item)
                 });
             }
-            ProtoMsg::ResyncAck { digest } if ctx.cfg.recovery.resync => {
+            ProtoMsg::ResyncAck { digest } if ctx.cfg.recovery.on => {
                 let mut stale = 0u32;
                 for &(item, version) in digest.entries() {
                     // Nothing outranks the master copy.
@@ -192,7 +191,7 @@ impl Protocol for SimplePush {
                 let Some(pending) = self.pending_fetch.due(query, attempt) else {
                     return;
                 };
-                if attempt >= ctx.cfg.poll_attempts {
+                if attempt >= POLL_ATTEMPTS {
                     self.pending_fetch.remove(query);
                     ctx.fail(query);
                     return;
@@ -214,7 +213,7 @@ impl Protocol for SimplePush {
     }
 
     fn on_status_change(&mut self, ctx: &mut Ctx<'_>, up: bool) {
-        if up && ctx.cfg.recovery.resync && ctx.connected {
+        if up && ctx.cfg.recovery.on && ctx.connected {
             recovery::flood_resync_digest(ctx, self.publishes);
         }
     }

@@ -14,7 +14,7 @@
 use mp2p_metrics::{ServedBy, SpanPhase};
 use mp2p_sim::{FastMap, ItemId, NodeId, SimDuration, SimTime};
 
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, FETCH_TIMEOUT, POLL_ATTEMPTS, TTN};
 use crate::level::ConsistencyLevel;
 use crate::msg::ProtoMsg;
 use crate::pending::{PendingTable, Waiting};
@@ -43,17 +43,16 @@ impl PushAdaptivePull {
 
     /// How long a heard report keeps the push stream "live" for an item:
     /// one report period plus slack for flood jitter.
-    fn report_lease(cfg: &ProtocolConfig) -> SimDuration {
-        cfg.ttn + SimDuration::from_secs(10)
+    fn report_lease() -> SimDuration {
+        TTN + SimDuration::from_secs(10)
     }
 
     fn start_fetch(&mut self, ctx: &mut Ctx<'_>, query: QueryId, item: ItemId, attempt: u8) {
         ctx.phase(query, item, SpanPhase::Fetch, attempt);
         let span = Some(query.0);
         ctx.send(item.source_host(), ProtoMsg::Fetch { item, span });
-        let timeout = ctx.cfg.fetch_timeout;
         self.pending
-            .insert(ctx, query, item, Waiting::Fetch, attempt, timeout);
+            .insert(ctx, query, item, Waiting::Fetch, attempt, FETCH_TIMEOUT);
     }
 }
 
@@ -86,7 +85,7 @@ impl Protocol for PushAdaptivePull {
         };
         let live = matches!(
             self.last_report.get(&item),
-            Some(&heard) if ctx.now.saturating_since(heard) <= Self::report_lease(ctx.cfg)
+            Some(&heard) if ctx.now.saturating_since(heard) <= Self::report_lease()
         );
         if live && !entry.stale {
             // The push stream vouches for the copy: answer immediately.
@@ -134,7 +133,7 @@ impl Protocol for PushAdaptivePull {
                 let Some(pending) = self.pending.due(query, attempt) else {
                     return;
                 };
-                if attempt >= ctx.cfg.poll_attempts {
+                if attempt >= POLL_ATTEMPTS {
                     self.pending.remove(query);
                     ctx.fail(query);
                 } else {

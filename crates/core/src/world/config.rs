@@ -9,9 +9,8 @@
 //! `crates/experiments/tests/run_description.rs` and from inside by
 //! `world::tests::check_names_the_field_of_every_broken_rule`.
 
-use mp2p_metrics::EnergyModel;
 use mp2p_mobility::{AnyMobility, ManhattanGrid, RandomWalk, RandomWaypoint, Stationary, Terrain};
-use mp2p_net::{FaultPlan, LinkModel, NetConfig, MAX_NODES};
+use mp2p_net::{FaultPlan, LinkModel, MAX_NODES};
 use mp2p_sim::{relate, require, ConfigError, SimDuration, SimRng};
 
 use crate::config::ProtocolConfig;
@@ -143,9 +142,8 @@ pub struct WorldConfig {
     pub switch_off_mean: SimDuration,
     /// MAC/PHY model.
     pub link: LinkModel,
-    /// Network-layer tunables.
-    pub net: NetConfig,
-    /// Protocol tunables (Table 1 rows TTL_BR…ω).
+    /// Protocol knobs and the switches of the hardening and recovery
+    /// layers (Table 1's fixed rows are constants beside it).
     pub proto: ProtocolConfig,
     /// Strategy under test.
     pub strategy: Strategy,
@@ -159,20 +157,14 @@ pub struct WorldConfig {
     pub mobility: MobilityKind,
     /// Battery capacity per node, millijoules (`E_MAX`).
     pub battery_mj: f64,
-    /// Radio energy model.
-    pub energy: EnergyModel,
     /// Maximum age of a topology snapshot before rebuild.
     pub topology_refresh: SimDuration,
-    /// Gauge-sampling / idle-drain period.
-    pub sample_period: SimDuration,
-    /// Subnet grid (columns, rows) for the PMR coefficient.
-    pub subnet_grid: (u32, u32),
     /// Scheduled fault-injection plan (chaos harness). [`FaultPlan::none`]
     /// — the default — keeps every hot path and random stream untouched:
     /// a fault-free run is bit-identical to one built before the fault
     /// subsystem existed.
     pub faults: FaultPlan,
-    /// Consistency-observatory switches (divergence sampler + stale-serve
+    /// Consistency-observatory switch (divergence sampler + stale-serve
     /// blame attribution). [`ObservatoryConfig::off`] — the default —
     /// queues no events, draws no randomness and emits no trace records:
     /// a default run is bit-identical to one from a pre-observatory
@@ -205,7 +197,6 @@ impl WorldConfig {
             i_switch: Some(SimDuration::from_mins(5)),
             switch_off_mean: SimDuration::from_secs(30),
             link: LinkModel::default(),
-            net: NetConfig::default(),
             proto: ProtocolConfig::default(),
             strategy: Strategy::Rpcc,
             level_mix: LevelMix::strong_only(),
@@ -220,10 +211,7 @@ impl WorldConfig {
                 max_pause: SimDuration::from_secs(30),
             },
             battery_mj: 100_000.0,
-            energy: EnergyModel::default(),
             topology_refresh: SimDuration::from_millis(200),
-            sample_period: SimDuration::from_secs(30),
-            subnet_grid: (3, 3),
             faults: FaultPlan::none(),
             observatory: ObservatoryConfig::off(),
             provenance: ProvenanceConfig::off(),
@@ -280,7 +268,6 @@ impl WorldConfig {
             ("i_write", self.i_write),
             ("i_switch", self.i_switch),
             ("switch_off_mean", Some(self.switch_off_mean)),
-            ("sample_period", Some(self.sample_period)),
             ("topology_refresh", Some(self.topology_refresh)),
             ("mobility.epoch", epoch),
         ] {

@@ -28,13 +28,15 @@ pub use config::{MobilityKind, RoutingMode, Strategy, WorkloadMode, WorldConfig}
 pub use report::{FaultStats, RunReport};
 
 use mp2p_cache::{CacheStore, DataItem, Version};
-use mp2p_metrics::{PeerEnergy, ServedQuery, VersionHistory};
+use mp2p_metrics::{idle_cost, rx_cost, tx_cost, PeerEnergy, ServedQuery, VersionHistory};
 use mp2p_mobility::{AnyMobility, MobilityModel, SubnetGrid};
-use mp2p_net::{Frame, NetAction, NetMeta, NetStack, NetTimer, TopologyScratch, TopologySnapshot};
+use mp2p_net::{
+    Frame, NetAction, NetConfig, NetMeta, NetStack, NetTimer, TopologyScratch, TopologySnapshot,
+};
 use mp2p_sim::{EventQueue, FastMap, ItemId, NodeId, SimDuration, SimRng, SimTime};
 use mp2p_trace::{BlameCause, FrameFateKind, ServedBy, TraceEvent, TraceSink};
 
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, CONTENT_BYTES, PHI};
 use crate::level::ConsistencyLevel;
 use crate::msg::ProtoMsg;
 use crate::protocol::{Ctx, CtxOut, DegradationKind, Protocol, QueryId, Timer};
@@ -279,7 +281,7 @@ impl World {
         cfg.validate();
         let master = cfg.seed;
         let n = cfg.n_peers;
-        let grid = SubnetGrid::new(cfg.terrain, cfg.subnet_grid.0, cfg.subnet_grid.1);
+        let grid = SubnetGrid::new(cfg.terrain, SUBNET_GRID.0, SUBNET_GRID.1);
 
         let mut world_rng = SimRng::from_seed(master, WORLD_STREAM);
         let single_source = match cfg.workload {
@@ -299,10 +301,10 @@ impl World {
             nodes.push(NodeState {
                 mobility,
                 up: true,
-                stack: NetStack::new(id, cfg.net),
+                stack: NetStack::new(id, NetConfig::default()),
                 proto,
                 cache: CacheStore::new(cfg.c_num),
-                own_item: DataItem::new(id.owned_item(), cfg.proto.content_bytes),
+                own_item: DataItem::new(id.owned_item(), CONTENT_BYTES),
                 publishes,
                 battery: PeerEnergy::new(cfg.battery_mj),
                 rng: SimRng::from_seed(master, 0x200 + i),
@@ -312,13 +314,12 @@ impl World {
         }
 
         // Pre-warm caches (the paper's assumed placement mechanism).
-        let content = cfg.proto.content_bytes;
         match single_source {
             Some(src) => {
                 let item = src.owned_item();
                 for node in nodes.iter_mut().filter(|n| n.own_item.id() != item) {
                     node.cache
-                        .insert(item, Version::INITIAL, content, SimTime::ZERO);
+                        .insert(item, Version::INITIAL, CONTENT_BYTES, SimTime::ZERO);
                 }
             }
             None => {
@@ -330,7 +331,7 @@ impl World {
                     let node = &mut nodes[id.index()];
                     for &item in catalogue.iter().take(cfg.c_num) {
                         node.cache
-                            .insert(item, Version::INITIAL, content, SimTime::ZERO);
+                            .insert(item, Version::INITIAL, CONTENT_BYTES, SimTime::ZERO);
                     }
                 }
             }
@@ -416,10 +417,8 @@ impl World {
                 self.schedule_next(Arrival::Write, id);
             }
         }
-        self.queue
-            .push(self.now + self.cfg.proto.phi, Event::CoeffTick);
-        self.queue
-            .push(self.now + self.cfg.sample_period, Event::Sample);
+        self.queue.push(self.now + PHI, Event::CoeffTick);
+        self.queue.push(self.now + SAMPLE_PERIOD, Event::Sample);
         if let Some(period) = self.cfg.observatory.sample_period {
             self.queue.push(self.now + period, Event::ConsistencyTick);
         }
@@ -595,13 +594,11 @@ impl World {
                     self.nodes[id.index()].last_cell = cell;
                     self.with_proto(id, |p, ctx| p.on_coefficient_tick(ctx, moved));
                 }
-                self.queue
-                    .push(self.now + self.cfg.proto.phi, Event::CoeffTick);
+                self.queue.push(self.now + PHI, Event::CoeffTick);
             }
             Event::Sample => {
                 self.take_samples();
-                self.queue
-                    .push(self.now + self.cfg.sample_period, Event::Sample);
+                self.queue.push(self.now + SAMPLE_PERIOD, Event::Sample);
             }
             Event::ConsistencyTick => {
                 self.ensure_topology();
@@ -618,7 +615,7 @@ impl World {
     }
 
     fn take_samples(&mut self) {
-        let idle = self.cfg.energy.idle_cost(self.cfg.sample_period);
+        let idle = idle_cost(SAMPLE_PERIOD);
         let mut relays = 0usize;
         let mut candidates = 0usize;
         let mut routes = 0usize;
@@ -742,8 +739,7 @@ impl World {
             self.obs.fate(self.now, from, at, frame, fate);
             return;
         }
-        let rx_cost = self.cfg.energy.rx_cost(frame.size());
-        self.nodes[at.index()].battery.drain(rx_cost);
+        self.nodes[at.index()].battery.drain(rx_cost(frame.size()));
         self.with_stack(at, |stack, now, out| {
             stack.on_frame_into(now, from, frame, out)
         });
@@ -778,8 +774,7 @@ impl World {
             self.report.traffic.record(tx.class, tx.bytes);
         }
         self.obs.tx(self.now, node, dest, tx);
-        let tx_cost = self.cfg.energy.tx_cost(tx.bytes);
-        self.nodes[node.index()].battery.drain(tx_cost);
+        self.nodes[node.index()].battery.drain(tx_cost(tx.bytes));
     }
 
     /// When a transmission of `frame` by `node` is heard, and — when the
@@ -1108,11 +1103,11 @@ impl World {
         let graph = self.links.graph();
         if graph.shortest_path_with(&mut self.topo_scratch, from, to, &mut path) {
             let tx = Tx::message(&msg);
-            let rx_cost = self.cfg.energy.rx_cost(tx.bytes);
+            let rx_mj = rx_cost(tx.bytes);
             let mut arrival = self.now;
             for pair in path.windows(2) {
                 self.account_tx(pair[0], Some(pair[1]), &tx);
-                self.nodes[pair[1].index()].battery.drain(rx_cost);
+                self.nodes[pair[1].index()].battery.drain(rx_mj);
                 arrival += self.cfg.link.hop_delay(tx.bytes, &mut self.link_rng);
             }
             self.queue
@@ -1173,6 +1168,13 @@ impl World {
 
 /// Stream id of the world-level RNG ("WORLD" in ASCII).
 const WORLD_STREAM: u64 = 0x57_4F_52_4C_44;
+
+/// Period of the gauge samples (relay population, routes, battery) and
+/// of the idle battery drain.
+const SAMPLE_PERIOD: SimDuration = SimDuration::from_secs(30);
+/// Subnet grid (columns, rows) whose cell changes count as moves in the
+/// PMR coefficient (Eq. 4.2.5).
+const SUBNET_GRID: (u32, u32) = (3, 3);
 
 #[cfg(test)]
 mod tests {
@@ -1255,8 +1257,8 @@ mod tests {
             ("i_update", None, |c| c.i_update = SimDuration::ZERO),
             ("i_write", None, |c| c.i_write = Some(SimDuration::ZERO)),
             ("i_switch", None, |c| c.i_switch = Some(SimDuration::ZERO)),
-            ("sample_period", None, |c| {
-                c.sample_period = SimDuration::ZERO
+            ("topology_refresh", None, |c| {
+                c.topology_refresh = SimDuration::ZERO
             }),
             ("link.loss_prob", None, |c| c.link.loss_prob = 1.5),
             ("battery_mj", None, |c| c.battery_mj = 0.0),
@@ -1279,7 +1281,7 @@ mod tests {
             ("mobility.speed", None, |c| {
                 c.mobility = manhattan(150.0, 1e308)
             }),
-            ("proto.ttn", None, |c| c.proto.ttn = SimDuration::ZERO),
+            ("proto.poll_ttl", None, |c| c.proto.poll_ttl = 9),
             ("observatory.sample_period", None, |c| {
                 c.observatory = ObservatoryConfig::full(SimDuration::ZERO)
             }),

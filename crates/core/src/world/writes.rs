@@ -14,6 +14,7 @@ use mp2p_cache::Version;
 use mp2p_sim::{ItemId, NodeId, SimTime};
 
 use super::{Event, World};
+use crate::config::{CONTENT_BYTES, FETCH_TIMEOUT, POLL_ATTEMPTS};
 use crate::msg::ProtoMsg;
 use crate::protocol::QueryId;
 
@@ -53,11 +54,11 @@ impl World {
     fn send_write(&mut self, id: NodeId, write: QueryId, item: ItemId) {
         let msg = ProtoMsg::WriteRequest {
             item,
-            content_bytes: self.cfg.proto.content_bytes,
+            content_bytes: CONTENT_BYTES,
         };
         self.unicast(id, item.source_host(), msg);
         self.queue.push(
-            self.now + self.cfg.proto.fetch_timeout,
+            self.now + FETCH_TIMEOUT,
             Event::WriteRetry { at: id, write },
         );
     }
@@ -69,7 +70,7 @@ impl World {
         let Some(open) = self.open_writes.get_mut(&write) else {
             return; // already acknowledged
         };
-        if open.attempt >= self.cfg.proto.poll_attempts {
+        if open.attempt >= POLL_ATTEMPTS {
             self.close_write_failed(write);
         } else {
             open.attempt += 1;

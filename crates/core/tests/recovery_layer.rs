@@ -150,7 +150,7 @@ proptest! {
         attempts in proptest::collection::vec(1u8..6, 0..12),
     ) {
         let cfg = jittered_config();
-        let base = cfg.recovery.retx_timeout;
+        let base = SimDuration::from_secs(2); // the retransmit timeout
         let mut cache = CacheStore::new(4);
         let mut own = DataItem::new(ItemId::new(0), 64);
         let mut rng = SimRng::from_seed(7, 0);

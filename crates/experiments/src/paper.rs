@@ -18,7 +18,9 @@
 
 use std::path::{Path, PathBuf};
 
-use mp2p_rpcc::{RunReport, WorldConfig};
+use mp2p_rpcc::{
+    RunReport, WorldConfig, BROADCAST_TTL, MU_CAR, MU_CE, MU_CS, OMEGA, TTN, TTP, TTR,
+};
 
 use crate::cli::{Args, Spec};
 use crate::matrix::{run_matrix, CellRun};
@@ -180,7 +182,6 @@ fn artefacts(id: &str) -> Vec<Artefact> {
 /// code).
 pub fn table1_rows() -> Vec<Vec<String>> {
     let cfg = WorldConfig::paper_default(0);
-    let p = &cfg.proto;
     let km = |metres: f64| metres / 1_000.0;
     let area = format!(
         "{:.1}km*{:.1}km",
@@ -197,16 +198,16 @@ pub fn table1_rows() -> Vec<Vec<String>> {
         ("T_Sim", "Simulation time", cfg.sim_time.to_string()),
         ("I_Update", "Average interval of data item update", cfg.i_update.to_string()),
         ("I_Query", "Average interval of query requests", cfg.i_query.to_string()),
-        ("TTL_BR", "TTL of broadcast message in simple push/pull", format!("{} hops", p.broadcast_ttl)),
-        ("", "TTL of invalidation message in RPCC", format!("{} hops", p.invalidation_ttl)),
-        ("TTN_OP", "TTN of data item at owner peer", p.ttn.to_string()),
-        ("TTR_RP", "TTR of data item at relay peer", p.ttr.to_string()),
-        ("TTP_CP", "TTP of data item at cache peer", p.ttp.to_string()),
+        ("TTL_BR", "TTL of broadcast message in simple push/pull", format!("{BROADCAST_TTL} hops")),
+        ("", "TTL of invalidation message in RPCC", format!("{} hops", cfg.proto.invalidation_ttl)),
+        ("TTN_OP", "TTN of data item at owner peer", TTN.to_string()),
+        ("TTR_RP", "TTR of data item at relay peer", TTR.to_string()),
+        ("TTP_CP", "TTP of data item at cache peer", TTP.to_string()),
         ("I_Switch", "Switching interval of each peer", churn),
-        ("mu_CAR", "Threshold of CAR (Eq. 4.2.3)", p.mu_car.to_string()),
-        ("mu_CS", "Threshold of CS (Eq. 4.2.6)", p.mu_cs.to_string()),
-        ("mu_CE", "Threshold of CE (Eq. 4.2.7)", p.mu_ce.to_string()),
-        ("omega", "Weighting parameter of recent/history values", p.omega.to_string()),
+        ("mu_CAR", "Threshold of CAR (Eq. 4.2.3)", MU_CAR.to_string()),
+        ("mu_CS", "Threshold of CS (Eq. 4.2.6)", MU_CS.to_string()),
+        ("mu_CE", "Threshold of CE (Eq. 4.2.7)", MU_CE.to_string()),
+        ("omega", "Weighting parameter of recent/history values", OMEGA.to_string()),
     ];
     let row = |(name, desc, value): (&str, &str, String)| vec![name.into(), desc.into(), value];
     rows.into_iter().map(row).collect()

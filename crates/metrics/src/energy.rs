@@ -2,54 +2,36 @@
 
 use mp2p_sim::SimDuration;
 
-/// Radio energy costs, in millijoules.
-///
-/// Classic WaveLAN measurements (the era's standard numbers) put
-/// transmission around 1.9 µJ/bit and reception around 1.0 µJ/bit plus a
-/// per-frame MAC overhead; the defaults approximate that at packet
-/// granularity. Idle drain ages every battery slowly so `CE` (Eq. 4.2.7)
-/// decays even on silent nodes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyModel {
-    /// Cost to transmit one byte.
-    pub tx_per_byte_mj: f64,
-    /// Fixed cost per transmitted frame.
-    pub tx_base_mj: f64,
-    /// Cost to receive one byte.
-    pub rx_per_byte_mj: f64,
-    /// Fixed cost per received frame.
-    pub rx_base_mj: f64,
-    /// Idle drain per second.
-    pub idle_mj_per_s: f64,
+// Radio energy costs, in millijoules. Classic WaveLAN measurements (the
+// era's standard numbers) put transmission around 1.9 µJ/bit and
+// reception around 1.0 µJ/bit plus a per-frame MAC overhead; these
+// approximate that at packet granularity. Idle drain ages every battery
+// slowly so `CE` (Eq. 4.2.7) decays even on silent nodes.
+
+/// Cost to transmit one byte.
+const TX_PER_BYTE_MJ: f64 = 0.015;
+/// Fixed cost per transmitted frame.
+const TX_BASE_MJ: f64 = 0.5;
+/// Cost to receive one byte.
+const RX_PER_BYTE_MJ: f64 = 0.008;
+/// Fixed cost per received frame.
+const RX_BASE_MJ: f64 = 0.25;
+/// Idle drain per second.
+const IDLE_MJ_PER_S: f64 = 1.0;
+
+/// Energy to transmit a frame of `bytes` bytes, in millijoules.
+pub fn tx_cost(bytes: u32) -> f64 {
+    TX_BASE_MJ + TX_PER_BYTE_MJ * f64::from(bytes)
 }
 
-impl Default for EnergyModel {
-    fn default() -> Self {
-        EnergyModel {
-            tx_per_byte_mj: 0.015,
-            tx_base_mj: 0.5,
-            rx_per_byte_mj: 0.008,
-            rx_base_mj: 0.25,
-            idle_mj_per_s: 1.0,
-        }
-    }
+/// Energy to receive a frame of `bytes` bytes, in millijoules.
+pub fn rx_cost(bytes: u32) -> f64 {
+    RX_BASE_MJ + RX_PER_BYTE_MJ * f64::from(bytes)
 }
 
-impl EnergyModel {
-    /// Energy to transmit a frame of `bytes` bytes.
-    pub fn tx_cost(&self, bytes: u32) -> f64 {
-        self.tx_base_mj + self.tx_per_byte_mj * f64::from(bytes)
-    }
-
-    /// Energy to receive a frame of `bytes` bytes.
-    pub fn rx_cost(&self, bytes: u32) -> f64 {
-        self.rx_base_mj + self.rx_per_byte_mj * f64::from(bytes)
-    }
-
-    /// Idle drain over `span`.
-    pub fn idle_cost(&self, span: SimDuration) -> f64 {
-        self.idle_mj_per_s * span.as_secs_f64()
-    }
+/// Idle drain over `span`, in millijoules.
+pub fn idle_cost(span: SimDuration) -> f64 {
+    IDLE_MJ_PER_S * span.as_secs_f64()
 }
 
 /// One node's battery: `PER_t / E_MAX` is the paper's `CE` (Eq. 4.2.7).
@@ -114,10 +96,9 @@ mod tests {
 
     #[test]
     fn costs_scale_with_size() {
-        let m = EnergyModel::default();
-        assert!(m.tx_cost(1_000) > m.tx_cost(100));
-        assert!(m.tx_cost(100) > m.rx_cost(100), "tx costs more than rx");
-        assert_eq!(m.idle_cost(SimDuration::from_secs(10)), 10.0);
+        assert!(tx_cost(1_000) > tx_cost(100));
+        assert!(tx_cost(100) > rx_cost(100), "tx costs more than rx");
+        assert_eq!(idle_cost(SimDuration::from_secs(10)), 10.0);
     }
 
     #[test]

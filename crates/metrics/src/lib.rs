@@ -16,8 +16,9 @@
 //! * [`ConsistencyAudit`] + [`VersionHistory`] — ground-truth staleness
 //!   auditing: for every served query, how far behind the master copy the
 //!   answer was (in versions and in seconds), per consistency level.
-//! * [`EnergyModel`] / [`PeerEnergy`] — the battery model behind the
-//!   paper's `CE` coefficient (Eq. 4.2.7).
+//! * [`tx_cost`] / [`rx_cost`] / [`idle_cost`] and [`PeerEnergy`] — the
+//!   radio energy costs and the battery behind the paper's `CE`
+//!   coefficient (Eq. 4.2.7).
 //! * [`Gauge`] — a generic sampled time series (relay-peer population,
 //!   route-table sizes, …).
 //! * [`Registry`] — named windowed counters/gauges/histograms with JSON
@@ -34,7 +35,7 @@ mod registry;
 mod staleness;
 mod traffic;
 
-pub use energy::{EnergyModel, PeerEnergy};
+pub use energy::{idle_cost, rx_cost, tx_cost, PeerEnergy};
 pub use gauge::Gauge;
 pub use latency::LatencyStats;
 pub use registry::{

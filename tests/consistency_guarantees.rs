@@ -3,7 +3,7 @@
 //! and a dense static-ish deployment so the protocol machinery — not the
 //! radio environment — determines what each query is answered with.
 
-use mp2p::rpcc::{LevelMix, MobilityKind, RunReport, Strategy, World, WorldConfig};
+use mp2p::rpcc::{LevelMix, MobilityKind, RunReport, Strategy, World, WorldConfig, TTN, TTP};
 use mp2p::sim::SimDuration;
 
 /// A well-connected, churn-free scenario.
@@ -141,15 +141,13 @@ fn delta_bound_reestablishes_after_partition_heal() {
     cfg.proto = cfg.proto.hardened();
     cfg.faults = mp2p::net::FaultPlan::partition(cfg.sim_time);
     let heal = cfg.faults.partitions[0].heal;
-    cfg.warmup = heal.saturating_since(mp2p::sim::SimTime::ZERO)
-        + cfg.proto.ttp
-        + cfg.proto.ttn
-        + SimDuration::from_secs(30);
+    cfg.warmup =
+        heal.saturating_since(mp2p::sim::SimTime::ZERO) + TTP + TTN + SimDuration::from_secs(30);
     assert!(
         cfg.warmup < cfg.sim_time,
         "scenario leaves a measured window"
     );
-    let bound = cfg.proto.ttp + cfg.proto.ttn + SimDuration::from_secs(15);
+    let bound = TTP + TTN + SimDuration::from_secs(15);
     let r = World::new(cfg).run();
     assert_eq!(r.faults.partitions_started, 1);
     assert_eq!(r.faults.partitions_healed, 1);

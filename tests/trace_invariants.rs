@@ -9,9 +9,10 @@ use std::io::Write;
 use std::rc::Rc;
 
 use mp2p::metrics::MessageClass;
-use mp2p::net::FaultPlan;
+use mp2p::net::{FaultPlan, NetConfig};
 use mp2p::rpcc::{
     LevelMix, ObservatoryConfig, ProvenanceConfig, RecoveryConfig, Strategy, World, WorldConfig,
+    BROADCAST_TTL,
 };
 use mp2p::sim::{SimDuration, SimTime};
 use mp2p::trace::reader::{parse_event_versioned, JournalReader};
@@ -74,14 +75,14 @@ fn deliveries_are_matched_by_prior_sends() {
 #[test]
 fn hop_counts_respect_ttl_budgets() {
     let cfg = WorldConfig::small_test(12);
-    let flood_budget = cfg
-        .net
+    let net = NetConfig::default();
+    let flood_budget = net
         .rreq_ttl
-        .max(cfg.proto.broadcast_ttl)
+        .max(BROADCAST_TTL)
         .max(cfg.proto.invalidation_ttl);
     // A unicast traverses at most max_unicast_hops links; hops counts the
     // receiving link too, hence +1.
-    let unicast_budget = cfg.net.max_unicast_hops + 1;
+    let unicast_budget = net.max_unicast_hops + 1;
     let (_, events) = run_with_ring(12);
     let mut deliveries = 0u64;
     for (_, ev) in &events {
