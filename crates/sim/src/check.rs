@@ -6,7 +6,7 @@ use std::fmt;
 /// Why a configuration cannot be simulated: one field, one rule.
 ///
 /// `field` is the path of the offending field from the top-level
-/// configuration (`"i_query"`, `"proto.ttn"`, `"mobility.epoch"`), so a
+/// configuration (`"i_query"`, `"proto.poll_ttl"`, `"mobility.epoch"`), so a
 /// front end can map it back to the flag or file line that set it;
 /// `reason` is the rule as a predicate of that field (`"must be
 /// positive"`).
