@@ -301,7 +301,13 @@ impl World {
             nodes.push(NodeState {
                 mobility,
                 up: true,
-                stack: NetStack::new(id, NetConfig::default()),
+                stack: NetStack::new(
+                    id,
+                    NetConfig {
+                        link: cfg.link,
+                        ..NetConfig::default()
+                    },
+                ),
                 proto,
                 cache: CacheStore::new(cfg.c_num),
                 own_item: DataItem::new(id.owned_item(), CONTENT_BYTES),

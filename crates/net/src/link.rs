@@ -72,14 +72,26 @@ impl LinkModel {
 
     /// The delay for one hop carrying `size_bytes`.
     pub fn hop_delay(&self, size_bytes: u32, rng: &mut SimRng) -> SimDuration {
-        let serialisation_ms = (size_bytes as u64 * 8).saturating_mul(1_000) / self.bandwidth_bps;
         let jitter = if self.jitter.is_zero() {
             SimDuration::ZERO
         } else {
             SimDuration::from_millis(rng.uniform_u64(self.jitter.as_millis() + 1))
         };
+        self.fixed_delay(size_bytes) + jitter
+    }
+
+    /// The longest delay [`Self::hop_delay`] can draw for `size_bytes`:
+    /// the whole jitter on top of the fixed part.
+    pub fn max_hop_delay(&self, size_bytes: u32) -> SimDuration {
+        self.fixed_delay(size_bytes) + self.jitter
+    }
+
+    /// Serialisation plus base latency, the part of a hop's delay that
+    /// draws nothing.
+    fn fixed_delay(&self, size_bytes: u32) -> SimDuration {
+        let serialisation_ms = (size_bytes as u64 * 8).saturating_mul(1_000) / self.bandwidth_bps;
         // Every hop costs at least 1 ms so events strictly advance time.
-        SimDuration::from_millis(serialisation_ms.max(1)) + self.base_latency + jitter
+        SimDuration::from_millis(serialisation_ms.max(1)) + self.base_latency
     }
 
     /// One Bernoulli delivery trial for a receiving link.
@@ -295,6 +307,30 @@ mod tests {
             let serialisation = (size as u64 * 8 * 1_000 / 2_000_000).max(1);
             prop_assert!(d.as_millis() > serialisation);
             prop_assert!(d.as_millis() <= serialisation + 1 + 4);
+        }
+
+        /// No hop delay a link draws exceeds its `max_hop_delay`, whatever
+        /// the bandwidth, latency, jitter and frame size.
+        #[test]
+        fn prop_no_hop_delay_exceeds_the_max(
+            bandwidth_bps in 1u64..=u64::MAX,
+            base_ms in 0u64..10_000,
+            jitter_ms in prop_oneof![Just(0u64), 0u64..10_000],
+            size in any::<u32>(),
+            seed in any::<u64>(),
+        ) {
+            let link = LinkModel::new(
+                bandwidth_bps,
+                SimDuration::from_millis(base_ms),
+                SimDuration::from_millis(jitter_ms),
+                0.0,
+            );
+            let mut rng = SimRng::from_seed(seed, 0);
+            let max = link.max_hop_delay(size);
+            for _ in 0..64 {
+                let d = link.hop_delay(size, &mut rng);
+                prop_assert!(d <= max, "{} > {}", d, max);
+            }
         }
 
         /// The empirical mean loss-burst length of the Gilbert–Elliott

@@ -7,6 +7,7 @@ use std::hash::{Hash, Hasher};
 use mp2p_sim::{FastMap, FastSet, NodeId, SimDuration, SimTime};
 
 use crate::frame::{FloodId, Frame, NetMeta, NetPayload, RouteControl};
+use crate::link::LinkModel;
 
 /// Tunables for the network layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,10 +26,10 @@ pub struct NetConfig {
     pub control_size: u32,
     /// Maximum packets buffered per destination while discovering.
     pub buffer_cap: usize,
-    /// Size of each duplicate-suppression memory (flood ids, route
-    /// request ids): the last `dedup_cap` first-seen ids, oldest
-    /// forgotten first.
-    pub dedup_cap: usize,
+    /// The link this stack's frames cross. Its longest hop delay bounds
+    /// how long copies of a flood keep arriving, and so how long the
+    /// duplicate-suppression memories hold a flood's ids.
+    pub link: LinkModel,
     /// Hop budget for unicast frames: a frame that travelled this many
     /// hops is dropped (with an RERR towards its origin). Guards against
     /// forwarding loops, which hop-count-learned routes cannot fully
@@ -47,7 +48,7 @@ impl Default for NetConfig {
             rreq_timeout: SimDuration::from_millis(1_500),
             control_size: 32,
             buffer_cap: 32,
-            dedup_cap: 8_192,
+            link: LinkModel::default(),
             max_unicast_hops: 24,
         }
     }
@@ -287,7 +288,7 @@ impl<M: Clone> NetStack<M> {
     /// action (or nothing when `ttl == 0`) pushed onto `out`.
     pub fn flood_app_into(
         &mut self,
-        _now: SimTime,
+        now: SimTime,
         ttl: u8,
         payload: M,
         size: u32,
@@ -300,7 +301,8 @@ impl<M: Clone> NetStack<M> {
             origin: self.node,
             seq: self.next_seq(),
         };
-        self.remember_flood(id);
+        let lifetime = self.dedup_lifetime(u64::from(ttl), size);
+        self.remember_flood(now, id, lifetime);
         out.push(NetAction::Broadcast(Frame::Flood {
             id,
             ttl,
@@ -335,7 +337,7 @@ impl<M: Clone> NetStack<M> {
             let frame = self.originate(dest, NetPayload::App(payload), size);
             out.push(NetAction::Send { next_hop, frame });
         } else {
-            self.enqueue_and_discover(dest, payload, size, out);
+            self.enqueue_and_discover(now, dest, payload, size, out);
         }
     }
 
@@ -380,7 +382,7 @@ impl<M: Clone> NetStack<M> {
                 dest,
                 attempt: attempt + 1,
             });
-            out.push(self.rreq_flood(dest, self.rreq_ttl_for_attempt(attempt + 1)));
+            out.push(self.rreq_flood(now, dest, self.rreq_ttl_for_attempt(attempt + 1)));
             if let Some(p) = self.pending.get_mut(&dest) {
                 p.attempt = attempt + 1;
             }
@@ -425,7 +427,7 @@ impl<M: Clone> NetStack<M> {
         } = frame
         {
             if origin == self.node {
-                self.enqueue_and_discover(dest, m, size, out);
+                self.enqueue_and_discover(now, dest, m, size, out);
             } else {
                 // Relayed data: tell the origin its route broke, if we
                 // still know a way back; otherwise the loss surfaces at
@@ -488,7 +490,9 @@ impl<M: Clone> NetStack<M> {
         size: u32,
         out: &mut Vec<NetAction<M>>,
     ) {
-        if !self.remember_flood(id) {
+        // `ttl + hops` is the TTL the flood was sent with.
+        let lifetime = self.dedup_lifetime(u64::from(ttl) + u64::from(hops), size);
+        if !self.remember_flood(now, id, lifetime) {
             self.note(NetEvent::FloodDupDrop {
                 origin: id.origin,
                 seq: id.seq,
@@ -512,7 +516,7 @@ impl<M: Clone> NetStack<M> {
                 target,
                 req_id,
             }) => {
-                if !self.remember_rreq(*origin, *req_id) {
+                if !self.remember_rreq(now, *origin, *req_id, lifetime) {
                     self.note(NetEvent::RreqDupDrop { origin: *origin });
                     return;
                 }
@@ -651,6 +655,7 @@ impl<M: Clone> NetStack<M> {
 
     fn enqueue_and_discover(
         &mut self,
+        now: SimTime,
         dest: NodeId,
         payload: M,
         size: u32,
@@ -672,7 +677,7 @@ impl<M: Clone> NetStack<M> {
         pending.packets.push_back((payload, size));
         if start_discovery {
             self.note(NetEvent::DiscoveryStart { dest, attempt: 1 });
-            out.push(self.rreq_flood(dest, self.rreq_ttl_for_attempt(1)));
+            out.push(self.rreq_flood(now, dest, self.rreq_ttl_for_attempt(1)));
             out.push(NetAction::SetTimer {
                 after: self.cfg.rreq_timeout,
                 timer: NetTimer::RreqTimeout { dest, attempt: 1 },
@@ -690,15 +695,16 @@ impl<M: Clone> NetStack<M> {
         }
     }
 
-    fn rreq_flood(&mut self, target: NodeId, ttl: u8) -> NetAction<M> {
+    fn rreq_flood(&mut self, now: SimTime, target: NodeId, ttl: u8) -> NetAction<M> {
         let id = FloodId {
             origin: self.node,
             seq: self.next_seq(),
         };
-        self.remember_flood(id);
+        let lifetime = self.dedup_lifetime(u64::from(ttl), self.cfg.control_size);
+        self.remember_flood(now, id, lifetime);
         let req_id = self.rreq_seq;
         self.rreq_seq += 1;
-        self.remember_rreq(self.node, req_id);
+        self.remember_rreq(now, self.node, req_id, lifetime);
         NetAction::Broadcast(Frame::Flood {
             id,
             ttl,
@@ -756,16 +762,28 @@ impl<M: Clone> NetStack<M> {
         }
     }
 
+    /// How long the ids of a flood sent with TTL `ttl` in frames of
+    /// `size` bytes are held: see [`DedupMemory`].
+    fn dedup_lifetime(&self, ttl: u64, size: u32) -> SimDuration {
+        self.cfg.link.max_hop_delay(size) * (2 * ttl)
+    }
+
     /// Returns false if this flood was already heard (or sent).
-    fn remember_flood(&mut self, id: FloodId) -> bool {
+    fn remember_flood(&mut self, now: SimTime, id: FloodId, lifetime: SimDuration) -> bool {
         let key = DedupKey::new(id.origin, id.seq);
-        self.seen_floods.remember(self.cfg.dedup_cap, key)
+        self.seen_floods.remember(now, key, lifetime)
     }
 
     /// Returns false if this RREQ was already processed.
-    fn remember_rreq(&mut self, origin: NodeId, req_id: u64) -> bool {
+    fn remember_rreq(
+        &mut self,
+        now: SimTime,
+        origin: NodeId,
+        req_id: u64,
+        lifetime: SimDuration,
+    ) -> bool {
         let key = DedupKey::new(origin, req_id);
-        self.seen_rreqs.remember(self.cfg.dedup_cap, key)
+        self.seen_rreqs.remember(now, key, lifetime)
     }
 }
 
@@ -802,41 +820,50 @@ impl Hash for DedupKey {
     }
 }
 
-/// A duplicate-suppression memory: the last `cap` first-seen keys,
-/// oldest forgotten first. The set answers new-or-known, the ring
-/// holds the same keys in arrival order: at most `cap` slots, and the
-/// set at most the buckets a fresh set of `cap + 1` keys takes.
+/// A duplicate-suppression memory: every key first heard within its
+/// lifetime. The set answers new-or-known; the ring holds the same keys
+/// in arrival order, each with the last instant it must be held.
+///
+/// A flood's ids live `2 · T · h` from when this node first hears (or
+/// sends) the flood, where `T` is the TTL the flood was sent with (a
+/// frame's `ttl + hops`) and `h` the link's [`LinkModel::max_hop_delay`]
+/// for the frame's size. That is long enough. A node forwards a flood
+/// once, the instant it first hears it, and a transmission is heard at
+/// most `h` after it is sent — or `2h` when the fault plan duplicates it
+/// and only the duplicate gets through. So a node whose first copy had
+/// made `k` hops heard it by `2kh` after origination; only copies of
+/// fewer than `T` hops are forwarded, so every copy is heard within
+/// `2Th` of origination, which is no later than this node's first
+/// hearing. A memory that forgets a key after its lifetime is never
+/// asked about it again and answers as one that never forgets, while
+/// what it holds is bounded by the floods heard in one lifetime, not by
+/// how long the stream runs.
+///
+/// Keys are forgotten from the front of the ring, so one held past its
+/// lifetime waits for those heard before it: the slots need not be in
+/// lifetime order, because keeping a key longer never changes an answer.
 #[derive(Debug, Clone, Default)]
 struct DedupMemory {
     seen: FastSet<DedupKey>,
-    order: VecDeque<DedupKey>,
+    order: VecDeque<(DedupKey, SimTime)>,
 }
 
 impl DedupMemory {
-    /// Notes `key`; returns false if it is among the last `cap`
-    /// first-seen keys. `cap` 0 remembers nothing.
-    fn remember(&mut self, cap: usize, key: DedupKey) -> bool {
-        if cap == 0 {
-            return true;
+    /// Forgets the keys at the front of the ring whose lifetime ended
+    /// before `now`, then notes `key`, to be held through `now +
+    /// lifetime`; returns false if it is still held.
+    fn remember(&mut self, now: SimTime, key: DedupKey, lifetime: SimDuration) -> bool {
+        while let Some(&(old, held_until)) = self.order.front() {
+            if held_until >= now {
+                break;
+            }
+            self.order.pop_front();
+            self.seen.remove(&old);
         }
         if !self.seen.insert(key) {
             return false;
         }
-        let len = self.order.len();
-        if len == cap {
-            if let Some(old) = self.order.pop_front() {
-                self.seen.remove(&old);
-            }
-            // Evictions leave tombstones, and a set past half load grows
-            // rather than rehash them away: back to a fresh set's size.
-            if self.seen.capacity() > 2 * (cap + 1) {
-                self.seen.shrink_to(cap + 1);
-            }
-        } else if len == self.order.capacity() {
-            // Double as `push_back` would, but never past `cap`.
-            self.order.reserve_exact(len.max(4).min(cap - len));
-        }
-        self.order.push_back(key);
+        self.order.push_back((key, now + lifetime));
         true
     }
 }
@@ -1001,39 +1028,66 @@ mod tests {
         assert!(drained(&mut a).is_empty());
     }
 
-    /// A full dedup memory forgets its oldest id before it takes a new
-    /// one: after `cap + 1` distinct route requests (each a flood id and
-    /// a request id) neither ring holds more than `cap` slots.
+    /// A memory forgets every key whose lifetime ended before the
+    /// reception that asks it. Route requests of one shape, a TTL-1
+    /// flood of 32 bytes each, live 12 ms on the default link; one heard
+    /// every 5 ms leaves at most three ids in each memory, however long
+    /// the stream runs.
     #[test]
-    fn a_full_dedup_ring_holds_at_most_cap_slots() {
+    fn no_expired_slot_survives_a_remember() {
         let (me, origin) = (NodeId::new(0), NodeId::new(1));
-        for cap in [1, 5, 64, 100] {
-            let cfg = NetConfig {
-                dedup_cap: cap,
-                ..NetConfig::default()
+        let mut stack: NetStack<u64> = NetStack::new(me, NetConfig::default());
+        assert_eq!(stack.dedup_lifetime(1, 32), SimDuration::from_millis(12));
+        for seq in 0..1_000u64 {
+            let now = SimTime::from_millis(5 * seq);
+            let rreq = RouteControl::Rreq {
+                origin,
+                target: NodeId::new(9),
+                req_id: seq,
             };
-            let mut stack: NetStack<u64> = NetStack::new(me, cfg);
-            for seq in 0..=cap as u64 {
-                let rreq = RouteControl::Rreq {
-                    origin,
-                    target: NodeId::new(9),
-                    req_id: seq,
-                };
-                let frame = Frame::Flood {
-                    id: FloodId { origin, seq },
-                    ttl: 1,
-                    hops: 0,
-                    payload: NetPayload::Control(rreq),
-                    size: 32,
-                };
-                stack.on_frame(SimTime::ZERO, origin, frame);
+            let frame = Frame::Flood {
+                id: FloodId { origin, seq },
+                ttl: 1,
+                hops: 0,
+                payload: NetPayload::Control(rreq),
+                size: 32,
+            };
+            stack.on_frame(now, origin, frame);
+            for memory in [&stack.seen_floods, &stack.seen_rreqs] {
+                let held: Vec<_> = memory.order.iter().map(|&(_, until)| until).collect();
+                assert!(
+                    held.iter().all(|&until| until >= now) && held.len() <= 3,
+                    "at {now}: slots held until {held:?}"
+                );
+                assert_eq!(memory.seen.len(), held.len());
             }
-            let rings = [&stack.seen_floods, &stack.seen_rreqs].map(|m| m.order.capacity());
-            assert!(
-                rings.iter().all(|&slots| slots <= cap),
-                "cap {cap}: flood and rreq rings hold {rings:?} slots"
-            );
         }
+    }
+
+    /// The latest copy a flood can send back is still a duplicate. A
+    /// 48-byte flood sent with TTL 8 at 0 ms, first heard here two hops
+    /// out at 2 ms, can return as late as 96 ms: eight transmissions of
+    /// at most 6 ms on the default link, each possibly heard only as a
+    /// duplicate one more hop delay later. The lifetime runs from the
+    /// TTL the flood was sent with, not from the TTL left here, and
+    /// ends there: a copy one millisecond later would be new.
+    #[test]
+    fn the_latest_copy_a_ttl_allows_is_a_duplicate() {
+        let (me, origin, via) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let copy = |ttl, hops| Frame::Flood {
+            id: FloodId { origin, seq: 0 },
+            ttl,
+            hops,
+            payload: NetPayload::App(0u64),
+            size: 48,
+        };
+        let mut stack: NetStack<u64> = NetStack::new(me, NetConfig::default());
+        let first = stack.on_frame(SimTime::from_millis(2), via, copy(7, 1));
+        assert!(matches!(first[0], NetAction::Deliver { .. }));
+        let latest = stack.on_frame(SimTime::from_millis(96), via, copy(1, 7));
+        assert!(latest.is_empty(), "heard at 96 ms: {latest:?}");
+        let after = stack.on_frame(SimTime::from_millis(99), via, copy(1, 7));
+        assert!(!after.is_empty(), "forgotten after 98 ms");
     }
 
     /// The two memories share a key format, not a set: an app flood
@@ -1102,24 +1156,38 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// A dedup memory answers as a FIFO of the last `cap` first-seen
-        /// ids searched end to end: an id is new iff it is not among
-        /// them, and `cap` 0 remembers nothing. It never holds more
-        /// than `cap` ids, nor a ring of more than `cap` slots.
+        /// An id is new iff it was not first heard within its lifetime:
+        /// an id first heard (answered new) at `t` with lifetime `l` is
+        /// known through `t + l` and may be new again after. When every
+        /// id lives as long, the ring forgets in lifetime order and the
+        /// answer is exactly that; with mixed lifetimes an id may be
+        /// held longer, behind one heard before it, but never shorter,
+        /// and an id never heard is always new. Set and ring hold the
+        /// same keys.
         #[test]
-        fn prop_a_dedup_memory_is_a_fifo_of_cap(cap in 0usize..16, stream in dedup_stream()) {
+        fn prop_an_id_is_new_iff_it_was_not_first_heard_within_its_lifetime(
+            stream in dedup_stream(),
+            steps in proptest::collection::vec((0u64..8, 1u64..24), 200),
+            one_lifetime in any::<bool>(),
+        ) {
             let mut memory = DedupMemory::default();
-            let mut model: VecDeque<(NodeId, u64)> = VecDeque::new();
-            for (i, &key) in stream.iter().enumerate() {
-                let new = !model.contains(&key);
-                if new && cap > 0 {
-                    if model.len() == cap {
-                        model.pop_front();
-                    }
-                    model.push_back(key);
+            let mut held_until: FastMap<(NodeId, u64), SimTime> = FastMap::default();
+            let mut now = SimTime::ZERO;
+            for (i, (&key, &(step, lifetime))) in stream.iter().zip(&steps).enumerate() {
+                now += SimDuration::from_millis(step);
+                let lifetime = SimDuration::from_millis(if one_lifetime { 10 } else { lifetime });
+                let held = held_until.get(&key).map(|&until| until >= now);
+                let new = memory.remember(now, DedupKey::new(key.0, key.1), lifetime);
+                match held {
+                    Some(true) => prop_assert!(!new, "id {} of {:?} forgotten early", i, stream),
+                    None => prop_assert!(new, "id {} of {:?} never heard", i, stream),
+                    Some(false) if one_lifetime => prop_assert!(new, "id {} of {:?} held late", i, stream),
+                    Some(false) => {}
                 }
-                prop_assert_eq!(memory.remember(cap, DedupKey::new(key.0, key.1)), new, "id {} of {:?}", i, stream);
-                prop_assert!(memory.seen.len() <= cap && memory.order.capacity() <= cap);
+                if new {
+                    held_until.insert(key, now + lifetime);
+                }
+                prop_assert_eq!(memory.seen.len(), memory.order.len());
             }
         }
     }

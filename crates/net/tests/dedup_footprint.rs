@@ -1,14 +1,14 @@
-//! What a full duplicate-suppression memory costs: a stack that heard
-//! many times `dedup_cap` distinct floods holds at most 28 heap bytes per
-//! id it still remembers (16-byte ids in a set beside a ring of twice
-//! `dedup_cap` slots held 66). A counting global allocator tracks the
-//! bytes the test thread holds between [`arm`] and [`disarm`].
+//! What a duplicate-suppression memory costs once its stream is steady:
+//! the heap bytes a stack holds depend on the floods heard within one
+//! memory lifetime, not on how long the stream has run. A counting
+//! global allocator tracks the bytes the test thread holds between
+//! [`arm`] and [`disarm`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mp2p_net::{FloodId, Frame, NetConfig, NetPayload, NetStack};
-use mp2p_sim::{NodeId, SimTime};
+use mp2p_sim::{NodeId, SimDuration, SimTime};
 
 struct CountingAlloc;
 
@@ -52,21 +52,23 @@ fn disarm() {
     ARMED.set(false);
 }
 
-/// Floods from 50 origins, each heard once at the end of its TTL: every
-/// one is first seen, delivered and remembered, none is re-broadcast.
-/// Checked once the memory has turned over three times, and again after
-/// forty, past the point where evictions' tombstones used to double the
-/// set (to 44 B an id, and 100 B with 16-byte ids).
+/// A steady stream: one flood a millisecond, round-robin over 50
+/// origins, each sent with TTL 8 and heard at the end of it, so every
+/// one is first seen, delivered and remembered and none re-broadcast.
+/// On the default link a 48-byte flood of TTL 8 lives 96 ms, so each
+/// memory holds the ids of the last 97 ms. The stack's heap bytes (both
+/// memories and a route to each origin) are the same after 3 lifetimes
+/// and after 40, and under 6 KiB.
 #[test]
-fn a_full_flood_memory_holds_at_most_28_bytes_per_id() {
-    let cfg = NetConfig::default();
-    let cap = cfg.dedup_cap as u64;
+fn bytes_held_are_independent_of_stream_length() {
+    const LIFETIME_MS: u64 = 96;
     let (me, neighbour) = (NodeId::new(0), NodeId::new(1));
     let mut out = Vec::with_capacity(4);
+    let mut held = Vec::with_capacity(2);
 
     arm();
-    let mut stack: NetStack<u64> = NetStack::new(me, cfg);
-    for i in 0..40 * cap {
+    let mut stack: NetStack<u64> = NetStack::new(me, NetConfig::default());
+    for i in 0..40 * LIFETIME_MS {
         let id = FloodId {
             origin: NodeId::new(1 + (i % 50) as u32),
             seq: i / 50,
@@ -74,19 +76,23 @@ fn a_full_flood_memory_holds_at_most_28_bytes_per_id() {
         let flood = Frame::Flood {
             id,
             ttl: 1,
-            hops: 0,
+            hops: 7,
             payload: NetPayload::App(i),
             size: 48,
         };
-        stack.on_frame_into(SimTime::ZERO, neighbour, &flood, &mut out);
+        let now = SimTime::ZERO + SimDuration::from_millis(i);
+        stack.on_frame_into(now, neighbour, &flood, &mut out);
         assert_eq!(out.len(), 1, "flood {i} is first seen and delivered");
         out.clear();
-        if i + 1 == 3 * cap || i + 1 == 40 * cap {
-            let per_id = HELD.get() as f64 / cap as f64;
-            let turns = (i + 1) / cap;
-            assert!(per_id <= 28.0, "after {turns} turns: {per_id:.1} B an id");
+        if i + 1 == 3 * LIFETIME_MS || i + 1 == 40 * LIFETIME_MS {
+            held.push(HELD.get());
         }
     }
     disarm();
     drop(stack);
+    assert_eq!(
+        held[0], held[1],
+        "bytes held after 3 and after 40 lifetimes"
+    );
+    assert!(held[0] <= 6 * 1024, "{} B held", held[0]);
 }

@@ -292,7 +292,7 @@ proptest! {
         inputs in proptest::collection::vec(any_input(NodeId::new(2)), 1..120),
     ) {
         let me = NodeId::new(2);
-        let cfg = NetConfig { dedup_cap: 4, buffer_cap: 2, ..NetConfig::default() };
+        let cfg = NetConfig { buffer_cap: 2, ..NetConfig::default() };
         let mut by_value: NetStack<u64> = NetStack::new(me, cfg);
         let mut in_place: NetStack<u64> = NetStack::new(me, cfg);
         by_value.set_tracing(true);

@@ -162,9 +162,10 @@ fn warm_refresh_rows_and_graph_do_not_allocate() {
 
 /// What a reception costs a warm stack: nothing for a flood it has
 /// heard, nothing for a first-seen flood at the end of its TTL (one
-/// `Deliver` into the caller's buffer, one id into the full dedup
-/// memory), nothing for a unicast it forwards along a known route — and
-/// the frame, only borrowed, is bit-equal afterwards.
+/// `Deliver` into the caller's buffer, one id into a dedup memory in a
+/// steady state: a flood a millisecond, each held 36 ms), nothing for a
+/// unicast it forwards along a known route — and the frame, only
+/// borrowed, is bit-equal afterwards.
 #[test]
 fn warm_receptions_do_not_allocate() {
     let (me, neighbour, origin, dest) = (
@@ -173,11 +174,8 @@ fn warm_receptions_do_not_allocate() {
         NodeId::new(2),
         NodeId::new(3),
     );
-    let cfg = NetConfig {
-        dedup_cap: 64,
-        ..NetConfig::default()
-    };
-    let now = SimTime::ZERO;
+    // Frame `seq` is heard `seq` ms into the run.
+    let at = SimTime::from_millis;
     let flood = |seq: u64| Frame::Flood {
         id: FloodId { origin, seq },
         ttl: 1,
@@ -193,7 +191,7 @@ fn warm_receptions_do_not_allocate() {
         payload: NetPayload::App(seq),
         size: 64,
     };
-    let mut stack: NetStack<u64> = NetStack::new(me, cfg);
+    let mut stack: NetStack<u64> = NetStack::new(me, NetConfig::default());
     let mut out = Vec::new();
     // Pre-grow the tables: the dedup memory turns over many times (its
     // hash set settles on a size it then rehashes in place), and hearing
@@ -208,10 +206,10 @@ fn warm_receptions_do_not_allocate() {
         payload: NetPayload::App(0),
         size: 48,
     };
-    stack.on_frame_into(now, dest, &taught, &mut out);
+    stack.on_frame_into(at(0), dest, &taught, &mut out);
     for seq in 0..2_000 {
-        stack.on_frame_into(now, neighbour, &flood(seq), &mut out);
-        stack.on_frame_into(now, neighbour, &unicast(seq), &mut out);
+        stack.on_frame_into(at(seq), neighbour, &flood(seq), &mut out);
+        stack.on_frame_into(at(seq), neighbour, &unicast(seq), &mut out);
         out.clear();
     }
 
@@ -221,7 +219,8 @@ fn warm_receptions_do_not_allocate() {
     let untouched = frames.clone();
     let (mut delivered, mut forwarded) = (0, 0);
     arm();
-    for (flood, unicast) in &frames {
+    for (seq, (flood, unicast)) in (2_000..).zip(&frames) {
+        let now = at(seq);
         stack.on_frame_into(now, neighbour, flood, &mut out); // first seen, TTL spent
         stack.on_frame_into(now, neighbour, flood, &mut out); // duplicate
         stack.on_frame_into(now, neighbour, unicast, &mut out); // relayed
