@@ -302,6 +302,71 @@ fn a_far_future_record_is_refused_by_line_not_an_out_of_memory_abort() {
     assert_eq!(stdout_of(&refused), "", "nothing analysed");
 }
 
+/// FNV-1a: a pinned text stays a one-line fixture.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+#[test]
+fn run_trace_prints_the_pinned_event_count_table() {
+    // Regenerate (only when the count table is meant to move) with
+    // `UPDATE_GOLDEN=1 cargo test --test cli run_trace_prints`. Only the
+    // table is pinned: the `Flight recorder` lines name the temp dir.
+    let dir = TempDir::new("kinds");
+    let prefix = dir.path("j");
+    let out = mp2p(&[
+        "run",
+        "--strategy",
+        "rpcc:hy,push",
+        "--peers",
+        "12",
+        "--cache",
+        "4",
+        "--terrain",
+        "700",
+        "--sim",
+        "6",
+        "--warmup",
+        "2",
+        "--seed",
+        "42",
+        "--faults",
+        "bursty",
+        "--hardened",
+        "--recovery",
+        "--consistency",
+        "--provenance",
+        "--trace",
+        &prefix,
+    ]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let stdout = stdout_of(&out);
+    let table = stdout
+        .split_once("Trace events by kind:\n")
+        .and_then(|(_, rest)| rest.split_once("\n\n"))
+        .map(|(table, _)| table)
+        .expect("a count table follows the report");
+    assert!(table.contains("| frame_fate "), "{table}");
+    let actual = format!(
+        "fnv1a:{:016x} len:{}\n",
+        fnv1a(table.as_bytes()),
+        table.len()
+    );
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("crates/experiments/tests/golden/run_trace_kinds.fnv");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &actual).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("committed golden");
+    assert_eq!(actual, golden, "the event-count table moved:\n{table}");
+}
+
 /// Asserts that `out` is a usage error (exit 2) whose one stderr line
 /// contains `naming`.
 fn refused_naming(out: &Output, naming: &str) {
