@@ -50,7 +50,7 @@ use std::path::{Path, PathBuf};
 use mp2p_metrics::MessageClass;
 use mp2p_rpcc::{ConfigError, LevelMix, MobilityKind, RunReport, World, WorldConfig};
 use mp2p_trace::bridge::{RegistrySink, DEFAULT_WINDOW};
-use mp2p_trace::{BlameCause, EventKind, JsonlSink, SummarySink, TeeSink, TraceSink};
+use mp2p_trace::{BlameCause, EventKind, JsonlSink, TeeSink, TraceSink};
 
 use crate::check::check_report;
 use crate::cli::{self, Args, Spec};
@@ -329,8 +329,8 @@ fn sink_of<T: 'static>(tracer: &dyn TraceSink) -> &T {
 }
 
 /// One finished run: its report and the tee of sinks it was recorded
-/// through — a journal and an event-count summary under `--trace`, a
-/// registry under `--metrics-out`.
+/// through — a journal (which also counts events by kind) under
+/// `--trace`, a registry under `--metrics-out`.
 type Recorded = (RunReport, Box<dyn TraceSink>);
 
 /// Runs every strategy of the plan, in column order.
@@ -343,7 +343,6 @@ fn execute(plan: &RunPlan) -> Result<Vec<Recorded>, String> {
         let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
         if let Some(path) = plan.trace_path(spec) {
             sinks.push(Box::new(journal_sink(&path, &cfg)?));
-            sinks.push(Box::new(SummarySink::new(cfg.warmup)));
         }
         if plan.metrics_out.is_some() {
             sinks.push(Box::new(RegistrySink::new(DEFAULT_WINDOW, cfg.warmup)));
@@ -539,7 +538,7 @@ pub fn command(argv: &[String]) -> Result<bool, String> {
     }
 
     if plan.trace.is_some() {
-        let summaries: Vec<&SummarySink> = runs
+        let journals: Vec<&JsonlSink> = runs
             .iter()
             .map(|(_, tracer)| sink_of(tracer.as_ref()))
             .collect();
@@ -548,18 +547,17 @@ pub fn command(argv: &[String]) -> Result<bool, String> {
         headers.extend(&names);
         let rows: Vec<Vec<String>> = EventKind::ALL
             .into_iter()
-            .filter(|&kind| summaries.iter().any(|s| s.count_of(kind) > 0))
+            .filter(|&kind| journals.iter().any(|j| j.count_of(kind) > 0))
             .map(|kind| {
                 let mut row = vec![kind.label().to_string()];
-                row.extend(summaries.iter().map(|s| s.count_of(kind).to_string()));
+                row.extend(journals.iter().map(|j| j.count_of(kind).to_string()));
                 row
             })
             .collect();
         print!("{}", render_table(&headers, &rows));
         println!();
-        for (spec, (_, tracer)) in plan.strategies.iter().zip(&runs) {
+        for (spec, journal) in plan.strategies.iter().zip(&journals) {
             let path = plan.trace_path(spec).expect("trace requested");
-            let journal: &JsonlSink = sink_of(tracer.as_ref());
             if let Some(err) = journal.io_error() {
                 eprintln!("warning: trace file truncated by I/O error: {err}");
             }

@@ -23,8 +23,9 @@ use mp2p_rpcc::{
     ObservatoryConfig, ProvenanceConfig, RecoveryConfig, Strategy, World, WorldConfig,
 };
 use mp2p_sim::SimDuration;
-use mp2p_trace::reader::ReadError;
-use mp2p_trace::JsonlSink;
+use mp2p_trace::bridge::{RegistrySink, DEFAULT_WINDOW};
+use mp2p_trace::reader::{JournalReader, ReadError};
+use mp2p_trace::{JsonlSink, TraceSink};
 use proptest::prelude::*;
 
 /// A cloneable handle to one shared byte buffer, so the bytes survive
@@ -183,13 +184,21 @@ proptest! {
         match analyze_journal(journal.as_bytes()) {
             Ok(analysis) => {
                 let incidents = explain_stale_serves(&analysis);
+                // The registry `run --metrics-out` renders, fed the same
+                // accepted journal.
+                let warmup = SimDuration::from_millis(analysis.header.warmup_ms);
+                let mut sink = RegistrySink::new(DEFAULT_WINDOW, warmup);
+                for entry in JournalReader::new(journal.as_bytes()).expect("accepted above") {
+                    let (at, event) = entry.expect("accepted above");
+                    sink.record(at, &event);
+                }
                 let rendered = [
                     render_analysis(&analysis, 5),
                     render_consistency(&analysis.consistency),
                     render_explain(&incidents, None),
                     render_health(&analysis),
-                    analysis.registry.to_json(),
-                    analysis.registry.render_prometheus(),
+                    sink.registry().to_json(),
+                    sink.registry().render_prometheus(),
                 ];
                 prop_assert!(rendered.iter().all(|text| !text.is_empty()));
             }

@@ -1,12 +1,10 @@
-//! Bridge from the event stream to a windowed [`Registry`] time series.
+//! A live [`TraceSink`] that folds events into a windowed [`Registry`]
+//! time series: `run --metrics-out` writes what it built.
 //!
-//! [`MetricsBridge`] folds events into named windowed metrics — traffic
-//! by message class, latency histograms per consistency level, the
-//! relay-peer population gauge, served-by counters, and fault counters —
-//! applying the same warm-up censoring the simulation applies to its
-//! end-of-run report. [`RegistrySink`] wraps the bridge as a
-//! [`TraceSink`] so the same code runs live behind a tee or offline
-//! over a journal.
+//! [`RegistrySink`] keeps traffic by message class, latency histograms
+//! per consistency level, the relay-peer population gauge, served-by
+//! counters and fault counters, applying the same warm-up censoring the
+//! simulation applies to its end-of-run report.
 
 use std::any::Any;
 
@@ -16,11 +14,11 @@ use mp2p_sim::{SimDuration, SimTime};
 use crate::event::{BlameCause, EventKind, LevelTag, RelayTransitionKind, ServedBy, TraceEvent};
 use crate::sink::TraceSink;
 
-/// Default window width for bridged registries (60 s of sim time).
+/// Default window width for a registry (60 s of sim time).
 pub const DEFAULT_WINDOW: SimDuration = SimDuration::from_secs(60);
 
 /// The name of every labelled series, by its label's index. Built once
-/// per bridge: `record` runs per journal record and formats nothing.
+/// per sink: `record` runs per event and formats nothing.
 #[derive(Debug)]
 struct SeriesNames {
     sends: [String; MessageClass::ALL.len()],
@@ -47,20 +45,21 @@ impl SeriesNames {
     }
 }
 
-/// Folds trace events into a windowed metrics [`Registry`].
+/// Folds trace events into a windowed metrics [`Registry`] (put it
+/// behind a tee).
 #[derive(Debug)]
-pub struct MetricsBridge {
+pub struct RegistrySink {
     warmup: SimDuration,
     relay_peers: i64,
     names: SeriesNames,
     registry: Registry,
 }
 
-impl MetricsBridge {
-    /// Creates a bridge slicing time into `window` buckets and censoring
+impl RegistrySink {
+    /// Creates a sink slicing time into `window` buckets and censoring
     /// traffic/latency before `warmup`, mirroring the world's report.
     pub fn new(window: SimDuration, warmup: SimDuration) -> Self {
-        MetricsBridge {
+        RegistrySink {
             warmup,
             relay_peers: 0,
             names: SeriesNames::new(),
@@ -68,22 +67,18 @@ impl MetricsBridge {
         }
     }
 
-    /// Read access to the registry built so far.
+    /// The registry built so far.
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// Consumes the bridge, returning the registry.
-    pub fn into_registry(self) -> Registry {
-        self.registry
     }
 
     fn past_warmup(&self, at: SimTime) -> bool {
         at.saturating_since(SimTime::ZERO) >= self.warmup
     }
+}
 
-    /// Consumes one event.
-    pub fn record(&mut self, at: SimTime, event: &TraceEvent) {
+impl TraceSink for RegistrySink {
+    fn record(&mut self, at: SimTime, event: &TraceEvent) {
         match *event {
             TraceEvent::MsgSend { class, bytes, .. } if self.past_warmup(at) => {
                 self.registry
@@ -160,37 +155,6 @@ impl MetricsBridge {
             _ => {}
         }
     }
-}
-
-/// [`MetricsBridge`] as a live [`TraceSink`] (put it behind a tee).
-#[derive(Debug)]
-pub struct RegistrySink {
-    bridge: MetricsBridge,
-}
-
-impl RegistrySink {
-    /// Creates a sink bridging into a fresh registry.
-    pub fn new(window: SimDuration, warmup: SimDuration) -> Self {
-        RegistrySink {
-            bridge: MetricsBridge::new(window, warmup),
-        }
-    }
-
-    /// The registry built so far.
-    pub fn registry(&self) -> &Registry {
-        self.bridge.registry()
-    }
-
-    /// Consumes the sink, returning the registry.
-    pub fn into_registry(self) -> Registry {
-        self.bridge.into_registry()
-    }
-}
-
-impl TraceSink for RegistrySink {
-    fn record(&mut self, at: SimTime, event: &TraceEvent) {
-        self.bridge.record(at, event);
-    }
 
     fn as_any(&self) -> &dyn Any {
         self
@@ -211,7 +175,7 @@ mod tests {
     #[test]
     fn bridge_applies_the_worlds_censoring_rules() {
         let warmup = SimDuration::from_secs(60);
-        let mut bridge = MetricsBridge::new(DEFAULT_WINDOW, warmup);
+        let mut sink = RegistrySink::new(DEFAULT_WINDOW, warmup);
 
         // Warm-up send: dropped. Post-warm-up send: counted.
         let send = |node: u32| TraceEvent::MsgSend {
@@ -221,8 +185,8 @@ mod tests {
             dest: None,
             span: None,
         };
-        bridge.record(SimTime::from_millis(1_000), &send(0));
-        bridge.record(SimTime::from_millis(61_000), &send(0));
+        sink.record(SimTime::from_millis(1_000), &send(0));
+        sink.record(SimTime::from_millis(61_000), &send(0));
 
         // Query issued pre-warm-up, served post-warm-up: censored.
         let served = |query: u64, issued_ms: u64| TraceEvent::QueryServed {
@@ -232,10 +196,10 @@ mod tests {
             served_by: ServedBy::Relay,
             issued: SimTime::from_millis(issued_ms),
         };
-        bridge.record(SimTime::from_millis(62_000), &served(1, 59_000));
-        bridge.record(SimTime::from_millis(63_000), &served(2, 62_500));
+        sink.record(SimTime::from_millis(62_000), &served(1, 59_000));
+        sink.record(SimTime::from_millis(63_000), &served(2, 62_500));
 
-        let reg = bridge.registry();
+        let reg = sink.registry();
         assert_eq!(
             reg.counter("traffic_sends_total{class=\"POLL\"}")
                 .unwrap()
@@ -260,47 +224,47 @@ mod tests {
 
     #[test]
     fn relay_gauge_tracks_promotions_and_demotions() {
-        let mut bridge = MetricsBridge::new(DEFAULT_WINDOW, SimDuration::ZERO);
+        let mut sink = RegistrySink::new(DEFAULT_WINDOW, SimDuration::ZERO);
         let transition = |kind| TraceEvent::RelayTransition {
             node: NodeId::new(2),
             item: mp2p_sim::ItemId::new(2),
             kind,
         };
-        bridge.record(
+        sink.record(
             SimTime::from_millis(10),
             &transition(RelayTransitionKind::Promoted),
         );
-        bridge.record(
+        sink.record(
             SimTime::from_millis(20),
             &transition(RelayTransitionKind::Promoted),
         );
-        bridge.record(
+        sink.record(
             SimTime::from_millis(70_000),
             &transition(RelayTransitionKind::Demoted),
         );
-        let g = bridge.registry().gauge("relay_peers").unwrap();
+        let g = sink.registry().gauge("relay_peers").unwrap();
         assert_eq!(g.last(), Some(1));
         assert_eq!(g.series(), &[Some(2), Some(1)]);
     }
 
     #[test]
     fn faults_count_by_kind() {
-        let mut bridge = MetricsBridge::new(DEFAULT_WINDOW, SimDuration::ZERO);
-        bridge.record(
+        let mut sink = RegistrySink::new(DEFAULT_WINDOW, SimDuration::ZERO);
+        sink.record(
             SimTime::from_millis(5),
             &TraceEvent::NodeCrash {
                 node: NodeId::new(3),
             },
         );
-        bridge.record(
+        sink.record(
             SimTime::from_millis(6),
             &TraceEvent::PartitionStart { axis: 0 },
         );
-        bridge.record(
+        sink.record(
             SimTime::from_millis(7),
             &TraceEvent::PartitionHeal { axis: 0 },
         );
-        let reg = bridge.registry();
+        let reg = sink.registry();
         for kind in ["node_crash", "partition_start", "partition_heal"] {
             let name = format!("faults_total{{kind=\"{kind}\"}}");
             assert_eq!(reg.counter(&name).unwrap().total(), 1, "{kind}");

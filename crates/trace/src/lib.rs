@@ -15,10 +15,10 @@
 //!   stated once: one record table generates the enum, [`EventKind`] and
 //!   both directions of the journal codec.
 //! * [`TraceSink`] — where events go: a bounded [`RingSink`], a
-//!   streaming [`JsonlSink`] (hand-rolled serialisation via [`json`];
-//!   the build environment has no serde), an aggregating
-//!   [`SummarySink`] that rebuilds the run's traffic/latency instruments
-//!   from the stream alone, and a fan-out [`TeeSink`].
+//!   streaming [`JsonlSink`] that also counts what it is handed by kind
+//!   (hand-rolled serialisation via [`json`]; the build environment has
+//!   no serde), a windowed [`bridge::RegistrySink`], and a fan-out
+//!   [`TeeSink`].
 //! * [`NullSink`] — the default: `enabled()` is `false`, so an untraced
 //!   simulation pays one boolean test per emission site and never
 //!   allocates.
@@ -49,9 +49,8 @@
 //! ```
 //!
 //! Offline, the [`reader`] module parses a JSONL journal back into
-//! events, [`span`] reassembles per-query causal spans from them, and
-//! [`bridge`] rebuilds a windowed [`mp2p_metrics::Registry`] time series
-//! — the toolkit behind the `analyze` binary.
+//! events and [`span`] reassembles per-query causal spans from them —
+//! the toolkit behind `mp2p analyze`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,6 +69,6 @@ pub use event::{
     TraceEvent,
 };
 pub use sink::{
-    JsonlSink, NullSink, RingSink, SummarySink, TeeSink, TraceSink, JOURNAL_KINDS_V3,
-    JOURNAL_SCHEMA, JOURNAL_SCHEMA_V1, JOURNAL_SCHEMA_V2, JOURNAL_SCHEMA_V3,
+    JsonlSink, NullSink, RingSink, TeeSink, TraceSink, JOURNAL_KINDS_V3, JOURNAL_SCHEMA,
+    JOURNAL_SCHEMA_V1, JOURNAL_SCHEMA_V2, JOURNAL_SCHEMA_V3,
 };

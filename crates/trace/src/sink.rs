@@ -1,21 +1,19 @@
 //! Trace sinks: where flight-recorder events go.
 //!
-//! Four real sinks plus a disabled default:
+//! Three real sinks plus a disabled default (the fourth real one,
+//! [`RegistrySink`](crate::bridge::RegistrySink), lives in `bridge`):
 //!
 //! * [`NullSink`] — reports `enabled() == false`; the simulation keeps
 //!   its hot path allocation-free by skipping emission entirely.
 //! * [`RingSink`] — bounded in-memory ring, for tests and post-mortems.
-//! * [`JsonlSink`] — streams one JSON object per line to any writer.
-//! * [`SummarySink`] — rebuilds traffic/latency instruments from the
-//!   event stream alone, cross-checkable against the simulation's own
-//!   [`mp2p_metrics::TrafficStats`] / [`mp2p_metrics::LatencyStats`].
+//! * [`JsonlSink`] — streams one JSON object per line to any writer and
+//!   counts the events handed to it by kind (`run --trace`'s table).
 //! * [`TeeSink`] — fans each event out to several sinks.
 
 use std::any::Any;
 use std::collections::VecDeque;
 use std::io::{self, BufWriter, Write};
 
-use mp2p_metrics::{LatencyStats, TrafficStats};
 use mp2p_sim::{SimDuration, SimTime};
 
 use crate::event::{kinds_at, EventKind, TraceEvent};
@@ -207,6 +205,7 @@ pub struct JsonlSink {
     records: u64,
     skipped: u64,
     bytes: u64,
+    counts: [u64; EventKind::ALL.len()],
     io_error: Option<io::Error>,
 }
 
@@ -259,6 +258,7 @@ impl JsonlSink {
             records: 0,
             skipped: 0,
             bytes: 0,
+            counts: [0; EventKind::ALL.len()],
             io_error: None,
         };
         sink.write_header(warmup);
@@ -299,6 +299,12 @@ impl JsonlSink {
         self.skipped
     }
 
+    /// How many events of `kind` were handed to this sink: written,
+    /// skipped for post-dating the schema, or dropped after an I/O error.
+    pub fn count_of(&self, kind: EventKind) -> u64 {
+        self.counts[kind.index()]
+    }
+
     /// The first I/O error hit, if any (writing stops after it).
     pub fn io_error(&self) -> Option<&io::Error> {
         self.io_error.as_ref()
@@ -312,10 +318,12 @@ impl JsonlSink {
 
 impl TraceSink for JsonlSink {
     fn record(&mut self, at: SimTime, event: &TraceEvent) {
+        let kind = event.kind();
+        self.counts[kind.index()] += 1;
         if self.io_error.is_some() {
             return;
         }
-        if event.kind().min_schema() > self.schema {
+        if kind.min_schema() > self.schema {
             self.skipped += 1;
             return;
         }
@@ -341,84 +349,6 @@ impl TraceSink for JsonlSink {
 
     fn bytes_written(&self) -> u64 {
         self.bytes
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Rebuilds the run's aggregate instruments from the event stream alone.
-///
-/// Given the same warm-up the simulation used, the traffic and latency
-/// instruments this sink accumulates are *exactly* equal to the ones in
-/// the simulation's end-of-run report: [`TraceEvent::MsgSend`] events
-/// carry class and frame size and are counted iff they occur after
-/// warm-up, and [`TraceEvent::QueryServed`] events carry their issue
-/// instant so latency (`at - issued`) is measured iff the query was
-/// issued after warm-up — the same censoring rules the world applies.
-/// The per-kind event counts ignore warm-up (the recorder sees all).
-#[derive(Debug, Clone)]
-pub struct SummarySink {
-    warmup: SimDuration,
-    traffic: TrafficStats,
-    latency: LatencyStats,
-    counts: [u64; EventKind::ALL.len()],
-}
-
-impl SummarySink {
-    /// Creates a summary sink using the simulation's warm-up period.
-    pub fn new(warmup: SimDuration) -> Self {
-        SummarySink {
-            warmup,
-            traffic: TrafficStats::default(),
-            latency: LatencyStats::default(),
-            counts: [0; EventKind::ALL.len()],
-        }
-    }
-
-    /// Post-warm-up traffic rebuilt from `MsgSend` events.
-    pub fn traffic(&self) -> &TrafficStats {
-        &self.traffic
-    }
-
-    /// Latency of queries issued after warm-up, rebuilt from
-    /// `QueryServed` events.
-    pub fn latency(&self) -> &LatencyStats {
-        &self.latency
-    }
-
-    /// How many events of `kind` were recorded (warm-up included).
-    pub fn count_of(&self, kind: EventKind) -> u64 {
-        self.counts[kind.index()]
-    }
-
-    /// Total events recorded across all kinds.
-    pub fn total_events(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
-impl TraceSink for SummarySink {
-    fn record(&mut self, at: SimTime, event: &TraceEvent) {
-        self.counts[event.kind().index()] += 1;
-        match *event {
-            TraceEvent::MsgSend { class, bytes, .. }
-                if at.saturating_since(SimTime::ZERO) >= self.warmup =>
-            {
-                self.traffic.record(class, bytes);
-            }
-            TraceEvent::QueryServed { issued, .. }
-                if issued.saturating_since(SimTime::ZERO) >= self.warmup =>
-            {
-                self.latency.record(at.saturating_since(issued));
-            }
-            _ => {}
-        }
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -640,18 +570,18 @@ mod tests {
     }
 
     #[test]
-    fn summary_counts_and_filters_by_warmup() {
+    fn jsonl_counts_kinds_past_its_schema_but_does_not_write_them() {
         let warmup = SimDuration::from_secs(10);
-        let mut sink = SummarySink::new(warmup);
+        let mut sink = JsonlSink::new_with_warmup(Box::new(Vec::new()), warmup);
 
-        // One send during warm-up (ignored by traffic), one after.
+        // One send during warm-up and one after.
         sink.record(SimTime::from_millis(500), &send(0, MessageClass::Poll, 48));
         sink.record(
             SimTime::from_millis(12_000),
             &send(0, MessageClass::Poll, 48),
         );
 
-        // A query issued during warm-up (latency ignored) and one after.
+        // A query issued during warm-up and one after.
         let served = |issued_ms: u64| TraceEvent::QueryServed {
             node: NodeId::new(1),
             query: 1,
@@ -662,14 +592,24 @@ mod tests {
         sink.record(SimTime::from_millis(900), &served(500));
         sink.record(SimTime::from_millis(11_250), &served(11_000));
 
-        assert_eq!(sink.traffic().transmissions(), 1);
-        assert_eq!(sink.traffic().by_class(MessageClass::Poll), 1);
-        assert_eq!(sink.latency().count(), 1);
-        assert_eq!(sink.latency().mean(), SimDuration::from_millis(250));
-        // Counts see everything, warm-up included.
+        // A schema-2 kind, which a schema-1 header cannot carry.
+        let newer = crate::event::tests::samples()
+            .into_iter()
+            .find(|e| e.kind().min_schema() > JOURNAL_SCHEMA_V1)
+            .expect("samples cover schema-2 kinds");
+        sink.record(SimTime::from_millis(13_000), &newer);
+        sink.flush();
+        assert!(sink.io_error().is_none());
+
+        // Counts see everything, warm-up and newer kinds included...
         assert_eq!(sink.count_of(EventKind::MsgSend), 2);
         assert_eq!(sink.count_of(EventKind::QueryServed), 2);
-        assert_eq!(sink.total_events(), 4);
+        assert_eq!(sink.count_of(newer.kind()), 1);
+        let total: u64 = EventKind::ALL.iter().map(|&k| sink.count_of(k)).sum();
+        assert_eq!(total, 5);
+        // ...but the newer kind is not written.
+        assert_eq!(sink.records(), 4);
+        assert_eq!(sink.skipped(), 1);
     }
 
     #[test]
@@ -677,7 +617,7 @@ mod tests {
         let mut tee = TeeSink::new(vec![
             Box::new(NullSink),
             Box::new(RingSink::new(8)),
-            Box::new(SummarySink::new(SimDuration::ZERO)),
+            Box::new(RingSink::new(8)),
         ]);
         assert!(tee.enabled());
         tee.record(
@@ -692,14 +632,17 @@ mod tests {
             .find_map(|s| s.as_any().downcast_ref::<RingSink>())
             .expect("ring child");
         assert_eq!(ring.len(), 1);
-        let summary = tee
-            .sinks()
+        let last = tee.sinks()[2]
+            .as_any()
+            .downcast_ref::<RingSink>()
+            .expect("ring last");
+        let (_, event) = last
             .iter()
-            .find_map(|s| s.as_any().downcast_ref::<SummarySink>())
-            .expect("summary child");
-        assert_eq!(summary.traffic().bytes(), 1_064);
+            .next()
+            .expect("the event reached the last child");
+        assert!(matches!(event, TraceEvent::MsgSend { bytes: 1_064, .. }));
         // The NullSink child must have been skipped, not recorded into.
-        assert_eq!(summary.total_events(), 1);
+        assert_eq!(last.total_recorded(), 1);
     }
 
     #[test]

@@ -11,10 +11,7 @@
 //! [`QuerySpan`] per query, each with per-phase sim-time durations and
 //! a computed critical path.
 
-use std::collections::HashMap;
-
-use mp2p_metrics::MessageClass;
-use mp2p_sim::{ItemId, NodeId, SimDuration, SimTime};
+use mp2p_sim::{FastMap, ItemId, NodeId, SimDuration, SimTime};
 
 use crate::event::{LevelTag, ServedBy, SpanPhase, TraceEvent};
 
@@ -27,19 +24,6 @@ pub struct PhaseMark {
     pub at: SimTime,
     /// 1-based attempt number within the phase (0 = not applicable).
     pub attempt: u8,
-}
-
-/// One span-tagged message delivery (an observed hop of the span tree).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HopRecord {
-    /// When the message arrived.
-    pub at: SimTime,
-    /// What it carried.
-    pub class: MessageClass,
-    /// Hops travelled origin → receiver.
-    pub hops: u8,
-    /// True if it arrived via a flood.
-    pub via_flood: bool,
 }
 
 /// How (and whether) a span terminated.
@@ -99,10 +83,8 @@ pub struct QuerySpan {
     pub phases: Vec<PhaseMark>,
     /// Frame transmissions tagged with this span (per hop).
     pub sends: u64,
-    /// Bytes on the air for this span.
-    pub send_bytes: u64,
-    /// Deliveries tagged with this span, in arrival order.
-    pub hops: Vec<HopRecord>,
+    /// Deliveries tagged with this span.
+    pub delivers: u64,
     /// How the span ended.
     pub outcome: SpanOutcome,
 }
@@ -166,7 +148,7 @@ impl QuerySpan {
 /// query id.
 #[derive(Debug, Default)]
 pub struct SpanAssembler {
-    spans: HashMap<u64, QuerySpan>,
+    spans: FastMap<u64, QuerySpan>,
     /// `MsgSend`/`MsgDeliver` events carrying a span tag for a query
     /// whose `QueryIssued` was never seen (truncated journal).
     pub orphan_tagged: u64,
@@ -195,8 +177,7 @@ impl SpanAssembler {
                     issued: at,
                     phases: Vec::new(),
                     sends: 0,
-                    send_bytes: 0,
-                    hops: Vec::new(),
+                    delivers: 0,
                     outcome: SpanOutcome::Open,
                 });
             }
@@ -211,29 +192,15 @@ impl SpanAssembler {
                 }
             }
             TraceEvent::MsgSend {
-                bytes,
-                span: Some(query),
-                ..
+                span: Some(query), ..
             } => match self.spans.get_mut(&query) {
-                Some(span) => {
-                    span.sends += 1;
-                    span.send_bytes += u64::from(bytes);
-                }
+                Some(span) => span.sends += 1,
                 None => self.orphan_tagged += 1,
             },
             TraceEvent::MsgDeliver {
-                class,
-                hops,
-                via_flood,
-                span: Some(query),
-                ..
+                span: Some(query), ..
             } => match self.spans.get_mut(&query) {
-                Some(span) => span.hops.push(HopRecord {
-                    at,
-                    class,
-                    hops,
-                    via_flood,
-                }),
+                Some(span) => span.delivers += 1,
                 None => self.orphan_tagged += 1,
             },
             TraceEvent::QueryServed {
@@ -252,16 +219,6 @@ impl SpanAssembler {
         }
     }
 
-    /// Number of spans assembled so far.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// True when no `QueryIssued` event has been seen.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
     /// Returns the assembled spans, sorted by query id.
     pub fn finish(self) -> Vec<QuerySpan> {
         let mut spans: Vec<QuerySpan> = self.spans.into_values().collect();
@@ -273,6 +230,7 @@ impl SpanAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mp2p_metrics::MessageClass;
 
     fn feed(assembler: &mut SpanAssembler, events: &[(u64, TraceEvent)]) {
         for (ms, event) in events {
@@ -364,9 +322,7 @@ mod tests {
         let span = &spans[0];
         assert_eq!(span.latency(), Some(SimDuration::from_millis(1_000)));
         assert_eq!(span.sends, 1);
-        assert_eq!(span.send_bytes, 48);
-        assert_eq!(span.hops.len(), 1);
-        assert_eq!(span.hops[0].hops, 2);
+        assert_eq!(span.delivers, 1);
         assert!(!span.phases.is_empty());
 
         let path = span.critical_path();
@@ -430,6 +386,6 @@ mod tests {
             )],
         );
         assert_eq!(a.orphan_tagged, 1);
-        assert!(a.is_empty());
+        assert!(a.finish().is_empty());
     }
 }

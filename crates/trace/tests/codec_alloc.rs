@@ -2,8 +2,8 @@
 //! steady state: `JournalReader` turning lines back into events (at any
 //! buffer size, with `\n` or `\r\n` line ends), and `JsonlSink::record`
 //! turning events into lines, must not touch the heap for any record
-//! kind the writer emits — and neither must the `MetricsBridge` every
-//! analysed record is folded into. A counting global allocator makes the
+//! kind the writer emits — and neither must the `RegistrySink` behind
+//! `run --metrics-out`. A counting global allocator makes the
 //! claim a hard assertion rather than a code-review promise.
 //!
 //! The counter only tracks allocations made by the thread that called
@@ -15,7 +15,7 @@ use std::cell::Cell;
 use std::io::{self, BufRead, BufReader};
 
 use mp2p_sim::{SimDuration, SimTime};
-use mp2p_trace::bridge::{MetricsBridge, DEFAULT_WINDOW};
+use mp2p_trace::bridge::{RegistrySink, DEFAULT_WINDOW};
 use mp2p_trace::reader::{parse_event_versioned, JournalReader};
 use mp2p_trace::{EventKind, JsonlSink, TraceEvent, TraceSink, JOURNAL_SCHEMA};
 
@@ -233,27 +233,27 @@ fn warm_writer_does_not_allocate() {
 #[test]
 fn warm_bridge_does_not_allocate() {
     let events = events();
-    let mut bridge = MetricsBridge::new(DEFAULT_WINDOW, SimDuration::ZERO);
+    let mut sink = RegistrySink::new(DEFAULT_WINDOW, SimDuration::ZERO);
     // Warm-up: every shape once, so each series it feeds exists and
     // spans the one window the fixture's stamps fall in.
     for (at, event) in &events {
-        bridge.record(*at, event);
+        sink.record(*at, event);
     }
 
     arm();
     for _ in 0..ROUNDS {
         for (at, event) in &events {
-            bridge.record(*at, event);
+            sink.record(*at, event);
         }
     }
     let count = disarm();
 
-    let sends = bridge.registry().counter("traffic_bytes_total");
+    let sends = sink.registry().counter("traffic_bytes_total");
     assert_eq!(sends.map(|c| c.total()), Some(88 * (ROUNDS as u64 + 1)));
     assert_eq!(
         count,
         0,
-        "MetricsBridge::record allocated {count} times over {} records",
+        "RegistrySink::record allocated {count} times over {} records",
         ROUNDS * events.len()
     );
 }

@@ -1,14 +1,14 @@
 //! Flight-recorder integration tests: the trace stream produced by a real
-//! seeded run must obey causal invariants, its summary sink must agree
-//! *exactly* with the run's own metrics, and the JSONL journal must be
-//! well-formed line-parseable JSON.
+//! seeded run must obey causal invariants, a reference fold of it must
+//! agree *exactly* with the run's own metrics, and the JSONL journal must
+//! be well-formed line-parseable JSON.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::io::Write;
 use std::rc::Rc;
 
-use mp2p::metrics::MessageClass;
+use mp2p::metrics::{LatencyStats, MessageClass, TrafficStats};
 use mp2p::net::{FaultPlan, NetConfig};
 use mp2p::rpcc::{
     LevelMix, ObservatoryConfig, ProvenanceConfig, RecoveryConfig, Strategy, World, WorldConfig,
@@ -16,9 +16,7 @@ use mp2p::rpcc::{
 };
 use mp2p::sim::{SimDuration, SimTime};
 use mp2p::trace::reader::{parse_event_versioned, JournalReader};
-use mp2p::trace::{
-    EventKind, JsonlSink, RingSink, SummarySink, TeeSink, TraceEvent, JOURNAL_SCHEMA,
-};
+use mp2p::trace::{EventKind, JsonlSink, RingSink, TeeSink, TraceEvent, JOURNAL_SCHEMA};
 
 fn traced_world(seed: u64) -> World {
     let mut cfg = WorldConfig::small_test(seed);
@@ -27,7 +25,7 @@ fn traced_world(seed: u64) -> World {
 }
 
 /// One seeded small-world RPCC run, recorded into a ring large enough to
-/// hold everything plus a summary.
+/// hold everything.
 fn run_with_ring(seed: u64) -> (mp2p::rpcc::RunReport, Vec<(SimTime, TraceEvent)>) {
     let mut world = traced_world(seed);
     world.set_tracer(Box::new(RingSink::new(4_000_000)));
@@ -140,23 +138,40 @@ fn queries_never_serve_after_failing() {
 }
 
 #[test]
-fn summary_sink_matches_run_metrics_exactly() {
+fn the_journal_rebuilds_traffic_and_latency_exactly() {
     let mut cfg = WorldConfig::small_test(21);
     cfg.strategy = Strategy::Rpcc;
     let warmup = cfg.warmup;
     let mut world = World::new(cfg);
-    world.set_tracer(Box::new(SummarySink::new(warmup)));
+    world.set_tracer(Box::new(RingSink::new(4_000_000)));
     let (report, tracer) = world.run_traced();
-    let summary = tracer
+    let ring = tracer
         .as_any()
-        .downcast_ref::<SummarySink>()
-        .expect("summary sink installed above");
+        .downcast_ref::<RingSink>()
+        .expect("ring sink installed above");
+    assert!((ring.total_recorded() as usize) <= ring.capacity());
+    // The world's censoring rules: a send counts iff it happens after
+    // warm-up, a latency iff its query was issued after warm-up.
+    let past_warmup = |t: SimTime| t.saturating_since(SimTime::ZERO) >= warmup;
+    let mut traffic = TrafficStats::default();
+    let mut latency = LatencyStats::default();
+    for &(at, event) in ring.iter() {
+        match event {
+            TraceEvent::MsgSend { class, bytes, .. } if past_warmup(at) => {
+                traffic.record(class, bytes);
+            }
+            TraceEvent::QueryServed { issued, .. } if past_warmup(issued) => {
+                latency.record(at.saturating_since(issued));
+            }
+            _ => {}
+        }
+    }
     // Byte-for-byte identical traffic accounting: same per-class counts,
     // same byte totals, derived purely from MsgSend events.
-    assert_eq!(summary.traffic(), &report.traffic);
+    assert_eq!(traffic, report.traffic);
     // Latency derived from QueryServed events matches the world's own
     // measured-at-issue bookkeeping.
-    assert_eq!(summary.latency(), &report.latency);
+    assert_eq!(latency, report.latency);
     assert!(report.traffic.transmissions() > 0);
 }
 
@@ -171,7 +186,7 @@ fn jsonl_journal_is_parseable_and_complete() {
     let file = std::fs::File::create(&path).expect("temp file");
     world.set_tracer(Box::new(TeeSink::new(vec![
         Box::new(JsonlSink::new_v4_with_warmup(Box::new(file), warmup)),
-        Box::new(SummarySink::new(warmup)),
+        Box::new(RingSink::new(1)),
     ])));
     let (_report, tracer) = world.run_traced();
     let tee = tracer.as_any().downcast_ref::<TeeSink>().expect("tee");
@@ -179,10 +194,10 @@ fn jsonl_journal_is_parseable_and_complete() {
         .as_any()
         .downcast_ref::<JsonlSink>()
         .expect("jsonl first");
-    let summary = tee.sinks()[1]
+    let ring = tee.sinks()[1]
         .as_any()
-        .downcast_ref::<SummarySink>()
-        .expect("summary second");
+        .downcast_ref::<RingSink>()
+        .expect("ring second");
     assert!(jsonl.io_error().is_none(), "journal hit an I/O error");
 
     // Streaming validation: the versioned header line plus one typed event
@@ -210,7 +225,7 @@ fn jsonl_journal_is_parseable_and_complete() {
     assert_eq!(parsed, jsonl.records(), "every event line parsed");
     assert_eq!(
         jsonl.records(),
-        summary.total_events(),
+        ring.total_recorded(),
         "both tee branches saw every event"
     );
 }
@@ -249,7 +264,7 @@ impl Write for SharedBuf {
 /// provenance, schema 4) journalled into memory, then every body line
 /// parsed and re-serialised byte for byte, the reader's item count
 /// checked against the sink's record count, and the per-kind histogram
-/// against the `SummarySink` of the same run.
+/// against the counts the same sink kept while writing.
 fn assert_codec_identity_on_an_everything_on_run(sim_time: SimDuration, warmup: SimDuration) {
     let mut cfg = WorldConfig::paper_default(42);
     cfg.strategy = Strategy::Rpcc;
@@ -264,24 +279,16 @@ fn assert_codec_identity_on_an_everything_on_run(sim_time: SimDuration, warmup: 
 
     let journal = SharedBuf::default();
     let mut world = World::new(cfg);
-    world.set_tracer(Box::new(TeeSink::new(vec![
-        Box::new(JsonlSink::new_v4_with_warmup(
-            Box::new(journal.clone()),
-            warmup,
-        )),
-        Box::new(SummarySink::new(warmup)),
-    ])));
+    world.set_tracer(Box::new(JsonlSink::new_v4_with_warmup(
+        Box::new(journal.clone()),
+        warmup,
+    )));
     let (_report, mut tracer) = world.run_traced();
     tracer.flush();
-    let tee = tracer.as_any().downcast_ref::<TeeSink>().expect("tee");
-    let jsonl = tee.sinks()[0]
+    let jsonl = tracer
         .as_any()
         .downcast_ref::<JsonlSink>()
-        .expect("jsonl first");
-    let summary = tee.sinks()[1]
-        .as_any()
-        .downcast_ref::<SummarySink>()
-        .expect("summary second");
+        .expect("jsonl sink installed above");
     assert!(jsonl.io_error().is_none(), "journal hit an I/O error");
     let records = jsonl.records();
     let bytes = journal.0.borrow();
@@ -302,7 +309,7 @@ fn assert_codec_identity_on_an_everything_on_run(sim_time: SimDuration, warmup: 
     assert_eq!(body_lines, records, "one body line per recorded event");
 
     // The streaming reader yields exactly `records` items, and their
-    // per-kind histogram is the one the live SummarySink counted.
+    // per-kind histogram is the one the live sink counted.
     let mut reader = JournalReader::new(bytes.as_slice()).expect("valid journal header");
     let mut counts = [0u64; EventKind::ALL.len()];
     for entry in reader.by_ref() {
@@ -314,7 +321,7 @@ fn assert_codec_identity_on_an_everything_on_run(sim_time: SimDuration, warmup: 
     for kind in EventKind::ALL {
         assert_eq!(
             counts[kind.index()],
-            summary.count_of(kind),
+            jsonl.count_of(kind),
             "{} records read back vs recorded",
             kind.label()
         );
