@@ -1,6 +1,6 @@
 //! Determinism tests for the scenario matrix.
 //!
-//! Two obligations from the scenario-matrix design (the third — an
+//! Three obligations from the scenario-matrix design (a fourth — an
 //! injected regression trips the `mp2p matrix` gate — drives the real
 //! binary from the root package's `tests/cli.rs`):
 //!
@@ -10,10 +10,14 @@
 //! 2. The committed `paper-default` scenario reproduces the
 //!    `WorldConfig::paper_default` world **byte for byte**: the scenario
 //!    layer can never silently drift the paper reproduction.
+//! 3. The fleet report of an unprofiled sweep is pinned byte for byte as
+//!    an FNV-1a fingerprint (`golden/matrix_report.fnv`). Regenerate it
+//!    only when the report is *meant* to move, with
+//!    `UPDATE_GOLDEN=1 cargo test -p mp2p-experiments --test matrix_determinism`.
 //!
 //! [`RunReport::to_json`]: mp2p_rpcc::RunReport::to_json
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use mp2p_experiments::matrix::{run_matrix, MatrixCell, MatrixReport};
 use mp2p_experiments::scenario::Scenario;
@@ -107,4 +111,61 @@ fn paper_default_scenario_reproduces_the_direct_run() {
         via_scenario, direct,
         "the scenario layer drifted the paper reproduction"
     );
+}
+
+/// The fleet report of TINY plus a two-strategy scenario sweeping
+/// `update_secs`, unprofiled: `events`, `wall_secs` and `events_per_sec`
+/// are 0, so every byte of `MatrixReport::to_json` is deterministic.
+#[test]
+fn the_fleet_report_is_the_pinned_bytes() {
+    let tiny = Scenario::parse(TINY).unwrap();
+    let swept = Scenario::parse(
+        &TINY
+            .replace("\"tiny-gate\"", "\"tiny-sweep\"")
+            .replace("[\"rpcc\"]", "[\"rpcc:hy\", \"push\"]")
+            .replace("seeds = [42]", "update_secs = [30, 120]\nseeds = [42]"),
+    )
+    .unwrap();
+    let scenarios = [tiny, swept];
+    let (runs, violations) = run_matrix(&scenarios, false);
+    assert_eq!(violations, Vec::<String>::new());
+    assert_eq!(runs.len(), 1 + 2 * 2);
+    let json = MatrixReport::of(&runs).to_json();
+    assert!(json.contains("\"point\":\"update_secs=120\""), "{json}");
+    assert_matches_golden(&fingerprint(json.as_bytes()), "matrix_report.fnv");
+}
+
+/// FNV-1a: the fixture stays one line instead of the whole report.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// One fingerprint line: FNV-1a and length of `bytes`.
+fn fingerprint(bytes: &[u8]) -> String {
+    format!("fnv1a:{:016x} len:{}\n", fnv1a(bytes), bytes.len())
+}
+
+/// Compares `actual` with the committed fixture, or rewrites the fixture
+/// under `UPDATE_GOLDEN=1`.
+fn assert_matches_golden(actual: &str, fixture: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(fixture);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, actual).expect("write golden");
+        println!("updated {}", path.display());
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); run with UPDATE_GOLDEN=1 to create it",
+            path.display()
+        )
+    });
+    assert_eq!(actual, golden, "{fixture} moved");
 }
