@@ -2,7 +2,7 @@
 //! gate regressions against a committed baseline.
 //!
 //! ```text
-//! mp2p matrix [--scenarios DIR] [--only NAME] [--smoke] [--out DIR] [--json FILE]
+//! mp2p matrix [--scenarios DIR] [--only NAME] [--smoke] [--json FILE]
 //! mp2p matrix --baseline MATRIX_BASELINE.json [--tolerance T] [--wall-tolerance W] ...
 //! ```
 //!
@@ -12,14 +12,12 @@
 //! the one executor every sweep of this crate goes through, `mp2p paper`
 //! included. It returns the finished runs; everything printed or written
 //! is a fold over them. Here each is frozen into a schema-versioned
-//! [`MatrixCell`] written as `MATRIX_<scenario>_<strategy>_s<seed>.json`
-//! (`…_<strategy>_<key>-<value>_s<seed>.json` in a swept scenario) under
-//! `--out` (default `results/matrix`) next to the combined
-//! `MATRIX_REPORT.json`, and the fleet scorecard is printed. Every
-//! written cell file is read back and re-parsed, so a malformed snapshot
-//! can never reach disk silently. Every cell's report must satisfy
-//! [`check_report`] and its scenario's absolute `[gates]` floors
-//! ([`gate_violations`]); a violation exits 1.
+//! [`MatrixCell`], and the fleet scorecard of all of them is printed.
+//! `--json FILE` writes them as one [`MatrixReport`], the only file the
+//! command writes; the written file is read back and must parse to the
+//! same report, so a malformed report can never reach disk silently.
+//! Every cell's report must satisfy [`check_report`] and its scenario's
+//! absolute `[gates]` floors ([`gate_violations`]); a violation exits 1.
 //!
 //! `--smoke` shrinks the sweep for CI: the first two scenarios by name,
 //! first two strategies and first seed of each, with the horizon cut to
@@ -54,7 +52,6 @@ use mp2p_trace::BlameCause;
 use crate::check::check_report;
 use crate::cli::{first_repeat, parse_strategy_entry, Args, Spec};
 use crate::report::render_table;
-use crate::run::sanitize;
 use crate::scenario::{Cell, Horizon, Scenario};
 use crate::sweep::run_parallel;
 
@@ -214,13 +211,8 @@ impl MatrixCell {
         s
     }
 
-    /// Parses a cell back, refusing unknown schema versions and any
-    /// structural mismatch with a descriptive error.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = json::parse(text).ok_or("matrix cell is not valid JSON")?;
-        Self::from_value(&v)
-    }
-
+    /// Reads one cell of a report back, refusing unknown schema versions
+    /// and any structural mismatch with a descriptive error.
     fn from_value(v: &Value) -> Result<Self, String> {
         let schema = v
             .get("matrix_schema")
@@ -583,7 +575,6 @@ pub static SPEC: Spec = Spec {
         ("--scenarios", "DIR"),
         ("--only", "NAME"),
         ("--smoke", ""),
-        ("--out", "DIR"),
         ("--json", "FILE"),
         ("--baseline", "FILE"),
         ("--tolerance", "T"),
@@ -597,7 +588,6 @@ pub struct Options {
     scenario_dir: PathBuf,
     only: Option<String>,
     smoke: bool,
-    out_dir: PathBuf,
     json: Option<PathBuf>,
     baseline: Option<PathBuf>,
     tolerance: f64,
@@ -609,8 +599,6 @@ impl Options {
     /// a one-line error followed by the flag list.
     pub fn parse(argv: &[String]) -> Result<Options, String> {
         let args = Args::parse(&SPEC, argv)?;
-        let path_or =
-            |name: &str, default: &str| PathBuf::from(args.value_of(name).unwrap_or(default));
         let fraction = |name: &str, default: f64| -> Result<f64, String> {
             args.get(name, "a fraction in [0, 1)", |t: &f64| {
                 (0.0..1.0).contains(t)
@@ -619,10 +607,9 @@ impl Options {
             .map_err(|msg| SPEC.error(msg))
         };
         Ok(Options {
-            scenario_dir: path_or("--scenarios", "scenarios"),
+            scenario_dir: PathBuf::from(args.value_of("--scenarios").unwrap_or("scenarios")),
             only: args.value_of("--only").map(str::to_owned),
             smoke: args.flag("--smoke"),
-            out_dir: path_or("--out", "results/matrix"),
             json: args.value_of("--json").map(PathBuf::from),
             baseline: args.value_of("--baseline").map(PathBuf::from),
             tolerance: fraction("--tolerance", 0.02)?,
@@ -666,26 +653,19 @@ const SMOKE: Horizon = Horizon {
     seeds: 1,
 };
 
-/// Writes one cell snapshot and re-parses the written bytes, so a
-/// malformed file fails the run instead of poisoning later gates.
-fn write_cell(dir: &Path, cell: &MatrixCell) -> Result<PathBuf, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    // `rpcc:dc` and `update_secs=30` are not path-safe as they stand.
-    let mut stem = format!("MATRIX_{}_{}", cell.scenario, sanitize(&cell.strategy));
-    if !cell.point.is_empty() {
-        stem = format!("{stem}_{}", sanitize(&cell.point));
-    }
-    let path = dir.join(format!("{stem}_s{}.json", cell.seed));
-    std::fs::write(&path, cell.to_json())
+/// Writes the fleet report and re-parses the written bytes, so a
+/// malformed file fails the run instead of poisoning a later gate.
+fn write_report(path: &Path, report: &MatrixReport) -> Result<(), String> {
+    std::fs::write(path, report.to_json())
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    let back = std::fs::read_to_string(&path)
+    let back = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot re-read {}: {e}", path.display()))?;
-    let parsed = MatrixCell::from_json(&back)
+    let parsed = MatrixReport::from_json(&back)
         .map_err(|e| format!("{} is not well-formed: {e}", path.display()))?;
-    if &parsed != cell {
+    if &parsed != report {
         return Err(format!("{} does not round-trip", path.display()));
     }
-    Ok(path)
+    Ok(())
 }
 
 fn scorecard(report: &MatrixReport) -> String {
@@ -743,15 +723,8 @@ pub fn command(argv: &[String]) -> Result<bool, String> {
     );
     let (runs, violations) = run_matrix(&scenarios, true);
     let report = MatrixReport::of(&runs);
-    for cell in &report.cells {
-        let path = write_cell(&opts.out_dir, cell)?;
-        println!("{} -> {}", cell.key(), path.display());
-    }
-    let report_path = opts.out_dir.join("MATRIX_REPORT.json");
-    let report_json = report.to_json();
-    for path in std::iter::once(&report_path).chain(&opts.json) {
-        std::fs::write(path, &report_json)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    if let Some(path) = &opts.json {
+        write_report(path, &report)?;
         println!("fleet report -> {}", path.display());
     }
     print!("{}", scorecard(&report));
@@ -828,11 +801,9 @@ mod tests {
 
     #[test]
     fn cell_and_report_json_roundtrip() {
-        let cell = sample_cell();
-        let json = cell.to_json();
+        let json = sample_cell().to_json();
         assert!(json.starts_with("{\"matrix_schema\":1,\"scenario\":\"mini\""));
         assert!(mp2p_trace::json::parse(&json).is_some());
-        assert_eq!(MatrixCell::from_json(&json).expect("roundtrip"), cell);
 
         let report = sample_report();
         let back = MatrixReport::from_json(&report.to_json()).expect("roundtrip");
@@ -868,33 +839,29 @@ mod tests {
         // Longer query interval => less pull traffic.
         assert!(traffic(points[0]) > traffic(points[1]));
 
-        // A swept cell's key and snapshot name carry strategy mix and axis
-        // value, and the name is path-safe.
+        // A swept cell's key carries strategy mix and axis value.
         let report = MatrixReport::of(&runs);
         let keys: Vec<String> = report.cells.iter().map(MatrixCell::key).collect();
         assert_eq!(keys[0], "mini/pull/query_secs=10/s42");
         assert_eq!(keys[7], "mini/rpcc:dc/query_secs=20/s43");
         let unique: std::collections::BTreeSet<&String> = keys.iter().collect();
         assert_eq!(unique.len(), keys.len());
-        let dir = std::env::temp_dir().join(format!("mp2p-matrix-cells-{}", std::process::id()));
-        let path = write_cell(&dir, &report.cells[7]).expect("cell snapshot writes");
-        let name = path.file_name().unwrap().to_str().unwrap();
-        assert_eq!(name, "MATRIX_mini_rpcc-dc_query_secs-20_s43.json");
-        std::fs::remove_dir_all(&dir).ok();
-        let back = MatrixReport::from_json(&report.to_json()).expect("swept report parses");
-        assert_eq!(back, report);
+        let path = std::env::temp_dir().join(format!("mp2p-matrix-{}.json", std::process::id()));
+        write_report(&path, &report).expect("the swept report writes and reads back");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn wrong_schema_and_garbage_are_refused() {
-        let future =
-            sample_cell()
-                .to_json()
-                .replacen("\"matrix_schema\":1", "\"matrix_schema\":9", 1);
-        assert!(MatrixCell::from_json(&future)
-            .unwrap_err()
-            .contains("schema 9"));
-        assert!(MatrixCell::from_json("nope").is_err());
+        let future = |json: String| json.replacen("\"matrix_schema\":1", "\"matrix_schema\":9", 1);
+        let report = future(sample_report().to_json());
+        let cell = future(sample_cell().to_json());
+        let in_cell = format!("{{\"matrix_schema\":1,\"cells\":[{cell}]}}");
+        for text in [report, in_cell] {
+            let refusal = MatrixReport::from_json(&text).unwrap_err();
+            assert!(refusal.contains("schema 9"), "{refusal}");
+        }
+        assert!(MatrixReport::from_json("nope").is_err());
         assert!(MatrixReport::from_json("{}").is_err());
     }
 

@@ -20,10 +20,8 @@
 //! journals to the given file, a set to `PREFIX-<name>.jsonl` per
 //! strategy (`RPCC(SC)` → `PREFIX-RPCC-SC.jsonl`) — and prints the
 //! event-count table; feed journal and report to `mp2p analyze`.
-//! `--metrics-out FILE` (one strategy) dumps the windowed metrics
-//! registry as JSON plus `FILE.prom` in Prometheus text. `--profile`
-//! prints the wall-clock profile and adds a `perf` section to the
-//! report; profiling is strictly observational.
+//! `--profile` prints the wall-clock profile and adds a `perf` section
+//! to the report; profiling is strictly observational.
 //!
 //! Opt-in layers: `--faults PRESET` installs a chaos preset scaled to
 //! the run; `--hardened` adds retry backoff, relay orphan lease and
@@ -49,8 +47,7 @@ use std::path::{Path, PathBuf};
 
 use mp2p_metrics::MessageClass;
 use mp2p_rpcc::{ConfigError, LevelMix, MobilityKind, RunReport, World, WorldConfig};
-use mp2p_trace::bridge::{RegistrySink, DEFAULT_WINDOW};
-use mp2p_trace::{BlameCause, EventKind, JsonlSink, TeeSink, TraceSink};
+use mp2p_trace::{BlameCause, EventKind, JsonlSink, TraceSink};
 
 use crate::check::check_report;
 use crate::cli::{self, Args, Spec};
@@ -93,7 +90,6 @@ pub static SPEC: Spec = Spec {
         ("--provenance", ""),
         ("--trace", "FILE|PREFIX"),
         ("--json", "FILE"),
-        ("--metrics-out", "FILE"),
         ("--profile", ""),
     ],
 };
@@ -109,8 +105,6 @@ pub struct RunPlan {
     pub trace: Option<PathBuf>,
     /// Report JSON destination.
     pub json: Option<PathBuf>,
-    /// Metrics-registry snapshot destination.
-    pub metrics_out: Option<PathBuf>,
     /// Whether to switch the wall-clock profiler on.
     pub profile: bool,
 }
@@ -268,16 +262,11 @@ impl RunPlan {
         };
         let strategies =
             cli::parse_strategy_set(args.value_of("--strategy").unwrap_or("rpcc"), mix)?;
-        let metrics_out = args.value_of("--metrics-out").map(PathBuf::from);
-        if metrics_out.is_some() && strategies.len() > 1 {
-            return Err("--metrics-out takes a single strategy".into());
-        }
         Ok(RunPlan {
             cfg,
             strategies,
             trace: args.value_of("--trace").map(PathBuf::from),
             json: args.value_of("--json").map(PathBuf::from),
-            metrics_out,
             profile: args.flag("--profile"),
         })
     }
@@ -297,9 +286,8 @@ impl RunPlan {
     }
 }
 
-/// `RPCC(SC)` → `RPCC-SC`: keep trace and snapshot filenames
-/// shell-friendly.
-pub(crate) fn sanitize(name: &str) -> String {
+/// `RPCC(SC)` → `RPCC-SC`: keep trace filenames shell-friendly.
+fn sanitize(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for c in name.chars() {
         match c {
@@ -315,22 +303,8 @@ pub(crate) fn sanitize(name: &str) -> String {
     out.trim_end_matches('-').to_string()
 }
 
-/// The sink of type `T` on the tee a run was recorded through.
-fn sink_of<T: 'static>(tracer: &dyn TraceSink) -> &T {
-    tracer
-        .as_any()
-        .downcast_ref::<TeeSink>()
-        .and_then(|tee| {
-            tee.sinks()
-                .iter()
-                .find_map(|sink| sink.as_any().downcast_ref::<T>())
-        })
-        .expect("the requested consumer rode the run's tee")
-}
-
-/// One finished run: its report and the tee of sinks it was recorded
-/// through — a journal (which also counts events by kind) under
-/// `--trace`, a registry under `--metrics-out`.
+/// One finished run: its report and the sink it was recorded through —
+/// under `--trace`, a journal that also counts events by kind.
 type Recorded = (RunReport, Box<dyn TraceSink>);
 
 /// Runs every strategy of the plan, in column order.
@@ -340,19 +314,14 @@ fn execute(plan: &RunPlan) -> Result<Vec<Recorded>, String> {
         let mut cfg = plan.cfg.clone();
         cfg.strategy = spec.strategy;
         cfg.level_mix = spec.mix;
-        let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
-        if let Some(path) = plan.trace_path(spec) {
-            sinks.push(Box::new(journal_sink(&path, &cfg)?));
-        }
-        if plan.metrics_out.is_some() {
-            sinks.push(Box::new(RegistrySink::new(DEFAULT_WINDOW, cfg.warmup)));
-        }
+        let journal = plan.trace_path(spec).map(|path| journal_sink(&path, &cfg));
+        let journal = journal.transpose()?;
         let mut world = World::new(cfg);
         if plan.profile {
             world.enable_profiling();
         }
-        if !sinks.is_empty() {
-            world.set_tracer(Box::new(TeeSink::new(sinks)));
+        if let Some(journal) = journal {
+            world.set_tracer(Box::new(journal));
         }
         runs.push(world.run_traced());
     }
@@ -540,7 +509,7 @@ pub fn command(argv: &[String]) -> Result<bool, String> {
     if plan.trace.is_some() {
         let journals: Vec<&JsonlSink> = runs
             .iter()
-            .map(|(_, tracer)| sink_of(tracer.as_ref()))
+            .map(|(_, tracer)| tracer.as_any().downcast_ref().expect("a traced run"))
             .collect();
         println!("\nTrace events by kind:");
         let mut headers = vec!["event"];
@@ -567,18 +536,6 @@ pub fn command(argv: &[String]) -> Result<bool, String> {
                 path.display()
             );
         }
-    }
-    if let Some(path) = &plan.metrics_out {
-        let registry = sink_of::<RegistrySink>(runs[0].1.as_ref()).registry();
-        let prom_path = PathBuf::from(format!("{}.prom", path.display()));
-        std::fs::write(path, registry.to_json())
-            .and_then(|()| std::fs::write(&prom_path, registry.render_prometheus()))
-            .map_err(|err| format!("cannot write metrics snapshot {}: {err}", path.display()))?;
-        println!(
-            "Metrics snapshot -> {} (JSON) and {} (Prometheus text)",
-            path.display(),
-            prom_path.display()
-        );
     }
 
     let mut clean = true;
@@ -656,14 +613,13 @@ mod tests {
 
     /// Flags that shape the plan rather than the world, or (`--mobility`)
     /// feed several rows at once: the only ones without a row of their own.
-    const RUN_ONLY: [&str; 8] = [
+    const RUN_ONLY: [&str; 7] = [
         "--strategy",
         "--mix",
         "--mobility",
         "--full",
         "--trace",
         "--json",
-        "--metrics-out",
         "--profile",
     ];
 

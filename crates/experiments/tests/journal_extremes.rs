@@ -184,8 +184,8 @@ proptest! {
         match analyze_journal(journal.as_bytes()) {
             Ok(analysis) => {
                 let incidents = explain_stale_serves(&analysis);
-                // The registry `run --metrics-out` renders, fed the same
-                // accepted journal.
+                // The windowed registry and its two renderings, fed the
+                // same accepted journal.
                 let warmup = SimDuration::from_millis(analysis.header.warmup_ms);
                 let mut sink = RegistrySink::new(DEFAULT_WINDOW, warmup);
                 for entry in JournalReader::new(journal.as_bytes()).expect("accepted above") {

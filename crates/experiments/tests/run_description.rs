@@ -114,7 +114,7 @@ fn every_corpus_cell_builds_the_pinned_world() {
 /// Argument vectors that between them give every flag of `run::SPEC`
 /// (the test below checks that), every `--mobility` model with and
 /// without parameters, and `--full`.
-const ARGVS: [&str; 20] = [
+const ARGVS: [&str; 19] = [
     "",
     "--full --strategy all",
     "--strategy rpcc,push --mix hy --peers 20 --terrain 900 --cache 5 --sim 2 --warmup 0.5 --faults hostile --hardened",
@@ -130,7 +130,6 @@ const ARGVS: [&str; 20] = [
     "--mobility stationary",
     "--consistency --sample-secs 10 --recovery --provenance --trace /tmp/x --json /tmp/x.json",
     "--consistency",
-    "--metrics-out /tmp/m.json --strategy pull",
     "--peers 5",
     "--faults crash-heavy --sim 10 --warmup 0",
     "--full --sim 60",
@@ -160,8 +159,8 @@ fn every_run_flag_builds_the_pinned_plan() {
         let _ = writeln!(out, "strategies: {names:?}");
         let _ = writeln!(
             out,
-            "trace: {:?}, json: {:?}, metrics_out: {:?}, profile: {}",
-            plan.trace, plan.json, plan.metrics_out, plan.profile
+            "trace: {:?}, json: {:?}, profile: {}",
+            plan.trace, plan.json, plan.profile
         );
     }
     assert_matches_golden(&out, "run_configs.txt");
@@ -324,7 +323,7 @@ const BAD_ARGVS: [&str; 26] = [
     "--consistency --sample-secs 0",
     "--faults meteor",
     "--mobility walk:3:1",
-    "--strategy all --metrics-out m",
+    "--metrics-out m",
     "--strategy rpcc,rpcc",
     // Panicked or never returned before `WorldConfig::check` existed.
     "--query-secs 0.0001",

@@ -1,5 +1,6 @@
 //! A live [`TraceSink`] that folds events into a windowed [`Registry`]
-//! time series: `run --metrics-out` writes what it built.
+//! time series. No command writes it out; perfbench's
+//! `metrics.registry.record_ns` kernel times its `record`.
 //!
 //! [`RegistrySink`] keeps traffic by message class, latency histograms
 //! per consistency level, the relay-peer population gauge, served-by
@@ -45,8 +46,7 @@ impl SeriesNames {
     }
 }
 
-/// Folds trace events into a windowed metrics [`Registry`] (put it
-/// behind a tee).
+/// Folds trace events into a windowed metrics [`Registry`].
 #[derive(Debug)]
 pub struct RegistrySink {
     warmup: SimDuration,

@@ -17,8 +17,7 @@
 //! * [`TraceSink`] — where events go: a bounded [`RingSink`], a
 //!   streaming [`JsonlSink`] that also counts what it is handed by kind
 //!   (hand-rolled serialisation via [`json`]; the build environment has
-//!   no serde), a windowed [`bridge::RegistrySink`], and a fan-out
-//!   [`TeeSink`].
+//!   no serde), and a windowed [`bridge::RegistrySink`].
 //! * [`NullSink`] — the default: `enabled()` is `false`, so an untraced
 //!   simulation pays one boolean test per emission site and never
 //!   allocates.
@@ -69,6 +68,6 @@ pub use event::{
     TraceEvent,
 };
 pub use sink::{
-    JsonlSink, NullSink, RingSink, TeeSink, TraceSink, JOURNAL_KINDS_V3, JOURNAL_SCHEMA,
-    JOURNAL_SCHEMA_V1, JOURNAL_SCHEMA_V2, JOURNAL_SCHEMA_V3,
+    JsonlSink, NullSink, RingSink, TraceSink, JOURNAL_KINDS_V3, JOURNAL_SCHEMA, JOURNAL_SCHEMA_V1,
+    JOURNAL_SCHEMA_V2, JOURNAL_SCHEMA_V3,
 };

@@ -1,6 +1,6 @@
 //! Trace sinks: where flight-recorder events go.
 //!
-//! Three real sinks plus a disabled default (the fourth real one,
+//! Two real sinks plus a disabled default (the third real one,
 //! [`RegistrySink`](crate::bridge::RegistrySink), lives in `bridge`):
 //!
 //! * [`NullSink`] — reports `enabled() == false`; the simulation keeps
@@ -8,7 +8,6 @@
 //! * [`RingSink`] — bounded in-memory ring, for tests and post-mortems.
 //! * [`JsonlSink`] — streams one JSON object per line to any writer and
 //!   counts the events handed to it by kind (`run --trace`'s table).
-//! * [`TeeSink`] — fans each event out to several sinks.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -38,8 +37,7 @@ pub trait TraceSink {
     fn flush(&mut self) {}
 
     /// Bytes this sink has durably serialised (journal output). In-memory
-    /// sinks report 0; [`TeeSink`] sums its children. Used by the perf
-    /// observatory's allocation counters.
+    /// sinks report 0. Used by the perf observatory's allocation counters.
     fn bytes_written(&self) -> u64 {
         0
     }
@@ -360,63 +358,6 @@ impl TraceSink for JsonlSink {
     }
 }
 
-/// Fans every event out to several child sinks.
-pub struct TeeSink {
-    sinks: Vec<Box<dyn TraceSink>>,
-}
-
-impl std::fmt::Debug for TeeSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TeeSink")
-            .field("sinks", &self.sinks.len())
-            .finish()
-    }
-}
-
-impl TeeSink {
-    /// Builds a tee over `sinks`.
-    pub fn new(sinks: Vec<Box<dyn TraceSink>>) -> Self {
-        TeeSink { sinks }
-    }
-
-    /// The child sinks, for downcasting after a run.
-    pub fn sinks(&self) -> &[Box<dyn TraceSink>] {
-        &self.sinks
-    }
-}
-
-impl TraceSink for TeeSink {
-    fn enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.enabled())
-    }
-
-    fn record(&mut self, at: SimTime, event: &TraceEvent) {
-        for sink in &mut self.sinks {
-            if sink.enabled() {
-                sink.record(at, event);
-            }
-        }
-    }
-
-    fn flush(&mut self) {
-        for sink in &mut self.sinks {
-            sink.flush();
-        }
-    }
-
-    fn bytes_written(&self) -> u64 {
-        self.sinks.iter().map(|s| s.bytes_written()).sum()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,45 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn tee_fans_out_and_is_downcastable() {
-        let mut tee = TeeSink::new(vec![
-            Box::new(NullSink),
-            Box::new(RingSink::new(8)),
-            Box::new(RingSink::new(8)),
-        ]);
-        assert!(tee.enabled());
-        tee.record(
-            SimTime::from_millis(5),
-            &send(2, MessageClass::Update, 1_064),
-        );
-        tee.flush();
-
-        let ring = tee
-            .sinks()
-            .iter()
-            .find_map(|s| s.as_any().downcast_ref::<RingSink>())
-            .expect("ring child");
-        assert_eq!(ring.len(), 1);
-        let last = tee.sinks()[2]
-            .as_any()
-            .downcast_ref::<RingSink>()
-            .expect("ring last");
-        let (_, event) = last
-            .iter()
-            .next()
-            .expect("the event reached the last child");
-        assert!(matches!(event, TraceEvent::MsgSend { bytes: 1_064, .. }));
-        // The NullSink child must have been skipped, not recorded into.
-        assert_eq!(last.total_recorded(), 1);
-    }
-
-    #[test]
-    fn tee_of_only_null_sinks_is_disabled() {
-        let tee = TeeSink::new(vec![Box::new(NullSink), Box::new(NullSink)]);
-        assert!(!tee.enabled());
-    }
-
-    #[test]
     fn jsonl_file_roundtrip_is_parseable() {
         let path =
             std::env::temp_dir().join(format!("mp2p-trace-sink-test-{}.jsonl", std::process::id()));
@@ -705,44 +607,6 @@ mod tests {
         // first, with no gaps or reordering.
         for (k, (t, _)) in ring.iter().enumerate() {
             assert_eq!(t.as_millis(), TOTAL - CAP as u64 + k as u64);
-        }
-    }
-
-    #[test]
-    fn tee_delivers_to_both_children_in_order() {
-        const TOTAL: u64 = 50_000;
-        let mut tee = TeeSink::new(vec![
-            Box::new(RingSink::new(TOTAL as usize)),
-            Box::new(RingSink::new(64)),
-        ]);
-        for i in 0..TOTAL {
-            let class = if i % 2 == 0 {
-                MessageClass::Poll
-            } else {
-                MessageClass::Update
-            };
-            tee.record(SimTime::from_millis(i), &send((i % 7) as u32, class, 48));
-        }
-        tee.flush();
-
-        let rings: Vec<&RingSink> = tee
-            .sinks()
-            .iter()
-            .map(|s| s.as_any().downcast_ref::<RingSink>().expect("ring child"))
-            .collect();
-        // Both children saw every event...
-        assert_eq!(rings[0].total_recorded(), TOTAL);
-        assert_eq!(rings[1].total_recorded(), TOTAL);
-        assert_eq!(rings[0].len(), TOTAL as usize);
-        assert_eq!(rings[1].len(), 64);
-        // ...in the same order: the small ring's retained tail is
-        // exactly the tail of the large ring's full record.
-        let tail_of_big: Vec<_> = rings[0].iter().skip(TOTAL as usize - 64).collect();
-        let small: Vec<_> = rings[1].iter().collect();
-        assert_eq!(tail_of_big, small);
-        // And the full stream arrived strictly in emission order.
-        for (k, (t, _)) in rings[0].iter().enumerate() {
-            assert_eq!(t.as_millis(), k as u64);
         }
     }
 }

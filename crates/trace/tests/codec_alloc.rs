@@ -2,8 +2,8 @@
 //! steady state: `JournalReader` turning lines back into events (at any
 //! buffer size, with `\n` or `\r\n` line ends), and `JsonlSink::record`
 //! turning events into lines, must not touch the heap for any record
-//! kind the writer emits — and neither must the `RegistrySink` behind
-//! `run --metrics-out`. A counting global allocator makes the
+//! kind the writer emits — and neither must the windowed
+//! `RegistrySink`. A counting global allocator makes the
 //! claim a hard assertion rather than a code-review promise.
 //!
 //! The counter only tracks allocations made by the thread that called

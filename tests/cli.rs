@@ -134,8 +134,8 @@ fn more_peers_than_a_frame_id_can_name_is_refused_before_anything_is_allocated()
     std::fs::create_dir_all(dir.0.join("scenarios")).expect("scenario dir creates");
     let scenario = TINY.replace("peers = 8", "peers = 16777217");
     std::fs::write(dir.0.join("scenarios/tiny-gate.toml"), &scenario).expect("scenario writes");
-    let (scenarios, out_dir) = (dir.path("scenarios"), dir.path("out"));
-    let out = mp2p_within_2_gb(&["matrix", "--scenarios", &scenarios, "--out", &out_dir]);
+    let scenarios = dir.path("scenarios");
+    let out = mp2p_within_2_gb(&["matrix", "--scenarios", &scenarios]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
     let line = 1 + scenario
         .lines()
@@ -203,7 +203,7 @@ fn run_flags_map_onto_the_world_and_bad_values_are_usage_errors() {
         ("--consistency --sample-secs 0", "--sample-secs expects"),
         ("--faults meteor", "unknown fault plan"),
         ("--mobility walk:3:1", "MIN <= MAX"),
-        ("--strategy all --metrics-out m", "single strategy"),
+        ("--metrics-out m", "unknown flag --metrics-out"),
         ("--strategy rpcc,rpcc", "listed twice"),
         // Values that reached a panic or a hang inside the model: each
         // rounds to 0 ms, or is past what the clock or a street can hold.
@@ -538,10 +538,47 @@ seeds = [42]
 fn matrix_in(dir: &TempDir, scenario: &str, extra: &[&str]) -> Output {
     std::fs::create_dir_all(dir.0.join("scenarios")).expect("scenario dir creates");
     std::fs::write(dir.0.join("scenarios/tiny-gate.toml"), scenario).expect("scenario writes");
-    let (scenarios, out) = (dir.path("scenarios"), dir.path("out"));
-    let mut args = vec!["matrix", "--scenarios", &scenarios, "--out", &out];
+    let scenarios = dir.path("scenarios");
+    let mut args = vec!["matrix", "--scenarios", &scenarios];
     args.extend(extra);
     mp2p(&args)
+}
+
+#[test]
+fn matrix_writes_its_report_only_where_json_says() {
+    let dir = TempDir::new("no-json");
+    std::fs::create_dir_all(dir.0.join("scenarios")).expect("scenario dir creates");
+    std::fs::write(dir.0.join("scenarios/tiny-gate.toml"), TINY).expect("scenario writes");
+    let swept = Command::new(env!("CARGO_BIN_EXE_mp2p"))
+        .args(["matrix", "--scenarios", "scenarios"])
+        .current_dir(&dir.0)
+        .output()
+        .expect("mp2p binary spawns");
+    assert!(swept.status.success(), "{}", stderr_of(&swept));
+    assert!(
+        stdout_of(&swept).contains("tiny-gate/rpcc/s42"),
+        "the scorecard prints"
+    );
+    let mut left: Vec<_> = std::fs::read_dir(&dir.0)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    left.sort();
+    assert_eq!(left, ["scenarios"], "a sweep without --json writes no file");
+}
+
+#[test]
+fn matrix_json_into_a_missing_directory_is_an_io_error_naming_it() {
+    let dir = TempDir::new("json-dir");
+    let report = dir.path("missing/report.json");
+    let out = matrix_in(&dir, TINY, &["--json", &report]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
+    let first = stderr_of(&out)
+        .lines()
+        .next()
+        .unwrap_or_default()
+        .to_owned();
+    assert!(first.contains(&format!("cannot write {report}")), "{first}");
 }
 
 #[test]
