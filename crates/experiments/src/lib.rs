@@ -42,8 +42,8 @@ mod sweep;
 pub use analysis::{
     analyze_file, analyze_journal, crosscheck, crosscheck_consistency, crosscheck_explain,
     explain_stale_serves, render_analysis, render_consistency, render_explain, render_health,
-    ConsistencyReportTotals, ConsistencyTimeline, DivergenceSample, FrameBirth, Incident,
-    NodeHealth, ProvenanceGraph, ReportTotals, SpanTotals, TraceAnalysis,
+    ConsistencyReportTotals, ConsistencyTimeline, DivergenceSample, Incident, NodeHealth,
+    ProvenanceGraph, ReportTotals, SpanTotals, TraceAnalysis,
 };
 pub use check::check_report;
 pub use matrix::{
