@@ -119,8 +119,7 @@ impl LatencyStats {
     pub const BUCKETS: usize = BUCKETS;
 
     /// Observations in bucket `i`, which covers `[2^i, 2^(i+1)) ms`
-    /// (bucket 0 covers `[0, 2) ms`). Used by the windowed registry's
-    /// Prometheus exposition.
+    /// (bucket 0 covers `[0, 2) ms`).
     ///
     /// # Panics
     ///

@@ -21,9 +21,9 @@
 //!   coefficient (Eq. 4.2.7).
 //! * [`Gauge`] — a generic sampled time series (relay-peer population,
 //!   route-table sizes, …).
-//! * [`Registry`] — named windowed counters/gauges/histograms with JSON
-//!   and Prometheus-style snapshots (percentiles *over time*, not just
-//!   end-of-run aggregates).
+//! * [`Registry`] — a recorder of named windowed counters/gauges/histograms
+//!   (series *over time*, not just end-of-run aggregates); nothing
+//!   renders it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,10 +38,7 @@ mod traffic;
 pub use energy::{idle_cost, rx_cost, tx_cost, PeerEnergy};
 pub use gauge::Gauge;
 pub use latency::LatencyStats;
-pub use registry::{
-    metric_name, valid_label_key, valid_metric_name, Registry, WindowedCounter, WindowedGauge,
-    WindowedHistogram,
-};
+pub use registry::{metric_name, Registry, WindowedCounter, WindowedGauge, WindowedHistogram};
 pub use staleness::{
     age_bucket, ConsistencyAudit, ServedQuery, VersionHistory, AGE_BUCKETS, AGE_BUCKET_EDGES,
 };

@@ -1,5 +1,6 @@
 //! A live [`TraceSink`] that folds events into a windowed [`Registry`]
-//! time series. No command writes it out; perfbench's
+//! time series. The registry is a recorder with no renderer and no
+//! command reads it; the sink stays because perfbench's
 //! `metrics.registry.record_ns` kernel times its `record`.
 //!
 //! [`RegistrySink`] keeps traffic by message class, latency histograms
