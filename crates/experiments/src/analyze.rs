@@ -24,7 +24,8 @@
 //! `--report`, cross-checks both against the report's `consistency`
 //! section. `--baseline` gates the report's `fresh_fraction` against a
 //! committed baseline report: exit 1 when it drops more than
-//! `--tolerance` (default 0.02) below the baseline's.
+//! `--tolerance` (a fraction in [0, 1), default 0.02) below the
+//! baseline's. `--tolerance` without `--baseline` is a usage error.
 //!
 //! `--explain` walks the provenance graph (journal schema 4, written by
 //! `mp2p run --provenance`) and prints one causal chain per stale serve,
@@ -42,7 +43,7 @@ use crate::analysis::{
     render_analysis, render_consistency, render_explain, render_health, ConsistencyReportTotals,
     ReportTotals,
 };
-use crate::cli::{non_negative, Args, Spec};
+use crate::cli::{fraction, Args, Spec};
 
 /// The flag list of `mp2p analyze`.
 pub static SPEC: Spec = Spec {
@@ -97,7 +98,7 @@ impl Options {
             consistency: args.flag("--consistency"),
             baseline: args.value_of("--baseline").map(PathBuf::from),
             tolerance: args
-                .get("--tolerance", "a non-negative number", non_negative)?
+                .get("--tolerance", "a fraction in [0, 1)", fraction)?
                 .unwrap_or(0.02),
             explain: args.flag("--explain"),
             explain_query: args.get("--explain", "a query id", |_: &u64| true)?,
@@ -106,6 +107,9 @@ impl Options {
         };
         if opts.baseline.is_some() && opts.report.is_none() {
             return Err("--baseline needs --report (the run to gate)".into());
+        }
+        if args.flag("--tolerance") && opts.baseline.is_none() {
+            return Err("--tolerance is a bound of --baseline".into());
         }
         if opts.stale_serves && !opts.explain {
             return Err("--stale-serves is a mode of --explain".into());

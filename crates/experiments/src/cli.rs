@@ -152,9 +152,10 @@ impl Args {
     }
 }
 
-/// Range check for [`Args::get`]: finite and not negative.
-pub fn non_negative(v: &f64) -> bool {
-    v.is_finite() && *v >= 0.0
+/// Range check for [`Args::get`]: a tolerance, a fraction in `[0, 1)`
+/// (NaN is not one).
+pub fn fraction(v: &f64) -> bool {
+    (0.0..1.0).contains(v)
 }
 
 /// CLI token of a strategy (`rpcc`, `push`, `pull`, `push-ap`) — also a
@@ -300,10 +301,10 @@ mod tests {
         assert_eq!(err, "--peers expects an integer >= 99, got \"50\"");
         let bad = parse(&["--peers", "many"]).unwrap();
         assert!(bad.get("--peers", "an integer", |_: &usize| true).is_err());
-        let nan = parse(&["--loss", "nan"]).unwrap();
-        assert!(nan
-            .get("--loss", "a non-negative number", non_negative)
-            .is_err());
+        for bad in ["nan", "1", "-0.5"] {
+            let a = parse(&["--loss", bad]).unwrap();
+            assert!(a.get("--loss", "a fraction", fraction).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! baseline cell on **three** axes, printing a diff row that names the
 //! offending axis and exiting 1. `--tolerance` (default 0.02) bounds the
 //! two deterministic axes; `--wall-tolerance` (default 0.5) separately
-//! bounds the wall-clock one:
+//! bounds the wall-clock one. Either tolerance without `--baseline` is a
+//! usage error:
 //!
 //! * **throughput** — events/sec below `baseline × (1 − wall_tolerance)`
 //!   regresses. Wall-clock, hence its own (loose) tolerance; skipped for
@@ -50,7 +51,7 @@ use mp2p_trace::json::{self, Value};
 use mp2p_trace::BlameCause;
 
 use crate::check::check_report;
-use crate::cli::{first_repeat, parse_strategy_entry, Args, Spec};
+use crate::cli::{first_repeat, fraction, parse_strategy_entry, Args, Spec};
 use crate::report::render_table;
 use crate::scenario::{Cell, Horizon, Scenario};
 use crate::sweep::run_parallel;
@@ -599,22 +600,26 @@ impl Options {
     /// a one-line error followed by the flag list.
     pub fn parse(argv: &[String]) -> Result<Options, String> {
         let args = Args::parse(&SPEC, argv)?;
-        let fraction = |name: &str, default: f64| -> Result<f64, String> {
-            args.get(name, "a fraction in [0, 1)", |t: &f64| {
-                (0.0..1.0).contains(t)
-            })
-            .map(|t| t.unwrap_or(default))
-            .map_err(|msg| SPEC.error(msg))
+        let tolerance = |name: &str, default: f64| -> Result<f64, String> {
+            args.get(name, "a fraction in [0, 1)", fraction)
+                .map(|t| t.unwrap_or(default))
+                .map_err(|msg| SPEC.error(msg))
         };
-        Ok(Options {
+        let opts = Options {
             scenario_dir: PathBuf::from(args.value_of("--scenarios").unwrap_or("scenarios")),
             only: args.value_of("--only").map(str::to_owned),
             smoke: args.flag("--smoke"),
             json: args.value_of("--json").map(PathBuf::from),
             baseline: args.value_of("--baseline").map(PathBuf::from),
-            tolerance: fraction("--tolerance", 0.02)?,
-            wall_tolerance: fraction("--wall-tolerance", 0.5)?,
-        })
+            tolerance: tolerance("--tolerance", 0.02)?,
+            wall_tolerance: tolerance("--wall-tolerance", 0.5)?,
+        };
+        for name in ["--tolerance", "--wall-tolerance"] {
+            if args.flag(name) && opts.baseline.is_none() {
+                return Err(SPEC.error(format!("{name} is a bound of --baseline")));
+            }
+        }
+        Ok(opts)
     }
 
     /// Loads the corpus and applies `--only` / `--smoke` trimming.

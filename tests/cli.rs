@@ -71,7 +71,33 @@ fn usage_errors_exit_2_with_one_line_and_the_flag_list() {
             &["matrix", "--tolerance", "1.5"][..],
             "mp2p matrix: --tolerance expects a fraction in [0, 1), got \"1.5\"",
         ),
+        (
+            &["matrix", "--tolerance", "0.5"][..],
+            "mp2p matrix: --tolerance is a bound of --baseline",
+        ),
+        (
+            &["matrix", "--wall-tolerance", "0.5"][..],
+            "mp2p matrix: --wall-tolerance is a bound of --baseline",
+        ),
         (&["analyze"][..], "mp2p analyze: missing --trace FILE.jsonl"),
+        (
+            &["analyze", "--trace", "t", "--tolerance", "0.02"][..],
+            "mp2p analyze: --tolerance is a bound of --baseline",
+        ),
+        (
+            &[
+                "analyze",
+                "--trace",
+                "t",
+                "--report",
+                "r",
+                "--baseline",
+                "b",
+                "--tolerance",
+                "3",
+            ][..],
+            "mp2p analyze: --tolerance expects a fraction in [0, 1), got \"3\"",
+        ),
         (
             &["paper", "fig10"][..],
             "mp2p paper: unknown artefact \"fig10\"",
@@ -283,8 +309,8 @@ fn a_mistyped_journal_header_is_refused_not_read_as_no_warmup() {
 
 #[test]
 fn a_far_future_record_is_refused_by_line_not_an_out_of_memory_abort() {
-    // Fifteen digits are in the reader's range; the registry behind the
-    // analyzer keeps a slot per window since t = 0 and used to ask the
+    // Fifteen digits are in the reader's range; the analyzer's traffic
+    // tally keeps a slot per window since t = 0 and used to ask the
     // allocator for 133 GB (exit 134).
     let dir = TempDir::new("horizon");
     let path = dir.path("j.jsonl");
@@ -365,6 +391,69 @@ fn run_trace_prints_the_pinned_event_count_table() {
     }
     let golden = std::fs::read_to_string(&path).expect("committed golden");
     assert_eq!(actual, golden, "the event-count table moved:\n{table}");
+}
+
+#[test]
+fn the_fresh_fraction_gate_passes_its_own_report_and_trips_on_a_better_baseline() {
+    let dir = TempDir::new("fresh-gate");
+    let (trace, report) = (dir.path("c.jsonl"), dir.path("c.json"));
+    let run = mp2p(&[
+        "run",
+        "--peers",
+        "12",
+        "--cache",
+        "4",
+        "--terrain",
+        "700",
+        "--sim",
+        "6",
+        "--warmup",
+        "2",
+        "--seed",
+        "42",
+        "--consistency",
+        "--trace",
+        &trace,
+        "--json",
+        &report,
+    ]);
+    assert!(run.status.success(), "{}", stderr_of(&run));
+    let gate = |baseline: &str| {
+        mp2p(&[
+            "analyze",
+            "--trace",
+            &trace,
+            "--report",
+            &report,
+            "--baseline",
+            baseline,
+        ])
+    };
+
+    let same = gate(&report);
+    assert_eq!(same.status.code(), Some(0), "{}", stderr_of(&same));
+    assert!(
+        stdout_of(&same).contains("Fresh-fraction gate"),
+        "{}",
+        stdout_of(&same)
+    );
+
+    // The same report with its fresh fraction 0.1 higher: the run now
+    // falls below the floor at the default tolerance of 0.02.
+    let text = std::fs::read_to_string(&report).unwrap();
+    let (head, rest) = text.split_once("\"fresh_fraction\":").unwrap();
+    let end = rest.find(',').unwrap();
+    let fresh: f64 = rest[..end].parse().unwrap();
+    let better = dir.path("better.json");
+    let raised = format!("{head}\"fresh_fraction\":{}{}", fresh + 0.1, &rest[end..]);
+    std::fs::write(&better, raised).unwrap();
+    let tripped = gate(&better);
+    assert_eq!(tripped.status.code(), Some(1), "{}", stderr_of(&tripped));
+    assert!(
+        stderr_of(&tripped).contains("Consistency regression"),
+        "{}",
+        stderr_of(&tripped)
+    );
 }
 
 /// Asserts that `out` is a usage error (exit 2) whose one stderr line
