@@ -47,8 +47,8 @@ pub use analysis::{
 };
 pub use check::check_report;
 pub use matrix::{
-    compare_matrix, gate_violations, run_matrix, CellRegression, CellRun, GateAxis, MatrixCell,
-    MatrixReport, MATRIX_SCHEMA,
+    gate_violations, run_matrix, CellRegression, CellRun, GateAxis, MatrixCell, MatrixReport,
+    MATRIX_SCHEMA,
 };
 pub use perf::{bench_config, bench_terrain, AREA_PER_PEER_M2};
 pub use report::render_table;

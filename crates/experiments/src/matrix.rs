@@ -1,71 +1,53 @@
-//! `mp2p matrix` — sweep the scenario corpus, print the fleet scorecard,
-//! gate regressions against a committed baseline.
+//! `mp2p matrix` — sweep the scenario corpus, print the fleet scorecard.
 //!
 //! ```text
 //! mp2p matrix [--scenarios DIR] [--only NAME] [--smoke] [--json FILE]
-//! mp2p matrix --baseline MATRIX_BASELINE.json [--tolerance T] [--wall-tolerance W] ...
 //! ```
 //!
 //! The sweep loads every `*.toml` directly under `--scenarios` (default
 //! `scenarios/`) and runs each scenario × strategy × axis value × seed
-//! tuple (one **cell**) in parallel with profiling on — [`run_matrix`],
-//! the one executor every sweep of this crate goes through, `mp2p paper`
-//! included. It returns the finished runs; everything printed or written
-//! is a fold over them. Here each is frozen into a schema-versioned
-//! [`MatrixCell`], and the fleet scorecard of all of them is printed.
+//! tuple (one **cell**) in parallel — [`run_matrix`], the one executor
+//! every sweep of this crate goes through, `mp2p paper` included. It
+//! returns the finished runs; everything printed or written is a fold
+//! over them. Here each is frozen into a [`MatrixCell`] of simulated
+//! numbers, and the fleet scorecard of all of them is printed.
 //! `--json FILE` writes them as one [`MatrixReport`], the only file the
-//! command writes; the written file is read back and must parse to the
-//! same report, so a malformed report can never reach disk silently.
-//! Every cell's report must satisfy [`check_report`] and its scenario's
-//! absolute `[gates]` floors ([`gate_violations`]); a violation exits 1.
+//! command writes. Every cell's report must satisfy [`check_report`] and
+//! its scenario's absolute `[gates]` floors ([`gate_violations`]); a
+//! violation exits 1.
+//!
+//! The report is a function of the code and the corpus alone: a cell
+//! holds no wall-clock field, so two sweeps write the same bytes, and a
+//! committed report is checked with `diff`. `ci` pins the `--smoke`
+//! report against `results/matrix/MATRIX_BASELINE.json` that way; the
+//! report has one cell per line, so the line a diff names is the cell
+//! that moved. Host speed is the benchmark's to measure; to ask why one
+//! cell is slow, run its world with `mp2p run --profile`.
 //!
 //! `--smoke` shrinks the sweep for CI: the first two scenarios by name,
 //! first two strategies and first seed of each, with the horizon cut to
 //! six simulated minutes (90 s warm-up).
-//!
-//! With `--baseline`, [`compare_matrix`] additionally gates every
-//! baseline cell on **three** axes, printing a diff row that names the
-//! offending axis and exiting 1. `--tolerance` (default 0.02) bounds the
-//! two deterministic axes; `--wall-tolerance` (default 0.5) separately
-//! bounds the wall-clock one. Either tolerance without `--baseline` is a
-//! usage error:
-//!
-//! * **throughput** — events/sec below `baseline × (1 − wall_tolerance)`
-//!   regresses. Wall-clock, hence its own (loose) tolerance; skipped for
-//!   unprofiled cells.
-//! * **fresh fraction** — below `baseline × (1 − tolerance)` regresses.
-//!   Deterministic, so CI gates it tightly.
-//! * **p95 latency** — above `baseline × (1 + tolerance)` regresses.
-//!   Simulated time, also deterministic.
-//!
-//! Mismatched cell identities (peer count, simulated duration, warm-up,
-//! or a baseline cell the measurement never ran) are an *error*, not a
-//! verdict (exit 2) — numbers from different scenarios must never be
-//! compared.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use mp2p_rpcc::{LevelMix, RunReport, World};
+use mp2p_rpcc::{RunReport, World};
 use mp2p_sim::SimDuration;
-use mp2p_trace::json::{self, Value};
+use mp2p_trace::json;
 use mp2p_trace::BlameCause;
 
 use crate::check::check_report;
-use crate::cli::{first_repeat, fraction, parse_strategy_entry, Args, Spec};
+use crate::cli::{Args, Spec};
 use crate::report::render_table;
 use crate::scenario::{Cell, Horizon, Scenario};
 use crate::sweep::run_parallel;
 
-/// Version tag written into every cell and report. Bump on layout
-/// changes so old files are refused instead of misread.
-pub const MATRIX_SCHEMA: u64 = 1;
+/// Version tag at the head of every report. Bump on layout changes so
+/// a report of another layout is told apart from a moved cell.
+pub const MATRIX_SCHEMA: u64 = 2;
 
 /// One frozen matrix cell: the identity of the run plus its measured
-/// consistency / latency / traffic / throughput figures.
-///
-/// Everything except the three wall-clock fields (`events`,
-/// `wall_secs`, `events_per_sec`) is simulation-deterministic: the same
-/// cell identity reproduces the same numbers bit for bit on any
+/// consistency / latency / traffic figures, every one of them simulated:
+/// the same cell identity reproduces the same numbers bit for bit on any
 /// machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixCell {
@@ -79,11 +61,11 @@ pub struct MatrixCell {
     pub point: String,
     /// Master seed of the run.
     pub seed: u64,
-    /// Peer count (identity: must match for comparison).
+    /// Peer count.
     pub peers: u64,
-    /// Simulated duration in milliseconds (identity).
+    /// Simulated duration in milliseconds.
     pub sim_ms: u64,
-    /// Warm-up offset in milliseconds (identity).
+    /// Warm-up offset in milliseconds.
     pub warmup_ms: u64,
     /// Transmissions per simulated minute.
     pub traffic_per_min: f64,
@@ -106,12 +88,6 @@ pub struct MatrixCell {
     /// Label of the most frequent stale-serve blame cause, `none` when
     /// nothing stale was served or the observatory was off.
     pub dominant_blame: String,
-    /// World events handled (0 when the cell ran unprofiled).
-    pub events: u64,
-    /// Wall-clock seconds of the event loop (0 when unprofiled).
-    pub wall_secs: f64,
-    /// Event-loop throughput (gated; 0 when unprofiled).
-    pub events_per_sec: f64,
 }
 
 impl MatrixCell {
@@ -162,19 +138,16 @@ impl MatrixCell {
             fresh_fraction: report.audit.fresh_fraction(),
             stale_served: report.audit.stale_served(),
             dominant_blame,
-            events: report.perf.as_ref().map_or(0, |p| p.events()),
-            wall_secs: report.perf.as_ref().map_or(0.0, |p| p.wall_secs()),
-            events_per_sec: report.perf.as_ref().map_or(0.0, |p| p.events_per_sec()),
         }
     }
 
-    /// Serialises the cell as one JSON object, `matrix_schema` first.
+    /// Serialises the cell as one JSON object on one line.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::with_capacity(512);
         let _ = write!(
             s,
-            "{{\"matrix_schema\":{MATRIX_SCHEMA},\"scenario\":{},\"strategy\":{}",
+            "{{\"scenario\":{},\"strategy\":{}",
             json::escape(&self.scenario),
             json::escape(&self.strategy),
         );
@@ -197,77 +170,14 @@ impl MatrixCell {
         );
         let _ = write!(
             s,
-            ",\"mean_latency_secs\":{},\"p95_latency_secs\":{},\"fresh_fraction\":{},\"stale_served\":{},\"dominant_blame\":{}",
+            ",\"mean_latency_secs\":{},\"p95_latency_secs\":{},\"fresh_fraction\":{},\"stale_served\":{},\"dominant_blame\":{}}}",
             self.mean_latency_secs,
             self.p95_latency_secs,
             self.fresh_fraction,
             self.stale_served,
             json::escape(&self.dominant_blame),
         );
-        let _ = write!(
-            s,
-            ",\"events\":{},\"wall_secs\":{},\"events_per_sec\":{}}}",
-            self.events, self.wall_secs, self.events_per_sec,
-        );
         s
-    }
-
-    /// Reads one cell of a report back, refusing unknown schema versions
-    /// and any structural mismatch with a descriptive error.
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let schema = v
-            .get("matrix_schema")
-            .and_then(Value::as_u64)
-            .ok_or("matrix cell has no numeric matrix_schema field")?;
-        if schema != MATRIX_SCHEMA {
-            return Err(format!(
-                "matrix schema {schema} unsupported (this build speaks {MATRIX_SCHEMA})"
-            ));
-        }
-        let str_field = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("missing string field {key:?}"))
-        };
-        let u64_field = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("missing integer field {key:?}"))
-        };
-        let f64_field = |key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing numeric field {key:?}"))
-        };
-        let strategy = str_field("strategy")?;
-        parse_strategy_entry(&strategy, LevelMix::strong_only())?;
-        let point = match v.get("point") {
-            Some(_) => str_field("point")?,
-            None => String::new(),
-        };
-        Ok(MatrixCell {
-            scenario: str_field("scenario")?,
-            strategy,
-            point,
-            seed: u64_field("seed")?,
-            peers: u64_field("peers")?,
-            sim_ms: u64_field("sim_ms")?,
-            warmup_ms: u64_field("warmup_ms")?,
-            traffic_per_min: f64_field("traffic_per_min")?,
-            transmissions: u64_field("transmissions")?,
-            bytes: u64_field("bytes")?,
-            queries_served: u64_field("queries_served")?,
-            failure_rate: f64_field("failure_rate")?,
-            mean_latency_secs: f64_field("mean_latency_secs")?,
-            p95_latency_secs: f64_field("p95_latency_secs")?,
-            fresh_fraction: f64_field("fresh_fraction")?,
-            stale_served: u64_field("stale_served")?,
-            dominant_blame: str_field("dominant_blame")?,
-            events: u64_field("events")?,
-            wall_secs: f64_field("wall_secs")?,
-            events_per_sec: f64_field("events_per_sec")?,
-        })
     }
 }
 
@@ -290,49 +200,21 @@ impl MatrixReport {
         }
     }
 
-    /// Looks a cell up by its [`MatrixCell::key`].
-    pub fn cell(&self, key: &str) -> Option<&MatrixCell> {
-        self.cells.iter().find(|c| c.key() == key)
-    }
-
-    /// Serialises the report: `{"matrix_schema":1,"cells":[...]}`.
+    /// Serialises the report as JSON with one cell per line, so that a
+    /// `diff` of two reports names the cells that moved:
+    ///
+    /// ```text
+    /// {"matrix_schema":2,"cells":[
+    /// {"scenario":"highway-convoy","strategy":"rpcc",...},
+    /// {"scenario":"highway-convoy","strategy":"push",...}
+    /// ]}
+    /// ```
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(64 + 512 * self.cells.len());
-        s.push_str(&format!("{{\"matrix_schema\":{MATRIX_SCHEMA},\"cells\":["));
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&cell.to_json());
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// Parses a report back, refusing unknown schemata and a report in
-    /// which two cells carry one key (a gate would compare the first).
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = json::parse(text).ok_or("matrix report is not valid JSON")?;
-        let schema = v
-            .get("matrix_schema")
-            .and_then(Value::as_u64)
-            .ok_or("matrix report has no numeric matrix_schema field")?;
-        if schema != MATRIX_SCHEMA {
-            return Err(format!(
-                "matrix schema {schema} unsupported (this build speaks {MATRIX_SCHEMA})"
-            ));
-        }
-        let Some(Value::Arr(items)) = v.get("cells") else {
-            return Err("missing cells array".to_owned());
-        };
-        let cells = items
-            .iter()
-            .map(MatrixCell::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        if let Some(cell) = first_repeat(&cells, |a, b| a.key() == b.key()) {
-            return Err(format!("cell {} listed twice", cell.key()));
-        }
-        Ok(MatrixReport { cells })
+        let cells: Vec<String> = self.cells.iter().map(MatrixCell::to_json).collect();
+        format!(
+            "{{\"matrix_schema\":{MATRIX_SCHEMA},\"cells\":[\n{}\n]}}\n",
+            cells.join(",\n")
+        )
     }
 }
 
@@ -349,19 +231,13 @@ pub struct CellRun<'a> {
 
 /// The one sweep executor: runs every cell of every scenario in
 /// parallel and returns the runs in sweep order (scenario, strategy, axis
-/// value, seed). With `profile` each world's profiler is enabled, filling
-/// a report's wall-clock section — strictly observational, so everything
-/// else is identical either way. The second value lists every
-/// [`check_report`] violation, prefixed with its cell key.
-pub fn run_matrix(scenarios: &[Scenario], profile: bool) -> (Vec<CellRun<'_>>, Vec<String>) {
+/// value, seed). The second value lists every [`check_report`]
+/// violation, prefixed with its cell key.
+pub fn run_matrix(scenarios: &[Scenario]) -> (Vec<CellRun<'_>>, Vec<String>) {
     let cells_of = |s| std::iter::repeat(s).zip(Scenario::cells(s));
     let jobs: Vec<(&Scenario, Cell)> = scenarios.iter().flat_map(cells_of).collect();
     let reports = run_parallel(&jobs, |(scenario, cell)| {
-        let mut world = World::new(scenario.world_config(cell));
-        if profile {
-            world.enable_profiling();
-        }
-        world.run()
+        World::new(scenario.world_config(cell)).run()
     });
     let mut runs = Vec::with_capacity(jobs.len());
     let mut violations = Vec::new();
@@ -390,140 +266,40 @@ pub fn points<'r, 'a>(runs: &'r [CellRun<'a>]) -> impl Iterator<Item = &'r [Cell
     })
 }
 
-/// The three baseline-gated axes of a cell.
+/// The two axes a scenario's `[gates]` bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateAxis {
-    /// Event-loop events/sec (wall-clock).
-    Throughput,
-    /// Served fresh fraction (deterministic).
+    /// Served fresh fraction.
     FreshFraction,
-    /// 95th-percentile query latency (deterministic).
+    /// 95th-percentile query latency.
     Latency,
 }
 
 impl GateAxis {
-    /// Human label used in diff tables.
+    /// Human label used in the violation table.
     pub fn label(self) -> &'static str {
         match self {
-            GateAxis::Throughput => "events/sec",
             GateAxis::FreshFraction => "fresh-fraction",
             GateAxis::Latency => "p95-latency",
         }
     }
 }
 
-/// One cell that fell outside its allowed band on one axis.
+/// One cell that fell outside its scenario's bound on one axis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellRegression {
     /// `scenario/strategy/s<seed>` of the offending cell.
     pub cell: String,
     /// The axis that regressed.
     pub axis: GateAxis,
-    /// Baseline value (or the absolute floor for gate violations).
-    pub baseline: f64,
-    /// Freshly measured value.
+    /// The measured value.
     pub measured: f64,
-    /// The value the measurement had to stay within.
+    /// The floor or ceiling the measurement had to stay within.
     pub limit: f64,
 }
 
-impl std::fmt::Display for CellRegression {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} {:.4} vs baseline {:.4} (limit {:.4})",
-            self.cell,
-            self.axis.label(),
-            self.measured,
-            self.baseline,
-            self.limit
-        )
-    }
-}
-
-/// Compares a fresh sweep against a committed baseline, cell by cell,
-/// on all three gated axes. Returns every regression found (empty =
-/// pass).
-///
-/// Errs — without a verdict — when any baseline cell is missing from
-/// the measurement or describes a different scenario (peer count,
-/// simulated duration or warm-up differ): numbers from different
-/// workloads must never be compared. Cells the measurement has beyond
-/// the baseline are ignored (new scenarios are not regressions).
-///
-/// `tolerance` bounds the two deterministic axes (fresh fraction may
-/// drop by at most that fraction; p95 latency may grow by at most that
-/// fraction). `wall_tolerance` separately bounds the wall-clock
-/// throughput axis, which is noisy across machines; the axis is skipped
-/// when either side ran unprofiled (events/sec of 0).
-pub fn compare_matrix(
-    baseline: &MatrixReport,
-    measured: &MatrixReport,
-    tolerance: f64,
-    wall_tolerance: f64,
-) -> Result<Vec<CellRegression>, String> {
-    for (name, t) in [("tolerance", tolerance), ("wall-tolerance", wall_tolerance)] {
-        if !(0.0..1.0).contains(&t) {
-            return Err(format!("{name} must be in [0, 1), got {t}"));
-        }
-    }
-    let mut regressions = Vec::new();
-    for base in &baseline.cells {
-        let Some(fresh) = measured.cell(&base.key()) else {
-            return Err(format!(
-                "baseline cell {} missing from the measured sweep",
-                base.key()
-            ));
-        };
-        for (what, b, m) in [
-            ("peers", base.peers, fresh.peers),
-            ("sim_ms", base.sim_ms, fresh.sim_ms),
-            ("warmup_ms", base.warmup_ms, fresh.warmup_ms),
-        ] {
-            if b != m {
-                return Err(format!("cell {} {what} differs: {b} vs {m}", base.key()));
-            }
-        }
-        let fresh_floor = base.fresh_fraction * (1.0 - tolerance);
-        if fresh.fresh_fraction < fresh_floor {
-            regressions.push(CellRegression {
-                cell: base.key(),
-                axis: GateAxis::FreshFraction,
-                baseline: base.fresh_fraction,
-                measured: fresh.fresh_fraction,
-                limit: fresh_floor,
-            });
-        }
-        let latency_ceiling = base.p95_latency_secs * (1.0 + tolerance);
-        if fresh.p95_latency_secs > latency_ceiling {
-            regressions.push(CellRegression {
-                cell: base.key(),
-                axis: GateAxis::Latency,
-                baseline: base.p95_latency_secs,
-                measured: fresh.p95_latency_secs,
-                limit: latency_ceiling,
-            });
-        }
-        if base.events_per_sec > 0.0 && fresh.events_per_sec > 0.0 {
-            let eps_floor = base.events_per_sec * (1.0 - wall_tolerance);
-            if fresh.events_per_sec < eps_floor {
-                regressions.push(CellRegression {
-                    cell: base.key(),
-                    axis: GateAxis::Throughput,
-                    baseline: base.events_per_sec,
-                    measured: fresh.events_per_sec,
-                    limit: eps_floor,
-                });
-            }
-        }
-    }
-    Ok(regressions)
-}
-
-/// Checks every cell against its scenario's absolute `[gates]` floors
-/// (no baseline involved). Cells of scenarios absent from `scenarios`
-/// are skipped. Returned entries reuse [`CellRegression`] with
-/// `baseline` set to the floor itself.
+/// Checks every cell against its scenario's absolute `[gates]` floor
+/// and ceiling. Cells of scenarios absent from `scenarios` are skipped.
 pub fn gate_violations(scenarios: &[Scenario], report: &MatrixReport) -> Vec<CellRegression> {
     let mut violations = Vec::new();
     for cell in &report.cells {
@@ -536,7 +312,6 @@ pub fn gate_violations(scenarios: &[Scenario], report: &MatrixReport) -> Vec<Cel
                 violations.push(CellRegression {
                     cell: cell.key(),
                     axis: GateAxis::FreshFraction,
-                    baseline: floor,
                     measured: cell.fresh_fraction,
                     limit: floor,
                 });
@@ -547,20 +322,8 @@ pub fn gate_violations(scenarios: &[Scenario], report: &MatrixReport) -> Vec<Cel
                 violations.push(CellRegression {
                     cell: cell.key(),
                     axis: GateAxis::Latency,
-                    baseline: ceiling,
                     measured: cell.p95_latency_secs,
                     limit: ceiling,
-                });
-            }
-        }
-        if let Some(floor) = g.min_events_per_sec {
-            if cell.events_per_sec > 0.0 && cell.events_per_sec < floor {
-                violations.push(CellRegression {
-                    cell: cell.key(),
-                    axis: GateAxis::Throughput,
-                    baseline: floor,
-                    measured: cell.events_per_sec,
-                    limit: floor,
                 });
             }
         }
@@ -577,9 +340,6 @@ pub static SPEC: Spec = Spec {
         ("--only", "NAME"),
         ("--smoke", ""),
         ("--json", "FILE"),
-        ("--baseline", "FILE"),
-        ("--tolerance", "T"),
-        ("--wall-tolerance", "W"),
     ],
 };
 
@@ -590,9 +350,6 @@ pub struct Options {
     only: Option<String>,
     smoke: bool,
     json: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    tolerance: f64,
-    wall_tolerance: f64,
 }
 
 impl Options {
@@ -600,26 +357,12 @@ impl Options {
     /// a one-line error followed by the flag list.
     pub fn parse(argv: &[String]) -> Result<Options, String> {
         let args = Args::parse(&SPEC, argv)?;
-        let tolerance = |name: &str, default: f64| -> Result<f64, String> {
-            args.get(name, "a fraction in [0, 1)", fraction)
-                .map(|t| t.unwrap_or(default))
-                .map_err(|msg| SPEC.error(msg))
-        };
-        let opts = Options {
+        Ok(Options {
             scenario_dir: PathBuf::from(args.value_of("--scenarios").unwrap_or("scenarios")),
             only: args.value_of("--only").map(str::to_owned),
             smoke: args.flag("--smoke"),
             json: args.value_of("--json").map(PathBuf::from),
-            baseline: args.value_of("--baseline").map(PathBuf::from),
-            tolerance: tolerance("--tolerance", 0.02)?,
-            wall_tolerance: tolerance("--wall-tolerance", 0.5)?,
-        };
-        for name in ["--tolerance", "--wall-tolerance"] {
-            if args.flag(name) && opts.baseline.is_none() {
-                return Err(SPEC.error(format!("{name} is a bound of --baseline")));
-            }
-        }
-        Ok(opts)
+        })
     }
 
     /// Loads the corpus and applies `--only` / `--smoke` trimming.
@@ -658,21 +401,6 @@ const SMOKE: Horizon = Horizon {
     seeds: 1,
 };
 
-/// Writes the fleet report and re-parses the written bytes, so a
-/// malformed file fails the run instead of poisoning a later gate.
-fn write_report(path: &Path, report: &MatrixReport) -> Result<(), String> {
-    std::fs::write(path, report.to_json())
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    let back = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot re-read {}: {e}", path.display()))?;
-    let parsed = MatrixReport::from_json(&back)
-        .map_err(|e| format!("{} is not well-formed: {e}", path.display()))?;
-    if &parsed != report {
-        return Err(format!("{} does not round-trip", path.display()));
-    }
-    Ok(())
-}
-
 fn scorecard(report: &MatrixReport) -> String {
     let rows: Vec<Vec<String>> = report
         .cells
@@ -687,34 +415,33 @@ fn scorecard(report: &MatrixReport) -> String {
                 format!("{:.0}", c.p95_latency_secs * 1000.0),
                 format!("{:.0}", c.traffic_per_min),
                 format!("{:.1}", c.failure_rate * 100.0),
-                format!("{:.0}", c.events_per_sec / 1000.0),
             ]
         })
         .collect();
     render_table(
         &[
-            "cell", "fresh", "stale", "blame", "lat ms", "p95 ms", "tx/min", "fail %", "kev/s",
+            "cell", "fresh", "stale", "blame", "lat ms", "p95 ms", "tx/min", "fail %",
         ],
         &rows,
     )
 }
 
-fn diff_table(regressions: &[CellRegression]) -> String {
-    let rows: Vec<Vec<String>> = regressions
+fn violation_table(violations: &[CellRegression]) -> String {
+    let rows: Vec<Vec<String>> = violations
         .iter()
         .map(|r| {
             vec![
                 r.cell.clone(),
                 r.axis.label().to_owned(),
-                format!("{:.4} (limit {:.4})", r.baseline, r.limit),
+                format!("{:.4}", r.limit),
                 format!("{:.4}", r.measured),
             ]
         })
         .collect();
-    render_table(&["cell", "axis", "baseline/limit", "measured"], &rows)
+    render_table(&["cell", "axis", "limit", "measured"], &rows)
 }
 
-/// `mp2p matrix`: parses `argv`, runs the sweep and all gates.
+/// `mp2p matrix`: parses `argv`, runs the sweep and its gates.
 /// `Ok(false)` means at least one gate or invariant tripped.
 pub fn command(argv: &[String]) -> Result<bool, String> {
     let opts = Options::parse(argv)?;
@@ -726,44 +453,24 @@ pub fn command(argv: &[String]) -> Result<bool, String> {
         cells_expected,
         if opts.smoke { " [smoke]" } else { "" },
     );
-    let (runs, violations) = run_matrix(&scenarios, true);
+    let (runs, violations) = run_matrix(&scenarios);
     let report = MatrixReport::of(&runs);
     if let Some(path) = &opts.json {
-        write_report(path, &report)?;
+        std::fs::write(path, report.to_json())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         println!("fleet report -> {}", path.display());
     }
     print!("{}", scorecard(&report));
 
-    let mut pass = violations.is_empty();
     for violation in &violations {
         eprintln!("INVARIANT VIOLATED: {violation}");
     }
     let floors = gate_violations(&scenarios, &report);
     if !floors.is_empty() {
-        pass = false;
         println!("\nGATE FLOOR VIOLATIONS ({}):", floors.len());
-        print!("{}", diff_table(&floors));
+        print!("{}", violation_table(&floors));
     }
-    if let Some(path) = &opts.baseline {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
-        let baseline = MatrixReport::from_json(&text)
-            .map_err(|e| format!("baseline {}: {e}", path.display()))?;
-        let regressions = compare_matrix(&baseline, &report, opts.tolerance, opts.wall_tolerance)?;
-        if regressions.is_empty() {
-            println!(
-                "\nPASS: all {} baseline cell(s) within tolerance ({:.0}% deterministic, {:.0}% wall-clock)",
-                baseline.cells.len(),
-                opts.tolerance * 100.0,
-                opts.wall_tolerance * 100.0,
-            );
-        } else {
-            pass = false;
-            println!("\nREGRESSIONS ({}):", regressions.len());
-            print!("{}", diff_table(&regressions));
-        }
-    }
-    Ok(pass)
+    Ok(violations.is_empty() && floors.is_empty())
 }
 
 #[cfg(test)]
@@ -789,9 +496,6 @@ mod tests {
             fresh_fraction: 0.93,
             stale_served: 7,
             dominant_blame: "invalidate_lost".into(),
-            events: 10_000,
-            wall_secs: 0.05,
-            events_per_sec: 200_000.0,
         }
     }
 
@@ -806,13 +510,33 @@ mod tests {
 
     #[test]
     fn cell_and_report_json_roundtrip() {
-        let json = sample_cell().to_json();
-        assert!(json.starts_with("{\"matrix_schema\":1,\"scenario\":\"mini\""));
-        assert!(mp2p_trace::json::parse(&json).is_some());
-
         let report = sample_report();
-        let back = MatrixReport::from_json(&report.to_json()).expect("roundtrip");
-        assert_eq!(back, report);
+        let json = report.to_json();
+        let lines: Vec<&str> = json.lines().collect();
+        assert_eq!(lines.len(), 2 + report.cells.len(), "{json}");
+        assert_eq!(lines[0], "{\"matrix_schema\":2,\"cells\":[");
+        assert_eq!(lines[1], format!("{},", report.cells[0].to_json()));
+        assert_eq!(lines[2], report.cells[1].to_json());
+        assert_eq!(lines[3], "]}");
+        assert!(json.ends_with("]}\n"));
+        assert!(lines[1].starts_with("{\"scenario\":\"mini\",\"strategy\":\"rpcc\",\"seed\":42,"));
+        assert!(lines[1].ends_with(",\"dominant_blame\":\"invalidate_lost\"},"));
+
+        // The whole report is one JSON document, and every line of a
+        // cell holds that cell's values.
+        let tree = mp2p_trace::json::parse(&json).expect("the report is JSON");
+        let Some(mp2p_trace::json::Value::Arr(cells)) = tree.get("cells") else {
+            panic!("no cells array in {json}");
+        };
+        assert_eq!(cells.len(), report.cells.len());
+        for (tree, cell) in cells.iter().zip(&report.cells) {
+            let str_of = |key| tree.get(key).and_then(|v| v.as_str());
+            let f64_of = |key| tree.get(key).and_then(|v| v.as_f64());
+            assert_eq!(str_of("strategy"), Some(cell.strategy.as_str()));
+            assert_eq!(f64_of("fresh_fraction"), Some(cell.fresh_fraction));
+            assert_eq!(f64_of("p95_latency_secs"), Some(cell.p95_latency_secs));
+            assert_eq!(tree.get("point"), None, "an unswept cell has no point");
+        }
     }
 
     #[test]
@@ -825,7 +549,7 @@ mod tests {
                 "query_secs = [10, 20]\nseeds = [42, 43]",
             );
         let scenario = Scenario::parse(&text).unwrap();
-        let (runs, violations) = run_matrix(std::slice::from_ref(&scenario), false);
+        let (runs, violations) = run_matrix(std::slice::from_ref(&scenario));
         assert_eq!(violations, Vec::<String>::new());
         assert_eq!(runs.len(), 2 * 2 * 2);
         let points: Vec<_> = points(&runs).collect();
@@ -844,107 +568,25 @@ mod tests {
         // Longer query interval => less pull traffic.
         assert!(traffic(points[0]) > traffic(points[1]));
 
-        // A swept cell's key carries strategy mix and axis value.
+        // A swept cell's key carries strategy mix and axis value, and so
+        // does its line of the report.
         let report = MatrixReport::of(&runs);
         let keys: Vec<String> = report.cells.iter().map(MatrixCell::key).collect();
         assert_eq!(keys[0], "mini/pull/query_secs=10/s42");
         assert_eq!(keys[7], "mini/rpcc:dc/query_secs=20/s43");
         let unique: std::collections::BTreeSet<&String> = keys.iter().collect();
         assert_eq!(unique.len(), keys.len());
-        let path = std::env::temp_dir().join(format!("mp2p-matrix-{}.json", std::process::id()));
-        write_report(&path, &report).expect("the swept report writes and reads back");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn wrong_schema_and_garbage_are_refused() {
-        let future = |json: String| json.replacen("\"matrix_schema\":1", "\"matrix_schema\":9", 1);
-        let report = future(sample_report().to_json());
-        let cell = future(sample_cell().to_json());
-        let in_cell = format!("{{\"matrix_schema\":1,\"cells\":[{cell}]}}");
-        for text in [report, in_cell] {
-            let refusal = MatrixReport::from_json(&text).unwrap_err();
-            assert!(refusal.contains("schema 9"), "{refusal}");
-        }
-        assert!(MatrixReport::from_json("nope").is_err());
-        assert!(MatrixReport::from_json("{}").is_err());
-    }
-
-    #[test]
-    fn each_axis_trips_the_gate_independently() {
-        let base = sample_report();
-
-        // Fresh fraction drops below the floor.
-        let mut worse = sample_report();
-        worse.cells[0].fresh_fraction = 0.5;
-        let regs = compare_matrix(&base, &worse, 0.02, 0.5).unwrap();
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].axis, GateAxis::FreshFraction);
-        assert_eq!(regs[0].cell, "mini/rpcc/s42");
-
-        // p95 latency grows past the ceiling.
-        let mut worse = sample_report();
-        worse.cells[1].p95_latency_secs = 2.0;
-        let regs = compare_matrix(&base, &worse, 0.02, 0.5).unwrap();
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].axis, GateAxis::Latency);
-        assert_eq!(regs[0].cell, "mini/push/s42");
-
-        // Throughput halves (outside even the loose wall band).
-        let mut worse = sample_report();
-        worse.cells[0].events_per_sec = 50_000.0;
-        let regs = compare_matrix(&base, &worse, 0.02, 0.5).unwrap();
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].axis, GateAxis::Throughput);
-
-        // And an identical sweep passes clean.
-        assert!(compare_matrix(&base, &base, 0.02, 0.5).unwrap().is_empty());
-    }
-
-    #[test]
-    fn unprofiled_cells_skip_the_wall_clock_axis() {
-        let base = sample_report();
-        let mut unprofiled = sample_report();
-        for cell in &mut unprofiled.cells {
-            cell.events = 0;
-            cell.wall_secs = 0.0;
-            cell.events_per_sec = 0.0;
-        }
-        assert!(compare_matrix(&base, &unprofiled, 0.02, 0.5)
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn identity_mismatch_is_an_error_not_a_verdict() {
-        let base = sample_report();
-        let mut other = sample_report();
-        other.cells[0].peers = 9;
-        assert!(compare_matrix(&base, &other, 0.02, 0.5).is_err());
-
-        // A baseline cell the measurement never ran is an error too.
-        let mut short = sample_report();
-        short.cells.pop();
-        assert!(compare_matrix(&base, &short, 0.02, 0.5).is_err());
-
-        // But extra measured cells (a new scenario) are fine.
-        let mut extra = sample_report();
-        let mut cell = sample_cell();
-        cell.scenario = "new-town".into();
-        extra.cells.push(cell);
-        assert!(compare_matrix(&base, &extra, 0.02, 0.5).unwrap().is_empty());
-
-        assert!(compare_matrix(&base, &base, 1.5, 0.5).is_err());
-    }
-
-    #[test]
-    fn a_baseline_with_a_repeated_cell_key_is_refused() {
-        let mut report = sample_report();
-        let mut twin = sample_cell();
-        twin.fresh_fraction = 0.5; // same key, another measurement
-        report.cells.push(twin);
-        let refusal = MatrixReport::from_json(&report.to_json()).unwrap_err();
-        assert_eq!(refusal, "cell mini/rpcc/s42 listed twice");
+        let json = report.to_json();
+        let lines: Vec<&str> = json.lines().collect();
+        assert!(
+            lines[1].starts_with(
+                "{\"scenario\":\"mini\",\"strategy\":\"pull\",\"point\":\"query_secs=10\",\"seed\":42,"
+            ),
+            "{json}"
+        );
+        assert!(
+            lines[8].contains("\"strategy\":\"rpcc:dc\",\"point\":\"query_secs=20\",\"seed\":43,")
+        );
     }
 
     #[test]
@@ -953,9 +595,23 @@ mod tests {
         let mut scenario = Scenario::parse(crate::scenario::tests::MINIMAL).unwrap();
         scenario.gates.min_fresh_fraction = Some(0.95);
         let report = sample_report(); // rpcc cell sits at 0.93
-        let violations = gate_violations(&[scenario], &report);
+        let violations = gate_violations(std::slice::from_ref(&scenario), &report);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].axis, GateAxis::FreshFraction);
         assert_eq!(violations[0].cell, "mini/rpcc/s42");
+        assert_eq!(violations[0].limit, 0.95);
+
+        // A p95 ceiling under the push cell's 0.8 s trips that cell on
+        // the latency axis too; at 0.8 s it holds.
+        let mut report = report;
+        report.cells[0].p95_latency_secs = 0.5;
+        scenario.gates.max_p95_latency_secs = Some(0.75);
+        let violations = gate_violations(std::slice::from_ref(&scenario), &report);
+        assert_eq!(violations.len(), 2);
+        assert_eq!(violations[1].axis, GateAxis::Latency);
+        assert_eq!(violations[1].cell, "mini/push/s42");
+        assert_eq!(violations[1].measured, 0.8);
+        scenario.gates.max_p95_latency_secs = Some(0.8);
+        assert_eq!(gate_violations(&[scenario], &report).len(), 1);
     }
 }

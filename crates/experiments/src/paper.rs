@@ -289,7 +289,7 @@ pub fn regenerate(
         }
         scenarios.push(scenario);
     }
-    let (runs, violations) = run_matrix(&scenarios, false);
+    let (runs, violations) = run_matrix(&scenarios);
     // Runs come back in file order: hand each artefact those of its files.
     let mut by_file = runs.chunk_by(|a, b| std::ptr::eq(a.scenario, b.scenario));
     let printed = artefacts.iter().map(|artefact| {

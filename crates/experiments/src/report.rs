@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn series_table_has_row_per_x() {
         let scenario = swept();
-        let (runs, _) = run_matrix(std::slice::from_ref(&scenario), false);
+        let (runs, _) = run_matrix(std::slice::from_ref(&scenario));
         let out = render_series_table("interval", &runs, RunReport::traffic_per_minute, "");
         assert!(out.contains("| interval | Pull "), "{out}");
         assert!(out.contains(" Push "), "{out}");
@@ -283,7 +283,7 @@ mod tests {
     #[test]
     fn csv_round_trips_headers() {
         let scenario = swept();
-        let (runs, _) = run_matrix(std::slice::from_ref(&scenario), false);
+        let (runs, _) = run_matrix(std::slice::from_ref(&scenario));
         let text = csv("fig7a", &runs);
         assert!(text.starts_with("figure,strategy,x,"));
         assert_eq!(text.lines().count(), 1 + 4, "{text}");

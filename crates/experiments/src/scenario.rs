@@ -119,9 +119,6 @@ pub struct GateFloors {
     pub min_fresh_fraction: Option<f64>,
     /// Maximum 95th-percentile query latency (seconds).
     pub max_p95_latency_secs: Option<f64>,
-    /// Minimum event-loop throughput (events/sec; wall-clock, so only
-    /// meaningful on known hardware — prefer the baseline gate in CI).
-    pub min_events_per_sec: Option<f64>,
 }
 
 /// The one swept key of a scenario and the values it takes.
@@ -543,7 +540,7 @@ type Gate = (
     &'static str,
 );
 
-const GATES: [Gate; 3] = [
+const GATES: [Gate; 2] = [
     (
         "min_fresh_fraction",
         |g| &mut g.min_fresh_fraction,
@@ -555,12 +552,6 @@ const GATES: [Gate; 3] = [
         |g| &mut g.max_p95_latency_secs,
         |v| v > 0.0,
         "positive",
-    ),
-    (
-        "min_events_per_sec",
-        |g| &mut g.min_events_per_sec,
-        |v| v >= 0.0,
-        "non-negative",
     ),
 ];
 

@@ -1,8 +1,8 @@
 //! Determinism tests for the scenario matrix.
 //!
-//! Three obligations from the scenario-matrix design (a fourth — an
-//! injected regression trips the `mp2p matrix` gate — drives the real
-//! binary from the root package's `tests/cli.rs`):
+//! Three obligations from the scenario-matrix design (the `ci` matrix
+//! smoke adds a fourth: the `--smoke` report equals the committed
+//! `results/matrix/MATRIX_BASELINE.json` byte for byte):
 //!
 //! 1. The same cell run twice produces byte-identical
 //!    [`RunReport::to_json`] output — and the matrix path produces the
@@ -10,9 +10,9 @@
 //! 2. The committed `paper-default` scenario reproduces the
 //!    `WorldConfig::paper_default` world **byte for byte**: the scenario
 //!    layer can never silently drift the paper reproduction.
-//! 3. The fleet report of an unprofiled sweep is pinned byte for byte as
-//!    an FNV-1a fingerprint (`golden/matrix_report.fnv`). Regenerate it
-//!    only when the report is *meant* to move, with
+//! 3. The fleet report of a sweep is pinned byte for byte as an FNV-1a
+//!    fingerprint (`golden/matrix_report.fnv`). Regenerate it only when
+//!    the report is *meant* to move, with
 //!    `UPDATE_GOLDEN=1 cargo test -p mp2p-experiments --test matrix_determinism`.
 //!
 //! [`RunReport::to_json`]: mp2p_rpcc::RunReport::to_json
@@ -52,7 +52,7 @@ strategies = ["rpcc"]
 seeds = [42]
 "#;
 
-/// The scenario's first cell, run directly and unprofiled.
+/// The scenario's first cell, run directly.
 fn run_first_cell(s: &Scenario) -> RunReport {
     World::new(s.world_config(&s.cells()[0])).run()
 }
@@ -68,27 +68,17 @@ fn the_same_cell_twice_is_byte_identical() {
 #[test]
 fn the_matrix_path_equals_the_direct_run_path() {
     let s = Scenario::parse(TINY).unwrap();
-    // The matrix executor (unprofiled, so every field is deterministic)...
-    let (runs, violations) = run_matrix(std::slice::from_ref(&s), false);
+    // The matrix executor...
+    let (runs, violations) = run_matrix(std::slice::from_ref(&s));
     assert_eq!(violations, Vec::<String>::new());
     let report = MatrixReport::of(&runs);
-    let via_matrix = report.cell("tiny-gate/rpcc/s42").expect("cell swept");
+    let via_matrix = &report.cells[0];
+    assert_eq!(via_matrix.key(), "tiny-gate/rpcc/s42");
     // ...must freeze exactly the cell a direct run freezes by hand.
     let direct = run_first_cell(&s);
     assert_eq!(runs[0].report.to_json(), direct.to_json());
     let by_hand = MatrixCell::from_report(&s, &s.cells()[0], &direct);
     assert_eq!(via_matrix, &by_hand);
-    // And a profiled run only fills the wall-clock fields.
-    let (runs, _) = run_matrix(std::slice::from_ref(&s), true);
-    let mut profiled = MatrixReport::of(&runs).cells.remove(0);
-    assert!(profiled.events > 0 && profiled.events_per_sec > 0.0);
-    profiled.events = 0;
-    profiled.wall_secs = 0.0;
-    profiled.events_per_sec = 0.0;
-    assert_eq!(
-        &profiled, via_matrix,
-        "profiling must be strictly observational"
-    );
 }
 
 /// The golden anchor: `scenarios/paper-default.toml` transcribes Table 1,
@@ -114,8 +104,8 @@ fn paper_default_scenario_reproduces_the_direct_run() {
 }
 
 /// The fleet report of TINY plus a two-strategy scenario sweeping
-/// `update_secs`, unprofiled: `events`, `wall_secs` and `events_per_sec`
-/// are 0, so every byte of `MatrixReport::to_json` is deterministic.
+/// `update_secs`: a cell holds simulated numbers only, so every byte of
+/// `MatrixReport::to_json` is deterministic.
 #[test]
 fn the_fleet_report_is_the_pinned_bytes() {
     let tiny = Scenario::parse(TINY).unwrap();
@@ -127,7 +117,7 @@ fn the_fleet_report_is_the_pinned_bytes() {
     )
     .unwrap();
     let scenarios = [tiny, swept];
-    let (runs, violations) = run_matrix(&scenarios, false);
+    let (runs, violations) = run_matrix(&scenarios);
     assert_eq!(violations, Vec::<String>::new());
     assert_eq!(runs.len(), 1 + 2 * 2);
     let json = MatrixReport::of(&runs).to_json();

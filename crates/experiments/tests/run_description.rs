@@ -339,9 +339,9 @@ const BAD_ARGVS: [&str; 26] = [
 
 /// The bad scenario edits of `scenario.rs::semantic_bounds_are_enforced`
 /// (needle in [`MINIMAL`] → replacement), plus `warmup_mins = 0`, an
-/// interval that rounds to 0 ms, a seed listed twice and a POLL ring
-/// that starts wider than it may grow.
-const BAD_EDITS: [(&str, &str); 12] = [
+/// interval that rounds to 0 ms, a seed listed twice, a POLL ring that
+/// starts wider than it may grow, and the retired wall-clock gate key.
+const BAD_EDITS: [(&str, &str); 13] = [
     ("peers = 8", "peers = 1"),
     ("cache = 3", "cache = 8"),
     ("warmup_mins = 1", "warmup_mins = 9"),
@@ -357,6 +357,10 @@ const BAD_EDITS: [(&str, &str); 12] = [
     ("query_secs = 20", "query_secs = 0.0001"),
     ("seeds = [42, 43]", "seeds = [42, 43, 42]"),
     ("churn_secs = 300", "churn_secs = 300\npoll_ttl = 9"),
+    (
+        "min_fresh_fraction = 0.5",
+        "min_fresh_fraction = 0.5\nmin_events_per_sec = 1000",
+    ),
 ];
 
 /// Bad sweep axes, each put into [`MINIMAL`]'s `[matrix]` (line 29, after
