@@ -115,19 +115,6 @@ impl LatencyStats {
         self.max()
     }
 
-    /// Number of log₂ buckets (see [`LatencyStats::bucket`]).
-    pub const BUCKETS: usize = BUCKETS;
-
-    /// Observations in bucket `i`, which covers `[2^i, 2^(i+1)) ms`
-    /// (bucket 0 covers `[0, 2) ms`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= LatencyStats::BUCKETS`.
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
     /// Exact sum of all observations, in milliseconds.
     pub fn sum_millis(&self) -> u64 {
         self.total_ms
@@ -206,15 +193,15 @@ mod tests {
         let mut l = LatencyStats::default();
         l.record(SimDuration::from_millis(0));
         l.record(SimDuration::from_millis(1));
-        assert_eq!(l.bucket(0), 2);
+        assert_eq!(l.buckets[0], 2);
         for i in 1..20usize {
             let mut l = LatencyStats::default();
             let edge = 1u64 << i;
             l.record(SimDuration::from_millis(edge));
             l.record(SimDuration::from_millis(edge - 1));
             l.record(SimDuration::from_millis(2 * edge - 1));
-            assert_eq!(l.bucket(i), 2, "2^{i} and 2^{{{i}+1}}-1 share bucket {i}");
-            assert_eq!(l.bucket(i - 1), 1, "2^{i}-1 stays below bucket {i}");
+            assert_eq!(l.buckets[i], 2, "2^{i} and 2^{{{i}+1}}-1 share bucket {i}");
+            assert_eq!(l.buckets[i - 1], 1, "2^{i}-1 stays below bucket {i}");
         }
     }
 
@@ -222,11 +209,11 @@ mod tests {
     fn huge_values_clamp_to_the_last_bucket() {
         let mut l = LatencyStats::default();
         l.record(SimDuration::from_millis(u64::MAX / 2));
-        assert_eq!(l.bucket(LatencyStats::BUCKETS - 1), 1);
+        assert_eq!(l.buckets[BUCKETS - 1], 1);
         assert_eq!(l.count(), 1);
         // The percentile reports the last bucket's upper bound
         // (2^BUCKETS - 1 ms), which caps below the observed max.
-        let bound = (1u64 << LatencyStats::BUCKETS) - 1;
+        let bound = (1u64 << BUCKETS) - 1;
         assert_eq!(l.percentile(1.0), SimDuration::from_millis(bound));
         assert!(l.percentile(1.0) <= l.max());
     }
@@ -258,7 +245,7 @@ mod tests {
             l.record(SimDuration::from_millis(ms));
         }
         assert_eq!(l.sum_millis(), 1_010);
-        let total: u64 = (0..LatencyStats::BUCKETS).map(|i| l.bucket(i)).sum();
+        let total: u64 = l.buckets.iter().sum();
         assert_eq!(total, l.count());
     }
 
