@@ -7,7 +7,11 @@
 //!
 //! Every sweep is a scenario file ([`scenario`]) run through one
 //! executor ([`run_matrix`]); what a subcommand prints is a fold over
-//! the runs it returns. Every table and figure of the paper maps to a
+//! the runs it returns. A sweep's files (`matrix --json`, `paper`'s
+//! CSVs) hold simulated numbers only, so the same code and scenario
+//! files write the same bytes and a committed copy is checked with
+//! `diff`; host time is measured by the benchmark, and per run by
+//! `run --profile`. Every table and figure of the paper maps to a
 //! file under `scenarios/paper/` and an artefact id of `mp2p paper`:
 //!
 //! | Paper artefact | Scenario file(s) | `mp2p paper <id>` |
