@@ -340,7 +340,8 @@ const BAD_ARGVS: [&str; 26] = [
 /// The bad scenario edits of `scenario.rs::semantic_bounds_are_enforced`
 /// (needle in [`MINIMAL`] → replacement), plus `warmup_mins = 0`, an
 /// interval that rounds to 0 ms, a seed listed twice, a POLL ring that
-/// starts wider than it may grow, and the retired wall-clock gate key.
+/// starts wider than it may grow, and a wall-clock `[gates]` key, which
+/// the section does not have.
 const BAD_EDITS: [(&str, &str); 13] = [
     ("peers = 8", "peers = 1"),
     ("cache = 3", "cache = 8"),
