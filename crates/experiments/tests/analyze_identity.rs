@@ -1,8 +1,11 @@
-//! Pins what `mp2p analyze` prints over one everything-on journal, byte
+//! Pins what `mp2p analyze` prints over two everything-on journals, byte
 //! for byte: `render_analysis` (top 5, so the traffic timeline and the
 //! `tx/rx` column are in it), `render_consistency`, `render_explain` of
 //! every incident and `render_health`, concatenated in that order and
-//! kept as an FNV-1a fingerprint.
+//! kept as an FNV-1a fingerprint. The 6-minute journal has no chain that
+//! names a frame; the 15-minute one has `invalidate_lost` chains naming
+//! the frame that died, so the choice among superseding frames is pinned
+//! too.
 //!
 //! Regenerate (only when a change is *meant* to move the analyzer's
 //! output) with:
@@ -43,14 +46,14 @@ impl Write for SharedBuf {
     }
 }
 
-/// One small RPCC(HY) run with every journalled layer on (bursty faults,
-/// hardening, recovery, observatory, provenance; schema 4), journalled
-/// into memory.
-fn everything_on_journal() -> Vec<u8> {
+/// One small RPCC(HY) run of `mins` simulated minutes with every
+/// journalled layer on (bursty faults, hardening, recovery, observatory,
+/// provenance; schema 4), journalled into memory.
+fn everything_on_journal(mins: u64) -> Vec<u8> {
     let mut cfg = WorldConfig::small_test(7);
     cfg.strategy = Strategy::Rpcc;
     cfg.level_mix = LevelMix::hybrid();
-    cfg.sim_time = SimDuration::from_mins(6);
+    cfg.sim_time = SimDuration::from_mins(mins);
     cfg.warmup = SimDuration::from_mins(1);
     cfg.proto = cfg.proto.hardened();
     cfg.proto.recovery = RecoveryConfig::on();
@@ -65,10 +68,9 @@ fn everything_on_journal() -> Vec<u8> {
     journal.0.take()
 }
 
-#[test]
-fn every_analyze_section_prints_the_pinned_text() {
-    let journal = everything_on_journal();
-    let analysis = analyze_journal(journal.as_slice()).expect("the journal parses");
+/// Every section `analyze` prints for `journal`, in `analyze`'s order.
+fn analyze_text(journal: &[u8]) -> String {
+    let analysis = analyze_journal(journal).expect("the journal parses");
     let incidents = explain_stale_serves(&analysis);
     assert!(!incidents.is_empty(), "no stale serve to explain");
     let text = [
@@ -80,7 +82,26 @@ fn every_analyze_section_prints_the_pinned_text() {
     .concat();
     assert!(text.contains("Traffic timeline"), "{text}");
     assert!(text.contains("tx/rx"), "{text}");
+    text
+}
+
+#[test]
+fn every_analyze_section_prints_the_pinned_text() {
+    let text = analyze_text(&everything_on_journal(6));
     assert_matches_golden(&fingerprint(text.as_bytes()), "analyze_render.fnv");
+}
+
+#[test]
+fn a_chain_naming_a_dead_frame_prints_the_pinned_text() {
+    let text = analyze_text(&everything_on_journal(15));
+    assert!(
+        text.contains(" died at "),
+        "no chain names the frame that died: {text}"
+    );
+    assert_matches_golden(
+        &fingerprint(text.as_bytes()),
+        "analyze_render_dead_frame.fnv",
+    );
 }
 
 /// FNV-1a: the fixture stays one line instead of the whole report.
