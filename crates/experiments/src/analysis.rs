@@ -15,7 +15,7 @@ use std::io::BufRead;
 use std::path::Path;
 
 use mp2p_metrics::{LatencyStats, MessageClass, AGE_BUCKETS, AGE_BUCKET_EDGES};
-use mp2p_sim::{ItemId, NodeId, SimDuration, SimTime};
+use mp2p_sim::{FastMap, ItemId, NodeId, SimDuration, SimTime};
 use mp2p_trace::bridge::DEFAULT_WINDOW;
 use mp2p_trace::reader::{JournalHeader, JournalReader, ReadError};
 use mp2p_trace::span::{QuerySpan, SpanAssembler, SpanOutcome};
@@ -405,7 +405,9 @@ impl NodeHealth {
 #[derive(Debug, Clone, Default)]
 pub struct ProvenanceGraph {
     frames_born: u64,
-    pushes: BTreeMap<(NodeId, u64), Push>,
+    pushes: FastMap<(NodeId, u64), Push>,
+    /// The keys of `pushes` by the item they carry, in journal order.
+    pushes_of: FastMap<ItemId, Vec<(NodeId, u64)>>,
     lineages: BTreeMap<(NodeId, ItemId), Vec<LineageRecord>>,
     updates: BTreeMap<ItemId, Vec<(SimTime, NodeId, u64)>>,
     /// Stale serves in journal order (the incidents to explain).
@@ -419,7 +421,7 @@ pub struct ProvenanceGraph {
     resyncs: BTreeMap<NodeId, Vec<(SimTime, u32)>>,
     retransmits: Vec<(SimTime, NodeId, NodeId, ItemId, u8)>,
     handovers: Vec<(SimTime, NodeId, NodeId, ItemId)>,
-    health: BTreeMap<NodeId, NodeHealth>,
+    health: FastMap<NodeId, NodeHealth>,
     links: BTreeMap<(NodeId, NodeId), u64>,
 }
 
@@ -430,8 +432,8 @@ impl ProvenanceGraph {
         self.frames_born > 0
     }
 
-    /// Per-node health counters, node-ordered.
-    pub fn node_health(&self) -> &BTreeMap<NodeId, NodeHealth> {
+    /// Per-node health counters, in no particular order.
+    pub fn node_health(&self) -> &FastMap<NodeId, NodeHealth> {
         &self.health
     }
 
@@ -463,6 +465,7 @@ impl ProvenanceGraph {
                         deliveries: Vec::new(),
                     };
                     self.pushes.insert((node, frame), push);
+                    self.pushes_of.entry(item).or_default().push((node, frame));
                 }
                 self.health.entry(node).or_default().born += 1;
             }
@@ -627,16 +630,23 @@ impl ProvenanceGraph {
     }
 
     /// Propagation frames carrying a version of `item` newer than
-    /// `served_v`, born at or before `until`, key-ordered.
+    /// `served_v`, born at or before `until`, in no particular order (a
+    /// frame may come twice). A journal that reuses a frame id keeps its
+    /// last birth, as `pushes` does.
     fn superseding_frames(
         &self,
         item: ItemId,
         served_v: u64,
         until: SimTime,
     ) -> impl Iterator<Item = (&(NodeId, u64), &Push)> {
-        self.pushes.iter().filter(move |(_, push)| {
-            push.item == item && push.version > served_v && push.born <= until
-        })
+        self.pushes_of
+            .get(&item)
+            .into_iter()
+            .flatten()
+            .filter_map(|key| self.pushes.get_key_value(key))
+            .filter(move |(_, push)| {
+                push.item == item && push.version > served_v && push.born <= until
+            })
     }
 
     /// Builds the full causal chain for one stale serve: the missed
@@ -728,7 +738,7 @@ impl ProvenanceGraph {
                     .superseding_frames(s.item, served_v, s.at)
                     .filter(|(_, push)| push.born >= from)
                     .filter_map(|(key, push)| Some((key, push, push.lost?)))
-                    .min_by_key(|&(_, _, (at, _, _))| at);
+                    .min_by_key(|&(&key, _, (at, _, _))| (at, key));
                 if let Some(((origin, seq), push, (at, node, fate))) = lost {
                     format!(
                         "frame {origin}#{seq} ({}) carrying v{} died at {node} (fate: {}) at \
@@ -797,7 +807,7 @@ impl ProvenanceGraph {
                         let &(at, _) = deliveries.find(|&&(at, n)| n == s.node && at >= s.at)?;
                         Some((key, push, at))
                     })
-                    .min_by_key(|&(_, _, at)| at);
+                    .min_by_key(|&(&key, _, at)| (at, key));
                 match late {
                     Some(((origin, seq), push, delivered_at)) => format!(
                         "frame {origin}#{seq} carrying v{} was in flight: born t={:.1}s, \
@@ -1899,6 +1909,34 @@ mod tests {
              t=71.5s — after the serve"
         );
         assert!(render_health(&analysis).contains("Totals: 3 frames born, 1 stale serves"));
+    }
+
+    #[test]
+    fn explain_names_the_lowest_frame_id_among_losses_at_one_instant() {
+        // Two superseding frames die at the same instant; the one born
+        // first has the higher (origin, seq), so only the explicit
+        // tie-break, not the order pushes were recorded in, names M2#7.
+        let text = journal_v4(&[
+            "{\"t\":70000,\"ev\":\"source_update\",\"node\":2,\"item\":5,\"version\":2}",
+            "{\"t\":70100,\"ev\":\"frame_born\",\"node\":3,\"frame\":0,\
+             \"class\":\"INVALIDATION\",\"dest\":null,\"item\":5,\"version\":2}",
+            "{\"t\":70150,\"ev\":\"frame_born\",\"node\":2,\"frame\":7,\
+             \"class\":\"UPDATE\",\"dest\":1,\"item\":5,\"version\":2}",
+            "{\"t\":70500,\"ev\":\"frame_fate\",\"node\":4,\"origin\":3,\"frame\":0,\
+             \"fate\":\"burst\"}",
+            "{\"t\":70500,\"ev\":\"frame_fate\",\"node\":4,\"origin\":2,\"frame\":7,\
+             \"fate\":\"burst\"}",
+            "{\"t\":71000,\"ev\":\"stale_serve\",\"node\":1,\"query\":9,\"item\":5,\
+             \"cause\":\"invalidate_lost\",\"staleness_ms\":1000,\"lag\":1,\"violation\":false}",
+        ]);
+        let analysis = analyze_journal(BufReader::new(text.as_bytes())).unwrap();
+        let incidents = explain_stale_serves(&analysis);
+        assert_eq!(incidents.len(), 1);
+        assert!(
+            incidents[0].chain[2].starts_with("frame M2#7 (UPDATE) carrying v2 died at M4"),
+            "{}",
+            incidents[0].chain[2]
+        );
     }
 
     #[test]

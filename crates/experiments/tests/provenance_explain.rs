@@ -110,11 +110,12 @@ fn assert_every_stale_serve_explained(preset: &str) {
     let health = render_health(&analysis);
     assert!(health.contains("Per-node health scoreboard"));
     assert!(!health.contains("no frame provenance"));
+    // Ties go to the highest node id, so the map's order cannot decide.
     let top_contributor = analysis
         .provenance
         .node_health()
         .iter()
-        .max_by_key(|(_, h)| h.staleness_ms)
+        .max_by_key(|(node, h)| (h.staleness_ms, **node))
         .map(|(node, _)| node.to_string())
         .expect("health board is non-empty");
     assert!(health.contains(&top_contributor));
