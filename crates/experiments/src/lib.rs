@@ -50,10 +50,7 @@ pub use analysis::{
     ProvenanceGraph, ReportTotals, SpanTotals, TraceAnalysis,
 };
 pub use check::check_report;
-pub use matrix::{
-    gate_violations, run_matrix, CellRegression, CellRun, GateAxis, MatrixCell, MatrixReport,
-    MATRIX_SCHEMA,
-};
+pub use matrix::{report_json, run_matrix, CellRun, MATRIX_SCHEMA};
 pub use perf::{bench_config, bench_terrain, AREA_PER_PEER_M2};
 pub use report::render_table;
 pub use scenario::{Axis, Cell, GateFloors, Horizon, Scenario, ScenarioError, SCENARIO_SCHEMA};

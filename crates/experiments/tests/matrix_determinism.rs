@@ -5,21 +5,23 @@
 //! `results/matrix/MATRIX_BASELINE.json` byte for byte):
 //!
 //! 1. The same cell run twice produces byte-identical
-//!    [`RunReport::to_json`] output — and the matrix path produces the
-//!    same cell as a direct run frozen by hand.
+//!    [`RunReport::to_json`] output — and the matrix report's line of a
+//!    cell holds exactly the `to_json` of the same world run directly.
 //! 2. The committed `paper-default` scenario reproduces the
 //!    `WorldConfig::paper_default` world **byte for byte**: the scenario
 //!    layer can never silently drift the paper reproduction.
-//! 3. The fleet report of a sweep is pinned byte for byte as an FNV-1a
+//! 3. The fleet report of a sweep ([`report_json`]) is pinned byte for
+//!    byte as an FNV-1a
 //!    fingerprint (`golden/matrix_report.fnv`). Regenerate it only when
 //!    the report is *meant* to move, with
 //!    `UPDATE_GOLDEN=1 cargo test -p mp2p-experiments --test matrix_determinism`.
 //!
 //! [`RunReport::to_json`]: mp2p_rpcc::RunReport::to_json
+//! [`report_json`]: mp2p_experiments::matrix::report_json
 
 use std::path::{Path, PathBuf};
 
-use mp2p_experiments::matrix::{run_matrix, MatrixCell, MatrixReport};
+use mp2p_experiments::matrix::{report_json, run_matrix};
 use mp2p_experiments::scenario::Scenario;
 use mp2p_rpcc::{RunReport, World, WorldConfig};
 use mp2p_sim::SimDuration;
@@ -71,14 +73,16 @@ fn the_matrix_path_equals_the_direct_run_path() {
     // The matrix executor...
     let (runs, violations) = run_matrix(std::slice::from_ref(&s));
     assert_eq!(violations, Vec::<String>::new());
-    let report = MatrixReport::of(&runs);
-    let via_matrix = &report.cells[0];
-    assert_eq!(via_matrix.key(), "tiny-gate/rpcc/s42");
-    // ...must freeze exactly the cell a direct run freezes by hand.
+    let json = report_json(&runs);
+    // ...must write, as the cell's line, exactly the report of the
+    // world run directly.
     let direct = run_first_cell(&s);
-    assert_eq!(runs[0].report.to_json(), direct.to_json());
-    let by_hand = MatrixCell::from_report(&s, &s.cells()[0], &direct);
-    assert_eq!(via_matrix, &by_hand);
+    let p95 = direct.latency.percentile(0.95).as_secs_f64();
+    let line = format!(
+        "{{\"cell\":\"tiny-gate/rpcc/s42\",\"p95_latency_secs\":{p95},\"report\":{}}}",
+        direct.to_json()
+    );
+    assert_eq!(json.lines().nth(1), Some(line.as_str()), "{json}");
 }
 
 /// The golden anchor: `scenarios/paper-default.toml` transcribes Table 1,
@@ -104,8 +108,8 @@ fn paper_default_scenario_reproduces_the_direct_run() {
 }
 
 /// The fleet report of TINY plus a two-strategy scenario sweeping
-/// `update_secs`: a cell holds simulated numbers only, so every byte of
-/// `MatrixReport::to_json` is deterministic.
+/// `update_secs`: an unprofiled run report holds simulated numbers only,
+/// so every byte of `report_json` is deterministic.
 #[test]
 fn the_fleet_report_is_the_pinned_bytes() {
     let tiny = Scenario::parse(TINY).unwrap();
@@ -120,8 +124,11 @@ fn the_fleet_report_is_the_pinned_bytes() {
     let (runs, violations) = run_matrix(&scenarios);
     assert_eq!(violations, Vec::<String>::new());
     assert_eq!(runs.len(), 1 + 2 * 2);
-    let json = MatrixReport::of(&runs).to_json();
-    assert!(json.contains("\"point\":\"update_secs=120\""), "{json}");
+    let json = report_json(&runs);
+    assert!(
+        json.contains("\"cell\":\"tiny-sweep/push/update_secs=120/s42\""),
+        "{json}"
+    );
     assert_matches_golden(&fingerprint(json.as_bytes()), "matrix_report.fnv");
 }
 

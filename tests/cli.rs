@@ -647,6 +647,20 @@ fn matrix_writes_its_report_only_where_json_says() {
         .collect();
     left.sort();
     assert_eq!(left, ["scenarios"], "a sweep without --json writes no file");
+
+    let report = dir.path("report.json");
+    let written = matrix_in(&dir, TINY, &["--json", &report]);
+    assert!(written.status.success(), "{}", stderr_of(&written));
+    let json = std::fs::read_to_string(&report).expect("--json writes its file");
+    let mut lines = json.lines();
+    assert_eq!(lines.next(), Some("{\"matrix_schema\":3,\"cells\":["));
+    let cell = lines.next().unwrap_or_default();
+    assert!(
+        cell.starts_with("{\"cell\":\"tiny-gate/rpcc/s42\",\"p95_latency_secs\":"),
+        "{json}"
+    );
+    assert!(cell.contains(",\"report\":{\"strategy\":"), "{json}");
+    assert_eq!(lines.collect::<Vec<_>>(), ["]}"]);
 }
 
 #[test]
@@ -677,11 +691,21 @@ fn gate_floor_violations_trip_the_sweep() {
         "an unmet [gates] floor must exit 1\n{}",
         stdout_of(&tripped)
     );
-    let stdout = stdout_of(&tripped);
-    assert!(stdout.contains("GATE FLOOR VIOLATIONS (2)"), "{stdout}");
-    for axis in ["fresh-fraction", "p95-latency"] {
-        assert!(stdout.contains(axis), "{axis} is not named:\n{stdout}");
+    // One stderr line per missed bound, naming the cell and the axis.
+    let stderr = stderr_of(&tripped);
+    let missed: Vec<&str> = stderr.lines().collect();
+    assert_eq!(missed.len(), 2, "{stderr}");
+    for (line, axis) in missed.iter().zip(["fresh fraction", "p95 latency"]) {
+        assert!(
+            line.starts_with(&format!("INVARIANT VIOLATED: tiny-gate/rpcc/s42: {axis} ")),
+            "{axis} is not named:\n{stderr}"
+        );
+        assert!(line.contains(" the [gates] "), "{line}");
     }
+    assert!(
+        !stdout_of(&tripped).contains("VIOLAT"),
+        "a miss is reported on stderr only"
+    );
 }
 
 /// `mp2p paper` reads `scenarios/paper/<file>.toml` under the working
