@@ -313,11 +313,11 @@ const fn opt(section: &'static str, key: &'static str) -> Option<FileKey> {
 
 /// Every run parameter, one per entry — hand-aligned, spelling and
 /// wording on the first line, conversion below it. File rows are in
-/// canonical file order; a row that builds on another's value
-/// (`--sample-secs` on `--consistency`, a mobility parameter on the
-/// model, the fault preset on the horizon it scales to) comes after it.
+/// canonical file order; a row that builds on another's value (a
+/// mobility parameter on the model, the fault preset on the horizon it
+/// scales to) comes after it.
 #[rustfmt::skip]
-pub static TABLE: [Row; 38] = [
+pub static TABLE: [Row; 37] = [
     Row { field: "n_peers", file: req("world", "peers"), flag: Some("--peers"), expects: "an integer >= 2",
           set: |c, v| whole(v).map(|n| c.n_peers = n), get: |c| num(c.n_peers as f64) },
     Row { field: "c_num", file: req("world", "cache"), flag: Some("--cache"), expects: "an integer >= 1",
@@ -362,10 +362,9 @@ pub static TABLE: [Row; 38] = [
           get: |c| shown(c.proto.recovery.enabled()), ..ROW },
     Row { field: "observatory", flag: Some("--consistency"),
           set: |c, _| { c.observatory = ObservatoryConfig::full(SimDuration::from_secs(30)); Ok(()) }, ..ROW },
-    Row { field: "observatory.sample_period", file: opt("world", "consistency_sample_secs"), flag: Some("--sample-secs"),
-          expects: SECONDS,
+    Row { field: "observatory.sample_period", file: opt("world", "consistency_sample_secs"), expects: SECONDS,
           set: |c, v| span(v, SECOND).map(|d| c.observatory = ObservatoryConfig::full(d)),
-          get: |c| units(c.observatory.sample_period?, SECOND) },
+          get: |c| units(c.observatory.sample_period?, SECOND), ..ROW },
     Row { field: "proto.invalidation_ttl", file: opt("world", "invalidation_ttl"), flag: Some("--ttl"),
           expects: "a hop count in 1..=255",
           set: |c, v| whole(v).map(|hops| c.proto.invalidation_ttl = hops),
@@ -410,8 +409,6 @@ pub static TABLE: [Row; 38] = [
           set: |c, v| real(v).map(|p| c.link.loss_prob = p), ..ROW },
     Row { field: "seed", flag: Some("--seed"), expects: "a non-negative integer",
           set: |c, v| whole(v).map(|n| c.seed = n), ..ROW },
-    Row { field: "routing", flag: Some("--oracle-routing"),
-          set: |c, _| { c.routing = RoutingMode::Oracle; Ok(()) }, ..ROW },
     Row { field: "provenance", flag: Some("--provenance"),
           set: |c, _| { c.provenance = ProvenanceConfig::full(); Ok(()) }, ..ROW },
     Row { field: "faults", file: opt("faults", "preset"), flag: Some("--faults"),

@@ -26,8 +26,8 @@
 //! Opt-in layers: `--faults PRESET` installs a chaos preset scaled to
 //! the run; `--hardened` adds retry backoff, relay orphan lease and
 //! fallback flood; `--recovery` adds rejoin resync, acknowledged updates
-//! and lease handover; `--consistency` samples divergence every
-//! `--sample-secs` (default 30) and blames every stale serve;
+//! and lease handover; `--consistency` samples divergence every 30
+//! simulated seconds and blames every stale serve;
 //! `--provenance` journals every frame's birth, hops and fate. With a
 //! layer off, report and journal bytes are those of a build without it;
 //! the journal's schema tier follows from the layers that are on.
@@ -36,9 +36,8 @@
 //! shared with scenario files): this module applies the rows whose flag
 //! was given and leaves every range to [`WorldConfig::check`]. Only what
 //! is a convenience of this front end lives here — `--full`, the
-//! `--cache` clamp for small peer counts, `--sample-secs` needing
-//! `--consistency`, and feeding the compound `--mobility MODEL[:P...]`
-//! token to the mobility rows.
+//! `--cache` clamp for small peer counts, and feeding the compound
+//! `--mobility MODEL[:P...]` token to the mobility rows.
 //!
 //! Every report is checked against [`check_report`]; a violation exits 1.
 
@@ -77,7 +76,6 @@ pub static SPEC: Spec = Spec {
         ("--ttl", "HOPS"),
         ("--loss", "P"),
         ("--no-churn", ""),
-        ("--oracle-routing", ""),
         ("--adaptive", ""),
         ("--relay-cap", "N"),
         ("--single-item", ""),
@@ -86,7 +84,6 @@ pub static SPEC: Spec = Spec {
         ("--hardened", ""),
         ("--recovery", ""),
         ("--consistency", ""),
-        ("--sample-secs", "S"),
         ("--provenance", ""),
         ("--trace", "FILE|PREFIX"),
         ("--json", "FILE"),
@@ -118,10 +115,6 @@ pub fn world_config(args: &Args) -> Result<WorldConfig, String> {
     if !args.flag("--full") {
         cfg.sim_time = QUICK.sim_time;
         cfg.warmup = QUICK.warmup;
-    }
-
-    if args.flag("--sample-secs") && !args.flag("--consistency") {
-        return Err("--sample-secs only makes sense together with --consistency".into());
     }
     for row in &keys::TABLE {
         let Some(flag) = row.flag.filter(|flag| args.flag(flag)) else {
@@ -665,8 +658,8 @@ mod tests {
         for row in &keys::TABLE {
             let Some(flag) = row.flag else { continue };
             let takes_a_value = |(f, metavar): &(&str, &str)| *f == flag && !metavar.is_empty();
-            if flag == "--sample-secs" || !SPEC.flags.iter().any(takes_a_value) {
-                continue; // needs --consistency: below
+            if !SPEC.flags.iter().any(takes_a_value) {
+                continue;
             }
             let (_, good, bad) = cases
                 .iter()
@@ -679,10 +672,6 @@ mod tests {
                 assert!(err.starts_with(&want), "{flag} {text}: {err}");
             }
         }
-        RunPlan::parse(&argv(&["--consistency", "--sample-secs", "0.001"])).unwrap();
-        let err = RunPlan::parse(&argv(&["--consistency", "--sample-secs", "0.0001"])).unwrap_err();
-        let want = "mp2p run: --sample-secs expects a positive number of seconds, got \"0.0001\"\n";
-        assert!(err.starts_with(want), "{err}");
         // The seed keeps all 64 bits on its way through the table.
         let plan = RunPlan::parse(&argv(&["--seed", "18446744073709551615"])).unwrap();
         assert_eq!(plan.cfg.seed, u64::MAX);

@@ -119,7 +119,7 @@ const ARGVS: [&str; 19] = [
     "--full --strategy all",
     "--strategy rpcc,push --mix hy --peers 20 --terrain 900 --cache 5 --sim 2 --warmup 0.5 --faults hostile --hardened",
     "--update-secs 30 --query-secs 5 --write-secs 180",
-    "--no-churn --oracle-routing --adaptive --single-item --profile",
+    "--no-churn --adaptive --single-item --profile",
     "--ttl 5 --loss 0.05 --relay-cap 2 --seed 7 --range 300",
     "--mobility waypoint",
     "--mobility waypoint:1:3:0",
@@ -128,7 +128,7 @@ const ARGVS: [&str; 19] = [
     "--mobility manhattan",
     "--mobility manhattan:100:12.5",
     "--mobility stationary",
-    "--consistency --sample-secs 10 --recovery --provenance --trace /tmp/x --json /tmp/x.json",
+    "--consistency --recovery --provenance --trace /tmp/x --json /tmp/x.json",
     "--consistency",
     "--peers 5",
     "--faults crash-heavy --sim 10 --warmup 0",
@@ -307,7 +307,7 @@ min_fresh_fraction = 0.5
 "#;
 
 /// The bad `mp2p run` inputs of `tests/cli.rs`.
-const BAD_ARGVS: [&str; 26] = [
+const BAD_ARGVS: [&str; 23] = [
     "--warmup 50",
     "--sim 5 --warmup 5",
     "--peers 1",
@@ -319,8 +319,6 @@ const BAD_ARGVS: [&str; 26] = [
     "--loss 1.5",
     "--relay-cap 0",
     "--range 0",
-    "--sample-secs 5",
-    "--consistency --sample-secs 0",
     "--faults meteor",
     "--mobility walk:3:1",
     "--metrics-out m",
@@ -329,7 +327,6 @@ const BAD_ARGVS: [&str; 26] = [
     "--query-secs 0.0001",
     "--update-secs 1e-9",
     "--write-secs 0.0001",
-    "--consistency --sample-secs 0.0001",
     "--mobility walk:1:2:0.0001",
     "--mobility manhattan:1e-9:8",
     "--mobility manhattan:2000",

@@ -224,8 +224,8 @@ fn run_flags_map_onto_the_world_and_bad_values_are_usage_errors() {
         ("--loss 1.5", "--loss expects"),
         ("--relay-cap 0", "--relay-cap expects"),
         ("--range 0", "--range expects"),
-        ("--sample-secs 5", "only makes sense"),
-        ("--consistency --sample-secs 0", "--sample-secs expects"),
+        ("--sample-secs 5", "unknown flag --sample-secs"),
+        ("--oracle-routing", "unknown flag --oracle-routing"),
         ("--faults meteor", "unknown fault plan"),
         ("--mobility walk:3:1", "MIN <= MAX"),
         ("--metrics-out m", "unknown flag --metrics-out"),
@@ -235,10 +235,6 @@ fn run_flags_map_onto_the_world_and_bad_values_are_usage_errors() {
         ("--query-secs 0.0001", "--query-secs expects a positive"),
         ("--update-secs 1e-9", "--update-secs expects a positive"),
         ("--write-secs 0.0001", "--write-secs expects a positive"),
-        (
-            "--consistency --sample-secs 0.0001",
-            "--sample-secs expects a positive",
-        ),
         (
             "--mobility walk:1:2:0.0001",
             "--mobility expects an epoch of 0.001 s or more",
