@@ -61,7 +61,7 @@ impl CellRun<'_> {
     /// `scenario/strategy/s<seed>`, or `scenario/strategy/key=value/s<seed>`
     /// in a swept scenario — the cell's display key. The strategy carries
     /// its mix where the scenario's entry does (`rpcc:dc`).
-    pub fn key(&self) -> String {
+    pub(crate) fn key(&self) -> String {
         let point = match self.scenario.point(&self.cell) {
             Some(point) => format!("/{point}"),
             None => String::new(),
@@ -75,7 +75,7 @@ impl CellRun<'_> {
 
     /// 95th-percentile query latency in simulated seconds: the value a
     /// `[gates]` ceiling bounds, which the report's JSON does not carry.
-    pub fn p95_latency_secs(&self) -> f64 {
+    pub(crate) fn p95_latency_secs(&self) -> f64 {
         self.report.latency.percentile(0.95).as_secs_f64()
     }
 
