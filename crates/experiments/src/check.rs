@@ -1,7 +1,8 @@
 //! Invariants every finished run must satisfy, whatever its scenario.
 //!
 //! `mp2p run` and `mp2p matrix` apply [`check_report`] to every report
-//! they produce and exit 1 on a violation; the tier-1 fault-preset grid
+//! they produce (`matrix` beside each scenario's `[gates]`) and exit 1
+//! on a violation; the tier-1 fault-preset grid
 //! (`tests/failure_injection.rs`) applies it to every preset × strategy.
 
 use mp2p_rpcc::RunReport;

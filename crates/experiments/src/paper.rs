@@ -273,8 +273,9 @@ fn print(artefact: &Artefact, files: &[&[CellRun<'_>]]) -> Printed {
 /// Regenerates the artefact(s) `id` names from the scenario files under
 /// `dir`, cut down to `horizon` if one is given: loads every file, runs
 /// all their cells through [`run_matrix`] in one pass, and prints each
-/// artefact from the runs of its files. The second value lists every
-/// [`crate::check_report`] violation. An unknown id yields nothing.
+/// artefact from the runs of its files. The second value is
+/// [`run_matrix`]'s: every [`crate::check_report`] violation (no file
+/// under `scenarios/paper/` has `[gates]`). An unknown id yields nothing.
 pub fn regenerate(
     id: &str,
     dir: &Path,
