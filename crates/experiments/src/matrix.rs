@@ -159,7 +159,7 @@ pub fn points<'r, 'a>(runs: &'r [CellRun<'a>]) -> impl Iterator<Item = &'r [Cell
 ///
 /// ```text
 /// {"matrix_schema":3,"cells":[
-/// {"cell":"highway-convoy/rpcc/s42","p95_latency_secs":2.047,"report":{"strategy":"RPCC(HY)",...}},
+/// {"cell":"highway-convoy/rpcc/s42","p95_latency_secs":2.047,"report":{"strategy":"RPCC","level_mix":"SC",...}},
 /// {"cell":"highway-convoy/push/s42","p95_latency_secs":184.024,"report":{"strategy":"Push",...}}
 /// ]}
 /// ```
