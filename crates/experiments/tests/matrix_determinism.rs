@@ -11,9 +11,8 @@
 //!    `WorldConfig::paper_default` world **byte for byte**: the scenario
 //!    layer can never silently drift the paper reproduction.
 //! 3. The fleet report of a sweep ([`report_json`]) is pinned byte for
-//!    byte as an FNV-1a
-//!    fingerprint (`golden/matrix_report.fnv`). Regenerate it only when
-//!    the report is *meant* to move, with
+//!    byte as an FNV-1a fingerprint (`golden/matrix_report.fnv`).
+//!    Regenerate it only when the report is *meant* to move, with
 //!    `UPDATE_GOLDEN=1 cargo test -p mp2p-experiments --test matrix_determinism`.
 //!
 //! [`RunReport::to_json`]: mp2p_rpcc::RunReport::to_json
