@@ -354,6 +354,92 @@ mod tests {
         }
     }
 
+    /// Pushes placed against the latest time popped so far, `last`.
+    #[derive(Debug, Clone)]
+    enum Near {
+        /// One event at `last − 5 + offset`: from just before `last`
+        /// to well past the next 64 ms.
+        Push(u64),
+        /// That many events at exactly `last + 63`, `+ 64` or `+ 65`.
+        Edge(u64, usize),
+        /// One event `back` ms before `last`, where that is not before 0.
+        Past(u64),
+        Pop,
+        /// Up to that many pops, with a clone popped in lockstep.
+        Lockstep(usize),
+    }
+
+    fn near() -> impl Strategy<Value = Near> {
+        (0u8..16, 0u64..205, 63u64..66, 2usize..12).prop_map(|(kind, offset, edge, n)| match kind {
+            0..=5 => Near::Push(offset),
+            6..=7 => Near::Edge(edge, n),
+            8 => Near::Past(1 + offset % 100),
+            9..=14 => Near::Pop,
+            _ => Near::Lockstep(n),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Pushes that straddle the next 64 ms after the latest pop —
+        /// just before it, inside, at its last millisecond, just past it,
+        /// far past it and in the past — pop what the model pops, and a
+        /// clone taken mid-drain pops the same.
+        #[test]
+        fn prop_pushes_around_the_latest_pop_match_the_model(
+            ops in proptest::collection::vec(near(), 0..300),
+        ) {
+            let mut q = EventQueue::new();
+            let mut model = Model::default();
+            let mut last = 0u64;
+            let pop_both = |q: &mut EventQueue<usize>, model: &mut Model, last: &mut u64| {
+                let want = model.pop();
+                if let Some((t, _)) = want {
+                    *last = (*last).max(t.as_millis());
+                }
+                (q.pop(), want)
+            };
+            for op in ops {
+                match op {
+                    Near::Push(offset) => {
+                        let t = (last + offset).saturating_sub(5);
+                        q.push(SimTime::from_millis(t), model.push(t));
+                    }
+                    Near::Edge(ahead, n) => {
+                        let t = last + ahead;
+                        q.extend((0..n).map(|_| (SimTime::from_millis(t), model.push(t))));
+                    }
+                    Near::Past(back) => {
+                        let t = last.saturating_sub(back);
+                        q.push(SimTime::from_millis(t), model.push(t));
+                    }
+                    Near::Pop => {
+                        let (got, want) = pop_both(&mut q, &mut model, &mut last);
+                        prop_assert_eq!(got, want);
+                    }
+                    Near::Lockstep(n) => {
+                        let mut twin = q.clone();
+                        for _ in 0..n {
+                            let (got, want) = pop_both(&mut q, &mut model, &mut last);
+                            prop_assert_eq!(got, want);
+                            prop_assert_eq!(twin.pop(), want);
+                        }
+                        prop_assert_eq!(twin.len(), q.len());
+                    }
+                }
+                prop_assert_eq!(q.len(), model.pending.len());
+            }
+            loop {
+                let (got, want) = pop_both(&mut q, &mut model, &mut last);
+                prop_assert_eq!(got, want);
+                if want.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
     proptest! {
         /// The queue is a *stable* priority queue: output is the input
         /// stably sorted by timestamp.
