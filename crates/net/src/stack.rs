@@ -2,9 +2,8 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
 
-use mp2p_sim::{FastMap, FastSet, NodeId, SimDuration, SimTime};
+use mp2p_sim::{FastMap, NodeId, SimDuration, SimTime};
 
 use crate::frame::{FloodId, Frame, NetMeta, NetPayload, RouteControl};
 use crate::link::LinkModel;
@@ -808,21 +807,11 @@ impl DedupKey {
     }
 }
 
-impl Hash for DedupKey {
-    /// Hashed as the two fields it packs, as [`FloodId`]'s derive hashes
-    /// them. The Fx hash of the word alone would leave the origin out of
-    /// the bucket index: the low bits of `word * K` depend only on the
-    /// low bits of `word`.
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        let origin = (self.0 >> SEQ_BITS) as u32;
-        NodeId::new(origin).hash(state);
-        (self.0 & ((1 << SEQ_BITS) - 1)).hash(state);
-    }
-}
-
 /// A duplicate-suppression memory: every key first heard within its
-/// lifetime. The set answers new-or-known; the ring holds the same keys
-/// in arrival order, each with the last instant it must be held.
+/// lifetime, in a ring in arrival order, each with the last instant it
+/// must be held. A scan of the ring answers new-or-known: on the
+/// benchmark runs a memory holds 1.3–1.5 keys on average when asked,
+/// and at most 22.
 ///
 /// A flood's ids live `2 · T · h` from when this node first hears (or
 /// sends) the flood, where `T` is the TTL the flood was sent with (a
@@ -844,7 +833,6 @@ impl Hash for DedupKey {
 /// lifetime order, because keeping a key longer never changes an answer.
 #[derive(Debug, Clone, Default)]
 struct DedupMemory {
-    seen: FastSet<DedupKey>,
     order: VecDeque<(DedupKey, SimTime)>,
 }
 
@@ -853,14 +841,13 @@ impl DedupMemory {
     /// before `now`, then notes `key`, to be held through `now +
     /// lifetime`; returns false if it is still held.
     fn remember(&mut self, now: SimTime, key: DedupKey, lifetime: SimDuration) -> bool {
-        while let Some(&(old, held_until)) = self.order.front() {
+        while let Some(&(_, held_until)) = self.order.front() {
             if held_until >= now {
                 break;
             }
             self.order.pop_front();
-            self.seen.remove(&old);
         }
-        if !self.seen.insert(key) {
+        if self.order.iter().any(|&(held, _)| held == key) {
             return false;
         }
         self.order.push_back((key, now + lifetime));
@@ -911,7 +898,7 @@ mod tests {
 
         let mut a = a.rebooted();
         assert_eq!(a.route_count(SimTime::ZERO), 0);
-        assert!(a.pending.is_empty() && a.seen_floods.seen.is_empty());
+        assert!(a.pending.is_empty() && a.seen_floods.order.is_empty());
         assert!(a.tracing, "the flight recorder stays attached");
         // What a sends next must be new to b: a fresh flood is delivered,
         // a fresh route request is re-flooded, neither is a duplicate.
@@ -1059,7 +1046,6 @@ mod tests {
                     held.iter().all(|&until| until >= now) && held.len() <= 3,
                     "at {now}: slots held until {held:?}"
                 );
-                assert_eq!(memory.seen.len(), held.len());
             }
         }
     }
@@ -1126,23 +1112,6 @@ mod tests {
         }
     }
 
-    /// A key hashes as the [`FloodId`] it packs, so the set spreads keys
-    /// over its buckets by origin and seq alike, as a set of ids did.
-    #[test]
-    fn a_dedup_key_hashes_as_the_flood_id_it_packs() {
-        use std::hash::BuildHasher;
-        let set = FastSet::<DedupKey>::default();
-        let hasher = set.hasher();
-        for (origin, seq) in [(0, 0), (1, 7), (3, 7), ((1 << 24) - 1, (1 << 40) - 1)] {
-            let id = FloodId {
-                origin: NodeId::new(origin),
-                seq,
-            };
-            let key = DedupKey::new(id.origin, id.seq);
-            assert_eq!(hasher.hash_one(key), hasher.hash_one(id), "{id:?}");
-        }
-    }
-
     /// The ids at the corners of the packed key's domain (origin below
     /// 2^24, seq below 2^40) and a few ordinary ones, drawn with repeats.
     fn dedup_stream() -> impl Strategy<Value = Vec<(NodeId, u64)>> {
@@ -1162,8 +1131,7 @@ mod tests {
         /// id lives as long, the ring forgets in lifetime order and the
         /// answer is exactly that; with mixed lifetimes an id may be
         /// held longer, behind one heard before it, but never shorter,
-        /// and an id never heard is always new. Set and ring hold the
-        /// same keys.
+        /// and an id never heard is always new.
         #[test]
         fn prop_an_id_is_new_iff_it_was_not_first_heard_within_its_lifetime(
             stream in dedup_stream(),
@@ -1187,7 +1155,6 @@ mod tests {
                 if new {
                     held_until.insert(key, now + lifetime);
                 }
-                prop_assert_eq!(memory.seen.len(), memory.order.len());
             }
         }
     }
