@@ -810,7 +810,7 @@ impl DedupKey {
 /// A duplicate-suppression memory: every key first heard within its
 /// lifetime, in a ring in arrival order, each with the last instant it
 /// must be held. A scan of the ring answers new-or-known: on the
-/// benchmark runs a memory holds 1.3–1.5 keys on average when asked,
+/// benchmark runs a memory holds 1.1–1.5 keys on average when asked,
 /// and at most 22.
 ///
 /// A flood's ids live `2 · T · h` from when this node first hears (or
