@@ -3,8 +3,8 @@
 //! Simulated time is whole milliseconds, and most events are hop
 //! delays. Of the pushes a benchmark run makes, 85–90 % (`table1-50`,
 //! `scale-2000`) and 67 % (`journal-write-50`) land 2–16 ms after the
-//! latest pop; under 0.1 % land 17–64 ms out, and the rest, timers,
-//! land 65 ms or more out. So the queue keeps the next `WHEEL` ms in a
+//! latest pop; under 0.1 % land 0–1 or 17–64 ms out, and the rest,
+//! timers, 65 ms or more. So the queue keeps the next `WHEEL` ms in a
 //! timing wheel (Varghese & Lauck, SOSP 1987): one FIFO per millisecond,
 //! found through a one-word occupancy bitmap. Everything else — timers,
 //! and any push before the latest pop — waits in a binary heap of
