@@ -4,10 +4,12 @@
 //!
 //! 1. **Off means invisible.** With the divergence sampler and blame
 //!    tracker disabled (the default), a traced run must produce a journal
-//!    byte-identical to the pre-observatory build, and `RunReport::to_json`
-//!    must carry no `consistency` section. The journal fingerprint below
-//!    was generated by the pre-observatory tree; regenerate (only when a
-//!    change is *meant* to alter the journal) with:
+//!    body byte-identical to the pre-observatory build, and
+//!    `RunReport::to_json` must carry no `consistency` section. The
+//!    header line and the body are pinned as two fingerprints, so a
+//!    change of the header alone shows as one moved line of the fixture;
+//!    regenerate (only when a change is *meant* to alter the journal)
+//!    with:
 //!
 //!    ```text
 //!    UPDATE_GOLDEN=1 cargo test -p mp2p-rpcc --test consistency_observatory
@@ -35,8 +37,8 @@ fn chaos(seed: u64) -> WorldConfig {
     cfg
 }
 
-/// FNV-1a over the journal bytes: the fixture stays a one-line file
-/// instead of a multi-megabyte journal.
+/// FNV-1a over journal bytes: the fixture stays a two-line file instead
+/// of a multi-megabyte journal.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -71,7 +73,15 @@ fn journal_bytes_with_defaults() -> Vec<u8> {
 #[test]
 fn sampler_off_journal_matches_pre_observatory_fingerprint() {
     let bytes = journal_bytes_with_defaults();
-    let fingerprint = format!("fnv1a:{:016x} len:{}\n", fnv1a(&bytes), bytes.len());
+    let header_len = bytes.iter().position(|&b| b == b'\n').expect("header line") + 1;
+    let (header, body) = bytes.split_at(header_len);
+    let fingerprint = format!(
+        "header fnv1a:{:016x} len:{}\nbody fnv1a:{:016x} len:{}\n",
+        fnv1a(header),
+        header.len(),
+        fnv1a(body),
+        body.len()
+    );
     let path = fixture_path();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("mkdir golden");
