@@ -82,7 +82,7 @@ fn run_journalled(cfg: WorldConfig, tag: &str) -> (RunReport, Vec<u8>) {
         std::process::id()
     ));
     let file = std::fs::File::create(&path).expect("create temp journal");
-    let sink = JsonlSink::new_v4_with_warmup(Box::new(file), cfg.warmup);
+    let sink = JsonlSink::new_with_warmup(Box::new(file), cfg.warmup);
     let mut world = World::new(cfg);
     world.set_tracer(Box::new(sink));
     let (report, _tracer) = world.run_traced();

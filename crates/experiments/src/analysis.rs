@@ -39,12 +39,11 @@ pub struct TraceAnalysis {
     /// `None` when no frame was sent after warm-up.
     traffic: Option<Vec<u64>>,
     /// Divergence timeline and blame partition rebuilt from the
-    /// observatory's schema-2 records (empty on a schema-1 journal or an
-    /// observatory-off run).
+    /// observatory's records (empty on an observatory-off run).
     pub consistency: ConsistencyTimeline,
-    /// Causal provenance graph rebuilt from the schema-4 frame/lineage
-    /// records plus the obstruction and recovery evidence of earlier
-    /// schemas. Frame-level fields stay empty on a provenance-off run.
+    /// Causal provenance graph rebuilt from the frame/lineage records
+    /// plus the obstruction and recovery evidence. Frame-level fields
+    /// stay empty on a provenance-off run.
     pub provenance: ProvenanceGraph,
 }
 
@@ -427,7 +426,7 @@ pub struct ProvenanceGraph {
 
 impl ProvenanceGraph {
     /// True when the journal carried frame-level provenance records
-    /// (i.e. the run had `--provenance` on and the sink spoke schema 4).
+    /// (i.e. the run had `--provenance` on).
     pub fn has_frames(&self) -> bool {
         self.frames_born > 0
     }
@@ -1540,17 +1539,7 @@ mod tests {
     use std::io::BufReader;
 
     fn journal(lines: &[&str]) -> String {
-        let mut s = String::from("{\"schema\":1,\"kinds\":27,\"warmup_ms\":60000}\n");
-        for line in lines {
-            s.push_str(line);
-            s.push('\n');
-        }
-        s
-    }
-
-    /// Schema-2 header: the observatory kinds are only legal here.
-    fn journal_v2(lines: &[&str]) -> String {
-        let mut s = String::from("{\"schema\":2,\"kinds\":29,\"warmup_ms\":60000}\n");
+        let mut s = String::from("{\"schema\":4,\"kinds\":38,\"warmup_ms\":60000}\n");
         for line in lines {
             s.push_str(line);
             s.push('\n');
@@ -1669,7 +1658,7 @@ mod tests {
 
     #[test]
     fn consistency_timeline_folds_observatory_records() {
-        let text = journal_v2(&[
+        let text = journal(&[
             "{\"t\":30000,\"ev\":\"consistency\",\"fresh\":5,\"copies\":8,\"items\":4,\
              \"max_replicas\":3,\"partitions\":2,\"relay_nodes\":6,\"ages\":[1,1,1,0,0,0]}",
             "{\"t\":60000,\"ev\":\"consistency\",\"fresh\":8,\"copies\":8,\"items\":4,\
@@ -1694,7 +1683,7 @@ mod tests {
     }
 
     #[test]
-    fn schema_one_journal_yields_an_empty_timeline() {
+    fn a_journal_without_consistency_records_yields_an_empty_timeline() {
         let text = journal(&[
             "{\"t\":61000,\"ev\":\"query_issued\",\"node\":0,\"query\":1,\"item\":3,\"level\":\"SC\"}",
         ]);
@@ -1770,7 +1759,7 @@ mod tests {
 
     #[test]
     fn render_consistency_shows_timeline_and_blame_partition() {
-        let text = journal_v2(&[
+        let text = journal(&[
             "{\"t\":30000,\"ev\":\"consistency\",\"fresh\":5,\"copies\":8,\"items\":4,\
              \"max_replicas\":3,\"partitions\":2,\"relay_nodes\":6,\"ages\":[1,1,1,0,0,0]}",
             "{\"t\":61000,\"ev\":\"stale_serve\",\"node\":3,\"query\":9,\"item\":2,\
@@ -1796,21 +1785,11 @@ mod tests {
         assert!(rendered.contains("total"));
     }
 
-    /// Schema-4 header: the provenance kinds are only legal here.
-    fn journal_v4(lines: &[&str]) -> String {
-        let mut s = String::from("{\"schema\":4,\"kinds\":38,\"warmup_ms\":60000}\n");
-        for line in lines {
-            s.push_str(line);
-            s.push('\n');
-        }
-        s
-    }
-
     /// A hand-built provenance incident: v1 reaches node 1, v2's
     /// invalidation frame dies in a burst, node 1 serves stale, and a
     /// later frame repairs the copy.
     fn synthetic_provenance_journal() -> String {
-        journal_v4(&[
+        journal(&[
             "{\"t\":61000,\"ev\":\"source_update\",\"node\":2,\"item\":5,\"version\":1}",
             "{\"t\":61100,\"ev\":\"frame_born\",\"node\":2,\"frame\":0,\
              \"class\":\"INVALIDATION\",\"dest\":null,\"item\":5,\"version\":1}",
@@ -1878,7 +1857,7 @@ mod tests {
     /// name nothing, though every birth is counted.
     #[test]
     fn explain_names_the_frame_still_in_flight() {
-        let text = journal_v4(&[
+        let text = journal(&[
             "{\"t\":70000,\"ev\":\"source_update\",\"node\":2,\"item\":5,\"version\":2}",
             "{\"t\":70050,\"ev\":\"frame_born\",\"node\":1,\"frame\":0,\
              \"class\":\"POLL\",\"dest\":2}",
@@ -1916,7 +1895,7 @@ mod tests {
         // Two superseding frames die at the same instant; the one born
         // first has the higher (origin, seq), so only the explicit
         // tie-break, not the order pushes were recorded in, names M2#7.
-        let text = journal_v4(&[
+        let text = journal(&[
             "{\"t\":70000,\"ev\":\"source_update\",\"node\":2,\"item\":5,\"version\":2}",
             "{\"t\":70100,\"ev\":\"frame_born\",\"node\":3,\"frame\":0,\
              \"class\":\"INVALIDATION\",\"dest\":null,\"item\":5,\"version\":2}",
@@ -1941,9 +1920,9 @@ mod tests {
 
     #[test]
     fn explain_falls_back_when_provenance_is_absent() {
-        // The same stale serve in a schema-2 journal (no frame records):
+        // The same stale serve in a journal without frame records:
         // every chain step must still be present, saying what is missing.
-        let text = journal_v2(&[
+        let text = journal(&[
             "{\"t\":70000,\"ev\":\"source_update\",\"node\":2,\"item\":5,\"version\":2}",
             "{\"t\":71000,\"ev\":\"stale_serve\",\"node\":1,\"query\":9,\"item\":5,\
              \"cause\":\"invalidate_lost\",\"staleness_ms\":1000,\"lag\":1,\"violation\":false}",

@@ -27,7 +27,7 @@
 //! `--tolerance` (a fraction in [0, 1), default 0.02) below the
 //! baseline's. `--tolerance` without `--baseline` is a usage error.
 //!
-//! `--explain` walks the provenance graph (journal schema 4, written by
+//! `--explain` walks the provenance graph (the frame records written by
 //! `mp2p run --provenance`) and prints one causal chain per stale serve,
 //! from the missed source update through the dropped or delayed frame to
 //! the recovery action that repaired the copy. `--explain QUERY`

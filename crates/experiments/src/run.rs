@@ -29,8 +29,8 @@
 //! and lease handover; `--consistency` samples divergence every 30
 //! simulated seconds and blames every stale serve;
 //! `--provenance` journals every frame's birth, hops and fate. With a
-//! layer off, report and journal bytes are those of a build without it;
-//! the journal's schema tier follows from the layers that are on.
+//! layer off, the report and the journal body are those of a build
+//! without it; the journal header is one schema whichever layers are on.
 //!
 //! World-shaping flags are rows of the run-key table ([`keys::TABLE`],
 //! shared with scenario files): this module applies the rows whose flag
@@ -220,23 +220,12 @@ fn usage_error(e: &ConfigError, cfg: &WorldConfig, args: &Args) -> String {
         .unwrap_or_else(|| e.to_string())
 }
 
-/// Opens the flight-recorder journal of a run of `cfg` at the schema
-/// tier its enabled layers need: provenance records are schema-4 kinds,
-/// recovery records schema-3 and observatory records schema-2, and an
-/// older sink would silently skip them.
+/// Opens the flight-recorder journal of a run of `cfg`: one schema
+/// whichever layers are on.
 pub fn journal_sink(path: &Path, cfg: &WorldConfig) -> Result<JsonlSink, String> {
-    let at_tier = if cfg.provenance.enabled() {
-        JsonlSink::new_v4_with_warmup
-    } else if cfg.proto.recovery.enabled() {
-        JsonlSink::new_v3_with_warmup
-    } else if cfg.observatory.enabled() {
-        JsonlSink::new_v2_with_warmup
-    } else {
-        JsonlSink::new_with_warmup
-    };
     let file = File::create(path)
         .map_err(|err| format!("cannot create trace file {}: {err}", path.display()))?;
-    Ok(at_tier(Box::new(file), cfg.warmup))
+    Ok(JsonlSink::new_with_warmup(Box::new(file), cfg.warmup))
 }
 
 impl RunPlan {

@@ -61,7 +61,7 @@ fn everything_on_journal(mins: u64) -> Vec<u8> {
     cfg.observatory = ObservatoryConfig::full(SimDuration::from_secs(30));
     cfg.provenance = ProvenanceConfig::full();
     let journal = SharedBuf::default();
-    let sink = JsonlSink::new_v4_with_warmup(Box::new(journal.clone()), cfg.warmup);
+    let sink = JsonlSink::new_with_warmup(Box::new(journal.clone()), cfg.warmup);
     let mut world = World::new(cfg);
     world.set_tracer(Box::new(sink));
     drop(world.run_traced()); // a dropped sink has written everything out

@@ -59,7 +59,7 @@ fn real_journal() -> &'static [String] {
         cfg.observatory = ObservatoryConfig::full(SimDuration::from_secs(30));
         cfg.provenance = ProvenanceConfig::full();
         let journal = SharedBuf::default();
-        let sink = JsonlSink::new_v4_with_warmup(Box::new(journal.clone()), cfg.warmup);
+        let sink = JsonlSink::new_with_warmup(Box::new(journal.clone()), cfg.warmup);
         let mut world = World::new(cfg);
         world.set_tracer(Box::new(sink));
         drop(world.run_traced()); // a dropped sink has written everything out
@@ -129,7 +129,7 @@ fn with_extremes(line: &str, one_in: u64, pick: &mut impl FnMut(u64) -> u64) -> 
 /// The one sum of a journal-stated `u64` the folds keep: it saturates.
 #[test]
 fn a_nodes_summed_staleness_saturates() {
-    let mut journal = String::from("{\"schema\":2,\"kinds\":29,\"warmup_ms\":0}\n");
+    let mut journal = String::from("{\"schema\":4,\"kinds\":38,\"warmup_ms\":0}\n");
     for query in 0..2_049 {
         journal.push_str(&format!(
             "{{\"t\":5,\"ev\":\"stale_serve\",\"node\":1,\"query\":{query},\"item\":3,\

@@ -48,7 +48,7 @@ fn chaos_run(preset: &str, seed: u64) -> (RunReport, Vec<u8>) {
     cfg.observatory = ObservatoryConfig::full(SimDuration::from_secs(30));
     cfg.provenance = ProvenanceConfig::full();
     let journal = SharedBuf::default();
-    let sink = JsonlSink::new_v4_with_warmup(Box::new(journal.clone()), cfg.warmup);
+    let sink = JsonlSink::new_with_warmup(Box::new(journal.clone()), cfg.warmup);
     let mut world = World::new(cfg);
     world.set_tracer(Box::new(sink));
     let (report, tracer) = world.run_traced();

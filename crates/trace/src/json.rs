@@ -4,9 +4,9 @@
 //! this module provides the pieces the flight recorder needs: a string
 //! escaper and a decimal-digit pusher used while serialising events,
 //! one grammar — the [`Value`] tree parser [`parse`], behind every
-//! document read (the journal header, run reports, matrix baselines) —
-//! and a `Cursor` that takes a journal body line in the writer's own
-//! spelling, and no other, without building anything.
+//! document read but the journal (run reports, matrix baselines) — and
+//! a `Cursor` that takes a journal line in the writer's own spelling,
+//! and no other, without building anything.
 
 /// Appends `s` to `out` as a JSON string literal, including the
 /// surrounding quotes.

@@ -15,7 +15,8 @@
 //!   stated once: one record table generates the enum, [`EventKind`] and
 //!   both directions of the journal codec.
 //! * [`TraceSink`] — where events go: a bounded [`RingSink`], a
-//!   streaming [`JsonlSink`] that also counts what it is handed by kind
+//!   streaming [`JsonlSink`] that writes journal schema [`JOURNAL_SCHEMA`]
+//!   whichever layers are on and counts what it is handed by kind
 //!   (hand-rolled serialisation via [`json`]; the build environment has
 //!   no serde), and a windowed [`bridge::RegistrySink`].
 //! * [`NullSink`] — the default: `enabled()` is `false`, so an untraced
@@ -67,7 +68,4 @@ pub use event::{
     BlameCause, EventKind, FrameFateKind, LevelTag, RelayTransitionKind, ServedBy, SpanPhase,
     TraceEvent,
 };
-pub use sink::{
-    JsonlSink, NullSink, RingSink, TraceSink, JOURNAL_KINDS_V3, JOURNAL_SCHEMA, JOURNAL_SCHEMA_V1,
-    JOURNAL_SCHEMA_V2, JOURNAL_SCHEMA_V3,
-};
+pub use sink::{JsonlSink, NullSink, RingSink, TraceSink, JOURNAL_SCHEMA};

@@ -1,16 +1,15 @@
 //! Offline journal reading: parse a JSONL trace back into typed events.
 //!
-//! A journal written by [`crate::JsonlSink`] starts with one versioned
-//! header object (`{"schema":1,...}` through `{"schema":4,...}`) followed
-//! by one event object per line. [`JournalReader`] streams it
-//! line-by-line — it never buffers the whole file — checking the schema
-//! up front and turning each line back into a `(SimTime, TraceEvent)`
-//! pair. Give it a buffer much wider than a line (`analyze_file` uses
+//! A journal written by [`crate::JsonlSink`] starts with one header
+//! object, `{"schema":4,"kinds":38,"warmup_ms":N}`, followed by one event
+//! object per line. [`JournalReader`] streams it line-by-line — it never
+//! buffers the whole file — checking the header up front and turning
+//! each line back into a `(SimTime, TraceEvent)` pair. Give it a buffer much wider than a line (`analyze_file` uses
 //! 1 MiB): the line that straddles the buffer's end is copied out.
 //!
-//! **A body line is the writer's spelling.** The header goes through the
-//! [`json::parse`] tree once per journal. A body line is accepted iff it
-//! is spelled exactly as [`TraceEvent::write_json`] spells it, ended by
+//! **Every line is the writer's spelling.** The header is read as the
+//! sink writes it and no other way. A body line is accepted iff it is
+//! spelled exactly as [`TraceEvent::write_json`] spells it, ended by
 //! `\n`, `\r\n` or the end of the input; so encoding what a line decodes
 //! to gives the line back, and anything else — reordered, repeated or
 //! unknown keys, whitespace, an escape, `1.0`, `007` — is a
@@ -31,11 +30,12 @@
 //! reused buffer and decoded there, and labels and numbers are read in
 //! place.
 //!
-//! **What is rejected.** Parsing is version-gated: the reader accepts
-//! every schema up to [`JOURNAL_SCHEMA`], and a line whose kind
-//! post-dates the journal's declared schema (e.g. a `consistency` record
-//! in a schema-1 journal) is a [`ReadError::BadLine`], not a
-//! silently-adopted event. A `u64` field takes its whole range; fields
+//! **What is rejected.** The reader speaks one schema,
+//! [`JOURNAL_SCHEMA`]: a header naming any other number is a
+//! [`ReadError::SchemaMismatch`] naming it, and a header spelled any
+//! other way (a key missing or moved, whitespace, a `kinds` other than
+//! the vocabulary's 38) is a [`ReadError::MissingHeader`]. A `u64` field
+//! takes its whole range; fields
 //! narrower than 64 bits are range-checked, never wrapped: node/item
 //! ids, byte and item counts and `ages` entries must fit `u32`,
 //! `hops`/`attempt`/`axis` must fit `u8`, so `"hops":300` is a bad line,
@@ -48,17 +48,15 @@ use std::io::{self, BufRead};
 
 use mp2p_sim::SimTime;
 
-use crate::event::{self, TraceEvent};
-use crate::json;
+use crate::event::{self, EventKind, TraceEvent};
+use crate::json::Cursor;
 use crate::sink::JOURNAL_SCHEMA;
 
 /// The journal's leading metadata record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalHeader {
-    /// Schema version (between 1 and [`JOURNAL_SCHEMA`] inclusive).
+    /// Schema version: [`JOURNAL_SCHEMA`], the one this reader speaks.
     pub schema: u64,
-    /// How many event kinds the writer knew about.
-    pub kinds: u64,
     /// The run's warm-up period in milliseconds (censoring boundary).
     pub warmup_ms: u64,
 }
@@ -68,8 +66,8 @@ pub struct JournalHeader {
 pub enum ReadError {
     /// The underlying reader failed.
     Io(io::Error),
-    /// The journal is empty or its first line is not a header object
-    /// (a numeric `schema`; `kinds` and `warmup_ms` numeric if present).
+    /// The journal is empty or its first line is not the header as the
+    /// sink spells it.
     MissingHeader,
     /// The header's schema version is not the one this reader speaks.
     SchemaMismatch {
@@ -105,7 +103,7 @@ impl fmt::Display for ReadError {
             }
             ReadError::SchemaMismatch { found } => write!(
                 f,
-                "journal schema {found} unsupported (reader speaks 1..={JOURNAL_SCHEMA})"
+                "journal schema {found} unsupported (reader speaks {JOURNAL_SCHEMA})"
             ),
             ReadError::BadLine { line_no, text } => {
                 write!(f, "unparseable journal line {line_no}: {text}")
@@ -138,7 +136,7 @@ impl From<io::Error> for ReadError {
 /// use std::io::BufReader;
 /// use mp2p_trace::reader::JournalReader;
 ///
-/// let journal = "{\"schema\":1,\"kinds\":27,\"warmup_ms\":0}\n\
+/// let journal = "{\"schema\":4,\"kinds\":38,\"warmup_ms\":0}\n\
 ///                {\"t\":1500,\"ev\":\"node_down\",\"node\":3}\n";
 /// let mut reader = JournalReader::new(BufReader::new(journal.as_bytes())).unwrap();
 /// assert_eq!(reader.header().warmup_ms, 0);
@@ -157,23 +155,16 @@ pub struct JournalReader<R: BufRead> {
 impl<R: BufRead> JournalReader<R> {
     /// Opens a journal, consuming and validating its header line.
     ///
-    /// Lines are read as raw bytes and validated as UTF-8 here rather
-    /// than through `read_line`, so a corrupt journal (truncated write,
-    /// binary garbage) yields a line-accurate [`ReadError::BadLine`]
-    /// instead of an anonymous I/O error.
+    /// Lines are read as raw bytes rather than through `read_line`, so a
+    /// corrupt journal (truncated write, binary garbage) yields a
+    /// line-accurate [`ReadError::BadLine`] instead of an anonymous I/O
+    /// error.
     pub fn new(mut input: R) -> Result<Self, ReadError> {
         let mut buf = Vec::with_capacity(256);
         if input.read_until(b'\n', &mut buf)? == 0 {
             return Err(ReadError::MissingHeader);
         }
-        // A non-UTF-8 first line cannot be the header object.
-        let text = std::str::from_utf8(&buf).map_err(|_| ReadError::MissingHeader)?;
-        let header = parse_header(trim_json_ws(text)).ok_or(ReadError::MissingHeader)?;
-        if header.schema == 0 || header.schema > JOURNAL_SCHEMA {
-            return Err(ReadError::SchemaMismatch {
-                found: header.schema,
-            });
-        }
+        let header = parse_header(without_line_end(&buf))?;
         Ok(JournalReader {
             input,
             header,
@@ -202,7 +193,7 @@ impl<R: BufRead> Iterator for JournalReader<R> {
             // it. `read_until` below retries an interrupted read itself.
             match self.input.fill_buf() {
                 Ok(bytes) => {
-                    if let Some((at, event, rest)) = event::decode(bytes, self.header.schema) {
+                    if let Some((at, event, rest)) = event::decode(bytes) {
                         let next_line = rest
                             .strip_prefix(b"\n")
                             .or_else(|| rest.strip_prefix(b"\r\n"));
@@ -229,7 +220,7 @@ impl<R: BufRead> Iterator for JournalReader<R> {
             // A line the buffer's end cut in two, or a last line with no
             // line end.
             let line = without_line_end(&self.buf);
-            if let Some((at, event, [])) = event::decode(line, self.header.schema) {
+            if let Some((at, event, [])) = event::decode(line) {
                 return Some(Ok((at, event)));
             }
             // Invalid UTF-8 is a corrupt line, not an I/O failure: report
@@ -256,36 +247,43 @@ fn without_line_end(line: &[u8]) -> &[u8] {
 
 /// `line` without whatever of JSON's four whitespace bytes trails it.
 /// Not `str::trim_end`: that strips Unicode `White_Space` (U+00A0,
-/// U+000B, U+2028, …), which [`json::parse`] rejects.
+/// U+000B, U+2028, …), which JSON does not count as whitespace.
 fn trim_json_ws(line: &str) -> &str {
     line.trim_end_matches([' ', '\t', '\r', '\n'])
 }
 
-/// Parses the header line, accepting any object with a numeric `schema`.
-/// `kinds` and `warmup_ms` may be absent (they read as 0), but one that
-/// is present and not a `u64` is not a header: a warm-up silently read
-/// as 0 would censor nothing.
-fn parse_header(line: &str) -> Option<JournalHeader> {
-    let v = json::parse(line)?;
-    let optional = |key: &str| match v.get(key) {
-        Some(n) => n.as_u64(),
-        None => Some(0),
+/// Reads the header line, without its line end, as the sink writes it:
+/// `{"schema":4,"kinds":38,"warmup_ms":N}`. A schema number other than
+/// [`JOURNAL_SCHEMA`] is a [`ReadError::SchemaMismatch`]; any other
+/// spelling, a `kinds` other than the vocabulary's among them, is a
+/// [`ReadError::MissingHeader`].
+fn parse_header(line: &[u8]) -> Result<JournalHeader, ReadError> {
+    let mut cur = Cursor { rest: line };
+    let schema = cur
+        .eat("{\"schema\":")
+        .and_then(|()| cur.digits())
+        .filter(|_| matches!(cur.rest.first(), Some(b',' | b'}')))
+        .ok_or(ReadError::MissingHeader)?;
+    if schema != JOURNAL_SCHEMA {
+        return Err(ReadError::SchemaMismatch { found: schema });
+    }
+    let mut warmup_ms = || {
+        cur.eat(",\"kinds\":")?;
+        cur.digits().filter(|&n| n == EventKind::ALL.len() as u64)?;
+        cur.eat(",\"warmup_ms\":")?;
+        let warmup_ms = cur.digits()?;
+        cur.eat("}")?;
+        cur.rest.is_empty().then_some(warmup_ms)
     };
-    Some(JournalHeader {
-        schema: v.get("schema")?.as_u64()?,
-        kinds: optional("kinds")?,
-        warmup_ms: optional("warmup_ms")?,
-    })
+    let warmup_ms = warmup_ms().ok_or(ReadError::MissingHeader)?;
+    Ok(JournalHeader { schema, warmup_ms })
 }
 
 /// Parses one event line, without its line end, back into the pair
 /// `write_json` flattened, or `None` unless the line is spelled exactly
-/// as `write_json` spells it. Parsing is version-gated: a kind introduced
-/// after `schema` (see [`crate::EventKind::min_schema`]) does not parse,
-/// so a schema-1 journal carrying schema-2 records is rejected
-/// line-accurately instead of silently adopted.
-pub fn parse_event_versioned(line: &str, schema: u64) -> Option<(SimTime, TraceEvent)> {
-    match event::decode(line.as_bytes(), schema)? {
+/// as `write_json` spells it.
+pub fn parse_event(line: &str) -> Option<(SimTime, TraceEvent)> {
+    match event::decode(line.as_bytes())? {
         (at, event, []) => Some((at, event)),
         _ => None,
     }
@@ -294,17 +292,15 @@ pub fn parse_event_versioned(line: &str, schema: u64) -> Option<(SimTime, TraceE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{BlameCause, EventKind};
+    use crate::json;
     use crate::sink::{JsonlSink, TraceSink};
-    use mp2p_sim::{ItemId, NodeId, SimDuration};
+    use mp2p_sim::SimDuration;
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
     use std::io::BufReader;
 
-    /// [`parse_event_versioned`] at the newest schema.
-    fn parse_event(line: &str) -> Option<(SimTime, TraceEvent)> {
-        parse_event_versioned(line, JOURNAL_SCHEMA)
-    }
+    /// The header the sink writes for a run with no warm-up.
+    const HEADER: &str = "{\"schema\":4,\"kinds\":38,\"warmup_ms\":0}";
 
     #[test]
     fn serialise_then_parse_is_identity_on_every_variant() {
@@ -330,8 +326,7 @@ mod tests {
         ));
         {
             let file = std::fs::File::create(&path).unwrap();
-            let mut sink =
-                JsonlSink::new_v4_with_warmup(Box::new(file), SimDuration::from_secs(60));
+            let mut sink = JsonlSink::new_with_warmup(Box::new(file), SimDuration::from_secs(60));
             for (i, event) in crate::event::tests::samples().into_iter().enumerate() {
                 sink.record(SimTime::from_millis(i as u64 * 10), &event);
             }
@@ -358,7 +353,7 @@ mod tests {
 
     #[test]
     fn a_crlf_journal_reads_as_its_lf_original() {
-        let mut lf = String::from("{\"schema\":4,\"kinds\":38,\"warmup_ms\":0}\n");
+        let mut lf = format!("{HEADER}\n");
         let samples = crate::event::tests::samples();
         for (i, event) in samples.iter().enumerate() {
             event.write_json(SimTime::from_millis(i as u64), &mut lf);
@@ -385,82 +380,64 @@ mod tests {
         let r = JournalReader::new(BufReader::new(no_header.as_bytes()));
         assert!(matches!(r, Err(ReadError::MissingHeader)));
 
-        let future = "{\"schema\":99}\n";
-        let r = JournalReader::new(BufReader::new(future.as_bytes()));
-        assert!(matches!(r, Err(ReadError::SchemaMismatch { found: 99 })));
-
-        let zero = "{\"schema\":0}\n";
-        let r = JournalReader::new(BufReader::new(zero.as_bytes()));
-        assert!(matches!(r, Err(ReadError::SchemaMismatch { found: 0 })));
-
-        // A mistyped count is not read as 0 (a warm-up of 0 censors
-        // nothing); an absent one still is.
-        for mistyped in [
-            "{\"schema\":1,\"kinds\":27,\"warmup_ms\":\"60000\"}\n",
-            "{\"schema\":1,\"kinds\":27,\"warmup_ms\":-1}\n",
-            "{\"schema\":1,\"kinds\":null,\"warmup_ms\":0}\n",
+        // Every schema but the one the sink writes is refused by number,
+        // the headers earlier builds wrote among them.
+        for (header, found) in [
+            ("{\"schema\":1,\"kinds\":27,\"warmup_ms\":0}", 1),
+            ("{\"schema\":2,\"kinds\":29,\"warmup_ms\":0}", 2),
+            ("{\"schema\":3,\"kinds\":34,\"warmup_ms\":0}", 3),
+            ("{\"schema\":99}", 99),
+            ("{\"schema\":0}", 0),
         ] {
-            let r = JournalReader::new(BufReader::new(mistyped.as_bytes()));
-            assert!(matches!(r, Err(ReadError::MissingHeader)), "{mistyped}");
-        }
-        let bare = JournalReader::new(BufReader::new(&b"{\"schema\":1}\n"[..])).unwrap();
-        assert_eq!((bare.header().kinds, bare.header().warmup_ms), (0, 0));
-    }
-
-    #[test]
-    fn both_supported_schemas_are_accepted() {
-        for schema in 1..=JOURNAL_SCHEMA {
-            let journal =
-                format!("{{\"schema\":{schema}}}\n{{\"t\":5,\"ev\":\"node_up\",\"node\":1}}\n");
-            let mut reader = JournalReader::new(BufReader::new(journal.as_bytes())).unwrap();
-            assert_eq!(reader.header().schema, schema);
-            let (at, event) = reader.next().unwrap().unwrap();
-            assert_eq!(at.as_millis(), 5);
-            assert_eq!(event.kind(), EventKind::NodeUp);
-        }
-    }
-
-    #[test]
-    fn observatory_kinds_are_version_gated() {
-        // Serialise one schema-2 record.
-        let mut line = String::new();
-        TraceEvent::StaleServe {
-            node: NodeId::new(3),
-            query: 12,
-            item: ItemId::new(1),
-            cause: BlameCause::LeaseOrphan,
-            staleness_ms: 900,
-            lag: 1,
-            violation: false,
-        }
-        .write_json(SimTime::from_millis(7), &mut line);
-
-        // In a schema-2 journal it parses back exactly.
-        let v2 = format!("{{\"schema\":2}}\n{line}\n");
-        let mut reader = JournalReader::new(BufReader::new(v2.as_bytes())).unwrap();
-        let (_, event) = reader.next().unwrap().unwrap();
-        assert_eq!(event.kind(), EventKind::StaleServe);
-
-        // In a schema-1 journal the same line is a BadLine, not an event.
-        let v1 = format!("{{\"schema\":1}}\n{line}\n");
-        let mut reader = JournalReader::new(BufReader::new(v1.as_bytes())).unwrap();
-        match reader.next().unwrap() {
-            Err(ReadError::BadLine { line_no, .. }) => assert_eq!(line_no, 2),
-            other => panic!("expected BadLine, got {other:?}"),
+            let r = JournalReader::new(header.as_bytes());
+            assert!(
+                matches!(r, Err(ReadError::SchemaMismatch { found: f }) if f == found),
+                "{header}"
+            );
         }
 
-        // The free-function gate agrees.
-        assert!(parse_event_versioned(&line, 2).is_some());
-        assert!(parse_event_versioned(&line, 1).is_none());
-        assert!(
-            parse_event(&line).is_some(),
-            "default speaks the newest schema"
-        );
+        // Any other spelling is not a header. A mistyped warm-up is not
+        // read as 0: a warm-up of 0 censors nothing.
+        for other in [
+            "{\"schema\":4,\"kinds\":38,\"warmup_ms\":\"60000\"}",
+            "{\"schema\":4,\"kinds\":38,\"warmup_ms\":-1}",
+            "{\"schema\":4,\"kinds\":38,\"warmup_ms\":1.5}",
+            "{\"schema\":4,\"kinds\":null,\"warmup_ms\":0}",
+            "{\"schema\":4,\"kinds\":27,\"warmup_ms\":0}",
+            "{\"schema\":4,\"kinds\":38}",
+            "{\"schema\":4}",
+            "{\"schema\":4,\"warmup_ms\":0,\"kinds\":38}",
+            "{\"kinds\":38,\"schema\":4,\"warmup_ms\":0}",
+            "{\"schema\":4, \"kinds\":38,\"warmup_ms\":0}",
+            "{\"schema\":4,\"kinds\":38,\"warmup_ms\":0,\"x\":1}",
+            "{\"schema\":4,\"kinds\":38,\"warmup_ms\":0}}",
+            "{\"schema\":4.0,\"kinds\":38,\"warmup_ms\":0}",
+            "{\"schema\":1e0,\"kinds\":38,\"warmup_ms\":0}",
+            "{\"schema\":04,\"kinds\":38,\"warmup_ms\":0}",
+            "{\"schema\":\"4\",\"kinds\":38,\"warmup_ms\":0}",
+        ] {
+            let line = format!("{other}\n");
+            let r = JournalReader::new(line.as_bytes());
+            assert!(matches!(r, Err(ReadError::MissingHeader)), "{other}");
+        }
+
+        // The writer's spelling, ended by \n, \r\n or the input's end.
+        for ending in ["\n", "\r\n", ""] {
+            let header = format!("{{\"schema\":4,\"kinds\":38,\"warmup_ms\":60000}}{ending}");
+            let reader = JournalReader::new(header.as_bytes()).unwrap();
+            assert_eq!(
+                reader.header(),
+                JournalHeader {
+                    schema: 4,
+                    warmup_ms: 60_000
+                }
+            );
+        }
     }
 
     #[test]
     fn bad_lines_carry_their_line_number() {
-        let journal = "{\"schema\":1}\n{\"t\":0,\"ev\":\"node_up\",\"node\":0}\nnot json\n";
+        let journal = format!("{HEADER}\n{{\"t\":0,\"ev\":\"node_up\",\"node\":0}}\nnot json\n");
         let mut reader = JournalReader::new(BufReader::new(journal.as_bytes())).unwrap();
         assert!(reader.next().unwrap().is_ok());
         match reader.next().unwrap() {
@@ -475,9 +452,9 @@ mod tests {
     #[test]
     fn only_json_whitespace_may_trail_a_line() {
         // A line of nothing but JSON's four whitespace bytes is blank and
-        // skipped wherever it stands; the header may trail them too.
+        // skipped wherever it stands in the body.
         let record = "{\"t\":0,\"ev\":\"node_up\",\"node\":0}";
-        let journal = format!("{{\"schema\":1}} \t\r\n{record}\r\n \t\r\n\n{record}\n");
+        let journal = format!("{HEADER}\r\n{record}\r\n \t\r\n\n{record}\n");
         let mut reader = JournalReader::new(journal.as_bytes()).unwrap();
         let items: Vec<_> = reader.by_ref().collect();
         assert_eq!(items.len(), 2);
@@ -492,7 +469,7 @@ mod tests {
         ] {
             let line = format!("{record}{tail}");
             assert!(parse_event(&line).is_none(), "{tail:?}");
-            let journal = format!("{{\"schema\":1}}\n{record}\n{line}\n{line}\r\n{tail}\n");
+            let journal = format!("{HEADER}\n{record}\n{line}\n{line}\r\n{tail}\n");
             let mut reader = JournalReader::new(journal.as_bytes()).unwrap();
             assert!(reader.next().unwrap().is_ok());
             let blank = tail.trim_matches([' ', '\t']).is_empty();
@@ -509,19 +486,17 @@ mod tests {
             assert!(reader.next().is_none());
             assert_eq!(reader.lines_read(), 5);
 
-            if !blank {
-                let header = format!("{{\"schema\":1}}{tail}\n{record}\n");
-                let refused = JournalReader::new(header.as_bytes());
-                assert!(matches!(refused, Err(ReadError::MissingHeader)), "{tail:?}");
-            }
+            // Nor after the header's.
+            let header = format!("{HEADER}{tail}\n{record}\n");
+            let refused = JournalReader::new(header.as_bytes());
+            assert!(matches!(refused, Err(ReadError::MissingHeader)), "{tail:?}");
         }
     }
 
     #[test]
     fn nested_brackets_are_a_bad_line_not_a_stack_overflow() {
         let deep = format!("{{\"t\":{}", "[".repeat(1_000_000));
-        let journal =
-            format!("{{\"schema\":1}}\n{{\"t\":0,\"ev\":\"node_up\",\"node\":0}}\n{deep}\n");
+        let journal = format!("{HEADER}\n{{\"t\":0,\"ev\":\"node_up\",\"node\":0}}\n{deep}\n");
         let mut reader = JournalReader::new(journal.as_bytes()).unwrap();
         assert!(reader.next().unwrap().is_ok());
         match reader.next().unwrap() {
@@ -643,9 +618,11 @@ mod tests {
         }
 
         // The reader reports the line, as for any other bad line.
-        let journal = "{\"schema\":4}\n\
-             {\"t\":1,\"ev\":\"node_up\",\"node\":1}\n\
-             {\"t\":2,\"ev\":\"frame_hop\",\"node\":1,\"origin\":2,\"frame\":3,\"hops\":300}\n";
+        let journal = format!(
+            "{HEADER}\n\
+             {{\"t\":1,\"ev\":\"node_up\",\"node\":1}}\n\
+             {{\"t\":2,\"ev\":\"frame_hop\",\"node\":1,\"origin\":2,\"frame\":3,\"hops\":300}}\n"
+        );
         let mut reader = JournalReader::new(journal.as_bytes()).unwrap();
         assert!(reader.next().unwrap().is_ok());
         match reader.next().unwrap() {
@@ -669,7 +646,7 @@ mod tests {
             "span",
         ];
         let read = |line: &str, capacity: usize| {
-            let journal = format!("{{\"schema\":4}}\n{line}\n");
+            let journal = format!("{HEADER}\n{line}\n");
             let input = BufReader::with_capacity(capacity, journal.as_bytes());
             JournalReader::new(input).unwrap().next().unwrap()
         };
@@ -765,30 +742,26 @@ mod tests {
         /// The journal body is a canonical format: a line is read only if
         /// it is the writer's own spelling of what it is read as.
         #[test]
-        fn prop_a_decoded_line_encodes_to_itself(
-            line in RespelledLine,
-            schema in 1..=JOURNAL_SCHEMA,
-        ) {
-            if let Some((at, event)) = parse_event_versioned(&line, schema) {
+        fn prop_a_decoded_line_encodes_to_itself(line in RespelledLine) {
+            if let Some((at, event)) = parse_event(&line) {
                 let mut reencoded = String::new();
                 event.write_json(at, &mut reencoded);
                 prop_assert_eq!(reencoded, line);
-                prop_assert!(event.kind().min_schema() <= schema);
             }
         }
     }
 
     /// `line`, given its newline, through the reader's in-place arm: the
     /// record, and the newline left after it.
-    fn as_written(line: &str, schema: u64) -> Option<(SimTime, TraceEvent)> {
+    fn as_written(line: &str) -> Option<(SimTime, TraceEvent)> {
         let terminated = format!("{line}\n");
-        let (at, event, rest) = event::decode(terminated.as_bytes(), schema)?;
+        let (at, event, rest) = event::decode(terminated.as_bytes())?;
         assert_eq!(rest, b"\n", "the record ends where the line does");
         Some((at, event))
     }
 
     #[test]
-    fn every_written_shape_takes_the_as_written_arm_at_its_own_tier() {
+    fn every_written_shape_takes_the_as_written_arm() {
         // Through the arm itself, not the reader: the in-place arm and the
         // whole-line form must agree on where a record ends.
         let mut lines: Vec<String> = include_str!("../tests/golden/vocabulary.jsonl")
@@ -805,20 +778,15 @@ mod tests {
         }
         for line in &lines {
             let general = parse_event(line);
-            let (_, event) = general.unwrap_or_else(|| panic!("not a record: {line}"));
-            let tier = event.kind().min_schema();
-            for schema in tier..=JOURNAL_SCHEMA {
-                assert_eq!(as_written(line, schema), general, "schema {schema}: {line}");
-            }
-            assert_eq!(as_written(line, tier - 1), None, "{line}");
-            assert_eq!(parse_event_versioned(line, tier - 1), None, "{line}");
+            assert!(general.is_some(), "not a record: {line}");
+            assert_eq!(as_written(line), general, "{line}");
         }
     }
 
     #[test]
     fn any_other_spelling_is_a_bad_line() {
         let written = "{\"t\":7,\"ev\":\"msg_send\",\"node\":1,\"class\":\"POLL\",\"bytes\":48,\"dest\":null,\"span\":7}";
-        assert!(parse_event(written).is_some() && as_written(written, 1) == parse_event(written));
+        assert!(parse_event(written).is_some() && as_written(written) == parse_event(written));
         let respellings = [
             // Reordered, repeated and unknown keys.
             "{\"ev\":\"msg_send\",\"t\":7,\"node\":1,\"class\":\"POLL\",\"bytes\":48,\"dest\":null,\"span\":7}",
@@ -837,7 +805,7 @@ mod tests {
             "{\"t\":7,\"ev\":\"msg_send\",\"node\":1,\"class\":\"POLL\",\"bytes\":4.8e1,\"dest\":null,\"span\":7}",
             "{\"t\":7,\"ev\":\"msg_send\",\"node\":1,\"class\":\"POLL\",\"bytes\":48,\"dest\":null,\"span\":0000000000000007}",
         ];
-        let mut journal = format!("{{\"schema\":{JOURNAL_SCHEMA}}}\n{written}\n");
+        let mut journal = format!("{HEADER}\n{written}\n");
         for respelled in respellings {
             assert_eq!(parse_event(respelled), None, "{respelled}");
             journal.push_str(respelled);
@@ -909,8 +877,8 @@ mod tests {
 
     /// The reader by its definition, with nothing decoded in place: every
     /// line copied out and its line end stripped; a blank line skipped,
-    /// any other read by `parse_event_versioned` or refused by number.
-    fn general_read(mut input: impl BufRead, schema: u64) -> (Vec<String>, usize) {
+    /// any other read by `parse_event` or refused by number.
+    fn general_read(mut input: impl BufRead) -> (Vec<String>, usize) {
         let (mut items, mut buf, mut line_no) = (Vec::new(), Vec::new(), 1);
         loop {
             buf.clear();
@@ -932,9 +900,7 @@ mod tests {
             if text.is_empty() {
                 continue;
             }
-            let parsed = std::str::from_utf8(line)
-                .ok()
-                .and_then(|line| parse_event_versioned(line, schema));
+            let parsed = std::str::from_utf8(line).ok().and_then(parse_event);
             items.push(shown(parsed.ok_or_else(|| ReadError::BadLine {
                 line_no,
                 text: text.chars().take(160).collect(),
@@ -948,13 +914,11 @@ mod tests {
     struct MessyJournal;
 
     impl Strategy for MessyJournal {
-        /// The bytes, header included, and the header's schema.
-        type Value = (Vec<u8>, u64);
+        /// The bytes, header included.
+        type Value = Vec<u8>;
 
         fn pick(&self, rng: &mut TestRng) -> Self::Value {
-            let schema = 1 + rng.below(JOURNAL_SCHEMA);
-            let mut bytes =
-                format!("{{\"schema\":{schema},\"kinds\":27,\"warmup_ms\":0}}\n").into_bytes();
+            let mut bytes = format!("{HEADER}\n").into_bytes();
             let samples = crate::event::tests::samples();
             for _ in 0..rng.below(24) {
                 match rng.below(10) {
@@ -978,7 +942,7 @@ mod tests {
                 1 => bytes.truncate(header + rng.below((bytes.len() - header + 1) as u64) as usize),
                 _ => {}
             }
-            (bytes, schema)
+            bytes
         }
     }
 
@@ -990,11 +954,11 @@ mod tests {
         /// whole written line is in view, copied out where it is not.
         #[test]
         fn prop_reader_yields_the_general_paths_items_however_it_is_buffered(
-            (bytes, schema) in MessyJournal,
+            bytes in MessyJournal,
             fail in any::<u64>(),
         ) {
             let header = bytes.iter().position(|&b| b == b'\n').expect("header line") + 1;
-            let (want, want_lines) = general_read(&bytes[header..], schema);
+            let (want, want_lines) = general_read(&bytes[header..]);
 
             let mut whole = JournalReader::new(&bytes[..]).unwrap();
             let got: Vec<String> = whole.by_ref().map(shown).collect();
@@ -1012,7 +976,7 @@ mod tests {
                 // bytes are lost to it on both paths.
                 let fail_at = Some(header + (fail % (bytes.len() - header + 1) as u64) as usize);
                 let chunked = |pos| Chunked { data: &bytes, pos, chunk, fail_at };
-                let (want, want_lines) = general_read(chunked(header), schema);
+                let (want, want_lines) = general_read(chunked(header));
                 let mut failing = JournalReader::new(chunked(0)).unwrap();
                 let got: Vec<String> = failing.by_ref().map(shown).collect();
                 prop_assert_eq!(&got, &want, "chunks of {}, failing at {:?}", chunk, fail_at);
@@ -1023,8 +987,8 @@ mod tests {
 
     #[test]
     fn a_journal_read_in_place_never_touches_the_line_buffer() {
-        let header = "{\"schema\":4,\"kinds\":38,\"warmup_ms\":0}\n";
-        let mut journal = String::from(header);
+        let header = format!("{HEADER}\n");
+        let mut journal = header.clone();
         let samples = crate::event::tests::samples();
         for (i, event) in samples.iter().enumerate() {
             event.write_json(SimTime::from_millis(i as u64), &mut journal);

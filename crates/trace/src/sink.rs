@@ -15,7 +15,7 @@ use std::io::{self, BufWriter, Write};
 
 use mp2p_sim::{SimDuration, SimTime};
 
-use crate::event::{kinds_at, EventKind, TraceEvent};
+use crate::event::{EventKind, TraceEvent};
 use crate::json;
 
 /// A destination for flight-recorder events.
@@ -153,44 +153,15 @@ impl TraceSink for RingSink {
     }
 }
 
-/// The newest journal schema version this build can write and read.
-/// Schema 4 added the causal-provenance kinds
-/// ([`EventKind::FrameBorn`], [`EventKind::FrameHop`],
-/// [`EventKind::FrameFate`], [`EventKind::CopyLineage`]).
+/// The journal schema this build writes and reads. Schema 4 added the
+/// causal-provenance kinds ([`EventKind::FrameBorn`],
+/// [`EventKind::FrameHop`], [`EventKind::FrameFate`],
+/// [`EventKind::CopyLineage`]); a new record kind raises it.
 pub const JOURNAL_SCHEMA: u64 = 4;
 
-/// The original journal schema: the 27-kind vocabulary of PR 3.
-/// [`JsonlSink::new_with_warmup`] still writes it, so runs that never
-/// enable the observatory produce byte-identical journals to older
-/// builds and stay readable by older tools.
-pub const JOURNAL_SCHEMA_V1: u64 = 1;
-
-/// The consistency-observatory schema of PR 6, now frozen: the 29-kind
-/// vocabulary ending at [`EventKind::StaleServe`].
-/// [`JsonlSink::new_v2_with_warmup`] keeps writing it so observatory runs
-/// without the recovery layer stay byte-identical to what pre-recovery
-/// builds wrote.
-pub const JOURNAL_SCHEMA_V2: u64 = 2;
-
-/// The recovery-layer schema of PR 7, now frozen: the 34-kind
-/// vocabulary ending at [`EventKind::RelayHandover`].
-/// [`JsonlSink::new_v3_with_warmup`] keeps writing it so recovery runs
-/// without provenance stay byte-identical to what pre-provenance builds
-/// wrote.
-pub const JOURNAL_SCHEMA_V3: u64 = 3;
-
-/// The (frozen) number of event kinds in the schema-3 vocabulary.
-pub const JOURNAL_KINDS_V3: usize = kinds_at(JOURNAL_SCHEMA_V3);
-
-/// Streams events as JSON Lines to a writer: one versioned header object
-/// (`{"schema":1,...}` through `{"schema":4,...}`) followed by one
-/// object per event. [`JsonlSink::new_with_warmup`] writes schema 1 and
-/// silently skips any newer-schema event (see [`EventKind::min_schema`]);
-/// `new_v2_with_warmup` writes the frozen observatory schema (skipping
-/// recovery and provenance kinds); `new_v3_with_warmup` writes the
-/// frozen recovery schema (skipping provenance kinds);
-/// `new_v4_with_warmup` writes the current schema and accepts
-/// everything. To journal into a file, box a `File`.
+/// Streams events as JSON Lines to a writer: one header object,
+/// `{"schema":4,"kinds":38,"warmup_ms":N}`, followed by one object per
+/// event it is handed. To journal into a file, box a `File`.
 ///
 /// Serialisation is hand-rolled via [`crate::json`] — the build
 /// environment has no crates.io access, so there is no serde. On an I/O
@@ -198,10 +169,8 @@ pub const JOURNAL_KINDS_V3: usize = kinds_at(JOURNAL_SCHEMA_V3);
 /// panicking mid-simulation; check [`JsonlSink::io_error`] after the run.
 pub struct JsonlSink {
     out: BufWriter<Box<dyn Write>>,
-    schema: u64,
     line: String,
     records: u64,
-    skipped: u64,
     bytes: u64,
     counts: [u64; EventKind::ALL.len()],
     io_error: Option<io::Error>,
@@ -217,44 +186,13 @@ impl std::fmt::Debug for JsonlSink {
 }
 
 impl JsonlSink {
-    /// Wraps an arbitrary writer and stamps `warmup` into a **schema 1**
-    /// header so offline consumers can reproduce the run's censoring
-    /// rules. Schema-2-only events are skipped; use
-    /// [`JsonlSink::new_v2_with_warmup`] for observatory runs.
+    /// Wraps an arbitrary writer and stamps `warmup` into the header so
+    /// offline consumers can reproduce the run's censoring rules.
     pub fn new_with_warmup(writer: Box<dyn Write>, warmup: SimDuration) -> Self {
-        JsonlSink::with_schema(writer, warmup, JOURNAL_SCHEMA_V1)
-    }
-
-    /// Wraps an arbitrary writer with the frozen schema 2 header: the
-    /// consistency observatory's vocabulary, but not the recovery
-    /// layer's (those events are skipped). Use
-    /// [`JsonlSink::new_v3_with_warmup`] for recovery runs.
-    pub fn new_v2_with_warmup(writer: Box<dyn Write>, warmup: SimDuration) -> Self {
-        JsonlSink::with_schema(writer, warmup, JOURNAL_SCHEMA_V2)
-    }
-
-    /// Wraps an arbitrary writer with the frozen schema 3 header: the
-    /// recovery layer's vocabulary, but not the provenance engine's
-    /// (those events are skipped). Use
-    /// [`JsonlSink::new_v4_with_warmup`] for provenance runs.
-    pub fn new_v3_with_warmup(writer: Box<dyn Write>, warmup: SimDuration) -> Self {
-        JsonlSink::with_schema(writer, warmup, JOURNAL_SCHEMA_V3)
-    }
-
-    /// Wraps an arbitrary writer with the current (schema 4) header,
-    /// accepting the full event vocabulary including the causal
-    /// provenance kinds.
-    pub fn new_v4_with_warmup(writer: Box<dyn Write>, warmup: SimDuration) -> Self {
-        JsonlSink::with_schema(writer, warmup, JOURNAL_SCHEMA)
-    }
-
-    fn with_schema(writer: Box<dyn Write>, warmup: SimDuration, schema: u64) -> Self {
         let mut sink = JsonlSink {
             out: BufWriter::new(writer),
-            schema,
             line: String::with_capacity(160),
             records: 0,
-            skipped: 0,
             bytes: 0,
             counts: [0; EventKind::ALL.len()],
             io_error: None,
@@ -263,16 +201,32 @@ impl JsonlSink {
         sink
     }
 
-    /// Writes the versioned header line. The header is metadata, not an
-    /// event: it does not count toward [`JsonlSink::records`]. Frozen
-    /// schemas stamp their frozen kind counts so their headers stay
-    /// byte-identical to what older builds wrote.
+    /// [`JsonlSink::new_with_warmup`] under an older name, which
+    /// `perfbench/` still calls.
+    pub fn new_v2_with_warmup(writer: Box<dyn Write>, warmup: SimDuration) -> Self {
+        JsonlSink::new_with_warmup(writer, warmup)
+    }
+
+    /// [`JsonlSink::new_with_warmup`] under an older name, which
+    /// `perfbench/` still calls.
+    pub fn new_v3_with_warmup(writer: Box<dyn Write>, warmup: SimDuration) -> Self {
+        JsonlSink::new_with_warmup(writer, warmup)
+    }
+
+    /// [`JsonlSink::new_with_warmup`] under an older name, which
+    /// `perfbench/` still calls.
+    pub fn new_v4_with_warmup(writer: Box<dyn Write>, warmup: SimDuration) -> Self {
+        JsonlSink::new_with_warmup(writer, warmup)
+    }
+
+    /// Writes the header line. The header is metadata, not an event: it
+    /// does not count toward [`JsonlSink::records`].
     fn write_header(&mut self, warmup: SimDuration) {
         self.line.clear();
         self.line.push_str("{\"schema\":");
-        json::push_u64(&mut self.line, self.schema);
+        json::push_u64(&mut self.line, JOURNAL_SCHEMA);
         self.line.push_str(",\"kinds\":");
-        json::push_u64(&mut self.line, kinds_at(self.schema) as u64);
+        json::push_u64(&mut self.line, EventKind::ALL.len() as u64);
         self.line.push_str(",\"warmup_ms\":");
         json::push_u64(&mut self.line, warmup.as_millis());
         self.line.push_str("}\n");
@@ -282,23 +236,13 @@ impl JsonlSink {
         }
     }
 
-    /// The schema version this sink's header declares.
-    pub fn schema(&self) -> u64 {
-        self.schema
-    }
-
     /// Event lines successfully written so far (header excluded).
     pub fn records(&self) -> u64 {
         self.records
     }
 
-    /// Events dropped because their kind post-dates this sink's schema.
-    pub fn skipped(&self) -> u64 {
-        self.skipped
-    }
-
-    /// How many events of `kind` were handed to this sink: written,
-    /// skipped for post-dating the schema, or dropped after an I/O error.
+    /// How many events of `kind` were handed to this sink, written or
+    /// dropped after an I/O error.
     pub fn count_of(&self, kind: EventKind) -> u64 {
         self.counts[kind.index()]
     }
@@ -316,13 +260,8 @@ impl JsonlSink {
 
 impl TraceSink for JsonlSink {
     fn record(&mut self, at: SimTime, event: &TraceEvent) {
-        let kind = event.kind();
-        self.counts[kind.index()] += 1;
+        self.counts[event.kind().index()] += 1;
         if self.io_error.is_some() {
-            return;
-        }
-        if kind.min_schema() > self.schema {
-            self.skipped += 1;
             return;
         }
         self.line.clear();
@@ -411,7 +350,7 @@ mod tests {
     #[test]
     fn jsonl_writes_one_valid_line_per_event() {
         let buf: Vec<u8> = Vec::new();
-        let mut sink = JsonlSink::new_v4_with_warmup(Box::new(buf), SimDuration::ZERO);
+        let mut sink = JsonlSink::new_with_warmup(Box::new(buf), SimDuration::ZERO);
         for (i, event) in crate::event::tests::samples().into_iter().enumerate() {
             sink.record(SimTime::from_millis(i as u64), &event);
         }
@@ -419,99 +358,13 @@ mod tests {
         sink.flush();
         assert!(sink.io_error().is_none());
         assert_eq!(n, crate::event::tests::samples().len() as u64);
-        assert_eq!(sink.skipped(), 0, "a v4 sink accepts the full vocabulary");
         // The writer is boxed away; serialisation itself is validated in
         // the event module, and the end-to-end file path is covered by
         // the world-level tests.
     }
 
     #[test]
-    fn v2_sink_keeps_frozen_header_and_skips_recovery_kinds() {
-        let buf: Vec<u8> = Vec::new();
-        let mut sink = JsonlSink::new_v2_with_warmup(Box::new(buf), SimDuration::ZERO);
-        assert_eq!(sink.schema(), JOURNAL_SCHEMA_V2);
-        let v3_only: u64 = crate::event::tests::samples()
-            .iter()
-            .filter(|e| e.kind().min_schema() > JOURNAL_SCHEMA_V2)
-            .count() as u64;
-        assert!(v3_only > 0, "samples must cover schema-3 kinds");
-        for (i, event) in crate::event::tests::samples().into_iter().enumerate() {
-            sink.record(SimTime::from_millis(i as u64), &event);
-        }
-        sink.flush();
-        assert!(sink.io_error().is_none());
-        assert_eq!(sink.skipped(), v3_only);
-        assert_eq!(
-            sink.records(),
-            crate::event::tests::samples().len() as u64 - v3_only
-        );
-    }
-
-    #[test]
-    fn v3_sink_keeps_frozen_header_and_skips_provenance_kinds() {
-        let buf: Vec<u8> = Vec::new();
-        let mut sink = JsonlSink::new_v3_with_warmup(Box::new(buf), SimDuration::ZERO);
-        assert_eq!(sink.schema(), JOURNAL_SCHEMA_V3);
-        let v4_only: u64 = crate::event::tests::samples()
-            .iter()
-            .filter(|e| e.kind().min_schema() > JOURNAL_SCHEMA_V3)
-            .count() as u64;
-        assert!(v4_only > 0, "samples must cover schema-4 kinds");
-        for (i, event) in crate::event::tests::samples().into_iter().enumerate() {
-            sink.record(SimTime::from_millis(i as u64), &event);
-        }
-        sink.flush();
-        assert!(sink.io_error().is_none());
-        assert_eq!(sink.skipped(), v4_only);
-        assert_eq!(
-            sink.records(),
-            crate::event::tests::samples().len() as u64 - v4_only
-        );
-    }
-
-    #[test]
-    fn v1_sink_keeps_legacy_header_and_skips_observatory_kinds() {
-        let path = std::env::temp_dir().join(format!(
-            "mp2p-trace-sink-v1-test-{}.jsonl",
-            std::process::id()
-        ));
-        let v2_only: u64 = crate::event::tests::samples()
-            .iter()
-            .filter(|e| e.kind().min_schema() > JOURNAL_SCHEMA_V1)
-            .count() as u64;
-        assert!(v2_only > 0, "samples must cover schema-2 kinds");
-        {
-            let file = std::fs::File::create(&path).expect("create temp jsonl");
-            let mut sink = JsonlSink::new_with_warmup(Box::new(file), SimDuration::ZERO);
-            assert_eq!(sink.schema(), JOURNAL_SCHEMA_V1);
-            for (i, event) in crate::event::tests::samples().into_iter().enumerate() {
-                sink.record(SimTime::from_millis(i as u64), &event);
-            }
-            sink.flush();
-            assert!(sink.io_error().is_none());
-            assert_eq!(sink.skipped(), v2_only);
-        }
-        let contents = std::fs::read_to_string(&path).expect("read back");
-        std::fs::remove_file(&path).ok();
-        let lines: Vec<&str> = contents.lines().collect();
-        // The header is byte-identical to what pre-observatory builds
-        // wrote: schema 1 with the frozen 27-kind count.
-        assert_eq!(lines[0], "{\"schema\":1,\"kinds\":27,\"warmup_ms\":0}");
-        assert_eq!(
-            lines.len() as u64,
-            crate::event::tests::samples().len() as u64 - v2_only + 1
-        );
-        for line in &lines[1..] {
-            assert!(
-                !line.contains("\"ev\":\"consistency\"")
-                    && !line.contains("\"ev\":\"stale_serve\""),
-                "v1 journal must not carry schema-2 kinds: {line}"
-            );
-        }
-    }
-
-    #[test]
-    fn jsonl_counts_kinds_past_its_schema_but_does_not_write_them() {
+    fn jsonl_counts_and_writes_every_kind_it_is_handed() {
         let warmup = SimDuration::from_secs(10);
         let mut sink = JsonlSink::new_with_warmup(Box::new(Vec::new()), warmup);
 
@@ -532,25 +385,15 @@ mod tests {
         };
         sink.record(SimTime::from_millis(900), &served(500));
         sink.record(SimTime::from_millis(11_250), &served(11_000));
-
-        // A schema-2 kind, which a schema-1 header cannot carry.
-        let newer = crate::event::tests::samples()
-            .into_iter()
-            .find(|e| e.kind().min_schema() > JOURNAL_SCHEMA_V1)
-            .expect("samples cover schema-2 kinds");
-        sink.record(SimTime::from_millis(13_000), &newer);
         sink.flush();
         assert!(sink.io_error().is_none());
 
-        // Counts see everything, warm-up and newer kinds included...
+        // Counts see everything, warm-up included, and so does the file.
         assert_eq!(sink.count_of(EventKind::MsgSend), 2);
         assert_eq!(sink.count_of(EventKind::QueryServed), 2);
-        assert_eq!(sink.count_of(newer.kind()), 1);
         let total: u64 = EventKind::ALL.iter().map(|&k| sink.count_of(k)).sum();
-        assert_eq!(total, 5);
-        // ...but the newer kind is not written.
+        assert_eq!(total, 4);
         assert_eq!(sink.records(), 4);
-        assert_eq!(sink.skipped(), 1);
     }
 
     #[test]
@@ -559,7 +402,7 @@ mod tests {
             std::env::temp_dir().join(format!("mp2p-trace-sink-test-{}.jsonl", std::process::id()));
         {
             let file = std::fs::File::create(&path).expect("create jsonl");
-            let mut sink = JsonlSink::new_v4_with_warmup(Box::new(file), SimDuration::ZERO);
+            let mut sink = JsonlSink::new_with_warmup(Box::new(file), SimDuration::ZERO);
             for (i, event) in crate::event::tests::samples().into_iter().enumerate() {
                 sink.record(SimTime::from_millis(i as u64 * 10), &event);
             }
@@ -570,12 +413,7 @@ mod tests {
         let lines: Vec<&str> = contents.lines().collect();
         // Header line + one line per event.
         assert_eq!(lines.len(), crate::event::tests::samples().len() + 1);
-        assert!(
-            lines[0].starts_with("{\"schema\":4,"),
-            "bad header: {}",
-            lines[0]
-        );
-        assert!(lines[0].contains("\"warmup_ms\":0"));
+        assert_eq!(lines[0], "{\"schema\":4,\"kinds\":38,\"warmup_ms\":0}");
         for line in lines {
             assert!(json::parse(line).is_some(), "bad line: {line}");
         }

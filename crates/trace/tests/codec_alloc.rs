@@ -16,8 +16,8 @@ use std::io::{self, BufRead, BufReader};
 
 use mp2p_sim::{SimDuration, SimTime};
 use mp2p_trace::bridge::{RegistrySink, DEFAULT_WINDOW};
-use mp2p_trace::reader::{parse_event_versioned, JournalReader};
-use mp2p_trace::{EventKind, JsonlSink, TraceEvent, TraceSink, JOURNAL_SCHEMA};
+use mp2p_trace::reader::{parse_event, JournalReader};
+use mp2p_trace::{EventKind, JsonlSink, TraceEvent, TraceSink};
 
 struct CountingAlloc;
 
@@ -117,10 +117,7 @@ const ROUNDS: usize = 1_000;
 fn events() -> Vec<(SimTime, TraceEvent)> {
     let events: Vec<(SimTime, TraceEvent)> = LINES
         .iter()
-        .map(|line| {
-            parse_event_versioned(line, JOURNAL_SCHEMA)
-                .unwrap_or_else(|| panic!("bad fixture line: {line}"))
-        })
+        .map(|line| parse_event(line).unwrap_or_else(|| panic!("bad fixture line: {line}")))
         .collect();
     for kind in EventKind::ALL {
         assert!(
@@ -202,7 +199,7 @@ fn warm_reader_does_not_allocate() {
 #[test]
 fn warm_writer_does_not_allocate() {
     let events = events();
-    let mut sink = JsonlSink::new_v4_with_warmup(Box::new(io::sink()), SimDuration::ZERO);
+    let mut sink = JsonlSink::new_with_warmup(Box::new(io::sink()), SimDuration::ZERO);
     // Warm-up: one record, the widest, so the sink's line buffer has
     // reached its steady-state capacity.
     let widest = events
@@ -220,7 +217,6 @@ fn warm_writer_does_not_allocate() {
     let count = disarm();
 
     assert!(sink.io_error().is_none());
-    assert_eq!(sink.skipped(), 0);
     assert_eq!(sink.records(), (ROUNDS * events.len() + 1) as u64);
     assert_eq!(
         count,

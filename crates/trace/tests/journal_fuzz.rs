@@ -12,10 +12,8 @@ use std::io::BufReader;
 use mp2p_trace::reader::{JournalReader, ReadError};
 use proptest::prelude::*;
 
-/// A well-formed header for the schema this reader speaks.
-fn header(schema: u64) -> String {
-    format!("{{\"schema\":{schema},\"kinds\":27,\"warmup_ms\":60000}}")
-}
+/// The header the sink writes, with a warm-up of one minute.
+const HEADER: &str = "{\"schema\":4,\"kinds\":38,\"warmup_ms\":60000}";
 
 /// One well-formed event line, drawn from a handful of real shapes.
 fn valid_line() -> impl Strategy<Value = String> {
@@ -38,8 +36,8 @@ fn valid_line() -> impl Strategy<Value = String> {
     ]
 }
 
-/// One well-formed recovery-layer event line (schema-3 kinds).
-fn valid_v3_line() -> impl Strategy<Value = String> {
+/// One well-formed recovery-layer event line.
+fn recovery_line() -> impl Strategy<Value = String> {
     let t = 0u64..500_000;
     let node = 0u64..64;
     prop_oneof![
@@ -63,9 +61,9 @@ fn valid_v3_line() -> impl Strategy<Value = String> {
     ]
 }
 
-/// One well-formed provenance event line (schema-4 kinds), fate labels
-/// drawn from the real [`mp2p_trace::FrameFateKind`] set.
-fn valid_v4_line() -> impl Strategy<Value = String> {
+/// One well-formed provenance event line, fate labels drawn from the
+/// real [`mp2p_trace::FrameFateKind`] set.
+fn provenance_line() -> impl Strategy<Value = String> {
     let t = 0u64..500_000;
     let node = 0u64..64;
     let fate = (0usize..mp2p_trace::FrameFateKind::ALL.len())
@@ -103,14 +101,19 @@ fn valid_v4_line() -> impl Strategy<Value = String> {
 }
 
 /// Assembles header + event lines into journal bytes.
-fn journal(schema: u64, lines: &[String]) -> Vec<u8> {
-    let mut bytes = header(schema).into_bytes();
+fn journal_under(header: &str, lines: &[String]) -> Vec<u8> {
+    let mut bytes = header.as_bytes().to_vec();
     bytes.push(b'\n');
     for line in lines {
         bytes.extend_from_slice(line.as_bytes());
         bytes.push(b'\n');
     }
     bytes
+}
+
+/// A journal of `lines` under the sink's header.
+fn journal(lines: &[String]) -> Vec<u8> {
+    journal_under(HEADER, lines)
 }
 
 /// Drains a reader, panicking only on a reader panic — errors are data.
@@ -121,12 +124,15 @@ fn drain(
 }
 
 proptest! {
-    /// A fully valid journal streams back every line.
+    /// A fully valid journal, of every layer's kinds, streams back every
+    /// line.
     #[test]
     fn valid_journals_parse_completely(
-        lines in proptest::collection::vec(valid_line(), 0..40),
+        lines in proptest::collection::vec(
+            prop_oneof![valid_line(), recovery_line(), provenance_line()], 0..40,
+        ),
     ) {
-        let bytes = journal(1, &lines);
+        let bytes = journal(&lines);
         let mut reader = JournalReader::new(BufReader::new(bytes.as_slice())).unwrap();
         let items = drain(&mut reader);
         prop_assert_eq!(items.len(), lines.len());
@@ -136,69 +142,6 @@ proptest! {
         prop_assert_eq!(reader.lines_read(), lines.len() + 1);
     }
 
-    /// A schema-3 journal mixing legacy and recovery-layer kinds streams
-    /// back every line.
-    #[test]
-    fn valid_v3_journals_parse_completely(
-        lines in proptest::collection::vec(
-            prop_oneof![valid_line(), valid_v3_line()], 0..40,
-        ),
-    ) {
-        let bytes = journal(3, &lines);
-        let mut reader = JournalReader::new(BufReader::new(bytes.as_slice())).unwrap();
-        let items = drain(&mut reader);
-        prop_assert_eq!(items.len(), lines.len());
-        for item in &items {
-            prop_assert!(item.is_ok(), "unexpected error: {:?}", item.as_ref().err());
-        }
-    }
-
-    /// A schema-4 journal mixing all four schema tiers streams back
-    /// every line.
-    #[test]
-    fn valid_v4_journals_parse_completely(
-        lines in proptest::collection::vec(
-            prop_oneof![valid_line(), valid_v3_line(), valid_v4_line()], 0..40,
-        ),
-    ) {
-        let bytes = journal(4, &lines);
-        let mut reader = JournalReader::new(BufReader::new(bytes.as_slice())).unwrap();
-        let items = drain(&mut reader);
-        prop_assert_eq!(items.len(), lines.len());
-        for item in &items {
-            prop_assert!(item.is_ok(), "unexpected error: {:?}", item.as_ref().err());
-        }
-    }
-
-    /// Newer-schema kinds inside an old journal are line errors, not
-    /// panics and not silent successes: a schema-1 header promises no
-    /// recovery or provenance records, so each such line must surface
-    /// as a `BadLine` while the legacy lines around it still parse.
-    #[test]
-    fn newer_kinds_in_an_old_journal_are_bad_lines(
-        old in proptest::collection::vec(valid_line(), 0..10),
-        newer in prop_oneof![valid_v3_line(), valid_v4_line()],
-    ) {
-        let mut lines = old.clone();
-        lines.push(newer);
-        let bytes = journal(1, &lines);
-        let mut reader = JournalReader::new(BufReader::new(bytes.as_slice())).unwrap();
-        let items = drain(&mut reader);
-        prop_assert_eq!(items.len(), lines.len());
-        for (i, item) in items.iter().enumerate() {
-            if i == old.len() {
-                match item {
-                    Err(ReadError::BadLine { line_no, .. }) => {
-                        prop_assert_eq!(*line_no, old.len() + 2);
-                    }
-                    other => prop_assert!(false, "expected BadLine, got {other:?}"),
-                }
-            } else {
-                prop_assert!(item.is_ok(), "legacy line {i} failed: {:?}", item.as_ref().err());
-            }
-        }
-    }
-
     /// Truncating a valid journal at any byte offset never panics, and a
     /// partial trailing line is reported under its own line number.
     #[test]
@@ -206,10 +149,10 @@ proptest! {
         lines in proptest::collection::vec(valid_line(), 1..20),
         cut_frac in 0.0f64..1.0,
     ) {
-        let bytes = journal(1, &lines);
+        let bytes = journal(&lines);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         let cut_bytes = &bytes[..cut];
-        let header_len = header(1).len() + 1;
+        let header_len = HEADER.len() + 1;
         match JournalReader::new(BufReader::new(cut_bytes)) {
             Err(e) => {
                 // Losing part of the header line is the only legal
@@ -238,16 +181,17 @@ proptest! {
         }
     }
 
-    /// Any schema outside the supported 1..=JOURNAL_SCHEMA range is
-    /// refused up front, echoing the version it found.
+    /// Every schema but [`mp2p_trace::JOURNAL_SCHEMA`] is refused up
+    /// front, echoing the version it found.
     #[test]
     fn wrong_schema_is_refused(
-        schema in 0u64..50,
+        schema in prop_oneof![0u64..50, Just(u64::MAX)],
         lines in proptest::collection::vec(valid_line(), 0..5),
     ) {
-        let bytes = journal(schema, &lines);
+        let header = HEADER.replace("\"schema\":4", &format!("\"schema\":{schema}"));
+        let bytes = journal_under(&header, &lines);
         let result = JournalReader::new(BufReader::new(bytes.as_slice()));
-        if (1..=mp2p_trace::JOURNAL_SCHEMA).contains(&schema) {
+        if schema == mp2p_trace::JOURNAL_SCHEMA {
             prop_assert!(result.is_ok());
         } else {
             match result {
@@ -269,8 +213,8 @@ proptest! {
         lines in proptest::collection::vec(valid_line(), 0..5),
     ) {
         // No body line of `valid_line` carries either key.
-        let number = if key == "kinds" { "27" } else { "60000" };
-        let text = String::from_utf8(journal(1, &lines)).expect("ASCII journal");
+        let number = if key == "kinds" { "38" } else { "60000" };
+        let text = String::from_utf8(journal(&lines)).expect("ASCII journal");
         let bytes = text
             .replace(&format!("\"{key}\":{number}"), &format!("\"{key}\":{value}"))
             .into_bytes();
@@ -279,6 +223,31 @@ proptest! {
         prop_assert!(
             matches!(result, Err(ReadError::MissingHeader)),
             "{key} = {value} was accepted"
+        );
+    }
+
+    /// The header is read in the sink's spelling and no other: a key
+    /// missing or moved, a byte of JSON whitespace anywhere in it, or a
+    /// `kinds` other than the vocabulary's is not a header.
+    #[test]
+    fn a_header_in_any_other_spelling_is_refused(
+        respelling in 0usize..4,
+        at in 1usize..HEADER.len(),
+        kinds in any::<u64>().prop_filter("the vocabulary's count", |&k| k != 38),
+        lines in proptest::collection::vec(valid_line(), 0..5),
+    ) {
+        let header = match respelling {
+            0 => HEADER.replace(",\"kinds\":38", ""),
+            1 => "{\"schema\":4,\"warmup_ms\":60000,\"kinds\":38}".to_string(),
+            2 => format!("{} {}", &HEADER[..at], &HEADER[at..]),
+            _ => HEADER.replace("\"kinds\":38", &format!("\"kinds\":{kinds}")),
+        };
+        let bytes = journal_under(&header, &lines);
+        let result = JournalReader::new(BufReader::new(bytes.as_slice()));
+        prop_assert!(
+            matches!(result, Err(ReadError::MissingHeader)),
+            "{} was accepted",
+            header
         );
     }
 
@@ -291,7 +260,7 @@ proptest! {
         garbage in proptest::collection::vec(0x80u8..0xc0, 1..16),
     ) {
         // Continuation bytes with no lead byte are never valid UTF-8.
-        let mut bytes = journal(1, &before);
+        let mut bytes = journal(&before);
         bytes.extend_from_slice(&garbage);
         bytes.push(b'\n');
         for line in &after {
@@ -324,8 +293,8 @@ proptest! {
         pos_frac in 0.0f64..1.0,
         replacement in 0u8..=255,
     ) {
-        let mut bytes = journal(1, &lines);
-        let body_start = header(1).len() + 1;
+        let mut bytes = journal(&lines);
+        let body_start = HEADER.len() + 1;
         let pos = body_start
             + (((bytes.len() - body_start) as f64) * pos_frac) as usize;
         let pos = pos.min(bytes.len() - 1);
@@ -354,11 +323,11 @@ proptest! {
         lines in proptest::collection::vec(
             prop_oneof![
                 valid_line(),
-                valid_v3_line(),
-                valid_v4_line(),
+                recovery_line(),
+                provenance_line(),
                 valid_line(),
-                valid_v3_line(),
-                valid_v4_line(),
+                recovery_line(),
+                provenance_line(),
                 Just(String::new()),
                 // Continuation bytes with no lead byte: never valid UTF-8.
                 proptest::collection::vec(0x80u8..0xc0, 1..8).prop_map(|garbage| {
@@ -370,10 +339,9 @@ proptest! {
         endings in proptest::collection::vec(
             prop_oneof![Just("\n"), Just("\r\n"), Just(" \t\n"), Just("\u{a0}\n")], 30,
         ),
-        schema in 1u64..=4,
         cut_frac in 0.0f64..2.0,
     ) {
-        let mut bytes = journal(schema, &[]);
+        let mut bytes = journal(&[]);
         let header_len = bytes.len();
         for (line, ending) in lines.iter().zip(&endings) {
             // One byte per char: the garbage lines hold U+0080..U+00C0.

@@ -259,21 +259,22 @@ fn run_flags_map_onto_the_world_and_bad_values_are_usage_errors() {
 }
 
 #[test]
-fn the_journal_tier_follows_the_enabled_layers() {
-    let dir = TempDir::new("tier");
+fn every_layer_set_writes_schema_4() {
+    let dir = TempDir::new("schema");
     let path = PathBuf::from(dir.path("t.jsonl"));
-    for (flags, schema) in [
-        (&[][..], 1),
-        (&["--consistency"][..], 2),
-        (&["--consistency", "--recovery"][..], 3),
-        (&["--recovery", "--provenance"][..], 4),
-    ] {
-        let plan = run::RunPlan::parse(&argv(flags)).unwrap();
+    let layers = ["--consistency", "--recovery", "--provenance", "--hardened"];
+    for set in 0..1 << layers.len() {
+        let mut flags: Vec<&str> = (0..layers.len())
+            .filter(|i| set & (1 << i) != 0)
+            .map(|i| layers[i])
+            .collect();
+        flags.extend(["--warmup", "2"]);
+        let plan = run::RunPlan::parse(&argv(&flags)).unwrap();
         drop(run::journal_sink(&path, &plan.cfg).unwrap());
         let header = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            header.starts_with(&format!("{{\"schema\":{schema},")),
-            "{flags:?}: {header}"
+        assert_eq!(
+            header, "{\"schema\":4,\"kinds\":38,\"warmup_ms\":120000}\n",
+            "{flags:?}"
         );
     }
     let missing = PathBuf::from(dir.path("no/such/dir.jsonl"));
@@ -290,9 +291,9 @@ fn a_mistyped_journal_header_is_refused_not_read_as_no_warmup() {
         std::fs::write(&path, format!("{header}\n{body}")).unwrap();
         mp2p(&["analyze", "--trace", &path])
     };
-    let well_typed = analyze("{\"schema\":1,\"kinds\":27,\"warmup_ms\":60000}");
+    let well_typed = analyze("{\"schema\":4,\"kinds\":38,\"warmup_ms\":60000}");
     assert!(well_typed.status.success(), "{}", stderr_of(&well_typed));
-    let mistyped = analyze("{\"schema\":1,\"kinds\":27,\"warmup_ms\":\"60000\"}");
+    let mistyped = analyze("{\"schema\":4,\"kinds\":38,\"warmup_ms\":\"60000\"}");
     assert_eq!(mistyped.status.code(), Some(2), "{}", stdout_of(&mistyped));
     assert!(
         stderr_of(&mistyped).contains("journal line 1 is not a"),
@@ -300,6 +301,14 @@ fn a_mistyped_journal_header_is_refused_not_read_as_no_warmup() {
         stderr_of(&mistyped)
     );
     assert_eq!(stdout_of(&mistyped), "", "nothing analysed");
+    // An older build's journal names its schema; the reader speaks one.
+    let older = analyze("{\"schema\":1,\"kinds\":27,\"warmup_ms\":60000}");
+    assert_eq!(older.status.code(), Some(2), "{}", stdout_of(&older));
+    assert!(
+        stderr_of(&older).contains("journal schema 1 unsupported (reader speaks 4)"),
+        "{}",
+        stderr_of(&older)
+    );
 }
 
 #[test]
@@ -309,7 +318,7 @@ fn a_far_future_record_is_refused_by_line_not_an_out_of_memory_abort() {
     // allocator for 133 GB (exit 134).
     let dir = TempDir::new("horizon");
     let path = dir.path("j.jsonl");
-    let journal = "{\"schema\":1,\"kinds\":27,\"warmup_ms\":0}\n\
+    let journal = "{\"schema\":4,\"kinds\":38,\"warmup_ms\":0}\n\
          {\"t\":5,\"ev\":\"node_up\",\"node\":1}\n\
          {\"t\":1000000000000000,\"ev\":\"msg_send\",\"node\":0,\"class\":\"POLL\",\"bytes\":4,\"dest\":null}\n";
     std::fs::write(&path, journal).unwrap();
@@ -466,7 +475,7 @@ fn a_line_not_in_the_writers_spelling_is_refused_by_line() {
     // record with its keys reordered, or a space after its brace, is
     // refused naming the line, however valid a JSON object it is.
     let dir = TempDir::new("respelled");
-    let header = "{\"schema\":1,\"kinds\":27,\"warmup_ms\":0}";
+    let header = "{\"schema\":4,\"kinds\":38,\"warmup_ms\":0}";
     let node_up = "{\"t\":5,\"ev\":\"node_up\",\"node\":1}";
     for line in [
         "{\"ev\":\"node_up\",\"t\":6,\"node\":1}",
@@ -489,7 +498,7 @@ fn nested_brackets_are_refused_by_line_not_a_stack_overflow() {
     // overflowed (exit 134).
     let dir = TempDir::new("nested");
     let deep = "[".repeat(2_000_000);
-    let header = "{\"schema\":1,\"kinds\":27,\"warmup_ms\":0}";
+    let header = "{\"schema\":4,\"kinds\":38,\"warmup_ms\":0}";
     let node_up = "{\"t\":5,\"ev\":\"node_up\",\"node\":1}";
     let analyze = |journal: String, extra: &[&str]| {
         let path = dir.path("j.jsonl");

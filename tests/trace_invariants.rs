@@ -15,8 +15,8 @@ use mp2p::rpcc::{
     BROADCAST_TTL,
 };
 use mp2p::sim::{SimDuration, SimTime};
-use mp2p::trace::reader::{parse_event_versioned, JournalReader};
-use mp2p::trace::{EventKind, JsonlSink, RingSink, TraceEvent, JOURNAL_SCHEMA};
+use mp2p::trace::reader::{parse_event, JournalReader};
+use mp2p::trace::{EventKind, JsonlSink, RingSink, TraceEvent};
 
 fn traced_world(seed: u64) -> World {
     let mut cfg = WorldConfig::small_test(seed);
@@ -184,10 +184,7 @@ fn jsonl_journal_is_parseable_and_complete() {
     let warmup = cfg.warmup;
     let mut world = World::new(cfg);
     let file = std::fs::File::create(&path).expect("temp file");
-    world.set_tracer(Box::new(JsonlSink::new_v4_with_warmup(
-        Box::new(file),
-        warmup,
-    )));
+    world.set_tracer(Box::new(JsonlSink::new_with_warmup(Box::new(file), warmup)));
     let (_report, tracer) = world.run_traced();
     let jsonl = tracer
         .as_any()
@@ -195,13 +192,12 @@ fn jsonl_journal_is_parseable_and_complete() {
         .expect("the journal comes back");
     assert!(jsonl.io_error().is_none(), "journal hit an I/O error");
 
-    // Streaming validation: the versioned header line plus one typed event
+    // Streaming validation: the header line plus one typed event
     // per recorded line, never buffering the journal as a whole.
     let file = std::fs::File::open(&path).expect("journal readable");
     let mut reader =
         JournalReader::new(std::io::BufReader::new(file)).expect("valid journal header");
     assert_eq!(reader.header().schema, mp2p::trace::JOURNAL_SCHEMA);
-    assert_eq!(reader.header().kinds as usize, EventKind::ALL.len());
     assert_eq!(reader.header().warmup_ms, warmup.as_millis());
     let mut parsed = 0u64;
     let mut last_t = SimTime::ZERO;
@@ -269,7 +265,7 @@ fn assert_codec_identity_on_an_everything_on_run(sim_time: SimDuration, warmup: 
 
     let journal = SharedBuf::default();
     let mut world = World::new(cfg);
-    world.set_tracer(Box::new(JsonlSink::new_v4_with_warmup(
+    world.set_tracer(Box::new(JsonlSink::new_with_warmup(
         Box::new(journal.clone()),
         warmup,
     )));
@@ -289,8 +285,8 @@ fn assert_codec_identity_on_an_everything_on_run(sim_time: SimDuration, warmup: 
     let mut reencoded = String::new();
     let mut body_lines = 0u64;
     for (i, line) in text.lines().enumerate().skip(1) {
-        let (at, event) = parse_event_versioned(line, JOURNAL_SCHEMA)
-            .unwrap_or_else(|| panic!("line {} does not parse: {line}", i + 1));
+        let (at, event) =
+            parse_event(line).unwrap_or_else(|| panic!("line {} does not parse: {line}", i + 1));
         reencoded.clear();
         event.write_json(at, &mut reencoded);
         assert_eq!(reencoded, line, "line {} does not re-serialise", i + 1);
