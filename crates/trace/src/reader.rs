@@ -4,8 +4,9 @@
 //! object, `{"schema":4,"kinds":38,"warmup_ms":N}`, followed by one event
 //! object per line. [`JournalReader`] streams it line-by-line — it never
 //! buffers the whole file — checking the header up front and turning
-//! each line back into a `(SimTime, TraceEvent)` pair. Give it a buffer much wider than a line (`analyze_file` uses
-//! 1 MiB): the line that straddles the buffer's end is copied out.
+//! each line back into a `(SimTime, TraceEvent)` pair. Give it a buffer
+//! much wider than a line (`analyze_file` uses 1 MiB): the line that
+//! straddles the buffer's end is copied out.
 //!
 //! **Every line is the writer's spelling.** The header is read as the
 //! sink writes it and no other way. A body line is accepted iff it is
@@ -23,7 +24,7 @@
 //! Otherwise the line is copied out with `read_until` and the copy, its
 //! line end stripped, must decode whole: that takes a line the buffer's
 //! end cut in two, and the last line of a journal with no final newline.
-//! This module names no key and no kind.
+//! This module names no record key and no kind.
 //!
 //! **What allocates.** Nothing, for any line the writer produces, at any
 //! buffer size and with either line end: a cut line is copied into one
