@@ -7,11 +7,14 @@
 //! The engine's own [`TopologySnapshot`] builds a row only when asked:
 //! each such row, whenever and in whatever order it is asked for, must be
 //! the row of the full build, and its O(1) link test the reference's
-//! neighbour relation.
+//! neighbour relation — also while the nodes move between refreshes of
+//! one snapshot, which is what lets it keep state across them.
 
 use proptest::prelude::*;
 
-use mp2p_mobility::{MobilityModel, Point, RandomWaypoint, Terrain};
+use mp2p_mobility::{
+    AnyMobility, ManhattanGrid, MobilityModel, Point, RandomWalk, RandomWaypoint, Terrain,
+};
 use mp2p_net::{PartitionCut, Topology, TopologyBuilder, TopologyScratch, TopologySnapshot};
 use mp2p_sim::{NodeId, SimDuration, SimRng, SimTime, TopologyStats};
 
@@ -318,43 +321,224 @@ proptest! {
     }
 }
 
-/// The differential `./ci` runs in release: the engine's access pattern
-/// at the benchmark's scale. 2 000 waypoint peers at Table 1's speeds on
-/// `perf::bench_terrain(2000)`'s square, 600 consecutive 200 ms refreshes
-/// with one peer switched per step and a vertical cut open for the middle
-/// third; a seeded fifth of the rows is asked each step and each must be
-/// the row a full rebuild of the same step holds — and, every 50th step,
-/// the reference's.
-#[test]
-#[ignore = "2 000 peers x 600 steps: run in release, as ./ci does"]
-fn on_demand_rows_match_the_full_rebuild_over_a_2000_peer_run() {
-    const N: usize = 2_000;
-    const STEPS: u64 = 600;
-    let side = (N as f64 * 45_000.0).sqrt();
+/// Half of every extra reach, from 5 to 100 m, that a neighbour list
+/// kept across refreshes might be collected with: a node displaced by one
+/// of these, give or take a few ulp, stands on a restart threshold.
+const HALF_SKINS: [f64; 6] = [2.5, 5.0, 10.0, 12.5, 25.0, 50.0];
+
+/// How far off a threshold a planted displacement lands, relative: zero,
+/// a few ulp, and through and past the 1e-9 guard band to a millimetre
+/// in 25 m.
+const NUDGES: [f64; 9] = [
+    0.0, 2.2e-16, 4.4e-16, 6.7e-16, 1e-12, 1e-9, 1e-7, 1e-6, 1e-5,
+];
+
+/// Per-refresh steps of the free nodes in a stretch: standing still,
+/// drifting by less than any skin, and jumping past all of them.
+const STEPS: [f64; 7] = [0.0, 1e-9, 0.05, 0.4, 2.5, 30.0, 300.0];
+
+/// Refreshes per stretch of [`prop_rows_follow_nodes_that_move_between_refreshes`].
+const STRETCH: u32 = 12;
+
+/// Two nodes on a line through `a0` along `u`, `d0` apart at a stretch's
+/// first refresh, that close (or open) the gap by `h` per mover by its
+/// last: they cross the radio range in mid-stretch or at its end.
+#[derive(Debug, Clone, Copy)]
+struct Crossing {
+    a0: Point,
+    u: (f64, f64),
+    d0: f64,
+    h: f64,
+    /// Both ends move, or only the second.
+    both: bool,
+    closing: bool,
+}
+
+impl Crossing {
+    fn draw(rng: &mut SimRng, range: f64, side: f64) -> Crossing {
+        let half_skin = *rng.choose(&HALF_SKINS).expect("non-empty");
+        let nudge = *rng.choose(&NUDGES).expect("non-empty");
+        let sign = if rng.bernoulli(0.5) { 1.0 } else { -1.0 };
+        let h = half_skin * (1.0 + sign * nudge);
+        let both = rng.bernoulli(0.75);
+        let gap = if both { 2.0 * h } else { h };
+        // Cross exactly at the stretch's end, or at its midpoint.
+        let gap = if rng.bernoulli(0.75) { gap } else { gap / 2.0 };
+        let closing = rng.bernoulli(0.75) || gap >= range;
+        let angle = if rng.bernoulli(0.5) {
+            rng.uniform_f64_range(0.0, std::f64::consts::TAU)
+        } else {
+            // Along an axis, the displacement is a single rounding.
+            f64::from(rng.uniform_u64(4) as u32) * std::f64::consts::FRAC_PI_2
+        };
+        Crossing {
+            a0: Point::new(
+                rng.uniform_f64_range(0.0, side),
+                rng.uniform_f64_range(0.0, side),
+            ),
+            u: (angle.cos(), angle.sin()),
+            d0: if closing { range + gap } else { range - gap },
+            h,
+            both,
+            closing,
+        }
+    }
+
+    /// The two ends at refresh `k` of the stretch; at `k == STRETCH` each
+    /// mover is displaced by exactly `h` along the line.
+    fn at(&self, k: u32) -> [Point; 2] {
+        let s = self.h * f64::from(k) / f64::from(STRETCH);
+        let (toward_b, toward_a) = if self.closing { (s, -s) } else { (-s, s) };
+        let along = |t: f64| Point::new(self.a0.x + self.u.0 * t, self.a0.y + self.u.1 * t);
+        [
+            along(if self.both { toward_b } else { 0.0 }),
+            along(self.d0 + toward_a),
+        ]
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One snapshot refreshed 4 × 12 times while its nodes move. Each
+    /// stretch has its own node count and its own step for the free
+    /// nodes, from standing still to jumping past any plausible skin.
+    /// Planted pairs cross the range in mid-stretch or at its end, inwards
+    /// and outwards, each mover displaced by a half-skin give or take a few
+    /// ulp; a node down at a stretch's start comes up in its middle; a
+    /// cut opens and heals inside it; free nodes switch at random. After
+    /// every refresh each asked row (and every planted end's), the link
+    /// test on sampled pairs and, every third refresh, the whole graph
+    /// equal the reference build of that instant.
+    #[test]
+    fn prop_rows_follow_nodes_that_move_between_refreshes(
+        seed in any::<u64>(),
+        range in prop_oneof![Just(250.0), Just(100.0), Just(93.7)],
+        cut_x in any::<bool>(),
+        cut_y in any::<bool>(),
+    ) {
+        let side = 1_200.0;
+        let terrain = Terrain::new(side, side);
+        let mut rng = SimRng::from_seed(seed, 0xE6);
+        let mut snapshot = TopologySnapshot::new(range);
+        let mut free: Vec<Point> = (0..48).map(|_| terrain.random_point(&mut rng)).collect();
+        let mut free_up = vec![true; free.len()];
+        let mut n_free = 0;
+        for stretch in 0..4 {
+            let mut next = 4 + rng.uniform_u64(44) as usize;
+            if next == n_free {
+                next += 1;
+            }
+            n_free = next;
+            let step = *rng.choose(&STEPS).expect("non-empty");
+            let crossings: Vec<Crossing> = (0..1 + rng.uniform_u64(8))
+                .map(|_| Crossing::draw(&mut rng, range, side))
+                .collect();
+            let late_riser = crossings[0].at(0)[1];
+            let late = Point::new(late_riser.x + range / 3.0, late_riser.y);
+            let planted: Vec<NodeId> = NodeId::all(n_free + 2 * crossings.len() + 1)
+                .skip(n_free)
+                .collect();
+            for k in 0..=STRETCH {
+                if k > 0 {
+                    for (p, up) in free.iter_mut().zip(free_up.iter_mut()).take(n_free) {
+                        let angle = rng.uniform_f64_range(0.0, std::f64::consts::TAU);
+                        p.x = (p.x + step * angle.cos()).clamp(0.0, side);
+                        p.y = (p.y + step * angle.sin()).clamp(0.0, side);
+                        *up ^= rng.bernoulli(0.05);
+                    }
+                }
+                let mut positions = free[..n_free].to_vec();
+                let mut up = free_up[..n_free].to_vec();
+                for c in &crossings {
+                    positions.extend(c.at(k));
+                    up.extend([true, true]);
+                }
+                positions.push(late);
+                up.push(k >= STRETCH / 2);
+                let open = (STRETCH / 3..2 * STRETCH / 3).contains(&k);
+                let cut = if open { midlines(side, cut_x, cut_y) } else { PartitionCut::default() };
+                let naive = Topology::with_link_filter_naive(&positions, &up, range, cut.filter(&positions));
+                refresh(&mut snapshot, cut, &positions, &up);
+
+                let n = positions.len();
+                let mut asked: Vec<NodeId> = NodeId::all(n).filter(|_| rng.bernoulli(0.3)).collect();
+                asked.extend(&planted);
+                rng.shuffle(&mut asked);
+                for &id in &asked {
+                    prop_assert_eq!(snapshot.neighbors(id), naive.neighbors(id), "stretch {} refresh {} row of {:?}", stretch, k, id);
+                }
+                for _ in 0..4 {
+                    let a = NodeId::new(rng.uniform_u64(n as u64) as u32);
+                    for b in NodeId::all(n) {
+                        prop_assert_eq!(snapshot.linked(a, b), naive.are_neighbors(a, b), "stretch {} refresh {} {:?} -> {:?}", stretch, k, a, b);
+                    }
+                }
+                for pair in planted[..2 * crossings.len()].chunks(2) {
+                    prop_assert_eq!(snapshot.linked(pair[0], pair[1]), naive.are_neighbors(pair[0], pair[1]));
+                }
+                if k % 3 == 0 {
+                    let graph = snapshot.graph();
+                    prop_assert_eq!(graph.edge_count(), naive.edge_count(), "stretch {} refresh {}", stretch, k);
+                    for id in NodeId::all(n) {
+                        prop_assert_eq!(graph.neighbors(id), naive.neighbors(id), "stretch {} refresh {} graph {:?}", stretch, k, id);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Table 1's speeds (0.5–2.5 m/s, 30 s pauses).
+fn waypoint(terrain: Terrain, rng: SimRng) -> AnyMobility {
+    RandomWaypoint::new(terrain, 0.5, 2.5, SimDuration::from_secs(30), rng).into()
+}
+
+/// The `walk` model's defaults: it reflects at the terrain's edge.
+fn walk(terrain: Terrain, rng: SimRng) -> AnyMobility {
+    RandomWalk::new(terrain, 0.5, 2.5, SimDuration::from_secs(60), rng).into()
+}
+
+/// The `manhattan` model's defaults: 8 m/s, turning at 150 m corners.
+fn manhattan(terrain: Terrain, rng: SimRng) -> AnyMobility {
+    ManhattanGrid::new(terrain, 150.0, 8.0, rng).into()
+}
+
+/// The engine's access pattern: `n` peers of `model` on
+/// `perf::bench_terrain(n)`'s square, `steps` consecutive 200 ms
+/// refreshes with one peer switched per step and a vertical cut open for
+/// the middle third; a seeded fifth of the rows is asked each step and
+/// each must be the row a full rebuild of the same step holds — and,
+/// every 50th step, the reference's.
+fn on_demand_rows_match_the_full_rebuild(
+    n: usize,
+    steps: u64,
+    model: fn(Terrain, SimRng) -> AnyMobility,
+) {
+    let side = (n as f64 * 45_000.0).sqrt();
     let terrain = Terrain::new(side, side);
-    let pause = SimDuration::from_secs(30);
-    let mut peers: Vec<RandomWaypoint> = (0..N as u64)
-        .map(|i| RandomWaypoint::new(terrain, 0.5, 2.5, pause, SimRng::from_seed(21, 0x100 + i)))
+    let mut peers: Vec<AnyMobility> = (0..n as u64)
+        .map(|i| model(terrain, SimRng::from_seed(21, 0x100 + i)))
         .collect();
-    let mut up = vec![true; N];
+    let mut up = vec![true; n];
     let mut rng = SimRng::from_seed(21, 0xE5);
-    let mut ids: Vec<NodeId> = NodeId::all(N).collect();
+    let mut ids: Vec<NodeId> = NodeId::all(n).collect();
     let mut snapshot = TopologySnapshot::new(250.0);
     let mut builder = TopologyBuilder::new();
     let mut retired: Option<Topology> = None;
-    for step in 0..STEPS {
+    for step in 0..steps {
         let now = SimTime::ZERO + SimDuration::from_millis(200 * step);
         let positions: Vec<Point> = peers.iter_mut().map(|p| p.position_at(now)).collect();
-        let flipped = rng.uniform_u64(N as u64) as usize;
+        let flipped = rng.uniform_u64(n as u64) as usize;
         up[flipped] = !up[flipped];
-        let cut = midlines(side, (STEPS / 3..2 * STEPS / 3).contains(&step), false);
+        let cut = midlines(side, (steps / 3..2 * steps / 3).contains(&step), false);
         let keep = cut.filter(&positions);
         refresh(&mut snapshot, cut, &positions, &up);
         let full = builder.rebuild(retired.take(), &positions, &up, 250.0, &keep);
         let naive = (step % 50 == 0)
             .then(|| Topology::with_link_filter_naive(&positions, &up, 250.0, &keep));
         rng.shuffle(&mut ids);
-        for &id in &ids[..N / 5] {
+        for &id in &ids[..n / 5] {
             let row = snapshot.neighbors(id);
             assert_eq!(row, full.neighbors(id), "step {step}, row of {id:?}");
             if let Some(naive) = &naive {
@@ -364,8 +548,26 @@ fn on_demand_rows_match_the_full_rebuild_over_a_2000_peer_run() {
         retired = Some(full);
     }
     let expected = TopologyStats {
-        snapshots: STEPS,
-        rows_built: STEPS * (N as u64 / 5),
+        snapshots: steps,
+        rows_built: steps * (n as u64 / 5),
     };
     assert_eq!(snapshot.stats(), expected, "only the asked rows were built");
+}
+
+/// 200 waypoint peers over a simulated minute: at Table 1's speeds the
+/// field moves tens of metres, in the time the engine takes 300
+/// snapshots.
+#[test]
+fn on_demand_rows_match_the_full_rebuild_over_a_200_peer_run() {
+    on_demand_rows_match_the_full_rebuild(200, 300, waypoint);
+}
+
+/// The differential `./ci` runs in release: 2 000 peers x 600 refreshes,
+/// the benchmark's scale, for the waypoint, walk and Manhattan models.
+#[test]
+#[ignore = "2 000 peers x 600 steps x 3 models: run in release, as ./ci does"]
+fn on_demand_rows_match_the_full_rebuild_over_a_2000_peer_run() {
+    for model in [waypoint, walk, manhattan] {
+        on_demand_rows_match_the_full_rebuild(2_000, 600, model);
+    }
 }
