@@ -752,8 +752,9 @@ impl World {
     }
 
     /// Re-takes the topology snapshot if stale: every node's position
-    /// and up flag, binned. No adjacency row is built here — whoever
-    /// needs one asks `links` — and every buffer is the previous
+    /// and up flag, re-binned only when a node has moved far enough to
+    /// end the snapshot's Verlet epoch. No adjacency row is built here —
+    /// whoever needs one asks `links` — and every buffer is the previous
     /// snapshot's, so a refresh allocates nothing once the run is warm.
     fn ensure_topology(&mut self) {
         let stale = match self.topo {

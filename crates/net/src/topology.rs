@@ -7,10 +7,11 @@
 //! and queries run allocation-free against a caller-owned
 //! [`TopologyScratch`].
 //!
-//! A [`Topology`] is every row at once. The engine, whose snapshots are
-//! invalidated by every switched peer long before most rows are read,
-//! holds a [`TopologySnapshot`] instead: the same bins, a row built when
-//! first asked for.
+//! A [`Topology`] is every row at once. The engine, which re-takes its
+//! snapshot every 200 ms and after every switched peer, long before most
+//! rows are read, holds a [`TopologySnapshot`] instead: a row built when
+//! first asked for, by filtering a Verlet neighbour list that outlives
+//! the snapshot while no node has moved more than half its skin.
 
 use std::collections::VecDeque;
 
@@ -386,39 +387,42 @@ impl TopologyScratch {
     }
 }
 
-/// Counting-sort cell bins over one set of positions, and the row scan
+/// Counting-sort cell bins over one set of positions, and the cell walk
 /// that reads them: the one spatial hash behind both
-/// [`TopologyBuilder::rebuild`] (every row, into a CSR) and
-/// [`TopologySnapshot::neighbors`] (one row, when asked).
+/// [`TopologyBuilder::rebuild`] (every row, into a CSR) and a
+/// [`TopologySnapshot`]'s Verlet candidate lists.
 #[derive(Debug)]
 struct CellBins {
     grid: CellGrid,
-    /// The radio range the bins were filled for; the grid's cell side.
-    range: f64,
-    /// Linear cell index per node (valid only for connected nodes).
+    /// Linear cell index per node (valid only for binned nodes).
     cell_idx: Vec<u32>,
     /// Cursor/boundary array over cells; after [`CellBins::fill`], cell
     /// `c` holds nodes `order[start(c)..cell_start[c]]` where `start(c)`
     /// is `0` for the first cell and `cell_start[c - 1]` otherwise.
     cell_start: Vec<u32>,
-    /// Connected node indices grouped by cell, ascending within a cell.
+    /// Binned node indices grouped by cell, ascending within a cell.
     order: Vec<u32>,
 }
 
 /// Relative half-width of the band around `range²` inside which
-/// [`CellBins::scan_row`] distrusts the squared distance and asks
-/// `hypot`, as the reference build does for every pair. The band is
-/// exact, not approximate: `dx² + dy²` carries at most three ulp (≈ 7e-16)
-/// of relative error and `hypot` under one, so outside the band the two
+/// [`Reach::within`] distrusts the squared distance and asks `hypot`, as
+/// the reference build does for every pair. The band is exact, not
+/// approximate: `dx² + dy²` carries at most three ulp (≈ 7e-16) of
+/// relative error and `hypot` under one, so outside the band the two
 /// agree with six orders of magnitude to spare; a NaN falls through both
-/// comparisons into the `hypot` path.
+/// comparisons into the `hypot` path. The Verlet tests of a
+/// [`TopologySnapshot`] take the same margin on the safe side.
 const GUARD_BAND: f64 = 1e-9;
+
+/// How much farther than the radio range, in metres, a
+/// [`TopologySnapshot`]'s candidate lists reach: an epoch lasts until
+/// some node has moved `SKIN / 2` from where it stood at its start.
+const SKIN: f64 = 25.0;
 
 impl Default for CellBins {
     fn default() -> Self {
         CellBins {
             grid: CellGrid::from_points(&[], 1.0),
-            range: 1.0,
             cell_idx: Vec::new(),
             cell_start: Vec::new(),
             order: Vec::new(),
@@ -427,40 +431,23 @@ impl Default for CellBins {
 }
 
 impl CellBins {
-    /// Bins the connected nodes into range-sized cells by counting sort,
-    /// in ascending id order so each cell's list is already sorted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two slices differ in length or `range` is not finite
-    /// and positive.
-    fn fill(&mut self, positions: &[Point], connected: &[bool], range: f64) {
-        assert_eq!(
-            positions.len(),
-            connected.len(),
-            "positions/connected length mismatch"
-        );
-        assert!(
-            range.is_finite() && range > 0.0,
-            "radio range must be positive"
-        );
+    /// Bins the nodes `binned` admits into cells of side `side` by
+    /// counting sort, in ascending id order so each cell's list is already
+    /// sorted.
+    fn fill(&mut self, positions: &[Point], binned: impl Fn(usize) -> bool, side: f64) {
         let n = positions.len();
-        let grid = CellGrid::from_points(positions, range);
+        let grid = CellGrid::from_points(positions, side);
         let cells = grid.cell_count();
         assert!(
             u32::try_from(cells).is_ok(),
             "cell grid too fine: {cells} cells"
         );
         self.grid = grid;
-        self.range = range;
         self.cell_idx.clear();
         self.cell_idx.resize(n, 0);
         self.cell_start.clear();
         self.cell_start.resize(cells + 1, 0);
-        for i in 0..n {
-            if !connected[i] {
-                continue;
-            }
+        for i in (0..n).filter(|&i| binned(i)) {
             let c = grid.cell_index(positions[i]);
             self.cell_idx[i] = c as u32;
             self.cell_start[c + 1] += 1;
@@ -468,13 +455,10 @@ impl CellBins {
         for c in 0..cells {
             self.cell_start[c + 1] += self.cell_start[c];
         }
-        let total_up = self.cell_start[cells] as usize;
+        let total = self.cell_start[cells] as usize;
         self.order.clear();
-        self.order.resize(total_up, 0);
-        for (i, &up) in connected.iter().enumerate() {
-            if !up {
-                continue;
-            }
+        self.order.resize(total, 0);
+        for i in (0..n).filter(|&i| binned(i)) {
             let c = self.cell_idx[i] as usize;
             self.order[self.cell_start[c] as usize] = i as u32;
             self.cell_start[c] += 1;
@@ -483,29 +467,18 @@ impl CellBins {
         // start of cell c + 1), which is exactly what scan_row reads.
     }
 
-    /// Appends connected node `i`'s neighbours to `out`, ascending by id:
-    /// every binned node of `i`'s 3 × 3 cell block within range of it
-    /// that `keep` lets through. `positions` are the ones the bins were
-    /// filled from.
+    /// Appends to `out`, ascending by id, every binned node `j ≠ i` of
+    /// `i`'s 3 × 3 cell block that `accept` takes. `positions` are the
+    /// ones the bins were filled from.
     fn scan_row(
         &self,
         i: usize,
         positions: &[Point],
-        keep: impl Fn(usize, usize) -> bool,
+        accept: impl Fn(usize) -> bool,
         out: &mut Vec<NodeId>,
     ) {
-        // `distance <= range` is decided from the squared distance. That
-        // carries a few ulp (~1e-15) of relative error and libm `hypot`
-        // under one, six orders of magnitude inside the guard band, so
-        // outside the band the two tests cannot disagree; pairs within it
-        // get the exact `hypot` comparison the reference build makes.
-        let range_sq = self.range * self.range;
-        let surely_in = range_sq * (1.0 - GUARD_BAND);
-        let surely_out = range_sq * (1.0 + GUARD_BAND);
-
         let grid = &self.grid;
-        let p = positions[i];
-        let (cx, cy) = grid.cell_coords(p);
+        let (cx, cy) = grid.cell_coords(positions[i]);
         let row_start = out.len();
         for cell_y in cy.saturating_sub(1)..=(cy + 1).min(grid.rows() - 1) {
             for cell_x in cx.saturating_sub(1)..=(cx + 1).min(grid.cols() - 1) {
@@ -513,39 +486,72 @@ impl CellBins {
                 let lo = if c == 0 { 0 } else { self.cell_start[c - 1] } as usize;
                 let hi = self.cell_start[c] as usize;
                 for &j in &self.order[lo..hi] {
-                    let j = j as usize;
-                    if j == i {
-                        continue;
-                    }
-                    // Evaluate distance and filter in the ascending
-                    // orientation the reference build uses, so results
-                    // (and float edge cases) match it bit-for-bit.
-                    let (a, b) = if i < j { (i, j) } else { (j, i) };
-                    let (dx, dy) = (p.x - positions[j].x, p.y - positions[j].y);
-                    let dist_sq = dx * dx + dy * dy;
-                    let in_range = dist_sq <= surely_in
-                        || (dist_sq < surely_out
-                            && positions[a].distance(positions[b]) <= self.range);
-                    if in_range && keep(a, b) {
-                        out.push(NodeId::new(j as u32));
+                    if j as usize != i && accept(j as usize) {
+                        out.push(NodeId::new(j));
                     }
                 }
             }
         }
-        // Cells were scanned row-major, so the candidates arrive
-        // cell-sorted, not id-sorted; restore the reference build's
-        // ascending order.
+        // Cells were scanned row-major, so the nodes arrive cell-sorted,
+        // not id-sorted; restore the reference build's ascending order.
         out[row_start..].sort_unstable();
     }
+}
 
-    /// Every row, as a CSR snapshot, cannibalising `recycle`'s arrays
-    /// when given.
-    fn csr(
-        &self,
+/// The reference build's `distance <= range` test, decided from the
+/// squared distance where that is safe. `dx² + dy²` carries a few ulp
+/// (~1e-15) of relative error and libm `hypot` under one, six orders of
+/// magnitude inside [`GUARD_BAND`], so outside the band the two tests
+/// cannot disagree; pairs within it get the exact `hypot` comparison the
+/// reference build makes.
+#[derive(Debug, Clone, Copy)]
+struct Reach {
+    range: f64,
+    surely_in: f64,
+    surely_out: f64,
+}
+
+impl Reach {
+    /// # Panics
+    ///
+    /// Panics if `range` is not finite and positive.
+    fn new(range: f64) -> Reach {
+        assert!(
+            range.is_finite() && range > 0.0,
+            "radio range must be positive"
+        );
+        let range_sq = range * range;
+        Reach {
+            range,
+            surely_in: range_sq * (1.0 - GUARD_BAND),
+            surely_out: range_sq * (1.0 + GUARD_BAND),
+        }
+    }
+
+    /// True if `positions[i]` and `positions[j]` are within range,
+    /// evaluated in the ascending orientation the reference build uses,
+    /// so results (and float edge cases) match it bit for bit.
+    fn within(self, positions: &[Point], i: usize, j: usize) -> bool {
+        let (p, q) = (positions[i.min(j)], positions[i.max(j)]);
+        let dist_sq = squared_distance(p, q);
+        dist_sq <= self.surely_in || (dist_sq < self.surely_out && p.distance(q) <= self.range)
+    }
+}
+
+fn squared_distance(p: Point, q: Point) -> f64 {
+    let (dx, dy) = (p.x - q.x, p.y - q.y);
+    dx * dx + dy * dy
+}
+
+impl Topology {
+    /// Every row at once, as a CSR snapshot: `row(i, out)` appends up
+    /// node `i`'s row to `out`. Cannibalises `recycle`'s arrays when
+    /// given.
+    fn from_rows(
         recycle: Option<Topology>,
-        positions: &[Point],
         connected: &[bool],
-        keep: impl Fn(usize, usize) -> bool,
+        range: f64,
+        mut row: impl FnMut(usize, &mut Vec<NodeId>),
     ) -> Topology {
         let (mut offsets, mut adjacency, mut conn) = match recycle {
             Some(t) => {
@@ -561,7 +567,7 @@ impl CellBins {
                 (offsets, adjacency, connected)
             }
             None => (
-                Vec::with_capacity(positions.len() + 1),
+                Vec::with_capacity(connected.len() + 1),
                 Vec::new(),
                 Vec::new(),
             ),
@@ -570,7 +576,7 @@ impl CellBins {
         for (i, &up) in connected.iter().enumerate() {
             offsets.push(adjacency.len() as u32);
             if up {
-                self.scan_row(i, positions, &keep, &mut adjacency);
+                row(i, &mut adjacency);
             }
         }
         offsets.push(adjacency.len() as u32);
@@ -578,7 +584,7 @@ impl CellBins {
             offsets,
             adjacency,
             connected: conn,
-            range: self.range,
+            range,
         }
     }
 }
@@ -627,8 +633,14 @@ impl TopologyBuilder {
         range: f64,
         keep: impl Fn(usize, usize) -> bool,
     ) -> Topology {
-        self.bins.fill(positions, connected, range);
-        self.bins.csr(recycle, positions, connected, keep)
+        let reach = Reach::new(range);
+        assert_eq!(positions.len(), connected.len(), "length mismatch");
+        self.bins.fill(positions, |i| connected[i], range);
+        let bins = &self.bins;
+        Topology::from_rows(recycle, connected, range, |i, out| {
+            let linked = |j: usize| reach.within(positions, i, j) && keep(i.min(j), i.max(j));
+            bins.scan_row(i, positions, linked, out);
+        })
     }
 }
 
@@ -659,21 +671,44 @@ impl PartitionCut {
 }
 
 /// The radio graph at one instant, with adjacency rows built when asked
-/// for.
+/// for, from Verlet neighbour lists that outlive the instant.
 ///
 /// [`TopologySnapshot::refresh`] stores the positions, the up flags and
-/// the open [`PartitionCut`] and bins the up nodes into cells; that is
-/// all a refresh costs. A row is a pure function of those inputs, so
-/// building it at the first [`TopologySnapshot::neighbors`] call — and
-/// keeping it until the next refresh — yields exactly the row
+/// the open [`PartitionCut`]. A row is a pure function of those inputs,
+/// so building it at the first [`TopologySnapshot::neighbors`] call —
+/// and keeping it until the next refresh — yields exactly the row
 /// [`TopologyBuilder::rebuild`] would have built up front, and rows
 /// nobody asks for are never built. A single link is tested from the two
 /// stored positions ([`TopologySnapshot::linked`]); queries over the
-/// whole graph get the CSR [`Topology`], materialised at most once per
-/// refresh ([`TopologySnapshot::graph`]).
+/// whole graph get the CSR [`Topology`], materialised from the same rows
+/// at most once per refresh ([`TopologySnapshot::graph`]).
 ///
-/// Every buffer is recycled across refreshes: a warm refresh and the
-/// rows asked of it perform no heap allocation.
+/// # Verlet epochs
+///
+/// An *epoch* bins every node, up or down, where it stood at the epoch's
+/// start, in cells of side `range + SKIN` (`SKIN` = 25 m). A node's
+/// candidate list — every other node then within `range + SKIN`,
+/// ascending by id — is collected when its row is first asked in the
+/// epoch. A row is the candidates that pass the reference build's tests
+/// now: both ends up, the guarded range test in the ascending
+/// orientation, and the cut on the current positions. No cell is scanned
+/// and nothing is sorted.
+///
+/// The rows are exact. A refresh starts a new epoch when the node count
+/// changes or some node has moved more than `SKIN / 2` since the epoch's
+/// start. If `i` and `j` are in range now and each has moved at most
+/// `SKIN / 2`, the triangle inequality puts them within `range + SKIN` at
+/// the start, so `j` is among `i`'s candidates. The rule reads measured
+/// displacements, not a speed bound, so it holds for every mobility
+/// model, waypoint legs that end on a rounded millisecond included. Both
+/// tests take the `GUARD_BAND` margin on the safe side — an epoch holds
+/// while every squared displacement is at most `(SKIN / 2)² · (1 −
+/// GUARD_BAND)`, a candidate is taken up to `(range + SKIN)² · (1 +
+/// GUARD_BAND)` — so a few ulp of rounding cannot drop a neighbour.
+///
+/// Every buffer is recycled across refreshes: a warm refresh, an epoch
+/// restart, the candidate lists and rows asked of it and the graph
+/// perform no heap allocation.
 ///
 /// # Example
 ///
@@ -692,11 +727,11 @@ impl PartitionCut {
 /// ```
 #[derive(Debug)]
 pub struct TopologySnapshot {
-    range: f64,
+    reach: Reach,
     positions: Vec<Point>,
     up: Vec<bool>,
     cut: PartitionCut,
-    bins: CellBins,
+    epoch: Epoch,
     /// Where node `i`'s row sits in `arena`, once it has been built.
     rows: Vec<Option<(u32, u32)>>,
     /// The rows built since the last refresh, in the order asked.
@@ -708,6 +743,80 @@ pub struct TopologySnapshot {
     stats: TopologyStats,
 }
 
+/// A Verlet epoch of a [`TopologySnapshot`]: every node's position at its
+/// start, those positions binned, and the candidate lists collected from
+/// them so far.
+#[derive(Debug, Default)]
+struct Epoch {
+    anchor: Vec<Point>,
+    /// `anchor`, every node binned, in cells of side `range + SKIN`.
+    bins: CellBins,
+    /// Where node `i`'s candidate list sits in `arena`, once collected.
+    lists: Vec<Option<(u32, u32)>>,
+    arena: Vec<NodeId>,
+}
+
+impl Epoch {
+    /// True if the lists still serve `positions`: the same nodes, none
+    /// displaced more than `SKIN / 2` from its anchor.
+    fn holds(&self, positions: &[Point]) -> bool {
+        let limit = (SKIN / 2.0) * (SKIN / 2.0) * (1.0 - GUARD_BAND);
+        positions.len() == self.anchor.len()
+            && (positions.iter().zip(&self.anchor)).all(|(&p, &q)| squared_distance(p, q) <= limit)
+    }
+
+    /// Starts a new epoch at `positions`, forgetting every list.
+    fn restart(&mut self, positions: &[Point], range: f64) {
+        self.anchor.clear();
+        self.anchor.extend_from_slice(positions);
+        self.bins.fill(&self.anchor, |_| true, range + SKIN);
+        self.lists.clear();
+        self.lists.resize(positions.len(), None);
+        self.arena.clear();
+    }
+
+    /// Node `i`'s candidates: every other node within `range + SKIN` of
+    /// it at the epoch's start, ascending by id; collected on first
+    /// request.
+    fn candidates(&mut self, i: usize) -> &[NodeId] {
+        let (lo, hi) = match self.lists[i] {
+            Some(list) => list,
+            None => {
+                let lo = self.arena.len() as u32;
+                let side = self.bins.grid.cell();
+                let limit = side * side * (1.0 + GUARD_BAND);
+                let anchor = &self.anchor;
+                let near = |j: usize| squared_distance(anchor[i], anchor[j]) <= limit;
+                self.bins.scan_row(i, anchor, near, &mut self.arena);
+                let list = (lo, self.arena.len() as u32);
+                self.lists[i] = Some(list);
+                list
+            }
+        };
+        &self.arena[lo as usize..hi as usize]
+    }
+}
+
+/// Appends node `i`'s row at the instant of `positions`, `up` and `cut`
+/// to `out`: its `epoch` candidates that the reference build links to it.
+fn filter_row(
+    epoch: &mut Epoch,
+    i: usize,
+    (positions, up, cut, reach): (&[Point], &[bool], PartitionCut, Reach),
+    out: &mut Vec<NodeId>,
+) {
+    if !up[i] {
+        return;
+    }
+    for &j in epoch.candidates(i) {
+        let j = j.index();
+        let (a, b) = (i.min(j), i.max(j));
+        if up[j] && reach.within(positions, i, j) && cut.keeps(positions[a], positions[b]) {
+            out.push(NodeId::new(j as u32));
+        }
+    }
+}
+
 impl TopologySnapshot {
     /// An empty snapshot (no nodes) for radio range `range`.
     ///
@@ -715,16 +824,12 @@ impl TopologySnapshot {
     ///
     /// Panics if `range` is not finite and positive.
     pub fn new(range: f64) -> Self {
-        assert!(
-            range.is_finite() && range > 0.0,
-            "radio range must be positive"
-        );
         TopologySnapshot {
-            range,
+            reach: Reach::new(range),
             positions: Vec::new(),
             up: Vec::new(),
             cut: PartitionCut::default(),
-            bins: CellBins::default(),
+            epoch: Epoch::default(),
             rows: Vec::new(),
             arena: Vec::new(),
             graph: None,
@@ -734,7 +839,8 @@ impl TopologySnapshot {
     }
 
     /// Re-takes the snapshot: one `(position, up)` per node in id order,
-    /// under `cut`. Forgets every row and the graph of the previous one.
+    /// under `cut`. Forgets every row and the graph of the previous one,
+    /// and starts a new Verlet epoch if a node has moved too far.
     pub fn refresh(&mut self, cut: PartitionCut, nodes: impl IntoIterator<Item = (Point, bool)>) {
         self.positions.clear();
         self.up.clear();
@@ -743,7 +849,9 @@ impl TopologySnapshot {
             self.up.push(up);
         }
         self.cut = cut;
-        self.bins.fill(&self.positions, &self.up, self.range);
+        if !self.epoch.holds(&self.positions) {
+            self.epoch.restart(&self.positions, self.reach.range);
+        }
         self.rows.clear();
         self.rows.resize(self.positions.len(), None);
         self.arena.clear();
@@ -765,11 +873,8 @@ impl TopologySnapshot {
             Some(row) => row,
             None => {
                 let lo = self.arena.len();
-                if self.up[i] {
-                    let keep = self.cut.filter(&self.positions);
-                    self.bins
-                        .scan_row(i, &self.positions, keep, &mut self.arena);
-                }
+                let now = (&self.positions[..], &self.up[..], self.cut, self.reach);
+                filter_row(&mut self.epoch, i, now, &mut self.arena);
                 self.stats.rows_built += 1;
                 let row = (lo as u32, self.arena.len() as u32);
                 self.rows[i] = Some(row);
@@ -784,17 +889,25 @@ impl TopologySnapshot {
     pub fn linked(&self, a: NodeId, b: NodeId) -> bool {
         let (i, j) = (a.index().min(b.index()), a.index().max(b.index()));
         let (p, q) = (self.positions[i], self.positions[j]);
-        i != j && self.up[i] && self.up[j] && p.distance(q) <= self.range && self.cut.keeps(p, q)
+        i != j
+            && self.up[i]
+            && self.up[j]
+            && p.distance(q) <= self.reach.range
+            && self.cut.keeps(p, q)
     }
 
     /// The whole graph, for component and path queries. Materialised on
-    /// the first call after a refresh, into the arrays of the previous
+    /// the first call after a refresh, from the same rows as
+    /// [`TopologySnapshot::neighbors`], into the arrays of the previous
     /// materialisation.
     pub fn graph(&mut self) -> &Topology {
         if !self.graph_current {
-            let keep = self.cut.filter(&self.positions);
             let retired = self.graph.take();
-            let graph = self.bins.csr(retired, &self.positions, &self.up, keep);
+            let now = (&self.positions[..], &self.up[..], self.cut, self.reach);
+            let epoch = &mut self.epoch;
+            let graph = Topology::from_rows(retired, now.1, now.3.range, |i, out| {
+                filter_row(epoch, i, now, out)
+            });
             self.stats.rows_built += self.positions.len() as u64;
             self.graph = Some(graph);
             self.graph_current = true;
