@@ -1,8 +1,8 @@
 //! Proof that the scalable substrate is allocation-free where it claims
 //! to be: topology queries against a warm [`TopologyScratch`],
 //! steady-state snapshot rebuilds through [`TopologyBuilder`], a
-//! warm [`TopologySnapshot`] refresh with the rows and the graph asked of
-//! it, and a warm [`NetStack`] reading a borrowed frame into a warm
+//! warm [`TopologySnapshot`] refresh (a new Verlet epoch or not) with the
+//! rows and the graph asked of it, and a warm [`NetStack`] reading a borrowed frame into a warm
 //! action buffer must not touch the heap. A counting global allocator
 //! makes the claim a hard assertion rather than a code-review promise.
 //!
@@ -160,6 +160,40 @@ fn warm_refresh_rows_and_graph_do_not_allocate() {
     assert!(links > 0, "the field has links");
 }
 
+/// The same between two fields far apart, so that every refresh starts
+/// a new Verlet epoch: re-binning every node and collecting the
+/// candidate lists again reuse the previous epoch's buffers.
+#[test]
+fn warm_epoch_restarts_do_not_allocate() {
+    let n = 500;
+    let fields = [random_field(n, 10), random_field(n, 11)];
+    let mut snapshot = TopologySnapshot::new(250.0);
+    let round = |snapshot: &mut TopologySnapshot| {
+        let mut links = 0;
+        for (positions, up) in &fields {
+            let nodes = positions.iter().copied().zip(up.iter().copied());
+            snapshot.refresh(PartitionCut::default(), nodes);
+            for id in NodeId::all(n).step_by(5) {
+                links += snapshot.neighbors(id).len();
+            }
+            links += snapshot.graph().edge_count();
+        }
+        links
+    };
+
+    round(&mut snapshot);
+    round(&mut snapshot);
+
+    arm();
+    let links = round(&mut snapshot);
+    let count = disarm();
+    assert_eq!(
+        count, 0,
+        "two warm epoch restarts with their rows and graphs allocated {count} times"
+    );
+    assert!(links > 0, "the fields have links");
+}
+
 /// What a reception costs a warm stack: nothing for a flood it has
 /// heard, nothing for a first-seen flood at the end of its TTL (one
 /// `Deliver` into the caller's buffer, one id into a dedup memory in a
@@ -194,8 +228,9 @@ fn warm_receptions_do_not_allocate() {
     let mut stack: NetStack<u64> = NetStack::new(me, NetConfig::default());
     let mut out = Vec::new();
     // Pre-grow the tables: the dedup memory turns over many times (its
-    // hash set settles on a size it then rehashes in place), and hearing
-    // `dest` flood teaches the route the unicasts are forwarded along.
+    // ring grows to the ids one lifetime holds and is then reused in
+    // place), and hearing `dest` flood teaches the route the unicasts are
+    // forwarded along.
     let taught = Frame::Flood {
         id: FloodId {
             origin: dest,
