@@ -512,8 +512,6 @@ struct Reach {
 }
 
 impl Reach {
-    /// # Panics
-    ///
     /// Panics if `range` is not finite and positive.
     fn new(range: f64) -> Reach {
         assert!(
@@ -528,13 +526,14 @@ impl Reach {
         }
     }
 
-    /// True if `positions[i]` and `positions[j]` are within range,
-    /// evaluated in the ascending orientation the reference build uses,
-    /// so results (and float edge cases) match it bit for bit.
-    fn within(self, positions: &[Point], i: usize, j: usize) -> bool {
-        let (p, q) = (positions[i.min(j)], positions[i.max(j)]);
+    /// True if `p` and `q` are within range. The squared distance is the
+    /// same in either orientation (a difference only changes sign);
+    /// `hypot` is asked in the ascending-id orientation of the reference
+    /// build (`p` first iff `p_first`), so results match it bit for bit.
+    fn within(self, p: Point, q: Point, p_first: bool) -> bool {
         let dist_sq = squared_distance(p, q);
-        dist_sq <= self.surely_in || (dist_sq < self.surely_out && p.distance(q) <= self.range)
+        let (a, b) = if p_first { (p, q) } else { (q, p) };
+        dist_sq <= self.surely_in || (dist_sq < self.surely_out && a.distance(b) <= self.range)
     }
 }
 
@@ -638,7 +637,9 @@ impl TopologyBuilder {
         self.bins.fill(positions, |i| connected[i], range);
         let bins = &self.bins;
         Topology::from_rows(recycle, connected, range, |i, out| {
-            let linked = |j: usize| reach.within(positions, i, j) && keep(i.min(j), i.max(j));
+            let p = positions[i];
+            let linked =
+                |j: usize| reach.within(p, positions[j], i < j) && keep(i.min(j), i.max(j));
             bins.scan_row(i, positions, linked, out);
         })
     }
@@ -785,8 +786,8 @@ impl Epoch {
                 let lo = self.arena.len() as u32;
                 let side = self.bins.grid.cell();
                 let limit = side * side * (1.0 + GUARD_BAND);
-                let anchor = &self.anchor;
-                let near = |j: usize| squared_distance(anchor[i], anchor[j]) <= limit;
+                let (anchor, p) = (&self.anchor, self.anchor[i]);
+                let near = |j: usize| squared_distance(p, anchor[j]) <= limit;
                 self.bins.scan_row(i, anchor, near, &mut self.arena);
                 let list = (lo, self.arena.len() as u32);
                 self.lists[i] = Some(list);
@@ -808,10 +809,10 @@ fn filter_row(
     if !up[i] {
         return;
     }
+    let p = positions[i];
     for &j in epoch.candidates(i) {
-        let j = j.index();
-        let (a, b) = (i.min(j), i.max(j));
-        if up[j] && reach.within(positions, i, j) && cut.keeps(positions[a], positions[b]) {
+        let (j, q) = (j.index(), positions[j.index()]);
+        if up[j] && reach.within(p, q, i < j) && cut.keeps(p, q) {
             out.push(NodeId::new(j as u32));
         }
     }
