@@ -529,11 +529,13 @@ impl Reach {
     /// True if `p` and `q` are within range. The squared distance is the
     /// same in either orientation (a difference only changes sign);
     /// `hypot` is asked in the ascending-id orientation of the reference
-    /// build (`p` first iff `p_first`), so results match it bit for bit.
-    fn within(self, p: Point, q: Point, p_first: bool) -> bool {
+    /// build (`asc`: `p` has the lower id), so results match it bit for
+    /// bit.
+    fn within(self, p: Point, q: Point, asc: bool) -> bool {
         let dist_sq = squared_distance(p, q);
-        let (a, b) = if p_first { (p, q) } else { (q, p) };
-        dist_sq <= self.surely_in || (dist_sq < self.surely_out && a.distance(b) <= self.range)
+        dist_sq <= self.surely_in
+            || (dist_sq < self.surely_out
+                && if asc { p.distance(q) } else { q.distance(p) } <= self.range)
     }
 }
 
