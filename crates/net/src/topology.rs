@@ -665,12 +665,6 @@ impl PartitionCut {
         self.mid_x.is_none_or(|mid| (a.x < mid) == (b.x < mid))
             && self.mid_y.is_none_or(|mid| (a.y < mid) == (b.y < mid))
     }
-
-    /// The cut as the `keep(i, j)` link filter of a build over
-    /// `positions` ([`Topology::with_link_filter`]).
-    pub fn filter(self, positions: &[Point]) -> impl Fn(usize, usize) -> bool + '_ {
-        move |i, j| self.keeps(positions[i], positions[j])
-    }
 }
 
 /// The radio graph at one instant, with adjacency rows built when asked

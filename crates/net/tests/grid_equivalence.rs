@@ -210,6 +210,11 @@ fn midlines(side: f64, cut_x: bool, cut_y: bool) -> PartitionCut {
     }
 }
 
+/// `cut` as the `keep(i, j)` link filter of a build over `positions`.
+fn cut_filter(cut: PartitionCut, positions: &[Point]) -> impl Fn(usize, usize) -> bool + '_ {
+    move |i, j| cut.keeps(positions[i], positions[j])
+}
+
 fn refresh(snapshot: &mut TopologySnapshot, cut: PartitionCut, positions: &[Point], up: &[bool]) {
     snapshot.refresh(cut, positions.iter().copied().zip(up.iter().copied()));
 }
@@ -240,7 +245,7 @@ proptest! {
             let n = 1 + rng.uniform_u64(119) as usize;
             let positions: Vec<Point> = (0..n).map(|_| terrain.random_point(&mut rng)).collect();
             let up: Vec<bool> = (0..n).map(|_| !rng.bernoulli(down_prob)).collect();
-            let keep = cut.filter(&positions);
+            let keep = cut_filter(cut, &positions);
             let full = builder.rebuild(retired.take(), &positions, &up, 250.0, &keep);
             let naive = Topology::with_link_filter_naive(&positions, &up, 250.0, &keep);
             refresh(&mut snapshot, cut, &positions, &up);
@@ -308,7 +313,7 @@ proptest! {
         }
         let up: Vec<bool> = positions.iter().map(|_| !rng.bernoulli(0.1)).collect();
         let cut = midlines(2_000.0, cut_x, cut_y);
-        let naive = Topology::with_link_filter_naive(&positions, &up, range, cut.filter(&positions));
+        let naive = Topology::with_link_filter_naive(&positions, &up, range, cut_filter(cut, &positions));
         let mut snapshot = TopologySnapshot::new(range);
         refresh(&mut snapshot, cut, &positions, &up);
         for a in NodeId::all(positions.len()) {
@@ -458,7 +463,7 @@ proptest! {
                 up.push(k >= STRETCH / 2);
                 let open = (STRETCH / 3..2 * STRETCH / 3).contains(&k);
                 let cut = if open { midlines(side, cut_x, cut_y) } else { PartitionCut::default() };
-                let naive = Topology::with_link_filter_naive(&positions, &up, range, cut.filter(&positions));
+                let naive = Topology::with_link_filter_naive(&positions, &up, range, cut_filter(cut, &positions));
                 refresh(&mut snapshot, cut, &positions, &up);
 
                 let n = positions.len();
@@ -532,7 +537,7 @@ fn on_demand_rows_match_the_full_rebuild(
         let flipped = rng.uniform_u64(n as u64) as usize;
         up[flipped] = !up[flipped];
         let cut = midlines(side, (steps / 3..2 * steps / 3).contains(&step), false);
-        let keep = cut.filter(&positions);
+        let keep = cut_filter(cut, &positions);
         refresh(&mut snapshot, cut, &positions, &up);
         let full = builder.rebuild(retired.take(), &positions, &up, 250.0, &keep);
         let naive = (step % 50 == 0)
