@@ -37,10 +37,11 @@ macro_rules! label_enum {
                 }
             }
 
-            /// Inverse of `label` (journal parsing).
-            pub fn from_label(label: &str) -> Option<$name> {
+            /// Inverse of `label` (journal parsing): the variant whose
+            /// label is exactly these bytes.
+            pub fn from_label(label: &[u8]) -> Option<$name> {
                 match label {
-                    $($label => Some($name::$variant),)+
+                    $(label if label == $label.as_bytes() => Some($name::$variant),)+
                     _ => None,
                 }
             }
@@ -264,18 +265,21 @@ mod tests {
     #[test]
     fn from_label_inverts_label() {
         for class in MessageClass::ALL {
-            assert_eq!(MessageClass::from_label(class.label()), Some(class));
+            assert_eq!(
+                MessageClass::from_label(class.label().as_bytes()),
+                Some(class)
+            );
         }
-        // Near misses (one character short, the other case) must miss.
+        // Near misses (one byte short, the other case) must miss.
         for class in MessageClass::ALL {
             let label = class.label();
             for miss in [&label[..label.len() - 1], &label.to_lowercase()] {
                 if MessageClass::ALL.iter().all(|c| c.label() != miss) {
-                    assert_eq!(MessageClass::from_label(miss), None, "{miss}");
+                    assert_eq!(MessageClass::from_label(miss.as_bytes()), None, "{miss}");
                 }
             }
         }
-        assert_eq!(MessageClass::from_label("NOPE"), None);
-        assert_eq!(MessageClass::from_label(""), None);
+        assert_eq!(MessageClass::from_label(b"NOPE"), None);
+        assert_eq!(MessageClass::from_label(b""), None);
     }
 }
