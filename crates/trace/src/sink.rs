@@ -169,7 +169,7 @@ pub const JOURNAL_SCHEMA: u64 = 4;
 /// panicking mid-simulation; check [`JsonlSink::io_error`] after the run.
 pub struct JsonlSink {
     out: BufWriter<Box<dyn Write>>,
-    line: String,
+    line: Vec<u8>,
     records: u64,
     bytes: u64,
     counts: [u64; EventKind::ALL.len()],
@@ -191,7 +191,7 @@ impl JsonlSink {
     pub fn new_with_warmup(writer: Box<dyn Write>, warmup: SimDuration) -> Self {
         let mut sink = JsonlSink {
             out: BufWriter::new(writer),
-            line: String::with_capacity(160),
+            line: Vec::with_capacity(160),
             records: 0,
             bytes: 0,
             counts: [0; EventKind::ALL.len()],
@@ -223,14 +223,14 @@ impl JsonlSink {
     /// does not count toward [`JsonlSink::records`].
     fn write_header(&mut self, warmup: SimDuration) {
         self.line.clear();
-        self.line.push_str("{\"schema\":");
+        self.line.extend_from_slice(b"{\"schema\":");
         json::push_u64(&mut self.line, JOURNAL_SCHEMA);
-        self.line.push_str(",\"kinds\":");
+        self.line.extend_from_slice(b",\"kinds\":");
         json::push_u64(&mut self.line, EventKind::ALL.len() as u64);
-        self.line.push_str(",\"warmup_ms\":");
+        self.line.extend_from_slice(b",\"warmup_ms\":");
         json::push_u64(&mut self.line, warmup.as_millis());
-        self.line.push_str("}\n");
-        match self.out.write_all(self.line.as_bytes()) {
+        self.line.extend_from_slice(b"}\n");
+        match self.out.write_all(&self.line) {
             Ok(()) => self.bytes += self.line.len() as u64,
             Err(e) => self.io_error = Some(e),
         }
@@ -266,8 +266,8 @@ impl TraceSink for JsonlSink {
         }
         self.line.clear();
         event.write_json(at, &mut self.line);
-        self.line.push('\n');
-        match self.out.write_all(self.line.as_bytes()) {
+        self.line.push(b'\n');
+        match self.out.write_all(&self.line) {
             Ok(()) => {
                 self.records += 1;
                 self.bytes += self.line.len() as u64;

@@ -127,9 +127,13 @@ fn events() -> Vec<(SimTime, TraceEvent)> {
         );
     }
     for ((at, event), line) in events.iter().zip(LINES) {
-        let mut written = String::new();
+        let mut written = Vec::new();
         event.write_json(*at, &mut written);
-        assert_eq!(written, line, "fixture is not in the writer's spelling");
+        assert_eq!(
+            written,
+            line.as_bytes(),
+            "fixture is not in the writer's spelling"
+        );
     }
     events
 }

@@ -288,10 +288,10 @@ fn every_record_shape_encodes_to_and_decodes_from_its_golden_line() {
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/vocabulary.jsonl");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        let mut text = String::new();
+        let mut text = Vec::new();
         for (i, event) in shapes.iter().enumerate() {
             event.write_json(stamp(i), &mut text);
-            text.push('\n');
+            text.push(b'\n');
         }
         std::fs::write(&path, text).expect("write golden");
         println!("updated {}", path.display());
@@ -306,9 +306,9 @@ fn every_record_shape_encodes_to_and_decodes_from_its_golden_line() {
     assert_eq!(lines.len(), shapes.len(), "one golden line per shape");
 
     for (i, (event, line)) in shapes.iter().zip(&lines).enumerate() {
-        let mut written = String::new();
+        let mut written = Vec::new();
         event.write_json(stamp(i), &mut written);
-        assert_eq!(&written, line, "line {}: encoder moved", i + 1);
+        assert_eq!(written, line.as_bytes(), "line {}: encoder moved", i + 1);
         assert_eq!(
             parse_event(line),
             Some((stamp(i), *event)),

@@ -282,14 +282,19 @@ fn assert_codec_identity_on_an_everything_on_run(sim_time: SimDuration, warmup: 
 
     // Line by line: parse, re-serialise, compare bytes.
     let text = std::str::from_utf8(&bytes).expect("journal is UTF-8");
-    let mut reencoded = String::new();
+    let mut reencoded = Vec::new();
     let mut body_lines = 0u64;
     for (i, line) in text.lines().enumerate().skip(1) {
         let (at, event) =
             parse_event(line).unwrap_or_else(|| panic!("line {} does not parse: {line}", i + 1));
         reencoded.clear();
         event.write_json(at, &mut reencoded);
-        assert_eq!(reencoded, line, "line {} does not re-serialise", i + 1);
+        assert_eq!(
+            reencoded,
+            line.as_bytes(),
+            "line {} does not re-serialise",
+            i + 1
+        );
         body_lines += 1;
     }
     assert_eq!(body_lines, records, "one body line per recorded event");
