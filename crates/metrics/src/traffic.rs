@@ -30,8 +30,9 @@ macro_rules! label_enum {
             }
 
             /// The label this variant is written as in JSONL output and
-            /// tables.
-            pub fn label(self) -> &'static str {
+            /// tables. A `const fn`, so the journal writer can lay every
+            /// label out at compile time.
+            pub const fn label(self) -> &'static str {
                 match self {
                     $($name::$variant => $label,)+
                 }
