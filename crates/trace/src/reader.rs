@@ -225,19 +225,24 @@ impl<R: BufRead> Iterator for JournalReader<R> {
             if let Some((at, event, [])) = event::decode(line) {
                 return Some(Ok((at, event)));
             }
-            // Invalid UTF-8 is a corrupt line, not an I/O failure: report
-            // it with its line number like any other unparseable line.
-            let text = String::from_utf8_lossy(line);
-            let text = trim_json_ws(&text);
-            if text.is_empty() {
-                continue; // a blank line, anywhere in the body, is skipped
+            match bad_line(line, self.line_no) {
+                Some(err) => return Some(Err(err)),
+                None => continue, // a blank line, anywhere in the body, is skipped
             }
-            return Some(Err(ReadError::BadLine {
-                line_no: self.line_no,
-                text: text.chars().take(160).collect(),
-            }));
         }
     }
+}
+
+/// The error for an unparseable `line` (invalid UTF-8 is a corrupt line,
+/// not an I/O failure), or `None` for a blank one. Cold and out of line,
+/// so that it stays out of [`JournalReader::next`]'s loop.
+#[cold]
+#[inline(never)]
+fn bad_line(line: &[u8], line_no: usize) -> Option<ReadError> {
+    let text = String::from_utf8_lossy(line);
+    let text = trim_json_ws(&text);
+    let text = (!text.is_empty()).then(|| text.chars().take(160).collect())?;
+    Some(ReadError::BadLine { line_no, text })
 }
 
 /// `line` without its `\n` or `\r\n`, as `read_until` returned it.
