@@ -2,8 +2,12 @@
 //! by a miniature event loop (the real driver lives in `mp2p-rpcc`).
 
 use mp2p_mobility::Point;
-use mp2p_net::{Frame, LinkModel, NetAction, NetConfig, NetMeta, NetStack, NetTimer, Topology};
-use mp2p_sim::{EventQueue, NodeId, SimRng, SimTime};
+use mp2p_net::{
+    FloodId, Frame, LinkModel, NetAction, NetConfig, NetMeta, NetPayload, NetStack, NetTimer,
+    RouteControl, Topology,
+};
+use mp2p_sim::{EventQueue, FastMap, NodeId, SimDuration, SimRng, SimTime};
+use proptest::prelude::*;
 
 /// A static-network test driver: applies `NetAction`s, delivers frames
 /// after link delays, and records deliveries/undeliverables/traffic.
@@ -306,4 +310,256 @@ fn concurrent_discoveries_to_same_dest_share_one_rreq() {
     net.run();
     assert_eq!(net.receivers_of("m1"), vec![n(4)]);
     assert_eq!(net.receivers_of("m2"), vec![n(4)]);
+}
+
+/// One input to a lone stack: a frame it hears, a MAC failure, an
+/// application send or a clock step.
+#[derive(Debug, Clone)]
+enum Step {
+    /// A first-seen TTL-1 flood of `origin`'s, heard from `from`.
+    Flood { origin: u32, from: u32, hops: u8 },
+    /// An application unicast from `origin` to `dest`, relayed by `from`.
+    Relay {
+        origin: u32,
+        from: u32,
+        dest: u32,
+        hops: u8,
+    },
+    /// An RERR from `origin` naming `broken`, addressed to this node.
+    Rerr {
+        origin: u32,
+        from: u32,
+        broken: u32,
+        hops: u8,
+    },
+    /// The MAC could not reach `next_hop`: a flood of this node's, or
+    /// (`origin` set) data relayed for `origin`.
+    SendFailed { next_hop: u32, origin: Option<u32> },
+    /// The application sends to `dest`.
+    Send { dest: u32 },
+    /// The clock moves on.
+    Wait { ms: u64 },
+}
+
+/// Ids of the route property: the stack is node 0, its neighbours are
+/// 1–6, and the destinations are 1–149 plus eight ids at the top of the
+/// 24 bits a node id may use.
+fn route_ids() -> Vec<u32> {
+    (1..150).chain((1 << 24) - 8..1 << 24).collect()
+}
+
+fn route_id() -> impl Strategy<Value = u32> {
+    (0u32..157).prop_map(|i| if i < 149 { i + 1 } else { (1 << 24) - 157 + i })
+}
+
+/// Floods weigh three, relays and clock steps two, the rest one.
+fn route_step() -> impl Strategy<Value = Step> {
+    let flood = || {
+        (route_id(), 1u32..7, 0u8..6).prop_map(|(origin, from, hops)| Step::Flood {
+            origin,
+            from,
+            hops,
+        })
+    };
+    let relay = || {
+        (route_id(), 1u32..7, route_id(), 0u8..30).prop_map(|(origin, from, dest, hops)| {
+            Step::Relay {
+                origin,
+                from,
+                dest,
+                hops,
+            }
+        })
+    };
+    let wait = || prop_oneof![0u64..2_000, 59_990u64..60_010].prop_map(|ms| Step::Wait { ms });
+    prop_oneof![
+        flood(),
+        flood(),
+        flood(),
+        relay(),
+        relay(),
+        (route_id(), 1u32..7, route_id(), 0u8..6).prop_map(|(origin, from, broken, hops)| {
+            Step::Rerr {
+                origin,
+                from,
+                broken,
+                hops,
+            }
+        }),
+        (1u32..7, any::<bool>(), route_id()).prop_map(|(next_hop, relayed, origin)| {
+            Step::SendFailed {
+                next_hop,
+                origin: relayed.then_some(origin),
+            }
+        }),
+        route_id().prop_map(|dest| Step::Send { dest }),
+        wait(),
+        wait(),
+    ]
+}
+
+/// The route table as a map: what `learn_route`, `fresh_route`, RERR
+/// removal and the send-failure purge do to it, spelled out.
+struct RouteModel {
+    me: NodeId,
+    ttl: SimDuration,
+    routes: FastMap<NodeId, (NodeId, u8, SimTime)>,
+}
+
+impl RouteModel {
+    fn learn(&mut self, dest: NodeId, next_hop: NodeId, hops: u8, now: SimTime) {
+        if dest == self.me {
+            return;
+        }
+        match self.routes.get(&dest) {
+            Some(&(_, known, expires)) if expires > now && known < hops => {}
+            _ => {
+                self.routes.insert(dest, (next_hop, hops, now + self.ttl));
+            }
+        }
+    }
+
+    fn fresh(&mut self, dest: NodeId, now: SimTime) -> Option<NodeId> {
+        match self.routes.get_mut(&dest) {
+            Some(route) if route.2 > now => {
+                route.2 = now + self.ttl;
+                Some(route.0)
+            }
+            _ => None,
+        }
+    }
+
+    fn has(&self, dest: NodeId, now: SimTime) -> bool {
+        matches!(self.routes.get(&dest), Some(&(_, _, expires)) if expires > now)
+    }
+}
+
+fn sends(actions: &[NetAction<u64>]) -> Vec<NodeId> {
+    actions
+        .iter()
+        .filter_map(|action| match action {
+            NetAction::Send { next_hop, .. } => Some(*next_hop),
+            _ => None,
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A lone stack's route table answers as a map would, whatever it
+    /// hears: after every step, `has_route` for every id and
+    /// `route_count` agree with a `FastMap` model, and every unicast the
+    /// stack sends leaves by the next hop the model names. A hundred and
+    /// more destinations make the table grow, share home slots and wrap
+    /// past its end; RERRs and MAC failures remove from it, and clock
+    /// steps of about `route_ttl` expire routes at the boundary.
+    #[test]
+    fn prop_the_route_table_answers_as_a_map(
+        steps in proptest::collection::vec(route_step(), 1..300),
+    ) {
+        let me = n(0);
+        let cfg = NetConfig::default();
+        let mut stack: NetStack<u64> = NetStack::new(me, cfg);
+        let mut model = RouteModel {
+            me,
+            ttl: cfg.route_ttl,
+            routes: FastMap::default(),
+        };
+        let ids = route_ids();
+        let mut now = SimTime::ZERO;
+        let mut out = Vec::new();
+        for (seq, step) in (0u64..).zip(&steps) {
+            out.clear();
+            let expected: Vec<NodeId> = match *step {
+                Step::Flood { origin, from, hops } => {
+                    let flood = Frame::Flood {
+                        id: FloodId { origin: n(origin), seq },
+                        ttl: 1,
+                        hops,
+                        payload: NetPayload::App(seq),
+                        size: 48,
+                    };
+                    stack.on_frame_into(now, n(from), &flood, &mut out);
+                    model.learn(n(origin), n(from), hops + 1, now);
+                    Vec::new()
+                }
+                Step::Relay { origin, from, dest, hops } => {
+                    let unicast = Frame::Unicast {
+                        origin: n(origin),
+                        seq,
+                        dest: n(dest),
+                        hops,
+                        payload: NetPayload::App(seq),
+                        size: 64,
+                    };
+                    stack.on_frame_into(now, n(from), &unicast, &mut out);
+                    model.learn(n(origin), n(from), hops + 1, now);
+                    let onward = if hops >= cfg.max_unicast_hops {
+                        model.routes.remove(&n(dest));
+                        None
+                    } else {
+                        model.fresh(n(dest), now).filter(|&hop| hop != n(from))
+                    };
+                    // Forwarded, or else an RERR back towards the origin.
+                    onward.or_else(|| model.fresh(n(origin), now)).into_iter().collect()
+                }
+                Step::Rerr { origin, from, broken, hops } => {
+                    let rerr = Frame::Unicast {
+                        origin: n(origin),
+                        seq,
+                        dest: me,
+                        hops,
+                        payload: NetPayload::Control(RouteControl::Rerr { broken_dest: n(broken) }),
+                        size: 32,
+                    };
+                    stack.on_frame_into(now, n(from), &rerr, &mut out);
+                    model.learn(n(origin), n(from), hops + 1, now);
+                    model.routes.remove(&n(broken));
+                    Vec::new()
+                }
+                Step::SendFailed { next_hop, origin } => {
+                    let frame = match origin {
+                        Some(origin) => Frame::Unicast {
+                            origin: n(origin),
+                            seq,
+                            dest: n(149),
+                            hops: 1,
+                            payload: NetPayload::App(seq),
+                            size: 64,
+                        },
+                        None => Frame::Flood {
+                            id: FloodId { origin: me, seq },
+                            ttl: 3,
+                            hops: 0,
+                            payload: NetPayload::App(seq),
+                            size: 48,
+                        },
+                    };
+                    stack.on_send_failed_into(now, n(next_hop), frame, &mut out);
+                    model.routes.retain(|_, route| route.0 != n(next_hop));
+                    // Relayed data is answered with an RERR to its origin.
+                    origin.and_then(|origin| model.fresh(n(origin), now)).into_iter().collect()
+                }
+                Step::Send { dest } => {
+                    stack.send_app_into(now, n(dest), seq, 64, &mut out);
+                    model.fresh(n(dest), now).into_iter().collect()
+                }
+                Step::Wait { ms } => {
+                    now += SimDuration::from_millis(ms);
+                    Vec::new()
+                }
+            };
+            prop_assert_eq!(sends(&out), expected, "step {} {:?}", seq, step);
+            for &id in &ids {
+                prop_assert_eq!(
+                    stack.has_route(n(id), now),
+                    model.has(n(id), now),
+                    "route to {} after step {} {:?}", id, seq, step
+                );
+            }
+            let live = model.routes.values().filter(|route| route.2 > now).count();
+            prop_assert_eq!(stack.route_count(now), live, "after step {} {:?}", seq, step);
+        }
+    }
 }
