@@ -15,8 +15,8 @@ use std::cell::Cell;
 
 use mp2p_mobility::{Point, Terrain};
 use mp2p_net::{
-    FloodId, Frame, NetAction, NetConfig, NetPayload, NetStack, PartitionCut, Topology,
-    TopologyBuilder, TopologyScratch, TopologySnapshot,
+    FloodId, Frame, NetAction, NetConfig, NetPayload, NetStack, PartitionCut, RouteControl,
+    Topology, TopologyBuilder, TopologyScratch, TopologySnapshot,
 };
 use mp2p_sim::{NodeId, SimRng, SimTime};
 
@@ -197,9 +197,11 @@ fn warm_epoch_restarts_do_not_allocate() {
 /// What a reception costs a warm stack: nothing for a flood it has
 /// heard, nothing for a first-seen flood at the end of its TTL (one
 /// `Deliver` into the caller's buffer, one id into a dedup memory in a
-/// steady state: a flood a millisecond, each held 36 ms), nothing for a
-/// unicast it forwards along a known route — and the frame, only
-/// borrowed, is bit-equal afterwards.
+/// steady state: a flood a millisecond, each held 36 ms), nothing for
+/// an RERR that removes a route, nothing for a unicast it forwards along
+/// a known route, nothing for a MAC failure that purges the routes
+/// through a neighbour in place — and the frames, only borrowed, are
+/// bit-equal afterwards.
 #[test]
 fn warm_receptions_do_not_allocate() {
     let (me, neighbour, origin, dest) = (
@@ -225,12 +227,38 @@ fn warm_receptions_do_not_allocate() {
         payload: NetPayload::App(seq),
         size: 64,
     };
+    // `dest` reports its route to `origin` broken.
+    let rerr = Frame::Unicast {
+        origin: dest,
+        seq: 0,
+        dest: me,
+        hops: 0,
+        payload: NetPayload::Control(RouteControl::Rerr {
+            broken_dest: origin,
+        }),
+        size: 32,
+    };
     let mut stack: NetStack<u64> = NetStack::new(me, NetConfig::default());
     let mut out = Vec::new();
-    // Pre-grow the tables: the dedup memory turns over many times (its
-    // ring grows to the ids one lifetime holds and is then reused in
-    // place), and hearing `dest` flood teaches the route the unicasts are
-    // forwarded along.
+    // Each round: the flood teaches the route to `origin`, the RERR
+    // removes it, the unicast teaches it again, and a failed send
+    // through `neighbour` purges it.
+    let round = |stack: &mut NetStack<u64>,
+                 seq: u64,
+                 flood: &Frame<u64>,
+                 unicast: &Frame<u64>,
+                 out: &mut Vec<NetAction<u64>>| {
+        let now = at(seq);
+        stack.on_frame_into(now, neighbour, flood, out); // first seen, TTL spent
+        stack.on_frame_into(now, neighbour, flood, out); // duplicate
+        stack.on_frame_into(now, dest, &rerr, out);
+        stack.on_frame_into(now, neighbour, unicast, out); // relayed
+        stack.on_send_failed_into(now, neighbour, flood.clone(), out);
+    };
+    // Pre-grow the tables: the dedup memory turns over many times (the
+    // ids one lifetime holds past its inline slots spill to a ring that
+    // grows to them and is then reused in place), and hearing `dest`
+    // flood teaches the route the unicasts are forwarded along.
     let taught = Frame::Flood {
         id: FloodId {
             origin: dest,
@@ -243,8 +271,7 @@ fn warm_receptions_do_not_allocate() {
     };
     stack.on_frame_into(at(0), dest, &taught, &mut out);
     for seq in 0..2_000 {
-        stack.on_frame_into(at(seq), neighbour, &flood(seq), &mut out);
-        stack.on_frame_into(at(seq), neighbour, &unicast(seq), &mut out);
+        round(&mut stack, seq, &flood(seq), &unicast(seq), &mut out);
         out.clear();
     }
 
@@ -255,10 +282,7 @@ fn warm_receptions_do_not_allocate() {
     let (mut delivered, mut forwarded) = (0, 0);
     arm();
     for (seq, (flood, unicast)) in (2_000..).zip(&frames) {
-        let now = at(seq);
-        stack.on_frame_into(now, neighbour, flood, &mut out); // first seen, TTL spent
-        stack.on_frame_into(now, neighbour, flood, &mut out); // duplicate
-        stack.on_frame_into(now, neighbour, unicast, &mut out); // relayed
+        round(&mut stack, seq, flood, unicast, &mut out);
         for action in out.drain(..) {
             match action {
                 NetAction::Deliver { .. } => delivered += 1,
@@ -271,4 +295,8 @@ fn warm_receptions_do_not_allocate() {
     assert_eq!(count, 0, "warm receptions allocated {count} times");
     assert_eq!((delivered, forwarded), (200, 200));
     assert_eq!(frames, untouched, "a reception only reads the frame");
+    assert!(
+        !stack.has_route(origin, at(2_200)),
+        "the failed send purged it"
+    );
 }
