@@ -14,8 +14,10 @@
 //!
 //! Fig. 5 is node-level candidacy (`candidate`, Eq. 4.2.8) plus one
 //! `ItemRole` per item in `roles`; no entry is a plain cache copy. Every
-//! role change is one `Edge` taken by `Rpcc::set_role`, the only writer
-//! of `roles` and of a relay's `resyncing` flag. This table is its
+//! role change is one `Edge` taken by `Rpcc::set_role`. The private
+//! module `fig5` makes it the only writer of `roles` and of a relay's
+//! `resyncing` flag: outside it `Roles` has no insert, remove or
+//! `get_mut`, and the flag is a private field. This table is its
 //! `match`; each edge sends before it journals, in the order listed, and
 //! a `(edge, from)` pair it lacks fails a `debug_assert!`:
 //!
@@ -39,6 +41,8 @@ use mp2p_cache::Version;
 use mp2p_metrics::{RelayTransitionKind, ServedBy, SpanPhase};
 use mp2p_sim::{FastMap, ItemId, NodeId, SimTime};
 
+use fig5::{Edge, ItemRole, Roles};
+
 use crate::adaptive::AdaptiveTuner;
 use crate::coefficients::Coefficients;
 use crate::config::{
@@ -53,26 +57,184 @@ use crate::recovery::{
     self, RecoveryAction, RetransmitQueue, SeqTracker, VersionDigest, RETX_ATTEMPTS, RETX_TIMEOUT,
 };
 
-/// Fig. 5's state of one item at this node (module docs).
-#[derive(Debug, Clone)]
-enum ItemRole {
-    /// A candidate applied (Section 4.3). `sent` rate-limits the next APPLY
-    /// (`None`: the last was undeliverable, re-apply at once); `attempts`
-    /// unacknowledged APPLYs widen the gap under hardening.
-    Applying { sent: Option<SimTime>, attempts: u8 },
-    /// An approved relay peer.
-    Relay(RelayState),
-}
+/// Fig. 5's per-item state and its one writer, `Rpcc::set_role`.
+mod fig5 {
+    use super::*;
 
-#[derive(Debug, Clone)]
-struct RelayState {
-    /// The copy is authoritatively fresh until this instant (`TTR_d`).
-    ttr_expiry: SimTime,
-    /// POLLs that arrived while stale, waiting for the next
-    /// INVALIDATION/UPDATE (Fig. 6(c) line 16).
-    held_polls: Vec<HeldPoll>,
-    /// True while a `GET_NEW` is outstanding.
-    resyncing: bool,
+    /// Fig. 5's state of one item at this node (module docs).
+    #[derive(Debug, Clone)]
+    pub(super) enum ItemRole {
+        /// A candidate applied (Section 4.3). `sent` rate-limits the next
+        /// APPLY (`None`: the last was undeliverable, re-apply at once);
+        /// `attempts` unacknowledged APPLYs widen the gap under hardening.
+        Applying { sent: Option<SimTime>, attempts: u8 },
+        /// An approved relay peer.
+        Relay(RelayState),
+    }
+
+    #[derive(Debug, Clone)]
+    pub(super) struct RelayState {
+        /// The copy is authoritatively fresh until this instant (`TTR_d`).
+        pub(super) ttr_expiry: SimTime,
+        /// POLLs that arrived while stale, waiting for the next
+        /// INVALIDATION/UPDATE (Fig. 6(c) line 16).
+        pub(super) held_polls: Vec<HeldPoll>,
+        /// True while a `GET_NEW` is outstanding; `set_role` alone writes it.
+        resyncing: bool,
+    }
+
+    /// One Fig. 5 edge of one item: a row of the module docs' table, which
+    /// gives where it starts and ends and what it sends and journals.
+    /// `attempts` counts unacknowledged APPLYs; `version` is the one
+    /// vouched for.
+    #[derive(Debug, Clone, Copy)]
+    pub(super) enum Edge {
+        Apply { attempts: u8 },
+        Promote { version: Version },
+        Resync,
+        Confirm,
+        ResyncLost,
+        Resign,
+        Withdraw,
+    }
+
+    /// Fig. 5's per-item state, ascending by item. It has no `Default` and
+    /// no `get_mut`: outside this module a role is read, or a relay's lease
+    /// and held polls and an application's APPLY stamp are reached, each
+    /// with one map operation; `set_role` alone adds, drops or rebuilds one.
+    #[derive(Debug, Clone)]
+    pub(super) struct Roles(BTreeMap<ItemId, ItemRole>);
+
+    impl Roles {
+        pub(super) fn new() -> Self {
+            Roles(BTreeMap::new())
+        }
+
+        pub(super) fn get(&self, item: ItemId) -> Option<&ItemRole> {
+            self.0.get(&item)
+        }
+
+        /// The role of the lowest item.
+        pub(super) fn first(&self) -> Option<(ItemId, &ItemRole)> {
+            self.0.first_key_value().map(|(&item, role)| (item, role))
+        }
+
+        /// Every role, ascending by item.
+        pub(super) fn iter(&self) -> impl Iterator<Item = (ItemId, &ItemRole)> {
+            self.0.iter().map(|(&item, role)| (item, role))
+        }
+
+        /// `item`'s relay state, if this node relays it.
+        pub(super) fn relay_mut(&mut self, item: ItemId) -> Option<&mut RelayState> {
+            match self.0.get_mut(&item) {
+                Some(ItemRole::Relay(st)) => Some(st),
+                _ => None,
+            }
+        }
+
+        /// Every relay state, ascending by item.
+        pub(super) fn relays_mut(&mut self) -> impl Iterator<Item = (ItemId, &mut RelayState)> {
+            self.0.iter_mut().filter_map(|(&item, role)| match role {
+                ItemRole::Relay(st) => Some((item, st)),
+                ItemRole::Applying { .. } => None,
+            })
+        }
+
+        /// When `item`'s last APPLY went, if this node is applying for it.
+        pub(super) fn apply_stamp_mut(&mut self, item: ItemId) -> Option<&mut Option<SimTime>> {
+            match self.0.get_mut(&item) {
+                Some(ItemRole::Applying { sent, .. }) => Some(sent),
+                _ => None,
+            }
+        }
+    }
+
+    impl Rpcc {
+        /// Takes one Fig. 5 edge for `item`: the only writer of `roles` and
+        /// of a relay's `resyncing` flag. The arms are the module docs' table.
+        pub(super) fn set_role(&mut self, ctx: &mut Ctx<'_>, item: ItemId, edge: Edge) {
+            use RelayTransitionKind as Kind;
+            let source = item.source_host();
+            match (edge, self.roles.0.get_mut(&item)) {
+                (Edge::Apply { attempts }, None | Some(ItemRole::Applying { .. })) => {
+                    let sent = Some(ctx.now);
+                    self.roles
+                        .0
+                        .insert(item, ItemRole::Applying { sent, attempts });
+                    ctx.send(source, ProtoMsg::Apply { item });
+                    ctx.transition(item, Kind::ApplySent);
+                }
+                (Edge::Promote { version }, _) => {
+                    let lags = ctx.cached_version(item) < version;
+                    let mut st = RelayState {
+                        ttr_expiry: ctx.now + Self::relay_lease(),
+                        held_polls: Vec::new(),
+                        resyncing: lags,
+                    };
+                    if lags {
+                        st.ttr_expiry = ctx.now; // stale until SEND_NEW arrives
+                        ctx.send(source, ProtoMsg::GetNew { item });
+                        ctx.transition(item, Kind::ResyncStarted);
+                    }
+                    self.roles.0.insert(item, ItemRole::Relay(st));
+                    ctx.transition(item, Kind::Promoted);
+                }
+                (Edge::Resync, Some(ItemRole::Relay(st))) => {
+                    if !st.resyncing {
+                        st.resyncing = true;
+                        ctx.send(source, ProtoMsg::GetNew { item });
+                        ctx.transition(item, Kind::ResyncStarted);
+                    }
+                }
+                (Edge::Confirm, Some(ItemRole::Relay(st))) => {
+                    st.ttr_expiry = ctx.now + Self::relay_lease();
+                    if std::mem::take(&mut st.resyncing) {
+                        ctx.transition(item, Kind::ResyncCompleted);
+                    }
+                }
+                (Edge::ResyncLost, Some(ItemRole::Relay(st))) => st.resyncing = false,
+                (Edge::Resign, Some(ItemRole::Relay(_))) => {
+                    // Held polls cannot be answered honestly any more; the
+                    // pollers' retry timers recover them.
+                    self.roles.0.remove(&item);
+                    ctx.send(source, ProtoMsg::Cancel { item });
+                    ctx.transition(item, Kind::Demoted);
+                }
+                (Edge::Withdraw, Some(ItemRole::Applying { .. })) => {
+                    self.roles.0.remove(&item);
+                }
+                (edge, from) => debug_assert!(false, "Fig. 5 has no {edge:?} from {from:?}"),
+            }
+        }
+    }
+
+    #[cfg(test)]
+    impl RelayState {
+        pub(super) fn resyncing(&self) -> bool {
+            self.resyncing
+        }
+    }
+
+    #[cfg(test)]
+    impl Roles {
+        /// Writes `item`'s role directly rather than through `set_role`: an
+        /// `Applying` after one unsent APPLY for `None`, else a relay whose
+        /// lease has run out, resyncing iff `Some(true)`.
+        pub(super) fn stand_at(&mut self, item: ItemId, relay: Option<bool>) {
+            let role = match relay {
+                None => ItemRole::Applying {
+                    sent: None,
+                    attempts: 1,
+                },
+                Some(resyncing) => ItemRole::Relay(RelayState {
+                    ttr_expiry: SimTime::ZERO,
+                    held_polls: Vec::new(),
+                    resyncing,
+                }),
+            };
+            self.0.insert(item, role);
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -82,20 +244,6 @@ struct HeldPoll {
     held_at: SimTime,
     /// Span tag of the held poll, echoed into the eventual ack.
     span: Option<u64>,
-}
-
-/// One Fig. 5 edge of one item: a row of the module docs' table, which
-/// gives where it starts and ends and what it sends and journals.
-/// `attempts` counts unacknowledged APPLYs; `version` is the one vouched for.
-#[derive(Debug, Clone, Copy)]
-enum Edge {
-    Apply { attempts: u8 },
-    Promote { version: Version },
-    Resync,
-    Confirm,
-    ResyncLost,
-    Resign,
-    Withdraw,
 }
 
 /// Relay-side: answer one POLL against the local (fresh) copy, echoing
@@ -141,8 +289,8 @@ pub struct Rpcc {
     /// Consecutive coefficient ticks that failed Eq. 4.2.8.
     failing_ticks: u8,
     coeffs: Coefficients,
-    /// Fig. 5's per-item state, ascending by item.
-    roles: BTreeMap<ItemId, ItemRole>,
+    /// Fig. 5's per-item state; `fig5` holds who may write it.
+    roles: Roles,
     /// Cache role: `TTP` expiry per cached item.
     ttp_expiry: FastMap<ItemId, SimTime>,
     /// Latest master version learnt per item (from INVALIDATION/acks).
@@ -184,7 +332,7 @@ impl Rpcc {
             candidate: false,
             failing_ticks: 0,
             coeffs: Coefficients::new(OMEGA),
-            roles: BTreeMap::new(),
+            roles: Roles::new(),
             ttp_expiry: FastMap::default(),
             last_seen_ver: FastMap::default(),
             known_relay: FastMap::default(),
@@ -198,11 +346,11 @@ impl Rpcc {
 
     /// True if this node is an approved relay for `item`.
     pub fn is_relay_for(&self, item: ItemId) -> bool {
-        matches!(self.roles.get(&item), Some(ItemRole::Relay(_)))
+        matches!(self.roles.get(item), Some(ItemRole::Relay(_)))
     }
 
     fn ttr_fresh(&self, item: ItemId, now: SimTime) -> bool {
-        matches!(self.roles.get(&item), Some(ItemRole::Relay(st)) if st.ttr_expiry > now)
+        matches!(self.roles.get(item), Some(ItemRole::Relay(st)) if st.ttr_expiry > now)
     }
 
     /// The relay serving lease granted by a freshness confirmation.
@@ -218,65 +366,9 @@ impl Rpcc {
         TTR.max(TTN + mp2p_sim::SimDuration::from_secs(5))
     }
 
-    /// Takes one Fig. 5 edge for `item`: the only writer of `roles` and
-    /// of a relay's `resyncing` flag. The arms are the module docs' table.
-    fn set_role(&mut self, ctx: &mut Ctx<'_>, item: ItemId, edge: Edge) {
-        use RelayTransitionKind as Kind;
-        let source = item.source_host();
-        match (edge, self.roles.get_mut(&item)) {
-            (Edge::Apply { attempts }, None | Some(ItemRole::Applying { .. })) => {
-                let sent = Some(ctx.now);
-                self.roles
-                    .insert(item, ItemRole::Applying { sent, attempts });
-                ctx.send(source, ProtoMsg::Apply { item });
-                ctx.transition(item, Kind::ApplySent);
-            }
-            (Edge::Promote { version }, _) => {
-                let lags = ctx.cached_version(item) < version;
-                let mut st = RelayState {
-                    ttr_expiry: ctx.now + Self::relay_lease(),
-                    held_polls: Vec::new(),
-                    resyncing: lags,
-                };
-                if lags {
-                    st.ttr_expiry = ctx.now; // stale until SEND_NEW arrives
-                    ctx.send(source, ProtoMsg::GetNew { item });
-                    ctx.transition(item, Kind::ResyncStarted);
-                }
-                self.roles.insert(item, ItemRole::Relay(st));
-                ctx.transition(item, Kind::Promoted);
-            }
-            (Edge::Resync, Some(ItemRole::Relay(st))) => {
-                if !st.resyncing {
-                    st.resyncing = true;
-                    ctx.send(source, ProtoMsg::GetNew { item });
-                    ctx.transition(item, Kind::ResyncStarted);
-                }
-            }
-            (Edge::Confirm, Some(ItemRole::Relay(st))) => {
-                st.ttr_expiry = ctx.now + Self::relay_lease();
-                if std::mem::take(&mut st.resyncing) {
-                    ctx.transition(item, Kind::ResyncCompleted);
-                }
-            }
-            (Edge::ResyncLost, Some(ItemRole::Relay(st))) => st.resyncing = false,
-            (Edge::Resign, Some(ItemRole::Relay(_))) => {
-                // Held polls cannot be answered honestly any more; the
-                // pollers' retry timers recover them.
-                self.roles.remove(&item);
-                ctx.send(source, ProtoMsg::Cancel { item });
-                ctx.transition(item, Kind::Demoted);
-            }
-            (Edge::Withdraw, Some(ItemRole::Applying { .. })) => {
-                self.roles.remove(&item);
-            }
-            (edge, from) => debug_assert!(false, "Fig. 5 has no {edge:?} from {from:?}"),
-        }
-    }
-
     /// A freshness proof arrived: answer every poll the relay holds.
     fn answer_held(&mut self, ctx: &mut Ctx<'_>, item: ItemId) {
-        if let Some(ItemRole::Relay(st)) = self.roles.get_mut(&item) {
+        if let Some(st) = self.roles.relay_mut(item) {
             for poll in std::mem::take(&mut st.held_polls) {
                 answer_poll(ctx, item, poll);
             }
@@ -405,18 +497,18 @@ impl Rpcc {
     /// for candidates).
     fn on_invalidation(&mut self, ctx: &mut Ctx<'_>, item: ItemId, version: Version) {
         self.note_master_version(item, version);
-        let (sent, attempts) = match self.roles.get_mut(&item) {
-            Some(ItemRole::Relay(st)) => {
+        let (sent, attempts) = match self.roles.get(item) {
+            Some(ItemRole::Relay(_)) => {
                 if ctx.cached_version(item) < version {
                     // Missed an update while disconnected: resynchronise.
                     self.set_role(ctx, item, Edge::Resync);
-                } else {
+                } else if let Some(st) = self.roles.relay_mut(item) {
                     st.ttr_expiry = ctx.now + Self::relay_lease();
                     self.answer_held(ctx, item);
                 }
                 return;
             }
-            Some(&mut ItemRole::Applying { sent, attempts }) => (sent, attempts),
+            Some(&ItemRole::Applying { sent, attempts }) => (sent, attempts),
             None => (None, 0),
         };
         // Candidate hearing an invalidation for a cached item applies for
@@ -480,7 +572,7 @@ impl Rpcc {
             ctx.reply_to_poll(from, item, their_version, master, span);
             return;
         }
-        if let Some(ItemRole::Relay(st)) = self.roles.get_mut(&item) {
+        if let Some(st) = self.roles.relay_mut(item) {
             self.coeffs.note_access();
             let poll = HeldPoll {
                 from,
@@ -542,7 +634,7 @@ impl Rpcc {
         self.note_master_version(item, version);
         if ctx.cache.contains(item) {
             self.set_role(ctx, item, Edge::Promote { version });
-        } else if let Some(ItemRole::Applying { .. }) = self.roles.get(&item) {
+        } else if let Some(ItemRole::Applying { .. }) = self.roles.get(item) {
             // The cached copy was evicted meanwhile; let the table age out.
             self.set_role(ctx, item, Edge::Withdraw);
         }
@@ -551,7 +643,7 @@ impl Rpcc {
     /// Demotes this node from all relay roles and drops its applications
     /// (coefficient failure; Fig. 5 "relay peer → cache node" edge).
     fn demote(&mut self, ctx: &mut Ctx<'_>) {
-        while let Some((&item, role)) = self.roles.first_key_value() {
+        while let Some((item, role)) = self.roles.first() {
             if let ItemRole::Relay(_) = role {
                 self.set_role(ctx, item, Edge::Resign);
                 // The copy stays cached; give it a normal TTP lease from now.
@@ -593,7 +685,7 @@ impl Rpcc {
                 continue;
             }
             stale += 1;
-            if let Some(ItemRole::Relay(st)) = self.roles.get_mut(&item) {
+            if let Some(st) = self.roles.relay_mut(item) {
                 // Relay copies refresh through the protocol's own resync
                 // channel instead of being dropped.
                 st.ttr_expiry = ctx.now;
@@ -903,13 +995,11 @@ impl Protocol for Rpcc {
                 // One ascending pass drops polls held past `hold` and
                 // finds every relay whose lease is orphaned; each resigns.
                 let mut orphans = Vec::new();
-                for (&item, role) in self.roles.iter_mut() {
-                    if let ItemRole::Relay(st) = role {
-                        st.held_polls
-                            .retain(|p| now.saturating_since(p.held_at) < hold);
-                        if grace.is_some_and(|g| now.saturating_since(st.ttr_expiry) > g) {
-                            orphans.push(item);
-                        }
+                for (item, st) in self.roles.relays_mut() {
+                    st.held_polls
+                        .retain(|p| now.saturating_since(p.held_at) < hold);
+                    if grace.is_some_and(|g| now.saturating_since(st.ttr_expiry) > g) {
+                        orphans.push(item);
                     }
                 }
                 for item in orphans {
@@ -945,7 +1035,7 @@ impl Protocol for Rpcc {
             }
             ProtoMsg::Apply { item } => {
                 // Re-apply at the next INVALIDATION, keeping the backoff count.
-                if let Some(ItemRole::Applying { sent, .. }) = self.roles.get_mut(&item) {
+                if let Some(sent) = self.roles.apply_stamp_mut(item) {
                     *sent = None;
                 }
             }
@@ -978,7 +1068,7 @@ impl Protocol for Rpcc {
         } else {
             self.failing_ticks = self.failing_ticks.saturating_add(1);
             if self.failing_ticks >= ctx.cfg.demote_grace_ticks
-                && (self.candidate || !self.roles.is_empty())
+                && (self.candidate || self.roles.first().is_some())
             {
                 self.candidate = false;
                 self.demote(ctx);
@@ -988,8 +1078,8 @@ impl Protocol for Rpcc {
 
     fn relay_item_count(&self) -> usize {
         self.roles
-            .values()
-            .filter(|role| matches!(role, ItemRole::Relay(_)))
+            .iter()
+            .filter(|(_, role)| matches!(role, ItemRole::Relay(_)))
             .count()
     }
 
@@ -2337,10 +2427,10 @@ mod tests {
     }
 
     fn stand_of(proto: &Rpcc) -> Stand {
-        match proto.roles.get(&ItemId::new(1)) {
+        match proto.roles.get(ItemId::new(1)) {
             None => Stand::Copy,
             Some(ItemRole::Applying { .. }) => Stand::Applying,
-            Some(ItemRole::Relay(st)) if st.resyncing => Stand::Resyncing,
+            Some(ItemRole::Relay(st)) if st.resyncing() => Stand::Resyncing,
             Some(ItemRole::Relay(_)) => Stand::Relay,
         }
     }
@@ -2349,23 +2439,13 @@ mod tests {
     /// `stand`, written directly rather than through `set_role`.
     fn standing_at(stand: Stand) -> Fixture {
         let mut fx = fixture(0);
-        let relay = |resyncing| {
-            ItemRole::Relay(RelayState {
-                ttr_expiry: SimTime::ZERO,
-                held_polls: Vec::new(),
-                resyncing,
-            })
-        };
-        let role = match stand {
+        let relay = match stand {
             Stand::Copy => return fx,
-            Stand::Applying => ItemRole::Applying {
-                sent: None,
-                attempts: 1,
-            },
-            Stand::Relay => relay(false),
-            Stand::Resyncing => relay(true),
+            Stand::Applying => None,
+            Stand::Relay => Some(false),
+            Stand::Resyncing => Some(true),
         };
-        fx.proto.roles.insert(ItemId::new(1), role);
+        fx.proto.roles.stand_at(ItemId::new(1), relay);
         fx
     }
 

@@ -8,8 +8,6 @@
 //! acks for polls never sent, UPDATEs from non-sources, CANCELs from
 //! strangers, replies after demotion, duplicated and reordered traffic.
 
-use std::collections::HashSet;
-
 use proptest::prelude::*;
 
 use mp2p_cache::{CacheStore, DataItem, Version};
@@ -17,7 +15,7 @@ use mp2p_rpcc::{
     ConsistencyLevel, Ctx, CtxOut, ProtoMsg, Protocol, ProtocolConfig, PushAdaptivePull, QueryId,
     Rpcc, SimplePull, SimplePush, Timer,
 };
-use mp2p_sim::{ItemId, NodeId, SimDuration, SimRng, SimTime};
+use mp2p_sim::{FastSet, ItemId, NodeId, SimDuration, SimRng, SimTime};
 
 const NODES: u32 = 6;
 const ITEMS: u32 = 6;
@@ -171,7 +169,7 @@ fn drive<P: Protocol>(mut proto: P, steps: &[Step], adaptive: bool) {
     let mut now = SimTime::ZERO;
     let mut connected = true;
     let mut next_query = 0u64;
-    let mut open: HashSet<QueryId> = HashSet::new();
+    let mut open: FastSet<QueryId> = FastSet::default();
 
     // init
     {

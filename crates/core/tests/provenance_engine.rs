@@ -40,7 +40,6 @@
 //!    `RunReport::to_json()`, so a change to the engine that claims to
 //!    move nothing can be held to it.
 
-use std::collections::HashSet;
 use std::path::PathBuf;
 
 use mp2p_net::FaultPlan;
@@ -48,7 +47,7 @@ use mp2p_rpcc::{
     LevelMix, ObservatoryConfig, ProvenanceConfig, RecoveryConfig, RoutingMode, RunReport,
     Strategy, WorkloadMode, World, WorldConfig,
 };
-use mp2p_sim::SimDuration;
+use mp2p_sim::{FastSet, SimDuration};
 use mp2p_trace::{FrameFateKind, JsonlSink, RingSink, TraceEvent};
 
 /// The chaos scenario the invariants run: the paper's 50-peer terrain,
@@ -341,7 +340,7 @@ fn every_frame_record_references_a_born_frame() {
         "ring overflowed; the born-set check would see a truncated stream"
     );
 
-    let mut born: HashSet<(u64, u64)> = HashSet::new();
+    let mut born: FastSet<(u64, u64)> = FastSet::default();
     let mut hops = 0u64;
     let mut fates = 0u64;
     let mut lineages = 0u64;
@@ -413,8 +412,8 @@ fn no_frame_is_born_twice_across_crashes() {
     assert!((ring.total_recorded() as usize) <= ring.capacity());
     assert!(report.faults.recoveries > 0, "nobody crashed and came back");
 
-    let mut crashed: HashSet<u64> = HashSet::new();
-    let mut born: HashSet<(u64, u64)> = HashSet::new();
+    let mut crashed: FastSet<u64> = FastSet::default();
+    let mut born: FastSet<(u64, u64)> = FastSet::default();
     let mut born_after_a_crash = 0u64;
     for (_, event) in ring.iter() {
         match *event {

@@ -18,8 +18,6 @@
 //!    and the recovery counters only appear in the JSON when the layer
 //!    is switched on.
 
-use std::collections::HashMap;
-
 use proptest::prelude::*;
 // `mp2p_rpcc::Strategy` (the protocol selector) shadows the prelude's
 // `Strategy` trait; re-import the trait anonymously for `prop_map`.
@@ -30,7 +28,7 @@ use mp2p_net::FaultPlan;
 use mp2p_rpcc::{
     Ctx, ProtocolConfig, RecoveryConfig, RetransmitQueue, SeqTracker, Strategy, World, WorldConfig,
 };
-use mp2p_sim::{ItemId, NodeId, SimDuration, SimRng, SimTime};
+use mp2p_sim::{FastMap, ItemId, NodeId, SimDuration, SimRng, SimTime};
 
 /// One operation against the retransmit queue.
 #[derive(Debug, Clone)]
@@ -126,7 +124,7 @@ proptest! {
         frames in proptest::collection::vec((0u32..4, 0u32..4, 1u64..32), 0..120),
     ) {
         let mut tracker = SeqTracker::new();
-        let mut accepted: HashMap<(u32, u32), u64> = HashMap::new();
+        let mut accepted: FastMap<(u32, u32), u64> = FastMap::default();
         for &(peer, item, seq) in &frames {
             let fresh = tracker.is_new(NodeId::new(peer), ItemId::new(item), seq);
             let highest = accepted.entry((peer, item)).or_insert(0);

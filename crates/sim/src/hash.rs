@@ -30,15 +30,20 @@
 //! assert_eq!(hops.get(&NodeId::new(3)), Some(&2));
 //! ```
 
+#[allow(clippy::disallowed_types)]
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` on the simulator's deterministic hasher. Construct with
-/// `FastMap::default()`: `new` is defined only for std's default hasher,
-/// which is how `ci` keeps that hasher out of the simulator crates.
+/// `FastMap::default()` (`new` is defined only for std's default
+/// hasher). The root `clippy.toml` refuses std's `HashMap`, `HashSet`
+/// and `RandomState` everywhere else, so these aliases are the only way
+/// to a hash map in the workspace.
+#[allow(clippy::disallowed_types)]
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// A `HashSet` on the simulator's deterministic hasher.
+#[allow(clippy::disallowed_types)]
 pub type FastSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
 
 /// Odd 64-bit multiplier (the constant Firefox's and rustc's Fx hashers

@@ -4,7 +4,6 @@
 //! be well-formed line-parseable JSON.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::io::Write;
 use std::rc::Rc;
 
@@ -14,7 +13,7 @@ use mp2p::rpcc::{
     LevelMix, ObservatoryConfig, ProvenanceConfig, RecoveryConfig, Strategy, World, WorldConfig,
     BROADCAST_TTL,
 };
-use mp2p::sim::{SimDuration, SimTime};
+use mp2p::sim::{FastSet, SimDuration, SimTime};
 use mp2p::trace::reader::{parse_event, JournalReader};
 use mp2p::trace::{EventKind, JsonlSink, RingSink, TraceEvent};
 
@@ -106,9 +105,9 @@ fn hop_counts_respect_ttl_budgets() {
 #[test]
 fn queries_never_serve_after_failing() {
     let (report, events) = run_with_ring(13);
-    let mut failed: HashSet<u64> = HashSet::new();
-    let mut served: HashSet<u64> = HashSet::new();
-    let mut issued: HashSet<u64> = HashSet::new();
+    let mut failed: FastSet<u64> = FastSet::default();
+    let mut served: FastSet<u64> = FastSet::default();
+    let mut issued: FastSet<u64> = FastSet::default();
     for (_, ev) in &events {
         match ev {
             TraceEvent::QueryIssued { query, .. } => {
